@@ -7,7 +7,7 @@
 //! can fail (transmission error); the client simply keeps listening — the
 //! whole point of the paper is how long that makes it wait.
 
-use crate::{Transmission, TransmissionRef};
+use crate::TransmissionRef;
 use bauth::{BlockProof, Root};
 use ida::{Dispersal, DispersedBlock, FileId, IdaError};
 use std::collections::BTreeMap;
@@ -274,59 +274,6 @@ impl ClientSession {
         }
     }
 
-    /// Feeds one slot of the broadcast into the session.
-    ///
-    /// Returns `true` if this slot completed the retrieval.
-    #[deprecated(note = "use ClientSession::ingest(Observation::Slot { .. })")]
-    pub fn observe(&mut self, transmission: Option<&Transmission>, received_ok: bool) -> bool {
-        self.ingest(Observation::Slot {
-            transmission: transmission.map(Transmission::as_ref),
-            received_ok,
-        })
-        .completed()
-    }
-
-    /// Borrowing variant of the old `observe` entry point.
-    ///
-    /// Returns `true` if this slot completed the retrieval.
-    #[deprecated(note = "use ClientSession::ingest(Observation::Slot { .. })")]
-    pub fn observe_ref(
-        &mut self,
-        transmission: Option<TransmissionRef<'_>>,
-        received_ok: bool,
-    ) -> bool {
-        self.ingest(Observation::Slot {
-            transmission,
-            received_ok,
-        })
-        .completed()
-    }
-
-    /// Feeds one received *owned* block into the session.
-    ///
-    /// Returns `true` if this block completed the retrieval.
-    #[deprecated(note = "use ClientSession::ingest(Observation::Block { .. })")]
-    pub fn observe_block(
-        &mut self,
-        slot: usize,
-        block: &DispersedBlock,
-        received_ok: bool,
-    ) -> bool {
-        self.ingest(Observation::Block {
-            slot,
-            block,
-            received_ok,
-            proof: None,
-        })
-        .completed()
-    }
-
-    /// Records `count` reception errors observed out of band.
-    #[deprecated(note = "use ClientSession::ingest(Observation::Erasure { .. })")]
-    pub fn record_erasures(&mut self, count: usize) {
-        self.ingest(Observation::Erasure { count });
-    }
-
     /// Finishes the session: reconstructs the file from the received blocks.
     ///
     /// Returns an IDA error if called before enough blocks were received.
@@ -348,7 +295,9 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder};
+    use crate::{
+        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, Transmission,
+    };
 
     /// Test shorthand: one slot of the broadcast into the session.
     fn hear(session: &mut ClientSession, tx: Option<&Transmission>, ok: bool) -> Ingest {
@@ -575,24 +524,5 @@ mod tests {
         assert_eq!(outcome.data, data);
         assert_eq!(outcome.errors_observed, 2);
         assert_eq!(session.verify_failures(), 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_stay_equivalent() {
-        let (_, server, _) = setup();
-        let mut old = ClientSession::new(FileId(0), 5, 0);
-        let mut new = ClientSession::new(FileId(0), 5, 0);
-        for slot in 0..16 {
-            let tx = server.transmit(slot);
-            let completed = old.observe(tx.as_ref(), slot % 3 != 0);
-            let via_ingest = hear(&mut new, tx.as_ref(), slot % 3 != 0).completed();
-            assert_eq!(completed, via_ingest, "slot {slot}");
-        }
-        old.record_erasures(2);
-        new.ingest(Observation::Erasure { count: 2 });
-        assert_eq!(old.blocks_received(), new.blocks_received());
-        assert_eq!(old.errors_observed(), new.errors_observed());
-        assert_eq!(old.is_complete(), new.is_complete());
     }
 }

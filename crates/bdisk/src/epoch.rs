@@ -183,18 +183,11 @@ impl EpochBank {
         self.server_at(channel, slot)?.transmit_ref(slot)
     }
 
-    /// What every lane transmits in `slot`, in channel order.
-    pub fn transmit_all(&self, slot: usize) -> Vec<Option<TransmissionRef<'_>>> {
-        let mut out = Vec::new();
-        self.transmit_all_into(slot, &mut out);
-        out
-    }
-
-    /// [`EpochBank::transmit_all`] into a caller-owned buffer — the per-slot
-    /// serve loop calls this every slot for every driven retrieval fleet, so
-    /// reusing one buffer across slots keeps the loop allocation-free.
-    /// Clears `out` and refills it with one entry per lane, in channel
-    /// order.
+    /// What every lane transmits in `slot`, in channel order, into a
+    /// caller-owned buffer — the per-slot serve loop calls this every slot
+    /// for every driven retrieval fleet, so reusing one buffer across slots
+    /// keeps the loop allocation-free.  Clears `out` and refills it with one
+    /// entry per lane.
     pub fn transmit_all_into<'a>(
         &'a self,
         slot: usize,
@@ -356,6 +349,11 @@ mod tests {
         let b = server_for(&[2]);
         let b2 = server_for(&[2, 3]);
         let mut bank = EpochBank::new(vec![a.clone(), b]).unwrap();
+        // Every file routes to the one channel carrying it.
+        assert_eq!(bank.channel_count(), 2);
+        assert_eq!(bank.channel_of(FileId(1)), Some(0));
+        assert_eq!(bank.channel_of(FileId(2)), Some(1));
+        assert_eq!(bank.channel_of(FileId(9)), None);
         let applied = bank.swap(16, vec![a.clone(), b2]).unwrap();
         assert_eq!(applied.flipped, vec![1]);
         // Channel 0 never bumps and stays byte-identical.
@@ -404,10 +402,12 @@ mod tests {
         for slot in 0..12 {
             bank.transmit_all_into(slot, &mut buf);
             assert_eq!(buf.len(), bank.lane_count());
-            let owned = bank.transmit_all(slot);
-            for (x, y) in buf.iter().zip(&owned) {
+            // Slot-synchronized: entry `c` is what lane `c` transmits now.
+            for (channel, x) in buf.iter().enumerate() {
+                let y = bank.transmit_ref(channel, slot);
                 assert_eq!(x.is_some(), y.is_some(), "slot {slot}");
                 if let (Some(x), Some(y)) = (x, y) {
+                    assert_eq!(x.slot, slot);
                     assert_eq!(x.block, y.block);
                 }
             }
@@ -441,5 +441,9 @@ mod tests {
             ServerError::DuplicateFile(FileId(3))
         );
         assert_eq!(EpochBank::new(vec![]).unwrap_err(), ServerError::NoChannels);
+        assert_eq!(
+            EpochBank::new(vec![server_for(&[1, 2]), server_for(&[2])]).unwrap_err(),
+            ServerError::DuplicateFile(FileId(2))
+        );
     }
 }

@@ -15,12 +15,11 @@
 //!   programs derived from pinwheel schedules (Sections 3–4);
 //! * [`BroadcastServer`] — turns a program plus dispersed file contents into
 //!   a stream of block transmissions;
-//! * [`MultiChannelServer`] — a bank of slot-synchronized broadcast channels
-//!   with a file → channel routing table (the serving side of sharding);
-//! * [`EpochBank`] — the mode-transition primitive: per-channel *segment
-//!   timelines* under epoch numbers, so broadcast programs hot-swap
-//!   atomically at a slot boundary while unchanged channels stay
-//!   byte-identical;
+//! * [`EpochBank`] — a bank of slot-synchronized broadcast channels with a
+//!   file → channel routing table (the serving side of sharding), and the
+//!   mode-transition primitive: per-channel *segment timelines* under epoch
+//!   numbers, so broadcast programs hot-swap atomically at a slot boundary
+//!   while unchanged channels stay byte-identical;
 //! * [`ClientSession`] — a client retrieving one file from the broadcast,
 //!   tolerant of lost blocks thanks to IDA redundancy.
 //!
@@ -46,7 +45,6 @@
 mod client;
 mod epoch;
 mod file;
-mod multi;
 mod program;
 mod server;
 
@@ -54,6 +52,5 @@ pub use client::{ClientSession, Ingest, Observation, RetrievalOutcome};
 pub use epoch::{EpochBank, SwapApplied};
 pub use file::{BroadcastFile, FileSet, LatencyVector};
 pub use ida::FileId;
-pub use multi::MultiChannelServer;
 pub use program::{BroadcastProgram, FlatOrder, ProgramEntry, ProgramError};
 pub use server::{BroadcastServer, ServerError, Transmission, TransmissionRef};

@@ -9,7 +9,7 @@
 
 use crate::render_table;
 use bcore::{GeneralizedFileSpec, MultiChannelDesigner, MultiChannelReport};
-use bdisk::{BroadcastServer, ClientSession, MultiChannelServer, Observation};
+use bdisk::{BroadcastServer, ClientSession, Observation};
 use bsim::{BernoulliErrors, ErrorModel};
 use ida::FileId;
 use rand::rngs::StdRng;
@@ -113,14 +113,12 @@ fn simulate(
                 .expect("synthetic contents always fit")
         })
         .collect();
-    let bank = MultiChannelServer::new(servers).expect("disjoint shards");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut total_latency = 0usize;
     let mut max_latency = 0usize;
     let mut missed = 0usize;
     let mut clients = 0usize;
-    for (channel_index, report) in design.reports.iter().enumerate() {
-        let server = bank.channel(channel_index).expect("channel exists");
+    for (channel_index, (report, server)) in design.reports.iter().zip(&servers).enumerate() {
         let cycle = server.program().data_cycle().max(1);
         for file in report.files.files() {
             for client in 0..clients_per_file {

@@ -35,6 +35,11 @@ use std::io::ErrorKind;
 use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
+/// The live counter [`NetClient`] bumps on its telemetry registry per block
+/// whose inclusion proof failed.  [`ClientStats::export_into`] may target
+/// the same registry, so its snapshot gauge must go by another name.
+pub(crate) const VERIFY_FAILURES_COUNTER: &str = "bauth_verify_failures";
+
 /// Timeouts of one [`ControlClient`] connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlTimeouts {
@@ -261,7 +266,7 @@ impl NetClient {
                     let rejected = self.state.stats().verify_failures;
                     if rejected > rejected_before {
                         if let Some(telemetry) = &self.telemetry {
-                            telemetry.registry().counter("bauth_verify_failures").inc();
+                            telemetry.registry().counter(VERIFY_FAILURES_COUNTER).inc();
                             let file = self.state.file().0 as u64;
                             telemetry.record_event(|| Event::BadBlock { file, rejected });
                         }

@@ -83,7 +83,7 @@ impl ClientStats {
             .gauge("bnet_client_erasures")
             .set(self.erasures as i64);
         registry
-            .gauge("bauth_verify_failures")
+            .gauge("bnet_client_verify_failures")
             .set(self.verify_failures as i64);
         registry
             .gauge("bnet_client_rejoins")
@@ -739,9 +739,24 @@ mod tests {
         assert_eq!(outcome.data, data);
         assert_eq!(outcome.errors_observed, 1);
 
-        let registry = bobs::Registry::new();
-        state.stats().export_into(&registry);
-        assert_eq!(registry.snapshot().gauges["bauth_verify_failures"], 1);
+        // The snapshot exports beside the live counter `NetClient` bumps on
+        // the same registry, in either order: one name asked for as two
+        // kinds panics the registry.
+        for counter_first in [true, false] {
+            let registry = bobs::Registry::new();
+            let live = || registry.counter(crate::client::VERIFY_FAILURES_COUNTER);
+            if counter_first {
+                live().inc();
+            }
+            state.stats().export_into(&registry);
+            live().inc();
+            let snap = registry.snapshot();
+            assert_eq!(snap.gauges["bnet_client_verify_failures"], 1);
+            assert_eq!(
+                snap.counters[crate::client::VERIFY_FAILURES_COUNTER],
+                1 + u64::from(counter_first)
+            );
+        }
     }
 
     #[test]

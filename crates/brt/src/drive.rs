@@ -3,8 +3,8 @@
 //! `run_until_slot` are thin adapters over.
 //!
 //! The threaded [`crate::Runtime`] and this driver share the same
-//! [`Engine`] seam and the same epoch-resolution rules ([`SwapNote`]
-//! application), so the two paths stay behaviourally aligned by
+//! [`Engine`] / [`Subscriber`] seam and the one epoch rule
+//! (`resolve_epoch`), so the two paths stay behaviourally aligned by
 //! construction; `tests/runtime_properties.rs` pins them byte-identical.
 //!
 //! ## Error-sampling order (locked in)
@@ -20,9 +20,10 @@
 //! runtime, where each subscriber samples its own model per delivered slot
 //! of its channel, also in slot order.
 
-use crate::engine::{Engine, Subscriber};
+use crate::engine::{resolve_epoch, Engine, Subscriber, Tuning};
 use bdisk::TransmissionRef;
 use bsim::ChannelErrorModel;
+use core::convert::Infallible;
 use ida::FileId;
 
 /// Why a synchronous drive stopped early.
@@ -85,7 +86,8 @@ pub fn drive<E: Engine, S: Subscriber>(
         .map(Subscriber::request_slot)
         .min()
         .expect("remaining > 0 guarantees an unresolved subscriber");
-    let lanes = engine.lane_count();
+    let bank = engine.bank();
+    let lanes = bank.lane_count();
     // Per-slot, per-channel reception outcome, sampled lazily on the first
     // listening subscriber of that channel so gap slots (and channels nobody
     // hears) never consume an error-model sample.
@@ -101,7 +103,7 @@ pub fn drive<E: Engine, S: Subscriber>(
             }
         }
         channel_ok.fill(None);
-        engine.transmit_all_into(slot, &mut transmissions);
+        bank.transmit_all_into(slot, &mut transmissions);
         let mut any_listening = false;
         let mut next_active = usize::MAX;
         for r in subscribers.iter_mut() {
@@ -118,40 +120,27 @@ pub fn drive<E: Engine, S: Subscriber>(
                     listened: slot - r.request_slot(),
                 });
             }
+            if r.channel() >= lanes {
+                return Err(DriveError::UnknownChannel(r.file()));
+            }
             // Resolve mode transitions before observing: the channel may
             // have flipped past the subscriber's epoch (re-subscribe or
             // cancel), or the subscriber may be tuned to a mode that has
             // not flipped in yet (wait).
-            let observe_on = loop {
-                let channel = r.channel();
-                if channel >= lanes {
-                    return Err(DriveError::UnknownChannel(r.file()));
-                }
-                match engine.epoch_at(channel, slot) {
-                    // Lane not lit yet, or still serving an older mode: the
-                    // subscriber waits for its epoch's flip slot.
-                    None => break None,
-                    Some(e) if e < r.epoch() => break None,
-                    Some(e) if e == r.epoch() => break Some(channel),
-                    Some(_) => {
-                        // The channel flipped past this subscriber's epoch:
-                        // apply the first swap it has not seen.
-                        let note = engine.note_for(r.file(), channel, r.epoch());
-                        let cancelled = note.is_cancel();
-                        r.apply(&note);
-                        if cancelled {
-                            remaining -= 1;
-                            break None;
-                        }
-                        continue;
-                    }
-                }
-            };
+            let file = r.file();
+            let Ok(tuning) = resolve_epoch(
+                r,
+                |channel| bank.epoch_at(channel, slot),
+                |channel, epoch| Ok::<_, Infallible>(engine.note_for(file, channel, epoch)),
+            );
+            if tuning == Tuning::Cancelled {
+                remaining -= 1;
+            }
             if r.is_resolved() {
                 continue;
             }
             any_listening = true;
-            let Some(channel) = observe_on else {
+            let Tuning::Listen(channel) = tuning else {
                 continue; // waiting for a flip: listens, hears nothing
             };
             let tx = transmissions[channel];

@@ -6,8 +6,13 @@
 //! but the runtime machinery itself only ever talks through these traits,
 //! so it can be unit-tested against a stub and reused over any slot source
 //! with an epoch timeline.
+//!
+//! [`Subscriber`] is the one client interface: the synchronous driver and
+//! the threaded runtime's client tasks both advance a subscriber through
+//! it, and both resolve mode transitions through the one epoch rule,
+//! `resolve_epoch`.
 
-use bdisk::{LatencyVector, TransmissionRef};
+use bdisk::{EpochBank, LatencyVector, TransmissionRef};
 use bmode::{ModeSpec, SwapPolicy};
 use ida::{Dispersal, FileId};
 use std::sync::Arc;
@@ -17,7 +22,7 @@ use std::sync::Arc;
 /// dispersed representation, possibly a new channel) or cancels it.
 ///
 /// The payload is expressed entirely in `bdisk`/`ida` types so the note can
-/// cross the runtime's queues without referencing facade types.
+/// cross the runtime's threads without referencing facade types.
 #[derive(Debug, Clone)]
 pub enum SwapNote {
     /// Transparent re-subscription: retune to `channel` under `epoch`; the
@@ -64,16 +69,60 @@ pub trait Subscriber {
     fn is_resolved(&self) -> bool;
     /// Feeds one slot; returns `true` if this slot completed the retrieval.
     fn observe(&mut self, transmission: Option<TransmissionRef<'_>>, received_ok: bool) -> bool;
+    /// Records `count` reception errors observed out of band: blocks of the
+    /// file that went by while a lagging reader's ring span was overwritten.
+    fn erase(&mut self, count: usize);
     /// Applies a swap note (retune or cancel).
     fn apply(&mut self, note: &SwapNote);
 }
 
-/// The serving side: per-slot transmissions, the epoch timeline, and the
-/// mode-transition surface the runtime drives.
+/// Where a subscriber stands against its channel's epoch in one slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tuning {
+    /// The lane is dark, unknown, or still serving an older mode: the
+    /// subscriber listens but hears nothing until its epoch flips in.
+    Wait,
+    /// The subscriber's epoch is on the air on this channel.
+    Listen(usize),
+    /// A swap note cancelled the subscriber.
+    Cancelled,
+}
+
+/// The epoch rule every slot driver resolves mode transitions through:
+/// compares the subscriber's tuned epoch with the one its channel serves this
+/// slot (`lane_epoch`), and while the channel has flipped past it applies the
+/// first swap it has not seen — retune and re-evaluate on the new channel, or
+/// cancel.  The drivers differ only in how a note is fetched
+/// (`fetch_note(channel, epoch)`: inline from the engine, or a round-trip to
+/// the serving thread that can fail with `X`).
+pub(crate) fn resolve_epoch<S: Subscriber, X>(
+    subscriber: &mut S,
+    lane_epoch: impl Fn(usize) -> Option<u64>,
+    mut fetch_note: impl FnMut(usize, u64) -> Result<SwapNote, X>,
+) -> Result<Tuning, X> {
+    loop {
+        let channel = subscriber.channel();
+        match lane_epoch(channel) {
+            None => return Ok(Tuning::Wait),
+            Some(e) if e < subscriber.epoch() => return Ok(Tuning::Wait),
+            Some(e) if e == subscriber.epoch() => return Ok(Tuning::Listen(channel)),
+            Some(_) => {
+                let note = fetch_note(channel, subscriber.epoch())?;
+                subscriber.apply(&note);
+                if note.is_cancel() {
+                    return Ok(Tuning::Cancelled);
+                }
+            }
+        }
+    }
+}
+
+/// The serving side: the epoch-aware channel bank the slot drivers read,
+/// and the mode-transition surface the runtime drives.
 ///
-/// `lane_count` / `transmit_all_into` / `epoch_at` mirror the
-/// `bdisk::EpochBank` read API; `subscribe` / `note_for` / `prepare` /
-/// `swap` are the station-level operations the facade provides.
+/// Per-slot transmissions and the epoch timeline are read straight off
+/// [`Engine::bank`]; `subscribe` / `note_for` / `prepare` / `swap` are the
+/// station-level operations the facade provides.
 pub trait Engine: Send + 'static {
     /// The subscription handle this engine hands out (the facade's
     /// `Retrieval`).
@@ -85,22 +134,9 @@ pub trait Engine: Send + 'static {
     /// The engine's error type.
     type Error: core::fmt::Display + Send + 'static;
 
-    /// Number of lanes (channels ever used; lanes beyond the current mode's
-    /// channel count are dark).
-    fn lane_count(&self) -> usize;
-
-    /// What every lane transmits in `slot`, in channel order, into a
-    /// caller-owned buffer (cleared and refilled).
-    fn transmit_all_into<'a>(&'a self, slot: usize, out: &mut Vec<Option<TransmissionRef<'a>>>);
-
-    /// What one channel transmits in `slot` (`None` for idle slots and dark
-    /// or unknown channels) — the threaded serving loop's per-subscriber
-    /// fetch, which keeps that loop allocation-free even though the engine
-    /// is mutated (swapped) between slots.
-    fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>>;
-
-    /// The epoch under which `channel` serves `slot` (`None` while dark).
-    fn epoch_at(&self, channel: usize, slot: usize) -> Option<u64>;
+    /// The channel bank on the air: per-lane transmissions and the epoch
+    /// timeline, in slot time.
+    fn bank(&self) -> &EpochBank;
 
     /// Subscribes to `file` starting at `at_slot`, tuned to the latest mode.
     fn subscribe(&self, file: FileId, at_slot: usize) -> Result<Self::Ticket, Self::Error>;

@@ -9,20 +9,26 @@
 //!
 //! * [`SlotClock`] — pacing: [`WallClock`] for real slot periods,
 //!   [`ManualClock`] for deterministic tests and CI;
-//! * [`Engine`] — the seam to the thing being served (the `rtbdisk`
-//!   facade's `Station` implements it);
+//! * [`Engine`] / [`Subscriber`] — the one seam: the thing being served
+//!   (the `rtbdisk` facade's `Station`) and the one client interface (its
+//!   `Retrieval`).  Both slot drivers below advance a subscriber through
+//!   [`Subscriber`] and resolve mode transitions through a single epoch
+//!   rule — wait for a flip, listen, or fetch the swap note and retune or
+//!   cancel — that differs between them only in how the note is fetched;
 //! * [`drive`] — the synchronous slot driver (the facade's
-//!   `run_until_complete` family is a thin adapter over it);
+//!   `run_until_complete` family is a thin adapter over it); notes come
+//!   inline from [`Engine::note_for`];
 //! * [`Runtime`] — the threaded server loop: one serving thread publishes
 //!   each slot **once** onto a shared [`BroadcastRing`]; N concurrent
 //!   client tasks read it through private cursors without cloning payloads
-//!   (a true broadcast: server cost is independent of the fleet size).
-//!   Backpressure is by overwrite — a reader that falls more than the
-//!   ring's capacity behind self-accounts the lost span as lag/erasures;
-//!   the server never stalls on a slow client.  Swap notes ride small
-//!   per-subscriber control [`SlotQueue`]s so epochs never desync, and
-//!   [`Engine::admit`] gates subscriptions against per-channel fleet
-//!   budgets;
+//!   (a true broadcast: server cost is independent of the fleet size),
+//!   each feeding the engine's ticket and sampling its own
+//!   `bsim::ChannelErrorModel`.  Backpressure is by overwrite — a reader
+//!   that falls more than the ring's capacity behind self-accounts the
+//!   lost span as lag/erasures ([`Subscriber::erase`]); the server never
+//!   stalls on a slow client.  Notes come from the serving thread over a
+//!   reply channel carried in the request, and [`Engine::admit`] gates
+//!   subscriptions against per-channel fleet budgets;
 //! * [`SwapScheduler`] — plays a [`bsim::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
@@ -40,7 +46,6 @@
 mod clock;
 mod drive;
 mod engine;
-mod queue;
 mod ring;
 mod runtime;
 mod scheduler;
@@ -50,10 +55,9 @@ pub use bobs::{Event, Telemetry};
 pub use clock::{ClockPoll, ManualClock, SlotClock, WakeSignal, WallClock};
 pub use drive::{drive, DriveError};
 pub use engine::{Engine, Subscriber, SwapNote};
-pub use queue::{Delivery, Popped, Push, SlotQueue};
 pub use ring::{BatchRead, BroadcastRing, LaneCell, RingRead, SlotCell, WakeSet};
 pub use runtime::{
-    Consumer, Runtime, RuntimeConfig, RuntimeController, RuntimeError, RuntimeStats, Subscription,
+    Runtime, RuntimeConfig, RuntimeController, RuntimeError, RuntimeStats, Subscription,
     SubscriptionStats,
 };
 pub use scheduler::{run_schedule, ScheduleOutcome, SwapScheduler};
@@ -62,15 +66,17 @@ pub use sink::{LaneView, SlotSink};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{resolve_epoch, Tuning};
     use bdisk::{
         BroadcastFile, BroadcastProgram, BroadcastServer, EpochBank, FileSet, FlatOrder,
-        TransmissionRef,
+        LatencyVector, TransmissionRef,
     };
     use bmode::{ModeSpec, SwapPolicy};
-    use bsim::ModeSchedule;
-    use ida::{DispersedBlock, FileId};
+    use bsim::{ErrorModel, ModeSchedule, NoErrors};
+    use ida::{Dispersal, FileId};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
 
     /// A minimal engine over an `EpochBank`: enough to exercise the runtime
     /// machinery without the facade.  `prepare` resolves mode names through
@@ -81,10 +87,14 @@ mod tests {
         bank: EpochBank,
         catalog: BTreeMap<String, Vec<Arc<BroadcastServer>>>,
         mode: String,
+        /// Blocks of its file a ticket needs before it completes.
+        threshold: usize,
         /// Per-channel fleet budget for `admit` (`None` admits everything).
         budget: Option<usize>,
     }
 
+    /// Counts received blocks of one file; completes at the threshold.
+    #[derive(Debug)]
     struct BankTicket {
         file: FileId,
         channel: usize,
@@ -92,7 +102,8 @@ mod tests {
         request_slot: usize,
         received: usize,
         threshold: usize,
-        cancelled: bool,
+        erased: usize,
+        cancelled_by: Option<String>,
     }
 
     impl Subscriber for BankTicket {
@@ -109,7 +120,7 @@ mod tests {
             self.request_slot
         }
         fn is_resolved(&self) -> bool {
-            self.cancelled || self.received >= self.threshold
+            self.cancelled_by.is_some() || self.received >= self.threshold
         }
         fn observe(&mut self, tx: Option<TransmissionRef<'_>>, ok: bool) -> bool {
             if let Some(tx) = tx {
@@ -120,9 +131,16 @@ mod tests {
             }
             false
         }
+        fn erase(&mut self, count: usize) {
+            self.erased += count;
+        }
         fn apply(&mut self, note: &SwapNote) {
-            if note.is_cancel() {
-                self.cancelled = true;
+            match note {
+                SwapNote::Cancel { mode } => self.cancelled_by = Some(mode.clone()),
+                SwapNote::Retune { channel, epoch, .. } => {
+                    self.channel = *channel;
+                    self.epoch = *epoch;
+                }
             }
         }
     }
@@ -133,21 +151,8 @@ mod tests {
         type Report = u64;
         type Error = String;
 
-        fn lane_count(&self) -> usize {
-            self.bank.lane_count()
-        }
-        fn transmit_all_into<'a>(
-            &'a self,
-            slot: usize,
-            out: &mut Vec<Option<TransmissionRef<'a>>>,
-        ) {
-            self.bank.transmit_all_into(slot, out);
-        }
-        fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>> {
-            self.bank.transmit_ref(channel, slot)
-        }
-        fn epoch_at(&self, channel: usize, slot: usize) -> Option<u64> {
-            self.bank.epoch_at(channel, slot)
+        fn bank(&self) -> &EpochBank {
+            &self.bank
         }
         fn subscribe(&self, file: FileId, at_slot: usize) -> Result<BankTicket, String> {
             let channel = self
@@ -160,8 +165,9 @@ mod tests {
                 epoch: self.bank.current_epoch_of(channel).unwrap_or(0),
                 request_slot: at_slot,
                 received: 0,
-                threshold: 2,
-                cancelled: false,
+                threshold: self.threshold,
+                erased: 0,
+                cancelled_by: None,
             })
         }
         fn note_for(&self, _file: FileId, _channel: usize, _epoch: u64) -> SwapNote {
@@ -218,65 +224,148 @@ mod tests {
             bank: EpochBank::new(vec![server_for(&[1, 2])]).unwrap(),
             catalog,
             mode: "initial".to_string(),
+            threshold: 2,
             budget: None,
         }
     }
 
-    /// Counts received blocks of one file; completes at the threshold.
-    struct CountingConsumer {
-        file: FileId,
-        channel: usize,
-        epoch: u64,
-        received: usize,
-        threshold: usize,
-        cancelled_by: Option<String>,
-        lag_erasures: u64,
-    }
-
-    impl Consumer for CountingConsumer {
-        type Output = (usize, Option<String>, u64);
-        fn channel(&self) -> usize {
-            self.channel
-        }
-        fn epoch(&self) -> u64 {
-            self.epoch
-        }
-        fn deliver(&mut self, _slot: usize, block: &DispersedBlock) -> bool {
-            if block.file() == self.file {
-                self.received += 1;
-            }
-            self.received >= self.threshold
-        }
-        fn lag(&mut self, _slots: u64, file_blocks: u64) {
-            self.lag_erasures += file_blocks;
-        }
-        fn on_swap(&mut self, note: &SwapNote) -> bool {
-            match note {
-                SwapNote::Cancel { mode } => {
-                    self.cancelled_by = Some(mode.clone());
-                    true
-                }
-                SwapNote::Retune { channel, epoch, .. } => {
-                    self.channel = *channel;
-                    self.epoch = *epoch;
-                    false
-                }
-            }
-        }
-        fn finish(self) -> Self::Output {
-            (self.received, self.cancelled_by, self.lag_erasures)
+    /// An engine whose tickets can never complete, so only a swap, an
+    /// unsubscribe or a shutdown ends them.
+    fn insatiable_engine() -> BankEngine {
+        BankEngine {
+            threshold: usize::MAX,
+            ..engine()
         }
     }
 
-    fn counting(file: FileId, threshold: usize) -> impl FnOnce(BankTicket) -> CountingConsumer {
-        move |ticket| CountingConsumer {
-            file,
-            channel: ticket.channel,
-            epoch: ticket.epoch,
-            received: 0,
-            threshold,
-            cancelled_by: None,
-            lag_erasures: 0,
+    #[test]
+    fn the_epoch_rule_waits_listens_retunes_and_cancels() {
+        let retune = |channel, epoch| SwapNote::Retune {
+            channel,
+            epoch,
+            dispersal: Arc::new(Dispersal::new(2, 4).unwrap()),
+            latencies: LatencyVector::uniform_zero_faults(8),
+        };
+        let cancel = SwapNote::Cancel {
+            mode: "next".to_string(),
+        };
+        struct Case {
+            name: &'static str,
+            /// What each lane serves this slot (`None` = dark).
+            lanes: Vec<Option<u64>>,
+            /// The subscriber's tuned (channel, epoch) going in.
+            tuned: (usize, u64),
+            /// The notes the source hands out, in request order; once it
+            /// runs dry the source fails (the server is gone).
+            notes: Vec<SwapNote>,
+            expect: Result<Tuning, &'static str>,
+            /// The (channel, epoch) pairs notes were requested for.
+            requested: Vec<(usize, u64)>,
+            /// The subscriber's tuned (channel, epoch) coming out.
+            retuned: (usize, u64),
+        }
+        let cases = vec![
+            Case {
+                name: "dark lane",
+                lanes: vec![None],
+                tuned: (0, 0),
+                notes: vec![],
+                expect: Ok(Tuning::Wait),
+                requested: vec![],
+                retuned: (0, 0),
+            },
+            Case {
+                name: "lane this cell never had",
+                lanes: vec![Some(0)],
+                tuned: (3, 0),
+                notes: vec![],
+                expect: Ok(Tuning::Wait),
+                requested: vec![],
+                retuned: (3, 0),
+            },
+            Case {
+                name: "older epoch still on the air",
+                lanes: vec![Some(0)],
+                tuned: (0, 1),
+                notes: vec![],
+                expect: Ok(Tuning::Wait),
+                requested: vec![],
+                retuned: (0, 1),
+            },
+            Case {
+                name: "equal epoch",
+                lanes: vec![Some(7), Some(2)],
+                tuned: (1, 2),
+                notes: vec![],
+                expect: Ok(Tuning::Listen(1)),
+                requested: vec![],
+                retuned: (1, 2),
+            },
+            Case {
+                name: "newer epoch, retuned onto a channel already serving it",
+                lanes: vec![Some(1), Some(1)],
+                tuned: (0, 0),
+                notes: vec![retune(1, 1)],
+                expect: Ok(Tuning::Listen(1)),
+                requested: vec![(0, 0)],
+                retuned: (1, 1),
+            },
+            Case {
+                name: "two unseen swaps apply one after the other",
+                lanes: vec![Some(2), Some(2)],
+                tuned: (0, 0),
+                notes: vec![retune(0, 1), retune(1, 2)],
+                expect: Ok(Tuning::Listen(1)),
+                requested: vec![(0, 0), (0, 1)],
+                retuned: (1, 2),
+            },
+            Case {
+                name: "retuned onto a channel that has not flipped yet",
+                lanes: vec![Some(1), Some(0)],
+                tuned: (0, 0),
+                notes: vec![retune(1, 1)],
+                expect: Ok(Tuning::Wait),
+                requested: vec![(0, 0)],
+                retuned: (1, 1),
+            },
+            Case {
+                name: "newer epoch, cancelled",
+                lanes: vec![Some(1)],
+                tuned: (0, 0),
+                notes: vec![cancel],
+                expect: Ok(Tuning::Cancelled),
+                requested: vec![(0, 0)],
+                retuned: (0, 0),
+            },
+            Case {
+                name: "the note source is gone",
+                lanes: vec![Some(1)],
+                tuned: (0, 0),
+                notes: vec![],
+                expect: Err("gone"),
+                requested: vec![(0, 0)],
+                retuned: (0, 0),
+            },
+        ];
+        for case in cases {
+            let name = case.name;
+            let mut ticket = engine().subscribe(FileId(1), 0).unwrap();
+            (ticket.channel, ticket.epoch) = case.tuned;
+            let mut notes = case.notes.into_iter();
+            let mut requested = Vec::new();
+            let got = resolve_epoch(
+                &mut ticket,
+                |channel| case.lanes.get(channel).copied().flatten(),
+                |channel, epoch| {
+                    requested.push((channel, epoch));
+                    notes.next().ok_or("gone")
+                },
+            );
+            assert_eq!(got, case.expect, "{name}");
+            assert_eq!(requested, case.requested, "{name}");
+            assert_eq!((ticket.channel, ticket.epoch), case.retuned, "{name}");
+            let cancelled = got == Ok(Tuning::Cancelled);
+            assert_eq!(ticket.cancelled_by.is_some(), cancelled, "{name}");
         }
     }
 
@@ -284,13 +373,11 @@ mod tests {
     fn manual_clock_runtime_delivers_and_completes() {
         let clock = ManualClock::new();
         let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
-        let sub = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), 2))
-            .unwrap();
+        let sub = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         clock.advance(64);
-        let (received, cancelled, _) = sub.join();
-        assert_eq!(received, 2);
-        assert!(cancelled.is_none());
+        let ticket = sub.join();
+        assert_eq!(ticket.received, 2);
+        assert!(ticket.cancelled_by.is_none());
         let stats = runtime.stats().unwrap();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.active_subscribers, 0);
@@ -349,9 +436,7 @@ mod tests {
     fn unknown_files_are_rejected_at_subscribe() {
         let clock = ManualClock::new();
         let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
-        let err = runtime
-            .subscribe_with(FileId(42), 0, counting(FileId(42), 1))
-            .unwrap_err();
+        let err = runtime.subscribe_with(FileId(42), 0, NoErrors).unwrap_err();
         assert!(matches!(err, RuntimeError::Engine(_)));
         runtime.shutdown().unwrap();
     }
@@ -359,12 +444,10 @@ mod tests {
     #[test]
     fn scheduled_swaps_apply_at_the_planned_slot_and_cancel_subscribers() {
         let clock = ManualClock::new();
-        let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
-        // A subscriber that can never finish before the swap (huge
-        // threshold) and is tuned to the channel the swap flips.
-        let doomed = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), usize::MAX))
-            .unwrap();
+        let runtime = Runtime::spawn(insatiable_engine(), clock.clone(), RuntimeConfig::default());
+        // A subscriber that can never finish before the swap and is tuned
+        // to the channel the swap flips.
+        let doomed = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         let schedule = ModeSchedule::new().at(
             10,
             ModeSpec::new("other")
@@ -385,8 +468,7 @@ mod tests {
         let outcomes = scheduler.join();
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].applied(), "swap failed: {:?}", outcomes[0]);
-        let (_, cancelled_by, _) = doomed.join();
-        assert_eq!(cancelled_by.as_deref(), Some("swapped"));
+        assert_eq!(doomed.join().cancelled_by.as_deref(), Some("swapped"));
         // The bank flipped exactly at the planned slot.
         let engine = runtime.shutdown().unwrap();
         assert_eq!(engine.bank.epoch_at(0, 9), Some(0));
@@ -429,43 +511,20 @@ mod tests {
     #[test]
     fn slow_consumers_lag_instead_of_stalling_the_server() {
         let clock = ManualClock::new();
-        let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig { queue_capacity: 1 });
-        struct Slow(CountingConsumer);
-        impl Consumer for Slow {
-            type Output = (usize, Option<String>, u64);
-            fn channel(&self) -> usize {
-                self.0.channel()
-            }
-            fn epoch(&self) -> u64 {
-                self.0.epoch()
-            }
-            fn deliver(&mut self, slot: usize, block: &DispersedBlock) -> bool {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                self.0.deliver(slot, block)
-            }
-            fn lag(&mut self, slots: u64, file_blocks: u64) {
-                self.0.lag(slots, file_blocks);
-            }
-            fn on_swap(&mut self, note: &SwapNote) -> bool {
-                self.0.on_swap(note)
-            }
-            fn finish(self) -> Self::Output {
-                self.0.finish()
+        let runtime = Runtime::spawn(
+            insatiable_engine(),
+            clock.clone(),
+            RuntimeConfig { queue_capacity: 1 },
+        );
+        /// A lossless receiver that takes its time over every block.
+        struct Slow;
+        impl ErrorModel for Slow {
+            fn is_lost(&mut self, _transmission: TransmissionRef<'_>) -> bool {
+                std::thread::sleep(Duration::from_millis(2));
+                false
             }
         }
-        let sub = runtime
-            .subscribe_with(FileId(1), 0, |t| {
-                Slow(CountingConsumer {
-                    file: FileId(1),
-                    channel: t.channel,
-                    epoch: t.epoch,
-                    received: 0,
-                    threshold: usize::MAX,
-                    cancelled_by: None,
-                    lag_erasures: 0,
-                })
-            })
-            .unwrap();
+        let sub = runtime.subscribe_with(FileId(1), 0, Slow).unwrap();
         clock.advance(512);
         // Wait until the server worked through the released slots.
         loop {
@@ -473,19 +532,124 @@ mod tests {
             if stats.slots_served >= 512 {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
         runtime.unsubscribe(&sub);
-        let (_, _, lag_erasures) = sub.join();
+        let ticket = sub.join();
         // The reader has booked every overwritten span it observed before
-        // detaching; the fleet counters must agree with the consumer's view.
+        // detaching; the fleet counters must agree with the ticket's view.
         let stats = runtime.stats().unwrap();
         assert!(
             stats.lagged_slots > 0,
             "a capacity-1 ring against 512 fast slots must lag"
         );
-        assert_eq!(lag_erasures, stats.lag_erasures);
+        assert_eq!(ticket.erased as u64, stats.lag_erasures);
         runtime.shutdown().unwrap();
+    }
+
+    /// Parks the reader inside its delivery of the listed slots until the
+    /// test resumes it.
+    struct PauseAt {
+        slots: Vec<usize>,
+        arrived: mpsc::Sender<usize>,
+        resume: mpsc::Receiver<()>,
+    }
+
+    impl ErrorModel for PauseAt {
+        fn is_lost(&mut self, transmission: TransmissionRef<'_>) -> bool {
+            if self.slots.contains(&transmission.slot) {
+                self.arrived.send(transmission.slot).unwrap();
+                self.resume.recv().unwrap();
+            }
+            false
+        }
+    }
+
+    const PAUSE_BUDGET: Duration = Duration::from_secs(10);
+
+    /// A runtime that has served slots `0..40` with a swap landed at slot 5,
+    /// and one insatiable reader of the flipped channel parked inside slot 4
+    /// with cell 5 already in its batch: the next thing it does on `resume`
+    /// is ask the serving thread for its swap note.
+    fn reader_about_to_ask_for_a_note() -> (
+        Runtime<BankEngine>,
+        Subscription<BankTicket>,
+        mpsc::Sender<()>,
+    ) {
+        let clock = ManualClock::new();
+        let runtime = Runtime::spawn(insatiable_engine(), clock.clone(), RuntimeConfig::default());
+        let (arrived, arrivals) = mpsc::channel();
+        let (resume, resumed) = mpsc::channel();
+        let pause = PauseAt {
+            slots: vec![0, 4],
+            arrived,
+            resume: resumed,
+        };
+        let sub = runtime.subscribe_with(FileId(1), 0, pause).unwrap();
+        let prepared = runtime
+            .snapshot()
+            .unwrap()
+            .prepare(&ModeSpec::new("other").file(bcore_spec_stub()))
+            .unwrap();
+        let controller = runtime.controller();
+        let swap =
+            std::thread::spawn(move || controller.swap_at(prepared, 5, SwapPolicy::Immediate));
+        while runtime.stats().unwrap().pending_swaps != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Only slot 0 exists when the reader first reads, so its first batch
+        // is that one cell; it parks there while the rest are published.
+        clock.advance(1);
+        assert_eq!(arrivals.recv_timeout(PAUSE_BUDGET), Ok(0));
+        clock.advance(39);
+        while runtime.slots_served() < 40 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(swap.join().unwrap().unwrap(), 1);
+        // Its second batch is therefore cells 1..40 in one read: no detach
+        // or close check stands between slot 4 and the flipped cell 5.
+        resume.send(()).unwrap();
+        assert_eq!(arrivals.recv_timeout(PAUSE_BUDGET), Ok(4));
+        (runtime, sub, resume)
+    }
+
+    fn join_within_budget(sub: Subscription<BankTicket>) -> BankTicket {
+        let deadline = Instant::now() + PAUSE_BUDGET;
+        while !sub.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the reader hung waiting for its swap note"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sub.join()
+    }
+
+    #[test]
+    fn a_reader_wanting_a_swap_note_joins_when_unsubscribed_or_shut_down() {
+        // (a) Unsubscribed: the server has retired the reader by the time
+        // its request arrives, so it drops the reply sender unanswered and
+        // the reader, blocked on that reply, stops.
+        let (runtime, sub, resume) = reader_about_to_ask_for_a_note();
+        runtime.unsubscribe(&sub);
+        // The stats round-trip orders after the unsubscribe.
+        assert_eq!(runtime.stats().unwrap().active_subscribers, 0);
+        resume.send(()).unwrap();
+        let ticket = join_within_budget(sub);
+        assert!(!ticket.is_resolved());
+        assert_eq!(ticket.epoch, 0, "no note was applied");
+        assert_eq!(runtime.stats().unwrap().cancelled, 0);
+        runtime.shutdown().unwrap();
+
+        // (b) Shut down: the serving thread and its command queue are gone
+        // by the time the reader asks.
+        let (runtime, sub, resume) = reader_about_to_ask_for_a_note();
+        let engine = runtime.shutdown().unwrap();
+        assert_eq!(engine.bank.epoch_at(0, 5), Some(1));
+        resume.send(()).unwrap();
+        let ticket = join_within_budget(sub);
+        assert!(!ticket.is_resolved());
+        assert_eq!(ticket.epoch, 0, "no note was applied");
     }
 
     #[test]
@@ -494,14 +658,10 @@ mod tests {
         let mut capped = engine();
         capped.budget = Some(1);
         let runtime = Runtime::spawn(capped, clock.clone(), RuntimeConfig::default());
-        let seated = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), 2))
-            .unwrap();
+        let seated = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         // Same channel (the bank has one), budget 1: the second seat is
         // refused by the engine's admission hook, not by subscribe itself.
-        let refused = runtime
-            .subscribe_with(FileId(2), 0, counting(FileId(2), 2))
-            .unwrap_err();
+        let refused = runtime.subscribe_with(FileId(2), 0, NoErrors).unwrap_err();
         assert!(matches!(refused, RuntimeError::Engine(_)));
         let stats = runtime.stats().unwrap();
         assert_eq!(stats.admission_denied, 1);
@@ -509,9 +669,8 @@ mod tests {
         // The refused seat freed nothing; the seated one completes and its
         // departure reopens the channel for a new subscriber.
         clock.advance(64);
-        let (received, _, _) = seated.join();
-        assert_eq!(received, 2);
-        let reseated = runtime.subscribe_with(FileId(2), 64, counting(FileId(2), 2));
+        assert_eq!(seated.join().received, 2);
+        let reseated = runtime.subscribe_with(FileId(2), 64, NoErrors);
         assert!(reseated.is_ok());
         runtime.shutdown().unwrap();
     }

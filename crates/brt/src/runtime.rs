@@ -29,29 +29,27 @@
 //!   self-accounts the skipped span as lag/erasures (the server replays the
 //!   span's schedule off the data path to count exactly which dropped slots
 //!   carried the subscriber's file).
-//! * Swap notes ride a small per-subscriber control queue, requested by the
-//!   reader at the exact cell where it observes its channel's epoch move —
-//!   so a subscriber applies a mode transition at precisely the right point
-//!   of its delivery stream and epochs never desync.
+//! * Swap notes are requested by the reader at the exact cell where it
+//!   observes its channel's epoch move and answered on a reply channel
+//!   inside the request — so a subscriber applies a mode transition at
+//!   precisely the right point of its delivery stream and epochs never
+//!   desync.  A departed subscriber or a shut-down server drops the reply
+//!   sender, which ends the waiting reader.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
-use crate::engine::{Engine, Subscriber, SwapNote};
-use crate::queue::{Delivery, SlotQueue};
+use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
 use crate::ring::{BatchRead, BroadcastRing, LaneCell, SlotCell};
 use crate::sink::{LaneView, SlotSink};
 use bdisk::TransmissionRef;
 use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
-use ida::{DispersedBlock, FileId};
+use bsim::ChannelErrorModel;
+use ida::FileId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Control queues only carry swap notes (never data), and a subscriber can
-/// owe at most a handful before draining them; the bound is nominal.
-const CONTROL_QUEUE_CAPACITY: usize = 4;
 
 /// Cells a client task drains from the broadcast ring per lock acquisition:
 /// enough to amortise locking while it catches up to a free-running server,
@@ -80,43 +78,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 1024,
         }
     }
-}
-
-/// The client side of a subscription: consumes deliveries, decides when the
-/// retrieval is resolved, and produces the final output.
-///
-/// The facade implements this for its `Retrieval` (wrapping a per-client
-/// reception-error model); `brt` itself only needs the shape.  The tuning
-/// accessors ([`Consumer::channel`] / [`Consumer::epoch`]) let the client
-/// task resolve epoch transitions against the broadcast ring's published
-/// lane epochs; they must reflect every note applied via
-/// [`Consumer::on_swap`].
-pub trait Consumer: Send + 'static {
-    /// What [`Subscription::join`] returns.
-    type Output: Send + 'static;
-
-    /// The channel the consumer is currently tuned to.
-    fn channel(&self) -> usize;
-
-    /// The program epoch the consumer is tuned to.
-    fn epoch(&self) -> u64;
-
-    /// One data slot of the subscriber's channel; returns `true` when the
-    /// retrieval resolved (no further deliveries wanted).
-    fn deliver(&mut self, slot: usize, block: &DispersedBlock) -> bool;
-
-    /// The subscriber fell behind: `lagged_slots` data slots were dropped,
-    /// `lagged_file_blocks` of which carried blocks of its file (record
-    /// them as erasures).
-    fn lag(&mut self, lagged_slots: u64, lagged_file_blocks: u64);
-
-    /// A swap note for this subscriber; returns `true` when the note
-    /// resolved the retrieval (cancellation).
-    fn on_swap(&mut self, note: &SwapNote) -> bool;
-
-    /// Produces the final output (called after resolution, unsubscription
-    /// or runtime shutdown — the retrieval may be incomplete).
-    fn finish(self) -> Self::Output;
 }
 
 /// Shared per-subscriber counters (written by the server loop and the
@@ -202,7 +163,6 @@ enum Command<E: Engine> {
     Subscribe {
         file: FileId,
         at_slot: usize,
-        control: Arc<SlotQueue>,
         counters: Arc<SubscriberCounters>,
         detached: Arc<AtomicBool>,
         reply: mpsc::Sender<Result<Seat<E>, E::Error>>,
@@ -224,12 +184,14 @@ enum Command<E: Engine> {
         to: usize,
         reply: mpsc::Sender<(u64, u64)>,
     },
-    /// A reader observed its channel's epoch move past `epoch`: push the
-    /// engine's disposition (retune or cancel) onto its control queue.
+    /// A reader observed its channel's epoch move past `epoch`: reply with
+    /// the engine's disposition (retune or cancel).  The reply sender is
+    /// dropped unanswered when the subscriber has departed.
     Note {
         id: u64,
         channel: usize,
         epoch: u64,
+        reply: mpsc::Sender<SwapNote>,
     },
     Snapshot {
         reply: mpsc::Sender<E>,
@@ -271,12 +233,23 @@ impl<E: Engine> RuntimeController<E> {
         Ok(())
     }
 
+    /// Sends the command `build` makes around a fresh reply sender and waits
+    /// for the serving thread's answer.  Fails when the runtime is gone, or
+    /// when the server dropped the request unanswered (a note request of a
+    /// departed subscriber, or anything still queued at shutdown).
+    fn ask<R>(
+        &self,
+        build: impl FnOnce(mpsc::Sender<R>) -> Command<E>,
+    ) -> Result<R, RuntimeError<E::Error>> {
+        let (reply, answer) = mpsc::channel();
+        self.send(build(reply))?;
+        answer.recv().map_err(|_| RuntimeError::Closed)
+    }
+
     /// A clone of the engine as of the next command-processing point —
     /// what a preparation thread designs the next mode against.
     pub fn snapshot(&self) -> Result<E, RuntimeError<E::Error>> {
-        let (tx, rx) = mpsc::channel();
-        self.send(Command::Snapshot { reply: tx })?;
-        rx.recv().map_err(|_| RuntimeError::Closed)
+        self.ask(|reply| Command::Snapshot { reply })
     }
 
     /// Schedules `prepared` to be swapped in when the serving loop reaches
@@ -288,37 +261,32 @@ impl<E: Engine> RuntimeController<E> {
         at_slot: usize,
         policy: SwapPolicy,
     ) -> Result<E::Report, RuntimeError<E::Error>> {
-        let (tx, rx) = mpsc::channel();
-        self.send(Command::Swap {
+        self.ask(|reply| Command::Swap {
             prepared,
             at_slot,
             policy,
-            reply: tx,
-        })?;
-        rx.recv()
-            .map_err(|_| RuntimeError::Closed)?
-            .map_err(RuntimeError::Engine)
+            reply,
+        })?
+        .map_err(RuntimeError::Engine)
     }
 
     /// Fleet-level counters as of the next command-processing point.
     pub fn stats(&self) -> Result<RuntimeStats, RuntimeError<E::Error>> {
-        let (tx, rx) = mpsc::channel();
-        self.send(Command::Stats { reply: tx })?;
-        rx.recv().map_err(|_| RuntimeError::Closed)
+        self.ask(|reply| Command::Stats { reply })
     }
 }
 
 /// One live subscription: a handle to the client task reading the broadcast
-/// ring.  [`Subscription::join`] returns the consumer's output once the
+/// ring.  [`Subscription::join`] hands the engine's ticket back once the
 /// retrieval resolves (or the runtime shuts down).
 #[derive(Debug)]
-pub struct Subscription<O> {
+pub struct Subscription<T> {
     id: u64,
     counters: Arc<SubscriberCounters>,
-    task: JoinHandle<O>,
+    task: JoinHandle<T>,
 }
 
-impl<O> Subscription<O> {
+impl<T> Subscription<T> {
     /// The runtime-assigned subscriber id.
     pub fn id(&self) -> u64 {
         self.id
@@ -333,14 +301,16 @@ impl<O> Subscription<O> {
         }
     }
 
-    /// `true` once the client task has produced its output ([`Subscription::join`]
-    /// will not block).
+    /// `true` once the client task has finished ([`Subscription::join`] will
+    /// not block).
     pub fn is_finished(&self) -> bool {
         self.task.is_finished()
     }
 
-    /// Waits for the client task and returns the consumer's output.
-    pub fn join(self) -> O {
+    /// Waits for the client task and returns the ticket as the task left it
+    /// (resolved, or in flight if the subscriber was detached or the runtime
+    /// shut down).
+    pub fn join(self) -> T {
         self.task.join().expect("runtime client task panicked")
     }
 }
@@ -458,41 +428,33 @@ impl<E: Engine> Runtime<E> {
     }
 
     /// Subscribes to `file` from `at_slot` on and spawns a client task
-    /// driving the consumer built by `make` from the engine's ticket.
+    /// feeding the engine's ticket, sampling the client's own reception-error
+    /// process `errors` once per delivered data slot of its channel.
     ///
     /// Slots already served when the subscription registers are gone (a
     /// broadcast does not rewind); the client's cursor starts at the later
     /// of the request slot and the serving cursor.  The engine's admission
     /// control runs before the seat is granted: a subscription that would
     /// break its channel's fleet budget is refused with the engine's error.
-    pub fn subscribe_with<C, F>(
+    pub fn subscribe_with(
         &self,
         file: FileId,
         at_slot: usize,
-        make: F,
-    ) -> Result<Subscription<C::Output>, RuntimeError<E::Error>>
-    where
-        C: Consumer,
-        F: FnOnce(E::Ticket) -> C,
-    {
-        let control = Arc::new(SlotQueue::new(CONTROL_QUEUE_CAPACITY));
+        errors: impl ChannelErrorModel + Send + 'static,
+    ) -> Result<Subscription<E::Ticket>, RuntimeError<E::Error>> {
         let counters = Arc::new(SubscriberCounters::default());
         let detached = Arc::new(AtomicBool::new(false));
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.controller.send(Command::Subscribe {
-            file,
-            at_slot,
-            control: control.clone(),
-            counters: counters.clone(),
-            detached: detached.clone(),
-            reply: reply_tx,
-        })?;
-        let (id, ticket, start_slot) = reply_rx
-            .recv()
-            .map_err(|_| RuntimeError::Closed)?
+        let (id, ticket, start_slot) = self
+            .controller
+            .ask(|reply| Command::Subscribe {
+                file,
+                at_slot,
+                counters: counters.clone(),
+                detached: detached.clone(),
+                reply,
+            })?
             .map_err(RuntimeError::Engine)?;
         let cursor = ticket.request_slot().max(start_slot);
-        let consumer = make(ticket);
         let controller = self.controller.clone();
         let ring = self.ring.clone();
         let task = {
@@ -502,7 +464,7 @@ impl<E: Engine> Runtime<E> {
                 .name(format!("brt-client-{id}"))
                 .spawn(move || {
                     client_loop(
-                        id, consumer, ring, control, counters, detached, cursor, controller,
+                        id, ticket, errors, ring, counters, detached, cursor, controller,
                     )
                 })
                 .expect("the client task spawns")
@@ -512,7 +474,7 @@ impl<E: Engine> Runtime<E> {
 
     /// Detaches a subscription from the broadcast: its detach flag is
     /// raised and its client task finishes without further deliveries.
-    pub fn unsubscribe<O>(&self, subscription: &Subscription<O>) {
+    pub fn unsubscribe<T>(&self, subscription: &Subscription<T>) {
         let _ = self.controller.send(Command::Unsubscribe {
             id: subscription.id,
         });
@@ -538,8 +500,8 @@ impl<E: Engine> Runtime<E> {
         self.controller.stats()
     }
 
-    /// Stops the serving loop (closing the ring and every subscriber's
-    /// control queue) and returns the engine, so serving can resume later —
+    /// Stops the serving loop (closing the ring and detaching every
+    /// subscriber) and returns the engine, so serving can resume later —
     /// synchronously or under a fresh runtime.
     pub fn shutdown(mut self) -> Result<E, RuntimeError<E::Error>> {
         let _ = self.controller.send(Command::Shutdown);
@@ -566,7 +528,6 @@ struct Entry {
     file: FileId,
     channel: usize,
     epoch: u64,
-    control: Arc<SlotQueue>,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
 }
@@ -673,8 +634,8 @@ impl<E: Engine> ServerState<E> {
         }
     }
 
-    /// Removes a subscriber entry, closing it out so its reader stops.
-    /// Removes a subscriber.  `wake` kicks the ring so a *parked* reader
+    /// Removes a subscriber, raising its detach flag so its reader stops.
+    /// `wake` kicks the ring so a *parked* reader
     /// observes its raised detach flag — needed for externally-initiated
     /// departures (unsubscribe, swap cancellation) but pure waste for a
     /// reader that resolved its own retrieval: that reader is running, not
@@ -686,7 +647,6 @@ impl<E: Engine> ServerState<E> {
         self.fleet
             .active_subscribers
             .set(self.subscribers.len() as i64);
-        entry.control.close();
         entry.detached.store(true, Ordering::SeqCst);
         if wake {
             self.ring.kick();
@@ -798,11 +758,11 @@ fn server_loop<E: Engine>(
         }
     }
     for entry in state.subscribers.values() {
-        entry.control.close();
         entry.detached.store(true, Ordering::SeqCst);
     }
     ring.close();
-    // Unapplied swaps: drop their replies, unblocking waiters with `Closed`.
+    // Unapplied swaps and unanswered note requests: their reply senders
+    // drop with the queue, unblocking the waiters.
     engine
 }
 
@@ -840,7 +800,6 @@ fn handle_command<E: Engine>(
         Command::Subscribe {
             file,
             at_slot,
-            control,
             counters,
             detached,
             reply,
@@ -863,7 +822,6 @@ fn handle_command<E: Engine>(
                         file,
                         channel,
                         epoch: ticket.epoch(),
-                        control,
                         counters,
                         detached,
                     },
@@ -925,34 +883,27 @@ fn handle_command<E: Engine>(
             }
             let _ = reply.send(lagged);
         }
-        Command::Note { id, channel, epoch } => {
-            let Some(file) = state.subscribers.get(&id).map(|e| e.file) else {
-                return;
+        Command::Note {
+            id,
+            channel,
+            epoch,
+            reply,
+        } => {
+            let Some(entry) = state.subscribers.get_mut(&id) else {
+                return; // departed: dropping `reply` ends the waiting reader
             };
-            let note = engine.note_for(file, channel, epoch);
+            let note = engine.note_for(entry.file, channel, epoch);
             if let SwapNote::Retune {
                 channel: new_channel,
                 epoch: new_epoch,
                 ..
             } = &note
             {
-                let (new_channel, new_epoch) = (*new_channel, *new_epoch);
-                let entry = state
-                    .subscribers
-                    .get_mut(&id)
-                    .expect("the entry was just looked up");
-                let previous = entry.channel;
-                entry.channel = new_channel;
-                entry.epoch = new_epoch;
-                entry.control.push_control(note);
+                let previous = std::mem::replace(&mut entry.channel, *new_channel);
+                entry.epoch = *new_epoch;
                 state.drop_active(previous);
-                state.grow_active(new_channel);
+                state.grow_active(*new_channel);
             } else {
-                let entry = state
-                    .subscribers
-                    .get(&id)
-                    .expect("the entry was just looked up");
-                entry.control.push_control(note);
                 state.retire(id, true);
                 state.fleet.cancelled.inc();
                 state.telemetry.record_event(|| Event::SubscriberResolved {
@@ -960,6 +911,7 @@ fn handle_command<E: Engine>(
                     cancelled: true,
                 });
             }
+            let _ = reply.send(note);
         }
         Command::Snapshot { reply } => {
             let _ = reply.send(engine.snapshot());
@@ -1033,14 +985,15 @@ fn apply_due_swaps<E: Engine>(engine: &mut E, slot: usize, state: &mut ServerSta
 /// Snapshots every lane's epoch and transmission for `slot` into one
 /// [`SlotCell`] — the single publication the whole fleet reads.
 fn build_cell<E: Engine>(engine: &E, slot: usize) -> SlotCell {
-    let lane_count = engine.lane_count();
+    let bank = engine.bank();
+    let lane_count = bank.lane_count();
     let mut lanes = Vec::with_capacity(lane_count);
     for channel in 0..lane_count {
-        let epoch = engine.epoch_at(channel, slot);
+        let epoch = bank.epoch_at(channel, slot);
         // Dark lanes transmit nothing; idle slots carry no block.  The
         // payload clone is a reference-count bump, never a byte copy.
         let block = match epoch {
-            Some(_) => engine.transmit_on(channel, slot).map(|tx| tx.block.clone()),
+            Some(_) => bank.transmit_ref(channel, slot).map(|tx| tx.block.clone()),
             None => None,
         };
         lanes.push(LaneCell { epoch, block });
@@ -1106,16 +1059,17 @@ fn replay_lag<E: Engine>(
     from: usize,
     to: usize,
 ) -> (u64, u64) {
-    if channel >= engine.lane_count() {
+    let bank = engine.bank();
+    if channel >= bank.lane_count() {
         return (0, 0);
     }
     let mut lagged_slots = 0;
     let mut lagged_file_blocks = 0;
     for slot in from..to {
-        if engine.epoch_at(channel, slot) != Some(epoch) {
+        if bank.epoch_at(channel, slot) != Some(epoch) {
             continue;
         }
-        let Some(tx) = engine.transmit_on(channel, slot) else {
+        let Some(tx) = bank.transmit_ref(channel, slot) else {
             continue; // idle slot: a queue would not have carried it either
         };
         lagged_slots += 1;
@@ -1131,16 +1085,16 @@ fn replay_lag<E: Engine>(
 // ---------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)] // one call site; a struct would obscure it
-fn client_loop<E: Engine, C: Consumer>(
+fn client_loop<E: Engine>(
     id: u64,
-    mut consumer: C,
+    mut ticket: E::Ticket,
+    mut errors: impl ChannelErrorModel,
     ring: Arc<BroadcastRing>,
-    control: Arc<SlotQueue>,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
     mut cursor: usize,
     controller: RuntimeController<E>,
-) -> C::Output {
+) -> E::Ticket {
     let mut batch: Vec<Arc<SlotCell>> = Vec::with_capacity(READ_BATCH);
     'read: loop {
         match ring.read_many(cursor, READ_BATCH, &detached, &mut batch) {
@@ -1148,78 +1102,63 @@ fn client_loop<E: Engine, C: Consumer>(
             BatchRead::Overwritten { resume } => {
                 // Self-account the overwritten span as lag: the server
                 // replays the span's schedule (off the data path) and books
-                // the counts; the consumer records the erasures.
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sent = controller.send(Command::Lag {
+                // the counts; the ticket records the erasures.
+                let lag = controller.ask(|reply| Command::Lag {
                     id,
-                    channel: consumer.channel(),
-                    epoch: consumer.epoch(),
+                    channel: ticket.channel(),
+                    epoch: ticket.epoch(),
                     from: cursor,
                     to: resume,
-                    reply: reply_tx,
+                    reply,
                 });
-                if sent.is_err() {
-                    break 'read;
-                }
-                let Ok((lagged_slots, lagged_file_blocks)) = reply_rx.recv() else {
+                let Ok((lagged_slots, lagged_file_blocks)) = lag else {
                     break 'read;
                 };
                 if lagged_slots > 0 {
-                    consumer.lag(lagged_slots, lagged_file_blocks);
+                    ticket.erase(lagged_file_blocks as usize);
                 }
                 cursor = resume;
             }
             BatchRead::Cells => {
                 for cell in batch.drain(..) {
-                    // The same epoch-resolution rules as the synchronous
-                    // driver, applied reader-side against the cell's
-                    // published lane epochs: wait for a flip, retune across
-                    // swaps, or cancel.
-                    let deliver_on = loop {
-                        let channel = consumer.channel();
-                        let Some(lane) = cell.lanes.get(channel) else {
-                            break None;
-                        };
-                        match lane.epoch {
-                            None => break None,
-                            Some(e) if e < consumer.epoch() => break None,
-                            Some(e) if e == consumer.epoch() => break Some(channel),
-                            Some(_) => {
-                                // The channel flipped past us: fetch the note
-                                // over the control queue, in stream order.
-                                let requested = controller.send(Command::Note {
-                                    id,
-                                    channel,
-                                    epoch: consumer.epoch(),
-                                });
-                                if requested.is_err() {
-                                    break 'read;
-                                }
-                                let note = match control.pop().item {
-                                    Some(Delivery::Swap(note)) => note,
-                                    _ => break 'read, // retired or shut down
-                                };
-                                let cancelled = note.is_cancel();
-                                if consumer.on_swap(&note) {
-                                    let _ = controller.send(Command::Resolved { id, cancelled });
-                                    break 'read;
-                                }
-                                if cancelled {
-                                    break 'read; // the server already retired us
-                                }
-                            }
+                    // The epoch rule, applied reader-side against the cell's
+                    // published lane epochs, fetching notes from the serving
+                    // thread in stream order.
+                    let tuning = resolve_epoch(
+                        &mut ticket,
+                        |channel| cell.lanes.get(channel)?.epoch,
+                        |channel, epoch| {
+                            controller.ask(|reply| Command::Note {
+                                id,
+                                channel,
+                                epoch,
+                                reply,
+                            })
+                        },
+                    );
+                    let channel = match tuning {
+                        Ok(Tuning::Listen(channel)) => channel,
+                        Ok(Tuning::Wait) => {
+                            cursor += 1;
+                            continue;
                         }
+                        // Cancelled (the server retired us when it answered),
+                        // or retired / shut down before it could answer.
+                        Ok(Tuning::Cancelled) | Err(_) => break 'read,
                     };
-                    if let Some(channel) = deliver_on {
-                        if let Some(block) = cell.lanes[channel].block.as_ref() {
-                            counters.delivered.inc();
-                            if consumer.deliver(cell.slot, block) {
-                                let _ = controller.send(Command::Resolved {
-                                    id,
-                                    cancelled: false,
-                                });
-                                break 'read;
-                            }
+                    if let Some(block) = cell.lanes[channel].block.as_ref() {
+                        counters.delivered.inc();
+                        let tx = TransmissionRef {
+                            slot: cell.slot,
+                            block,
+                        };
+                        let ok = !errors.is_lost_on(channel, tx);
+                        if ticket.observe(Some(tx), ok) {
+                            let _ = controller.send(Command::Resolved {
+                                id,
+                                cancelled: false,
+                            });
+                            break 'read;
                         }
                     }
                     cursor += 1;
@@ -1227,5 +1166,5 @@ fn client_loop<E: Engine, C: Consumer>(
             }
         }
     }
-    consumer.finish()
+    ticket
 }

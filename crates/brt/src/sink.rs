@@ -1,13 +1,13 @@
 //! The transport-facing fan-out hook: one publication per served slot.
 //!
-//! [`SlotQueue`](crate::SlotQueue)s carry per-*subscriber* deliveries — one
-//! bounded queue per in-process client.  A network transport is the opposite
+//! In-process clients each read the [`BroadcastRing`](crate::BroadcastRing)
+//! through a cursor of their own.  A network transport is a different
 //! shape: the medium itself is the fan-out (the server publishes each slot
 //! **once** per channel; however many receivers are tuned in costs the
 //! sender nothing per receiver, exactly the paper's broadcast model).  A
 //! [`SlotSink`] is that seam: the serving loop hands every attached sink the
-//! slot's live lanes right after it fans the slot out to the in-process
-//! subscribers, on the serving thread, before the next slot is served.
+//! slot's live lanes right before it publishes the slot onto the ring, on
+//! the serving thread, before the next slot is served.
 //!
 //! Implementations must therefore be fast and non-blocking — a sink that
 //! stalls stalls the broadcast.  Dropping data (a full socket buffer, an

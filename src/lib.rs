@@ -33,8 +33,8 @@
 //!   [`Error::ModeChanged`] per the [`SwapPolicy`] (immediate vs drain).
 //! * [`Station::serve_concurrent`] puts the station on the air for real: a
 //!   slot-clocked serving thread ([`WallClock`] pacing, [`ManualClock`] for
-//!   deterministic tests) fans each slot out to any number of concurrent
-//!   client tasks over bounded queues ([`RuntimeHandle`] — subscribe,
+//!   deterministic tests) publishes each slot once onto a shared ring that
+//!   any number of concurrent client tasks read ([`RuntimeHandle`] — subscribe,
 //!   unsubscribe, scheduled swaps via [`ModeSchedule`], stats, graceful
 //!   shutdown); a slow client drops slots as recorded erasures instead of
 //!   stalling the server.
@@ -100,7 +100,7 @@ pub use station::{Station, Stream};
 
 // The handful of cross-crate types every facade user touches.
 pub use bcore::{ChannelBudget, GeneralizedFileSpec, ShardPlan, ShardPlanner};
-pub use bdisk::{EpochBank, LatencyVector, MultiChannelServer, RetrievalOutcome, TransmissionRef};
+pub use bdisk::{EpochBank, LatencyVector, RetrievalOutcome, TransmissionRef};
 pub use bmode::{ChannelTransition, ModePlanner, ModeSpec, SwapPolicy, TransitionPlan};
 pub use bnet::{
     ControlClient, ControlTimeouts, MetricsFormat, NetClient, NetConfig, NetError, NetStats,

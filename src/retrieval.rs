@@ -228,15 +228,6 @@ impl Retrieval {
             .completed()
     }
 
-    /// Records reception errors observed out of band — slots a lagging
-    /// concurrent subscriber dropped while blocks of this file were on the
-    /// air.  Completed or cancelled retrievals ignore them.
-    pub(crate) fn record_erasures(&mut self, count: usize) {
-        if !self.is_cancelled() {
-            self.session.ingest(Observation::Erasure { count });
-        }
-    }
-
     /// Reconstructs the file from the received blocks.
     ///
     /// The dispersal parameters travel inside the handle, so this cannot be
@@ -311,6 +302,14 @@ impl brt::Subscriber for Retrieval {
 
     fn observe(&mut self, transmission: Option<TransmissionRef<'_>>, received_ok: bool) -> bool {
         Retrieval::observe(self, transmission, received_ok)
+    }
+
+    /// Slots a lagging concurrent reader dropped while blocks of this file
+    /// were on the air.  Completed or cancelled retrievals ignore them.
+    fn erase(&mut self, count: usize) {
+        if !self.is_cancelled() {
+            self.session.ingest(Observation::Erasure { count });
+        }
     }
 
     fn apply(&mut self, note: &brt::SwapNote) {

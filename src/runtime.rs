@@ -18,11 +18,10 @@
 //! (exactly as if its channel had lost those receptions).
 
 use crate::{Error, PreparedMode, Retrieval, RetrievalResolution, Station, SwapReport};
-use bdisk::TransmissionRef;
 use bmode::{ModeSpec, SwapPolicy};
 use brt::{RuntimeConfig, RuntimeError, RuntimeStats, SubscriptionStats};
 use bsim::{ChannelErrorModel, ModeSchedule, NoErrors};
-use ida::{DispersedBlock, FileId};
+use ida::FileId;
 
 impl Station {
     /// Puts the station on the air: spawns the slot-clocked serving thread
@@ -37,7 +36,7 @@ impl Station {
     }
 
     /// [`Station::serve_concurrent`] with explicit runtime tunables (e.g. a
-    /// smaller per-subscriber queue to exercise lag behaviour).
+    /// smaller broadcast ring to exercise lag behaviour).
     pub fn serve_concurrent_with(
         self,
         clock: impl brt::SlotClock,
@@ -88,20 +87,15 @@ impl RuntimeHandle {
         at_slot: usize,
         errors: impl ChannelErrorModel + Send + 'static,
     ) -> Result<ClientHandle, Error> {
-        let subscription = self
+        let inner = self
             .inner
-            .subscribe_with(file, at_slot, |retrieval| RetrievalConsumer {
-                retrieval,
-                errors,
-            })
+            .subscribe_with(file, at_slot, errors)
             .map_err(facade_error)?;
-        Ok(ClientHandle {
-            inner: subscription,
-        })
+        Ok(ClientHandle { inner })
     }
 
-    /// Detaches a client from the broadcast: its queue closes, its task
-    /// drains what was already delivered and finishes (most likely with
+    /// Detaches a client from the broadcast: its detach flag is raised, its
+    /// task stops reading the ring and finishes (most likely with
     /// [`Error::RetrievalIncomplete`]).
     pub fn unsubscribe(&self, client: &ClientHandle) {
         self.inner.unsubscribe(&client.inner);
@@ -167,9 +161,9 @@ impl RuntimeHandle {
         self.inner.slots_served()
     }
 
-    /// Stops the serving loop (closing every client's queue) and returns
-    /// the station, ready to serve again — synchronously or under a fresh
-    /// runtime.
+    /// Stops the serving loop (closing the ring and detaching every client)
+    /// and returns the station, ready to serve again — synchronously or
+    /// under a fresh runtime.
     pub fn shutdown(self) -> Result<Station, Error> {
         self.inner.shutdown().map_err(facade_error)
     }
@@ -179,7 +173,7 @@ impl RuntimeHandle {
 /// running broadcast.
 #[derive(Debug)]
 pub struct ClientHandle {
-    inner: brt::Subscription<Result<RetrievalResolution, Error>>,
+    inner: brt::Subscription<Retrieval>,
 }
 
 impl ClientHandle {
@@ -206,7 +200,12 @@ impl ClientHandle {
     /// [`Error::RetrievalIncomplete`] when the runtime shut down (or the
     /// client was unsubscribed) mid-flight.
     pub fn join(self) -> Result<RetrievalResolution, Error> {
-        self.inner.join()
+        let retrieval = self.inner.join();
+        // In flight means neither cancelled nor complete, which is exactly
+        // when `finish` reports `RetrievalIncomplete`.
+        retrieval
+            .resolution()
+            .unwrap_or_else(|| retrieval.finish().map(RetrievalResolution::Complete))
     }
 }
 
@@ -226,51 +225,5 @@ impl ScheduleHandle {
     /// Waits for the schedule to finish; one outcome per event, in order.
     pub fn join(self) -> Vec<brt::ScheduleOutcome<SwapReport>> {
         self.inner.join()
-    }
-}
-
-/// The client-side consumer: feeds deliveries into a [`Retrieval`],
-/// sampling the client's own reception-error process per data slot.
-struct RetrievalConsumer<M> {
-    retrieval: Retrieval,
-    errors: M,
-}
-
-impl<M: ChannelErrorModel + Send + 'static> brt::Consumer for RetrievalConsumer<M> {
-    type Output = Result<RetrievalResolution, Error>;
-
-    fn channel(&self) -> usize {
-        brt::Subscriber::channel(&self.retrieval)
-    }
-
-    fn epoch(&self) -> u64 {
-        brt::Subscriber::epoch(&self.retrieval)
-    }
-
-    fn deliver(&mut self, slot: usize, block: &DispersedBlock) -> bool {
-        let tx = TransmissionRef { slot, block };
-        let channel = brt::Subscriber::channel(&self.retrieval);
-        let ok = !self.errors.is_lost_on(channel, tx);
-        self.retrieval.observe(Some(tx), ok)
-    }
-
-    fn lag(&mut self, _lagged_slots: u64, lagged_file_blocks: u64) {
-        self.retrieval.record_erasures(lagged_file_blocks as usize);
-    }
-
-    fn on_swap(&mut self, note: &brt::SwapNote) -> bool {
-        brt::Subscriber::apply(&mut self.retrieval, note);
-        self.retrieval.is_resolved()
-    }
-
-    fn finish(self) -> Self::Output {
-        match self.retrieval.resolution() {
-            Some(resolution) => resolution,
-            None => Err(Error::RetrievalIncomplete {
-                file: self.retrieval.file(),
-                received: self.retrieval.blocks_received(),
-                required: self.retrieval.threshold(),
-            }),
-        }
     }
 }

@@ -260,14 +260,10 @@ impl Station {
         self.bank.transmit_ref(0, slot)
     }
 
-    /// What every channel transmits in `slot`, in channel order.
-    pub fn transmit_all(&self, slot: usize) -> Vec<Option<TransmissionRef<'_>>> {
-        self.bank.transmit_all(slot)
-    }
-
-    /// [`Station::transmit_all`] into a caller-owned buffer — what the
-    /// station's own slot drivers use, so a serve loop over many slots never
-    /// allocates per slot.
+    /// What every channel transmits in `slot`, in channel order, into a
+    /// caller-owned buffer (cleared and refilled) — what the station's own
+    /// slot drivers use, so a serve loop over many slots never allocates per
+    /// slot.
     pub fn transmit_all_into<'a>(
         &'a self,
         slot: usize,
@@ -789,20 +785,8 @@ impl brt::Engine for Station {
     type Report = SwapReport;
     type Error = Error;
 
-    fn lane_count(&self) -> usize {
-        self.bank.lane_count()
-    }
-
-    fn transmit_all_into<'a>(&'a self, slot: usize, out: &mut Vec<Option<TransmissionRef<'a>>>) {
-        self.bank.transmit_all_into(slot, out);
-    }
-
-    fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>> {
-        self.bank.transmit_ref(channel, slot)
-    }
-
-    fn epoch_at(&self, channel: usize, slot: usize) -> Option<u64> {
-        self.bank.epoch_at(channel, slot)
+    fn bank(&self) -> &EpochBank {
+        &self.bank
     }
 
     fn subscribe(&self, file: FileId, at_slot: usize) -> Result<Retrieval, Error> {

@@ -7,8 +7,8 @@
 //! that design against the per-subscriber queue model it replaced:
 //!
 //! * **lag equivalence** — for the same broadcast schedule and the same
-//!   stall, the ring books exactly the lag a bounded [`SlotQueue`] would
-//!   have booked by dropping slots (the "lag looks like channel loss"
+//!   stall, the ring books exactly the lag a bounded per-subscriber FIFO
+//!   would have booked by dropping slots (the "lag looks like channel loss"
 //!   contract survives the fan-out rewrite);
 //! * **departed subscribers book nothing** — a client unsubscribed while
 //!   the server runs ahead contributes zero lag to the fleet counters (the
@@ -17,7 +17,6 @@
 //!   budget refuses the subscription that would exceed it with
 //!   [`rtbdisk::Error::AdmissionDenied`], and a departure reopens the seat.
 
-use rtbdisk::brt::{Engine, SlotQueue};
 use rtbdisk::{
     Broadcast, Error, ErrorModel, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution,
     RuntimeConfig, Station, TransmissionRef,
@@ -49,6 +48,24 @@ impl ErrorModel for GatedModel {
             open = cvar.wait(open).unwrap();
         }
         false
+    }
+}
+
+/// The bounded per-subscriber FIFO the ring replaced, as a model: a push
+/// that finds the queue full drops the slot and books it as lag.
+struct BoundedFifo {
+    capacity: usize,
+    held: usize,
+    lagged: u64,
+}
+
+impl BoundedFifo {
+    fn push(&mut self) {
+        if self.held == self.capacity {
+            self.lagged += 1;
+        } else {
+            self.held += 1;
+        }
     }
 }
 
@@ -105,28 +122,23 @@ fn ring_overwrite_lag_equals_queue_drop_lag_for_the_same_schedule() {
     let fleet = handle.stats().unwrap();
     let stats = client.stats();
 
-    // The queue leg: the identical schedule pushed through a SlotQueue of
-    // the same capacity with the identical stall — pop one slot, hold while
-    // every remaining slot arrives, then drain.
-    let sim = SlotQueue::new(CAPACITY);
-    let tx = Engine::transmit_on(&schedule, 0, 0).expect("a density-1 slot transmits");
-    sim.push_slot(0, tx.block, true);
-    assert!(sim.pop().item.is_some());
+    // The queue leg: the identical schedule pushed through the FIFO model
+    // at the same capacity with the identical stall — slot 0 is pushed and
+    // popped, then every remaining slot arrives while the client holds.
+    // Every slot of the density-1 schedule carries the file, so each drop
+    // is also an erasure.
+    let mut sim = BoundedFifo {
+        capacity: CAPACITY,
+        held: 0,
+        lagged: 0,
+    };
     for slot in 1..TOTAL {
-        let tx = Engine::transmit_on(&schedule, 0, slot).expect("a density-1 slot transmits");
-        sim.push_slot(slot, tx.block, true);
+        let tx = schedule.bank().transmit_ref(0, slot);
+        assert_eq!(tx.map(|tx| tx.block.file()), Some(FileId(1)));
+        sim.push();
     }
-    let mut queue_lagged = 0u64;
-    let mut queue_erasures = 0u64;
-    sim.close();
-    loop {
-        let popped = sim.pop();
-        queue_lagged += popped.lagged_slots;
-        queue_erasures += popped.lagged_file_blocks;
-        if popped.item.is_none() {
-            break;
-        }
-    }
+    let queue_lagged = sim.lagged;
+    let queue_erasures = sim.lagged;
 
     assert!(queue_lagged > 0, "the simulated queue must have dropped");
     assert_eq!(

@@ -8,9 +8,9 @@
 //! * subscribe/complete churn against a live runtime while the clock runs.
 
 use rtbdisk::{
-    brt, Broadcast, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution, Station,
+    brt, Broadcast, EpochBank, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution,
+    Station,
 };
-use rtbdisk::{EpochBank, MultiChannelServer};
 use std::sync::Arc;
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -25,7 +25,6 @@ fn shared_types_are_send_and_sync() {
     // The serving layer: banks move onto the serving thread and snapshots
     // come back.
     assert_send_sync::<EpochBank>();
-    assert_send_sync::<MultiChannelServer>();
     assert_send_sync::<Station>();
     // The runtime surface: handles are held by the spawning thread and may
     // be shared (the controller is cloned into scheduler threads).
