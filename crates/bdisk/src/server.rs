@@ -151,10 +151,10 @@ impl BroadcastServer {
     /// memoised reconstruction inverses with every client handle of the
     /// same `Arc` — and files without a usable entry fall back to a fresh
     /// build.
-    pub fn with_dispersals(
+    pub fn with_dispersals<B: AsRef<[u8]>>(
         files: &FileSet,
         program: BroadcastProgram,
-        contents: &BTreeMap<FileId, Vec<u8>>,
+        contents: &BTreeMap<FileId, B>,
         dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
     ) -> Result<Self, ServerError> {
         for id in contents.keys() {
@@ -166,7 +166,8 @@ impl BroadcastServer {
         for f in files.files() {
             let data = contents
                 .get(&f.id)
-                .ok_or(ServerError::MissingContent(f.id))?;
+                .ok_or(ServerError::MissingContent(f.id))?
+                .as_ref();
             if data.len() != f.total_bytes() {
                 return Err(ServerError::ContentSizeMismatch {
                     file: f.id,

@@ -333,12 +333,11 @@ impl NetClient {
         if let Some(control) = self.config.control {
             let round = ControlClient::connect_with(control, self.config.control_timeouts)
                 .and_then(|mut client| {
-                    let (epoch, next_slot) = client.resync()?;
+                    let (_, next_slot) = client.resync()?;
                     let info = client.subscribe(self.state.file())?;
-                    Ok((epoch, next_slot, info))
+                    Ok((next_slot, info))
                 });
-            if let Ok((epoch, next_slot, mut info)) = round {
-                info.epoch = epoch.max(info.epoch);
+            if let Ok((next_slot, info)) = round {
                 self.state.resubscribe(info, next_slot);
                 resynced = true;
             }

@@ -15,7 +15,8 @@
 //! * [`NetServer`] / [`UdpFanout`] — the station side: a
 //!   [`brt::SlotSink`] that fans every served slot out to the joined
 //!   peers, a datagram membership loop, and an optional TCP control plane
-//!   answering subscriptions from a [`Directory`].
+//!   answering subscriptions from a [`Directory`] it derives from the
+//!   serving bank ([`directory_of`]) whenever the mode changes.
 //! * [`ClientState`] — the pure, socket-free retrieval state machine that
 //!   turns datagrams into blocks and losses into erasures.
 //! * [`NetClient`] / [`ControlClient`] — the socket clients wrapping it.
@@ -36,6 +37,6 @@ pub mod wire;
 
 pub use client::{ControlClient, ControlTimeouts, NetClient, RecoveryConfig};
 pub use error::NetError;
-pub use server::{Directory, NetConfig, NetHandle, NetServer, NetStats, UdpFanout};
+pub use server::{directory_of, Directory, NetConfig, NetHandle, NetServer, NetStats, UdpFanout};
 pub use session::{ClientState, ClientStats};
 pub use wire::{MetricsFormat, SubscriptionInfo, VERSION, VERSION_AUTH};

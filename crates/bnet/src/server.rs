@@ -12,14 +12,20 @@
 //! [`ControlFrame::Leave`] sent to the data address) so a pure-UDP client
 //! needs nothing else: dispersal parameters travel in every block header.
 //! The optional TCP control plane answers [`ControlFrame::Subscribe`] from
-//! a static [`Directory`] and serves slot-counter resyncs — a reliable
-//! convenience, not a requirement.
+//! a [`Directory`] and serves slot-counter resyncs — a reliable
+//! convenience, not a requirement.  The directory is *derived*, never
+//! pushed: the serving loop tells the fan-out whenever the bank's mode
+//! changed ([`SlotSink::mode_changed`]) and the fan-out rebuilds it with
+//! [`directory_of`], so every swap — scheduled, blocking, or through the
+//! bare runtime handle — is on the control plane before its requester
+//! hears it landed.
 
 use crate::error::NetError;
 use crate::wire::{
     datagrams, decode, encode, ControlFrame, Frame, MetricsFormat, Packet, SlotFrame,
     SubscriptionInfo,
 };
+use bdisk::EpochBank;
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
 use brt::{LaneView, SlotSink};
 use std::collections::{BTreeMap, HashSet};
@@ -43,10 +49,6 @@ pub struct NetConfig {
     pub mtu: usize,
     /// Most peers the fan-out set will hold; further joins are ignored.
     pub max_peers: usize,
-    /// How long the control-plane accept loop sleeps between polls of its
-    /// non-blocking listener — the bound on how stale an idle accept can
-    /// be, and on shutdown latency of the control thread.
-    pub control_poll: Duration,
 }
 
 impl Default for NetConfig {
@@ -56,7 +58,6 @@ impl Default for NetConfig {
             control_bind: None,
             mtu: 1400,
             max_peers: 64,
-            control_poll: Duration::from_millis(5),
         }
     }
 }
@@ -67,21 +68,36 @@ impl NetConfig {
         self.control_bind = Some("127.0.0.1:0".parse().expect("valid literal"));
         self
     }
-
-    /// Sets the control-plane accept-poll interval (clamped to ≥ 100 µs so
-    /// a zero interval cannot busy-spin the control thread).
-    pub fn with_control_poll(mut self, poll: Duration) -> Self {
-        self.control_poll = poll.max(Duration::from_micros(100));
-        self
-    }
 }
 
 /// The control plane's view of the station: file id → where it is served.
-/// Built by the caller from the engine at bind time and refreshed after
-/// mode swaps with [`NetHandle::update_directory`], so a recovering client
-/// that missed a swap resubscribes against the live program, not the one
-/// it tuned to originally.
+/// On a running station it is [`directory_of`] the serving bank, rebuilt
+/// by [`UdpFanout`] on every [`SlotSink::mode_changed`] — so a recovering
+/// client that missed a swap resubscribes against the live program, not
+/// the one it tuned to originally.
 pub type Directory = BTreeMap<u32, SubscriptionInfo>;
+
+/// The directory of `bank`'s latest mode: each routed file's channel, that
+/// channel's epoch, and the `(m, n)` and commitment root its serving
+/// dispersal carries.
+pub fn directory_of(bank: &EpochBank) -> Directory {
+    let mut directory = Directory::new();
+    for (&file, &channel) in bank.routing_now() {
+        let Some(dispersed) = bank.current(channel).and_then(|s| s.dispersed(file)) else {
+            continue;
+        };
+        let Some(header) = dispersed.block(0).map(|b| b.header()) else {
+            continue;
+        };
+        let epoch = bank.current_epoch_of(channel).unwrap_or(0);
+        let mut info = SubscriptionInfo::new(channel as u16, epoch, header.m, header.n);
+        if let Some(root) = dispersed.commitment_root() {
+            info = info.with_root(root);
+        }
+        directory.insert(file.0, info);
+    }
+    directory
+}
 
 /// A snapshot of the network side's counters — a view over the station's
 /// [`bobs`] registry, kept shape-compatible with earlier releases.
@@ -147,8 +163,8 @@ struct Shared {
     /// The next slot the serving loop will publish — what a `Resync`
     /// reports.
     next_slot: AtomicU64,
-    /// The highest epoch the fan-out has published under — a `Resync`
-    /// must report the *live* epoch even when the directory is stale.
+    /// The highest epoch the fan-out has published under — what a
+    /// `Resync` reports as the live epoch.
     current_epoch: AtomicU64,
     stop: AtomicBool,
     directory: Mutex<Directory>,
@@ -156,18 +172,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn resync_frame(&self) -> Frame {
-        let directory_epoch = self
-            .directory
-            .lock()
-            .expect("directory lock")
-            .values()
-            .next()
-            .map_or(0, |info| info.epoch);
-        Frame::Control(ControlFrame::Resync {
-            epoch: directory_epoch.max(self.current_epoch.load(Ordering::Relaxed)),
+    fn resync_frame(&self) -> ControlFrame {
+        ControlFrame::Resync {
+            epoch: self.current_epoch.load(Ordering::Relaxed),
             next_slot: self.next_slot.load(Ordering::Relaxed),
-        })
+        }
     }
 }
 
@@ -237,6 +246,10 @@ impl SlotSink for UdpFanout {
             }
         }
     }
+
+    fn mode_changed(&mut self, bank: &EpochBank) {
+        *self.shared.directory.lock().expect("directory lock") = directory_of(bank);
+    }
 }
 
 /// The bound network server: addresses, stats, and shutdown of the
@@ -281,19 +294,19 @@ impl NetHandle {
         &self.shared.telemetry
     }
 
-    /// Replaces the control plane's directory — call after a mode swap so
-    /// recovering clients resubscribe against the live program.
-    pub fn update_directory(&self, directory: Directory) {
-        *self.shared.directory.lock().expect("directory lock") = directory;
-    }
-
     /// Stops the membership and control threads and waits for them.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        if let Some(addr) = self.control_addr {
+            // The control thread blocks in `accept()`: one throw-away
+            // connection wakes it to see `stop`.  Should the connect fail
+            // on a full backlog, the queued connections wake it instead.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+        }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -362,11 +375,9 @@ impl NetServer {
             Some(bind) => {
                 let listener = TcpListener::bind(bind)?;
                 let addr = listener.local_addr()?;
-                listener.set_nonblocking(true)?;
                 let shared = Arc::clone(&shared);
-                let poll = config.control_poll.max(Duration::from_micros(100));
                 threads.push(std::thread::spawn(move || {
-                    control_loop(&listener, &shared, poll);
+                    control_loop(&listener, &shared);
                 }));
                 Some(addr)
             }
@@ -410,7 +421,7 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
                     drop(peers);
                     // Ack with a resync so the client can baseline its
                     // gap detector; losing this reply is harmless.
-                    let _ = socket.send_to(&encode(&shared.resync_frame()), from);
+                    let _ = socket.send_to(&encode(&Frame::Control(shared.resync_frame())), from);
                 }
             }
             ControlFrame::Leave => {
@@ -421,7 +432,7 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
                 }
             }
             ControlFrame::ResyncRequest => {
-                let _ = socket.send_to(&encode(&shared.resync_frame()), from);
+                let _ = socket.send_to(&encode(&Frame::Control(shared.resync_frame())), from);
             }
             _ => {}
         }
@@ -431,19 +442,23 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
 /// Largest control frame the TCP plane will read.
 const MAX_CONTROL_FRAME: usize = 64 * 1024;
 
-fn control_loop(listener: &TcpListener, shared: &Shared, poll: Duration) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+/// The accept loop blocks in `accept()`, so a connection is served the
+/// moment it arrives; `NetHandle::stop_and_join` raises `stop` and connects
+/// once to wake it.
+fn control_loop(listener: &TcpListener, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            // Connections are served one at a time: the control plane is a
+            // short-lived request/response convenience, not a data path.
             Ok((stream, _)) => {
-                // Connections are served one at a time: the control plane
-                // is a short-lived request/response convenience, not a
-                // data path.
                 let _ = serve_control_connection(stream, shared);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+            // A failing listener (descriptor exhaustion, say) must not spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -481,10 +496,7 @@ fn serve_control_connection(mut stream: TcpStream, shared: &Shared) -> Result<()
                     },
                 })
             }
-            ControlFrame::ResyncRequest => match shared.resync_frame() {
-                Frame::Control(resync) => Some(resync),
-                Frame::Slot(_) => None,
-            },
+            ControlFrame::ResyncRequest => Some(shared.resync_frame()),
             // The live metrics plane: render the shared registry in the
             // requested format.  A station's registry is a couple dozen
             // fixed-name metrics, far under the control-frame cap.
@@ -525,22 +537,28 @@ pub(crate) fn read_control_frame(stream: &mut TcpStream) -> Result<Option<Contro
     }
 }
 
-/// Writes one length-prefixed control frame to a TCP stream.
+/// Writes one length-prefixed control frame to a TCP stream — as a single
+/// write: a length written apart from its packet leaves the packet waiting
+/// for the peer's delayed ACK of the length (Nagle), tens of milliseconds
+/// on every request after a connection's first.
 pub(crate) fn write_control_frame(
     stream: &mut TcpStream,
     control: &ControlFrame,
 ) -> Result<(), NetError> {
     let packet = encode(&Frame::Control(control.clone()));
-    let len = packet.len() as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&packet)?;
+    let mut framed = Vec::with_capacity(4 + packet.len());
+    framed.extend_from_slice(&(packet.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&packet);
+    stream.write_all(&framed)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdisk::TransmissionRef;
+    use bdisk::{
+        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, TransmissionRef,
+    };
     use bytes::Bytes;
     use ida::{BlockHeader, DispersedBlock, FileId};
 
@@ -679,22 +697,56 @@ mod tests {
             }
         ));
 
+        // Nothing was published yet: the live epoch is the fan-out's own,
+        // whatever the directory says.
         write_control_frame(&mut stream, &ControlFrame::ResyncRequest).unwrap();
         let reply = read_control_frame(&mut stream).unwrap().unwrap();
-        assert!(matches!(reply, ControlFrame::Resync { epoch: 5, .. }));
+        assert!(matches!(reply, ControlFrame::Resync { epoch: 0, .. }));
         handle.shutdown();
     }
 
+    /// One channel server carrying `ids`, each 2 blocks dispersed to 4.
+    fn server_for(ids: &[u32]) -> Arc<BroadcastServer> {
+        let files = ids
+            .iter()
+            .map(|&i| BroadcastFile::new(FileId(i), format!("F{i}"), 2, 8).with_dispersal(4))
+            .collect();
+        let files = FileSet::new(files).unwrap();
+        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
+        Arc::new(BroadcastServer::with_synthetic_contents(&files, program).unwrap())
+    }
+
     #[test]
-    fn directory_updates_and_published_epochs_reach_the_control_plane() {
-        let mut directory = Directory::new();
-        directory.insert(1, SubscriptionInfo::new(0, 1, 2, 4));
+    fn mode_changes_and_published_epochs_reach_the_control_plane() {
         let (mut fanout, handle) =
-            NetServer::bind(NetConfig::default().with_control_plane(), directory).unwrap();
+            NetServer::bind(NetConfig::default().with_control_plane(), Directory::new()).unwrap();
         let addr = handle.control_addr().expect("control plane configured");
-        // Publishing under epoch 9 makes the resync report the live epoch
-        // even while the directory still says 1 (a swap the caller has
-        // not refreshed yet).
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut served = |file: u32| {
+            let file = FileId(file);
+            write_control_frame(&mut stream, &ControlFrame::Subscribe { file }).unwrap();
+            match read_control_frame(&mut stream).unwrap().unwrap() {
+                ControlFrame::SubscribeAck { info, .. } => Some(info),
+                _ => None,
+            }
+        };
+
+        // The directory is whatever the bank serves when the sink is told.
+        let kept = server_for(&[1]);
+        let mut bank = EpochBank::new(vec![kept.clone(), server_for(&[2])]).unwrap();
+        assert_eq!(served(2), None);
+        fanout.mode_changed(&bank);
+        assert_eq!(served(2), Some(SubscriptionInfo::new(1, 0, 2, 4)));
+
+        // A swap reprogramming channel 1: its files answer under the bumped
+        // epoch, the untouched channel keeps epoch 0 — nothing is pushed.
+        bank.swap(8, vec![kept, server_for(&[2, 3])]).unwrap();
+        fanout.mode_changed(&bank);
+        assert_eq!(served(1), Some(SubscriptionInfo::new(0, 0, 2, 4)));
+        assert_eq!(served(2), Some(SubscriptionInfo::new(1, 1, 2, 4)));
+        assert_eq!(served(3), Some(SubscriptionInfo::new(1, 1, 2, 4)));
+
+        // Publishing under epoch 9 makes the resync report the live epoch.
         let block = test_block();
         fanout.publish(
             5,
@@ -707,7 +759,6 @@ mod tests {
                 },
             }],
         );
-        let mut stream = TcpStream::connect(addr).unwrap();
         write_control_frame(&mut stream, &ControlFrame::ResyncRequest).unwrap();
         let reply = read_control_frame(&mut stream).unwrap().unwrap();
         assert_eq!(
@@ -715,20 +766,6 @@ mod tests {
             ControlFrame::Resync {
                 epoch: 9,
                 next_slot: 6,
-            }
-        );
-        // A directory refresh re-answers subscriptions from the live
-        // program.
-        let mut updated = Directory::new();
-        updated.insert(1, SubscriptionInfo::new(1, 9, 3, 6));
-        handle.update_directory(updated);
-        write_control_frame(&mut stream, &ControlFrame::Subscribe { file: FileId(1) }).unwrap();
-        let reply = read_control_frame(&mut stream).unwrap().unwrap();
-        assert_eq!(
-            reply,
-            ControlFrame::SubscribeAck {
-                file: FileId(1),
-                info: SubscriptionInfo::new(1, 9, 3, 6),
             }
         );
         handle.shutdown();

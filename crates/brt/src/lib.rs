@@ -32,9 +32,11 @@
 //! * [`SwapScheduler`] — plays a [`bsim::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
-//!   live lanes are published once to each attached sink.  A network
-//!   transport is a *sink*, not a subscriber — the medium fans out for
-//!   free, exactly the paper's broadcast model (see the `bnet` crate).
+//!   live lanes are published once to each attached sink, and every swap
+//!   the serving loop lands is announced to it with the bank
+//!   ([`SlotSink::mode_changed`]).  A network transport is a *sink*, not a
+//!   subscriber — the medium fans out for free, exactly the paper's
+//!   broadcast model (see the `bnet` crate).
 //!
 //! The crate is std-only (threads, channels, condvars — no external
 //! dependencies) and deliberately generic: it never names a facade type,
@@ -386,13 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn attached_sinks_see_every_served_slot_once() {
+    fn attached_sinks_see_every_served_slot_once_and_every_landed_swap() {
         use std::sync::Mutex;
         type PublishedSlot = (usize, Vec<(usize, u64, FileId)>);
-        struct Recorder(Arc<Mutex<Vec<PublishedSlot>>>);
+        #[derive(Default)]
+        struct Record {
+            published: Vec<PublishedSlot>,
+            /// `(bank epoch, slots published so far)` per `mode_changed`.
+            modes: Vec<(u64, usize)>,
+        }
+        struct Recorder(Arc<Mutex<Record>>);
         impl SlotSink for Recorder {
             fn publish(&mut self, slot: usize, lanes: &[LaneView<'_>]) {
-                self.0.lock().unwrap().push((
+                self.0.lock().unwrap().published.push((
                     slot,
                     lanes
                         .iter()
@@ -400,8 +408,13 @@ mod tests {
                         .collect(),
                 ));
             }
+            fn mode_changed(&mut self, bank: &EpochBank) {
+                let mut record = self.0.lock().unwrap();
+                let seen = record.published.len();
+                record.modes.push((bank.epoch(), seen));
+            }
         }
-        let record = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::new(Mutex::new(Record::default()));
         let clock = ManualClock::new();
         let runtime = Runtime::spawn_with_sinks(
             engine(),
@@ -409,6 +422,8 @@ mod tests {
             RuntimeConfig::default(),
             vec![Box::new(Recorder(record.clone()))],
         );
+        // The sink knows the mode on the air before any slot is served.
+        assert_eq!(record.lock().unwrap().modes, vec![(0, 0)]);
         clock.advance(16);
         loop {
             if runtime.stats().unwrap().slots_served >= 16 {
@@ -416,11 +431,22 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        // A swap through the bare runtime handle: the sink hears of it
+        // before the requester does, and before slot 16 goes out.
+        let prepared = runtime
+            .snapshot()
+            .unwrap()
+            .prepare(&ModeSpec::new("other").file(bcore_spec_stub()))
+            .unwrap();
+        runtime
+            .swap_at(prepared, 16, SwapPolicy::Immediate)
+            .unwrap();
+        assert_eq!(record.lock().unwrap().modes, vec![(0, 0), (1, 16)]);
         let engine = runtime.shutdown().unwrap();
-        let published = record.lock().unwrap();
+        let record = record.lock().unwrap();
         // One publication per served slot, in slot order, live lanes only.
-        assert_eq!(published.len(), 16);
-        for (i, (slot, lanes)) in published.iter().enumerate() {
+        assert_eq!(record.published.len(), 16);
+        for (i, (slot, lanes)) in record.published.iter().enumerate() {
             assert_eq!(*slot, i);
             for &(channel, epoch, file) in lanes {
                 assert_eq!(epoch, engine.bank.epoch_at(channel, *slot).unwrap());
@@ -429,7 +455,7 @@ mod tests {
             }
         }
         // The single-channel test bank is never idle across a full cycle.
-        assert!(published.iter().any(|(_, lanes)| !lanes.is_empty()));
+        assert!(record.published.iter().any(|(_, lanes)| !lanes.is_empty()));
     }
 
     #[test]

@@ -219,14 +219,8 @@ impl BroadcastRing {
 
     /// Publishes a run of consecutive cells (continuing the ring's tail
     /// order) under one lock acquisition, draining `cells` — the batched
-    /// equivalent of calling [`BroadcastRing::publish`] per cell, with one
-    /// wake sweep for the whole run.
-    pub fn publish_run(&self, cells: &mut Vec<SlotCell>) {
-        self.publish_run_prepared(cells).wake();
-    }
-
-    /// Like [`BroadcastRing::publish_run`], but returns the satisfied
-    /// reader cohort as a [`WakeSet`] instead of notifying it.
+    /// equivalent of calling [`BroadcastRing::publish_prepared`] per cell,
+    /// with one [`WakeSet`] for the whole run.
     pub fn publish_run_prepared(&self, cells: &mut Vec<SlotCell>) -> WakeSet {
         let Some(last) = cells.last().map(|c| c.slot) else {
             return WakeSet::default();

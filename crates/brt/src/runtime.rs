@@ -373,9 +373,14 @@ impl<E: Engine> Runtime<E> {
         engine: E,
         clock: impl SlotClock,
         config: RuntimeConfig,
-        sinks: Vec<Box<dyn SlotSink>>,
+        mut sinks: Vec<Box<dyn SlotSink>>,
         telemetry: Telemetry,
     ) -> Self {
+        // Before the serving thread exists: a sink knows the mode on the
+        // air by the time the caller holds the handle.
+        for sink in &mut sinks {
+            sink.mode_changed(engine.bank());
+        }
         let clock: Arc<dyn SlotClock> = Arc::new(clock);
         let waker = Arc::new(WakeSignal::new());
         clock.register_waker(waker.clone());
@@ -681,7 +686,7 @@ fn server_loop<E: Engine>(
         // cursor apply right away — even while the clock is parked — so a
         // blocked `swap_at(past_slot, …)` never waits for the next tick.
         // Future-dated swaps stay pending until the cursor reaches them.
-        apply_due_swaps(&mut engine, slot, &mut state);
+        apply_due_swaps(&mut engine, slot, &mut state, &mut sinks);
         match clock.poll(slot) {
             ClockPoll::Closed => break 'serve,
             ClockPoll::Ready => {
@@ -958,8 +963,15 @@ fn handle_command<E: Engine>(
 /// Applies every pending swap whose planned slot has arrived, in planned
 /// order (FIFO among equal slots), *before* the slot is transmitted — so a
 /// swap planned for slot `s` flips exactly at `s` when it was scheduled
-/// ahead of time, and at the current slot when it arrived late.
-fn apply_due_swaps<E: Engine>(engine: &mut E, slot: usize, state: &mut ServerState<E>) {
+/// ahead of time, and at the current slot when it arrived late.  Every
+/// landed swap is announced to the sinks ([`SlotSink::mode_changed`]) before
+/// its requester hears back.
+fn apply_due_swaps<E: Engine>(
+    engine: &mut E,
+    slot: usize,
+    state: &mut ServerState<E>,
+    sinks: &mut [Box<dyn SlotSink>],
+) {
     loop {
         let due = state
             .pending
@@ -977,6 +989,9 @@ fn apply_due_swaps<E: Engine>(engine: &mut E, slot: usize, state: &mut ServerSta
             state.telemetry.record_event(|| Event::SwapLanded {
                 at_slot: slot as u64,
             });
+            for sink in sinks.iter_mut() {
+                sink.mode_changed(engine.bank());
+            }
         }
         let _ = swap.reply.send(result);
     }

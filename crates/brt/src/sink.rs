@@ -14,7 +14,7 @@
 //! unreachable peer) is always preferable: on a broadcast medium loss is
 //! normal, and dispersal absorbs it.
 
-use bdisk::TransmissionRef;
+use bdisk::{EpochBank, TransmissionRef};
 
 /// One live lane of a served slot: the channel, the epoch its program serves
 /// under, and the transmitted block.  Idle slots and dark lanes are not
@@ -40,10 +40,23 @@ pub trait SlotSink: Send + 'static {
     /// Publishes one served slot.  `lanes` holds the live lanes only, in
     /// channel order; it is empty for slots in which every lane was idle.
     fn publish(&mut self, slot: usize, lanes: &[LaneView<'_>]);
+
+    /// Tells the sink which mode the bank now serves: called once before
+    /// the first slot and again after every swap the serving loop lands,
+    /// before the next slot is published — so whatever a sink derives from
+    /// the bank (a transport's subscription directory, say) can never lag
+    /// a swap, however that swap was requested.  Ignored by default.
+    fn mode_changed(&mut self, bank: &EpochBank) {
+        let _ = bank;
+    }
 }
 
 impl<S: SlotSink + ?Sized> SlotSink for Box<S> {
     fn publish(&mut self, slot: usize, lanes: &[LaneView<'_>]) {
         (**self).publish(slot, lanes);
+    }
+
+    fn mode_changed(&mut self, bank: &EpochBank) {
+        (**self).mode_changed(bank);
     }
 }

@@ -22,9 +22,9 @@
 //!    which gives an admissible upper bound to prune against the incumbent.
 //!
 //! This scales Figure-7-style tables well past the `n ≈ 20` the previous
-//! memoised exhaustive search managed; dispersals wider than
-//! [`EXACT_WIDTH_LIMIT`] still fall back to a pessimistic greedy adversary
-//! and are flagged in the result.
+//! memoised exhaustive search managed; dispersals wider than the exact-search
+//! limit (40 blocks) still fall back to a pessimistic greedy adversary and
+//! are flagged in the result.
 
 use bdisk::{BroadcastProgram, ProgramEntry};
 use ida::FileId;

@@ -11,14 +11,14 @@
 //! * **The pinwheel algebra** ([`algebra`]) — rules R0–R5 of Figure 8, each
 //!   as an executable, individually tested transformation.
 //! * **Transformation rules TR1/TR2 and the conversion-to-nice strategy**
-//!   ([`transform`]) — Section 4.2: turning a conjunct of conditions on one
+//!   ([`convert_to_nice`]) — Section 4.2: turning a conjunct of conditions on one
 //!   file into a *nice* conjunct (one condition per scheduled task) of low
 //!   density, reproducing Examples 2–6.
-//! * **Bandwidth planning** ([`planner`]) — Equations 1 and 2: the
+//! * **Bandwidth planning** ([`Planner`]) — Equations 1 and 2: the
 //!   `⌈10/7 · Σ mᵢ/Tᵢ⌉` sufficient bandwidth for real-time (and
 //!   fault-tolerant) broadcast disks, plus an exact searched minimum for
 //!   comparison.
-//! * **The program designer** ([`designer`]) — the end-to-end pipeline from
+//! * **The program designer** ([`BdiskDesigner`]) — the end-to-end pipeline from
 //!   generalized file specifications to a verified broadcast program:
 //!   conditions → nice conjunct → pinwheel schedule → block layout.
 //! * **Sharded design** ([`ShardPlanner`], [`MultiChannelDesigner`]) — the

@@ -1,7 +1,7 @@
 //! # gf256 — finite-field substrate for information dispersal
 //!
 //! This crate implements arithmetic over the Galois field GF(2⁸), together
-//! with polynomials and dense matrices over that field.  It is the numeric
+//! with dense matrices over that field.  It is the numeric
 //! substrate underneath Rabin's Information Dispersal Algorithm (IDA) as used
 //! by the broadcast-disk crates in this workspace: dispersal is a matrix
 //! multiplication over GF(2⁸), and reconstruction is a multiplication by the
@@ -37,12 +37,10 @@
 mod field;
 pub mod kernel;
 mod matrix;
-mod poly;
 
 pub use field::Gf256;
 pub use kernel::{mul_slice, xor_slice, MulTable};
 pub use matrix::{Matrix, MatrixError};
-pub use poly::Poly;
 
 /// Errors produced by field-level operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -307,25 +307,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix–vector product `self × v`.
-    pub fn mul_vec(&self, v: &[Gf256]) -> Result<Vec<Gf256>, MatrixError> {
-        if v.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols,
-                actual: v.len(),
-            });
-        }
-        let mut out = vec![Gf256::ZERO; self.rows];
-        for r in 0..self.rows {
-            let mut acc = Gf256::ZERO;
-            for c in 0..self.cols {
-                acc += self[(r, c)] * v[c];
-            }
-            out[r] = acc;
-        }
-        Ok(out)
-    }
-
     /// Applies each row of the matrix to `columns`-many source vectors at
     /// once: given `sources[c][k]` (the k-th byte of source block c), produces
     /// `out[r][k] = Σ_c self[r,c] · sources[c][k]`.
@@ -653,21 +634,9 @@ mod tests {
             Err(MatrixError::RowOutOfRange { .. })
         ));
         assert!(matches!(
-            a.mul_vec(&[Gf256::ONE]),
+            a.mul_blocks(&[vec![Gf256::ONE]]),
             Err(MatrixError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn mul_vec_matches_mul_blocks_single_byte() {
-        let m = Matrix::vandermonde(5, 3).unwrap();
-        let v = vec![Gf256::new(7), Gf256::new(11), Gf256::new(13)];
-        let as_vec = m.mul_vec(&v).unwrap();
-        let sources: Vec<Vec<Gf256>> = v.iter().map(|&x| vec![x]).collect();
-        let as_blocks = m.mul_blocks(&sources).unwrap();
-        for (r, val) in as_vec.iter().enumerate() {
-            assert_eq!(as_blocks[r][0], *val);
-        }
     }
 
     #[test]

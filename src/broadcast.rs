@@ -1,14 +1,12 @@
 //! The broadcast builder: specifications in, a serving [`Station`] out.
 
+use crate::mode::Mode;
+use crate::station::Settings;
 use crate::{Error, Station};
-use bcore::{
-    BdiskDesigner, ChannelBudget, GeneralizedFileSpec, MultiChannelDesigner, ShardPlanner,
-};
-use bdisk::BroadcastServer;
-use ida::{Dispersal, FileId};
+use bcore::{BdiskDesigner, GeneralizedFileSpec, MultiChannelDesigner, ShardPlanner};
+use ida::FileId;
 use pinwheel::SchedulerChoice;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Entry point of the facade.
 ///
@@ -40,11 +38,7 @@ impl Broadcast {
 pub struct BroadcastBuilder {
     specs: Vec<GeneralizedFileSpec>,
     contents: BTreeMap<FileId, Vec<u8>>,
-    scheduler: SchedulerChoice,
-    channels: ChannelBudget,
-    listen_cap: usize,
-    channel_fleet_budget: Option<usize>,
-    authenticated: bool,
+    settings: Settings,
 }
 
 impl Default for BroadcastBuilder {
@@ -52,11 +46,13 @@ impl Default for BroadcastBuilder {
         BroadcastBuilder {
             specs: Vec::new(),
             contents: BTreeMap::new(),
-            scheduler: SchedulerChoice::default(),
-            channels: ChannelBudget::Fixed(1),
-            listen_cap: 100_000,
-            channel_fleet_budget: None,
-            authenticated: false,
+            settings: Settings {
+                scheduler: SchedulerChoice::default(),
+                channels: ShardPlanner::fixed(1),
+                listen_cap: 100_000,
+                channel_fleet_budget: None,
+                authenticated: false,
+            },
         }
     }
 }
@@ -86,7 +82,7 @@ impl BroadcastBuilder {
     /// Chooses the pinwheel scheduler backing the design step (default: the
     /// [`SchedulerChoice::Auto`] cascade).
     pub fn scheduler(mut self, scheduler: SchedulerChoice) -> Self {
-        self.scheduler = scheduler;
+        self.settings.scheduler = scheduler;
         self
     }
 
@@ -95,21 +91,21 @@ impl BroadcastBuilder {
     /// model).  Files are partitioned by greedy density balancing, each
     /// channel under its own density ≤ 1 budget; see [`bcore::ShardPlanner`].
     pub fn channels(mut self, k: usize) -> Self {
-        self.channels = ChannelBudget::Fixed(k.max(1));
+        self.settings.channels = ShardPlanner::fixed(k);
         self
     }
 
     /// Shards the file set across as few channels as the density packing
     /// needs — a set infeasible on one channel splits instead of failing.
     pub fn auto_channels(mut self) -> Self {
-        self.channels = ChannelBudget::Auto;
+        self.settings.channels = ShardPlanner::auto();
         self
     }
 
     /// Sets the maximum number of slots a driven retrieval may listen before
     /// [`Station::run_until_complete`] gives up (default `100_000`).
     pub fn listen_cap(mut self, slots: usize) -> Self {
-        self.listen_cap = slots.max(1);
+        self.settings.listen_cap = slots.max(1);
         self
     }
 
@@ -119,7 +115,7 @@ impl BroadcastBuilder {
     /// runtime's admission control refuses subscriptions beyond it with
     /// [`Error::AdmissionDenied`].  Unset (the default) admits everything.
     pub fn channel_fleet_budget(mut self, budget: usize) -> Self {
-        self.channel_fleet_budget = Some(budget.max(1));
+        self.settings.channel_fleet_budget = Some(budget.max(1));
         self
     }
 
@@ -131,7 +127,7 @@ impl BroadcastBuilder {
     /// authenticated station rejects tampered blocks as typed erasures
     /// instead of reconstructing poisoned bytes.  Default `false`.
     pub fn authenticated(mut self, on: bool) -> Self {
-        self.authenticated = on;
+        self.settings.authenticated = on;
         self
     }
 
@@ -143,76 +139,23 @@ impl BroadcastBuilder {
     /// that fails verification against its own broadcast conditions is never
     /// returned, on any channel.
     pub fn build(self) -> Result<Station, Error> {
-        for id in self.contents.keys() {
-            if !self.specs.iter().any(|s| s.id == *id) {
-                return Err(Error::UnknownFile(*id));
-            }
-        }
-        let planner = match self.channels {
-            ChannelBudget::Fixed(k) => ShardPlanner::fixed(k),
-            ChannelBudget::Auto => ShardPlanner::auto(),
-        };
-        let designer =
-            MultiChannelDesigner::new(planner, BdiskDesigner::with_scheduler(self.scheduler));
+        let settings = self.settings;
+        let designer = MultiChannelDesigner::new(
+            settings.channels,
+            BdiskDesigner::with_scheduler(settings.scheduler),
+        );
         let design = designer.design(&self.specs)?;
-        for report in &design.reports {
-            if let Err(msg) = &report.verification {
-                return Err(Error::Verification(msg.clone()));
-            }
-        }
-
-        // Contents: whatever was supplied, synthetic defaults for the rest
-        // (generated only for files actually missing content).  Payload bytes
-        // are independent of the channel layout, so a file reconstructs to
-        // identical bytes whether the station is sharded or not.  The
-        // supplied map is kept on the station, so a later mode swap can
-        // carry retained files' contents over.
-        let contents = self.contents;
-        // One dispersal configuration per file, built once and shared: the
-        // servers encode with it here, and the station hands the same `Arc`
-        // to every retrieval (shared encode plans and reconstruction
-        // inverse caches).
-        let mut dispersals = BTreeMap::new();
-        for report in &design.reports {
-            for f in report.files.files() {
-                let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
-                let dispersal = if self.authenticated {
-                    Dispersal::authenticated(m, n)?
-                } else {
-                    Dispersal::new(m, n)?
-                };
-                dispersals.insert(f.id, Arc::new(dispersal));
-            }
-        }
-        let mut servers = Vec::with_capacity(design.reports.len());
-        for report in &design.reports {
-            let mut channel_contents = BTreeMap::new();
-            for f in report.files.files() {
-                let bytes = contents
-                    .get(&f.id)
-                    .cloned()
-                    .unwrap_or_else(|| BroadcastServer::synthetic_content(f));
-                channel_contents.insert(f.id, bytes);
-            }
-            servers.push(Arc::new(BroadcastServer::with_dispersals(
-                &report.files,
-                report.program.clone(),
-                &channel_contents,
-                &dispersals,
-            )?));
-        }
-        Station::new(
+        // Supplied contents stay with the mode, so a later swap carries
+        // retained files' payloads over; the rest serve synthetic defaults.
+        let (mode, servers) = Mode::load(
+            "initial",
             self.specs,
             design,
-            servers,
-            contents,
-            dispersals,
-            self.listen_cap,
-            self.scheduler,
-            self.channels,
-            self.channel_fleet_budget,
-            self.authenticated,
-        )
+            self.contents,
+            settings.authenticated,
+            None,
+        )?;
+        Station::new(settings, mode, servers)
     }
 }
 

@@ -1,19 +1,173 @@
-//! Prepared mode transitions: everything a swap needs, computed off the hot
-//! path.
+//! Operating modes: the one description of what is on the air, the one
+//! loader that turns a design into it, and prepared transitions —
+//! everything a swap needs, computed off the hot path.
 //!
-//! [`crate::Station::prepare_mode`] runs the full design pipeline for the
-//! target [`bmode::ModeSpec`] — shard planning, per-channel scheduling,
-//! verification, dispersal of contents — and packages the result as a
-//! [`PreparedMode`].  [`crate::Station::swap`] then only installs
-//! already-built servers into the epoch bank: the swap itself is cheap and
-//! cannot fail on design grounds.
+//! `Mode::load` is the only code that turns a design into dispersals and
+//! per-channel servers: [`crate::BroadcastBuilder::build`] calls it for a
+//! fresh station, [`crate::Station::prepare_mode`] — having re-planned the
+//! target [`bmode::ModeSpec`] — against the serving one, packaging the
+//! result as a [`PreparedMode`].  [`crate::Station::swap`] then only
+//! installs already-built servers into the epoch bank and replaces the
+//! station's mode pointer: cheap, and unable to fail on design grounds.
 
+use crate::{Error, Station};
 use bcore::{DesignReport, GeneralizedFileSpec, MultiChannelReport};
 use bdisk::{BroadcastServer, FileSet, LatencyVector};
-use bmode::{SwapPolicy, TransitionPlan};
+use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
 use ida::{Dispersal, FileId};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// The one description of an operating mode: what it was designed from,
+/// the verified design, and what its files disperse with and to.  Immutable
+/// once loaded — a [`Station`], its clones and runtime snapshots and every
+/// [`PreparedMode`] hold it by `Arc`, copying no payload and no report.
+#[derive(Debug)]
+pub(crate) struct Mode {
+    pub(crate) name: String,
+    pub(crate) specs: Vec<GeneralizedFileSpec>,
+    pub(crate) design: MultiChannelReport,
+    /// The per-channel file sets merged back into one, in specification
+    /// order.
+    pub(crate) files: FileSet,
+    pub(crate) dispersals: BTreeMap<FileId, Arc<Dispersal>>,
+    /// Explicitly supplied payloads (files absent here serve deterministic
+    /// synthetic contents), shared by reference count with the mode they
+    /// were carried over from.
+    pub(crate) contents: BTreeMap<FileId, Arc<[u8]>>,
+}
+
+impl Mode {
+    /// Everything that happens once a design exists, for a fresh station
+    /// (`serving` is `None`) and for a transition alike: verification check,
+    /// file-set merge, contents (explicit > carried over > synthetic), one
+    /// dispersal configuration per file, one content-loaded server per
+    /// channel.  Against a serving station, whatever survives the
+    /// transition is reused by handle — payloads, dispersals whose
+    /// `(m, n)` are unchanged (they share encode plans and inverse caches
+    /// with in-flight retrievals) and the servers of unchanged channels (so
+    /// the swap keeps them byte-identical for free).
+    pub(crate) fn load(
+        name: &str,
+        specs: Vec<GeneralizedFileSpec>,
+        design: MultiChannelReport,
+        supplied: BTreeMap<FileId, Vec<u8>>,
+        authenticated: bool,
+        serving: Option<(&Station, &TransitionPlan)>,
+    ) -> Result<(Mode, Vec<Arc<BroadcastServer>>), Error> {
+        for report in &design.reports {
+            if let Err(msg) = &report.verification {
+                return Err(Error::Verification(msg.clone()));
+            }
+        }
+        let files = merge_files(&specs, &design)?;
+        if let Some(id) = supplied.keys().find(|id| files.get(**id).is_none()) {
+            return Err(Error::UnknownFile(*id));
+        }
+        let current = serving.map(|(station, _)| &*station.mode);
+
+        let mut contents: BTreeMap<FileId, Arc<[u8]>> = supplied
+            .into_iter()
+            .map(|(id, bytes)| (id, bytes.into()))
+            .collect();
+        let mut dispersals = BTreeMap::new();
+        for f in files.files() {
+            let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
+            if let Some(carried) = current.and_then(|mode| mode.contents.get(&f.id)) {
+                contents.entry(f.id).or_insert_with(|| carried.clone());
+            }
+            let reused = current
+                .and_then(|mode| mode.dispersals.get(&f.id))
+                .filter(|d| {
+                    d.threshold() == m
+                        && d.total_blocks() == n
+                        && d.is_authenticated() == authenticated
+                });
+            let dispersal = match reused {
+                Some(d) => d.clone(),
+                None if authenticated => Arc::new(Dispersal::authenticated(m, n)?),
+                None => Arc::new(Dispersal::new(m, n)?),
+            };
+            dispersals.insert(f.id, dispersal);
+        }
+
+        let mut servers = Vec::with_capacity(design.reports.len());
+        for (c, report) in design.reports.iter().enumerate() {
+            let unchanged = serving.filter(|(_, t)| t.channels[c] == ChannelTransition::Unchanged);
+            if let Some((station, _)) = unchanged {
+                let server = station.bank().current_arc(c);
+                servers.push(server.expect("unchanged channels are currently serving"));
+                continue;
+            }
+            // Dispersed here, off the hot path; payload bytes are
+            // independent of the channel layout, so a file reconstructs to
+            // identical bytes however the station is sharded.
+            let payloads: BTreeMap<FileId, Cow<'_, [u8]>> = report
+                .files
+                .files()
+                .iter()
+                .map(|f| {
+                    let bytes = match contents.get(&f.id) {
+                        Some(stored) => Cow::Borrowed(&stored[..]),
+                        None => Cow::Owned(BroadcastServer::synthetic_content(f)),
+                    };
+                    (f.id, bytes)
+                })
+                .collect();
+            servers.push(Arc::new(BroadcastServer::with_dispersals(
+                &report.files,
+                report.program.clone(),
+                &payloads,
+                &dispersals,
+            )?));
+        }
+
+        let mode = Mode {
+            name: name.to_string(),
+            specs,
+            design,
+            files,
+            dispersals,
+            contents,
+        };
+        Ok((mode, servers))
+    }
+
+    /// Whether `bytes` is exactly what this mode serves for `file`.  Stored
+    /// payloads are compared in place; the synthetic default is only
+    /// materialised for files without stored bytes.
+    pub(crate) fn serves(&self, file: FileId, bytes: &[u8]) -> bool {
+        match self.contents.get(&file) {
+            Some(stored) => **stored == *bytes,
+            None => self
+                .files
+                .get(file)
+                .is_some_and(|f| BroadcastServer::synthetic_content(f) == bytes),
+        }
+    }
+}
+
+/// Merges the per-channel file sets of a design back into one, in
+/// specification order, so `files()` keeps its pre-sharding shape.
+fn merge_files(
+    specs: &[GeneralizedFileSpec],
+    design: &MultiChannelReport,
+) -> Result<FileSet, Error> {
+    let mut merged = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let channel = design
+            .channel_of(spec.id)
+            .ok_or(Error::UnknownFile(spec.id))?;
+        let file = design.reports[channel]
+            .files
+            .get(spec.id)
+            .ok_or(Error::UnknownFile(spec.id))?;
+        merged.push(file.clone());
+    }
+    FileSet::new(merged)
+        .ok_or_else(|| Error::UnknownFile(specs.first().map(|s| s.id).unwrap_or(FileId(0))))
+}
 
 /// A fully designed, verified and content-loaded target mode, ready to be
 /// swapped in by [`crate::Station::swap`].
@@ -24,14 +178,9 @@ use std::sync::Arc;
 /// diff that no longer describes the air.
 #[derive(Debug, Clone)]
 pub struct PreparedMode {
-    pub(crate) mode: String,
-    pub(crate) specs: Vec<GeneralizedFileSpec>,
-    pub(crate) design: MultiChannelReport,
-    pub(crate) transition: TransitionPlan,
+    pub(crate) next: Arc<Mode>,
     pub(crate) servers: Vec<Arc<BroadcastServer>>,
-    pub(crate) files: FileSet,
-    pub(crate) dispersals: BTreeMap<FileId, Arc<Dispersal>>,
-    pub(crate) contents: BTreeMap<FileId, Vec<u8>>,
+    pub(crate) transition: TransitionPlan,
     pub(crate) resubscribe: BTreeMap<FileId, (usize, Arc<Dispersal>, LatencyVector)>,
     pub(crate) base_epoch: u64,
 }
@@ -39,7 +188,7 @@ pub struct PreparedMode {
 impl PreparedMode {
     /// The target mode's name.
     pub fn mode(&self) -> &str {
-        &self.mode
+        &self.next.name
     }
 
     /// The diff this preparation will execute.
@@ -49,12 +198,12 @@ impl PreparedMode {
 
     /// The target mode's verified per-channel designs.
     pub fn design(&self) -> &MultiChannelReport {
-        &self.design
+        &self.next.design
     }
 
     /// The per-channel design reports of the target mode.
     pub fn reports(&self) -> &[DesignReport] {
-        &self.design.reports
+        &self.next.design.reports
     }
 
     /// Files whose in-flight retrievals survive the swap by transparent

@@ -9,10 +9,15 @@
 //! (in-process subscriptions, swaps and stats keep working while the
 //! station broadcasts on the wire) with the network side's addresses and
 //! counters.
+//!
+//! The control plane's directory is derived from the serving bank
+//! ([`bnet::directory_of`]) by the fan-out itself, which the serving loop
+//! notifies of every swap it lands — a swap cannot reach the air without
+//! reaching `Subscribe` answers, whichever handle requested it.
 
 use crate::runtime::RuntimeHandle;
 use crate::{Error, Station};
-use bnet::{Directory, NetConfig, NetHandle, NetServer, NetStats, SubscriptionInfo};
+use bnet::{Directory, NetConfig, NetHandle, NetServer, NetStats};
 use brt::RuntimeConfig;
 use std::net::SocketAddr;
 
@@ -35,13 +40,13 @@ impl Station {
         runtime_config: RuntimeConfig,
         net_config: NetConfig,
     ) -> Result<NetServing, Error> {
-        let directory = self.network_directory();
         // One telemetry shared by the runtime and the network side, so a
         // metrics scrape over the control plane sees `brt_*` and `bnet_*`
-        // in a single registry.
+        // in a single registry.  The directory starts empty: spawning the
+        // runtime hands the fan-out the bank before any slot is served.
         let telemetry = bobs::Telemetry::new();
         let (fanout, net) =
-            NetServer::bind_with_telemetry(net_config, directory, telemetry.clone())
+            NetServer::bind_with_telemetry(net_config, Directory::new(), telemetry.clone())
                 .map_err(|e| Error::Net(e.to_string()))?;
         let runtime = brt::Runtime::spawn_with_telemetry(
             self,
@@ -59,24 +64,7 @@ impl Station {
     /// The control-plane directory of this station: file id → channel,
     /// epoch and dispersal parameters, as served right now.
     pub fn network_directory(&self) -> Directory {
-        let mut directory = Directory::new();
-        for file in self.files().files() {
-            let Some(channel) = self.channel_of(file.id) else {
-                continue;
-            };
-            let epoch = self.bank().current_epoch_of(channel).unwrap_or(0);
-            let mut info = SubscriptionInfo::new(
-                channel as u16,
-                epoch,
-                file.threshold(),
-                file.dispersed_blocks,
-            );
-            if let Some(root) = self.commitment_root_of(file.id) {
-                info = info.with_root(root);
-            }
-            directory.insert(file.id.0, info);
-        }
-        directory
+        bnet::directory_of(self.bank())
     }
 }
 
@@ -115,29 +103,16 @@ impl NetServing {
         &self.runtime
     }
 
-    /// Rebuilds the control-plane directory from the station as it is
-    /// served *right now* and installs it on the network side, so
-    /// subscribe answers (channel, epoch, dispersal parameters) track the
-    /// live program after a mode swap.
-    pub fn refresh_directory(&self) -> Result<(), Error> {
-        let directory = self.runtime.snapshot()?.network_directory();
-        self.net.update_directory(directory);
-        Ok(())
-    }
-
-    /// Schedules a prepared mode swap at `at_slot`, blocks until it lands,
-    /// then refreshes the control-plane directory — the one-call path for
-    /// swapping modes on a network-serving station without leaving the
-    /// control plane answering from the pre-swap program.
+    /// [`RuntimeHandle::swap_at`] on the bundled runtime: schedules a
+    /// prepared mode swap at `at_slot` and blocks until it lands — by which
+    /// time the control plane already answers from the new mode.
     pub fn swap_at(
         &self,
         prepared: crate::PreparedMode,
         at_slot: usize,
         policy: bmode::SwapPolicy,
     ) -> Result<crate::SwapReport, Error> {
-        let report = self.runtime.swap_at(prepared, at_slot, policy)?;
-        self.refresh_directory()?;
-        Ok(report)
+        self.runtime.swap_at(prepared, at_slot, policy)
     }
 
     /// The telemetry shared by the runtime and the network side — the

@@ -2,8 +2,9 @@
 //! bank of several, when the file set is sharded across parallel channels —
 //! whose per-channel programs can be *hot-swapped* between operating modes.
 
+use crate::mode::Mode;
 use crate::{Error, PreparedMode, Retrieval, RetrievalResolution, SwapReport};
-use bcore::{BdiskDesigner, ChannelBudget, DesignReport, GeneralizedFileSpec, MultiChannelReport};
+use bcore::{BdiskDesigner, DesignReport, GeneralizedFileSpec, ShardPlanner};
 use bdisk::{
     BroadcastProgram, BroadcastServer, EpochBank, FileSet, LatencyVector, TransmissionRef,
 };
@@ -40,26 +41,27 @@ use std::sync::Arc;
 /// [`SwapPolicy`].
 #[derive(Debug, Clone)]
 pub struct Station {
-    specs: Vec<GeneralizedFileSpec>,
-    reports: Vec<DesignReport>,
+    settings: Settings,
+    /// What is on the air, shared with every clone, snapshot and
+    /// preparation of this station; a swap replaces the pointer.
+    pub(crate) mode: Arc<Mode>,
     bank: EpochBank,
-    files: FileSet,
-    dispersals: BTreeMap<FileId, Arc<Dispersal>>,
-    /// Explicitly supplied payloads of the current mode (files absent here
-    /// serve deterministic synthetic contents).
-    contents: BTreeMap<FileId, Vec<u8>>,
-    listen_cap: usize,
-    scheduler: SchedulerChoice,
-    channels: ChannelBudget,
+    swaps: Vec<SwapRecord>,
+}
+
+/// What the builder fixes for the station's whole life, across every mode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Settings {
+    pub(crate) listen_cap: usize,
+    pub(crate) scheduler: SchedulerChoice,
+    pub(crate) channels: ShardPlanner,
     /// Per-channel fleet budget for concurrent admission control (`None`
     /// admits every subscription) — the operator's Lemma 3 capacity
     /// declaration; see [`Error::AdmissionDenied`].
-    channel_fleet_budget: Option<usize>,
+    pub(crate) channel_fleet_budget: Option<usize>,
     /// Whether every dispersal is Merkle-committed ([`bauth`]) so clients
     /// verify blocks on receive; set by `Broadcast::builder().authenticated`.
-    authenticated: bool,
-    mode: String,
-    swaps: Vec<SwapRecord>,
+    pub(crate) authenticated: bool,
 }
 
 /// One executed swap, kept so drivers can resolve in-flight retrievals that
@@ -76,53 +78,15 @@ struct SwapRecord {
 }
 
 impl Station {
-    #[allow(clippy::too_many_arguments)] // crate-internal, called once by the builder
     pub(crate) fn new(
-        specs: Vec<GeneralizedFileSpec>,
-        design: MultiChannelReport,
+        settings: Settings,
+        mode: Mode,
         servers: Vec<Arc<BroadcastServer>>,
-        contents: BTreeMap<FileId, Vec<u8>>,
-        dispersals: BTreeMap<FileId, Arc<Dispersal>>,
-        listen_cap: usize,
-        scheduler: SchedulerChoice,
-        channels: ChannelBudget,
-        channel_fleet_budget: Option<usize>,
-        authenticated: bool,
     ) -> Result<Self, Error> {
-        let files = merge_files(&specs, &design)?;
-        // Reuse the builder's dispersal configurations (the servers encoded
-        // with them, so retrieval handles share their plans and inverse
-        // caches); build fresh ones only for files without a matching entry.
-        let mut dispersals = dispersals;
-        for f in files.files() {
-            let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
-            let reuse = dispersals.get(&f.id).is_some_and(|d| {
-                d.threshold() == m && d.total_blocks() == n && d.is_authenticated() == authenticated
-            });
-            if !reuse {
-                let dispersal = if authenticated {
-                    Dispersal::authenticated(m, n)?
-                } else {
-                    Dispersal::new(m, n)?
-                };
-                dispersals.insert(f.id, Arc::new(dispersal));
-            }
-        }
-        dispersals.retain(|id, _| files.get(*id).is_some());
-        let bank = EpochBank::new(servers)?;
         Ok(Station {
-            specs,
-            reports: design.reports,
-            bank,
-            files,
-            dispersals,
-            contents,
-            listen_cap,
-            scheduler,
-            channels,
-            channel_fleet_budget,
-            authenticated,
-            mode: "initial".to_string(),
+            settings,
+            mode: Arc::new(mode),
+            bank: EpochBank::new(servers)?,
             swaps: Vec::new(),
         })
     }
@@ -130,13 +94,13 @@ impl Station {
     /// The per-channel fleet budget concurrent admission control enforces
     /// (`None` admits every subscription).
     pub fn channel_fleet_budget(&self) -> Option<usize> {
-        self.channel_fleet_budget
+        self.settings.channel_fleet_budget
     }
 
     /// Whether this station Merkle-commits every dispersal so clients verify
     /// blocks on receive (`Broadcast::builder().authenticated(true)`).
     pub fn is_authenticated(&self) -> bool {
-        self.authenticated
+        self.settings.authenticated
     }
 
     /// The Merkle commitment root of `file` as served right now: the root
@@ -154,24 +118,24 @@ impl Station {
 
     /// The specifications this station's current mode was designed from.
     pub fn specs(&self) -> &[GeneralizedFileSpec] {
-        &self.specs
+        &self.mode.specs
     }
 
     /// The specification of one file.
     pub fn spec(&self, file: FileId) -> Option<&GeneralizedFileSpec> {
-        self.specs.iter().find(|s| s.id == file)
+        self.mode.specs.iter().find(|s| s.id == file)
     }
 
     /// The broadcast file set (sizes, dispersal widths, latency vectors) of
     /// the current mode, merged across channels in specification order.
     pub fn files(&self) -> &FileSet {
-        &self.files
+        &self.mode.files
     }
 
     /// The name of the mode currently on the air (`"initial"` until the
     /// first swap).
     pub fn mode(&self) -> &str {
-        &self.mode
+        &self.mode.name
     }
 
     /// The station's epoch (0 until the first swap; each swap bumps it).
@@ -205,30 +169,30 @@ impl Station {
     /// The pinwheel schedule the first channel's current program was derived
     /// from.
     pub fn schedule(&self) -> &Schedule {
-        &self.reports[0].schedule
+        &self.reports()[0].schedule
     }
 
     /// The heaviest per-channel density of the scheduled nice conjuncts
     /// (each channel's density is the quantity compared against 7/10 by the
     /// paper's Equations 1 and 2; every channel stays ≤ 1).
     pub fn density(&self) -> f64 {
-        self.reports.iter().map(|r| r.density).fold(0.0, f64::max)
+        self.mode.design.max_density()
     }
 
     /// The density of one channel's scheduled nice conjunct.
     pub fn density_of(&self, channel: usize) -> Option<f64> {
-        self.reports.get(channel).map(|r| r.density)
+        self.reports().get(channel).map(|r| r.density)
     }
 
     /// The design report of the first channel (the *only* channel of an
     /// unsharded station); see [`Station::reports`] for all of them.
     pub fn report(&self) -> &DesignReport {
-        &self.reports[0]
+        &self.reports()[0]
     }
 
     /// The per-channel design reports of the current mode.
     pub fn reports(&self) -> &[DesignReport] {
-        &self.reports
+        &self.mode.design.reports
     }
 
     /// The underlying broadcast server of the first channel's current
@@ -250,7 +214,7 @@ impl Station {
     /// The maximum number of slots a driven retrieval may listen before
     /// [`Station::run_until_complete`] reports it stalled.
     pub fn listen_cap(&self) -> usize {
-        self.listen_cap
+        self.settings.listen_cap
     }
 
     /// What the first channel transmits in `slot` (borrowed; no copy).
@@ -289,23 +253,17 @@ impl Station {
     /// reported [`SwapReport::flip_slot`].  Subscriptions to files on
     /// untouched channels are unaffected.
     pub fn subscribe(&self, file: FileId, at_slot: usize) -> Result<Retrieval, Error> {
-        let channel = self.channel_of(file).ok_or(Error::UnknownFile(file))?;
-        let f = self.files.get(file).ok_or(Error::UnknownFile(file))?;
-        let dispersal = self
-            .dispersals
-            .get(&file)
-            .ok_or(Error::UnknownFile(file))?
-            .clone();
-        let epoch = self
-            .bank
-            .current_epoch_of(channel)
-            .ok_or(Error::UnknownFile(file))?;
+        let unknown = || Error::UnknownFile(file);
+        let channel = self.channel_of(file).ok_or_else(unknown)?;
+        let f = self.mode.files.get(file).ok_or_else(unknown)?;
+        let dispersal = self.mode.dispersals.get(&file).ok_or_else(unknown)?;
+        let epoch = self.bank.current_epoch_of(channel).ok_or_else(unknown)?;
         let mut retrieval = Retrieval::new(
             file,
             channel,
             at_slot,
             f.size_blocks as usize,
-            dispersal,
+            dispersal.clone(),
             f.latencies.clone(),
             epoch,
         );
@@ -320,11 +278,8 @@ impl Station {
     /// The view is epoch-aware: it replays whatever was (or will be) on the
     /// air in each slot, across mode swaps.
     pub fn stream(&self, start: usize) -> Stream<'_> {
-        Stream {
-            bank: &self.bank,
-            channel: 0,
-            slot: start,
-        }
+        self.stream_channel(0, start)
+            .expect("every mode serves at least channel 0")
     }
 
     /// The slot-by-slot view of one channel.
@@ -363,35 +318,15 @@ impl Station {
         mode: &ModeSpec,
         new_contents: BTreeMap<FileId, Vec<u8>>,
     ) -> Result<PreparedMode, Error> {
-        for id in new_contents.keys() {
-            if !mode.specs().iter().any(|s| s.id == *id) {
-                return Err(Error::UnknownFile(*id));
-            }
-        }
-
-        // Content-dirty files: explicit new bytes that differ from what the
-        // station currently serves.  Stored payloads are compared by
-        // reference; the synthetic default is only materialised for files
-        // without stored bytes.
-        let mut dirty = BTreeSet::new();
-        for (id, bytes) in &new_contents {
-            let unchanged = match self.contents.get(id) {
-                Some(current) => current == bytes,
-                None => self
-                    .files
-                    .get(*id)
-                    .is_some_and(|f| BroadcastServer::synthetic_content(f) == *bytes),
-            };
-            if !unchanged {
-                dirty.insert(*id);
-            }
-        }
-
+        let serving = &*self.mode;
         // Re-plan: the same ShardPlanner/scheduler seams that built the
-        // station, diffed against what is on the air now.
+        // station, diffed against what is on the air now.  Explicit bytes
+        // that differ from what the station serves make their file
+        // content-dirty.
         let current = CurrentMode {
-            specs: &self.specs,
-            channels: self
+            specs: &serving.specs,
+            channels: serving
+                .design
                 .reports
                 .iter()
                 .map(|r| ChannelView {
@@ -399,136 +334,60 @@ impl Station {
                     files: &r.files,
                 })
                 .collect(),
-            dirty,
+            dirty: new_contents
+                .iter()
+                .filter(|(id, bytes)| !serving.serves(**id, bytes))
+                .map(|(id, _)| *id)
+                .collect(),
         };
-        let planner = match self.channels {
-            ChannelBudget::Fixed(k) => ModePlanner::new(
-                bcore::ShardPlanner::fixed(k),
-                BdiskDesigner::with_scheduler(self.scheduler),
-            ),
-            ChannelBudget::Auto => ModePlanner::new(
-                bcore::ShardPlanner::auto(),
-                BdiskDesigner::with_scheduler(self.scheduler),
-            ),
-        };
+        let planner = ModePlanner::new(
+            self.settings.channels,
+            BdiskDesigner::with_scheduler(self.settings.scheduler),
+        );
         let plan = planner.plan(&current, mode)?;
-        for report in &plan.design.reports {
-            if let Err(msg) = &report.verification {
-                return Err(Error::Verification(msg.clone()));
-            }
-        }
-        let specs = mode.resolved_specs();
-        let files = merge_files(&specs, &plan.design)?;
-
-        // Contents of the new mode: explicit > carried over > synthetic.
-        let mut contents = BTreeMap::new();
-        for f in files.files() {
-            if let Some(bytes) = new_contents.get(&f.id) {
-                contents.insert(f.id, bytes.clone());
-            } else if let Some(bytes) = self.contents.get(&f.id) {
-                contents.insert(f.id, bytes.clone());
-            }
-        }
-
-        // Dispersal configurations: reuse the current Arc when the (m, n)
-        // parameters survive (shares the encode plan and the inverse cache
-        // with in-flight handles), fresh otherwise.  Built before the
-        // servers so re-dispersal below rides the same configurations
-        // instead of rebuilding matrices and encode tables per file.
-        let mut dispersals = BTreeMap::new();
-        for f in files.files() {
-            let reused = self.dispersals.get(&f.id).filter(|d| {
-                d.threshold() == f.size_blocks as usize
-                    && d.total_blocks() == f.dispersed_blocks as usize
-                    && d.is_authenticated() == self.authenticated
-            });
-            let dispersal = match reused {
-                Some(d) => d.clone(),
-                None => {
-                    let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
-                    Arc::new(if self.authenticated {
-                        Dispersal::authenticated(m, n)?
-                    } else {
-                        Dispersal::new(m, n)?
-                    })
-                }
-            };
-            dispersals.insert(f.id, dispersal);
-        }
-
-        // Per-channel servers: unchanged channels reuse the serving Arc (so
-        // the swap keeps them byte-identical for free), changed ones are
-        // built — and dispersed — here, off the hot path.
-        let mut servers = Vec::with_capacity(plan.design.reports.len());
-        for (c, report) in plan.design.reports.iter().enumerate() {
-            if matches!(plan.transition.channels[c], ChannelTransition::Unchanged) {
-                servers.push(
-                    self.bank
-                        .current_arc(c)
-                        .expect("unchanged channels are currently serving"),
-                );
-                continue;
-            }
-            let mut channel_contents = BTreeMap::new();
-            for f in report.files.files() {
-                let bytes = contents
-                    .get(&f.id)
-                    .cloned()
-                    .unwrap_or_else(|| BroadcastServer::synthetic_content(f));
-                channel_contents.insert(f.id, bytes);
-            }
-            servers.push(Arc::new(BroadcastServer::with_dispersals(
-                &report.files,
-                report.program.clone(),
-                &channel_contents,
-                &dispersals,
-            )?));
-        }
+        let (next, servers) = Mode::load(
+            mode.name(),
+            mode.resolved_specs(),
+            plan.design,
+            new_contents,
+            self.settings.authenticated,
+            Some((self, &plan.transition)),
+        )?;
 
         // Transparent re-subscription: files on flipped channels that keep
         // their dispersal parameters and contents — their already-collected
         // blocks stay valid under the new program.
         let mut resubscribe = BTreeMap::new();
         for file in &plan.transition.retained {
-            let old_channel = match self.channel_of(*file) {
-                Some(c) => c,
-                None => continue,
-            };
-            if matches!(
-                plan.transition.channels[old_channel],
-                ChannelTransition::Unchanged
-            ) {
-                continue; // never disturbed, nothing to re-subscribe
-            }
-            let (Some(old), Some(new)) = (self.files.get(*file), files.get(*file)) else {
+            let (Some(old_channel), Some(new_channel), Some(old), Some(new)) = (
+                self.channel_of(*file),
+                next.design.channel_of(*file),
+                serving.files.get(*file),
+                next.files.get(*file),
+            ) else {
                 continue;
             };
+            // An unchanged channel was never disturbed: nothing to
+            // re-subscribe.
+            let disturbed = plan.transition.channels[old_channel] != ChannelTransition::Unchanged;
             let compatible = old.size_blocks == new.size_blocks
                 && old.dispersed_blocks == new.dispersed_blocks
                 && old.block_bytes == new.block_bytes
                 && !current.dirty.contains(file);
-            if !compatible {
-                continue;
+            if disturbed && compatible {
+                let carried = (
+                    new_channel,
+                    next.dispersals[file].clone(),
+                    new.latencies.clone(),
+                );
+                resubscribe.insert(*file, carried);
             }
-            let new_channel = match plan.design.channel_of(*file) {
-                Some(c) => c,
-                None => continue,
-            };
-            resubscribe.insert(
-                *file,
-                (new_channel, dispersals[file].clone(), new.latencies.clone()),
-            );
         }
 
         Ok(PreparedMode {
-            mode: mode.name().to_string(),
-            specs,
-            design: plan.design,
-            transition: plan.transition,
+            next: Arc::new(next),
             servers,
-            files,
-            dispersals,
-            contents,
+            transition: plan.transition,
             resubscribe,
             base_epoch: self.bank.epoch(),
         })
@@ -580,18 +439,13 @@ impl Station {
         );
         self.swaps.push(SwapRecord {
             epoch: applied.epoch,
-            mode: prepared.mode.clone(),
+            mode: prepared.next.name.clone(),
             flipped: applied.flipped.iter().copied().collect(),
             resubscribe: prepared.resubscribe,
         });
-        self.specs = prepared.specs;
-        self.reports = prepared.design.reports;
-        self.files = prepared.files;
-        self.dispersals = prepared.dispersals;
-        self.contents = prepared.contents;
-        self.mode = prepared.mode.clone();
+        self.mode = prepared.next;
         Ok(SwapReport {
-            mode: prepared.mode,
+            mode: self.mode.name.clone(),
             epoch: applied.epoch,
             requested_slot: at_slot,
             flip_slot,
@@ -691,34 +545,6 @@ impl Station {
         self.drive(retrievals, errors, Some(end_slot))
     }
 
-    /// The disposition of a retrieval of `file`, tuned to `channel` at
-    /// `epoch`, after the channel's epoch moved past it: the first swap the
-    /// retrieval has not seen decides between transparent re-subscription
-    /// and cancellation.  A retrieval with no matching swap record (it came
-    /// from a different station) cancels rather than loops forever.
-    pub(crate) fn note_for(&self, file: FileId, channel: usize, epoch: u64) -> brt::SwapNote {
-        let record = self
-            .swaps
-            .iter()
-            .find(|s| s.epoch > epoch && s.flipped.contains(&channel));
-        let Some(record) = record else {
-            return brt::SwapNote::Cancel {
-                mode: self.mode.clone(),
-            };
-        };
-        match record.resubscribe.get(&file) {
-            Some((new_channel, dispersal, latencies)) => brt::SwapNote::Retune {
-                channel: *new_channel,
-                epoch: record.epoch,
-                dispersal: dispersal.clone(),
-                latencies: latencies.clone(),
-            },
-            None => brt::SwapNote::Cancel {
-                mode: record.mode.clone(),
-            },
-        }
-    }
-
     /// The shared slot-driver — a thin adapter over the `brt` runtime's
     /// synchronous engine ([`brt::drive`]), so the serial drivers and
     /// [`Station::serve_concurrent`] ride the same epoch-resolution and
@@ -730,7 +556,7 @@ impl Station {
         errors: &mut impl ChannelErrorModel,
         stop_before: Option<usize>,
     ) -> Result<(), Error> {
-        brt::drive(self, retrievals, errors, stop_before, self.listen_cap).map_err(|e| match e {
+        brt::drive(self, retrievals, errors, stop_before, self.listen_cap()).map_err(|e| match e {
             brt::DriveError::Stalled { file, listened } => {
                 Error::RetrievalStalled { file, listened }
             }
@@ -754,27 +580,6 @@ impl Station {
     }
 }
 
-/// Merges the per-channel file sets of a design back into one, in
-/// specification order, so `files()` keeps its pre-sharding shape.
-fn merge_files(
-    specs: &[GeneralizedFileSpec],
-    design: &MultiChannelReport,
-) -> Result<FileSet, Error> {
-    let mut merged = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let channel = design
-            .channel_of(spec.id)
-            .ok_or(Error::UnknownFile(spec.id))?;
-        let file = design.reports[channel]
-            .files
-            .get(spec.id)
-            .ok_or(Error::UnknownFile(spec.id))?;
-        merged.push(file.clone());
-    }
-    FileSet::new(merged)
-        .ok_or_else(|| Error::UnknownFile(specs.first().map(|s| s.id).unwrap_or(FileId(0))))
-}
-
 /// The station *is* the runtime's engine: [`Station::serve_concurrent`]
 /// moves it onto the serving thread, and the synchronous drivers run over
 /// the same seam inline — one set of epoch/observation/swap semantics for
@@ -793,8 +598,32 @@ impl brt::Engine for Station {
         Station::subscribe(self, file, at_slot)
     }
 
+    /// The disposition of a retrieval of `file`, tuned to `channel` at
+    /// `epoch`, after the channel's epoch moved past it: the first swap the
+    /// retrieval has not seen decides between transparent re-subscription
+    /// and cancellation.  A retrieval with no matching swap record (it came
+    /// from a different station) cancels rather than loops forever.
     fn note_for(&self, file: FileId, channel: usize, epoch: u64) -> brt::SwapNote {
-        Station::note_for(self, file, channel, epoch)
+        let record = self
+            .swaps
+            .iter()
+            .find(|s| s.epoch > epoch && s.flipped.contains(&channel));
+        let Some(record) = record else {
+            return brt::SwapNote::Cancel {
+                mode: self.mode.name.clone(),
+            };
+        };
+        match record.resubscribe.get(&file) {
+            Some((new_channel, dispersal, latencies)) => brt::SwapNote::Retune {
+                channel: *new_channel,
+                epoch: record.epoch,
+                dispersal: dispersal.clone(),
+                latencies: latencies.clone(),
+            },
+            None => brt::SwapNote::Cancel {
+                mode: record.mode.clone(),
+            },
+        }
     }
 
     /// Lemma 3 admission control: the paper's latency vectors `d⁽ʳ⁾` promise
@@ -804,7 +633,7 @@ impl brt::Engine for Station {
     /// a subscription that would exceed it is refused with a typed error
     /// instead of admitted into certain deadline violation.
     fn admit(&self, file: FileId, channel: usize, active_on_channel: usize) -> Result<(), Error> {
-        match self.channel_fleet_budget {
+        match self.settings.channel_fleet_budget {
             Some(budget) if active_on_channel >= budget => Err(Error::AdmissionDenied {
                 file,
                 channel,
@@ -1038,6 +867,51 @@ mod tests {
         }
         assert_eq!(in_flight[0].channel(), 0);
         assert_eq!(in_flight[0].epoch(), 1);
+    }
+
+    #[test]
+    fn clones_snapshots_and_swaps_share_the_mode_and_its_payloads() {
+        let (moving, kept) = (FileId(1), FileId(2));
+        let station = Broadcast::builder()
+            .files((1..=2).map(|i| spec(i, 1, &[8 + 2 * i, 12 + 2 * i])))
+            .channels(2)
+            .content(moving, vec![1u8; 512])
+            .content(kept, vec![2u8; 512])
+            .build()
+            .unwrap();
+        let kept_channel = station.channel_of(kept).unwrap();
+        assert_ne!(station.channel_of(moving), Some(kept_channel));
+
+        // A clone — and so a runtime snapshot, taken on the serving thread —
+        // is a pointer copy of the mode: no payload, no design report.
+        let before = station.clone();
+        assert!(Arc::ptr_eq(&before.mode, &station.mode));
+        let runtime = station.serve_concurrent(brt::ManualClock::new());
+        let snapshot = runtime.snapshot().unwrap();
+        assert!(Arc::ptr_eq(&snapshot.mode, &before.mode));
+        let mut station = runtime.shutdown().unwrap();
+        assert!(Arc::ptr_eq(&station.mode, &before.mode));
+
+        // Refresh one file's bytes: its channel flips, and the file on the
+        // other channel rides into the next mode as the same allocation —
+        // stored payload, dispersal configuration and serving program.
+        let same = ModeSpec::new("refreshed").files(station.specs().to_vec());
+        let prepared = station
+            .prepare_mode_with_contents(&same, BTreeMap::from([(moving, vec![3u8; 512])]))
+            .unwrap();
+        let report = station.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
+        assert!(!report.flipped_channels.contains(&kept_channel));
+        assert!(!Arc::ptr_eq(&station.mode, &before.mode));
+        let (old, new) = (&before.mode, &station.mode);
+        assert!(Arc::ptr_eq(&old.contents[&kept], &new.contents[&kept]));
+        assert!(Arc::ptr_eq(&old.dispersals[&kept], &new.dispersals[&kept]));
+        assert!(Arc::ptr_eq(
+            &before.bank.current_arc(kept_channel).unwrap(),
+            &station.bank.current_arc(kept_channel).unwrap()
+        ));
+        assert_eq!(&*new.contents[&moving], &[3u8; 512][..]);
+        assert_eq!(before.mode(), "initial");
+        assert_eq!(station.mode(), "refreshed");
     }
 
     #[test]

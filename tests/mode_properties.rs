@@ -12,7 +12,10 @@
 //!   channel is untouched ever resolves to `ModeChanged` (and with a
 //!   fault-free channel, nothing does: everything in flight drains);
 //! * **post-swap Lemma 3** — retrievals subscribed after the flip meet the
-//!   *new* mode's declared latency `d⁽ʲ⁾` under `j ≤ r` reception faults.
+//!   *new* mode's declared latency `d⁽ʲ⁾` under `j ≤ r` reception faults;
+//! * **one loader** — a mode reached by `prepare` + `swap` is, on the air
+//!   and on the control plane, the mode a fresh build of the same
+//!   specifications and contents produces.
 //!
 //! Case counts are tunable without code edits via the `RTBDISK_PROP_CASES`
 //! environment variable (default 64; CI runs 256).
@@ -23,7 +26,7 @@ use rtbdisk::{
     Broadcast, ErrorModel, FileId, GeneralizedFileSpec, ModeProfile, ModeSpec, NoErrors,
     RedundancyPolicy, Retrieval, RetrievalResolution, Station, SwapPolicy, TransmissionRef,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Property-test depth: `RTBDISK_PROP_CASES` (default 64).
 fn prop_cases() -> usize {
@@ -403,5 +406,83 @@ fn immediate_swaps_resolve_in_flight_retrievals_per_the_plan() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn a_swapped_in_mode_is_the_mode_a_fresh_build_produces() {
+    let mut rng = StdRng::seed_from_u64(0x10AD);
+    for case in 0..prop_cases() {
+        let k = 1 + case % 2;
+        let (specs, mode, contents, built, prepared) = loop {
+            let n_files = rng.gen_range(2..=5);
+            let specs = random_specs(&mut rng, n_files, 0.6);
+            let mode = random_target_mode(&mut rng, &specs);
+            // Real bytes for most of the target's files, synthetic for the
+            // rest: the loader must treat both alike on both paths.
+            let mut contents = BTreeMap::new();
+            for s in mode.resolved_specs() {
+                if rng.gen_bool(0.7) {
+                    let len = (s.size_blocks * s.block_bytes) as usize;
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+                    contents.insert(s.id, bytes);
+                }
+            }
+            let mut builder = Broadcast::builder()
+                .files(mode.resolved_specs())
+                .channels(k)
+                .authenticated(true);
+            for (file, bytes) in &contents {
+                builder = builder.content(*file, bytes.clone());
+            }
+            let Ok(built) = builder.build() else { continue };
+            let Ok(serving) = Broadcast::builder()
+                .files(specs.clone())
+                .channels(k)
+                .authenticated(true)
+                .build()
+            else {
+                continue;
+            };
+            match serving.prepare_mode_with_contents(&mode, contents.clone()) {
+                Ok(prepared) => break (specs, mode, contents, built, (serving, prepared)),
+                Err(_) => continue,
+            }
+        };
+        let (mut swapped, prepared) = prepared;
+        swapped.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
+        let context = format!("case {case}: {specs:?} → {mode:?}");
+
+        assert_eq!(swapped.channel_count(), built.channel_count(), "{context}");
+        for channel in 0..built.channel_count() {
+            let cycle = built.program_of(channel).unwrap().data_cycle();
+            for slot in 0..cycle {
+                assert!(
+                    same_payload(
+                        swapped.bank().transmit_ref(channel, slot),
+                        built.bank().transmit_ref(channel, slot),
+                    ),
+                    "{context}: channel {channel} slot {slot} differs"
+                );
+            }
+        }
+        for spec in mode.resolved_specs() {
+            let root = built.commitment_root_of(spec.id);
+            assert!(root.is_some(), "{context}: {} is uncommitted", spec.id);
+            assert_eq!(swapped.commitment_root_of(spec.id), root, "{context}");
+            let expected = contents.get(&spec.id);
+            let served = built.retrieve(spec.id, 0, &mut NoErrors).unwrap().data;
+            assert!(expected.is_none_or(|bytes| *bytes == served), "{context}");
+        }
+        // The control plane agrees up to the epoch: a swapped-in channel
+        // serves under the bumped epoch, a fresh build under epoch 0.
+        let timeless = |station: &Station| -> Vec<_> {
+            let directory = station.network_directory();
+            let entries = directory.into_iter();
+            entries
+                .map(|(f, i)| (f, i.channel, i.m, i.n, i.commitment_root))
+                .collect()
+        };
+        assert_eq!(timeless(&swapped), timeless(&built), "{context}");
     }
 }

@@ -5,10 +5,11 @@
 
 use rtbdisk::bnet::NetClient;
 use rtbdisk::{
-    Broadcast, ControlClient, FileId, GeneralizedFileSpec, ManualClock, NetConfig, NetError,
-    NoErrors, RuntimeConfig, Station,
+    Broadcast, ControlClient, FileId, GeneralizedFileSpec, ManualClock, ModeSchedule, ModeSpec,
+    NetConfig, NetError, NetServing, NoErrors, RuntimeConfig, Station, SwapPolicy,
 };
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 fn station() -> Station {
     let files = (1..=4u32).map(|i| {
@@ -181,5 +182,94 @@ fn the_tcp_control_plane_answers_subscriptions_and_resyncs() {
         after > before && after >= 64,
         "resync must reflect serving progress ({before} → {after})"
     );
+
+    // Requests after a connection's first must not stall: a frame written
+    // as length-then-packet waits out Nagle + delayed ACK (~40 ms on
+    // loopback) every time; one write per frame answers in microseconds.
+    let started = Instant::now();
+    for _ in 0..20 {
+        client.resync().unwrap();
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "20 resyncs took {took:?}"
+    );
+
+    // With nobody connected the control thread sits in a blocking
+    // accept(); shutdown wakes it instead of waiting for a client.
+    drop(client);
+    let started = Instant::now();
+    serving.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+}
+
+/// Regression: a swap requested through the bare runtime handle — a
+/// scheduled one, or a blocking `runtime().swap_at` — used to leave the
+/// control plane answering `Subscribe` with the pre-swap epoch, `(m, n)`
+/// and commitment root, because only `NetServing::swap_at` pushed a fresh
+/// directory.  The directory is now derived by the fan-out whenever the
+/// serving loop lands a swap, whoever asked for it.
+#[test]
+fn swaps_through_the_bare_runtime_handle_reach_the_control_plane() {
+    let file = FileId(1);
+    let files = (1..=4u32).map(|i| {
+        GeneralizedFileSpec::new(FileId(i), 1, vec![10 + 2 * i, 14 + 2 * i]).expect("feasible spec")
+    });
+    let station = Broadcast::builder()
+        .files(files)
+        .channels(2)
+        .authenticated(true)
+        .build()
+        .unwrap();
+    // The clock never advances: swaps planned for slot 0 are already due
+    // and apply at the parked serving cursor.
+    let serving = station
+        .serve_network_with(
+            ManualClock::new(),
+            RuntimeConfig::default(),
+            NetConfig::default().with_control_plane(),
+        )
+        .unwrap();
+    let mut client = ControlClient::connect(serving.control_addr().unwrap()).unwrap();
+    let mut follows = |serving: &NetServing, epoch: u64| {
+        let air = serving.runtime().snapshot().unwrap();
+        let info = client.subscribe(file).unwrap();
+        assert_eq!(info.epoch, epoch, "the ack must carry the post-swap epoch");
+        assert!(info.commitment_root.is_some());
+        assert_eq!(info.commitment_root, air.commitment_root_of(file));
+        assert_eq!(info, air.network_directory()[&file.0]);
+        info
+    };
+    let initial = follows(&serving, 0);
+
+    // Input 1: a scheduled swap.  A schedule carries specifications, not
+    // payloads, so it re-disperses the file by declaring one more fault
+    // level (n grows by one, the root changes).
+    let mut specs = serving.runtime().snapshot().unwrap().specs().to_vec();
+    specs[0] = GeneralizedFileSpec::new(file, 1, vec![12, 16, 20]).unwrap();
+    let widened = ModeSpec::new("widened").files(specs);
+    let schedule = ModeSchedule::new().at(0, widened, SwapPolicy::Immediate);
+    let outcomes = serving.runtime().run_schedule(schedule).join();
+    assert!(outcomes[0].applied(), "scheduled swap: {:?}", outcomes[0]);
+    let widened = follows(&serving, 1);
+    assert_eq!(widened.n, initial.n + 1);
+    assert_ne!(widened.commitment_root, initial.commitment_root);
+
+    // Input 2: one file's bytes refreshed through `runtime().swap_at`.
+    let air = serving.runtime().snapshot().unwrap();
+    let fresh = vec![0xA5u8; air.files().get(file).unwrap().total_bytes()];
+    let same = ModeSpec::new("refreshed").files(air.specs().to_vec());
+    let prepared = air
+        .prepare_mode_with_contents(&same, BTreeMap::from([(file, fresh)]))
+        .unwrap();
+    serving
+        .runtime()
+        .swap_at(prepared, 0, SwapPolicy::Immediate)
+        .unwrap();
+    let refreshed = follows(&serving, 2);
+    assert_eq!((refreshed.m, refreshed.n), (widened.m, widened.n));
+    assert_ne!(refreshed.commitment_root, widened.commitment_root);
     serving.shutdown().unwrap();
 }
