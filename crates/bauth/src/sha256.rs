@@ -15,6 +15,12 @@
 //!
 //! Both paths produce identical digests (pinned by the equivalence
 //! test below); the scalar path is the reference.
+//!
+//! The hardware rounds are deliberately a real call, never inlined: the
+//! SHA instructions have no VEX encoding, so inside a caller that has
+//! just touched 256-bit registers (any AVX-enabled build copying a
+//! 32-byte digest) each of them would pay an SSE/AVX transition stall —
+//! measured at 47× on a 68-leaf tree commit.  See `ni::compress_blocks`.
 
 /// The SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -91,11 +97,13 @@ impl Sha256 {
     /// Pads and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // `0x80`, zeros up to 56 mod 64, the bit length: 9 to 72 bytes,
+        // absorbed in one `update`.
+        let zeros = (119 - self.buffered) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -190,9 +198,20 @@ mod ni {
         _mm_sha256msg2_epu32(t3, v3)
     }
 
+    /// Kept out of line on purpose.  The SHA instructions exist only in
+    /// legacy-SSE encoding; executed while the upper halves of the YMM
+    /// registers are dirty, every one of them stalls on the SSE/AVX
+    /// transition.  A caller compiled with AVX enabled (`-C
+    /// target-cpu=native`, CI's `x86-64-v3`) has a superset of this
+    /// function's features, so LLVM would inline it — straight after the
+    /// caller's 256-bit digest copies, with no `vzeroupper` in between
+    /// (measured: a 68-leaf `CommitPlan::commit` took 1.4 ms instead of
+    /// 30 µs).  Across a real call LLVM emits the `vzeroupper` itself.
+    ///
     /// # Safety
     /// Requires the `sha`, `ssse3` and `sse4.1` CPU features, and
     /// `data.len() % 64 == 0`.
+    #[inline(never)]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub unsafe fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
@@ -322,7 +341,7 @@ mod tests {
     #[test]
     fn hardware_path_matches_scalar_reference() {
         for len in [
-            0usize, 1, 55, 56, 63, 64, 65, 127, 128, 129, 640, 4096, 8191,
+            0usize, 1, 55, 56, 63, 64, 65, 119, 120, 121, 127, 128, 129, 183, 640, 4096, 8191,
         ] {
             let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
             // Reference: scalar rounds, block at a time.

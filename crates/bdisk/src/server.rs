@@ -1,7 +1,7 @@
 //! The broadcast server: dispersing file contents and emitting the program.
 
 use crate::{BroadcastProgram, FileSet, ProgramEntry};
-use ida::{Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
+use ida::{BlockHeader, Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -137,7 +137,7 @@ impl BroadcastServer {
         program: BroadcastProgram,
         contents: &BTreeMap<FileId, Vec<u8>>,
     ) -> Result<Self, ServerError> {
-        Self::with_dispersals(files, program, contents, &BTreeMap::new())
+        Self::with_dispersals(files, program, contents, &BTreeMap::new(), &BTreeMap::new())
     }
 
     /// [`BroadcastServer::new`] reusing already-built [`Dispersal`]
@@ -151,19 +151,54 @@ impl BroadcastServer {
     /// memoised reconstruction inverses with every client handle of the
     /// same `Arc` — and files without a usable entry fall back to a fresh
     /// build.
+    ///
+    /// A file with an entry in `carried` is not dispersed at all (and needs
+    /// no bytes): it serves those blocks, which a server already on the air
+    /// dispersed from the same bytes with the same configuration (cloning a
+    /// [`DispersedFile`] copies headers and bumps payload reference
+    /// counts).  What is carried over passes the checks bytes would: the
+    /// size the file declares, its `(mᵢ, nᵢ)` and all `nᵢ` blocks, in every
+    /// block header.
     pub fn with_dispersals<B: AsRef<[u8]>>(
         files: &FileSet,
         program: BroadcastProgram,
         contents: &BTreeMap<FileId, B>,
         dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
+        carried: &BTreeMap<FileId, DispersedFile>,
     ) -> Result<Self, ServerError> {
-        for id in contents.keys() {
+        for id in contents.keys().chain(carried.keys()) {
             if files.get(*id).is_none() {
                 return Err(ServerError::UnknownFile(*id));
             }
         }
         let mut dispersed = BTreeMap::new();
         for f in files.files() {
+            if let Some(df) = carried.get(&f.id) {
+                if df.original_len() != f.total_bytes() {
+                    return Err(ServerError::ContentSizeMismatch {
+                        file: f.id,
+                        expected: f.total_bytes(),
+                        actual: df.original_len(),
+                    });
+                }
+                let declared = |(index, block): (usize, &DispersedBlock)| {
+                    *block.header()
+                        == BlockHeader {
+                            file: f.id,
+                            index: index as u32,
+                            m: f.size_blocks,
+                            n: f.dispersed_blocks,
+                            original_len: f.total_bytes() as u64,
+                        }
+                };
+                if df.blocks().len() != f.dispersed_blocks as usize
+                    || !df.blocks().iter().enumerate().all(declared)
+                {
+                    return Err(ServerError::Ida(IdaError::InconsistentBlocks));
+                }
+                dispersed.insert(f.id, df.clone());
+                continue;
+            }
             let data = contents
                 .get(&f.id)
                 .ok_or(ServerError::MissingContent(f.id))?
@@ -382,8 +417,14 @@ mod tests {
         lookup.insert(FileId(0), shared_a.clone());
         lookup.insert(FileId(1), wrong_b);
 
-        let reusing =
-            BroadcastServer::with_dispersals(&files, program.clone(), &contents, &lookup).unwrap();
+        let reusing = BroadcastServer::with_dispersals(
+            &files,
+            program.clone(),
+            &contents,
+            &lookup,
+            &BTreeMap::new(),
+        )
+        .unwrap();
         let fresh = BroadcastServer::new(&files, program, &contents).unwrap();
 
         // Same bytes on the wire either way.
@@ -400,6 +441,59 @@ mod tests {
         let df = reusing.dispersed(FileId(0)).unwrap();
         shared_a.reconstruct(&df.blocks()[5..]).unwrap();
         assert_eq!(shared_a.cached_inverses(), 1);
+    }
+
+    #[test]
+    fn with_dispersals_carries_dispersed_files_over_and_checks_them() {
+        let files = paper_files();
+        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
+        let mut contents = contents(&files);
+        let serving = BroadcastServer::new(&files, program.clone(), &contents).unwrap();
+        let load = |contents: &BTreeMap<FileId, Vec<u8>>, carried: &BTreeMap<_, _>| {
+            let none = BTreeMap::new();
+            BroadcastServer::with_dispersals(&files, program.clone(), contents, &none, carried)
+        };
+
+        // File A rides over by handle; file B is dispersed from its bytes.
+        contents.remove(&FileId(0));
+        let a = serving.dispersed(FileId(0)).unwrap().clone();
+        let next = load(&contents, &BTreeMap::from([(FileId(0), a.clone())])).unwrap();
+        let carried = next.dispersed(FileId(0)).unwrap();
+        for (old, new) in a.blocks().iter().zip(carried.blocks()) {
+            assert_eq!(old.payload().as_ptr(), new.payload().as_ptr());
+        }
+
+        // Neither bytes nor blocks for a file is still an error.
+        assert_eq!(
+            load(&contents, &BTreeMap::new()).unwrap_err(),
+            ServerError::MissingContent(FileId(0))
+        );
+        // B's blocks handed over as A's: wrong size; A's (5, 10) blocks for a
+        // file declaring the same bytes as (5, 9): wrong headers.
+        let b = serving.dispersed(FileId(1)).unwrap().clone();
+        assert!(matches!(
+            load(&contents, &BTreeMap::from([(FileId(0), b)])).unwrap_err(),
+            ServerError::ContentSizeMismatch {
+                file: FileId(0),
+                ..
+            }
+        ));
+        let narrower = FileSet::new(vec![
+            BroadcastFile::new(FileId(0), "A", 5, 16).with_dispersal(9),
+            BroadcastFile::new(FileId(1), "B", 3, 16).with_dispersal(6),
+        ])
+        .unwrap();
+        assert_eq!(
+            BroadcastServer::with_dispersals(
+                &narrower,
+                BroadcastProgram::aida_flat(&narrower, FlatOrder::Spread).unwrap(),
+                &contents,
+                &BTreeMap::new(),
+                &BTreeMap::from([(FileId(0), a)]),
+            )
+            .unwrap_err(),
+            ServerError::Ida(IdaError::InconsistentBlocks)
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! The crate has four layers, std-only:
 //!
 //! * [`wire`] — the versioned wire format: slot frames, control frames,
-//!   fragmentation of oversized blocks, a hardened bounds-checked decoder.
+//!   fragmentation of oversized blocks, a hardened bounds-checked decoder,
+//!   and the CRC-32 every packet ends with ([`wire::crc32`]: slicing
+//!   tables everywhere, carry-less multiply where the CPU has it).
 //! * [`NetServer`] / [`UdpFanout`] — the station side: a
 //!   [`brt::SlotSink`] that fans every served slot out to the joined
 //!   peers, a datagram membership loop, and an optional TCP control plane
@@ -25,11 +27,19 @@
 //! [`NetServer::bind_with_telemetry`]); the TCP control plane serves the
 //! registry as a live metrics endpoint ([`ControlClient::metrics`]) in
 //! Prometheus-style text or JSON.
+//!
+//! Unsafe code follows `bauth`'s policy: denied crate-wide, allowed in
+//! exactly one private module — the `pclmulqdq` checksum kernel, which
+//! needs `core::arch` intrinsics — whose only entry point is safe, checks
+//! the CPU at run time and states the safety argument where it calls in.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one sanctioned exception is `crc::clmul`, which
+// carries its own scoped `allow` (see the crate docs).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
+mod crc;
 mod error;
 mod server;
 mod session;

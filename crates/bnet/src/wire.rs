@@ -4,6 +4,17 @@
 //! byte, kind byte), a kind-specific body, and a trailing CRC-32 (IEEE) over
 //! everything before it.  All integers are little-endian.
 //!
+//! The checksum is [`crc32`].  Every wire byte crosses it four times — the
+//! whole frame and each fragment when [`datagrams`] seals them, the same
+//! two again when the receiver [`decode`]s the fragment and then the
+//! reassembled frame — so it is computed sixteen bytes per step from
+//! `const`-built slicing tables (safe Rust, every target) and, on x86-64
+//! CPUs that report `pclmulqdq` and `sse4.1` at run time, by carry-less
+//! multiplication for every input of 64 bytes or more, the tables
+//! finishing the last `< 16` bytes.  Both compute exactly the function the
+//! format was defined with; nothing selects between them but the CPU and
+//! the input length.
+//!
 //! | kind | packet | body |
 //! |------|--------|------|
 //! | `0x01` | slot frame | `epoch u64, channel u16, slot u64, file u32, index u32, m u32, n u32, original_len u64, payload_len u32, payload` |
@@ -33,6 +44,7 @@
 //! panic or allocate unboundedly — corruption always surfaces as a
 //! [`WireError`].
 
+pub use crate::crc::crc32;
 use bauth::{BlockProof, Root};
 use bdisk::TransmissionRef;
 use bytes::Bytes;
@@ -335,41 +347,6 @@ impl core::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table built at
-// compile time.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// The CRC-32 (IEEE) of `data`, as appended to every packet.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------------
 // Encoding.
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -512,13 +489,13 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     }
 }
 
-fn encode_fragment(frag: &Fragment) -> Vec<u8> {
-    let mut out = open_packet(VERSION, KIND_FRAG, FRAG_HEADER + frag.chunk.len());
-    put_u64(&mut out, frag.seq);
-    put_u16(&mut out, frag.index);
-    put_u16(&mut out, frag.count);
-    put_u32(&mut out, frag.chunk.len() as u32);
-    out.extend_from_slice(&frag.chunk);
+fn encode_fragment(seq: u64, index: u16, count: u16, chunk: &[u8]) -> Vec<u8> {
+    let mut out = open_packet(VERSION, KIND_FRAG, FRAG_HEADER + chunk.len());
+    put_u64(&mut out, seq);
+    put_u16(&mut out, index);
+    put_u16(&mut out, count);
+    put_u32(&mut out, chunk.len() as u32);
+    out.extend_from_slice(chunk);
     seal_packet(out)
 }
 
@@ -547,14 +524,7 @@ pub fn datagrams(frame: &Frame, mtu: usize, seq: u64) -> Vec<Vec<u8>> {
     encoded
         .chunks(chunk_size)
         .enumerate()
-        .map(|(index, chunk)| {
-            encode_fragment(&Fragment {
-                seq,
-                index: index as u16,
-                count: count as u16,
-                chunk: chunk.to_vec(),
-            })
-        })
+        .map(|(index, chunk)| encode_fragment(seq, index as u16, count as u16, chunk))
         .collect()
 }
 
@@ -666,7 +636,7 @@ fn decode_slot(rd: &mut Reader<'_>, version: u8) -> Result<SlotFrame, WireError>
         n,
         original_len,
     };
-    let mut block = DispersedBlock::new(header, Bytes::from(payload.to_vec()));
+    let mut block = DispersedBlock::new(header, Bytes::from(payload));
     if version >= VERSION_AUTH {
         let depth = rd.u8()? as usize;
         if depth > bauth::MAX_DEPTH {
@@ -1048,8 +1018,8 @@ mod tests {
             count: 3,
             chunk: vec![1, 2, 3, 4, 5],
         };
-        let decoded = decode(&encode_fragment(&frag)).unwrap();
-        assert_eq!(decoded, Packet::Fragment(frag));
+        let encoded = encode_fragment(frag.seq, frag.index, frag.count, &frag.chunk);
+        assert_eq!(decode(&encoded).unwrap(), Packet::Fragment(frag));
     }
 
     #[test]
@@ -1244,6 +1214,29 @@ mod tests {
         out.push(9); // no such format
         let packet = seal_packet(out);
         assert!(matches!(decode(&packet), Err(WireError::Inconsistent(_))));
+    }
+
+    /// Neither the checksum kernel nor the encoder may move a wire byte:
+    /// SHA-256 digests of what the byte-at-a-time encoder produced (PR 16),
+    /// one un-fragmented v1 frame and one fragmented v2 frame.
+    #[test]
+    fn encoded_bytes_are_pinned_to_the_bytewise_encoder() {
+        let digest = |bytes: &[u8]| -> String {
+            bauth::sha256(bytes)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
+        assert_eq!(
+            digest(&encode(&slot_frame(1500))),
+            "0bc6544070f2fcd84e8ef15c769f1e317b23dfc8038da7aa6703c43313b5ee31"
+        );
+        let fragments = datagrams(&authenticated_slot_frame(), 256, 31);
+        assert_eq!(fragments.len(), 6);
+        assert_eq!(
+            digest(&fragments.concat()),
+            "2078c0805fb1f49a4f011e85941f2a591332d18d659231593e590a813bde624c"
+        );
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use crate::{Error, Station};
 use bcore::{DesignReport, GeneralizedFileSpec, MultiChannelReport};
-use bdisk::{BroadcastServer, FileSet, LatencyVector};
+use bdisk::{BroadcastFile, BroadcastServer, FileSet, LatencyVector};
 use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
-use ida::{Dispersal, FileId};
+use ida::{Dispersal, DispersedFile, FileId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,8 +46,10 @@ impl Mode {
     /// channel.  Against a serving station, whatever survives the
     /// transition is reused by handle — payloads, dispersals whose
     /// `(m, n)` are unchanged (they share encode plans and inverse caches
-    /// with in-flight retrievals) and the servers of unchanged channels (so
-    /// the swap keeps them byte-identical for free).
+    /// with in-flight retrievals), the dispersed blocks of files that keep
+    /// both (so refreshing one file disperses and commits one file) and
+    /// the servers of unchanged channels (so the swap keeps them
+    /// byte-identical for free).
     pub(crate) fn load(
         name: &str,
         specs: Vec<GeneralizedFileSpec>,
@@ -92,6 +94,25 @@ impl Mode {
             dispersals.insert(f.id, dispersal);
         }
 
+        // A file whose payload and dispersal configuration both ride over
+        // unchanged is on the air as exactly the blocks dispersing (and
+        // committing) it again would produce, whichever channel the new
+        // design places it on.
+        let on_air = |f: &BroadcastFile| -> Option<&DispersedFile> {
+            let (station, _) = serving?;
+            let mode = &station.mode;
+            let same_payload = match (contents.get(&f.id), mode.contents.get(&f.id)) {
+                (Some(new), Some(old)) => Arc::ptr_eq(new, old),
+                (None, None) => mode.files.get(f.id)?.total_bytes() == f.total_bytes(),
+                _ => false,
+            };
+            if !same_payload || !Arc::ptr_eq(&dispersals[&f.id], mode.dispersals.get(&f.id)?) {
+                return None;
+            }
+            let server = station.bank().current(station.channel_of(f.id)?)?;
+            server.dispersed(f.id)
+        };
+
         let mut servers = Vec::with_capacity(design.reports.len());
         for (c, report) in design.reports.iter().enumerate() {
             let unchanged = serving.filter(|(_, t)| t.channels[c] == ChannelTransition::Unchanged);
@@ -103,23 +124,25 @@ impl Mode {
             // Dispersed here, off the hot path; payload bytes are
             // independent of the channel layout, so a file reconstructs to
             // identical bytes however the station is sharded.
-            let payloads: BTreeMap<FileId, Cow<'_, [u8]>> = report
-                .files
-                .files()
-                .iter()
-                .map(|f| {
-                    let bytes = match contents.get(&f.id) {
-                        Some(stored) => Cow::Borrowed(&stored[..]),
-                        None => Cow::Owned(BroadcastServer::synthetic_content(f)),
-                    };
-                    (f.id, bytes)
-                })
-                .collect();
+            let mut payloads: BTreeMap<FileId, Cow<'_, [u8]>> = BTreeMap::new();
+            let mut carried = BTreeMap::new();
+            for f in report.files.files() {
+                if let Some(dispersed) = on_air(f) {
+                    carried.insert(f.id, dispersed.clone());
+                    continue;
+                }
+                let bytes = match contents.get(&f.id) {
+                    Some(stored) => Cow::Borrowed(&stored[..]),
+                    None => Cow::Owned(BroadcastServer::synthetic_content(f)),
+                };
+                payloads.insert(f.id, bytes);
+            }
             servers.push(Arc::new(BroadcastServer::with_dispersals(
                 &report.files,
                 report.program.clone(),
                 &payloads,
                 &dispersals,
+                &carried,
             )?));
         }
 

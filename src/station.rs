@@ -871,16 +871,19 @@ mod tests {
 
     #[test]
     fn clones_snapshots_and_swaps_share_the_mode_and_its_payloads() {
-        let (moving, kept) = (FileId(1), FileId(2));
         let station = Broadcast::builder()
-            .files((1..=2).map(|i| spec(i, 1, &[8 + 2 * i, 12 + 2 * i])))
+            .files((1..=3).map(|i| spec(i, 1, &[8 + 2 * i, 12 + 2 * i])))
             .channels(2)
-            .content(moving, vec![1u8; 512])
-            .content(kept, vec![2u8; 512])
+            .authenticated(true)
+            .content(FileId(1), vec![1u8; 512])
+            .content(FileId(2), vec![2u8; 512])
+            .content(FileId(3), vec![3u8; 512])
             .build()
             .unwrap();
+        // Three files on two channels: `moving` is refreshed below, `beside`
+        // shares its channel, `kept` has the other channel to itself.
+        let (moving, beside, kept) = shared_and_lone(&station);
         let kept_channel = station.channel_of(kept).unwrap();
-        assert_ne!(station.channel_of(moving), Some(kept_channel));
 
         // A clone — and so a runtime snapshot, taken on the serving thread —
         // is a pointer copy of the mode: no payload, no design report.
@@ -895,11 +898,7 @@ mod tests {
         // Refresh one file's bytes: its channel flips, and the file on the
         // other channel rides into the next mode as the same allocation —
         // stored payload, dispersal configuration and serving program.
-        let same = ModeSpec::new("refreshed").files(station.specs().to_vec());
-        let prepared = station
-            .prepare_mode_with_contents(&same, BTreeMap::from([(moving, vec![3u8; 512])]))
-            .unwrap();
-        let report = station.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
+        let report = refresh(&mut station, moving);
         assert!(!report.flipped_channels.contains(&kept_channel));
         assert!(!Arc::ptr_eq(&station.mode, &before.mode));
         let (old, new) = (&before.mode, &station.mode);
@@ -909,9 +908,63 @@ mod tests {
             &before.bank.current_arc(kept_channel).unwrap(),
             &station.bank.current_arc(kept_channel).unwrap()
         ));
-        assert_eq!(&*new.contents[&moving], &[3u8; 512][..]);
+        assert_eq!(&*new.contents[&moving], &[9u8; 512][..]);
         assert_eq!(before.mode(), "initial");
         assert_eq!(station.mode(), "refreshed");
+
+        // On the flipped channel only the refreshed file was dispersed and
+        // committed again: the file beside it serves the very blocks (and
+        // root) it served before.
+        assert_eq!(block_ptrs(&before, beside), block_ptrs(&station, beside));
+        assert_eq!(
+            before.commitment_root_of(beside),
+            station.commitment_root_of(beside)
+        );
+        assert_ne!(block_ptrs(&before, moving), block_ptrs(&station, moving));
+        assert_ne!(
+            before.commitment_root_of(moving),
+            station.commitment_root_of(moving)
+        );
+
+        // The same holds for a file serving the synthetic default.
+        let mut station = two_channel_station();
+        let before = station.clone();
+        let (moving, beside, _) = shared_and_lone(&station);
+        refresh(&mut station, moving);
+        assert_eq!(block_ptrs(&before, beside), block_ptrs(&station, beside));
+        assert_ne!(block_ptrs(&before, moving), block_ptrs(&station, moving));
+    }
+
+    /// Swaps in the same mode with new bytes for `file`, at slot 0.
+    fn refresh(station: &mut Station, file: FileId) -> SwapReport {
+        let same = ModeSpec::new("refreshed").files(station.specs().to_vec());
+        let prepared = station
+            .prepare_mode_with_contents(&same, BTreeMap::from([(file, vec![9u8; 512])]))
+            .unwrap();
+        station.swap(prepared, 0, SwapPolicy::Immediate).unwrap()
+    }
+
+    /// Two files sharing a channel and one file of another channel.
+    fn shared_and_lone(station: &Station) -> (FileId, FileId, FileId) {
+        let ids: Vec<FileId> = station.specs().iter().map(|s| s.id).collect();
+        let channel = |id: &FileId| station.channel_of(*id).unwrap();
+        for a in &ids {
+            let beside = ids.iter().find(|b| *b != a && channel(b) == channel(a));
+            let lone = ids.iter().find(|c| channel(c) != channel(a));
+            if let (Some(b), Some(c)) = (beside, lone) {
+                return (*a, *b, *c);
+            }
+        }
+        panic!("no two files share a channel");
+    }
+
+    /// Where the blocks `file` is served from live: equal before and after
+    /// a swap only if the file was carried over, not dispersed again.
+    fn block_ptrs(station: &Station, file: FileId) -> Vec<*const u8> {
+        let server = station.bank.current(station.channel_of(file).unwrap());
+        let dispersed = server.unwrap().dispersed(file).unwrap();
+        let ptrs = dispersed.blocks().iter().map(|b| b.payload().as_ptr());
+        ptrs.collect()
     }
 
     #[test]
