@@ -16,7 +16,9 @@
 //!   tables everywhere, carry-less multiply where the CPU has it).
 //! * [`NetServer`] / [`UdpFanout`] — the station side: a
 //!   [`brt::SlotSink`] that fans every served slot out to the joined
-//!   peers, a datagram membership loop, and an optional TCP control plane
+//!   peers (a fragmented frame in one system call where the kernel does
+//!   UDP segmentation offload), a datagram membership loop, and an
+//!   optional TCP control plane
 //!   answering subscriptions from a [`Directory`] it derives from the
 //!   serving bank ([`directory_of`]) whenever the mode changes.
 //! * [`ClientState`] — the pure, socket-free retrieval state machine that
@@ -29,18 +31,24 @@
 //! Prometheus-style text or JSON.
 //!
 //! Unsafe code follows `bauth`'s policy: denied crate-wide, allowed in
-//! exactly one private module — the `pclmulqdq` checksum kernel, which
-//! needs `core::arch` intrinsics — whose only entry point is safe, checks
-//! the CPU at run time and states the safety argument where it calls in.
+//! exactly two private modules, each behind one safe entry point that
+//! states the safety argument where it calls in.  `crc::clmul` is the
+//! `pclmulqdq` checksum kernel: it needs `core::arch` intrinsics, and its
+//! entry point checks the CPU at run time.  `gso::sys` is the one foreign
+//! call, `sendmsg` with a `UDP_SEGMENT` control message, which `std` does
+//! not expose: it puts a fragmented frame on the air in one system call
+//! (64-bit glibc Linux only; everywhere else, and whenever the kernel
+//! refuses, the `send_to` loop beside it is the path).
 
-// `deny`, not `forbid`: the one sanctioned exception is `crc::clmul`, which
-// carries its own scoped `allow` (see the crate docs).
+// `deny`, not `forbid`: the two sanctioned exceptions, `crc::clmul` and
+// `gso::sys`, carry their own scoped `allow` (see the crate docs).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
 mod crc;
 mod error;
+mod gso;
 mod server;
 mod session;
 pub mod wire;

@@ -8,6 +8,27 @@
 //! dispersal absorbs it, so a full socket buffer or an unreachable peer is
 //! an erasure at the receiver, not an error at the sender.
 //!
+//! A frame reaches a peer by one of two paths.  A *fragmented* frame goes
+//! out as a **train**: one `sendmsg` gathering its datagrams under a
+//! `UDP_SEGMENT` control message, which the kernel carries through the
+//! stack as one buffer and cuts back into the same datagrams at the
+//! receiving socket (a frame longer than 64 fragments or 65 507 bytes is
+//! several trains, each ending on a fragment boundary).  Everything else
+//! takes the **loop**, one `send_to` per datagram: single-datagram frames
+//! always, and every frame from the moment the kernel answers a train
+//! with "not here" (an old kernel, a device without checksum offload, an
+//! `mtu` above the path's; any platform but 64-bit glibc Linux) — that
+//! frame is sent by the loop and the fan-out never asks again.  The wire
+//! bytes, their order per peer and the counters are the same on both
+//! paths; `bnet_datagrams_sent / bnet_send_calls` says which one a
+//! station is on.  Two things differ.  A train is all or nothing at the
+//! sender: a full send buffer refuses every fragment of it (that many
+//! `send_errors`, one `FrameDropped`) where the loop could lose some and
+//! send the rest — an incomplete frame is an erasure either way.  And
+//! with several peers the order on the air is peer-major, one train per
+//! peer per lane.  The receiving side is unchanged: a full *receive*
+//! buffer still drops silently, possibly in the middle of a train.
+//!
 //! Membership is datagram-based ([`ControlFrame::Join`] /
 //! [`ControlFrame::Leave`] sent to the data address) so a pure-UDP client
 //! needs nothing else: dispersal parameters travel in every block header.
@@ -21,6 +42,7 @@
 //! hears it landed.
 
 use crate::error::NetError;
+use crate::gso;
 use crate::wire::{
     datagrams, decode, encode, ControlFrame, Frame, MetricsFormat, Packet, SlotFrame,
     SubscriptionInfo,
@@ -29,7 +51,7 @@ use bdisk::EpochBank;
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
 use brt::{LaneView, SlotSink};
 use std::collections::{BTreeMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,8 +133,12 @@ pub struct NetStats {
     pub datagrams_sent: u64,
     /// Payload bytes handed to the socket.
     pub bytes_sent: u64,
-    /// Sends the socket refused (full buffer, unreachable peer) — loss,
-    /// by design.
+    /// System calls that handed them over: one per `send_to`, one per
+    /// train.  `datagrams_sent / send_calls` is the fragments per frame
+    /// while trains run and 1 once the fan-out fell back to the loop.
+    pub send_calls: u64,
+    /// Datagrams the socket refused (full buffer, unreachable peer; a
+    /// refused train counts every fragment it carried) — loss, by design.
     pub send_errors: u64,
     /// Join datagrams honoured (monotonic).
     pub joins: u64,
@@ -135,6 +161,7 @@ struct NetMetrics {
     frames_fragmented: Counter,
     datagrams_sent: Counter,
     bytes_sent: Counter,
+    send_calls: Counter,
     send_errors: Counter,
     joins: Counter,
     leaves: Counter,
@@ -148,10 +175,29 @@ impl NetMetrics {
             frames_fragmented: registry.counter("bnet_frames_fragmented"),
             datagrams_sent: registry.counter("bnet_datagrams_sent"),
             bytes_sent: registry.counter("bnet_bytes_sent"),
+            send_calls: registry.counter("bnet_send_calls"),
             send_errors: registry.counter("bnet_send_errors"),
             joins: registry.counter("bnet_joins"),
             leaves: registry.counter("bnet_leaves"),
             peers: registry.gauge("bnet_peers"),
+        }
+    }
+
+    /// Books one send call that carried `datagrams` — a `send_to` (one) or
+    /// a train (all of its segments; the call is all or nothing).  Returns
+    /// whether the socket refused them.
+    fn sent(&self, datagrams: usize, result: io::Result<usize>) -> bool {
+        self.send_calls.inc();
+        match result {
+            Ok(bytes) => {
+                self.datagrams_sent.add(datagrams as u64);
+                self.bytes_sent.add(bytes as u64);
+                false
+            }
+            Err(_) => {
+                self.send_errors.add(datagrams as u64);
+                true
+            }
         }
     }
 }
@@ -188,6 +234,36 @@ pub struct UdpFanout {
     shared: Arc<Shared>,
     mtu: usize,
     seq: u64,
+    /// Whether fragmented frames still go out as trains; cleared for good
+    /// the first time the kernel says it does not do them here.
+    gso: bool,
+}
+
+impl UdpFanout {
+    /// Puts one frame's datagrams on the air for one peer: as trains (see
+    /// [`crate::gso`]) while the frame is fragmented and the kernel takes
+    /// them, one `send_to` each otherwise.  Returns whether any were
+    /// refused.
+    fn send_frame(&mut self, packets: &[Vec<u8>], peer: SocketAddr) -> bool {
+        let metrics = &self.shared.metrics;
+        let mut dropped = false;
+        let mut rest = packets;
+        while self.gso && rest.len() > 1 {
+            let (train, after) = rest.split_at(gso::train_len(rest));
+            match gso::send_train(&self.socket, train, peer) {
+                // Nothing of the train went out: the loop takes it from here.
+                Err(e) if gso::not_here(&e) => self.gso = false,
+                result => {
+                    dropped |= metrics.sent(train.len(), result);
+                    rest = after;
+                }
+            }
+        }
+        for packet in rest {
+            dropped |= metrics.sent(1, self.socket.send_to(packet, peer));
+        }
+        dropped
+    }
 }
 
 impl SlotSink for UdpFanout {
@@ -207,7 +283,6 @@ impl SlotSink for UdpFanout {
         if peers.is_empty() {
             return;
         }
-        let metrics = &self.shared.metrics;
         for lane in lanes {
             let frame = Frame::Slot(SlotFrame::from_transmission(
                 lane.channel as u16,
@@ -215,25 +290,14 @@ impl SlotSink for UdpFanout {
                 lane.transmission,
             ));
             let packets = datagrams(&frame, self.mtu, self.seq);
-            metrics.frames_sent.inc();
+            self.shared.metrics.frames_sent.inc();
             if packets.len() > 1 {
                 self.seq = self.seq.wrapping_add(1);
-                metrics.frames_fragmented.inc();
+                self.shared.metrics.frames_fragmented.inc();
             }
             let mut dropped = false;
-            for packet in &packets {
-                for peer in &peers {
-                    match self.socket.send_to(packet, peer) {
-                        Ok(sent) => {
-                            metrics.datagrams_sent.inc();
-                            metrics.bytes_sent.add(sent as u64);
-                        }
-                        Err(_) => {
-                            metrics.send_errors.inc();
-                            dropped = true;
-                        }
-                    }
-                }
+            for &peer in &peers {
+                dropped |= self.send_frame(&packets, peer);
             }
             self.shared.telemetry.record_event(|| Event::FrameSent {
                 slot: slot as u64,
@@ -281,6 +345,7 @@ impl NetHandle {
             frames_fragmented: m.frames_fragmented.get(),
             datagrams_sent: m.datagrams_sent.get(),
             bytes_sent: m.bytes_sent.get(),
+            send_calls: m.send_calls.get(),
             send_errors: m.send_errors.get(),
             joins: m.joins.get(),
             leaves: m.leaves.get(),
@@ -389,6 +454,7 @@ impl NetServer {
             shared: Arc::clone(&shared),
             mtu: config.mtu,
             seq: 0,
+            gso: true,
         };
         let handle = NetHandle {
             data_addr,
@@ -442,43 +508,85 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
 /// Largest control frame the TCP plane will read.
 const MAX_CONTROL_FRAME: usize = 64 * 1024;
 
+/// How long the accept loop itself waits for a connection's next request
+/// before moving the connection to a thread of its own.
+const CONTROL_INLINE_PATIENCE: Duration = Duration::from_millis(10);
+
+/// How often a connection's thread looks up from a quiet peer to see `stop`.
+const CONTROL_IDLE_POLL: Duration = Duration::from_millis(200);
+
 /// The accept loop blocks in `accept()`, so a connection is served the
 /// moment it arrives; `NetHandle::stop_and_join` raises `stop` and connects
-/// once to wake it.
-fn control_loop(listener: &TcpListener, shared: &Shared) {
+/// once to wake it.  A request/response exchange is over in microseconds
+/// and is served right here.  A peer that goes quiet with the connection
+/// open — one that says nothing, or whose half died unnoticed — is moved to
+/// a thread of its own after [`CONTROL_INLINE_PATIENCE`], so it holds up
+/// nobody's `Subscribe` or `Resync` but its own.  Those threads see `stop`
+/// within one [`CONTROL_IDLE_POLL`] and are joined before the loop returns.
+fn control_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut quiet_connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
-            return;
+            break;
         }
+        quiet_connections.retain(|connection| !connection.is_finished());
         match accepted {
-            // Connections are served one at a time: the control plane is a
-            // short-lived request/response convenience, not a data path.
             Ok((stream, _)) => {
-                let _ = serve_control_connection(stream, shared);
+                let served =
+                    serve_control_connection(stream, shared, Some(CONTROL_INLINE_PATIENCE));
+                if let Ok(Some(quiet)) = served {
+                    let shared = Arc::clone(shared);
+                    quiet_connections.push(std::thread::spawn(move || {
+                        let _ = serve_control_connection(quiet, &shared, None);
+                    }));
+                }
             }
             // A failing listener (descriptor exhaustion, say) must not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+    for connection in quiet_connections {
+        let _ = connection.join();
+    }
 }
 
-fn serve_control_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), NetError> {
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+/// Serves `stream` until its peer closes it or sends garbage.  With a
+/// `patience`, also until the peer leaves that long a silence between two
+/// frames: the connection is then handed back, still open and on a frame
+/// boundary, for someone with more time to serve.
+fn serve_control_connection(
+    mut stream: TcpStream,
+    shared: &Shared,
+    patience: Option<Duration>,
+) -> Result<Option<TcpStream>, NetError> {
+    stream.set_read_timeout(Some(patience.unwrap_or(CONTROL_IDLE_POLL)))?;
     stream.set_write_timeout(Some(Duration::from_millis(200)))?;
     loop {
         if shared.stop.load(Ordering::Relaxed) {
-            return Ok(());
+            return Ok(None);
+        }
+        // Wait for the next frame without consuming any of it, so giving up
+        // on a quiet peer never cuts a frame in two.
+        match stream.peek(&mut [0u8; 1]) {
+            Ok(_) => {} // a frame, or end of stream: the read below tells
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if patience.is_some() {
+                    return Ok(Some(stream));
+                }
+                continue;
+            }
+            Err(_) => return Ok(None),
         }
         let frame = match read_control_frame(&mut stream) {
             Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // clean EOF
+            Ok(None) => return Ok(None), // clean EOF
             Err(NetError::Io(e))
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
             {
                 continue
             }
-            Err(_) => return Ok(()), // garbage on a reliable link: drop them
+            Err(_) => return Ok(None), // garbage on a reliable link: drop them
         };
         let reply = match frame {
             ControlFrame::Subscribe { file } => {
@@ -507,7 +615,7 @@ fn serve_control_connection(mut stream: TcpStream, shared: &Shared) -> Result<()
                     MetricsFormat::Json => shared.telemetry.export_json(),
                 },
             }),
-            ControlFrame::Leave => return Ok(()),
+            ControlFrame::Leave => return Ok(None),
             _ => None,
         };
         if let Some(reply) = reply {
@@ -577,24 +685,8 @@ mod tests {
 
     #[test]
     fn joined_peer_receives_published_slots() {
-        let (mut fanout, handle) = NetServer::bind(NetConfig::default(), Directory::new()).unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        client
-            .send_to(
-                &encode(&Frame::Control(ControlFrame::Join)),
-                handle.data_addr(),
-            )
-            .unwrap();
-        // The join ack doubles as the join barrier.
+        let (mut fanout, handle, client) = station_with_listener(NetConfig::default());
         let mut buf = [0u8; 2048];
-        let (len, _) = client.recv_from(&mut buf).unwrap();
-        assert!(matches!(
-            decode(&buf[..len]).unwrap(),
-            Packet::Frame(Frame::Control(ControlFrame::Resync { .. }))
-        ));
 
         let block = test_block();
         let tx = TransmissionRef {
@@ -617,19 +709,24 @@ mod tests {
         assert_eq!(sf.epoch, 7);
         assert_eq!(sf.block, block);
 
+        // A frame that fits one datagram is one `send_to`, train or no train.
         let stats = handle.stats();
         assert_eq!(stats.joins, 1);
         assert_eq!(stats.frames_sent, 1);
-        assert!(stats.datagrams_sent >= 1);
+        assert_eq!(stats.frames_fragmented, 0);
+        assert_eq!((stats.datagrams_sent, stats.send_calls), (1, 1));
+        assert_eq!(stats.bytes_sent, len as u64);
         handle.shutdown();
     }
 
-    #[test]
-    fn leave_removes_the_peer_and_publishing_without_peers_is_cheap() {
-        let (mut fanout, handle) = NetServer::bind(NetConfig::default(), Directory::new()).unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    /// Binds a station, joins one listener on its address family and waits
+    /// for the ack.
+    fn station_with_listener(config: NetConfig) -> (UdpFanout, NetHandle, UdpSocket) {
+        let ip = config.data_bind.ip();
+        let (fanout, handle) = NetServer::bind(config, Directory::new()).unwrap();
+        let client = UdpSocket::bind(SocketAddr::new(ip, 0)).unwrap();
         client
-            .set_read_timeout(Some(Duration::from_millis(200)))
+            .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
         client
             .send_to(
@@ -637,8 +734,184 @@ mod tests {
                 handle.data_addr(),
             )
             .unwrap();
+        // The join ack doubles as the join barrier.
         let mut buf = [0u8; 2048];
-        client.recv_from(&mut buf).unwrap();
+        let (len, _) = client.recv_from(&mut buf).expect("the join ack");
+        assert!(matches!(
+            decode(&buf[..len]).unwrap(),
+            Packet::Frame(Frame::Control(ControlFrame::Resync { .. }))
+        ));
+        (fanout, handle, client)
+    }
+
+    /// Publishes `block` in `slot`; returns the frame's datagrams as the wire
+    /// encodes them, beside what the listener then read.  (Every frame the
+    /// tests send fits the listener's default receive buffer unread.)
+    fn publish_and_listen(
+        fanout: &mut UdpFanout,
+        client: &UdpSocket,
+        slot: usize,
+        block: &DispersedBlock,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let transmission = TransmissionRef { slot, block };
+        let frame = Frame::Slot(SlotFrame::from_transmission(0, 1, transmission));
+        let expected = datagrams(&frame, fanout.mtu, fanout.seq);
+        fanout.publish(
+            slot,
+            &[LaneView {
+                channel: 0,
+                epoch: 1,
+                transmission,
+            }],
+        );
+        let mut buf = vec![0u8; 65_536];
+        let heard = (0..expected.len())
+            .map(|i| {
+                let (len, _) = client
+                    .recv_from(&mut buf)
+                    .unwrap_or_else(|e| panic!("datagram {i}: {e}"));
+                buf[..len].to_vec()
+            })
+            .collect();
+        (expected, heard)
+    }
+
+    /// A block of the 16 KiB, proof-carrying kind `wire_bulk_auth` serves.
+    fn authenticated_block() -> DispersedBlock {
+        let data: Vec<u8> = (0..4 * 16_384u32).map(|i| (i * 31 + 7) as u8).collect();
+        let dispersed = ida::Dispersal::authenticated(4, 8)
+            .unwrap()
+            .disperse(FileId(1), &data)
+            .unwrap();
+        dispersed.blocks()[5].clone()
+    }
+
+    /// A whole file in one block, so the listener's retrieval completes on
+    /// this frame alone.
+    fn lone_block(len: usize) -> DispersedBlock {
+        DispersedBlock::new(
+            BlockHeader {
+                file: FileId(1),
+                index: 0,
+                m: 1,
+                n: 1,
+                original_len: len as u64,
+            },
+            Bytes::from((0..len).map(|i| (i * 131 + 3) as u8).collect::<Vec<u8>>()),
+        )
+    }
+
+    /// Feeds `heard` to a fresh client; the last datagram must complete it.
+    fn retrieve(heard: &[Vec<u8>]) -> Vec<u8> {
+        let mut state = crate::ClientState::new(FileId(1));
+        let (last, rest) = heard.split_last().unwrap();
+        assert!(rest.iter().all(|datagram| !state.feed_datagram(datagram)));
+        assert!(state.feed_datagram(last));
+        state.finish().unwrap().data
+    }
+
+    /// Sends one 13-fragment authenticated frame by the train (while the
+    /// kernel takes one) or by the loop; either way the listener hears
+    /// exactly `wire::datagrams`, in order.
+    fn fragmented_frame_arrives_as_encoded(config: NetConfig, train: bool) {
+        let (mut fanout, handle, client) = station_with_listener(config);
+        fanout.gso = train;
+        let (expected, heard) = publish_and_listen(&mut fanout, &client, 9, &authenticated_block());
+        assert_eq!(expected.len(), 13);
+        assert_eq!(heard, expected);
+        let stats = handle.stats();
+        assert_eq!((stats.frames_sent, stats.frames_fragmented), (1, 1));
+        assert_eq!(stats.datagrams_sent, 13);
+        let bytes: usize = expected.iter().map(Vec::len).sum();
+        assert_eq!(stats.bytes_sent, bytes as u64);
+        assert_eq!(stats.send_errors, 0);
+        // A kernel that refuses trains cleared the flag and the loop sent
+        // the frame: visible here (CI prints it), not a failure.
+        println!(
+            "train asked {train}, live {}: bnet_send_calls {} bnet_datagrams_sent {}",
+            fanout.gso, stats.send_calls, stats.datagrams_sent
+        );
+        assert_eq!(stats.send_calls, if fanout.gso { 1 } else { 13 });
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_fragmented_frame_arrives_as_encoded_by_train_and_by_loop() {
+        fragmented_frame_arrives_as_encoded(NetConfig::default(), true);
+        fragmented_frame_arrives_as_encoded(NetConfig::default(), false);
+    }
+
+    #[test]
+    fn ipv6_peers_take_the_train_too() {
+        let config = NetConfig {
+            data_bind: "[::1]:0".parse().unwrap(),
+            ..NetConfig::default()
+        };
+        if UdpSocket::bind(config.data_bind).is_err() {
+            println!("skipped: this box has no IPv6 loopback");
+            return;
+        }
+        fragmented_frame_arrives_as_encoded(config.clone(), true);
+        fragmented_frame_arrives_as_encoded(config, false);
+    }
+
+    /// Both limits of a train cut a longer frame on fragment boundaries.
+    /// (Frames sized to fit the listener's default receive buffer, which a
+    /// test cannot raise: it holds 92 datagrams of 1400 bytes, so the 95
+    /// fragments of a 128 KiB block at the default `mtu` overflow it.)
+    #[test]
+    fn a_frame_longer_than_one_train_goes_out_as_several() {
+        // (mtu, block bytes, fragments, trains): 46 + 2 where the byte
+        // limit binds, 64 + 64 + 2 where the segment limit does.
+        for (mtu, len, fragments, trains) in [(1400, 65_536, 48, 2), (256, 29_800, 130, 3)] {
+            let (mut fanout, handle, client) = station_with_listener(NetConfig {
+                mtu,
+                ..NetConfig::default()
+            });
+            let block = lone_block(len);
+            let (expected, heard) = publish_and_listen(&mut fanout, &client, 0, &block);
+            assert_eq!(expected.len(), fragments, "mtu {mtu}");
+            assert_eq!(heard, expected, "mtu {mtu}");
+            assert_eq!(retrieve(&heard)[..], block.payload()[..]);
+            let stats = handle.stats();
+            assert_eq!(stats.datagrams_sent, fragments as u64);
+            let calls = if fanout.gso { trains } else { fragments };
+            assert_eq!(stats.send_calls, calls as u64, "mtu {mtu}");
+            handle.shutdown();
+        }
+    }
+
+    /// At an `mtu` no two fragments of which fit one train, the first
+    /// fragmented frame is refused by the kernel (`EMSGSIZE`, the refusal
+    /// every kernel gives) — or by the platform stub, to the same effect:
+    /// the fan-out sends that very frame by the loop, complete, and never
+    /// asks again.
+    #[test]
+    fn a_refused_train_is_sent_by_the_loop_and_the_refusal_is_latched() {
+        let (mut fanout, handle, client) = station_with_listener(NetConfig {
+            mtu: 40_000,
+            ..NetConfig::default()
+        });
+        assert!(fanout.gso);
+        let block = lone_block(100_000);
+        for frame in 1..=3u64 {
+            let (expected, heard) =
+                publish_and_listen(&mut fanout, &client, frame as usize, &block);
+            assert_eq!(expected.len(), 3);
+            assert_eq!(heard, expected);
+            assert_eq!(retrieve(&heard)[..], block.payload()[..]);
+            assert!(!fanout.gso);
+            let stats = handle.stats();
+            assert_eq!(stats.datagrams_sent, 3 * frame);
+            assert_eq!(stats.send_calls, 3 * frame, "refused calls are not sends");
+            assert_eq!(stats.send_errors, 0);
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn leave_removes_the_peer_and_publishing_without_peers_is_cheap() {
+        let (mut fanout, handle, client) = station_with_listener(NetConfig::default());
         client
             .send_to(
                 &encode(&Frame::Control(ControlFrame::Leave)),

@@ -253,9 +253,16 @@ impl Matrix {
     /// identity (so the first `cols` dispersed blocks are plain copies of the
     /// source blocks) and every `cols×cols` sub-matrix remains invertible.
     ///
-    /// Built by row-reducing a Vandermonde matrix so that its top square is
-    /// the identity — row reduction by an invertible matrix preserves the
-    /// any-subset-invertible property.
+    /// It is the Vandermonde matrix `V` (evaluation points `xᵢ = i`)
+    /// row-reduced so that its top square is the identity, `V · V_top⁻¹` —
+    /// row reduction by an invertible matrix preserves the
+    /// any-subset-invertible property — written in closed form.  Column `j`
+    /// of `V_top⁻¹` holds the coefficients of the Lagrange basis polynomial
+    /// `Lⱼ` of the top rows' points, and a Vandermonde row evaluates a
+    /// polynomial at its point, so entry `(r, j)` is `Lⱼ(x_r)`: `δ_rj` in
+    /// the top square, and below it
+    /// `∏_{k<cols} (x_r + x_k) · (x_r + x_j)⁻¹ · (∏_{k<cols, k≠j} (x_j + x_k))⁻¹`
+    /// (`+` is the field's subtraction too).  No matrix is inverted.
     pub fn systematic(rows: usize, cols: usize) -> Result<Self, MatrixError> {
         if rows < cols {
             return Err(MatrixError::DimensionMismatch {
@@ -263,10 +270,30 @@ impl Matrix {
                 actual: rows,
             });
         }
-        let v = Matrix::vandermonde(rows, cols)?;
-        let top = v.submatrix_rows(&(0..cols).collect::<Vec<_>>())?;
-        let top_inv = top.inverted()?;
-        v.mul(&top_inv)
+        if rows > 256 {
+            return Err(MatrixError::TooManyRows {
+                requested: rows,
+                maximum: 256,
+            });
+        }
+        let x = |i: usize| Gf256::new(i as u8);
+        let weights = (0..cols)
+            .map(|j| {
+                let others = (0..cols).filter(|&k| k != j);
+                others.map(|k| x(j) + x(k)).product::<Gf256>().inverse()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut m = Matrix::zero(rows, cols);
+        for r in 0..cols {
+            m[(r, r)] = Gf256::ONE;
+        }
+        for r in cols..rows {
+            let node: Gf256 = (0..cols).map(|k| x(r) + x(k)).product();
+            for (j, &weight) in weights.iter().enumerate() {
+                m[(r, j)] = node * weight * (x(r) + x(j)).inverse()?;
+            }
+        }
+        Ok(m)
     }
 
     /// Extracts the sub-matrix consisting of the given rows (in order).
@@ -573,6 +600,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `V · V_top⁻¹` by actually inverting — the construction
+    /// [`Matrix::systematic`] was defined by, kept as its reference.
+    fn systematic_by_inversion(rows: usize, cols: usize) -> Matrix {
+        let v = Matrix::vandermonde(rows, cols).unwrap();
+        let top = v.submatrix_rows(&(0..cols).collect::<Vec<_>>()).unwrap();
+        v.mul(&top.inverted().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn systematic_closed_form_equals_the_row_reduced_vandermonde() {
+        let small = (0..=40).flat_map(|n| (0..=n).map(move |m| (m, n)));
+        let large = [(64, 68), (128, 136), (200, 255), (255, 255), (256, 256)];
+        for (m, n) in small.chain(large) {
+            assert_eq!(
+                Matrix::systematic(n, m).unwrap(),
+                systematic_by_inversion(n, m),
+                "(m, n) = ({m}, {n})"
+            );
+        }
+        assert!(matches!(
+            Matrix::systematic(3, 4),
+            Err(MatrixError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            Matrix::systematic(257, 4),
+            Err(MatrixError::TooManyRows { .. })
+        ));
     }
 
     #[test]

@@ -205,6 +205,46 @@ fn the_tcp_control_plane_answers_subscriptions_and_resyncs() {
     assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
 }
 
+/// Regression: the control plane served connections one at a time, and a
+/// connection stays "being served" for as long as its peer keeps it open —
+/// so one client that connected and then said nothing (or whose half of the
+/// connection died unnoticed) made every other client's `subscribe` time
+/// out after 2 s, and with it every `NetClient` recovery round.
+#[test]
+fn a_silent_control_connection_delays_nobody_else() {
+    let station = station();
+    let directory = station.network_directory();
+    let serving = station
+        .serve_network_with(
+            ManualClock::new(),
+            RuntimeConfig::default(),
+            NetConfig::default().with_control_plane(),
+        )
+        .unwrap();
+    let control = serving.control_addr().unwrap();
+
+    // Accepted first, never speaks, never closes.
+    let silent = std::net::TcpStream::connect(control).unwrap();
+
+    let mut client = ControlClient::connect(control).unwrap();
+    let started = Instant::now();
+    let info = client.subscribe(FileId(1)).unwrap();
+    let took = started.elapsed();
+    assert_eq!(info, directory[&1]);
+    assert!(took < Duration::from_millis(150), "subscribe took {took:?}");
+    let started = Instant::now();
+    client.resync().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(150), "resync took {took:?}");
+
+    // Both connections are still open: whoever serves them notices `stop`.
+    let started = Instant::now();
+    serving.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    drop((silent, client));
+}
+
 /// Regression: a swap requested through the bare runtime handle — a
 /// scheduled one, or a blocking `runtime().swap_at` — used to leave the
 /// control plane answering `Subscribe` with the pre-swap epoch, `(m, n)`

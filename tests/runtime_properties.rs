@@ -35,7 +35,7 @@ use rtbdisk::{
     ManualClock, ModeSchedule, ModeSpec, NoErrors, RetrievalResolution, RuntimeConfig, Station,
     SwapPolicy, TransmissionRef, WallClock,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Property-test depth: `RTBDISK_PROP_CASES` (default 64).
 fn prop_cases() -> usize {
@@ -88,13 +88,26 @@ fn random_station(rng: &mut StdRng, k: usize) -> Station {
 
 /// Advances the manual clock in bounded chunks until every client resolves
 /// (or panics after a generous cap — nothing here should take this long).
+///
+/// A chunk is a quarter of the default ring, and the next one is released
+/// only once the readers had `CATCH_UP` of wall time to resolve on what is
+/// already out — microseconds when they are running, while a reader thread
+/// the scheduler set aside on a busy box has four times `CATCH_UP` before
+/// its own test harness laps it and hands it ring-lag erasures it never
+/// earned.
 fn advance_until_finished(clock: &ManualClock, clients: &[rtbdisk::ClientHandle]) {
+    const CHUNK: usize = 256;
+    const CATCH_UP: Duration = Duration::from_millis(50);
+    let finished = || clients.iter().all(|c| c.is_finished());
     for _ in 0..4096 {
-        if clients.iter().all(|c| c.is_finished()) {
+        if finished() {
             return;
         }
-        clock.advance(256);
-        std::thread::sleep(Duration::from_micros(200));
+        clock.advance(CHUNK);
+        let released = Instant::now();
+        while !finished() && released.elapsed() < CATCH_UP {
+            std::thread::sleep(Duration::from_micros(50));
+        }
     }
     panic!("clients did not resolve within the advance budget");
 }
@@ -365,15 +378,21 @@ fn scheduled_swaps_are_atomic_under_concurrent_subscribers() {
             let clients = vec![client];
             advance_until_finished(&clock, &clients);
             let untouched = witness_channel.is_some_and(|c| !report.flipped_channels.contains(&c));
-            match clients.pop_or_panic().join().unwrap() {
+            let client = clients.pop_or_panic();
+            let lagged = client.stats().lagged_slots;
+            match client.join().unwrap() {
                 RetrievalResolution::Complete(outcome) => {
                     // Contents survive the swap whatever happened to the
                     // witness's channel; its timing is only pinned when the
                     // swap left that channel untouched (a re-shard may
-                    // legitimately reprogram it).
+                    // legitimately reprogram it) and the reader kept up: one
+                    // the ring lapped took erasures for the slots it missed
+                    // and completes later, by design.
                     assert_eq!(outcome.data, expected.data, "case {case}");
-                    if untouched {
+                    if untouched && lagged == 0 {
                         assert_eq!(outcome.completion_slot, expected.completion_slot);
+                    } else if untouched {
+                        assert!(outcome.completion_slot >= expected.completion_slot);
                     }
                 }
                 RetrievalResolution::ModeChanged { file, .. } => {
