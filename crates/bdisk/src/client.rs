@@ -1,4 +1,5 @@
-//! The broadcast client: retrieving one file from the broadcast stream.
+//! The retrieval machine: one client retrieving one file from the broadcast
+//! stream.
 //!
 //! A client that needs file `Fᵢ` starts listening at some slot and collects
 //! blocks of that file as they go by.  With IDA dispersal any `mᵢ` *distinct*
@@ -6,6 +7,30 @@
 //! effectively needs every one of the `mᵢ` source blocks.  A block reception
 //! can fail (transmission error); the client simply keeps listening — the
 //! whole point of the paper is how long that makes it wait.
+//!
+//! [`ClientSession`] is the one sans-IO model of that client.  The facade's
+//! `Retrieval` (in-process and threaded drivers) and `bnet::ClientState`
+//! (the network) wrap it with their transport only; every per-retrieval
+//! fact lives here: the file and request slot, the dispersal parameters
+//! `(m, n)`, the commitment root, the tuned `(channel, epoch)`, the
+//! collected blocks, the erasure and verify-failure counts and the
+//! completion slot.
+//!
+//! `(m, n)` comes from the caller, from [`ClientSession::retune`] or from
+//! the header of the first stored block, whichever is first.  A block whose
+//! header disagrees with it, or with the `original_len` and payload length
+//! of the blocks already stored, is never stored — the consistency
+//! `Dispersal::reconstruct` demands — so "complete" implies
+//! "reconstructible".
+//!
+//! Across an epoch change [`ClientSession::retune`] applies the one
+//! keep-or-restart rule: the collected blocks are kept only when `(m, n)`
+//! **and** the commitment root are both unchanged (two absent roots count as
+//! unchanged); otherwise collection starts again, the erasure count carried
+//! forward.  A new root over the same `(m, n)` is a content refresh: the
+//! blocks already held verified against the old content, and any `m` of
+//! them mixed with blocks of the new content reconstruct bytes equal to
+//! neither.
 
 use crate::TransmissionRef;
 use bauth::{BlockProof, Root};
@@ -63,7 +88,8 @@ pub enum Ingest {
     /// threshold.
     Stored,
     /// Nothing for this session: idle slot, another file's block, a slot
-    /// before the request, a duplicate index, or a session already complete.
+    /// before the request, a duplicate index, a block whose header does not
+    /// fit the blocks collected so far, or a session already complete.
     Ignored,
     /// The observation was booked as one or more erasures.
     Erased,
@@ -109,36 +135,75 @@ impl RetrievalOutcome {
     }
 }
 
-/// A client session retrieving a single file.
+/// A client session retrieving a single file — the retrieval machine (see
+/// the module docs for what it owns and its keep-or-restart rule).
 #[derive(Debug, Clone)]
 pub struct ClientSession {
     file: FileId,
-    threshold: usize,
     request_slot: usize,
-    received: BTreeMap<u32, DispersedBlock>,
-    errors_observed: usize,
-    completed_at: Option<usize>,
+    /// `m`, once known.
+    threshold: Option<usize>,
+    /// `n`, once known.
+    width: Option<usize>,
     /// The file's Merkle commitment root, when the session verifies on
     /// receive: blocks that fail their inclusion proof are booked as
     /// erasures instead of stored.
     expected_root: Option<Root>,
+    /// The `(channel, epoch)` the session is tuned to, once known.
+    tuning: Option<(usize, u64)>,
+    received: BTreeMap<u32, DispersedBlock>,
+    errors_observed: usize,
     verify_failures: usize,
+    completed_at: Option<usize>,
 }
 
 impl ClientSession {
-    /// Starts a session for `file` (reconstruction threshold `m`) at
-    /// `request_slot`.
+    /// Starts a session for `file` at `request_slot`.  `threshold` is the
+    /// file's reconstruction threshold `m` when the caller knows it; 0
+    /// leaves `(m, n)` to [`ClientSession::retune`] or the first block.
     pub fn new(file: FileId, threshold: usize, request_slot: usize) -> Self {
         ClientSession {
             file,
-            threshold,
             request_slot,
+            threshold: (threshold > 0).then_some(threshold),
+            width: None,
+            expected_root: None,
+            tuning: None,
             received: BTreeMap::new(),
             errors_observed: 0,
-            completed_at: None,
-            expected_root: None,
             verify_failures: 0,
+            completed_at: None,
         }
+    }
+
+    /// Tunes the session to `channel` under `epoch` — at subscription, or
+    /// across an epoch change — with the file's dispersal parameters there
+    /// (`None`: not stated, keep what the session knows) and the commitment
+    /// root served there (`None`: unauthenticated).
+    ///
+    /// The one keep-or-restart rule: the collected blocks survive only when
+    /// `(m, n)` and the root are both unchanged; otherwise they are dropped
+    /// and collection starts again, every erasure and verify failure
+    /// observed so far carried forward.  A completed session ignores it.
+    pub fn retune(
+        &mut self,
+        channel: usize,
+        epoch: u64,
+        params: Option<(usize, usize)>,
+        root: Option<Root>,
+    ) {
+        if self.is_complete() {
+            return;
+        }
+        let params = params.filter(|&(m, n)| (1..=n).contains(&m));
+        if params.is_some_and(|p| self.params() != Some(p)) || root != self.expected_root {
+            self.received.clear();
+        }
+        if let Some((m, n)) = params {
+            (self.threshold, self.width) = (Some(m), Some(n));
+        }
+        self.expected_root = root;
+        self.tuning = Some((channel, epoch));
     }
 
     /// Arms verify-on-receive: every subsequently ingested block must carry
@@ -147,6 +212,27 @@ impl ClientSession {
     /// arm the root before feeding the session.
     pub fn require_root(&mut self, root: Root) {
         self.expected_root = Some(root);
+    }
+
+    /// The dispersal parameters `(m, n)`, once both are known.
+    pub fn params(&self) -> Option<(usize, usize)> {
+        self.threshold.zip(self.width)
+    }
+
+    /// The channel the session is tuned to, once known.
+    pub fn channel(&self) -> Option<usize> {
+        self.tuning.map(|(channel, _)| channel)
+    }
+
+    /// The epoch of the channel's program the session is tuned to, once
+    /// known.
+    pub fn epoch(&self) -> Option<u64> {
+        self.tuning.map(|(_, epoch)| epoch)
+    }
+
+    /// The slot at which the client started listening.
+    pub fn request_slot(&self) -> usize {
+        self.request_slot
     }
 
     /// The commitment root this session verifies against, if armed.
@@ -238,8 +324,11 @@ impl ClientSession {
             self.errors_observed += 1;
             return Ingest::Erased;
         }
+        if !self.fits(block) {
+            return Ingest::Ignored;
+        }
+        let h = block.header();
         if let Some(root) = &self.expected_root {
-            let h = block.header();
             let verified = proof.or(block.proof()).is_some_and(|p| {
                 bauth::verify_block(
                     root,
@@ -258,12 +347,14 @@ impl ClientSession {
                 return Ingest::BadProof;
             }
         }
+        let m = *self.threshold.get_or_insert(h.m as usize);
+        self.width.get_or_insert(h.n as usize);
         let mut fresh = false;
         self.received.entry(block.index()).or_insert_with(|| {
             fresh = true;
             block.clone()
         });
-        if self.received.len() >= self.threshold {
+        if self.received.len() >= m {
             self.completed_at = Some(slot);
             return Ingest::Completed;
         }
@@ -272,6 +363,18 @@ impl ClientSession {
         } else {
             Ingest::Ignored
         }
+    }
+
+    /// Whether `block` can join the blocks collected so far: its header
+    /// agrees with the known `(m, n)` and with the `original_len` and
+    /// payload length of the blocks already stored.
+    fn fits(&self, block: &DispersedBlock) -> bool {
+        let h = block.header();
+        self.threshold.is_none_or(|m| m == h.m as usize)
+            && self.width.is_none_or(|n| n == h.n as usize)
+            && self.received.first_key_value().is_none_or(|(_, first)| {
+                first.header().original_len == h.original_len && first.len() == block.len()
+            })
     }
 
     /// Finishes the session: reconstructs the file from the received blocks.
@@ -425,7 +528,7 @@ mod tests {
     #[test]
     fn observation_after_completion_is_a_no_op() {
         let (_, server, _) = setup();
-        let mut session = ClientSession::new(FileId(0), 1, 0);
+        let mut session = ClientSession::new(FileId(0), 5, 0);
         assert!(!session.is_complete());
         let mut slot = 0;
         while !session.is_complete() {
@@ -524,5 +627,104 @@ mod tests {
         assert_eq!(outcome.data, data);
         assert_eq!(outcome.errors_observed, 2);
         assert_eq!(session.verify_failures(), 2);
+    }
+
+    fn block_in(session: &mut ClientSession, slot: usize, block: &DispersedBlock) -> Ingest {
+        session.ingest(Observation::Block {
+            slot,
+            block,
+            received_ok: true,
+            proof: None,
+        })
+    }
+
+    /// The one keep-or-restart rule, row by row.  Every session books an
+    /// erasure, tunes to channel 0 / epoch 1 (armed with `armed`, stating
+    /// `known` as its `(m, n)`) and stores `held` verified blocks of
+    /// content A; then it retunes to channel 1 / epoch 2 with `params` and
+    /// `root`.
+    #[test]
+    fn retune_keeps_blocks_only_when_params_and_root_are_unchanged() {
+        let d = Dispersal::authenticated(3, 6).unwrap();
+        let content = |salt: u8| -> Vec<u8> { (0..90u8).map(|i| i ^ salt).collect() };
+        let a = d.disperse(FileId(1), &content(0)).unwrap();
+        let root_a = a.commitment_root();
+        let root_b = d
+            .disperse(FileId(1), &content(0x5A))
+            .unwrap()
+            .commitment_root();
+        assert_ne!(root_a, root_b);
+        struct Row {
+            name: &'static str,
+            armed: Option<Root>,
+            known: Option<(usize, usize)>,
+            held: usize,
+            params: Option<(usize, usize)>,
+            root: Option<Root>,
+            kept: bool,
+        }
+        #[rustfmt::skip]
+        let rows = [
+            Row { name: "same (m, n) and same root", armed: root_a, known: Some((3, 6)), held: 2, params: Some((3, 6)), root: root_a, kept: true },
+            Row { name: "same (m, n) and new root", armed: root_a, known: Some((3, 6)), held: 2, params: Some((3, 6)), root: root_b, kept: false },
+            Row { name: "new (m, n)", armed: None, known: Some((3, 6)), held: 2, params: Some((2, 4)), root: None, kept: false },
+            Row { name: "no root on either side", armed: None, known: Some((3, 6)), held: 2, params: Some((3, 6)), root: None, kept: true },
+            Row { name: "erasures before (m, n) was known", armed: root_a, known: None, held: 2, params: Some((3, 6)), root: root_a, kept: true },
+            Row { name: "retune after completion", armed: root_a, known: Some((3, 6)), held: 3, params: Some((2, 4)), root: root_b, kept: true },
+        ];
+        for row in rows {
+            let name = row.name;
+            let mut session = ClientSession::new(FileId(1), 0, 0);
+            session.ingest(Observation::Erasure { count: 1 });
+            session.retune(0, 1, row.known, row.armed);
+            for (slot, block) in a.blocks()[..row.held].iter().enumerate() {
+                block_in(&mut session, slot, block);
+            }
+            assert_eq!(session.params(), Some((3, 6)), "{name}");
+            session.retune(1, 2, row.params, row.root);
+
+            let complete = row.held == 3;
+            let kept = if row.kept { row.held } else { 0 };
+            assert_eq!(session.blocks_received(), kept, "{name}: kept blocks");
+            assert_eq!(session.errors_observed(), 1, "{name}: errors carried");
+            assert_eq!(session.is_complete(), complete, "{name}: completion");
+            let tuned = if complete { (0, 1) } else { (1, 2) };
+            assert_eq!(
+                (session.channel(), session.epoch()),
+                (Some(tuned.0), Some(tuned.1)),
+                "{name}: tuning"
+            );
+            if complete {
+                let outcome = session.finish(&d).unwrap();
+                assert_eq!((outcome.data, outcome.errors_observed), (content(0), 1));
+            } else {
+                assert_eq!(session.params(), row.params, "{name}: (m, n)");
+                assert_eq!(session.expected_root(), row.root, "{name}: root");
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_that_do_not_fit_the_collected_ones_are_ignored() {
+        let d = Dispersal::new(2, 4).unwrap();
+        let df = d.disperse(FileId(1), &[7u8; 64]).unwrap();
+        let mut session = ClientSession::new(FileId(1), 0, 0);
+        assert_eq!(block_in(&mut session, 0, &df.blocks()[0]), Ingest::Stored);
+        assert_eq!(session.params(), Some((2, 4)), "(m, n) from the header");
+        // Same (m, n), another original length and payload length: its
+        // bytes cannot be solved together with the stored block's.
+        let longer = d.disperse(FileId(1), &[7u8; 80]).unwrap();
+        assert_eq!(
+            block_in(&mut session, 1, &longer.blocks()[1]),
+            Ingest::Ignored
+        );
+        assert_eq!(session.blocks_received(), 1);
+        assert_eq!(session.errors_observed(), 0, "a misfit is not an erasure");
+        assert!(!session.is_complete());
+        assert_eq!(
+            block_in(&mut session, 2, &df.blocks()[1]),
+            Ingest::Completed
+        );
+        assert_eq!(session.finish(&d).unwrap().data, vec![7u8; 64]);
     }
 }

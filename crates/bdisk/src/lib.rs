@@ -20,8 +20,10 @@
 //!   mode-transition primitive: per-channel *segment timelines* under epoch
 //!   numbers, so broadcast programs hot-swap atomically at a slot boundary
 //!   while unchanged channels stay byte-identical;
-//! * [`ClientSession`] — a client retrieving one file from the broadcast,
-//!   tolerant of lost blocks thanks to IDA redundancy.
+//! * [`ClientSession`] — the retrieval machine: a client retrieving one
+//!   file from the broadcast, tolerant of lost blocks thanks to IDA
+//!   redundancy, and the one place that decides whether collected blocks
+//!   survive an epoch change.
 //!
 //! ## Quick example
 //!

@@ -19,9 +19,9 @@
 //! A recovery round re-sends `Join` and, when a control plane is
 //! configured, runs `Resync` → `Subscribe` over TCP and applies the answer
 //! with [`ClientState::resubscribe`] — keeping already-verified blocks
-//! when `(m, n)` is unchanged.  Rounds are bounded by
-//! [`RecoveryConfig::max_recoveries`]; a retrieval that still fails after
-//! recovering carries the context as [`NetError::Rejoined`].
+//! only when `(m, n)` and the commitment root are unchanged.  Rounds are
+//! bounded by [`RecoveryConfig::max_recoveries`]; a retrieval that still
+//! fails after recovering carries the context as [`NetError::Rejoined`].
 
 use crate::error::NetError;
 use crate::session::{ClientState, ClientStats};
@@ -209,10 +209,9 @@ impl NetClient {
         &self.state
     }
 
-    /// Listens until the retrieval completes (or is cancelled by a mode
-    /// swap), recovering from lost joins, evictions, partitions and missed
-    /// epochs along the way, then leaves the fan-out set and reconstructs
-    /// the file.
+    /// Listens until the retrieval completes, recovering from lost joins,
+    /// evictions, partitions and missed epochs along the way, then leaves
+    /// the fan-out set and reconstructs the file.
     ///
     /// `timeout` bounds the whole retrieval; hitting it surfaces as
     /// [`NetError::Incomplete`] / [`NetError::NoSignal`] describing how far
@@ -234,16 +233,13 @@ impl NetClient {
             .socket
             .send_to(&encode(&Frame::Control(ControlFrame::Leave)), self.server);
         let stats = self.state.stats();
-        let result = match result {
-            Ok(outcome) => Ok(outcome),
-            // A cancellation is an answer, not a failure to recover from.
-            Err(cancelled @ NetError::Cancelled { .. }) => Err(cancelled),
-            Err(cause) if self.recoveries > 0 => Err(NetError::Rejoined {
-                attempts: self.recoveries,
+        let result = result.map_err(|cause| match self.recoveries {
+            0 => cause,
+            attempts => NetError::Rejoined {
+                attempts,
                 cause: Box::new(cause),
-            }),
-            Err(other) => Err(other),
-        };
+            },
+        });
         (result, stats)
     }
 
@@ -255,7 +251,7 @@ impl NetClient {
         let mut last_join = Instant::now();
         let mut suspected = false;
         let mut buf = vec![0u8; 65_536];
-        while !self.state.is_complete() && self.state.cancelled_by().is_none() {
+        while !self.state.is_complete() {
             if Instant::now() >= deadline {
                 break;
             }

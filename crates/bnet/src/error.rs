@@ -13,13 +13,6 @@ pub enum NetError {
     Wire(WireError),
     /// Reconstruction from the collected blocks failed.
     Ida(IdaError),
-    /// The retrieval was cancelled by a mode swap on the station.
-    Cancelled {
-        /// The cancelled file.
-        file: FileId,
-        /// The mode whose swap cancelled it.
-        mode: String,
-    },
     /// The retrieval ended before enough distinct blocks arrived.
     Incomplete {
         /// The file being retrieved.
@@ -67,10 +60,6 @@ impl core::fmt::Display for NetError {
             NetError::Io(e) => write!(f, "socket error: {e}"),
             NetError::Wire(e) => write!(f, "wire error: {e}"),
             NetError::Ida(e) => write!(f, "reconstruction failed: {e}"),
-            NetError::Cancelled { file, mode } => write!(
-                f,
-                "retrieval of {file} was cancelled by the swap to mode `{mode}`"
-            ),
             NetError::Incomplete {
                 file,
                 received,

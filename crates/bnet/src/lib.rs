@@ -21,8 +21,9 @@
 //!   optional TCP control plane
 //!   answering subscriptions from a [`Directory`] it derives from the
 //!   serving bank ([`directory_of`]) whenever the mode changes.
-//! * [`ClientState`] — the pure, socket-free retrieval state machine that
-//!   turns datagrams into blocks and losses into erasures.
+//! * [`ClientState`] — the socket-free client transport: it turns
+//!   datagrams into blocks and losses into erasures for the
+//!   [`bdisk::ClientSession`] it wraps.
 //! * [`NetClient`] / [`ControlClient`] — the socket clients wrapping it.
 //!
 //! The station side records into a shared [`bobs::Telemetry`] (see

@@ -1,25 +1,27 @@
-//! The pure, socket-free client state machine.
+//! The socket-free client: transport only.
 //!
 //! [`ClientState`] turns a stream of raw datagrams into a completed
-//! retrieval: it decodes packets, reassembles fragments, feeds blocks of
-//! its file into a [`ClientSession`], and — the heart of the paper's model
-//! — turns everything that goes wrong on the medium into *erasures* rather
-//! than failures:
+//! retrieval.  The retrieval itself — file, tuning, `(m, n)`, commitment
+//! root, collected blocks, erasure count and the keep-or-restart rule
+//! across an epoch change — is a [`ClientSession`]; this wrapper adds only
+//! what the wire needs: it decodes packets, reassembles fragments, hands
+//! blocks of its file to the session, flags a newer epoch on its channel
+//! as stale, and — the heart of the paper's model — turns everything that
+//! goes wrong on the medium into *erasures* rather than failures:
 //!
-//! * a datagram that fails to decode (corrupt, short, foreign) counts as
-//!   one erasure;
+//! * a datagram that fails to decode (corrupt, short, foreign, or a control
+//!   note of a retired opcode) counts as one erasure;
 //! * a gap in the slot numbering of the client's channel counts as one
 //!   erasure per missing slot (lost datagrams — conservative: the gap may
 //!   have carried other files' blocks);
 //! * an evicted fragment group (a frame that will never complete) counts
 //!   as one erasure.
 //!
-//! Erasures observed before the first block arrives (before the dispersal
-//! parameters are known) are buffered and applied the moment the session
-//! forms, so `errors_observed` is faithful from the first listened slot.
-//! Being socket-free, the state machine is driven identically by a real
-//! `UdpSocket`, an in-memory lossy channel (see the property tests), or a
-//! replay log.
+//! Erasures go straight into the session, also before the dispersal
+//! parameters are known, so `errors_observed` is faithful from the first
+//! listened slot.  Being socket-free, the state machine is driven
+//! identically by a real `UdpSocket`, an in-memory lossy channel (see the
+//! property tests), or a replay log.
 
 use crate::error::NetError;
 use crate::wire::{decode, ControlFrame, Frame, Packet, Reassembler, SlotFrame, SubscriptionInfo};
@@ -100,19 +102,16 @@ impl ClientStats {
 /// How many partial fragment groups a client keeps in flight.
 const CLIENT_REASSEMBLY_GROUPS: usize = 16;
 
-/// The socket-free retrieval state machine for one file.
+/// The socket-free retrieval state machine for one file: a
+/// [`ClientSession`] plus the wire's reassembly, gap detection and epoch
+/// staleness.
 pub struct ClientState {
-    file: FileId,
-    channel: Option<u16>,
-    params: Option<(u32, u32)>,
-    root: Option<Root>,
-    session: Option<ClientSession>,
-    pending_erasures: usize,
-    last_slot: Option<u64>,
-    epoch: Option<u64>,
-    stale_epoch: Option<u64>,
+    session: ClientSession,
     reassembler: Reassembler,
-    cancelled: Option<String>,
+    /// The gap detector's baseline: the newest slot heard on the session's
+    /// channel (or the slot before a resync's `next_slot`).
+    last_slot: Option<u64>,
+    stale_epoch: Option<u64>,
     stats: ClientStats,
 }
 
@@ -121,74 +120,57 @@ impl ClientState {
     /// learned from the stream itself (block headers or a subscribe ack).
     pub fn new(file: FileId) -> Self {
         ClientState {
-            file,
-            channel: None,
-            params: None,
-            root: None,
-            session: None,
-            pending_erasures: 0,
-            last_slot: None,
-            epoch: None,
-            stale_epoch: None,
+            session: ClientSession::new(file, 0, 0),
             reassembler: Reassembler::new(CLIENT_REASSEMBLY_GROUPS),
-            cancelled: None,
+            last_slot: None,
+            stale_epoch: None,
             stats: ClientStats::default(),
         }
     }
 
     /// The file being retrieved.
     pub fn file(&self) -> FileId {
-        self.file
+        self.session.file()
     }
 
     /// The dispersal parameters `(m, n)`, once learned.
     pub fn params(&self) -> Option<(u32, u32)> {
-        self.params
+        self.session.params().map(|(m, n)| (m as u32, n as u32))
     }
 
     /// The channel carrying the file, once learned.
     pub fn channel(&self) -> Option<u16> {
-        self.channel
+        self.session.channel().map(|channel| channel as u16)
     }
 
     /// The file's commitment root, once learned from a subscribe ack —
     /// while set, every received block must carry a valid inclusion proof
     /// or it is booked as an erasure (verify-on-receive).
     pub fn commitment_root(&self) -> Option<Root> {
-        self.root
+        self.session.expected_root()
     }
 
     /// Arms verify-on-receive against `root` out of band (e.g. a root
     /// pinned by the operator rather than learned from the station).
     pub fn require_root(&mut self, root: Root) {
-        self.root = Some(root);
-        if let Some(session) = &mut self.session {
-            session.require_root(root);
-        }
+        self.session.require_root(root);
     }
 
     /// The epoch the client's channel serves under, once learned.
     pub fn epoch(&self) -> Option<u64> {
-        self.epoch
+        self.session.epoch()
     }
 
     /// A newer epoch seen on the wire than the one this session tuned to —
     /// the signature of a mode swap the client missed.  Cleared by
-    /// [`ClientState::resubscribe`] (or a `Retune` note catching up).
+    /// [`ClientState::resubscribe`] or a subscribe ack.
     pub fn stale_epoch(&self) -> Option<u64> {
         self.stale_epoch
     }
 
-    /// The mode that cancelled this retrieval, if a cancel note arrived.
-    pub fn cancelled_by(&self) -> Option<&str> {
-        self.cancelled.as_deref()
-    }
-
     /// `true` once enough distinct blocks have been received.
     pub fn is_complete(&self) -> bool {
-        self.session
-            .as_ref()
-            .is_some_and(ClientSession::is_complete)
+        self.session.is_complete()
     }
 
     /// What the state machine has seen so far.
@@ -198,9 +180,7 @@ impl ClientState {
 
     /// Distinct blocks of the file received so far.
     pub fn blocks_received(&self) -> usize {
-        self.session
-            .as_ref()
-            .map_or(0, ClientSession::blocks_received)
+        self.session.blocks_received()
     }
 
     /// Feeds one raw datagram.  Returns `true` if it completed the
@@ -212,10 +192,7 @@ impl ClientState {
             Ok(Packet::Fragment(frag)) => {
                 let before = self.reassembler.evicted();
                 let complete = self.reassembler.offer(frag);
-                let evicted = (self.reassembler.evicted() - before) as usize;
-                if evicted > 0 {
-                    self.note_erasures(evicted);
-                }
+                self.note_erasures((self.reassembler.evicted() - before) as usize);
                 match complete {
                     Some(bytes) => match decode(&bytes) {
                         Ok(Packet::Frame(frame)) => self.feed_frame(frame),
@@ -268,90 +245,53 @@ impl ClientState {
         self.stats.partition_suspects += 1;
     }
 
-    /// Applies a fresh control-plane answer after a recovery round: tunes
-    /// to `channel` under `epoch`, re-baselines the gap detector at the
-    /// station's `next_slot` (the slots missed while partitioned were
-    /// already accounted — a resync must not double-count them), and keeps
-    /// the already-verified blocks when the dispersal parameters are
-    /// unchanged.  When `(m, n)` changed, the old blocks belong to a
-    /// different dispersal: the session restarts, carrying the erasure
-    /// accounting forward.
+    /// Applies a fresh control-plane answer after a recovery round:
+    /// re-baselines the gap detector at the station's `next_slot` (the
+    /// slots missed while partitioned were already accounted — a resync
+    /// must not double-count them) and retunes the session, which keeps
+    /// the collected blocks only when `(m, n)` and the commitment root are
+    /// unchanged ([`ClientSession::retune`]).
     pub fn resubscribe(&mut self, info: SubscriptionInfo, next_slot: u64) {
         self.stats.resyncs += 1;
-        self.channel = Some(info.channel);
-        self.epoch = Some(info.epoch);
-        self.stale_epoch = None;
         if let Some(baseline) = next_slot.checked_sub(1) {
             let baseline = self.last_slot.map_or(baseline, |last| last.max(baseline));
             self.last_slot = Some(baseline);
         }
-        if let Some(root) = info.commitment_root {
-            self.root = Some(root);
-        }
-        let (m, n) = (info.m, info.n);
-        if m < 1 || m > n {
-            return;
-        }
-        if self.params == Some((m, n)) {
-            // Same dispersal: the verified blocks stay, but a root that
-            // changed with the swap (same `(m, n)`, new contents) re-arms
-            // the live session.
-            if let (Some(root), Some(session)) = (self.root, &mut self.session) {
-                session.require_root(root);
-            }
-            return;
-        }
-        let mut session = ClientSession::new(self.file, m as usize, 0);
-        if let Some(root) = self.root {
-            session.require_root(root);
-        }
-        session.ingest(Observation::Erasure {
-            count: self.stats.erasures as usize,
-        });
-        self.pending_erasures = 0;
-        self.params = Some((m, n));
-        self.session = Some(session);
+        self.tune(info);
     }
 
     /// Finishes the retrieval: reconstructs the file.
     ///
-    /// Fails with [`NetError::Cancelled`] if a cancel note arrived,
-    /// [`NetError::NoSignal`] if the dispersal parameters were never
-    /// learned, and [`NetError::Incomplete`] if too few blocks arrived.
+    /// Fails with [`NetError::NoSignal`] if the dispersal parameters were
+    /// never learned and [`NetError::Incomplete`] if too few blocks
+    /// arrived.
     pub fn finish(&self) -> Result<RetrievalOutcome, NetError> {
-        if let Some(mode) = &self.cancelled {
-            return Err(NetError::Cancelled {
-                file: self.file,
-                mode: mode.clone(),
-            });
-        }
-        let Some((m, n)) = self.params else {
-            return Err(NetError::NoSignal { file: self.file });
-        };
-        let Some(session) = &self.session else {
-            return Err(NetError::NoSignal { file: self.file });
-        };
-        if !session.is_complete() {
+        let file = self.file();
+        let (m, n) = self.session.params().ok_or(NetError::NoSignal { file })?;
+        if !self.is_complete() {
             return Err(NetError::Incomplete {
-                file: self.file,
-                received: session.blocks_received(),
-                required: m as usize,
+                file,
+                received: self.blocks_received(),
+                required: m,
             });
         }
-        let dispersal = Dispersal::new(m as usize, n as usize)?;
-        session.finish(&dispersal).map_err(NetError::Ida)
+        let dispersal = Dispersal::new(m, n)?;
+        self.session.finish(&dispersal).map_err(NetError::Ida)
     }
 
     fn feed_slot(&mut self, sf: SlotFrame) -> bool {
         self.stats.slot_frames += 1;
-        let ours = sf.block.file() == self.file;
-        if ours && self.channel.is_none() {
-            self.channel = Some(sf.channel);
+        let channel = usize::from(sf.channel);
+        let ours = sf.block.file() == self.file();
+        if ours && self.session.channel().is_none() {
+            // The first block of the file tunes a client no ack tuned.
+            let root = self.session.expected_root();
+            self.session.retune(channel, sf.epoch, None, root);
         }
         // Lost-datagram detection: the station serves its channels every
         // slot, so a jump in the slot numbering of *our* channel means the
         // intervening datagrams were lost on the medium.
-        if self.channel == Some(sf.channel) {
+        if self.session.channel() == Some(channel) {
             if let Some(last) = self.last_slot {
                 if sf.slot > last + 1 {
                     let gap = (sf.slot - last - 1) as usize;
@@ -362,26 +302,17 @@ impl ClientState {
             if self.last_slot.is_none_or(|last| sf.slot > last) {
                 self.last_slot = Some(sf.slot);
             }
-            // Epoch tracking on the client's own channel: a *newer* epoch
-            // on the wire means a mode swap happened — flagged stale so a
-            // supervising loop can resync, never an error (the frames
-            // themselves still carry valid blocks).
-            match self.epoch {
-                None => self.epoch = Some(sf.epoch),
-                Some(known) if sf.epoch > known => self.stale_epoch = Some(sf.epoch),
-                _ => {}
+            // A *newer* epoch on our channel means a mode swap happened —
+            // flagged stale so a supervising loop can resync, never an
+            // error (the frames themselves still carry valid blocks).
+            if self.session.epoch().is_some_and(|known| sf.epoch > known) {
+                self.stale_epoch = Some(sf.epoch);
             }
         }
         if !ours {
             return false;
         }
-        let header = *sf.block.header();
-        self.learn_params(header.m, header.n);
-        let session = self
-            .session
-            .as_mut()
-            .expect("learn_params created the session");
-        let outcome = session.ingest(Observation::Block {
+        let outcome = self.session.ingest(Observation::Block {
             slot: sf.slot as usize,
             block: &sf.block,
             received_ok: true,
@@ -399,29 +330,7 @@ impl ClientState {
 
     fn feed_control(&mut self, cf: ControlFrame) {
         match cf {
-            ControlFrame::SubscribeAck { file, info } if file == self.file => {
-                self.channel = Some(info.channel);
-                self.epoch = Some(info.epoch);
-                self.stale_epoch = None;
-                if let Some(root) = info.commitment_root {
-                    self.require_root(root);
-                }
-                self.learn_params(info.m, info.n);
-            }
-            ControlFrame::Retune {
-                file,
-                channel,
-                epoch,
-            } if file == self.file => {
-                // An in-band swap note: the client heard about the swap,
-                // so the new epoch is not stale knowledge.
-                self.channel = Some(channel);
-                self.epoch = Some(epoch);
-                self.stale_epoch = None;
-            }
-            ControlFrame::Cancel { file, mode } if file == self.file => {
-                self.cancelled = Some(mode);
-            }
+            ControlFrame::SubscribeAck { file, info } if file == self.file() => self.tune(info),
             // Baseline the gap detector so pre-join slots don't count as
             // losses.
             ControlFrame::Resync { next_slot, .. } if self.last_slot.is_none() && next_slot > 0 => {
@@ -431,32 +340,19 @@ impl ClientState {
         }
     }
 
-    fn learn_params(&mut self, m: u32, n: u32) {
-        if self.params.is_none() && m >= 1 && m <= n {
-            self.params = Some((m, n));
-            let mut session = ClientSession::new(self.file, m as usize, 0);
-            if let Some(root) = self.root {
-                session.require_root(root);
-            }
-            session.ingest(Observation::Erasure {
-                count: self.pending_erasures,
-            });
-            self.pending_erasures = 0;
-            self.session = Some(session);
-        }
+    /// Tunes the session to a control-plane answer, which also answers any
+    /// staleness seen on the wire.
+    fn tune(&mut self, info: SubscriptionInfo) {
+        self.stale_epoch = None;
+        let params = Some((info.m as usize, info.n as usize));
+        let channel = usize::from(info.channel);
+        self.session
+            .retune(channel, info.epoch, params, info.commitment_root);
     }
 
     fn note_erasures(&mut self, count: usize) {
-        if count == 0 {
-            return;
-        }
         self.stats.erasures += count as u64;
-        match &mut self.session {
-            Some(session) => {
-                session.ingest(Observation::Erasure { count });
-            }
-            None => self.pending_erasures += count,
-        }
+        self.session.ingest(Observation::Erasure { count });
     }
 }
 
@@ -504,7 +400,7 @@ mod tests {
         state.feed_datagram(b"no");
         assert_eq!(state.stats().decode_errors, 2);
         assert_eq!(state.stats().erasures, 2);
-        // They were pending; the session inherits them when it forms.
+        // They reached the session before (m, n) was known.
         state.feed_datagram(&encode(&frame(1, 0, 1, 0, b"aaaa")));
         state.feed_datagram(&encode(&frame(2, 0, 1, 1, b"bbbb")));
         let outcome = state.finish().unwrap();
@@ -556,19 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_notes_fail_the_retrieval() {
-        let mut state = ClientState::new(FileId(1));
-        state.feed_frame(Frame::Control(ControlFrame::Cancel {
-            file: FileId(1),
-            mode: "combat".to_string(),
-        }));
-        assert!(matches!(
-            state.finish(),
-            Err(NetError::Cancelled { mode, .. }) if mode == "combat"
-        ));
-    }
-
-    #[test]
     fn fragmented_frames_feed_through() {
         let big = frame(0, 0, 1, 0, &vec![7u8; 5000]);
         let mut state = ClientState::new(FileId(1));
@@ -611,72 +494,62 @@ mod tests {
         assert_eq!(state.stale_epoch(), None);
         state.feed_frame(epoch_frame(1, 4, 1, 1, b"bbbb"));
         assert_eq!(state.stale_epoch(), Some(4));
-        // A Retune note catching up clears the staleness.
-        state.feed_frame(Frame::Control(ControlFrame::Retune {
-            file: FileId(1),
-            channel: 0,
-            epoch: 4,
-        }));
-        assert_eq!(state.epoch(), Some(4));
-        assert_eq!(state.stale_epoch(), None);
     }
 
     #[test]
-    fn resubscribe_with_unchanged_params_keeps_verified_blocks() {
+    fn resubscribe_rebaselines_the_gap_detector_and_clears_staleness() {
         let mut state = ClientState::new(FileId(1));
         state.feed_frame(epoch_frame(10, 1, 1, 0, b"aaaa"));
-        assert_eq!(state.blocks_received(), 1);
         // A foreign file's frame on the same channel carries the new epoch.
         state.feed_frame(epoch_frame(50, 2, 9, 0, b"zzzz"));
         assert_eq!(state.stale_epoch(), Some(2));
-        // Recovery round: same (m, n) = (2, 4) — the block survives, the
-        // gap detector jumps to the station's counter, staleness clears.
-        state.resubscribe(SubscriptionInfo::new(0, 2, 2, 4), 100);
-        assert_eq!(state.blocks_received(), 1);
-        assert_eq!(state.stale_epoch(), None);
-        assert_eq!(state.stats().resyncs, 1);
         let gaps_before = state.stats().gap_erasures;
-        state.feed_frame(epoch_frame(100, 2, 1, 1, b"bbbb"));
+        // Recovery round: the gap detector jumps to the station's counter,
+        // staleness clears, the session tunes to the answer.
+        state.resubscribe(SubscriptionInfo::new(3, 2, 2, 4), 100);
+        assert_eq!(state.stale_epoch(), None);
+        assert_eq!((state.channel(), state.epoch()), (Some(3), Some(2)));
+        assert_eq!(state.stats().resyncs, 1);
+        let Frame::Slot(mut sf) = epoch_frame(100, 2, 1, 1, b"bbbb") else {
+            unreachable!()
+        };
+        sf.channel = 3;
+        state.feed_frame(Frame::Slot(sf));
         assert_eq!(state.stats().gap_erasures, gaps_before);
-        assert!(state.is_complete());
     }
 
     #[test]
-    fn resubscribe_with_changed_params_restarts_but_keeps_the_accounting() {
+    fn a_redispersed_block_never_makes_the_session_complete() {
+        // A swap re-dispersed the file from (2, 4) to (3, 6): one block of
+        // each is two distinct indices, but not a reconstructible pair.
         let mut state = ClientState::new(FileId(1));
         state.feed_datagram(&encode(&frame(0, 0, 1, 0, b"aaaa")));
-        state.feed_datagram(b"junk"); // one erasure on the books
+        assert_eq!(state.params(), Some((2, 4)));
+        let redispersed = Frame::Slot(SlotFrame {
+            epoch: 1,
+            channel: 0,
+            slot: 1,
+            block: DispersedBlock::new(
+                BlockHeader {
+                    file: FileId(1),
+                    index: 1,
+                    m: 3,
+                    n: 6,
+                    original_len: 9,
+                },
+                Bytes::from(vec![1u8; 3]),
+            ),
+        });
+        assert!(!state.feed_datagram(&encode(&redispersed)));
+        assert!(!state.is_complete(), "complete must imply reconstructible");
         assert_eq!(state.blocks_received(), 1);
-        state.resubscribe(SubscriptionInfo::new(1, 2, 3, 6), 40);
-        assert_eq!(state.params(), Some((3, 6)));
         assert_eq!(
-            state.blocks_received(),
+            state.stats().erasures,
             0,
-            "blocks of a different dispersal cannot be kept"
+            "a misfit is not a lost reception"
         );
-        // The new session inherits every erasure seen so far.
-        let sf = |slot, index| {
-            Frame::Slot(SlotFrame {
-                epoch: 2,
-                channel: 1,
-                slot,
-                block: DispersedBlock::new(
-                    BlockHeader {
-                        file: FileId(1),
-                        index,
-                        m: 3,
-                        n: 6,
-                        original_len: 9,
-                    },
-                    Bytes::from(vec![index as u8; 3]),
-                ),
-            })
-        };
-        state.feed_frame(sf(40, 0));
-        state.feed_frame(sf(41, 1));
-        state.feed_frame(sf(42, 2));
-        assert!(state.is_complete());
-        assert_eq!(state.finish().unwrap().errors_observed, 1);
+        assert!(state.feed_datagram(&encode(&frame(2, 0, 1, 1, b"bbbb"))));
+        assert!(state.finish().is_ok());
     }
 
     #[test]

@@ -156,8 +156,8 @@ impl SubscriptionInfo {
     }
 }
 
-/// A reliable in-band control message: membership, subscription and the
-/// wire mirror of the runtime's swap notes.
+/// A reliable in-band control message: membership, subscription, the slot
+/// counter and metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlFrame {
     /// A client asks to be added to the UDP fan-out set.
@@ -183,29 +183,6 @@ pub enum ControlFrame {
         file: FileId,
         /// Why the subscription was refused.
         reason: String,
-    },
-    /// A client stops listening for `file` (informational).
-    Unsubscribe {
-        /// The file no longer wanted.
-        file: FileId,
-    },
-    /// Swap note: `file` is now carried on `channel` under `epoch`; blocks
-    /// collected so far stay valid.
-    Retune {
-        /// The retuned file.
-        file: FileId,
-        /// The channel now carrying it.
-        channel: u16,
-        /// The epoch that channel serves under after the swap.
-        epoch: u64,
-    },
-    /// Swap note: retrievals of `file` cannot be carried over the swap to
-    /// `mode`.
-    Cancel {
-        /// The cancelled file.
-        file: FileId,
-        /// The mode whose swap cancelled it.
-        mode: String,
     },
     /// The station tells a (re)joining client where the slot counter is.
     Resync {
@@ -260,9 +237,9 @@ const OP_LEAVE: u8 = 0x02;
 const OP_SUBSCRIBE: u8 = 0x03;
 const OP_SUBSCRIBE_ACK: u8 = 0x04;
 const OP_SUBSCRIBE_NAK: u8 = 0x05;
-const OP_UNSUBSCRIBE: u8 = 0x06;
-const OP_RETUNE: u8 = 0x07;
-const OP_CANCEL: u8 = 0x08;
+// 0x06..=0x08 are retired (the in-band `Unsubscribe`, `Retune` and
+// `Cancel` notes no station sent): unassigned, they decode to
+// `WireError::BadOpcode`, which a client books as one erasure.
 const OP_RESYNC: u8 = 0x09;
 const OP_RESYNC_REQUEST: u8 = 0x0A;
 const OP_METRICS_REQUEST: u8 = 0x0B;
@@ -444,25 +421,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
                     out.push(OP_SUBSCRIBE_NAK);
                     put_u32(&mut out, file.0);
                     put_str(&mut out, reason);
-                }
-                ControlFrame::Unsubscribe { file } => {
-                    out.push(OP_UNSUBSCRIBE);
-                    put_u32(&mut out, file.0);
-                }
-                ControlFrame::Retune {
-                    file,
-                    channel,
-                    epoch,
-                } => {
-                    out.push(OP_RETUNE);
-                    put_u32(&mut out, file.0);
-                    put_u16(&mut out, *channel);
-                    put_u64(&mut out, *epoch);
-                }
-                ControlFrame::Cancel { file, mode } => {
-                    out.push(OP_CANCEL);
-                    put_u32(&mut out, file.0);
-                    put_str(&mut out, mode);
                 }
                 ControlFrame::Resync { epoch, next_slot } => {
                     out.push(OP_RESYNC);
@@ -706,18 +664,6 @@ fn decode_control(rd: &mut Reader<'_>, version: u8) -> Result<ControlFrame, Wire
             file: FileId(rd.u32()?),
             reason: rd.string()?,
         },
-        OP_UNSUBSCRIBE => ControlFrame::Unsubscribe {
-            file: FileId(rd.u32()?),
-        },
-        OP_RETUNE => ControlFrame::Retune {
-            file: FileId(rd.u32()?),
-            channel: rd.u16()?,
-            epoch: rd.u64()?,
-        },
-        OP_CANCEL => ControlFrame::Cancel {
-            file: FileId(rd.u32()?),
-            mode: rd.string()?,
-        },
         OP_RESYNC => ControlFrame::Resync {
             epoch: rd.u64()?,
             next_slot: rd.u64()?,
@@ -864,16 +810,6 @@ mod tests {
             ControlFrame::SubscribeNak {
                 file: FileId(2),
                 reason: "unknown file".to_string(),
-            },
-            ControlFrame::Unsubscribe { file: FileId(1) },
-            ControlFrame::Retune {
-                file: FileId(1),
-                channel: 0,
-                epoch: 10,
-            },
-            ControlFrame::Cancel {
-                file: FileId(1),
-                mode: "combat".to_string(),
             },
             ControlFrame::Resync {
                 epoch: 2,
@@ -1205,6 +1141,22 @@ mod tests {
         // Corruption is overwhelmingly caught; a rare CRC collision would
         // still be a *valid* packet, which is acceptable.
         assert!(decoded_ok < 40, "suspiciously many corrupt packets decoded");
+    }
+
+    #[test]
+    fn retired_opcodes_decode_as_bad_opcode() {
+        // The bodies the retired `Unsubscribe`, `Retune` and `Cancel` notes
+        // carried: an old peer's note is undecodable, never misread.
+        for (op, body) in [
+            (0x06u8, vec![1, 0, 0, 0]),
+            (0x07, vec![1, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0]),
+            (0x08, vec![1, 0, 0, 0, 1, 0, b'x']),
+        ] {
+            let mut out = open_packet(VERSION, KIND_CONTROL, 16);
+            out.push(op);
+            out.extend_from_slice(&body);
+            assert_eq!(decode(&seal_packet(out)), Err(WireError::BadOpcode(op)));
+        }
     }
 
     #[test]

@@ -49,63 +49,63 @@ impl RetrievalResolution {
 /// retrievals in one pass) or [`Retrieval::observe`] (manual slot-driving),
 /// then call [`Retrieval::finish`].
 ///
-/// The handle carries the *epoch* of its channel at subscription time.  When
-/// a mode swap reprograms the channel mid-retrieval, the station's drivers
-/// notice the epoch mismatch and either transparently re-subscribe the
-/// handle (the file survives the transition with identical dispersal
-/// parameters and contents) or cancel it, after which
+/// The handle wraps a [`ClientSession`] tuned to its channel's *epoch* at
+/// subscription time.  When a mode swap reprograms the channel
+/// mid-retrieval, the station's drivers notice the epoch mismatch and
+/// either transparently re-subscribe the handle (the file survives the
+/// transition with identical dispersal parameters and contents, so
+/// [`ClientSession::retune`] keeps its blocks) or cancel it, after which
 /// [`Retrieval::finish`] reports [`crate::Error::ModeChanged`].
 #[derive(Debug, Clone)]
 pub struct Retrieval {
     session: ClientSession,
-    file: FileId,
-    channel: usize,
-    request_slot: usize,
-    threshold: usize,
     dispersal: Arc<Dispersal>,
     latencies: LatencyVector,
-    epoch: u64,
     cancelled_by: Option<String>,
 }
+
+/// Why [`Retrieval`] may read its session's tuning unconditionally.
+const TUNED: &str = "Retrieval::new tunes its session";
 
 impl Retrieval {
     pub(crate) fn new(
         file: FileId,
-        channel: usize,
         request_slot: usize,
-        threshold: usize,
+        (channel, epoch): (usize, u64),
         dispersal: Arc<Dispersal>,
         latencies: LatencyVector,
-        epoch: u64,
+        root: Option<Root>,
     ) -> Self {
+        let params = (dispersal.threshold(), dispersal.total_blocks());
+        let mut session = ClientSession::new(file, params.0, request_slot);
+        session.retune(channel, epoch, Some(params), root);
         Retrieval {
-            session: ClientSession::new(file, threshold, request_slot),
-            file,
-            channel,
-            request_slot,
-            threshold,
+            session,
             dispersal,
             latencies,
-            epoch,
             cancelled_by: None,
         }
     }
 
     /// The file being retrieved.
     pub fn file(&self) -> FileId {
-        self.file
+        self.session.file()
     }
 
     /// The broadcast channel the station routed this retrieval to (always 0
     /// on an unsharded station).  Transparent re-subscription after a mode
     /// swap can move the handle to another channel.
+    // The slot drivers read the tuning per subscriber per slot; the panic
+    // path keeps rustc from inlining it across codegen units unasked.
+    #[inline]
     pub fn channel(&self) -> usize {
-        self.channel
+        self.session.channel().expect(TUNED)
     }
 
     /// The epoch of the channel's program this retrieval is tuned to.
+    #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.session.epoch().expect(TUNED)
     }
 
     /// `true` when a mode swap cancelled this retrieval.
@@ -133,9 +133,9 @@ impl Retrieval {
 
     /// Transparently re-subscribes the handle after a mode swap: same file,
     /// same dispersal parameters and contents, but possibly a different
-    /// channel, program epoch and declared latency vector.  Collected blocks
-    /// stay valid (the transition preserved the file's dispersed
-    /// representation byte for byte).
+    /// channel, program epoch and declared latency vector.  The station
+    /// only retunes a file whose dispersed bytes the transition kept, so
+    /// its commitment root is unchanged and the session keeps its blocks.
     pub(crate) fn retune(
         &mut self,
         channel: usize,
@@ -143,17 +143,11 @@ impl Retrieval {
         dispersal: Arc<Dispersal>,
         latencies: LatencyVector,
     ) {
-        self.channel = channel;
-        self.epoch = epoch;
+        let params = (dispersal.threshold(), dispersal.total_blocks());
+        let root = self.session.expected_root();
+        self.session.retune(channel, epoch, Some(params), root);
         self.dispersal = dispersal;
         self.latencies = latencies;
-    }
-
-    /// Arms verify-on-receive: every block this retrieval ingests must carry
-    /// a valid Merkle inclusion proof under `root` or it is booked as an
-    /// erasure (an authenticated station sets this at subscription time).
-    pub(crate) fn require_root(&mut self, root: Root) {
-        self.session.require_root(root);
     }
 
     /// The commitment root this retrieval verifies against, if armed.
@@ -169,12 +163,12 @@ impl Retrieval {
 
     /// The slot at which the retrieval was issued.
     pub fn request_slot(&self) -> usize {
-        self.request_slot
+        self.session.request_slot()
     }
 
     /// The reconstruction threshold `mᵢ` (distinct blocks needed).
     pub fn threshold(&self) -> usize {
-        self.threshold
+        self.dispersal.threshold()
     }
 
     /// The dispersal width `nᵢ` the station transmits for this file.
@@ -236,15 +230,15 @@ impl Retrieval {
     pub fn finish(&self) -> Result<RetrievalOutcome, Error> {
         if let Some(mode) = &self.cancelled_by {
             return Err(Error::ModeChanged {
-                file: self.file,
+                file: self.file(),
                 mode: mode.clone(),
             });
         }
         if !self.is_complete() {
             return Err(Error::RetrievalIncomplete {
-                file: self.file,
+                file: self.file(),
                 received: self.blocks_received(),
-                required: self.threshold,
+                required: self.threshold(),
             });
         }
         self.session.finish(&self.dispersal).map_err(Error::Ida)
@@ -255,7 +249,7 @@ impl Retrieval {
     pub fn resolution(&self) -> Option<Result<RetrievalResolution, Error>> {
         if let Some(mode) = &self.cancelled_by {
             return Some(Ok(RetrievalResolution::ModeChanged {
-                file: self.file,
+                file: self.file(),
                 mode: mode.clone(),
             }));
         }
@@ -281,19 +275,21 @@ impl Retrieval {
 /// surface, so the two paths cannot diverge on tuning or swap semantics.
 impl brt::Subscriber for Retrieval {
     fn file(&self) -> FileId {
-        self.file
+        Retrieval::file(self)
     }
 
+    #[inline]
     fn channel(&self) -> usize {
-        self.channel
+        Retrieval::channel(self)
     }
 
+    #[inline]
     fn epoch(&self) -> u64 {
-        self.epoch
+        Retrieval::epoch(self)
     }
 
     fn request_slot(&self) -> usize {
-        self.request_slot
+        Retrieval::request_slot(self)
     }
 
     fn is_resolved(&self) -> bool {
@@ -332,12 +328,11 @@ mod tests {
     fn handle(threshold: usize) -> Retrieval {
         Retrieval::new(
             FileId(1),
-            0,
             10,
-            threshold,
+            (0, 0),
             Arc::new(Dispersal::new(threshold, threshold + 2).unwrap()),
             LatencyVector::new(vec![8, 12]).unwrap(),
-            0,
+            None,
         )
     }
 

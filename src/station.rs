@@ -258,19 +258,14 @@ impl Station {
         let f = self.mode.files.get(file).ok_or_else(unknown)?;
         let dispersal = self.mode.dispersals.get(&file).ok_or_else(unknown)?;
         let epoch = self.bank.current_epoch_of(channel).ok_or_else(unknown)?;
-        let mut retrieval = Retrieval::new(
+        Ok(Retrieval::new(
             file,
-            channel,
             at_slot,
-            f.size_blocks as usize,
+            (channel, epoch),
             dispersal.clone(),
             f.latencies.clone(),
-            epoch,
-        );
-        if let Some(root) = self.commitment_root_of(file) {
-            retrieval.require_root(root);
-        }
-        Ok(retrieval)
+            self.commitment_root_of(file),
+        ))
     }
 
     /// An infinite slot-by-slot view of the first channel, starting at

@@ -312,6 +312,87 @@ fn the_commitment_root_survives_an_epoch_swap_with_unchanged_mn() {
     assert_eq!(outcome.data, expected);
 }
 
+/// Feeds `state` the slot frames `station` puts on `info`'s channel from
+/// `from` on, until `enough` holds; returns the first slot not fed.
+fn feed_channel(
+    station: &Station,
+    state: &mut ClientState,
+    info: SubscriptionInfo,
+    from: usize,
+    enough: impl Fn(&ClientState) -> bool,
+) -> usize {
+    let stream = station
+        .stream_channel(usize::from(info.channel), from)
+        .expect("the directory names a live channel");
+    for (slot, tx) in stream.take(400) {
+        if let Some(tx) = tx {
+            state.feed_frame(Frame::Slot(SlotFrame::from_transmission(
+                info.channel,
+                info.epoch,
+                tx,
+            )));
+        }
+        if enough(state) {
+            return slot + 1;
+        }
+    }
+    panic!("the channel never delivered what the client needed");
+}
+
+#[test]
+fn an_authenticated_refresh_mid_retrieval_never_mixes_two_contents() {
+    let mut station = authenticated_station();
+    let victim = FileId(1);
+    let old = station
+        .retrieve(victim, 0, &mut NoErrors)
+        .expect("the reference retrieval completes")
+        .data;
+    let before = station.network_directory()[&victim.0];
+    let m = before.m as usize;
+
+    // Arm from the directory and collect m − 1 verified blocks of the
+    // old content.
+    let mut state = ClientState::new(victim);
+    state.feed_frame(Frame::Control(ControlFrame::SubscribeAck {
+        file: victim,
+        info: before,
+    }));
+    let next = feed_channel(&station, &mut state, before, 0, |s| {
+        s.blocks_received() == m - 1
+    });
+
+    // A content refresh: same specs, so the same (m, n), fresh bytes.
+    let fresh: Vec<u8> = old.iter().map(|b| b ^ 0xA5).collect();
+    let prepared = station
+        .prepare_mode_with_contents(
+            &ModeSpec::new("refresh").files(station.specs().to_vec()),
+            [(victim, fresh.clone())].into_iter().collect(),
+        )
+        .expect("the refresh designs");
+    let report = station
+        .swap(prepared, next, SwapPolicy::Immediate)
+        .expect("the swap lands");
+    let after = station.network_directory()[&victim.0];
+    assert_eq!((after.m, after.n), (before.m, before.n));
+    assert_ne!(after.commitment_root, before.commitment_root);
+
+    state.resubscribe(after, report.flip_slot as u64);
+    feed_channel(&station, &mut state, after, report.flip_slot, |s| {
+        s.is_complete()
+    });
+    let outcome = state.finish().expect("the refreshed retrieval completes");
+    let content = match &outcome.data {
+        data if *data == fresh => "fresh",
+        data if *data == old => "old",
+        _ => "neither",
+    };
+    assert_eq!(
+        (content, state.stats().verify_failures),
+        ("fresh", 0),
+        "(the content the bytes equal, verify failures)"
+    );
+}
+
 #[test]
 fn an_unauthenticated_station_publishes_no_root() {
     let files = (1..=2u32).map(|i| {
