@@ -13,10 +13,12 @@
 //! ```
 //!
 //! is sufficient, and it exceeds the trivial lower bound `Σᵢ (mᵢ + rᵢ)/Tᵢ`
-//! by at most 43%.  This module computes both bounds, and can also search
-//! for the *smallest constructively schedulable* bandwidth so the analytical
-//! bound can be compared against what the schedulers actually achieve (the
-//! `eq1`/`eq2` experiments).
+//! by at most 43%.  Counted in whole slots per second, the two ceilings add
+//! up to `1/⌈Σᵢ (mᵢ + rᵢ)/Tᵢ⌉` on top of that 3/7 (see
+//! [`BandwidthPlan::overhead_allowance`]).  This module computes both
+//! bounds, and can also search for the *smallest constructively
+//! schedulable* bandwidth so the analytical bound can be compared against
+//! what the schedulers actually achieve (the `eq1`/`eq2` experiments).
 
 use pinwheel::{
     AutoScheduler, PinwheelScheduler, Schedule, Task, TaskSystem, CHAN_CHIN_DENSITY_BOUND,
@@ -110,8 +112,20 @@ pub struct BandwidthPlan {
     /// The pinwheel density of the task system at `chan_chin_bound`.
     pub density_at_bound: f64,
     /// The overhead of the sufficient bound over the lower bound
-    /// (the paper's "at most 43%").
+    /// (the paper's "at most 43%"; see
+    /// [`BandwidthPlan::overhead_allowance`]).
     pub overhead: f64,
+}
+
+impl BandwidthPlan {
+    /// The most [`BandwidthPlan::overhead`] can be for this plan's lower
+    /// bound: `3/7 + 1/lower_bound`.  With `d = Σᵢ (mᵢ + rᵢ)/Tᵢ`,
+    /// `⌈10·d/7⌉ ≤ 10·d/7 + 1 ≤ 10·⌈d⌉/7 + 1`, so the ratio to `⌈d⌉` exceeds
+    /// 10/7 by at most `1/⌈d⌉`.  The paper's 43% is the 3/7 term alone: the
+    /// limit for large demands, which small integer bandwidths can overshoot.
+    pub fn overhead_allowance(&self) -> f64 {
+        1.0 / CHAN_CHIN_DENSITY_BOUND - 1.0 + 1.0 / self.lower_bound.max(1) as f64
+    }
 }
 
 /// The bandwidth planner.
@@ -322,13 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn overhead_never_exceeds_forty_three_percent_by_much() {
-        // ⌈10x/7⌉ / ⌈x⌉ can exceed 10/7 slightly for tiny x because of the
-        // ceilings, but stays well under 1.5; for realistic demands it is
-        // ≤ 1.43 as the paper claims.
-        let files = awacs_files();
-        let plan = Planner::default().plan(&files).unwrap();
-        assert!(plan.overhead <= 0.45);
+    fn overhead_stays_within_its_integer_slot_allowance() {
+        let planner = Planner::default();
+        // Σ (mᵢ + rᵢ)/Tᵢ = 5 + 2/3 + 1 + 2/3 = 7.33: ⌈10.48⌉ = 11 slots over
+        // 8, 37.5%.
+        let plan = planner.plan(&awacs_files()).unwrap();
+        assert_eq!((plan.chan_chin_bound, plan.lower_bound), (11, 8));
+        assert!(plan.overhead <= plan.overhead_allowance());
+        // One block a second: ⌈10/7⌉ = 2 slots over 1.  The 100% overhead
+        // is far above the paper's 3/7, which only whole slots explain.
+        let plan = planner.plan(&[FileRequirement::new(1, 1.0)]).unwrap();
+        assert_eq!((plan.chan_chin_bound, plan.lower_bound), (2, 1));
+        assert!(plan.overhead > 3.0 / 7.0);
+        assert!(plan.overhead <= plan.overhead_allowance());
     }
 
     #[test]

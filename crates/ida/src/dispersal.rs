@@ -5,7 +5,7 @@ use bauth::{CommitPlan, Root};
 use bytes::Bytes;
 use gf256::{Matrix, MulTable};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which generator matrix family backs the dispersal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,11 +25,13 @@ pub enum MatrixKind {
 /// encoded into `n ≥ m` dispersed blocks, any `m` of which reconstruct the
 /// original.
 ///
-/// The transformation matrix — and an *encode plan* of per-coefficient
-/// [`MulTable`]s, with identity rows folded into verbatim copies — is
-/// precomputed once per configuration, so [`Dispersal::disperse`] runs
-/// entirely on the vectorizable `gf256::kernel` slice kernels with zero
-/// per-call table builds and zero element-at-a-time field arithmetic.
+/// The transformation matrix is computed once per configuration.  Its
+/// *encode plan* of per-coefficient [`MulTable`]s, with identity rows folded
+/// into verbatim copies, is built by the first [`Dispersal::disperse`] of
+/// any clone and then shared, so dispersing runs entirely on the
+/// vectorizable `gf256::kernel` slice kernels with zero per-call table
+/// builds and zero element-at-a-time field arithmetic — and a configuration
+/// that only ever reconstructs (every client's) never builds it.
 ///
 /// The paper notes that the inverse transformations "could be precomputed
 /// for some or even all possible subsets of m rows"; precomputing all
@@ -45,7 +47,7 @@ pub struct Dispersal {
     n: usize,
     kind: MatrixKind,
     matrix: Matrix,
-    encode: Arc<EncodePlan>,
+    encode: Arc<OnceLock<EncodePlan>>,
     inverses: Arc<Mutex<InverseCache>>,
     /// The shared Merkle commit plan of an *authenticated* configuration:
     /// [`Dispersal::disperse`] commits every file it disperses (root on the
@@ -102,7 +104,7 @@ impl RowPlan {
 }
 
 /// The precomputed encode layout of one configuration: one [`RowPlan`] per
-/// dispersed block.  Built once in [`Dispersal::with_kind`] and shared by
+/// dispersed block.  Built on the first [`Dispersal::disperse`] and shared by
 /// every clone via `Arc` (alongside the decode-plan cache).
 #[derive(Debug)]
 struct EncodePlan {
@@ -264,13 +266,12 @@ impl Dispersal {
             MatrixKind::Vandermonde => Matrix::vandermonde(n, m)?,
             MatrixKind::Cauchy => Matrix::cauchy(n, m)?,
         };
-        let encode = Arc::new(EncodePlan::new(&matrix));
         Ok(Dispersal {
             m,
             n,
             kind,
             matrix,
-            encode,
+            encode: Arc::default(),
             inverses: Arc::new(Mutex::new(InverseCache::default())),
             commit: None,
         })
@@ -372,6 +373,7 @@ impl Dispersal {
         };
         let mut blocks: Vec<DispersedBlock> = self
             .encode
+            .get_or_init(|| EncodePlan::new(&self.matrix))
             .rows
             .iter()
             .enumerate()
@@ -713,6 +715,21 @@ mod tests {
         assert_eq!(clone.cached_inverses(), 2);
         assert_eq!(clone.reconstruct(&subset).unwrap(), data);
         assert_eq!(d.cached_inverses(), 2);
+    }
+
+    #[test]
+    fn the_encode_plan_is_built_by_the_first_disperse_and_shared() {
+        let d = Dispersal::new(4, 9).unwrap();
+        let data = sample(123);
+        // A reconstruct-only configuration never builds the encode plan.
+        let other = Dispersal::new(4, 9).unwrap();
+        let blocks = other.disperse(FileId(5), &data).unwrap().into_blocks();
+        assert_eq!(d.reconstruct(&blocks).unwrap(), data);
+        assert!(d.encode.get().is_none());
+        // The first disperse of any clone builds it for all of them.
+        let clone = d.clone();
+        clone.disperse(FileId(5), &data).unwrap();
+        assert!(d.encode.get().is_some());
     }
 
     #[test]

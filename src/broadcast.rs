@@ -7,6 +7,7 @@ use bcore::{BdiskDesigner, GeneralizedFileSpec, MultiChannelDesigner, ShardPlann
 use ida::FileId;
 use pinwheel::SchedulerChoice;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Entry point of the facade.
 ///
@@ -150,7 +151,8 @@ impl BroadcastBuilder {
         let (mode, servers) = Mode::load(
             "initial",
             self.specs,
-            design,
+            None,
+            Arc::new(design),
             self.contents,
             settings.authenticated,
             None,

@@ -5,13 +5,14 @@
 //! `Mode::load` is the only code that turns a design into dispersals and
 //! per-channel servers: [`crate::BroadcastBuilder::build`] calls it for a
 //! fresh station, [`crate::Station::prepare_mode`] — having re-planned the
-//! target [`bmode::ModeSpec`] — against the serving one, packaging the
+//! target [`bmode::ModeSpec`], or reused the design on the air when the
+//! target keeps its specifications — against the serving one, packaging the
 //! result as a [`PreparedMode`].  [`crate::Station::swap`] then only
 //! installs already-built servers into the epoch bank and replaces the
 //! station's mode pointer: cheap, and unable to fail on design grounds.
 
 use crate::{Error, Station};
-use bcore::{DesignReport, GeneralizedFileSpec, MultiChannelReport};
+use bcore::{ChannelBudget, DesignReport, GeneralizedFileSpec, MultiChannelReport};
 use bdisk::{BroadcastFile, BroadcastServer, FileSet, LatencyVector};
 use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
 use ida::{Dispersal, DispersedFile, FileId};
@@ -27,7 +28,11 @@ use std::sync::Arc;
 pub(crate) struct Mode {
     pub(crate) name: String,
     pub(crate) specs: Vec<GeneralizedFileSpec>,
-    pub(crate) design: MultiChannelReport,
+    /// The channel budget the mode stated; `None` when it was designed under
+    /// the station's own shard planner.
+    pub(crate) channels: Option<ChannelBudget>,
+    /// Shared with every later mode that keeps the same specifications.
+    pub(crate) design: Arc<MultiChannelReport>,
     /// The per-channel file sets merged back into one, in specification
     /// order.
     pub(crate) files: FileSet,
@@ -53,7 +58,8 @@ impl Mode {
     pub(crate) fn load(
         name: &str,
         specs: Vec<GeneralizedFileSpec>,
-        design: MultiChannelReport,
+        channels: Option<ChannelBudget>,
+        design: Arc<MultiChannelReport>,
         supplied: BTreeMap<FileId, Vec<u8>>,
         authenticated: bool,
         serving: Option<(&Station, &TransitionPlan)>,
@@ -149,6 +155,7 @@ impl Mode {
         let mode = Mode {
             name: name.to_string(),
             specs,
+            channels,
             design,
             files,
             dispersals,

@@ -8,7 +8,7 @@ use bcore::{BdiskDesigner, DesignReport, GeneralizedFileSpec, ShardPlanner};
 use bdisk::{
     BroadcastProgram, BroadcastServer, EpochBank, FileSet, LatencyVector, TransmissionRef,
 };
-use bmode::{ChannelTransition, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
+use bmode::{diff, ChannelTransition, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
 use bsim::ChannelErrorModel;
 use ida::{Dispersal, FileId};
 use pinwheel::{Schedule, SchedulerChoice};
@@ -297,6 +297,12 @@ impl Station {
     /// [`Station::swap`]: shard planning, per-channel scheduling, program
     /// verification, dispersal of contents — everything but the flip.
     ///
+    /// A program derives from the file specifications alone, so a target
+    /// that keeps the specifications on the air and states no channel budget
+    /// of its own — a content refresh — reuses the verified design on the
+    /// air instead of searching for it again; only the diff and the
+    /// dispersal run.
+    ///
     /// Files retained from the current mode keep their current contents;
     /// files new to `mode` serve deterministic synthetic payloads (use
     /// [`Station::prepare_mode_with_contents`] to supply real bytes).
@@ -314,10 +320,8 @@ impl Station {
         new_contents: BTreeMap<FileId, Vec<u8>>,
     ) -> Result<PreparedMode, Error> {
         let serving = &*self.mode;
-        // Re-plan: the same ShardPlanner/scheduler seams that built the
-        // station, diffed against what is on the air now.  Explicit bytes
-        // that differ from what the station serves make their file
-        // content-dirty.
+        // Diff against what is on the air now.  Explicit bytes that differ
+        // from what the station serves make their file content-dirty.
         let current = CurrentMode {
             specs: &serving.specs,
             channels: serving
@@ -335,25 +339,40 @@ impl Station {
                 .map(|(id, _)| *id)
                 .collect(),
         };
-        let planner = ModePlanner::new(
-            self.settings.channels,
-            BdiskDesigner::with_scheduler(self.settings.scheduler),
-        );
-        let plan = planner.plan(&current, mode)?;
+        let specs = mode.resolved_specs();
+        // The designer is deterministic in the specifications and the shard
+        // planner: when both are the ones the design on the air came from,
+        // re-planning would reproduce it.  Anything else re-plans through
+        // the same ShardPlanner/scheduler seams that built the station.
+        let (design, transition) = if mode.channel_budget().is_none()
+            && serving.channels.is_none()
+            && specs == serving.specs
+        {
+            let transition = diff(&current, mode.name(), &serving.design);
+            (serving.design.clone(), transition)
+        } else {
+            let planner = ModePlanner::new(
+                self.settings.channels,
+                BdiskDesigner::with_scheduler(self.settings.scheduler),
+            );
+            let plan = planner.plan(&current, mode)?;
+            (Arc::new(plan.design), plan.transition)
+        };
         let (next, servers) = Mode::load(
             mode.name(),
-            mode.resolved_specs(),
-            plan.design,
+            specs,
+            mode.channel_budget(),
+            design,
             new_contents,
             self.settings.authenticated,
-            Some((self, &plan.transition)),
+            Some((self, &transition)),
         )?;
 
         // Transparent re-subscription: files on flipped channels that keep
         // their dispersal parameters and contents — their already-collected
         // blocks stay valid under the new program.
         let mut resubscribe = BTreeMap::new();
-        for file in &plan.transition.retained {
+        for file in &transition.retained {
             let (Some(old_channel), Some(new_channel), Some(old), Some(new)) = (
                 self.channel_of(*file),
                 next.design.channel_of(*file),
@@ -364,7 +383,7 @@ impl Station {
             };
             // An unchanged channel was never disturbed: nothing to
             // re-subscribe.
-            let disturbed = plan.transition.channels[old_channel] != ChannelTransition::Unchanged;
+            let disturbed = transition.channels[old_channel] != ChannelTransition::Unchanged;
             let compatible = old.size_blocks == new.size_blocks
                 && old.dispersed_blocks == new.dispersed_blocks
                 && old.block_bytes == new.block_bytes
@@ -382,7 +401,7 @@ impl Station {
         Ok(PreparedMode {
             next: Arc::new(next),
             servers,
-            transition: plan.transition,
+            transition,
             resubscribe,
             base_epoch: self.bank.epoch(),
         })
@@ -899,6 +918,8 @@ mod tests {
         let (old, new) = (&before.mode, &station.mode);
         assert!(Arc::ptr_eq(&old.contents[&kept], &new.contents[&kept]));
         assert!(Arc::ptr_eq(&old.dispersals[&kept], &new.dispersals[&kept]));
+        // The specifications did not change, so neither did the design.
+        assert!(Arc::ptr_eq(&old.design, &new.design));
         assert!(Arc::ptr_eq(
             &before.bank.current_arc(kept_channel).unwrap(),
             &station.bank.current_arc(kept_channel).unwrap()

@@ -15,16 +15,22 @@
 //!   *new* mode's declared latency `d⁽ʲ⁾` under `j ≤ r` reception faults;
 //! * **one loader** — a mode reached by `prepare` + `swap` is, on the air
 //!   and on the control plane, the mode a fresh build of the same
-//!   specifications and contents produces.
+//!   specifications and contents produces, and so is a content refresh;
+//! * **design reuse** — a target with the specifications on the air and no
+//!   channel budget (a content refresh) keeps the design on the air, which
+//!   is what the designer would produce again; any other target goes
+//!   through the designer and gets the transition a fresh design gives.
 //!
 //! Case counts are tunable without code edits via the `RTBDISK_PROP_CASES`
 //! environment variable (default 64; CI runs 256).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rtbdisk::bmode::{ChannelView, CurrentMode};
 use rtbdisk::{
-    Broadcast, ErrorModel, FileId, GeneralizedFileSpec, ModeProfile, ModeSpec, NoErrors,
-    RedundancyPolicy, Retrieval, RetrievalResolution, Station, SwapPolicy, TransmissionRef,
+    Broadcast, BroadcastBuilder, ErrorModel, FileId, GeneralizedFileSpec, ModePlanner, ModeProfile,
+    ModeSpec, NoErrors, RedundancyPolicy, Retrieval, RetrievalResolution, Station, SwapPolicy,
+    TransmissionRef,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -409,39 +415,103 @@ fn immediate_swaps_resolve_in_flight_retrievals_per_the_plan() {
     }
 }
 
+/// The channel layouts the one-loader and design-reuse properties sweep:
+/// `Some(k)` shards over exactly `k` channels, `None` over as few as needed.
+const LAYOUTS: [Option<usize>; 4] = [Some(1), Some(2), Some(4), None];
+
+/// The `case`-th point of the sweep: every layout, plain and authenticated.
+fn sweep(case: usize) -> (Option<usize>, bool) {
+    let layout = LAYOUTS[case % LAYOUTS.len()];
+    (layout, (case / LAYOUTS.len()).is_multiple_of(2))
+}
+
+/// A builder of `specs` on `layout`.
+fn builder(
+    specs: Vec<GeneralizedFileSpec>,
+    layout: Option<usize>,
+    authenticated: bool,
+) -> BroadcastBuilder {
+    let builder = Broadcast::builder()
+        .files(specs)
+        .authenticated(authenticated);
+    match layout {
+        Some(k) => builder.channels(k),
+        None => builder.auto_channels(),
+    }
+}
+
+/// Seeded random bytes for every file of `specs` with probability `p`.
+fn random_contents(
+    rng: &mut StdRng,
+    specs: &[GeneralizedFileSpec],
+    p: f64,
+) -> BTreeMap<FileId, Vec<u8>> {
+    let mut contents = BTreeMap::new();
+    for s in specs {
+        if rng.gen_bool(p) {
+            let len = (s.size_blocks * s.block_bytes) as usize;
+            contents.insert(s.id, (0..len).map(|_| rng.gen::<u32>() as u8).collect());
+        }
+    }
+    contents
+}
+
+/// `a` and `b` put the same thing on the air from slot `from` on: one full
+/// data cycle of every channel, every commitment root and, up to the epoch,
+/// the control-plane directory.
+fn assert_same_air(a: &Station, b: &Station, from: usize, context: &str) {
+    assert_eq!(a.channel_count(), b.channel_count(), "{context}");
+    for channel in 0..b.channel_count() {
+        let cycle = b.program_of(channel).unwrap().data_cycle();
+        let ours = a.stream_channel(channel, from).unwrap();
+        let theirs = b.stream_channel(channel, from).unwrap();
+        for ((slot, x), (_, y)) in ours.zip(theirs).take(cycle) {
+            assert!(
+                same_payload(x, y),
+                "{context}: channel {channel} slot {slot} differs"
+            );
+        }
+    }
+    for spec in b.specs() {
+        let root = b.commitment_root_of(spec.id);
+        assert_eq!(a.commitment_root_of(spec.id), root, "{context}");
+    }
+    // A swapped-in channel serves under a bumped epoch, a fresh build under
+    // epoch 0.
+    let timeless = |station: &Station| -> Vec<_> {
+        let directory = station.network_directory();
+        let entries = directory.into_iter();
+        entries
+            .map(|(f, i)| (f, i.channel, i.m, i.n, i.commitment_root))
+            .collect()
+    };
+    assert_eq!(timeless(a), timeless(b), "{context}");
+}
+
+/// Whether a preparation installs the very design `station` serves (rather
+/// than one the designer produced again).
+fn reuses_design(station: &Station, prepared: &rtbdisk::PreparedMode) -> bool {
+    std::ptr::eq(prepared.reports().as_ptr(), station.reports().as_ptr())
+}
+
 #[test]
 fn a_swapped_in_mode_is_the_mode_a_fresh_build_produces() {
     let mut rng = StdRng::seed_from_u64(0x10AD);
     for case in 0..prop_cases() {
-        let k = 1 + case % 2;
-        let (specs, mode, contents, built, prepared) = loop {
+        let (layout, authenticated) = sweep(case);
+        let (specs, mode, mut contents, built, prepared) = loop {
             let n_files = rng.gen_range(2..=5);
             let specs = random_specs(&mut rng, n_files, 0.6);
             let mode = random_target_mode(&mut rng, &specs);
             // Real bytes for most of the target's files, synthetic for the
             // rest: the loader must treat both alike on both paths.
-            let mut contents = BTreeMap::new();
-            for s in mode.resolved_specs() {
-                if rng.gen_bool(0.7) {
-                    let len = (s.size_blocks * s.block_bytes) as usize;
-                    let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
-                    contents.insert(s.id, bytes);
-                }
-            }
-            let mut builder = Broadcast::builder()
-                .files(mode.resolved_specs())
-                .channels(k)
-                .authenticated(true);
+            let contents = random_contents(&mut rng, &mode.resolved_specs(), 0.7);
+            let mut fresh = builder(mode.resolved_specs(), layout, authenticated);
             for (file, bytes) in &contents {
-                builder = builder.content(*file, bytes.clone());
+                fresh = fresh.content(*file, bytes.clone());
             }
-            let Ok(built) = builder.build() else { continue };
-            let Ok(serving) = Broadcast::builder()
-                .files(specs.clone())
-                .channels(k)
-                .authenticated(true)
-                .build()
-            else {
+            let Ok(built) = fresh.build() else { continue };
+            let Ok(serving) = builder(specs.clone(), layout, authenticated).build() else {
                 continue;
             };
             match serving.prepare_mode_with_contents(&mode, contents.clone()) {
@@ -451,38 +521,192 @@ fn a_swapped_in_mode_is_the_mode_a_fresh_build_produces() {
         };
         let (mut swapped, prepared) = prepared;
         swapped.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
-        let context = format!("case {case}: {specs:?} → {mode:?}");
-
-        assert_eq!(swapped.channel_count(), built.channel_count(), "{context}");
-        for channel in 0..built.channel_count() {
-            let cycle = built.program_of(channel).unwrap().data_cycle();
-            for slot in 0..cycle {
-                assert!(
-                    same_payload(
-                        swapped.bank().transmit_ref(channel, slot),
-                        built.bank().transmit_ref(channel, slot),
-                    ),
-                    "{context}: channel {channel} slot {slot} differs"
-                );
-            }
-        }
+        let context =
+            format!("case {case} ({layout:?}, auth {authenticated}): {specs:?} → {mode:?}");
+        assert_same_air(&swapped, &built, 0, &context);
         for spec in mode.resolved_specs() {
             let root = built.commitment_root_of(spec.id);
-            assert!(root.is_some(), "{context}: {} is uncommitted", spec.id);
-            assert_eq!(swapped.commitment_root_of(spec.id), root, "{context}");
+            assert_eq!(root.is_some(), authenticated, "{context}: {}", spec.id);
             let expected = contents.get(&spec.id);
             let served = built.retrieve(spec.id, 0, &mut NoErrors).unwrap().data;
             assert!(expected.is_none_or(|bytes| *bytes == served), "{context}");
         }
-        // The control plane agrees up to the epoch: a swapped-in channel
-        // serves under the bumped epoch, a fresh build under epoch 0.
-        let timeless = |station: &Station| -> Vec<_> {
-            let directory = station.network_directory();
-            let entries = directory.into_iter();
-            entries
-                .map(|(f, i)| (f, i.channel, i.m, i.n, i.commitment_root))
-                .collect()
+
+        // A content-only refresh of one file keeps the design on the air
+        // and reprograms exactly that file's channel ...
+        let resolved = mode.resolved_specs();
+        let dirty = resolved[rng.gen_range(0..resolved.len())].clone();
+        let bytes = random_contents(&mut rng, std::slice::from_ref(&dirty), 1.0);
+        let refresh = ModeSpec::new("refresh").files(swapped.specs().to_vec());
+        let prepared = swapped
+            .prepare_mode_with_contents(&refresh, bytes.clone())
+            .unwrap();
+        assert!(reuses_design(&swapped, &prepared), "{context}");
+        let dirty_channel = swapped.channel_of(dirty.id).unwrap();
+        assert_eq!(
+            prepared.transition().changed_channels(),
+            vec![dirty_channel],
+            "{context}"
+        );
+        for (channel, report) in prepared.reports().iter().enumerate() {
+            assert_eq!(
+                Some(&report.program),
+                swapped.program_of(channel),
+                "{context}"
+            );
+        }
+        // ... and then streams what a fresh build with the new bytes does.
+        let at_slot = rng.gen_range(0usize..50);
+        swapped
+            .swap(prepared, at_slot, SwapPolicy::Immediate)
+            .unwrap();
+        contents.extend(bytes);
+        let mut fresh = builder(resolved, layout, authenticated);
+        for (file, bytes) in &contents {
+            fresh = fresh.content(*file, bytes.clone());
+        }
+        let rebuilt = fresh.build().unwrap();
+        assert_same_air(
+            &swapped,
+            &rebuilt,
+            at_slot,
+            &format!("{context}, refreshed {}", dirty.id),
+        );
+    }
+}
+
+/// A station over 2 to 3·k seeded specifications on `layout` (k = 3 for
+/// auto), re-drawing sets the scheduler cascade declines.
+fn random_station(rng: &mut StdRng, layout: Option<usize>, authenticated: bool) -> Station {
+    let k = layout.unwrap_or(3);
+    loop {
+        let n_files = rng.gen_range(2..=3 * k);
+        let specs = random_specs(rng, n_files, 0.6 * k as f64);
+        if let Ok(station) = builder(specs, layout, authenticated).build() {
+            return station;
+        }
+    }
+}
+
+#[test]
+fn preparing_the_specs_on_the_air_changes_nothing_with_or_without_the_designer() {
+    let mut rng = StdRng::seed_from_u64(0xDE5165);
+    for case in 0..prop_cases().div_ceil(2) {
+        let (layout, authenticated) = sweep(case);
+        let station = random_station(&mut rng, layout, authenticated);
+        let context = format!("case {case} ({layout:?}): {:?}", station.specs());
+        let same = ModeSpec::new("same").files(station.specs().to_vec());
+        let reused = station.prepare_mode(&same).unwrap();
+        assert!(reused.is_noop(), "{context}");
+        assert!(reuses_design(&station, &reused), "{context}");
+        // Stating the budget the station was built with sends the same
+        // specifications through the designer, which must reproduce the
+        // design on the air: the fact the reuse above rests on.
+        let stated = match layout {
+            Some(k) => same.with_channels(k),
+            None => same.with_auto_channels(),
         };
-        assert_eq!(timeless(&swapped), timeless(&built), "{context}");
+        let redesigned = station.prepare_mode(&stated).unwrap();
+        assert!(!reuses_design(&station, &redesigned), "{context}");
+        assert!(redesigned.is_noop(), "{context}");
+    }
+}
+
+/// Prepares `target` on `station` and checks it went through the designer:
+/// a new design, with the programs and transition `planner` — the
+/// station's own shard planner, run by hand — derives against the air.
+fn assert_designed(
+    station: &Station,
+    planner: &ModePlanner,
+    target: &ModeSpec,
+    context: &str,
+) -> Option<rtbdisk::PreparedMode> {
+    let current = CurrentMode {
+        specs: station.specs(),
+        channels: station
+            .reports()
+            .iter()
+            .map(|r| ChannelView {
+                program: &r.program,
+                files: &r.files,
+            })
+            .collect(),
+        dirty: BTreeSet::new(),
+    };
+    let (fresh, prepared) = match (planner.plan(&current, target), station.prepare_mode(target)) {
+        (Ok(fresh), Ok(prepared)) => (fresh, prepared),
+        (Err(_), Err(_)) => return None,
+        (fresh, prepared) => panic!("{context}: {:?} vs {:?}", fresh.err(), prepared.err()),
+    };
+    assert!(!reuses_design(station, &prepared), "{context}");
+    assert_eq!(
+        format!("{:?}", prepared.transition()),
+        format!("{:?}", fresh.transition),
+        "{context}"
+    );
+    let programs = |reports: &[rtbdisk::bcore::DesignReport]| -> Vec<_> {
+        reports.iter().map(|r| r.program.clone()).collect()
+    };
+    assert_eq!(
+        programs(prepared.reports()),
+        programs(&fresh.design.reports),
+        "{context}"
+    );
+    Some(prepared)
+}
+
+#[test]
+fn targets_that_change_the_design_inputs_go_through_the_designer() {
+    let mut rng = StdRng::seed_from_u64(0xDE5166);
+    for case in 0..prop_cases().div_ceil(2) {
+        let (layout, authenticated) = sweep(case);
+        let mut station = random_station(&mut rng, layout, authenticated);
+        let specs = station.specs().to_vec();
+        let pick = specs[rng.gen_range(0..specs.len())].id;
+        let relaxed = specs.iter().map(|s| {
+            if s.id != pick {
+                return s.clone();
+            }
+            let latencies = s.latencies.iter().map(|&d| d * 2).collect();
+            GeneralizedFileSpec::new(s.id, s.size_blocks, latencies).unwrap()
+        });
+        let boost = ModeProfile::new("boost", RedundancyPolicy::None).with_override(
+            pick,
+            RedundancyPolicy::TolerateFaults {
+                faults: rng.gen_range(1usize..=2),
+            },
+        );
+        let same = ModeSpec::new("same").files(specs.clone());
+        let budgeted = if rng.gen_bool(0.5) {
+            same.clone().with_channels(rng.gen_range(1usize..=4))
+        } else {
+            same.clone().with_auto_channels()
+        };
+        let planner = match layout {
+            Some(k) => ModePlanner::fixed(k),
+            None => ModePlanner::auto(),
+        };
+        let context = format!("case {case} ({layout:?}): {specs:?}");
+        for target in [
+            ModeSpec::new("relaxed").files(relaxed),
+            same.clone().with_profile(boost),
+        ] {
+            assert_designed(
+                &station,
+                &planner,
+                &target,
+                &format!("{context} → {target:?}"),
+            );
+        }
+
+        // A stated budget is designed under that budget, and the design it
+        // leaves on the air is not the station's own: the next budget-less
+        // target, the specifications unchanged, is designed again too.
+        let context = format!("{context} → {budgeted:?}");
+        let Some(prepared) = assert_designed(&station, &planner, &budgeted, &context) else {
+            continue;
+        };
+        station.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
+        assert_designed(&station, &planner, &same, &format!("{context} → back"));
     }
 }

@@ -59,6 +59,14 @@ fn bandwidth_overhead_matches_the_43_percent_claim() {
             exp.max_equation_overhead
         );
         for row in &exp.rows {
+            // The paper's 43% plus the 1/lower its integer ceilings add.
+            assert!(
+                row.equation_overhead <= row.overhead_allowance + 1e-12,
+                "{} files: overhead {:.3} above its allowance {:.3}",
+                row.files,
+                row.equation_overhead,
+                row.overhead_allowance
+            );
             // The constructive bandwidth our schedulers need never exceeds the
             // analytic Equation 1/2 bound (floors on windows allow ±2).
             assert!(row.constructive <= row.equation_bound + 2);
