@@ -20,6 +20,12 @@
 //!
 //! The file → channel routing table is versioned the same way, so a
 //! subscription can be routed against the mode in force at any slot.
+//!
+//! History is kept until someone retires it: [`EpochBank::retire_before`]
+//! drops the segments and routing versions wholly behind a slot floor, so a
+//! bank that is refreshed without end holds only what readers can still
+//! ask about.  Reads at or above the floor answer exactly as before; reads
+//! below it answer `None`.
 
 use crate::server::{BroadcastServer, ServerError, TransmissionRef};
 use ida::FileId;
@@ -80,9 +86,11 @@ pub struct SwapApplied {
 ///
 /// Construction wraps an initial set of per-channel servers (epoch 0); each
 /// [`EpochBank::swap`] installs the next program generation at a flip slot.
-/// All reads are positional in slot time, so drivers replaying any slot —
-/// before or after a flip — see exactly the program that was (or will be) on
-/// the air in that slot.
+/// All reads are positional in slot time, so drivers replaying any slot at
+/// or above the retention floor ([`EpochBank::retired_before`], 0 until
+/// [`EpochBank::retire_before`] raises it) — before or after a flip — see
+/// exactly the program that was (or will be) on the air in that slot.
+/// Slots below the floor read as `None`.
 #[derive(Debug, Clone)]
 pub struct EpochBank {
     lanes: Vec<Lane>,
@@ -92,6 +100,9 @@ pub struct EpochBank {
     current_channels: usize,
     /// No swap may flip earlier than this slot (monotonic slot time).
     frontier: usize,
+    /// Positional reads of slots below this floor answer `None`: the
+    /// history that served them has been retired.
+    retired_before: usize,
 }
 
 impl EpochBank {
@@ -124,6 +135,7 @@ impl EpochBank {
             epoch: 0,
             current_channels,
             frontier: 0,
+            retired_before: 0,
         })
     }
 
@@ -148,10 +160,26 @@ impl EpochBank {
         self.lanes.len()
     }
 
+    /// The slot floor below which history has been retired (0 until
+    /// [`EpochBank::retire_before`] raises it): positional reads of earlier
+    /// slots answer `None`.
+    pub fn retired_before(&self) -> usize {
+        self.retired_before
+    }
+
+    /// The segment `channel` serves `slot` from, unless `slot` is retired.
+    fn segment_at(&self, channel: usize, slot: usize) -> Option<&Segment> {
+        if slot < self.retired_before {
+            return None;
+        }
+        self.lanes.get(channel)?.at(slot)
+    }
+
     /// The epoch under which `channel` serves `slot` (`None` when the
-    /// channel index was never used, or the lane has not lit up by `slot`).
+    /// channel index was never used, the lane has not lit up by `slot`, or
+    /// `slot` is below the retention floor).
     pub fn epoch_at(&self, channel: usize, slot: usize) -> Option<u64> {
-        Some(self.lanes.get(channel)?.at(slot)?.epoch)
+        Some(self.segment_at(channel, slot)?.epoch)
     }
 
     /// The epoch `channel` serves under in the latest mode (`None` for
@@ -161,9 +189,9 @@ impl EpochBank {
     }
 
     /// The server on the air on `channel` in `slot` (`None` for dark or
-    /// unknown channels).
+    /// unknown channels, and for slots below the retention floor).
     pub fn server_at(&self, channel: usize, slot: usize) -> Option<&BroadcastServer> {
-        self.lanes.get(channel)?.at(slot)?.server.as_deref()
+        self.segment_at(channel, slot)?.server.as_deref()
     }
 
     /// The latest mode's server of `channel`.
@@ -178,7 +206,7 @@ impl EpochBank {
     }
 
     /// What `channel` transmits in `slot` (borrowed; dark and idle slots are
-    /// both `None`).
+    /// both `None`, and so are slots below the retention floor).
     pub fn transmit_ref(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>> {
         self.server_at(channel, slot)?.transmit_ref(slot)
     }
@@ -202,8 +230,12 @@ impl EpochBank {
         self.routing_now().get(&file).copied()
     }
 
-    /// The channel carrying `file` in the mode in force at `slot`.
+    /// The channel carrying `file` in the mode in force at `slot` (`None`
+    /// below the retention floor).
     pub fn channel_of_at(&self, file: FileId, slot: usize) -> Option<usize> {
+        if slot < self.retired_before {
+            return None;
+        }
         self.routings
             .iter()
             .rev()
@@ -277,15 +309,39 @@ impl EpochBank {
         self.epoch = epoch;
         self.frontier = flip_slot;
         self.current_channels = servers.len();
-        self.routings.push(RoutingEpoch {
-            from_slot: flip_slot,
-            routing,
-        });
+        // A version identical to the latest would answer every
+        // `channel_of_at` the same way: a content refresh moves no file.
+        if routing != *self.routing_now() {
+            self.routings.push(RoutingEpoch {
+                from_slot: flip_slot,
+                routing,
+            });
+        }
         Ok(SwapApplied {
             epoch,
             flip_slot,
             flipped,
         })
+    }
+
+    /// Retires the history wholly behind `slot`: every segment and routing
+    /// version whose successor starts at or before `slot` is dropped — never
+    /// the one covering `slot`, never a lane's latest — and `slot` becomes
+    /// the retention floor ([`EpochBank::retired_before`]).
+    ///
+    /// Every positional read at or above the floor answers exactly as
+    /// before; reads below it answer `None`.  The latest mode, the epoch,
+    /// the frontier and the channel count are untouched, so swaps go on as
+    /// before.  The floor only rises: retiring below it retires at it.
+    pub fn retire_before(&mut self, slot: usize) {
+        let slot = slot.max(self.retired_before);
+        for lane in &mut self.lanes {
+            let covering = lane.segments.partition_point(|s| s.from_slot <= slot);
+            lane.segments.drain(..covering.saturating_sub(1));
+        }
+        let covering = self.routings.partition_point(|r| r.from_slot <= slot);
+        self.routings.drain(..covering.saturating_sub(1));
+        self.retired_before = slot;
     }
 }
 
@@ -306,6 +362,8 @@ fn routing_of(servers: &[Arc<BroadcastServer>]) -> Result<BTreeMap<FileId, usize
 mod tests {
     use super::*;
     use crate::{BroadcastFile, BroadcastProgram, FileSet, FlatOrder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn server_for(ids: &[u32]) -> Arc<BroadcastServer> {
         let files = FileSet::new(
@@ -445,5 +503,203 @@ mod tests {
             EpochBank::new(vec![server_for(&[1, 2]), server_for(&[2])]).unwrap_err(),
             ServerError::DuplicateFile(FileId(2))
         );
+    }
+
+    /// File ids a random mode draws from (resharded modes add fillers above
+    /// them so no channel is empty).
+    const FILES: u32 = 6;
+
+    /// Property-test depth: `RTBDISK_PROP_CASES` (default 64).
+    fn prop_cases() -> usize {
+        std::env::var("RTBDISK_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+            .max(1)
+    }
+
+    /// The next mode of a random swap sequence: either a refresh (every
+    /// channel keeps its files, some get a new server) or a reshard (a
+    /// random subset of the files over one to three channels).
+    fn next_servers(rng: &mut StdRng, bank: &EpochBank) -> Vec<Arc<BroadcastServer>> {
+        if rng.gen_bool(0.5) {
+            return (0..bank.channel_count())
+                .map(|c| {
+                    let server = bank.current_arc(c).unwrap();
+                    if rng.gen_bool(0.5) {
+                        return server;
+                    }
+                    let ids: Vec<u32> = server.file_ids().map(|f| f.0).collect();
+                    server_for(&ids)
+                })
+                .collect();
+        }
+        let k = rng.gen_range(1..=3usize);
+        let mut channels = vec![Vec::new(); k];
+        for id in 1..=FILES {
+            if rng.gen_bool(0.7) {
+                channels[rng.gen_range(0..k)].push(id);
+            }
+        }
+        for (c, ids) in channels.iter_mut().enumerate() {
+            if ids.is_empty() {
+                ids.push(FILES + 1 + c as u32);
+            }
+        }
+        channels.iter().map(|ids| server_for(ids)).collect()
+    }
+
+    /// One random swap requested at a slot `now` that moves forward: an
+    /// immediate swap flips at the request, a drain swap past a horizon.
+    fn random_swap(rng: &mut StdRng, bank: &mut EpochBank, now: &mut usize) {
+        *now += rng.gen_range(0..=12usize);
+        let at = (*now).max(bank.frontier());
+        let flip = if rng.gen_bool(0.5) {
+            at
+        } else {
+            at + rng.gen_range(1..=24usize)
+        };
+        let servers = next_servers(rng, bank);
+        bank.swap(flip, servers).unwrap();
+    }
+
+    /// Asserts `retired` answers every positional read of `slots` exactly
+    /// as `full` does — one never-used lane and every file id included.
+    fn assert_agree(full: &EpochBank, retired: &EpochBank, slots: std::ops::Range<usize>) {
+        for slot in slots {
+            for c in 0..=full.lane_count() {
+                let at = (c, slot);
+                assert_eq!(retired.epoch_at(c, slot), full.epoch_at(c, slot), "{at:?}");
+                let server = |b: &EpochBank| b.server_at(c, slot).map(|s| s as *const _);
+                assert_eq!(server(retired), server(full), "{at:?}");
+                let tx = |b: &EpochBank| {
+                    let tx = b.transmit_ref(c, slot)?;
+                    Some((tx.slot, tx.block as *const _))
+                };
+                assert_eq!(tx(retired), tx(full), "{at:?}");
+            }
+            for id in (1..=FILES + 3).map(FileId) {
+                let channel = retired.channel_of_at(id, slot);
+                assert_eq!(channel, full.channel_of_at(id, slot), "{id} at {slot}");
+            }
+        }
+    }
+
+    /// What a bank holds: per lane `(epoch, from_slot, server)` of every
+    /// segment, the routing versions' first slots, and the floor.
+    type Held = (
+        Vec<Vec<(u64, usize, *const BroadcastServer)>>,
+        Vec<usize>,
+        usize,
+    );
+
+    fn held(bank: &EpochBank) -> Held {
+        let lanes = bank.lanes.iter().map(|lane| {
+            let segment = |s: &Segment| {
+                let server = s
+                    .server
+                    .as_deref()
+                    .map_or(std::ptr::null(), |s| s as *const _);
+                (s.epoch, s.from_slot, server)
+            };
+            lane.segments.iter().map(segment).collect()
+        });
+        let routings = bank.routings.iter().map(|r| r.from_slot).collect();
+        (lanes.collect(), routings, bank.retired_before())
+    }
+
+    /// Asserts a retired bank holds nothing wholly behind its floor: no
+    /// segment or routing version whose successor starts at or before it.
+    fn assert_nothing_behind(bank: &EpochBank) {
+        let floor = bank.retired_before();
+        for lane in &bank.lanes {
+            assert!(lane.segments.windows(2).all(|w| w[1].from_slot > floor));
+        }
+        assert!(bank.routings.windows(2).all(|w| w[1].from_slot > floor));
+    }
+
+    #[test]
+    fn retirement_changes_no_answer_at_or_above_the_floor() {
+        let mut rng = StdRng::seed_from_u64(0xE9_0C);
+        for case in 0..prop_cases() {
+            let mut bank = EpochBank::new(vec![server_for(&[1, 2])]).unwrap();
+            let mut now = 0;
+            for _ in 0..rng.gen_range(1..=8usize) {
+                random_swap(&mut rng, &mut bank, &mut now);
+            }
+            // At least as long as any program here: nine files of four
+            // blocks each.
+            let cycle = (FILES as usize + 3) * 4;
+            let floor = rng.gen_range(0..=bank.frontier() + cycle);
+            let mut retired = bank.clone();
+            retired.retire_before(floor);
+            assert_eq!(retired.retired_before(), floor, "case {case}");
+            assert_nothing_behind(&retired);
+            assert_agree(&bank, &retired, floor..floor + 3 * cycle);
+            for slot in floor.saturating_sub(cycle)..floor {
+                for c in 0..=bank.lane_count() {
+                    assert_eq!(retired.epoch_at(c, slot), None, "case {case}");
+                    assert!(retired.server_at(c, slot).is_none());
+                    assert!(retired.transmit_ref(c, slot).is_none());
+                }
+                assert_eq!(retired.channel_of_at(FileId(1), slot), None);
+            }
+            // The segment covering the floor stays (the agreement at `floor`
+            // shows it), and so does each lane's latest.
+            for (full, kept) in bank.lanes.iter().zip(&retired.lanes) {
+                let latest = |lane: &Lane| lane.latest().map(|s| (s.epoch, s.from_slot));
+                assert_eq!(latest(kept), latest(full), "case {case}");
+            }
+            assert_eq!(retired.frontier(), bank.frontier());
+            assert_eq!(retired.epoch(), bank.epoch());
+            assert_eq!(retired.channel_count(), bank.channel_count());
+            assert_eq!(retired.lane_count(), bank.lane_count());
+            assert_eq!(retired.routing_now(), bank.routing_now());
+            // Retiring again, at or below the floor, holds the same history.
+            let once = held(&retired);
+            retired.retire_before(floor);
+            retired.retire_before(floor / 2);
+            assert_eq!(held(&retired), once, "case {case}");
+            // A later swap lands on both alike — at the floor itself, half
+            // the time — and retiring at the same floor drops what it
+            // superseded there.
+            let servers = next_servers(&mut rng, &bank);
+            let lead = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(1..=cycle)
+            };
+            let flip = bank.frontier().max(floor) + lead;
+            let applied = bank.swap(flip, servers.clone()).unwrap();
+            assert_eq!(retired.swap(flip, servers).unwrap(), applied);
+            assert_agree(&bank, &retired, floor..flip + 3 * cycle);
+            retired.retire_before(floor);
+            assert_nothing_behind(&retired);
+            assert_agree(&bank, &retired, floor..flip + 3 * cycle);
+        }
+    }
+
+    #[test]
+    fn routing_versions_are_pushed_only_when_the_routing_changes() {
+        let mut rng = StdRng::seed_from_u64(0x20_07);
+        for case in 0..prop_cases() {
+            let mut bank = EpochBank::new(vec![server_for(&[1, 2])]).unwrap();
+            // The routing of every swap, as if each had pushed its version.
+            let mut versions = vec![(0, bank.routing_now().clone())];
+            let mut now = 0;
+            for _ in 0..rng.gen_range(1..=12usize) {
+                random_swap(&mut rng, &mut bank, &mut now);
+                versions.push((bank.frontier(), bank.routing_now().clone()));
+            }
+            let changes = versions.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            assert_eq!(bank.routings.len(), 1 + changes, "case {case}");
+            for slot in 0..bank.frontier() + 8 {
+                let routing = &versions.iter().rev().find(|v| v.0 <= slot).unwrap().1;
+                for id in (1..=FILES + 3).map(FileId) {
+                    let expect = routing.get(&id).copied();
+                    assert_eq!(bank.channel_of_at(id, slot), expect, "case {case}");
+                }
+            }
+        }
     }
 }

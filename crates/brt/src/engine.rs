@@ -121,8 +121,8 @@ pub(crate) fn resolve_epoch<S: Subscriber, X>(
 /// and the mode-transition surface the runtime drives.
 ///
 /// Per-slot transmissions and the epoch timeline are read straight off
-/// [`Engine::bank`]; `subscribe` / `note_for` / `prepare` / `swap` are the
-/// station-level operations the facade provides.
+/// [`Engine::bank`]; `subscribe` / `note_for` / `prepare` / `swap` /
+/// `retire` are the station-level operations the facade provides.
 pub trait Engine: Send + 'static {
     /// The subscription handle this engine hands out (the facade's
     /// `Retrieval`).
@@ -161,6 +161,16 @@ pub trait Engine: Send + 'static {
     /// `epoch`, after the channel's epoch moved past it: the first swap the
     /// subscriber has not seen decides between retune and cancel.
     fn note_for(&self, file: FileId, channel: usize, epoch: u64) -> SwapNote;
+
+    /// Releases history no live reader can still ask about: program slots
+    /// below `slot` (see [`EpochBank::retire_before`]) and the swap notes of
+    /// every swap up to and including `epoch`.  The runtime calls it after
+    /// each landed swap, with `slot` at or below every slot a live reader
+    /// may still replay and `epoch` at or below every live subscriber's
+    /// tuned epoch.  Keeps everything by default.
+    fn retire(&mut self, slot: usize, epoch: u64) {
+        let _ = (slot, epoch);
+    }
 
     /// A snapshot the preparation thread can design against while the
     /// serving thread keeps transmitting (stale preparations are rejected

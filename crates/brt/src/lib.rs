@@ -177,6 +177,9 @@ mod tests {
                 mode: self.mode.clone(),
             }
         }
+        fn retire(&mut self, slot: usize, _epoch: u64) {
+            self.bank.retire_before(slot);
+        }
         fn admit(&self, _file: FileId, channel: usize, active: usize) -> Result<(), String> {
             match self.budget {
                 Some(budget) if active >= budget => {
@@ -433,9 +436,8 @@ mod tests {
         }
         // A swap through the bare runtime handle: the sink hears of it
         // before the requester does, and before slot 16 goes out.
-        let prepared = runtime
-            .snapshot()
-            .unwrap()
+        let before = runtime.snapshot().unwrap();
+        let prepared = before
             .prepare(&ModeSpec::new("other").file(bcore_spec_stub()))
             .unwrap();
         runtime
@@ -443,14 +445,17 @@ mod tests {
             .unwrap();
         assert_eq!(record.lock().unwrap().modes, vec![(0, 0), (1, 16)]);
         let engine = runtime.shutdown().unwrap();
+        // Nobody was listening when the swap landed, so the served slots'
+        // history is retired; the snapshot from before the swap still has it.
+        assert_eq!(engine.bank.retired_before(), 16);
         let record = record.lock().unwrap();
         // One publication per served slot, in slot order, live lanes only.
         assert_eq!(record.published.len(), 16);
         for (i, (slot, lanes)) in record.published.iter().enumerate() {
             assert_eq!(*slot, i);
             for &(channel, epoch, file) in lanes {
-                assert_eq!(epoch, engine.bank.epoch_at(channel, *slot).unwrap());
-                let tx = engine.bank.transmit_ref(channel, *slot).unwrap();
+                assert_eq!(epoch, before.bank.epoch_at(channel, *slot).unwrap());
+                let tx = before.bank.transmit_ref(channel, *slot).unwrap();
                 assert_eq!(tx.block.file(), file);
             }
         }
@@ -495,8 +500,10 @@ mod tests {
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].applied(), "swap failed: {:?}", outcomes[0]);
         assert_eq!(doomed.join().cancelled_by.as_deref(), Some("swapped"));
-        // The bank flipped exactly at the planned slot.
+        // The bank flipped exactly at the planned slot — and kept the slots
+        // before it: the reader starting at slot 0 was live when it landed.
         let engine = runtime.shutdown().unwrap();
+        assert_eq!(engine.bank.retired_before(), 0);
         assert_eq!(engine.bank.epoch_at(0, 9), Some(0));
         assert_eq!(engine.bank.epoch_at(0, 10), Some(1));
     }
@@ -529,8 +536,11 @@ mod tests {
         let epoch = runtime.swap_at(prepared, 5, SwapPolicy::Immediate).unwrap();
         assert_eq!(epoch, 1);
         let engine = runtime.shutdown().unwrap();
-        // Applied at the serving cursor (slot 20), never rewriting history.
-        assert_eq!(engine.bank.epoch_at(0, 19), Some(0));
+        // Applied at the serving cursor (slot 20), never rewriting history
+        // — which, with no reader live, is retired up to that cursor.
+        assert_eq!(engine.bank.frontier(), 20);
+        assert_eq!(engine.bank.retired_before(), 20);
+        assert_eq!(engine.bank.epoch_at(0, 19), None);
         assert_eq!(engine.bank.epoch_at(0, 20), Some(1));
     }
 

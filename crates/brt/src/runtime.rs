@@ -35,6 +35,11 @@
 //!   precisely the right point of its delivery stream and epochs never
 //!   desync.  A departed subscriber or a shut-down server drops the reply
 //!   sender, which ends the waiting reader.
+//! * Only the runtime knows who can still read, so after each landed swap
+//!   it hands the engine a **retention floor** ([`Engine::retire`]): the
+//!   earliest slot a live reader may replay and the oldest epoch one is
+//!   tuned to.  History behind it is dropped, so a station refreshed
+//!   without end stays flat in memory.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
 use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
@@ -533,6 +538,10 @@ struct Entry {
     file: FileId,
     channel: usize,
     epoch: u64,
+    /// The reader's starting cursor: the later of its request slot and the
+    /// serving slot at admission.  Its cursor — and so any span it replays
+    /// as lag — never drops below it.
+    start: usize,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
 }
@@ -657,6 +666,19 @@ impl<E: Engine> ServerState<E> {
             self.ring.kick();
         }
         Some(entry)
+    }
+
+    /// The oldest history a live reader can still ask about, with `slot`
+    /// the serving slot: no reader replays a slot below the earliest
+    /// starting cursor, and none asks for the note of a swap at or below
+    /// the oldest tuned epoch.  A reader admitted later starts at or after
+    /// the serving slot, tuned to the latest mode (`latest_epoch` when
+    /// nobody is live).
+    fn retention_floor(&self, slot: usize, latest_epoch: u64) -> (usize, u64) {
+        let live = self.subscribers.values();
+        let slot = live.clone().map(|e| e.start).fold(slot, usize::min);
+        let epoch = live.map(|e| e.epoch).min().unwrap_or(latest_epoch);
+        (slot, epoch)
     }
 }
 
@@ -827,6 +849,7 @@ fn handle_command<E: Engine>(
                         file,
                         channel,
                         epoch: ticket.epoch(),
+                        start: ticket.request_slot().max(slot),
                         counters,
                         detached,
                     },
@@ -965,7 +988,9 @@ fn handle_command<E: Engine>(
 /// swap planned for slot `s` flips exactly at `s` when it was scheduled
 /// ahead of time, and at the current slot when it arrived late.  Every
 /// landed swap is announced to the sinks ([`SlotSink::mode_changed`]) before
-/// its requester hears back.
+/// its requester hears back, and lets the engine retire what the live
+/// fleet can no longer read ([`Engine::retire`]) — so a station refreshed
+/// without end holds no more history than its readers need.
 fn apply_due_swaps<E: Engine>(
     engine: &mut E,
     slot: usize,
@@ -992,6 +1017,8 @@ fn apply_due_swaps<E: Engine>(
             for sink in sinks.iter_mut() {
                 sink.mode_changed(engine.bank());
             }
+            let (floor_slot, floor_epoch) = state.retention_floor(slot, engine.bank().epoch());
+            engine.retire(floor_slot, floor_epoch);
         }
         let _ = swap.reply.send(result);
     }
@@ -1075,6 +1102,11 @@ fn replay_lag<E: Engine>(
     to: usize,
 ) -> (u64, u64) {
     let bank = engine.bank();
+    debug_assert!(
+        from >= bank.retired_before(),
+        "lag replay from slot {from} reads below the retention floor {}",
+        bank.retired_before()
+    );
     if channel >= bank.lane_count() {
         return (0, 0);
     }

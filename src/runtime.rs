@@ -103,7 +103,9 @@ impl RuntimeHandle {
 
     /// A clone of the serving station as of the next slot boundary — what
     /// [`RuntimeHandle::prepare_mode`] designs against, and a window into
-    /// current routing/epochs for diagnostics.
+    /// current routing/epochs for diagnostics.  Its program history reaches
+    /// back only to the retention floor ([`bdisk::EpochBank::retired_before`]):
+    /// slots below it read as `None`.
     pub fn snapshot(&self) -> Result<Station, Error> {
         self.inner.snapshot().map_err(facade_error)
     }
@@ -163,7 +165,11 @@ impl RuntimeHandle {
 
     /// Stops the serving loop (closing the ring and detaching every client)
     /// and returns the station, ready to serve again — synchronously or
-    /// under a fresh runtime.
+    /// under a fresh runtime.  While it served, the runtime retired the
+    /// history no live client could read any more: the station keeps its
+    /// program only back to the retention floor
+    /// ([`bdisk::EpochBank::retired_before`]), so drive it from slots at or
+    /// after that floor, with retrievals subscribed after the shutdown.
     pub fn shutdown(self) -> Result<Station, Error> {
         self.inner.shutdown().map_err(facade_error)
     }

@@ -39,6 +39,12 @@ use std::sync::Arc;
 /// re-subscribe (their file survives with identical dispersal parameters
 /// and contents), or resolve to [`Error::ModeChanged`] per the
 /// [`SwapPolicy`].
+///
+/// Driven synchronously, a station keeps its whole program and swap
+/// history.  Served concurrently ([`Station::serve_concurrent`]), it keeps
+/// only what a live reader can still ask about: after each landed swap the
+/// runtime retires the segments and swap records behind its retention
+/// floor, so memory does not grow with the refresh count.
 #[derive(Debug, Clone)]
 pub struct Station {
     settings: Settings,
@@ -47,6 +53,10 @@ pub struct Station {
     pub(crate) mode: Arc<Mode>,
     bank: EpochBank,
     swaps: Vec<SwapRecord>,
+    /// Per channel, the epoch of the newest retired swap record that
+    /// flipped it: a retrieval tuned to the channel below that epoch would
+    /// find its note gone.
+    retired_flips: BTreeMap<usize, u64>,
 }
 
 /// What the builder fixes for the station's whole life, across every mode.
@@ -88,6 +98,7 @@ impl Station {
             mode: Arc::new(mode),
             bank: EpochBank::new(servers)?,
             swaps: Vec::new(),
+            retired_flips: BTreeMap::new(),
         })
     }
 
@@ -219,7 +230,9 @@ impl Station {
 
     /// What the first channel transmits in `slot` (borrowed; no copy).
     /// Slot time is epoch-aware: slots before a flip replay the program that
-    /// was on the air then.
+    /// was on the air then.  A station that has been served concurrently
+    /// keeps that history only back to its retention floor
+    /// ([`EpochBank::retired_before`]); earlier slots read as `None`.
     pub fn transmit(&self, slot: usize) -> Option<TransmissionRef<'_>> {
         self.bank.transmit_ref(0, slot)
     }
@@ -271,7 +284,9 @@ impl Station {
     /// An infinite slot-by-slot view of the first channel, starting at
     /// `start`: yields `(slot, transmission)` pairs, `None` for idle slots.
     /// The view is epoch-aware: it replays whatever was (or will be) on the
-    /// air in each slot, across mode swaps.
+    /// air in each slot, across mode swaps — back to the retention floor on
+    /// a station that has been served concurrently (see
+    /// [`Station::transmit`]).
     pub fn stream(&self, start: usize) -> Stream<'_> {
         self.stream_channel(0, start)
             .expect("every mode serves at least channel 0")
@@ -618,6 +633,12 @@ impl brt::Engine for Station {
     /// and cancellation.  A retrieval with no matching swap record (it came
     /// from a different station) cancels rather than loops forever.
     fn note_for(&self, file: FileId, channel: usize, epoch: u64) -> brt::SwapNote {
+        debug_assert!(
+            self.retired_flips
+                .get(&channel)
+                .is_none_or(|&floor| epoch >= floor),
+            "a retrieval tuned to channel {channel} at epoch {epoch} asks for a retired note"
+        );
         let record = self
             .swaps
             .iter()
@@ -655,6 +676,19 @@ impl brt::Engine for Station {
                 budget,
             }),
             _ => Ok(()),
+        }
+    }
+
+    /// Drops the program history below `slot` and the swap records up to
+    /// `epoch`.  Only the runtime calls it: the synchronous drivers keep the
+    /// station's whole history.
+    fn retire(&mut self, slot: usize, epoch: u64) {
+        self.bank.retire_before(slot);
+        let retired = self.swaps.partition_point(|s| s.epoch <= epoch);
+        for record in self.swaps.drain(..retired) {
+            for &channel in &record.flipped {
+                self.retired_flips.insert(channel, record.epoch);
+            }
         }
     }
 

@@ -21,6 +21,9 @@
 //! * **lag bookkeeping** — a slow subscriber drops slots instead of
 //!   stalling the server, and every dropped slot that carried a block of
 //!   its file is accounted as an erasure;
+//! * **retention** — a served station frees every swapped-out program no
+//!   reader can reach, while a parked reader's lag replay and a far-future
+//!   subscriber's swap notes stay exactly as they were;
 //! * **wall-clock smoke** — a real-time (`WallClock`) runtime completes a
 //!   multi-client retrieval with a scheduled swap firing at its planned
 //!   slot.
@@ -32,9 +35,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtbdisk::{
     BernoulliErrors, Broadcast, ChannelErrorModel, ErrorModel, FileId, GeneralizedFileSpec,
-    ManualClock, ModeSchedule, ModeSpec, NoErrors, RetrievalResolution, RuntimeConfig, Station,
-    SwapPolicy, TransmissionRef, WallClock,
+    ManualClock, ModeSchedule, ModeSpec, NoErrors, RetrievalResolution, RuntimeConfig,
+    RuntimeHandle, Station, SwapPolicy, TransmissionRef, WallClock,
 };
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Property-test depth: `RTBDISK_PROP_CASES` (default 64).
@@ -482,6 +487,199 @@ fn lagging_subscribers_drop_slots_as_erasures_without_stalling_the_server() {
     // The server never stalled: it worked through everything released.
     assert_eq!(fleet.slots_served, clock.released() as u64);
     handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Retention: a served station keeps only the history a live reader can still
+// ask about.
+
+/// Releases `slots` more slots and waits until the server has served them.
+fn release(clock: &ManualClock, handle: &RuntimeHandle, slots: usize) {
+    clock.advance(slots);
+    while handle.slots_served() < clock.released() as u64 {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
+/// Gives `file` new bytes (every one `fill`) with an immediate swap at the
+/// serving cursor; returns the flip slot.
+fn refresh(handle: &RuntimeHandle, file: FileId, fill: u8) -> usize {
+    let air = handle.snapshot().unwrap();
+    let bytes = vec![fill; air.files().get(file).unwrap().total_bytes()];
+    let same = ModeSpec::new(format!("refresh-{fill}")).files(air.specs().to_vec());
+    let prepared = air
+        .prepare_mode_with_contents(&same, BTreeMap::from([(file, bytes)]))
+        .unwrap();
+    let at = handle.slots_served() as usize;
+    let report = handle.swap_at(prepared, at, SwapPolicy::Immediate).unwrap();
+    assert_eq!(report.flip_slot, at, "a parked server flips at its cursor");
+    report.flip_slot
+}
+
+#[test]
+fn swapped_out_programs_are_freed_once_no_reader_can_reach_them() {
+    let mut rng = StdRng::seed_from_u64(0xB2_11);
+    for case in 0..prop_cases().div_ceil(8).max(4) {
+        let station = random_station(&mut rng, [1, 2][case % 2]);
+        let files: Vec<FileId> = station.specs().iter().map(|s| s.id).collect();
+        let clock = ManualClock::new();
+        let handle = station.serve_concurrent(clock.clone());
+        // Every program that was ever on the air, by channel.
+        let mut programs = Vec::new();
+        for round in 1..=6u8 {
+            let air = handle.snapshot().unwrap();
+            for c in 0..air.channel_count() {
+                programs.push((c, Arc::downgrade(&air.bank().current_arc(c).unwrap())));
+            }
+            drop(air);
+            let flip = refresh(&handle, files[rng.gen_range(0..files.len())], round);
+            // No ring subscriber: everything before the flip is retired,
+            // and only the programs on the air are still alive.
+            let air = handle.snapshot().unwrap();
+            assert_eq!(air.bank().retired_before(), flip, "case {case}");
+            for (c, program) in &programs {
+                let on_air = air.bank().current_arc(*c).unwrap();
+                assert!(
+                    program
+                        .upgrade()
+                        .is_none_or(|held| Arc::ptr_eq(&held, &on_air)),
+                    "case {case} round {round}: a swapped-out program of channel {c} is alive"
+                );
+            }
+            release(&clock, &handle, rng.gen_range(0..=40));
+        }
+        handle.shutdown().unwrap();
+    }
+}
+
+/// Parks its reader inside the delivery of one slot until resumed.
+struct PauseAt {
+    slot: usize,
+    arrived: mpsc::Sender<usize>,
+    resume: mpsc::Receiver<()>,
+}
+
+impl ErrorModel for PauseAt {
+    fn is_lost(&mut self, transmission: TransmissionRef<'_>) -> bool {
+        if transmission.slot == self.slot {
+            self.arrived.send(transmission.slot).unwrap();
+            self.resume.recv().unwrap();
+        }
+        false
+    }
+}
+
+#[test]
+fn a_lagging_reader_books_exact_lag_across_refreshes_that_retire_history() {
+    let station = Broadcast::builder()
+        .file(GeneralizedFileSpec::new(FileId(1), 2, vec![12, 16]).unwrap())
+        .file(GeneralizedFileSpec::new(FileId(2), 1, vec![10, 14]).unwrap())
+        .build()
+        .unwrap();
+    // A content refresh keeps the program, so every epoch lays its slots
+    // out as the first one does; file 1's bytes never change.
+    let layout = station.clone();
+    let expected = layout.retrieve(FileId(1), 0, &mut NoErrors).unwrap().data;
+    let capacity = 64;
+    let clock = ManualClock::new();
+    let handle = station.serve_concurrent_with(
+        clock.clone(),
+        RuntimeConfig {
+            queue_capacity: capacity,
+        },
+    );
+    // With nobody listening, a refresh retires every slot served.
+    release(&clock, &handle, 20);
+    assert_eq!(refresh(&handle, FileId(2), 1), 20);
+
+    // A reader asking for slot 40, parked inside its first data slot.
+    let start = 40;
+    let parked = (start..).find(|&s| layout.transmit(s).is_some()).unwrap();
+    let (arrived, arrivals) = mpsc::channel();
+    let (resume, resumed) = mpsc::channel();
+    let pause = PauseAt {
+        slot: parked,
+        arrived,
+        resume: resumed,
+    };
+    let client = handle.subscribe_with(FileId(1), start, pause).unwrap();
+    release(&clock, &handle, parked + 1 - 20);
+    assert_eq!(arrivals.recv_timeout(Duration::from_secs(10)), Ok(parked));
+    // While it is parked, file 2 is refreshed four times and the ring laps
+    // it; its start holds the slot floor for everything it may replay.
+    let mut flips = Vec::new();
+    for fill in 2..=5 {
+        release(&clock, &handle, 2 * capacity);
+        flips.push(refresh(&handle, FileId(2), fill));
+    }
+    release(&clock, &handle, 2 * capacity);
+    assert_eq!(handle.snapshot().unwrap().bank().retired_before(), start);
+
+    // Resumed, it books the overwritten span as lag and completes from the
+    // cells still in the ring, retuning through every refresh.
+    resume.send(()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !client.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "the resumed reader never finished"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The span is replayed on the epoch the reader was tuned to, which the
+    // first refresh while it was parked ended.
+    let lagged: Vec<FileId> = (parked + 1..flips[0])
+        .filter_map(|s| layout.transmit(s).map(|tx| tx.block.file()))
+        .collect();
+    let stats = client.stats();
+    assert!(stats.lagged_slots > 0);
+    assert_eq!(stats.lagged_slots, lagged.len() as u64);
+    let of_file = lagged.iter().filter(|&&f| f == FileId(1)).count();
+    assert_eq!(stats.lag_erasures, of_file as u64);
+    match client.join().unwrap() {
+        RetrievalResolution::Complete(outcome) => assert_eq!(outcome.data, expected),
+        other => panic!("the lagging reader should complete, got {other:?}"),
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_far_future_subscriber_retunes_through_refreshes_that_land_before_its_start() {
+    let mut rng = StdRng::seed_from_u64(0xB2_12);
+    for case in 0..prop_cases().div_ceil(8).max(4) {
+        let station = random_station(&mut rng, 1);
+        let files: Vec<FileId> = station.specs().iter().map(|s| s.id).collect();
+        // `moving` is refreshed; `beside` shares its (only) channel.
+        let moving = files[rng.gen_range(0..files.len())];
+        let beside = *files.iter().find(|&&f| f != moving).unwrap();
+        let expected = station.retrieve(beside, 0, &mut NoErrors).unwrap().data;
+        let cycle = station.program().broadcast_period();
+        let clock = ManualClock::new();
+        let handle = station.serve_concurrent(clock.clone());
+        release(&clock, &handle, rng.gen_range(0..cycle));
+        let admitted = handle.slots_served() as usize;
+        let start = admitted + 10 * cycle;
+        let client = handle.subscribe(beside, start).unwrap();
+        let mut flip = admitted;
+        for fill in 1..=rng.gen_range(1..=4u8) {
+            release(&clock, &handle, rng.gen_range(1..=cycle));
+            flip = refresh(&handle, moving, fill);
+        }
+        // Its start is far ahead, so the slot floor follows the serving
+        // cursor; its tuned epoch keeps every swap note it will ask for.
+        assert!(flip < start);
+        assert_eq!(handle.snapshot().unwrap().bank().retired_before(), flip);
+        let clients = vec![client];
+        advance_until_finished(&clock, &clients);
+        match clients.pop_or_panic().join() {
+            Ok(RetrievalResolution::Complete(outcome)) => {
+                assert_eq!(outcome.data, expected, "case {case}");
+                assert!(outcome.completion_slot >= start);
+            }
+            other => panic!("case {case}: the far-future reader should retune, got {other:?}"),
+        }
+        handle.shutdown().unwrap();
+    }
 }
 
 #[test]
