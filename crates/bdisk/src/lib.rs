@@ -23,7 +23,10 @@
 //! * [`ClientSession`] — the retrieval machine: a client retrieving one
 //!   file from the broadcast, tolerant of lost blocks thanks to IDA
 //!   redundancy, and the one place that decides whether collected blocks
-//!   survive an epoch change.
+//!   survive an epoch change;
+//! * [`ChannelErrorModel`] — the reception-loss seam every slot driver
+//!   samples per delivered block ([`ErrorModel`] for one shared process,
+//!   [`NoErrors`] for a lossless channel).
 //!
 //! ## Quick example
 //!
@@ -47,6 +50,7 @@
 mod client;
 mod epoch;
 mod file;
+mod loss;
 mod program;
 mod server;
 
@@ -54,5 +58,6 @@ pub use client::{ClientSession, Ingest, Observation, RetrievalOutcome};
 pub use epoch::{EpochBank, SwapApplied};
 pub use file::{BroadcastFile, FileSet, LatencyVector};
 pub use ida::FileId;
+pub use loss::{ChannelErrorModel, ErrorModel, NoErrors};
 pub use program::{BroadcastProgram, FlatOrder, ProgramEntry, ProgramError};
 pub use server::{BroadcastServer, ServerError, Transmission, TransmissionRef};

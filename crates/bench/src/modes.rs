@@ -11,12 +11,44 @@
 
 use crate::render_table;
 use crate::sharding::sharding_workload;
-use bsim::{BernoulliErrors, ModeSchedule, TransitionMetrics};
+use bsim::BernoulliErrors;
 use ida::{FileId, ModeProfile, RedundancyPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtbdisk::{Broadcast, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy};
+use rtbdisk::{Broadcast, ModeSchedule, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy};
 use serde::{Deserialize, Serialize};
+
+/// Disruption accounting for one executed swap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TransitionMetrics {
+    /// Slot the swap was requested at.
+    pub requested_slot: usize,
+    /// Slot the changed channels flipped at.
+    pub flip_slot: usize,
+    /// In-flight retrievals at request time whose channel the swap never
+    /// touched.
+    pub untouched: usize,
+    /// In-flight retrievals that completed before the flip (the drain
+    /// policy's goal).
+    pub completed_before_flip: usize,
+    /// In-flight retrievals that transparently re-subscribed and completed
+    /// under the new program.
+    pub resubscribed: usize,
+    /// In-flight retrievals cancelled with `ModeChanged`.
+    pub disrupted: usize,
+}
+
+impl TransitionMetrics {
+    /// Slots between request and flip (the swap latency the policy paid).
+    pub fn swap_latency(&self) -> usize {
+        self.flip_slot - self.requested_slot
+    }
+
+    /// Total in-flight retrievals the swap found.
+    pub fn in_flight(&self) -> usize {
+        self.untouched + self.completed_before_flip + self.resubscribed + self.disrupted
+    }
+}
 
 /// One cell of the modes figure.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -218,6 +250,20 @@ pub fn modes_figure(clients_per_file: usize, seed: u64) -> ModesFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_account_for_every_in_flight_retrieval() {
+        let m = TransitionMetrics {
+            requested_slot: 40,
+            flip_slot: 64,
+            untouched: 3,
+            completed_before_flip: 2,
+            resubscribed: 1,
+            disrupted: 4,
+        };
+        assert_eq!(m.swap_latency(), 24);
+        assert_eq!(m.in_flight(), 10);
+    }
 
     #[test]
     fn figure_covers_both_policies_across_channel_counts() {

@@ -9,8 +9,8 @@
 
 use crate::render_table;
 use bcore::{GeneralizedFileSpec, MultiChannelDesigner, MultiChannelReport};
-use bdisk::{BroadcastServer, ClientSession, Observation};
-use bsim::{BernoulliErrors, ErrorModel};
+use bdisk::{BroadcastServer, ClientSession, ErrorModel, Observation};
+use bsim::BernoulliErrors;
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

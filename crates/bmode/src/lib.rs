@@ -23,22 +23,27 @@
 //! * [`SwapPolicy`] — what happens to in-flight retrievals of affected
 //!   files: flip immediately (cancelling what cannot be carried over) or
 //!   drain first (defer the flip past the drain horizon so anything within
-//!   its declared fault tolerance completes under the old program).
+//!   its declared fault tolerance completes under the old program);
+//! * [`ModeSchedule`] — timed swaps: a slot-ordered list of
+//!   [`ModeEvent`]s (target mode, policy, planned slot).
 //!
 //! The crate is deliberately mechanism-free: it plans transitions but does
-//! not serve them.  The `bdisk::EpochBank` executes the per-channel swap and
+//! not serve them.  The `bdisk::EpochBank` executes the per-channel swap,
 //! the `rtbdisk` facade (`Station::prepare_mode` / `Station::swap`) wires
-//! the two together.
+//! the two together, and the `brt` swap scheduler plays a schedule against
+//! a running station.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod planner;
+mod schedule;
 mod spec;
 
 pub use planner::{
     diff, ChannelTransition, ChannelView, CurrentMode, ModePlan, ModePlanner, TransitionPlan,
 };
+pub use schedule::{ModeEvent, ModeSchedule};
 pub use spec::ModeSpec;
 
 use serde::{Deserialize, Serialize};

@@ -1,20 +1,14 @@
-//! Mode-change workloads: timed mode-transition events injected into a
-//! simulation, plus the accounting for what each swap did to the in-flight
-//! retrievals.
+//! Timed mode changes: a slot-ordered list of swaps to play against a
+//! station.
 //!
-//! A [`ModeSchedule`] is pure data — a slot-ordered list of
-//! [`ModeEvent`]s — so any driver (the `rtbdisk` facade's station, the
-//! experiment harness, a test) can play it against its own client fleet.
-//! [`TransitionMetrics`] accumulates the per-swap disruption counts the
-//! `modes` bench figure reports: how long the swap took to flip, how many
-//! in-flight retrievals survived untouched, transparently re-subscribed, or
-//! were cancelled with `ModeChanged`.
+//! A [`ModeSchedule`] is pure data — [`ModeEvent`]s in slot order — so any
+//! driver (the `brt` swap scheduler on a running station, the experiment
+//! harness, a test) can play it against its own client fleet.
 
-use bmode::{ModeSpec, SwapPolicy};
-use serde::{Deserialize, Serialize};
+use crate::{ModeSpec, SwapPolicy};
 
 /// One timed mode-change event: at `at_slot`, swap to `mode` under `policy`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModeEvent {
     /// The slot at which the swap is requested.
     pub at_slot: usize,
@@ -25,7 +19,7 @@ pub struct ModeEvent {
 }
 
 /// A slot-ordered schedule of mode-change events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ModeSchedule {
     events: Vec<ModeEvent>,
 }
@@ -76,38 +70,6 @@ impl ModeSchedule {
     }
 }
 
-/// Disruption accounting for one executed swap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransitionMetrics {
-    /// Slot the swap was requested at.
-    pub requested_slot: usize,
-    /// Slot the changed channels flipped at.
-    pub flip_slot: usize,
-    /// In-flight retrievals at request time whose channel the swap never
-    /// touched.
-    pub untouched: usize,
-    /// In-flight retrievals that completed before the flip (the drain
-    /// policy's goal).
-    pub completed_before_flip: usize,
-    /// In-flight retrievals that transparently re-subscribed and completed
-    /// under the new program.
-    pub resubscribed: usize,
-    /// In-flight retrievals cancelled with `ModeChanged`.
-    pub disrupted: usize,
-}
-
-impl TransitionMetrics {
-    /// Slots between request and flip (the swap latency the policy paid).
-    pub fn swap_latency(&self) -> usize {
-        self.flip_slot - self.requested_slot
-    }
-
-    /// Total in-flight retrievals the swap found.
-    pub fn in_flight(&self) -> usize {
-        self.untouched + self.completed_before_flip + self.resubscribed + self.disrupted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,19 +93,5 @@ mod tests {
         assert_eq!(schedule.next_at_or_after(150).unwrap().at_slot, 200);
         assert_eq!(schedule.next_at_or_after(200).unwrap().at_slot, 200);
         assert!(schedule.next_at_or_after(301).is_none());
-    }
-
-    #[test]
-    fn metrics_account_for_every_in_flight_retrieval() {
-        let m = TransitionMetrics {
-            requested_slot: 40,
-            flip_slot: 64,
-            untouched: 3,
-            completed_before_flip: 2,
-            resubscribed: 1,
-            disrupted: 4,
-        };
-        assert_eq!(m.swap_latency(), 24);
-        assert_eq!(m.in_flight(), 10);
     }
 }

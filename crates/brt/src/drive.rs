@@ -16,13 +16,12 @@
 //! slots, dark channels, or channels nobody listens to.  Consequently the
 //! samples drawn *for any one channel* form a strictly slot-ordered
 //! subsequence — which is what keeps per-channel-seeded models (e.g.
-//! `bsim::IndependentChannels`) seed-compatible with the concurrent
+//! `bsim`'s `IndependentChannels`) seed-compatible with the concurrent
 //! runtime, where each subscriber samples its own model per delivered slot
 //! of its channel, also in slot order.
 
 use crate::engine::{resolve_epoch, Engine, Subscriber, Tuning};
-use bdisk::TransmissionRef;
-use bsim::ChannelErrorModel;
+use bdisk::{ChannelErrorModel, TransmissionRef};
 use core::convert::Infallible;
 use ida::FileId;
 

@@ -23,13 +23,13 @@
 //!   client tasks read it through private cursors without cloning payloads
 //!   (a true broadcast: server cost is independent of the fleet size),
 //!   each feeding the engine's ticket and sampling its own
-//!   `bsim::ChannelErrorModel`.  Backpressure is by overwrite — a reader
+//!   [`bdisk::ChannelErrorModel`].  Backpressure is by overwrite — a reader
 //!   that falls more than the ring's capacity behind self-accounts the
 //!   lost span as lag/erasures ([`Subscriber::erase`]); the server never
 //!   stalls on a slow client.  Notes come from the serving thread over a
 //!   reply channel carried in the request, and [`Engine::admit`] gates
 //!   subscriptions against per-channel fleet budgets;
-//! * [`SwapScheduler`] — plays a [`bsim::ModeSchedule`] against a running
+//! * [`SwapScheduler`] — plays a [`bmode::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
 //!   live lanes are published once to each attached sink, and every swap
@@ -40,7 +40,10 @@
 //!
 //! The crate is std-only (threads, channels, condvars — no external
 //! dependencies) and deliberately generic: it never names a facade type,
-//! so the machinery is unit-testable against a stub engine.
+//! so the machinery is unit-testable against a stub engine.  It links no
+//! simulator either: the loss seam is `bdisk`'s and mode schedules are
+//! `bmode`'s, so a network station built on it carries neither `bsim`'s
+//! models nor its analysers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,11 +73,10 @@ mod tests {
     use super::*;
     use crate::engine::{resolve_epoch, Tuning};
     use bdisk::{
-        BroadcastFile, BroadcastProgram, BroadcastServer, EpochBank, FileSet, FlatOrder,
-        LatencyVector, TransmissionRef,
+        BroadcastFile, BroadcastProgram, BroadcastServer, EpochBank, ErrorModel, FileSet,
+        FlatOrder, LatencyVector, NoErrors, TransmissionRef,
     };
-    use bmode::{ModeSpec, SwapPolicy};
-    use bsim::{ErrorModel, ModeSchedule, NoErrors};
+    use bmode::{ModeSchedule, ModeSpec, SwapPolicy};
     use ida::{Dispersal, FileId};
     use std::collections::BTreeMap;
     use std::sync::{mpsc, Arc};

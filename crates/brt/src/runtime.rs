@@ -45,10 +45,9 @@ use crate::clock::{ClockPoll, SlotClock, WakeSignal};
 use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
 use crate::ring::{BatchRead, BroadcastRing, LaneCell, SlotCell};
 use crate::sink::{LaneView, SlotSink};
-use bdisk::TransmissionRef;
+use bdisk::{ChannelErrorModel, TransmissionRef};
 use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
-use bsim::ChannelErrorModel;
 use ida::FileId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,7 +1,7 @@
-//! The swap scheduler: plays a [`bsim::ModeSchedule`] against a running
+//! The swap scheduler: plays a [`bmode::ModeSchedule`] against a running
 //! [`crate::Runtime`].
 //!
-//! For each scheduled [`bsim::ModeEvent`] the scheduler thread
+//! For each scheduled [`bmode::ModeEvent`] the scheduler thread
 //!
 //! 1. takes a **snapshot** of the engine (a cheap clone — programs and
 //!    contents are `Arc`-shared),
@@ -17,7 +17,7 @@
 
 use crate::engine::Engine;
 use crate::runtime::{RuntimeController, RuntimeError};
-use bsim::ModeSchedule;
+use bmode::{ModeEvent, ModeSchedule};
 use std::thread::JoinHandle;
 
 /// What happened to one scheduled mode-change event.
@@ -84,7 +84,7 @@ pub fn run_schedule<E: Engine>(
 
 fn execute<E: Engine>(
     controller: &RuntimeController<E>,
-    event: &bsim::ModeEvent,
+    event: &ModeEvent,
 ) -> Result<E::Report, String> {
     let snapshot = controller.snapshot().map_err(display_of)?;
     let prepared = snapshot.prepare(&event.mode).map_err(|e| e.to_string())?;

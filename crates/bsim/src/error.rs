@@ -6,42 +6,15 @@
 //! entire block unreadable" — the Bernoulli model below.  Real wireless
 //! channels are bursty, so a two-state Gilbert–Elliott model is provided as
 //! well, plus deterministic models for tests and worst-case experiments.
+//!
+//! The traits they implement — [`ErrorModel`], [`ChannelErrorModel`] — and
+//! the lossless [`bdisk::NoErrors`] are `bdisk`'s, so the serving path
+//! samples a model without linking this crate.
 
-use bdisk::TransmissionRef;
+use bdisk::{ChannelErrorModel, ErrorModel, TransmissionRef};
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Decides, per slot, whether the client's reception of the transmitted block
-/// fails.
-///
-/// Models receive a borrowed [`TransmissionRef`] so that slot-driver loops
-/// (the facade's `Station` and the simulator) never clone blocks just to ask
-/// whether they were lost.
-pub trait ErrorModel {
-    /// Returns `true` when the reception of `transmission` is lost.
-    fn is_lost(&mut self, transmission: TransmissionRef<'_>) -> bool;
-}
-
-/// A loss process over a *bank* of broadcast channels: the model is told
-/// which channel a transmission travelled on, so per-channel and
-/// cross-channel-correlated loss become expressible.
-///
-/// Every plain [`ErrorModel`] is a [`ChannelErrorModel`] that ignores the
-/// channel index (one shared loss process across all channels) — so
-/// single-channel code and models keep working unchanged against
-/// multi-channel drivers.
-pub trait ChannelErrorModel {
-    /// Returns `true` when the reception of `transmission` on `channel` is
-    /// lost.
-    fn is_lost_on(&mut self, channel: usize, transmission: TransmissionRef<'_>) -> bool;
-}
-
-impl<E: ErrorModel + ?Sized> ChannelErrorModel for E {
-    fn is_lost_on(&mut self, _channel: usize, transmission: TransmissionRef<'_>) -> bool {
-        self.is_lost(transmission)
-    }
-}
 
 /// Independent per-channel loss: channel `c` is governed by the `c`-th model,
 /// with no coupling between channels.  Channels beyond the configured list
@@ -181,16 +154,6 @@ impl<E: ErrorModel> ChannelErrorModel for OnChannel<E> {
     }
 }
 
-/// A lossless channel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoErrors;
-
-impl ErrorModel for NoErrors {
-    fn is_lost(&mut self, _transmission: TransmissionRef<'_>) -> bool {
-        false
-    }
-}
-
 /// Independent (Bernoulli) block-loss with probability `p` per reception.
 #[derive(Debug, Clone)]
 pub struct BernoulliErrors {
@@ -321,7 +284,8 @@ impl ErrorModel for TargetedLoss {
 mod tests {
     use super::*;
     use bdisk::{
-        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, Transmission,
+        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, NoErrors,
+        Transmission,
     };
 
     fn a_transmission() -> Transmission {

@@ -5,38 +5,37 @@
 //! analytic; this crate provides the simulation substrate that regenerates
 //! them and stresses the implementation beyond the worked examples:
 //!
-//! * [`error`] — channel error models: lossless, Bernoulli (independent
-//!   block-loss), Gilbert–Elliott bursts, targeted deterministic loss, and
-//!   multi-channel banks ([`ChannelErrorModel`]): independent per-channel
-//!   processes, cross-channel-correlated loss, and single-channel bursts;
+//! * [`error`] — channel error models: Bernoulli (independent block-loss),
+//!   Gilbert–Elliott bursts, targeted deterministic loss, and multi-channel
+//!   banks: independent per-channel processes, cross-channel-correlated
+//!   loss, and single-channel bursts.  They implement `bdisk`'s loss seam
+//!   ([`bdisk::ErrorModel`] / [`bdisk::ChannelErrorModel`]), which is all
+//!   the serving path knows of them;
 //! * [`worst_case`] — an exact adversarial analysis of retrieval delay under
 //!   a bounded number of reception failures (the generator of Figure 7 and
 //!   the empirical check of Lemmas 1 and 2);
 //! * [`workload`] — file-set and requirement generators: uniform and Zipf
 //!   synthetic mixes plus the paper's AWACS / IVHS motivating scenarios;
-//! * [`mode_schedule`] — timed mode-change events ([`ModeSchedule`]) and the
-//!   per-swap disruption accounting ([`TransitionMetrics`]) behind the
-//!   `modes` figure;
 //! * [`stats`] — latency summaries (mean, max, percentiles) and deadline-miss
 //!   accounting;
 //! * [`sim`] — a Monte-Carlo retrieval simulator driving a
 //!   [`bdisk::BroadcastServer`] against an error model.
+//!
+//! Nothing in the serving path (`brt`, `bnet`) depends on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod mode_schedule;
 pub mod sim;
 pub mod stats;
 pub mod workload;
 pub mod worst_case;
 
 pub use error::{
-    BernoulliErrors, ChannelErrorModel, CorrelatedChannels, ErrorModel, GilbertElliott,
-    IndependentChannels, NoErrors, OnChannel, TargetedLoss,
+    BernoulliErrors, CorrelatedChannels, GilbertElliott, IndependentChannels, OnChannel,
+    TargetedLoss,
 };
-pub use mode_schedule::{ModeEvent, ModeSchedule, TransitionMetrics};
 pub use sim::{RetrievalSimulator, SimulationConfig, SimulationReport};
 pub use stats::{LatencySummary, MissReport};
 pub use workload::{awacs_scenario, ivhs_scenario, RequirementGenerator, WorkloadConfig};

@@ -5,9 +5,8 @@
 //! [`ErrorModel`], and collecting latency and deadline statistics.  This is
 //! the workhorse behind the redundancy-level and block-size ablations.
 
-use crate::error::ErrorModel;
 use crate::stats::{LatencySummary, MissReport};
-use bdisk::{BroadcastServer, ClientSession, Observation};
+use bdisk::{BroadcastServer, ClientSession, ErrorModel, Observation};
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,8 +130,8 @@ impl<'a, E: ErrorModel> RetrievalSimulator<'a, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{BernoulliErrors, NoErrors};
-    use bdisk::{BroadcastProgram, FlatOrder};
+    use crate::error::BernoulliErrors;
+    use bdisk::{BroadcastProgram, FlatOrder, NoErrors};
 
     fn server(dispersal_factor: f64) -> BroadcastServer {
         let files = crate::workload::uniform_file_set(4, 5, 32, dispersal_factor);

@@ -165,6 +165,7 @@ impl BroadcastBuilder {
 mod tests {
     use super::*;
     use bcore::DesignError;
+    use bdisk::NoErrors;
 
     fn spec(id: u32, size: u32, latencies: &[u32]) -> GeneralizedFileSpec {
         GeneralizedFileSpec::new(FileId(id), size, latencies.to_vec()).unwrap()
@@ -191,7 +192,7 @@ mod tests {
             .content(FileId(1), bytes.clone())
             .build()
             .unwrap();
-        let outcome = station.retrieve(FileId(1), 0, &mut bsim::NoErrors).unwrap();
+        let outcome = station.retrieve(FileId(1), 0, &mut NoErrors).unwrap();
         assert_eq!(outcome.data, bytes);
     }
 
@@ -268,7 +269,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(station.channel_count(), 2);
-        let outcome = station.retrieve(FileId(3), 1, &mut bsim::NoErrors).unwrap();
+        let outcome = station.retrieve(FileId(3), 1, &mut NoErrors).unwrap();
         assert!(!outcome.data.is_empty());
     }
 

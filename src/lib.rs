@@ -70,10 +70,10 @@
 //! | [`gf256`] | GF(2⁸) field / matrix substrate |
 //! | [`ida`] | Rabin's IDA and the adaptive AIDA |
 //! | [`pinwheel`] | pinwheel task systems, schedulers, verifier |
-//! | [`bdisk`] | broadcast files, programs, server, client sessions, epoch bank |
+//! | [`bdisk`] | broadcast files, programs, server, client sessions, epoch bank, the loss seam |
 //! | [`bcore`] | conditions, pinwheel algebra, planner, designer |
-//! | [`bmode`] | mode specifications, online re-design, transition planning |
-//! | [`bsim`] | error models, worst-case analysis, Monte-Carlo simulation, mode schedules |
+//! | [`bmode`] | mode specifications, online re-design, transition planning, mode schedules |
+//! | [`bsim`] | error models, worst-case analysis, Monte-Carlo simulation (off the serving path) |
 //! | [`bobs`] | telemetry: metrics registry, lateness histograms, event trace, exporters |
 //! | [`brt`] | slot clocks, the threaded broadcast runtime, the swap scheduler |
 //! | [`bnet`] | wire format, UDP station server, TCP control plane, socket clients |
@@ -100,8 +100,13 @@ pub use station::{Station, Stream};
 
 // The handful of cross-crate types every facade user touches.
 pub use bcore::{ChannelBudget, GeneralizedFileSpec, ShardPlan, ShardPlanner};
-pub use bdisk::{EpochBank, LatencyVector, RetrievalOutcome, TransmissionRef};
-pub use bmode::{ChannelTransition, ModePlanner, ModeSpec, SwapPolicy, TransitionPlan};
+pub use bdisk::{
+    ChannelErrorModel, EpochBank, ErrorModel, LatencyVector, NoErrors, RetrievalOutcome,
+    TransmissionRef,
+};
+pub use bmode::{
+    ChannelTransition, ModeEvent, ModePlanner, ModeSchedule, ModeSpec, SwapPolicy, TransitionPlan,
+};
 pub use bnet::{
     ControlClient, ControlTimeouts, MetricsFormat, NetClient, NetConfig, NetError, NetStats,
     RecoveryConfig,
@@ -112,10 +117,9 @@ pub use brt::{
     WallClock,
 };
 pub use bsim::{
-    BernoulliErrors, ChannelErrorModel, CorrelatedChannels, ErrorModel, GilbertElliott,
-    IndependentChannels, NoErrors, OnChannel, TargetedLoss,
+    BernoulliErrors, CorrelatedChannels, GilbertElliott, IndependentChannels, OnChannel,
+    TargetedLoss,
 };
-pub use bsim::{ModeEvent, ModeSchedule, TransitionMetrics};
 pub use ida::{FileId, ModeProfile, RedundancyPolicy};
 pub use pinwheel::SchedulerChoice;
 

@@ -18,9 +18,9 @@
 //! (exactly as if its channel had lost those receptions).
 
 use crate::{Error, PreparedMode, Retrieval, RetrievalResolution, Station, SwapReport};
-use bmode::{ModeSpec, SwapPolicy};
+use bdisk::{ChannelErrorModel, NoErrors};
+use bmode::{ModeSchedule, ModeSpec, SwapPolicy};
 use brt::{RuntimeConfig, RuntimeError, RuntimeStats, SubscriptionStats};
-use bsim::{ChannelErrorModel, ModeSchedule, NoErrors};
 use ida::FileId;
 
 impl Station {

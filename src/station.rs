@@ -6,10 +6,10 @@ use crate::mode::Mode;
 use crate::{Error, PreparedMode, Retrieval, RetrievalResolution, SwapReport};
 use bcore::{BdiskDesigner, DesignReport, GeneralizedFileSpec, ShardPlanner};
 use bdisk::{
-    BroadcastProgram, BroadcastServer, EpochBank, FileSet, LatencyVector, TransmissionRef,
+    BroadcastProgram, BroadcastServer, ChannelErrorModel, EpochBank, FileSet, LatencyVector,
+    TransmissionRef,
 };
 use bmode::{diff, ChannelTransition, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
-use bsim::ChannelErrorModel;
 use ida::{Dispersal, FileId};
 use pinwheel::{Schedule, SchedulerChoice};
 use std::collections::{BTreeMap, BTreeSet};
@@ -503,7 +503,7 @@ impl Station {
     /// channels nobody listens to.
     /// The samples drawn for any one channel therefore form a strictly
     /// slot-ordered sequence, which is what keeps per-channel-seeded models
-    /// (e.g. [`bsim::IndependentChannels`]) seed-compatible with the
+    /// (e.g. [`crate::IndependentChannels`]) seed-compatible with the
     /// concurrent runtime ([`Station::serve_concurrent`]), where each
     /// subscriber samples its own model per delivered slot of its channel —
     /// also in slot order.  `tests/runtime_properties.rs` pins this order
@@ -512,9 +512,9 @@ impl Station {
     /// The shared sample means the model represents *channel-level* loss
     /// common to every listener of that channel (for independent per-client
     /// error processes, drive clients in separate calls).  Any
-    /// [`bsim::ErrorModel`] works here (one loss process shared across
-    /// channels); [`bsim::IndependentChannels`],
-    /// [`bsim::CorrelatedChannels`] and [`bsim::OnChannel`] express
+    /// [`bdisk::ErrorModel`] works here (one loss process shared across
+    /// channels); [`crate::IndependentChannels`],
+    /// [`crate::CorrelatedChannels`] and [`crate::OnChannel`] express
     /// per-channel scenarios.  Already-complete retrievals are left untouched
     /// and simply contribute their outcome.
     ///
@@ -742,7 +742,7 @@ impl<'a> Iterator for Stream<'a> {
 mod tests {
     use super::*;
     use crate::Broadcast;
-    use bsim::NoErrors;
+    use bdisk::NoErrors;
 
     fn spec(id: u32, size: u32, latencies: &[u32]) -> GeneralizedFileSpec {
         GeneralizedFileSpec::new(FileId(id), size, latencies.to_vec()).unwrap()

@@ -4,7 +4,7 @@
 //! * **loss-as-erasure equivalence** — a lossy in-memory "socket" (the
 //!   channel's wire stream with a seeded drop pattern) resolves
 //!   byte-identically to the serial drive losing the *same* receptions
-//!   through a `bsim` error model;
+//!   through an error model;
 //! * **corruption is loss** — flipping bytes in a datagram instead of
 //!   dropping it yields the same reconstruction (the decoder rejects the
 //!   datagram, the dispersal absorbs it as an erasure);
