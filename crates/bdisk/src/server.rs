@@ -1,7 +1,7 @@
 //! The broadcast server: dispersing file contents and emitting the program.
 
 use crate::{BroadcastProgram, FileSet, ProgramEntry};
-use ida::{BlockHeader, Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
+use ida::{BlockHeader, Bytes, Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -137,11 +137,25 @@ impl BroadcastServer {
         program: BroadcastProgram,
         contents: &BTreeMap<FileId, Vec<u8>>,
     ) -> Result<Self, ServerError> {
-        Self::with_dispersals(files, program, contents, &BTreeMap::new(), &BTreeMap::new())
+        let contents = contents
+            .iter()
+            .map(|(id, bytes)| (*id, Bytes::copy_from_slice(bytes)))
+            .collect();
+        Self::with_dispersals(
+            files,
+            program,
+            &contents,
+            &BTreeMap::new(),
+            &BTreeMap::new(),
+        )
     }
 
-    /// [`BroadcastServer::new`] reusing already-built [`Dispersal`]
-    /// configurations.
+    /// [`BroadcastServer::new`] over shared contents, reusing already-built
+    /// [`Dispersal`] configurations.
+    ///
+    /// Each file's full systematic blocks are views of its `contents` entry
+    /// ([`Dispersal::disperse_bytes`]), so a caller that keeps the content
+    /// (a station's mode) holds those bytes once, not once more per server.
     ///
     /// Building a `Dispersal` pays a matrix construction (an inversion, for
     /// the systematic default) plus the per-coefficient encode tables; a
@@ -159,10 +173,10 @@ impl BroadcastServer {
     /// counts).  What is carried over passes the checks bytes would: the
     /// size the file declares, its `(mᵢ, nᵢ)` and all `nᵢ` blocks, in every
     /// block header.
-    pub fn with_dispersals<B: AsRef<[u8]>>(
+    pub fn with_dispersals(
         files: &FileSet,
         program: BroadcastProgram,
-        contents: &BTreeMap<FileId, B>,
+        contents: &BTreeMap<FileId, Bytes>,
         dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
         carried: &BTreeMap<FileId, DispersedFile>,
     ) -> Result<Self, ServerError> {
@@ -201,8 +215,7 @@ impl BroadcastServer {
             }
             let data = contents
                 .get(&f.id)
-                .ok_or(ServerError::MissingContent(f.id))?
-                .as_ref();
+                .ok_or(ServerError::MissingContent(f.id))?;
             if data.len() != f.total_bytes() {
                 return Err(ServerError::ContentSizeMismatch {
                     file: f.id,
@@ -219,7 +232,7 @@ impl BroadcastServer {
                 Some(d) => d,
                 None => Arc::new(Dispersal::new(m, n)?),
             };
-            dispersed.insert(f.id, dispersal.disperse(f.id, data)?);
+            dispersed.insert(f.id, dispersal.disperse_bytes(f.id, data)?);
         }
         Ok(BroadcastServer { program, dispersed })
     }
@@ -341,6 +354,13 @@ mod tests {
             .collect()
     }
 
+    fn shared(contents: &BTreeMap<FileId, Vec<u8>>) -> BTreeMap<FileId, Bytes> {
+        contents
+            .iter()
+            .map(|(id, bytes)| (*id, Bytes::from(bytes.clone())))
+            .collect()
+    }
+
     #[test]
     fn server_emits_blocks_matching_the_program() {
         let files = paper_files();
@@ -420,7 +440,7 @@ mod tests {
         let reusing = BroadcastServer::with_dispersals(
             &files,
             program.clone(),
-            &contents,
+            &shared(&contents),
             &lookup,
             &BTreeMap::new(),
         )
@@ -447,9 +467,10 @@ mod tests {
     fn with_dispersals_carries_dispersed_files_over_and_checks_them() {
         let files = paper_files();
         let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
-        let mut contents = contents(&files);
+        let contents = contents(&files);
         let serving = BroadcastServer::new(&files, program.clone(), &contents).unwrap();
-        let load = |contents: &BTreeMap<FileId, Vec<u8>>, carried: &BTreeMap<_, _>| {
+        let mut contents = shared(&contents);
+        let load = |contents: &BTreeMap<FileId, Bytes>, carried: &BTreeMap<_, _>| {
             let none = BTreeMap::new();
             BroadcastServer::with_dispersals(&files, program.clone(), contents, &none, carried)
         };

@@ -466,6 +466,45 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_counted_served_only_after_its_sinks_publish_it() {
+        struct Probe {
+            served: bobs::Counter,
+            seen: mpsc::Sender<(usize, u64)>,
+        }
+        impl SlotSink for Probe {
+            fn publish(&mut self, slot: usize, _: &[LaneView<'_>]) {
+                let _ = self.seen.send((slot, self.served.get()));
+            }
+        }
+        let telemetry = Telemetry::new();
+        let (tx, seen) = mpsc::channel();
+        let probe = Probe {
+            served: telemetry.registry().counter("brt_slots_served"),
+            seen: tx,
+        };
+        let clock = ManualClock::new();
+        let runtime = Runtime::spawn_with_telemetry(
+            engine(),
+            clock.clone(),
+            RuntimeConfig::default(),
+            vec![Box::new(probe)],
+            telemetry,
+        );
+        clock.advance(8);
+        for expected in 0..8 {
+            let (slot, counted) = seen
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every released slot reaches the sink");
+            assert_eq!(slot, expected);
+            assert_eq!(
+                counted, slot as u64,
+                "slot {slot} counted before it went out"
+            );
+        }
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
     fn unknown_files_are_rejected_at_subscribe() {
         let clock = ManualClock::new();
         let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());

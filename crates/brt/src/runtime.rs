@@ -1056,7 +1056,6 @@ fn serve_slot<E: Engine>(
     timed: bool,
     clock: &dyn SlotClock,
 ) {
-    state.fleet.slots_served.inc();
     let t0 = timed.then(Instant::now);
     let cell = build_cell(engine, slot);
     state.telemetry.record_event(|| Event::SlotPublished {
@@ -1080,6 +1079,9 @@ fn serve_slot<E: Engine>(
         }
     }
     let wake = ring.publish_prepared(cell);
+    // Counted once it is out on every sink and on the ring, so the count
+    // never runs ahead of what was transmitted.
+    state.fleet.slots_served.inc();
     let t2 = timed.then(Instant::now);
     wake.wake();
     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {

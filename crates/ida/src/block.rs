@@ -43,7 +43,10 @@ pub struct BlockHeader {
 ///
 /// The payload is reference-counted ([`Bytes`]) so a broadcast program can
 /// cheaply repeat the same block many times per program data cycle without
-/// copying the data.
+/// copying the data.  A systematic block that lies wholly inside its file
+/// is a view of the file's content ([`crate::Dispersal::disperse_bytes`]):
+/// it shares that buffer and keeps the whole content alive for as long as
+/// the block lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispersedBlock {
     header: BlockHeader,

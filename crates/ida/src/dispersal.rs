@@ -10,9 +10,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Which generator matrix family backs the dispersal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixKind {
-    /// A systematic matrix: the first `m` dispersed blocks are verbatim
-    /// copies of the source blocks (cheapest reconstruction when no faults
-    /// occur).  This is the default.
+    /// A systematic matrix: the first `m` dispersed blocks are the source
+    /// blocks verbatim — views of the file, not copies, where they lie
+    /// wholly inside it (cheapest reconstruction when no faults occur).
+    /// This is the default.
     #[default]
     Systematic,
     /// A plain Vandermonde matrix: every dispersed block is a coded block.
@@ -27,7 +28,7 @@ pub enum MatrixKind {
 ///
 /// The transformation matrix is computed once per configuration.  Its
 /// *encode plan* of per-coefficient [`MulTable`]s, with identity rows folded
-/// into verbatim copies, is built by the first [`Dispersal::disperse`] of
+/// into views of the file, is built by the first [`Dispersal::disperse`] of
 /// any clone and then shared, so dispersing runs entirely on the
 /// vectorizable `gf256::kernel` slice kernels with zero per-call table
 /// builds and zero element-at-a-time field arithmetic — and a configuration
@@ -61,9 +62,9 @@ pub struct Dispersal {
 /// equally-long byte slices.
 #[derive(Debug, Clone)]
 enum RowPlan {
-    /// The matrix row is a unit vector: the block is a verbatim copy of one
-    /// input (a systematic row on encode, a directly-received source block
-    /// on decode).
+    /// The matrix row is a unit vector: the block is one input verbatim (a
+    /// systematic row on encode — a view of the file unless it is the
+    /// padded last block — a directly-received source block on decode).
     Copy(usize),
     /// A coded row: XOR of per-input constant-coefficient products, one
     /// prebuilt [`MulTable`] per input.
@@ -84,9 +85,11 @@ impl RowPlan {
 
     /// Writes this row applied to the inputs into `out`, where `input(c)` is
     /// the `c`-th input slice.  `out` must be zero-initialised by the caller
-    /// (both call sites hand out freshly allocated buffers, so the row never
-    /// pays an extra clearing pass); inputs shorter than `out` are treated
-    /// as zero-padded.
+    /// (decode hands out the fresh output buffer; encode calls this only for
+    /// coded rows and the padded last systematic block, each into the fresh
+    /// buffer that becomes the block's payload, so the row never pays an
+    /// extra clearing pass); inputs shorter than `out` are treated as
+    /// zero-padded.
     fn apply<'a>(&self, input: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
         match self {
             RowPlan::Copy(c) => {
@@ -353,13 +356,23 @@ impl Dispersal {
     /// Disperses `data` into `n` self-identifying blocks (paper Figure 3,
     /// left side).
     ///
-    /// Runs directly on the input bytes: source blocks are *views* into
-    /// `data` (the final block's zero padding is implicit, never
-    /// materialised), systematic rows are single copies, and coded rows go
-    /// through the precomputed per-coefficient slice kernels — no
-    /// element-at-a-time field arithmetic and no intermediate `Gf256`
-    /// buffers.
+    /// Copies `data` once into a shared buffer and disperses that
+    /// ([`Dispersal::disperse_bytes`]).
     pub fn disperse(&self, file: FileId, data: &[u8]) -> Result<DispersedFile, IdaError> {
+        self.disperse_bytes(file, &Bytes::copy_from_slice(data))
+    }
+
+    /// Disperses shared `data` into `n` self-identifying blocks (paper
+    /// Figure 3, left side).
+    ///
+    /// Runs directly on the input bytes and stores each byte of the file
+    /// once: a systematic block that lies wholly inside the file is a
+    /// *view* of `data` (it copies nothing and keeps `data` alive), the
+    /// zero-padded last block is a copy, and coded rows are written by the
+    /// precomputed per-coefficient slice kernels straight into the buffer
+    /// their block keeps — no element-at-a-time field arithmetic and no
+    /// intermediate `Gf256` buffers.
+    pub fn disperse_bytes(&self, file: FileId, data: &Bytes) -> Result<DispersedFile, IdaError> {
         if data.is_empty() {
             return Err(IdaError::EmptyFile);
         }
@@ -378,8 +391,16 @@ impl Dispersal {
             .iter()
             .enumerate()
             .map(|(index, row)| {
-                let mut payload = vec![0u8; block_len];
-                row.apply(source, &mut payload);
+                let payload = match *row {
+                    RowPlan::Copy(c) if (c + 1) * block_len <= data.len() => {
+                        data.slice(c * block_len..(c + 1) * block_len)
+                    }
+                    _ => {
+                        let mut payload = vec![0u8; block_len];
+                        row.apply(source, &mut payload);
+                        Bytes::from(payload)
+                    }
+                };
                 DispersedBlock::new(
                     BlockHeader {
                         file,
@@ -388,7 +409,7 @@ impl Dispersal {
                         n: self.n as u32,
                         original_len: data.len() as u64,
                     },
-                    Bytes::from(payload),
+                    payload,
                 )
             })
             .collect();

@@ -56,6 +56,9 @@ mod dispersal;
 
 pub use aida::{Aida, BandwidthAllocation, ModeProfile, RedundancyPolicy};
 pub use block::{BlockHeader, DispersedBlock, FileId};
+/// The shared payload buffer of a [`DispersedBlock`] and the content type of
+/// [`Dispersal::disperse_bytes`].
+pub use bytes::Bytes;
 pub use dispersal::{Dispersal, DispersedFile, MatrixKind};
 
 use gf256::MatrixError;

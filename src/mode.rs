@@ -15,8 +15,7 @@ use crate::{Error, Station};
 use bcore::{ChannelBudget, DesignReport, GeneralizedFileSpec, MultiChannelReport};
 use bdisk::{BroadcastFile, BroadcastServer, FileSet, LatencyVector};
 use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
-use ida::{Dispersal, DispersedFile, FileId};
-use std::borrow::Cow;
+use ida::{Bytes, Dispersal, DispersedFile, FileId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -39,8 +38,11 @@ pub(crate) struct Mode {
     pub(crate) dispersals: BTreeMap<FileId, Arc<Dispersal>>,
     /// Explicitly supplied payloads (files absent here serve deterministic
     /// synthetic contents), shared by reference count with the mode they
-    /// were carried over from.
-    pub(crate) contents: BTreeMap<FileId, Arc<[u8]>>,
+    /// were carried over from.  Each is the one copy of its file's bytes:
+    /// the file's full systematic blocks are views of it, so a block still
+    /// on the air (or in a retained program segment) keeps the content
+    /// alive after this mode is gone.
+    pub(crate) contents: BTreeMap<FileId, Bytes>,
 }
 
 impl Mode {
@@ -75,9 +77,11 @@ impl Mode {
         }
         let current = serving.map(|(station, _)| &*station.mode);
 
-        let mut contents: BTreeMap<FileId, Arc<[u8]>> = supplied
+        // One copy into a fresh buffer, not the caller's allocation: keeping
+        // the supplied `Vec` made repeated set-ups fault in fresh pages.
+        let mut contents: BTreeMap<FileId, Bytes> = supplied
             .into_iter()
-            .map(|(id, bytes)| (id, bytes.into()))
+            .map(|(id, bytes)| (id, Bytes::copy_from_slice(&bytes)))
             .collect();
         let mut dispersals = BTreeMap::new();
         for f in files.files() {
@@ -108,7 +112,7 @@ impl Mode {
             let (station, _) = serving?;
             let mode = &station.mode;
             let same_payload = match (contents.get(&f.id), mode.contents.get(&f.id)) {
-                (Some(new), Some(old)) => Arc::ptr_eq(new, old),
+                (Some(new), Some(old)) => same_buffer(new, old),
                 (None, None) => mode.files.get(f.id)?.total_bytes() == f.total_bytes(),
                 _ => false,
             };
@@ -130,7 +134,7 @@ impl Mode {
             // Dispersed here, off the hot path; payload bytes are
             // independent of the channel layout, so a file reconstructs to
             // identical bytes however the station is sharded.
-            let mut payloads: BTreeMap<FileId, Cow<'_, [u8]>> = BTreeMap::new();
+            let mut payloads = BTreeMap::new();
             let mut carried = BTreeMap::new();
             for f in report.files.files() {
                 if let Some(dispersed) = on_air(f) {
@@ -138,8 +142,8 @@ impl Mode {
                     continue;
                 }
                 let bytes = match contents.get(&f.id) {
-                    Some(stored) => Cow::Borrowed(&stored[..]),
-                    None => Cow::Owned(BroadcastServer::synthetic_content(f)),
+                    Some(stored) => stored.clone(),
+                    None => Bytes::from(BroadcastServer::synthetic_content(f)),
                 };
                 payloads.insert(f.id, bytes);
             }
@@ -169,13 +173,19 @@ impl Mode {
     /// materialised for files without stored bytes.
     pub(crate) fn serves(&self, file: FileId, bytes: &[u8]) -> bool {
         match self.contents.get(&file) {
-            Some(stored) => **stored == *bytes,
+            Some(stored) => stored[..] == *bytes,
             None => self
                 .files
                 .get(file)
                 .is_some_and(|f| BroadcastServer::synthetic_content(f) == bytes),
         }
     }
+}
+
+/// Whether two stored payloads are the same buffer, not merely equal bytes.
+/// Both are alive, so equal start and length can only be one allocation.
+fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
+    a.as_ptr() == b.as_ptr() && a.len() == b.len()
 }
 
 /// Merges the per-channel file sets of a design back into one, in

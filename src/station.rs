@@ -950,7 +950,7 @@ mod tests {
         assert!(!report.flipped_channels.contains(&kept_channel));
         assert!(!Arc::ptr_eq(&station.mode, &before.mode));
         let (old, new) = (&before.mode, &station.mode);
-        assert!(Arc::ptr_eq(&old.contents[&kept], &new.contents[&kept]));
+        assert_eq!(old.contents[&kept].as_ptr(), new.contents[&kept].as_ptr());
         assert!(Arc::ptr_eq(&old.dispersals[&kept], &new.dispersals[&kept]));
         // The specifications did not change, so neither did the design.
         assert!(Arc::ptr_eq(&old.design, &new.design));
@@ -958,7 +958,7 @@ mod tests {
             &before.bank.current_arc(kept_channel).unwrap(),
             &station.bank.current_arc(kept_channel).unwrap()
         ));
-        assert_eq!(&*new.contents[&moving], &[9u8; 512][..]);
+        assert_eq!(&new.contents[&moving][..], &[9u8; 512][..]);
         assert_eq!(before.mode(), "initial");
         assert_eq!(station.mode(), "refreshed");
 
@@ -983,6 +983,79 @@ mod tests {
         refresh(&mut station, moving);
         assert_eq!(block_ptrs(&before, beside), block_ptrs(&station, beside));
         assert_ne!(block_ptrs(&before, moving), block_ptrs(&station, moving));
+    }
+
+    #[test]
+    fn an_authenticated_station_stores_each_file_once() {
+        let specs = || (1..=3).map(|i| spec(i, 3, &[12 + 4 * i, 18 + 4 * i]));
+        let sizes = Broadcast::builder().files(specs()).channels(2).build();
+        let sizes = sizes.unwrap().files().clone();
+        let content = |id: FileId, salt: u8| -> Vec<u8> {
+            let len = sizes.get(id).unwrap().total_bytes();
+            (0..len).map(|i| (i * 7) as u8 ^ salt).collect()
+        };
+        let mut builder = Broadcast::builder()
+            .files(specs())
+            .channels(2)
+            .authenticated(true);
+        for f in sizes.files() {
+            builder = builder.content(f.id, content(f.id, f.id.0 as u8));
+        }
+        let mut station = builder.build().unwrap();
+        let (moving, beside, kept) = shared_and_lone(&station);
+
+        // Every systematic block of a stored file is a view of the mode's
+        // one copy of it; coded blocks live in buffers of their own.
+        let stored_once = |station: &Station, file: FileId| {
+            let stored = &station.mode.contents[&file];
+            let inside = |p: *const u8| stored.as_ptr_range().contains(&p);
+            let m = station.files().get(file).unwrap().size_blocks;
+            assert!(m > 1 && station.files().get(file).unwrap().dispersed_blocks > m);
+            for (index, block) in block_ptrs(station, file).into_iter().enumerate() {
+                assert_eq!(inside(block), index < m as usize, "{file} block {index}");
+            }
+        };
+        for file in [moving, beside, kept] {
+            stored_once(&station, file);
+        }
+
+        // A one-file refresh re-disperses that file alone: the others serve
+        // the same buffers, the refreshed file's blocks view its new bytes.
+        let before = station.clone();
+        let fresh = content(moving, 0xA5);
+        let same = ModeSpec::new("refreshed").files(station.specs().to_vec());
+        let prepared = station
+            .prepare_mode_with_contents(&same, BTreeMap::from([(moving, fresh.clone())]))
+            .unwrap();
+        station.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
+        for file in [beside, kept] {
+            assert_eq!(block_ptrs(&before, file), block_ptrs(&station, file));
+        }
+        stored_once(&station, moving);
+        let mut retrieval = vec![station.subscribe(moving, 0).unwrap()];
+        let outcome = station.run_until_complete(&mut retrieval, &mut NoErrors);
+        assert_eq!(outcome.unwrap()[0].data, fresh);
+
+        // A length that is not a multiple of `m` pads the last source block:
+        // that one block is a copy, and the file still reconstructs exactly.
+        let dispersal = ida::Dispersal::authenticated(4, 7).unwrap();
+        let bytes = ida::Bytes::from((0..1001).map(|i| (i * 13) as u8).collect::<Vec<u8>>());
+        let dispersed = dispersal.disperse_bytes(FileId(9), &bytes).unwrap();
+        let root = dispersed.commitment_root().unwrap();
+        let blocks = dispersed.blocks();
+        for (index, block) in blocks.iter().enumerate() {
+            let ptr = block.payload().as_ptr();
+            assert_eq!(
+                bytes.as_ptr_range().contains(&ptr),
+                index < 3,
+                "block {index}"
+            );
+            assert!(dispersal.verify_block(&root, block));
+        }
+        assert_eq!(&blocks[3].payload()[..248], &bytes[753..]);
+        assert_eq!(&blocks[3].payload()[248..], &[0u8; 3]);
+        assert_eq!(dispersal.reconstruct(&blocks[..4]).unwrap(), &bytes[..]);
+        assert_eq!(dispersal.reconstruct(&blocks[3..]).unwrap(), &bytes[..]);
     }
 
     /// Swaps in the same mode with new bytes for `file`, at slot 0.
