@@ -2,13 +2,12 @@
 //! requirements.
 
 use ida::FileId;
-use serde::{Deserialize, Serialize};
 
 /// The latency vector `d⃗ = [d⁽⁰⁾, d⁽¹⁾, …, d⁽ʳ⁾]` of a *generalized*
 /// fault-tolerant real-time broadcast file (paper Section 4.1):
 /// `d⁽ʲ⁾` is the worst-case latency (in block-transmission slots) tolerable
 /// when `j` faults occur during the retrieval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyVector(Vec<u32>);
 
 impl LatencyVector {
@@ -59,7 +58,7 @@ impl LatencyVector {
 /// `Tᵢ` (or, in the generalized model, a latency vector `d⃗ᵢ`), and — when it
 /// is dispersed with AIDA — a dispersal width `nᵢ ≥ mᵢ` of which any `mᵢ`
 /// blocks reconstruct the file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BroadcastFile {
     /// The file identifier.
     pub id: FileId,
@@ -140,7 +139,7 @@ impl BroadcastFile {
 }
 
 /// A set of broadcast files destined for the same broadcast disk.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileSet {
     files: Vec<BroadcastFile>,
 }

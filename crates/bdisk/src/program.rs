@@ -13,11 +13,10 @@
 use crate::{BroadcastFile, FileSet};
 use ida::FileId;
 use pinwheel::{Schedule, TaskId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One slot of a broadcast program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramEntry {
     /// Nothing is transmitted in this slot.
     Idle,
@@ -70,7 +69,7 @@ impl core::fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A cyclic broadcast program covering one full program data cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BroadcastProgram {
     entries: Vec<ProgramEntry>,
     broadcast_period: usize,

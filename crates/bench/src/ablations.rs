@@ -12,10 +12,10 @@ use pinwheel::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Success counts of one scheduler at one density bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SchedulerAblationRow {
     /// Target density of the generated instances.
     pub density: f64,
@@ -24,7 +24,7 @@ pub struct SchedulerAblationRow {
 }
 
 /// The scheduler-ablation experiment (Ablation A).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SchedulerAblation {
     /// Rows per density bucket.
     pub rows: Vec<SchedulerAblationRow>,
@@ -128,7 +128,7 @@ pub fn scheduler_ablation(instances_per_bucket: usize, seed: u64) -> SchedulerAb
 }
 
 /// One row of the redundancy ablation (Ablation C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RedundancyRow {
     /// Number of redundant blocks transmitted per file (n − m).
     pub redundancy: u32,
@@ -149,7 +149,7 @@ pub struct RedundancyRow {
 }
 
 /// The redundancy-level ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RedundancyAblation {
     /// Rows per (redundancy, loss) combination.
     pub rows: Vec<RedundancyRow>,
@@ -233,7 +233,7 @@ pub fn redundancy_ablation(retrievals: usize, seed: u64) -> RedundancyAblation {
 
 /// One row of the block-size / dispersal-level ablation (Ablation B,
 /// the paper's Section 5 open issue).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BlocksizeRow {
     /// Dispersal level m (number of source blocks the file is split into).
     pub dispersal_level: u32,
@@ -247,7 +247,7 @@ pub struct BlocksizeRow {
 }
 
 /// The block-size ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BlocksizeAblation {
     /// Rows per dispersal level.
     pub rows: Vec<BlocksizeRow>,

@@ -7,10 +7,10 @@ use bcore::{convert_candidates, Bc, CandidateKind, FileRequirement, Planner, Tas
 use bsim::{RequirementGenerator, WorkloadConfig};
 use ida::FileId;
 use pinwheel::{ExactOutcome, ExactSolver, Task, TaskSystem};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The outcome of checking the three instances of the paper's Example 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Example1 {
     /// `{(1,1,2),(2,1,3)}` is schedulable.
     pub first_schedulable: bool,
@@ -69,7 +69,7 @@ pub fn example_1() -> Example1 {
 }
 
 /// One row of the bandwidth experiment (one generated workload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BandwidthRow {
     /// Number of files in the workload.
     pub files: usize,
@@ -94,7 +94,7 @@ pub struct BandwidthRow {
 }
 
 /// The Equation 1 / Equation 2 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BandwidthExperiment {
     /// Per-workload rows.
     pub rows: Vec<BandwidthRow>,
@@ -195,7 +195,7 @@ pub fn bandwidth_experiment(
 }
 
 /// One row of the Examples 2–6 table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AlgebraExampleRow {
     /// Which paper example this is.
     pub example: String,
@@ -218,7 +218,7 @@ pub struct AlgebraExampleRow {
 }
 
 /// The Examples 2–6 reproduction table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AlgebraExamples {
     /// One row per example.
     pub rows: Vec<AlgebraExampleRow>,

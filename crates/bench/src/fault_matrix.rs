@@ -17,7 +17,7 @@ use rtbdisk::{
     Broadcast, FileId, GeneralizedFileSpec, ManualClock, ModeSpec, NetClient, NetConfig, NoErrors,
     RecoveryConfig, RuntimeConfig, Station, SwapPolicy,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,7 +62,7 @@ const LONG_PARTITION: u64 = 2048;
 const SWAP_SLOT: usize = 1024;
 
 /// The partition scripted into a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Partition {
     /// No partition: rate impairments only.
     None,
@@ -91,7 +91,7 @@ impl Partition {
 }
 
 /// One cell of the matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultRow {
     /// Downstream datagram loss rate.
     pub loss: f64,
@@ -129,7 +129,7 @@ pub struct FaultRow {
 }
 
 /// The full `fault_matrix` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultMatrixResult {
     /// One row per loss × partition cell.
     pub rows: Vec<FaultRow>,

@@ -6,7 +6,7 @@ use crate::render_table;
 use bdisk::{BroadcastFile, BroadcastProgram, FileSet, FlatOrder};
 use bsim::{extra_delay_table, worst_case_table};
 use ida::FileId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The two-file example of Section 2.3: A has 5 blocks, B has 3; with AIDA
 /// they are dispersed into 10 and 6 blocks respectively.
@@ -28,7 +28,7 @@ fn file_name(id: FileId) -> String {
 }
 
 /// A rendered broadcast-program figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProgramFigure {
     /// Which figure this reproduces.
     pub figure: String,
@@ -92,7 +92,7 @@ fn figure_from(files: &FileSet, program: &BroadcastProgram, title: &str) -> Prog
 }
 
 /// One row of the Figure 7 table.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Figure7Row {
     /// Number of transmission errors.
     pub errors: usize,
@@ -107,7 +107,7 @@ pub struct Figure7Row {
 }
 
 /// The Figure 7 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Figure7 {
     /// Rows for r = 0..=5.
     pub rows: Vec<Figure7Row>,
@@ -172,7 +172,7 @@ pub fn figure_7() -> Figure7 {
 }
 
 /// Empirical check of Lemmas 1 and 2 over randomized file sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LemmaBounds {
     /// Per-case rows: (description, r, measured extra delay, bound).
     pub rows: Vec<(String, usize, usize, usize)>,
@@ -245,7 +245,7 @@ pub fn lemma_bounds() -> LemmaBounds {
 
 /// The Section 2.3 spreading example: 10 files × 20 blocks, Δ = 10, giving a
 /// 20-fold error-recovery speedup over waiting a whole period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SpeedupExample {
     /// Broadcast period τ (slots).
     pub period: usize,

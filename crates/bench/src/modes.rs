@@ -16,10 +16,10 @@ use ida::{FileId, ModeProfile, RedundancyPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtbdisk::{Broadcast, ModeSchedule, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Disruption accounting for one executed swap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TransitionMetrics {
     /// Slot the swap was requested at.
     pub requested_slot: usize,
@@ -51,7 +51,7 @@ impl TransitionMetrics {
 }
 
 /// One cell of the modes figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModesRow {
     /// Number of broadcast channels.
     pub channels: usize,
@@ -66,7 +66,7 @@ pub struct ModesRow {
 }
 
 /// The modes figure: immediate vs drain across channel counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModesFigure {
     /// Per-reception Bernoulli loss probability during the transition.
     pub loss_probability: f64,

@@ -14,7 +14,7 @@
 
 use rtbdisk::bnet::wire::{decode, encode, ControlFrame, Frame, Packet};
 use rtbdisk::{Broadcast, FileId, GeneralizedFileSpec, ManualClock, RuntimeConfig, Station};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ const BATCHES: usize = 3;
 const SLOTS_PER_BATCH: usize = 2048;
 
 /// Throughput of one fleet size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetPerfRow {
     /// Joined loopback UDP clients.
     pub clients: usize,
@@ -48,7 +48,7 @@ pub struct NetPerfRow {
 }
 
 /// The full `net_perf` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetPerfResult {
     /// One row per fleet size.
     pub rows: Vec<NetPerfRow>,

@@ -11,7 +11,7 @@
 //! kernels are.
 
 use ida::{Dispersal, FileId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Payload size every configuration is measured at.
@@ -21,7 +21,7 @@ pub const PAYLOAD_BYTES: usize = 64 * 1024;
 pub const CONFIGS: [(usize, usize); 3] = [(5, 10), (8, 16), (16, 24)];
 
 /// Throughput of one `(m, n)` configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IdaPerfRow {
     /// Reconstruction threshold.
     pub m: usize,
@@ -50,7 +50,7 @@ pub struct IdaPerfRow {
 }
 
 /// The full `ida_perf` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IdaPerfResult {
     /// Payload size measured.
     pub payload_bytes: usize,

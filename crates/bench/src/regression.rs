@@ -11,7 +11,7 @@
 //! The tolerance is a fraction (0.30 = a 30% drop fails).  CI overrides it
 //! via `RTBDISK_PERF_TOLERANCE` on noisy runners.
 
-use serde::{Deserialize, Error as SerdeError, Value};
+use serde::Value;
 use std::collections::BTreeMap;
 
 /// Key suffixes that mark a numeric leaf as a higher-is-better throughput
@@ -110,16 +110,6 @@ impl core::fmt::Display for RegressionReport {
     }
 }
 
-/// An identity wrapper so the vendored `serde_json` can hand back the raw
-/// [`Value`] tree of an arbitrary JSON document.
-struct Raw(Value);
-
-impl Deserialize for Raw {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        Ok(Raw(v.clone()))
-    }
-}
-
 fn as_number(v: &Value) -> Option<f64> {
     match v {
         Value::UInt(u) => Some(*u as f64),
@@ -168,12 +158,12 @@ fn collect(value: &Value, path: String, out: &mut BTreeMap<String, f64>) {
 /// silently dropped figure is not an improvement); metrics new in the
 /// current measurement are ignored (they become baseline next commit).
 pub fn compare(baseline: &str, current: &str, tolerance: f64) -> Result<RegressionReport, String> {
-    let baseline: Raw =
+    let baseline: Value =
         serde_json::from_str(baseline).map_err(|e| format!("baseline does not parse: {e}"))?;
-    let current: Raw =
+    let current: Value =
         serde_json::from_str(current).map_err(|e| format!("current does not parse: {e}"))?;
-    let baseline = throughput_metrics(&baseline.0);
-    let current = throughput_metrics(&current.0);
+    let baseline = throughput_metrics(&baseline);
+    let current = throughput_metrics(&current);
     if baseline.is_empty() {
         return Err("the baseline contains no throughput metrics".to_string());
     }

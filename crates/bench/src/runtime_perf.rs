@@ -14,7 +14,7 @@ use rtbdisk::{
     Broadcast, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution, RuntimeConfig,
     Station, WallClock,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The subscriber-fleet sizes of the recorded trajectory.
@@ -51,7 +51,7 @@ const SLOTS_PER_BATCH: usize = 4096;
 const SERVE_WINDOW_BATCHES: usize = 16;
 
 /// Throughput of one `(channels, subscribers)` combination.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RuntimePerfRow {
     /// Broadcast channels of the station.
     pub channels: usize,
@@ -83,7 +83,7 @@ pub struct RuntimePerfRow {
 /// `check_regression` throughput suffix — absolute timings vary wildly
 /// across hosts; what the gate holds is the `slots_per_s` figures, which
 /// run with recording *off* (the shipping default).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatenessReport {
     /// Slots of the wall-paced lateness window.
     pub slots: u64,
@@ -113,7 +113,7 @@ pub struct LatenessReport {
 }
 
 /// The full `runtime_perf` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RuntimePerfResult {
     /// One row per `(channels, subscribers)` combination.
     pub rows: Vec<RuntimePerfRow>,

@@ -14,11 +14,11 @@ use bsim::BernoulliErrors;
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One row of the sharding figure: the workload served on `channels`
 /// channels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ShardingRow {
     /// Number of broadcast channels.
     pub channels: usize,
@@ -36,7 +36,7 @@ pub struct ShardingRow {
 }
 
 /// The sharding comparison across 1 / 2 / 4 channels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ShardingFigure {
     /// Per-reception Bernoulli loss probability on every channel.
     pub loss_probability: f64,

@@ -46,15 +46,13 @@ pub use planner::{
 pub use schedule::{ModeEvent, ModeSchedule};
 pub use spec::ModeSpec;
 
-use serde::{Deserialize, Serialize};
-
 /// What happens to in-flight retrievals whose channel a swap reprograms.
 ///
 /// Either way, retrievals on *untouched* channels are never affected, and a
 /// retrieval whose file survives the transition with identical dispersal
 /// parameters and contents is transparently re-subscribed rather than
 /// cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapPolicy {
     /// Flip the changed channels at the requested slot.  In-flight
     /// retrievals whose file is dropped or re-dispersed are cancelled with a

@@ -17,7 +17,6 @@ use bcore::{
 use bdisk::{BroadcastProgram, FileSet};
 use ida::FileId;
 use pinwheel::{AutoScheduler, PinwheelScheduler};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A borrowed view of one channel currently on the air.
@@ -44,7 +43,7 @@ pub struct CurrentMode<'a> {
 }
 
 /// How one channel (by index) fares across the transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelTransition {
     /// Same file set, same program, same contents: the channel keeps
     /// broadcasting byte-identically and its epoch does not bump.
@@ -59,7 +58,7 @@ pub enum ChannelTransition {
 }
 
 /// The diff between the mode on the air and a designed target mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransitionPlan {
     /// Target mode name.
     pub mode: String,

@@ -2,7 +2,6 @@
 
 use bcore::{ChannelBudget, GeneralizedFileSpec};
 use ida::{FileId, ModeProfile, RedundancyPolicy};
-use serde::{Deserialize, Serialize};
 
 /// A named operating mode: the file specifications to serve, an optional
 /// [`ModeProfile`] adding per-file AIDA redundancy, and an optional channel
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// Floors only ever *add* redundancy: the designer never drops below its own
 /// minimum, so a mode profile cannot invalidate a file's declared fault
 /// tolerance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModeSpec {
     name: String,
     specs: Vec<GeneralizedFileSpec>,

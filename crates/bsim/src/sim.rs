@@ -10,10 +10,9 @@ use bdisk::{BroadcastServer, ClientSession, ErrorModel, Observation};
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationConfig {
     /// Number of retrievals to simulate per file.
     pub retrievals_per_file: usize,
@@ -40,7 +39,7 @@ impl Default for SimulationConfig {
 }
 
 /// The per-file outcome of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// The file simulated.
     pub file: FileId,

@@ -1,9 +1,7 @@
 //! Latency statistics and deadline-miss accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// A summary of a set of retrieval latencies (in slots).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencySummary {
     samples: Vec<usize>,
 }
@@ -79,7 +77,7 @@ impl LatencySummary {
 }
 
 /// Deadline-miss accounting across many retrievals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MissReport {
     /// Retrievals that met their deadline.
     pub met: usize,

@@ -22,10 +22,9 @@ use bdisk::{BroadcastFile, FileSet};
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for random file-requirement generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of files.
     pub files: usize,

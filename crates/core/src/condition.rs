@@ -3,7 +3,6 @@
 
 use ida::FileId;
 use pinwheel::{Task, TaskId, TaskSystem};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors building conditions.
@@ -63,7 +62,7 @@ impl std::error::Error for ConditionError {}
 /// A pinwheel task condition `pc(i, a, b)`: the broadcast program's slot
 /// sequence for task `i` contains at least `a` of every `b` consecutive
 /// slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pc {
     /// The scheduled task.
     pub task: TaskId,
@@ -151,7 +150,7 @@ impl core::fmt::Display for Pc {
 /// A broadcast-file condition `bc(i, mᵢ, d⃗ᵢ)` (paper definition 3): the
 /// program transmits at least `mᵢ + j` blocks of file `i` in every window of
 /// `d⁽ʲ⁾` consecutive slots, for every fault level `j = 0..=r`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bc {
     /// The broadcast file.
     pub file: FileId,
@@ -228,7 +227,7 @@ impl core::fmt::Display for Bc {
 /// A *nice* conjunct of pinwheel conditions: at most one condition per
 /// scheduled task, together with the `map(i′, i)` aliases that record which
 /// broadcast file each task transmits for (paper rule R4's `map`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NiceConjunct {
     conditions: Vec<Pc>,
     mapping: BTreeMap<TaskId, FileId>,

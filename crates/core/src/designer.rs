@@ -21,13 +21,12 @@ use crate::{Bc, ConditionError, NiceConjunct, Pc};
 use bdisk::{BroadcastFile, BroadcastProgram, FileSet, ProgramEntry};
 use ida::FileId;
 use pinwheel::{AutoScheduler, PinwheelScheduler, Schedule, ScheduleError, Task};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A generalized fault-tolerant real-time broadcast file specification
 /// (paper Section 4.1): `mᵢ` blocks, and for every fault level `j` a
 /// worst-case latency `d⁽ʲ⁾ᵢ` in slots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneralizedFileSpec {
     /// The file identifier.
     pub id: FileId,
@@ -46,30 +45,6 @@ pub struct GeneralizedFileSpec {
     /// its latency vector: the designer transmits at least this many distinct
     /// dispersed blocks per data cycle.
     pub min_dispersal: u32,
-}
-
-/// Hand-rolled so that `min_dispersal` (added after the struct was first
-/// serialized) defaults to 0 when absent — spec JSON written before the
-/// field existed keeps deserializing.
-impl Deserialize for GeneralizedFileSpec {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::new("expected map for GeneralizedFileSpec"))?;
-        let min_dispersal = if m.iter().any(|(k, _)| k == "min_dispersal") {
-            serde::from_field(m, "min_dispersal")?
-        } else {
-            0
-        };
-        Ok(GeneralizedFileSpec {
-            id: serde::from_field(m, "id")?,
-            name: serde::from_field(m, "name")?,
-            size_blocks: serde::from_field(m, "size_blocks")?,
-            latencies: serde::from_field(m, "latencies")?,
-            block_bytes: serde::from_field(m, "block_bytes")?,
-            min_dispersal,
-        })
-    }
 }
 
 impl GeneralizedFileSpec {
@@ -442,24 +417,6 @@ mod tests {
             assert_eq!(file.dispersed_blocks, per_cycle.max(min_width));
             assert!(file.dispersed_blocks >= min_width);
         }
-    }
-
-    #[test]
-    fn specs_serialized_before_min_dispersal_still_deserialize() {
-        // A pre-`min_dispersal` serialization: the field is absent from the
-        // map and must default to 0 (round trips of current specs keep it).
-        let current = spec(1, 2, &[8, 10]).with_min_dispersal(7);
-        let mut value = serde::Serialize::serialize(&current);
-        if let serde::Value::Map(entries) = &mut value {
-            entries.retain(|(k, _)| k != "min_dispersal");
-        }
-        let legacy: GeneralizedFileSpec = serde::Deserialize::deserialize(&value).unwrap();
-        assert_eq!(legacy.min_dispersal, 0);
-        assert_eq!(legacy.id, current.id);
-        assert_eq!(legacy.latencies, current.latencies);
-        let roundtrip: GeneralizedFileSpec =
-            serde::Deserialize::deserialize(&serde::Serialize::serialize(&current)).unwrap();
-        assert_eq!(roundtrip, current);
     }
 
     #[test]

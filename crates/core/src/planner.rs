@@ -23,10 +23,9 @@
 use pinwheel::{
     AutoScheduler, PinwheelScheduler, Schedule, Task, TaskSystem, CHAN_CHIN_DENSITY_BOUND,
 };
-use serde::{Deserialize, Serialize};
 
 /// One file's bandwidth-relevant requirements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileRequirement {
     /// Size `mᵢ` in blocks.
     pub size_blocks: u32,
@@ -102,7 +101,7 @@ impl core::fmt::Display for PlannerError {
 impl std::error::Error for PlannerError {}
 
 /// The outcome of planning one broadcast disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthPlan {
     /// The information-theoretic lower bound `⌈Σ (mᵢ+rᵢ)/Tᵢ⌉`.
     pub lower_bound: u64,

@@ -26,7 +26,7 @@ use pinwheel::{AutoScheduler, PinwheelScheduler};
 use std::collections::BTreeMap;
 
 /// How many channels a [`ShardPlanner`] may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelBudget {
     /// Exactly this many channels (at least 1).
     Fixed(usize),

@@ -28,11 +28,10 @@ use crate::algebra;
 use crate::{Bc, ConditionError, NiceConjunct, Pc};
 use ida::FileId;
 use pinwheel::TaskId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which construction produced a candidate conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateKind {
     /// Transformation rule TR1 (single unit-requirement condition).
     Tr1,

@@ -15,7 +15,6 @@
 //! never re-encodes.
 
 use crate::{Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How many blocks of a dispersed file are actually transmitted.
@@ -65,7 +64,7 @@ impl BandwidthAllocation {
 }
 
 /// Policy for choosing the per-file transmission count `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedundancyPolicy {
     /// Transmit only the reconstruction threshold `m` (no redundancy).
     None,
@@ -99,7 +98,7 @@ impl RedundancyPolicy {
 /// A named mode of operation mapping files to redundancy policies.
 ///
 /// Files not present in the map fall back to the mode's default policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModeProfile {
     /// Human-readable mode name (e.g. `"combat"`, `"landing"`).
     pub name: String,

@@ -8,13 +8,10 @@
 
 use bauth::BlockProof;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifier of a broadcast data item (file).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FileId(pub u32);
 
 impl core::fmt::Display for FileId {
@@ -24,7 +21,7 @@ impl core::fmt::Display for FileId {
 }
 
 /// The self-identifying header attached to every dispersed block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockHeader {
     /// The data item this block belongs to.
     pub file: FileId,
@@ -154,13 +151,5 @@ mod tests {
     #[test]
     fn file_id_display() {
         assert_eq!(FileId(42).to_string(), "F42");
-    }
-
-    #[test]
-    fn header_serde_round_trip() {
-        let h = header();
-        let json = serde_json::to_string(&h).unwrap();
-        let back: BlockHeader = serde_json::from_str(&json).unwrap();
-        assert_eq!(h, back);
     }
 }

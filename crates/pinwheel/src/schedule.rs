@@ -6,12 +6,11 @@
 //! `t mod period` of the cycle.
 
 use crate::TaskId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A cyclic schedule: `slots[t]` is `Some(task)` when the resource is
 /// allocated to `task` in slot `t`, or `None` when the slot is idle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     slots: Vec<Option<TaskId>>,
 }

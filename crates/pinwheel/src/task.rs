@@ -1,6 +1,5 @@
 //! The pinwheel task model: tasks `(i, a, b)`, task systems and densities.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Identifier of a pinwheel task.
@@ -12,7 +11,7 @@ pub type TaskId = u32;
 
 /// A single pinwheel task `(id, a, b)`: at least `a` of every `b` consecutive
 /// slots must be allocated to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// The task identifier.
     pub id: TaskId,
@@ -114,7 +113,7 @@ impl core::fmt::Display for Density {
 
 /// A pinwheel task system: a set of tasks with distinct ids sharing a single
 /// slot-granular resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSystem {
     tasks: Vec<Task>,
 }
@@ -272,13 +271,5 @@ mod tests {
         assert_eq!(Task::new(3, 1, 9).to_string(), "(3, 1, 9)");
         let d = Density(0.70001);
         assert_eq!(d.to_string(), "0.7000");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = TaskSystem::from_windows(&[(1, 2), (2, 3)]).unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TaskSystem = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -5,7 +5,9 @@
 //! harness (`bench`) or the fault injector (`bfault`).  A retrieval on the
 //! air needs the loss seam (`bdisk::ChannelErrorModel`) and mode schedules
 //! (`bmode::ModeSchedule`), never the stochastic models, the worst-case
-//! analyser or the workload generators behind them.
+//! analyser or the workload generators behind them.  Nor does it link
+//! `serde`: nothing on the air is persisted, and only `bench` renders its
+//! result rows as JSON.
 //!
 //! The check reads the workspace manifests (`crates/*` and `vendor/*`),
 //! follows `[dependencies]` only — dev-dependencies never link into a
@@ -20,65 +22,40 @@ const SERVING: &[(&str, &[&str])] = &[
     ("gf256", &[]),
     ("bauth", &[]),
     ("bobs", &[]),
-    ("ida", &["bauth", "bytes", "gf256", "serde", "serde_derive"]),
-    ("pinwheel", &["serde", "serde_derive"]),
-    (
-        "bdisk",
-        &[
-            "bauth",
-            "bytes",
-            "gf256",
-            "ida",
-            "pinwheel",
-            "serde",
-            "serde_derive",
-        ],
-    ),
+    ("ida", &["bauth", "bytes", "gf256"]),
+    ("pinwheel", &[]),
+    ("bdisk", &["bauth", "bytes", "gf256", "ida", "pinwheel"]),
     (
         "brt",
         &[
-            "bauth",
-            "bcore",
-            "bdisk",
-            "bmode",
-            "bobs",
-            "bytes",
-            "gf256",
-            "ida",
-            "pinwheel",
-            "serde",
-            "serde_derive",
+            "bauth", "bcore", "bdisk", "bmode", "bobs", "bytes", "gf256", "ida", "pinwheel",
         ],
     ),
     (
         "bnet",
         &[
-            "bauth",
-            "bcore",
-            "bdisk",
-            "bmode",
-            "bobs",
-            "brt",
-            "bytes",
-            "gf256",
-            "ida",
-            "pinwheel",
+            "bauth", "bcore", "bdisk", "bmode", "bobs", "brt", "bytes", "gf256", "ida", "pinwheel",
             "rand",
-            "serde",
-            "serde_derive",
         ],
     ),
 ];
 
 /// Crates no serving crate may link.
-const OFF_THE_AIR: &[&str] = &["bsim", "bench", "bfault", "rtbdisk"];
+const OFF_THE_AIR: &[&str] = &[
+    "bsim",
+    "bench",
+    "bfault",
+    "rtbdisk",
+    "serde",
+    "serde_derive",
+];
 
-/// `[package] name` → `[dependencies]` keys, for every manifest under
-/// `crates/` and `vendor/`.
-fn workspace_graph() -> BTreeMap<String, BTreeSet<String>> {
+/// `[package] name` → `[dependencies]` keys, for every manifest under the
+/// given workspace directories.
+fn manifests(dirs: &[&str]) -> BTreeMap<String, BTreeSet<String>> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut graph = BTreeMap::new();
-    for dir in ["crates", "vendor"] {
+    for dir in dirs {
         for entry in std::fs::read_dir(root.join(dir)).expect("workspace directory") {
             let manifest = entry.expect("directory entry").path().join("Cargo.toml");
             let Ok(text) = std::fs::read_to_string(&manifest) else {
@@ -133,7 +110,7 @@ fn closure(graph: &BTreeMap<String, BTreeSet<String>>, krate: &str) -> BTreeSet<
 
 #[test]
 fn the_serving_path_links_no_simulator() {
-    let graph = workspace_graph();
+    let graph = manifests(&["crates", "vendor"]);
     for &(krate, _) in SERVING {
         let links = closure(&graph, krate);
         for &banned in OFF_THE_AIR {
@@ -144,11 +121,23 @@ fn the_serving_path_links_no_simulator() {
 
 #[test]
 fn each_serving_crate_links_exactly_its_listed_closure() {
-    let graph = workspace_graph();
+    let graph = manifests(&["crates", "vendor"]);
     for &(krate, expected) in SERVING {
         let links = closure(&graph, krate);
         let expected: BTreeSet<String> = expected.iter().map(|s| s.to_string()).collect();
         assert_eq!(links, expected, "what `{krate}` links");
+    }
+}
+
+#[test]
+fn only_the_experiment_harness_depends_on_serde() {
+    for (krate, deps) in manifests(&["crates"]) {
+        if krate == "bench" {
+            continue;
+        }
+        for banned in ["serde", "serde_json"] {
+            assert!(!deps.contains(banned), "`{krate}` depends on `{banned}`");
+        }
     }
 }
 

@@ -8,22 +8,11 @@ use rtbdisk::{
     Broadcast, ControlClient, FileId, GeneralizedFileSpec, ManualClock, MetricsFormat, NetConfig,
     RetrievalResolution, RuntimeConfig, Station,
 };
-use serde::{Deserialize, Error as SerdeError, Value};
+use serde::Value;
 use std::time::Duration;
 
-/// Identity wrapper so the vendored `serde_json` hands back the raw
-/// [`Value`] tree of an arbitrary document.
-struct Raw(Value);
-
-impl Deserialize for Raw {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        Ok(Raw(v.clone()))
-    }
-}
-
 fn parse(json: &str) -> Value {
-    let Raw(v) = serde_json::from_str(json).expect("the JSON export must parse");
-    v
+    serde_json::from_str(json).expect("the JSON export must parse")
 }
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
