@@ -12,7 +12,7 @@
 //!
 //! Pieces:
 //!
-//! * [`Sha256`] / [`sha256`] — a self-contained FIPS 180-4 hash (the build
+//! * [`sha256`] — a self-contained FIPS 180-4 hash (the build
 //!   vendors all dependencies; hashing is ~80 lines, not a crate pull);
 //! * [`leaf_hash`] — binds a block's `(file, index, m, n, original_len)`
 //!   header *and* payload into one leaf, so proofs vouch for identity, not
@@ -38,4 +38,4 @@ mod merkle;
 mod sha256;
 
 pub use merkle::{leaf_hash, verify_block, BlockProof, CommitPlan, Commitment, Root, MAX_DEPTH};
-pub use sha256::{sha256, Sha256};
+pub use sha256::sha256;

@@ -41,7 +41,7 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256: `update` in any chunking, then `finalize`.
 #[derive(Debug, Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     /// Total message length in bytes.
     len: u64,
@@ -58,7 +58,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// A fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             len: 0,
@@ -68,7 +68,7 @@ impl Sha256 {
     }
 
     /// Absorbs `data`.
-    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+    pub(crate) fn update(&mut self, data: &[u8]) -> &mut Self {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buffered > 0 {
@@ -95,7 +95,7 @@ impl Sha256 {
     }
 
     /// Pads and returns the digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
         // `0x80`, zeros up to 56 mod 64, the bit length: 9 to 72 bytes,
         // absorbed in one `update`.
@@ -179,7 +179,7 @@ mod ni {
     use super::K;
     use core::arch::x86_64::*;
 
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         // `is_x86_feature_detected!` caches after the first probe, so the
         // per-call cost on the hot path is one relaxed atomic load.
         std::arch::is_x86_feature_detected!("sha")
@@ -213,7 +213,7 @@ mod ni {
     /// `data.len() % 64 == 0`.
     #[inline(never)]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub unsafe fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    pub(crate) unsafe fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
         // Per-u32 byte swap for the big-endian message words.
         let mask = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0Bu64 as i64, 0x0405_0607_0001_0203);

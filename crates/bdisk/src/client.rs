@@ -104,12 +104,6 @@ impl Ingest {
     pub fn completed(self) -> bool {
         matches!(self, Ingest::Completed)
     }
-
-    /// `true` when the observation was booked as an erasure (including a
-    /// failed proof).
-    pub fn is_erasure(self) -> bool {
-        matches!(self, Ingest::Erased | Ingest::BadProof)
-    }
 }
 
 /// The outcome of a completed retrieval.

@@ -190,7 +190,7 @@ impl EpochBank {
 
     /// The server on the air on `channel` in `slot` (`None` for dark or
     /// unknown channels, and for slots below the retention floor).
-    pub fn server_at(&self, channel: usize, slot: usize) -> Option<&BroadcastServer> {
+    pub(crate) fn server_at(&self, channel: usize, slot: usize) -> Option<&BroadcastServer> {
         self.segment_at(channel, slot)?.server.as_deref()
     }
 

@@ -77,8 +77,7 @@ pub struct BroadcastFile {
 
 impl BroadcastFile {
     /// Creates an undispersed file with a very loose default deadline (its
-    /// own size); tighten it with [`BroadcastFile::with_latency`] or
-    /// [`BroadcastFile::with_latency_vector`].
+    /// own size); tighten it with [`BroadcastFile::with_latency_vector`].
     pub fn new(id: FileId, name: impl Into<String>, size_blocks: u32, block_bytes: u32) -> Self {
         BroadcastFile {
             id,
@@ -97,19 +96,6 @@ impl BroadcastFile {
         self
     }
 
-    /// Sets a single real-time latency (slots) with no fault tolerance.
-    pub fn with_latency(mut self, latency: u32) -> Self {
-        self.latencies = LatencyVector::uniform_zero_faults(latency);
-        self
-    }
-
-    /// Sets a uniform latency for up to `faults` faults ("regular"
-    /// fault-tolerant real-time file).
-    pub fn with_fault_tolerance(mut self, latency: u32, faults: usize) -> Self {
-        self.latencies = LatencyVector::uniform(latency, faults);
-        self
-    }
-
     /// Sets the full generalized latency vector.
     pub fn with_latency_vector(mut self, latencies: LatencyVector) -> Self {
         self.latencies = latencies;
@@ -125,11 +111,6 @@ impl BroadcastFile {
     /// cycle visit).
     pub fn redundancy(&self) -> u32 {
         self.dispersed_blocks - self.size_blocks
-    }
-
-    /// `true` when the file is AIDA-dispersed (carries redundant blocks).
-    pub fn is_dispersed(&self) -> bool {
-        self.dispersed_blocks > self.size_blocks
     }
 
     /// Total size of the original file in bytes.
@@ -224,15 +205,13 @@ mod tests {
     fn file_builders_and_accessors() {
         let f = BroadcastFile::new(FileId(1), "A", 5, 128)
             .with_dispersal(10)
-            .with_fault_tolerance(40, 2);
+            .with_latency_vector(LatencyVector::uniform(40, 2));
         assert_eq!(f.threshold(), 5);
         assert_eq!(f.redundancy(), 5);
-        assert!(f.is_dispersed());
         assert_eq!(f.total_bytes(), 640);
         assert_eq!(f.latencies.max_faults(), 2);
 
         let plain = BroadcastFile::new(FileId(2), "B", 3, 128);
-        assert!(!plain.is_dispersed());
         assert_eq!(plain.redundancy(), 0);
     }
 

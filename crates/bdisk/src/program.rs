@@ -76,15 +76,6 @@ pub struct BroadcastProgram {
 }
 
 impl BroadcastProgram {
-    /// Builds a program directly from entries (mostly for tests and for the
-    /// planner in the `bcore` crate).
-    pub fn from_entries(entries: Vec<ProgramEntry>, broadcast_period: usize) -> Self {
-        BroadcastProgram {
-            entries,
-            broadcast_period,
-        }
-    }
-
     /// A *flat* broadcast program (paper Figure 5): every file contributes
     /// its `mᵢ` source blocks once per broadcast period; the data cycle
     /// equals the broadcast period.
@@ -255,7 +246,7 @@ impl BroadcastProgram {
     }
 
     /// Slots (within one data cycle) at which `file` is transmitted.
-    pub fn occurrence_slots(&self, file: FileId) -> Vec<usize> {
+    pub(crate) fn occurrence_slots(&self, file: FileId) -> Vec<usize> {
         self.entries
             .iter()
             .enumerate()

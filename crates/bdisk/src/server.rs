@@ -40,7 +40,7 @@ pub struct TransmissionRef<'a> {
 
 impl TransmissionRef<'_> {
     /// An owned copy of this transmission.
-    pub fn to_owned(self) -> Transmission {
+    pub(crate) fn to_owned(self) -> Transmission {
         Transmission {
             slot: self.slot,
             block: self.block.clone(),
@@ -251,7 +251,7 @@ impl BroadcastServer {
     }
 
     /// [`BroadcastServer::synthetic_content`] for every file in the set.
-    pub fn synthetic_contents(files: &FileSet) -> BTreeMap<FileId, Vec<u8>> {
+    pub(crate) fn synthetic_contents(files: &FileSet) -> BTreeMap<FileId, Vec<u8>> {
         files
             .files()
             .iter()

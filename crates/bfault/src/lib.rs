@@ -95,7 +95,7 @@ impl Impairments {
 /// A scripted black-hole: both directions are dropped while the observed
 /// broadcast slot is in `[from_slot, to_slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
+pub(crate) struct PartitionWindow {
     /// First black-holed slot.
     pub from_slot: u64,
     /// One past the last black-holed slot.
@@ -117,7 +117,7 @@ pub struct FaultPlan {
     /// Client → station impairments.
     pub up: Impairments,
     /// Scripted partition windows, in slots.
-    pub partitions: Vec<PartitionWindow>,
+    pub(crate) partitions: Vec<PartitionWindow>,
     /// When set, the relay wipes the station's membership table (sends
     /// `Leave` for every client flow) once the observed slot reaches this
     /// value — the moral equivalent of a server restart.
@@ -148,12 +148,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the client → station impairments.
-    pub fn up(mut self, up: Impairments) -> Self {
-        self.up = up;
-        self
-    }
-
     /// Uniform station → client loss.
     pub fn down_loss(mut self, drop: f64) -> Self {
         self.down.drop = drop;
@@ -180,7 +174,7 @@ impl FaultPlan {
     }
 
     /// Is `slot` inside a scripted partition window?
-    pub fn blackholed(&self, slot: u64) -> bool {
+    pub(crate) fn blackholed(&self, slot: u64) -> bool {
         self.partitions
             .iter()
             .any(|w| slot >= w.from_slot && slot < w.to_slot)
@@ -192,7 +186,7 @@ impl FaultPlan {
     }
 
     /// The client → station impairment core this plan seeds.
-    pub fn up_impairer(&self) -> Impairer {
+    pub(crate) fn up_impairer(&self) -> Impairer {
         Impairer::new(self.up.clone(), self.seed ^ UP_SEED_SALT)
     }
 }

@@ -63,11 +63,6 @@ impl ModeSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The first event at or after `slot`, if any.
-    pub fn next_at_or_after(&self, slot: usize) -> Option<&ModeEvent> {
-        self.events.iter().find(|e| e.at_slot >= slot)
-    }
 }
 
 #[cfg(test)]
@@ -90,8 +85,5 @@ mod tests {
         assert_eq!(slots, vec![100, 200, 300]);
         assert_eq!(schedule.len(), 3);
         assert!(!schedule.is_empty());
-        assert_eq!(schedule.next_at_or_after(150).unwrap().at_slot, 200);
-        assert_eq!(schedule.next_at_or_after(200).unwrap().at_slot, 200);
-        assert!(schedule.next_at_or_after(301).is_none());
     }
 }

@@ -86,11 +86,6 @@ impl ModeSpec {
         &self.specs
     }
 
-    /// The attached redundancy profile, if any.
-    pub fn profile(&self) -> Option<&ModeProfile> {
-        self.profile.as_ref()
-    }
-
     /// The channel budget override, if any.
     pub fn channel_budget(&self) -> Option<ChannelBudget> {
         self.channels
@@ -98,7 +93,7 @@ impl ModeSpec {
 
     /// The dispersal-width floor this mode's profile demands for `file` of
     /// `size_blocks` blocks (0 when no profile or no extra redundancy).
-    pub fn width_floor(&self, file: FileId, size_blocks: u32) -> u32 {
+    pub(crate) fn width_floor(&self, file: FileId, size_blocks: u32) -> u32 {
         let Some(profile) = &self.profile else {
             return 0;
         };
@@ -181,7 +176,7 @@ mod tests {
             .with_channels(2);
         assert_eq!(mode.name(), "m");
         assert_eq!(mode.specs().len(), 2);
-        assert!(mode.profile().is_none());
+        assert!(mode.profile.is_none());
         assert_eq!(mode.channel_budget(), Some(ChannelBudget::Fixed(2)));
         assert_eq!(
             ModeSpec::new("a").with_auto_channels().channel_budget(),

@@ -115,7 +115,7 @@ mod clmul {
     /// unconsumed tail (`< 16` bytes).  `None` — nothing consumed — when
     /// `data` is shorter than the 64 bytes the kernel starts from or the
     /// CPU lacks `pclmulqdq`/`sse4.1`.
-    pub fn fold(state: u32, data: &[u8]) -> Option<(u32, &[u8])> {
+    pub(super) fn fold(state: u32, data: &[u8]) -> Option<(u32, &[u8])> {
         // `is_x86_feature_detected!` caches after the first probe, so the
         // per-call cost is one relaxed atomic load.
         if data.len() < 64

@@ -99,7 +99,7 @@ mod sys {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
 
-    pub fn send_train(_: &UdpSocket, _: &[Vec<u8>], _: SocketAddr) -> io::Result<usize> {
+    pub(crate) fn send_train(_: &UdpSocket, _: &[Vec<u8>], _: SocketAddr) -> io::Result<usize> {
         Err(io::ErrorKind::Unsupported.into())
     }
 }
@@ -231,7 +231,7 @@ mod sys {
         }
     }
 
-    pub fn send_train(
+    pub(crate) fn send_train(
         socket: &UdpSocket,
         packets: &[Vec<u8>],
         to: SocketAddr,

@@ -164,7 +164,7 @@ impl ClientState {
     /// A newer epoch seen on the wire than the one this session tuned to —
     /// the signature of a mode swap the client missed.  Cleared by
     /// [`ClientState::resubscribe`] or a subscribe ack.
-    pub fn stale_epoch(&self) -> Option<u64> {
+    pub(crate) fn stale_epoch(&self) -> Option<u64> {
         self.stale_epoch
     }
 
@@ -229,19 +229,13 @@ impl ClientState {
         }
     }
 
-    /// Records `count` losses observed out of band (e.g. a receive timeout
-    /// the caller interprets as missed traffic).
-    pub fn record_loss(&mut self, count: usize) {
-        self.note_erasures(count);
-    }
-
     /// Counts a (re-sent) `Join` — bumped by the supervising client loop.
-    pub fn note_rejoin(&mut self) {
+    pub(crate) fn note_rejoin(&mut self) {
         self.stats.rejoins += 1;
     }
 
     /// Counts a suspected partition (liveness watchdog fired).
-    pub fn note_partition_suspect(&mut self) {
+    pub(crate) fn note_partition_suspect(&mut self) {
         self.stats.partition_suspects += 1;
     }
 

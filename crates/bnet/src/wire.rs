@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The four magic bytes opening every packet.
-pub const MAGIC: [u8; 4] = *b"BNET";
+pub(crate) const MAGIC: [u8; 4] = *b"BNET";
 /// The baseline (unauthenticated) wire-format version.
 pub const VERSION: u8 = 1;
 /// The authenticated wire-format version: slot frames may carry Merkle
@@ -66,14 +66,14 @@ const KIND_CONTROL: u8 = 0x03;
 
 /// Bytes of fixed framing around every body: magic + version + kind before
 /// it, CRC-32 after it.
-pub const PACKET_OVERHEAD: usize = 4 + 1 + 1 + 4;
+pub(crate) const PACKET_OVERHEAD: usize = 4 + 1 + 1 + 4;
 /// Fixed body bytes of a fragment packet (`seq, index, count, chunk_len`).
 const FRAG_HEADER: usize = 8 + 2 + 2 + 4;
 /// Most fragments one frame may be split into.  At the default MTU this
 /// allows multi-megabyte frames — far beyond any dispersed block this
 /// workspace serves — while bounding what a [`Reassembler`] can be asked to
 /// buffer for one sequence number.
-pub const MAX_FRAGMENTS: u16 = 4096;
+pub(crate) const MAX_FRAGMENTS: u16 = 4096;
 
 /// One broadcast slot on the wire: which channel transmitted what, when,
 /// under which epoch.  The dispersed block travels with its full
@@ -264,7 +264,7 @@ pub struct Fragment {
     pub seq: u64,
     /// This fragment's position (`0 ≤ index < count`).
     pub index: u16,
-    /// Total fragments of the frame (`1 ≤ count ≤` [`MAX_FRAGMENTS`]).
+    /// Total fragments of the frame (`1 ≤ count ≤ MAX_FRAGMENTS`).
     pub count: u16,
     /// The carried slice of the frame's encoding.
     pub chunk: Vec<u8>,
@@ -462,8 +462,8 @@ fn encode_fragment(seq: u64, index: u16, count: u16, chunk: &[u8]) -> Vec<u8> {
 /// A frame whose encoding fits in `mtu` yields exactly one datagram;
 /// anything larger is split into fragment packets sharing the caller's
 /// `seq`.  `mtu` must leave room for at least one chunk byte per fragment
-/// ([`PACKET_OVERHEAD`] + the fragment header + 1); blocks requiring more
-/// than [`MAX_FRAGMENTS`] pieces are a configuration error and panic.
+/// (`PACKET_OVERHEAD` + the fragment header + 1); blocks requiring more
+/// than `MAX_FRAGMENTS` pieces are a configuration error and panic.
 pub fn datagrams(frame: &Frame, mtu: usize, seq: u64) -> Vec<Vec<u8>> {
     let encoded = encode(frame);
     if encoded.len() <= mtu {
@@ -757,7 +757,7 @@ impl Reassembler {
 
     /// Partial frames evicted so far (each is a frame that will never
     /// complete — account them as erasures).
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.evicted
     }
 

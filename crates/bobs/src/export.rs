@@ -81,7 +81,7 @@ pub fn to_json(snap: &RegistrySnapshot) -> String {
 /// followed by samples.  Histograms expose cumulative
 /// `name_bucket{le="…"}` series over the log₂ bucket representatives plus
 /// the conventional `+Inf`, `name_sum` and `name_count`.
-pub fn to_prometheus_text(snap: &RegistrySnapshot) -> String {
+pub(crate) fn to_prometheus_text(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
         let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");

@@ -46,17 +46,15 @@ mod export;
 mod registry;
 mod trace;
 
-pub use export::{to_json, to_prometheus_text};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, MAG_BUCKETS,
-};
+pub use export::to_json;
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use trace::{Event, EventRing};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default number of events the trace ring retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 struct TelemetryInner {
@@ -146,7 +144,7 @@ impl Telemetry {
 
     /// The registry rendered as Prometheus-style text exposition.
     pub fn export_text(&self) -> String {
-        to_prometheus_text(&self.snapshot())
+        export::to_prometheus_text(&self.snapshot())
     }
 }
 

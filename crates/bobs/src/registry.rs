@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 /// Magnitude buckets per sign: bucket `b` covers `sign · [2^b, 2^(b+1))`,
 /// with the top bucket absorbing everything at or beyond `2^62`.
-pub const MAG_BUCKETS: usize = 63;
+pub(crate) const MAG_BUCKETS: usize = 63;
 
 /// A monotonic counter.  Always recorded — counters back the public stats
 /// structs, which must count whether or not telemetry recording is on.

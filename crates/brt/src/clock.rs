@@ -31,9 +31,10 @@ pub enum ClockPoll {
 /// A source of slot time for the serving thread.
 ///
 /// The runtime polls the clock once per loop iteration and parks on its
-/// [`WakeSignal`] while a slot is not due, so implementations must call
-/// [`WakeSignal::wake`] on every registered waker whenever their answer to
-/// [`SlotClock::poll`] may have changed (an advance, a close).
+/// [`WakeSignal`] while a slot is not due, so an implementation wakes every
+/// registered waker whenever its answer to [`SlotClock::poll`] may have
+/// changed (an advance, a close).  [`WallClock`] and [`ManualClock`] are the
+/// two implementations.
 pub trait SlotClock: Send + Sync + 'static {
     /// Is `slot` due, not yet due, or is the clock closed?
     fn poll(&self, slot: usize) -> ClockPoll;
@@ -101,7 +102,7 @@ impl WakeSignal {
 
     /// Pokes the signal, waking a parked waiter (or making the next wait
     /// return immediately — pokes are never lost).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let mut poked = self.poked.lock().expect("wake signal lock");
         *poked = true;
         self.condvar.notify_all();
@@ -109,7 +110,7 @@ impl WakeSignal {
 
     /// Parks for at most `timeout`, returning early if poked.  Consumes the
     /// poke.
-    pub fn wait_timeout(&self, timeout: Duration) {
+    pub(crate) fn wait_timeout(&self, timeout: Duration) {
         let mut poked = self.poked.lock().expect("wake signal lock");
         if !*poked {
             let (guard, _) = self

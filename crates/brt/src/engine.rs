@@ -48,7 +48,7 @@ pub enum SwapNote {
 
 impl SwapNote {
     /// `true` for [`SwapNote::Cancel`].
-    pub fn is_cancel(&self) -> bool {
+    pub(crate) fn is_cancel(&self) -> bool {
         matches!(self, SwapNote::Cancel { .. })
     }
 }

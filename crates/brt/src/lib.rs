@@ -60,7 +60,7 @@ pub use bobs::{Event, Telemetry};
 pub use clock::{ClockPoll, ManualClock, SlotClock, WakeSignal, WallClock};
 pub use drive::{drive, DriveError};
 pub use engine::{Engine, Subscriber, SwapNote};
-pub use ring::{BatchRead, BroadcastRing, LaneCell, RingRead, SlotCell, WakeSet};
+pub use ring::{BroadcastRing, LaneCell, RingRead, SlotCell};
 pub use runtime::{
     Runtime, RuntimeConfig, RuntimeController, RuntimeError, RuntimeStats, Subscription,
     SubscriptionStats,
@@ -421,11 +421,12 @@ mod tests {
         }
         let record = Arc::new(Mutex::new(Record::default()));
         let clock = ManualClock::new();
-        let runtime = Runtime::spawn_with_sinks(
+        let runtime = Runtime::spawn_with_telemetry(
             engine(),
             clock.clone(),
             RuntimeConfig::default(),
             vec![Box::new(Recorder(record.clone()))],
+            Telemetry::new(),
         );
         // The sink knows the mode on the air before any slot is served.
         assert_eq!(record.lock().unwrap().modes, vec![(0, 0)]);

@@ -53,7 +53,7 @@ pub struct SlotCell {
 
 /// What [`BroadcastRing::read_many`] found at a reader's cursor.
 #[derive(Debug)]
-pub enum BatchRead {
+pub(crate) enum BatchRead {
     /// One or more consecutive cells starting at the cursor were appended to
     /// the caller's buffer (advance the cursor by one per cell processed).
     Cells,
@@ -137,17 +137,11 @@ impl RingState {
 /// [`WakeSet::wake`] would strand parked readers, so don't.
 #[must_use = "call wake() or the satisfied cohort stays parked"]
 #[derive(Debug, Default)]
-pub struct WakeSet(Vec<Arc<Condvar>>);
+pub(crate) struct WakeSet(Vec<Arc<Condvar>>);
 
 impl WakeSet {
-    /// `true` when no reader cohort is waiting to be woken (the wakeup
-    /// phase is free).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Notifies every satisfied wait group.
-    pub fn wake(self) {
+    pub(crate) fn wake(self) {
         for group in self.0 {
             group.notify_all();
         }
@@ -202,7 +196,7 @@ impl BroadcastRing {
     /// Like [`BroadcastRing::publish`], but returns the satisfied reader
     /// cohort as a [`WakeSet`] instead of notifying it — the caller
     /// performs (and may time) the wakeup as its own phase.
-    pub fn publish_prepared(&self, cell: SlotCell) -> WakeSet {
+    pub(crate) fn publish_prepared(&self, cell: SlotCell) -> WakeSet {
         let mut state = self.state.lock().expect("broadcast ring lock");
         debug_assert_eq!(cell.slot, state.base + state.cells.len());
         if state.closed {
@@ -221,7 +215,7 @@ impl BroadcastRing {
     /// order) under one lock acquisition, draining `cells` — the batched
     /// equivalent of calling [`BroadcastRing::publish_prepared`] per cell,
     /// with one [`WakeSet`] for the whole run.
-    pub fn publish_run_prepared(&self, cells: &mut Vec<SlotCell>) -> WakeSet {
+    pub(crate) fn publish_run_prepared(&self, cells: &mut Vec<SlotCell>) -> WakeSet {
         let Some(last) = cells.last().map(|c| c.slot) else {
             return WakeSet::default();
         };
@@ -250,7 +244,7 @@ impl BroadcastRing {
     /// (with no live readers it is unreachable), and any straggling cursor
     /// observes the span as overwritten, exactly as if cells had been
     /// published and evicted.
-    pub fn skip_run(&self, from: usize, count: usize) {
+    pub(crate) fn skip_run(&self, from: usize, count: usize) {
         if count == 0 {
             return;
         }
@@ -275,9 +269,9 @@ impl BroadcastRing {
     /// Blocks until the cell at `cursor` is available (or the cursor is
     /// found overwritten, the ring closes, or `detached` is raised).
     ///
-    /// `detached` is the reader's private detach flag; raise it with
-    /// [`BroadcastRing::kick`] from another thread to pull a blocked reader
-    /// out of the wait.
+    /// `detached` is the reader's private detach flag; the runtime raises it
+    /// from another thread (and kicks the ring) to pull a blocked reader out
+    /// of the wait.
     pub fn read(&self, cursor: usize, detached: &AtomicBool) -> RingRead {
         let mut out = Vec::with_capacity(1);
         match self.read_many(cursor, 1, detached, &mut out) {
@@ -292,7 +286,7 @@ impl BroadcastRing {
     /// `cursor` to the tail (up to `max`) into `out` under a single lock
     /// acquisition — a reader catching up to a free-running server pays one
     /// lock per batch instead of one per slot.  `out` is cleared first.
-    pub fn read_many(
+    pub(crate) fn read_many(
         &self,
         cursor: usize,
         max: usize,
@@ -330,7 +324,7 @@ impl BroadcastRing {
 
     /// Wakes every waiting reader without publishing — pair with raising a
     /// reader's detach flag so it observes [`RingRead::Detached`] promptly.
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
         let wake = state.all_groups();
         drop(state);
@@ -341,7 +335,7 @@ impl BroadcastRing {
 
     /// Closes the ring: readers drain the retained cells, then observe
     /// [`RingRead::Closed`] instead of blocking.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
         state.closed = true;
         let wake = state.all_groups();

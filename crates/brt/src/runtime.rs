@@ -91,7 +91,7 @@ impl Default for RuntimeConfig {
 /// under a name in the registry — the fleet-level aggregates are what the
 /// registry carries.
 #[derive(Debug, Default)]
-pub struct SubscriberCounters {
+pub(crate) struct SubscriberCounters {
     delivered: Counter,
     lagged_slots: Counter,
     lag_erasures: Counter,
@@ -352,26 +352,17 @@ impl<E: Engine> core::fmt::Debug for Runtime<E> {
 impl<E: Engine> Runtime<E> {
     /// Spawns the serving thread over `engine`, paced by `clock`.
     pub fn spawn(engine: E, clock: impl SlotClock, config: RuntimeConfig) -> Self {
-        Self::spawn_with_sinks(engine, clock, config, Vec::new())
+        Self::spawn_with_telemetry(engine, clock, config, Vec::new(), Telemetry::new())
     }
 
     /// [`Runtime::spawn`] with transport-facing fan-out sinks attached: each
     /// served slot's live lanes are published once to every sink (on the
     /// serving thread, from the same lane snapshot the broadcast ring cell
     /// is built from) — the seam a network transport plugs into.
-    pub fn spawn_with_sinks(
-        engine: E,
-        clock: impl SlotClock,
-        config: RuntimeConfig,
-        sinks: Vec<Box<dyn SlotSink>>,
-    ) -> Self {
-        Self::spawn_with_telemetry(engine, clock, config, sinks, Telemetry::new())
-    }
-
-    /// [`Runtime::spawn_with_sinks`] recording into a caller-owned
-    /// [`Telemetry`] handle — the facade passes one shared handle so the
-    /// runtime, the network fan-out and the control plane all land in a
-    /// single scrapable registry.  Recording (histograms + event trace)
+    ///
+    /// The runtime records into the caller-owned [`Telemetry`] handle — the
+    /// facade passes one shared handle so the runtime, the network fan-out
+    /// and the control plane all land in a single scrapable registry.  Recording (histograms + event trace)
     /// stays whatever the handle says; counters and gauges always count.
     pub fn spawn_with_telemetry(
         engine: E,

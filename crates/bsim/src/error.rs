@@ -89,11 +89,6 @@ impl CorrelatedChannels {
             common_lost: false,
         }
     }
-
-    /// A fully correlated bank: only the shared process, no per-channel loss.
-    pub fn fully_correlated(common: Box<dyn ErrorModel>) -> Self {
-        Self::new(common, Vec::new())
-    }
 }
 
 impl core::fmt::Debug for CorrelatedChannels {
@@ -168,11 +163,6 @@ impl BernoulliErrors {
             probability: probability.clamp(0.0, 1.0),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The loss probability.
-    pub fn probability(&self) -> f64 {
-        self.probability
     }
 }
 
@@ -309,7 +299,6 @@ mod tests {
         let losses = (0..20_000).filter(|_| model.is_lost(tx.as_ref())).count();
         let rate = losses as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-        assert!((model.probability() - 0.3).abs() < 1e-12);
     }
 
     #[test]

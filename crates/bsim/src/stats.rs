@@ -62,14 +62,6 @@ impl LatencySummary {
         self.quantile(0.99)
     }
 
-    /// The fraction of samples at or below `deadline`.
-    pub fn fraction_within(&self, deadline: usize) -> f64 {
-        if self.samples.is_empty() {
-            return 1.0;
-        }
-        self.samples.iter().filter(|&&l| l <= deadline).count() as f64 / self.samples.len() as f64
-    }
-
     /// The raw samples.
     pub fn samples(&self) -> &[usize] {
         &self.samples
@@ -121,7 +113,6 @@ mod tests {
         assert_eq!(s.max(), 0);
         assert_eq!(s.min(), 0);
         assert_eq!(s.median(), 0);
-        assert_eq!(s.fraction_within(10), 1.0);
     }
 
     #[test]
@@ -137,7 +128,6 @@ mod tests {
         assert_eq!(s.median(), 5);
         assert_eq!(s.quantile(0.0), 1);
         assert_eq!(s.quantile(1.0), 9);
-        assert!((s.fraction_within(5) - 0.6).abs() < 1e-12);
         assert_eq!(s.samples().len(), 5);
     }
 

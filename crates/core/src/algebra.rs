@@ -22,6 +22,9 @@
 //! the scheduler treats them as separate tasks but blocks of file `Fᵢ` are
 //! broadcast whenever either is scheduled — the [`crate::NiceConjunct`]
 //! mapping records exactly this.
+//!
+//! R0–R3 are public.  R4 and R5 split a conjunct into a nice one, so the
+//! conversion strategy ([`crate::convert_candidates`]) is what applies them.
 
 use crate::Pc;
 use pinwheel::TaskId;
@@ -91,7 +94,7 @@ pub fn r3_unit_strengthening(p: &Pc) -> Option<Pc> {
 /// `first` must be `pc(i, a, b)`, `second` must be `pc(i, a+x, b+y)` with the
 /// same task, a strictly larger requirement, and a window at least as large.
 /// Returns the kept base condition and the new aliased condition.
-pub fn r4_split(first: &Pc, second: &Pc, alias: TaskId) -> Option<(Pc, Pc)> {
+pub(crate) fn r4_split(first: &Pc, second: &Pc, alias: TaskId) -> Option<(Pc, Pc)> {
     if first.task != second.task
         || second.requirement <= first.requirement
         || second.window < first.window
@@ -117,7 +120,7 @@ pub fn r4_split(first: &Pc, second: &Pc, alias: TaskId) -> Option<(Pc, Pc)> {
 /// `x`; when `x = 0` the second condition is already implied by the base via
 /// R1 and the function returns the base alone, encoded as `x = 0` ⇒ `None`
 /// for the alias).
-pub fn r5_split(base: &Pc, second: &Pc, alias: TaskId) -> Option<(Pc, Option<Pc>)> {
+pub(crate) fn r5_split(base: &Pc, second: &Pc, alias: TaskId) -> Option<(Pc, Option<Pc>)> {
     if base.task != second.task || !second.requirement.is_multiple_of(base.requirement) {
         return None;
     }
@@ -158,7 +161,7 @@ mod tests {
     /// aliases onto their mapped task, and checks that `lhs` holds — an
     /// end-to-end semantic check of a rule instance.
     fn check_rule_semantically(rhs: &[Pc], aliases: &[(TaskId, TaskId)], lhs: &[Pc]) {
-        let system = TaskSystem::new(rhs.iter().map(Pc::to_task).collect()).unwrap();
+        let system = TaskSystem::new(rhs.iter().copied().map(Pc::to_task).collect()).unwrap();
         let schedule = AutoScheduler::default()
             .schedule(&system)
             .expect("rule-check instance must be schedulable");

@@ -94,14 +94,14 @@ impl Pc {
     }
 
     /// The condition as a pinwheel [`Task`].
-    pub fn to_task(&self) -> Task {
+    pub(crate) fn to_task(self) -> Task {
         Task::new(self.task, self.requirement, self.window)
     }
 
     /// Normalises the condition by the gcd of `a` and `b` (rule R1 in
     /// reverse: `pc(a/g, b/g) ⇒ pc(a, b)`), which preserves density and is
     /// the form the paper's examples report.
-    pub fn normalized(&self) -> Pc {
+    pub(crate) fn normalized(&self) -> Pc {
         let g = gcd(self.requirement, self.window);
         Pc {
             task: self.task,
@@ -118,7 +118,7 @@ impl Pc {
     /// (multiply up), R2 (shrink both by `x`) and R0 (relax): `pc(a, b)`
     /// implies `pc(c, d)` whenever for some `n ≥ 1`,
     /// `c ≤ n·a − max(0, n·b − d)`.
-    pub fn implies(&self, other: &Pc) -> bool {
+    pub(crate) fn implies(&self, other: &Pc) -> bool {
         if self.task != other.task {
             return false;
         }
@@ -283,7 +283,7 @@ impl NiceConjunct {
 
     /// Merges another nice conjunct into this one (task ids must stay
     /// disjoint — the designer allocates fresh ids per file).
-    pub fn merge(&mut self, other: NiceConjunct) -> Result<(), ConditionError> {
+    pub(crate) fn merge(&mut self, other: NiceConjunct) -> Result<(), ConditionError> {
         for c in &other.conditions {
             if self.conditions.iter().any(|d| d.task == c.task) {
                 return Err(ConditionError::NotNice(c.task));
@@ -296,7 +296,7 @@ impl NiceConjunct {
 
     /// The conjunct as a pinwheel [`TaskSystem`] ready for scheduling.
     pub fn to_task_system(&self) -> Result<TaskSystem, pinwheel::TaskSystemError> {
-        TaskSystem::new(self.conditions.iter().map(Pc::to_task).collect())
+        TaskSystem::new(self.conditions.iter().copied().map(Pc::to_task).collect())
     }
 }
 

@@ -315,7 +315,7 @@ impl<S: PinwheelScheduler> BdiskDesigner<S> {
 /// Checks that `program` satisfies `bc(i, mᵢ + j, d⁽ʲ⁾)` for every file and
 /// fault level: every window of `d⁽ʲ⁾` slots contains at least `mᵢ + j`
 /// blocks of the file.
-pub fn verify_program(
+pub(crate) fn verify_program(
     program: &BroadcastProgram,
     specs: &[GeneralizedFileSpec],
 ) -> Result<(), String> {

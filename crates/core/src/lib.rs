@@ -11,7 +11,7 @@
 //! * **The pinwheel algebra** ([`algebra`]) — rules R0–R5 of Figure 8, each
 //!   as an executable, individually tested transformation.
 //! * **Transformation rules TR1/TR2 and the conversion-to-nice strategy**
-//!   ([`convert_to_nice`]) — Section 4.2: turning a conjunct of conditions on one
+//!   ([`convert_candidates`]) — Section 4.2: turning a conjunct of conditions on one
 //!   file into a *nice* conjunct (one condition per scheduled task) of low
 //!   density, reproducing Examples 2–6.
 //! * **Bandwidth planning** ([`Planner`]) — Equations 1 and 2: the
@@ -56,13 +56,10 @@ mod transform;
 
 pub use condition::{Bc, ConditionError, NiceConjunct, Pc};
 pub use designer::{
-    lemma_3_conditions, verify_program, BdiskDesigner, DesignError, DesignReport,
-    GeneralizedFileSpec,
+    lemma_3_conditions, BdiskDesigner, DesignError, DesignReport, GeneralizedFileSpec,
 };
 pub use planner::{BandwidthPlan, FileRequirement, Planner, PlannerError};
 pub use sharding::{
     ChannelBudget, MultiChannelDesigner, MultiChannelReport, ShardPlan, ShardPlanner,
 };
-pub use transform::{
-    convert_candidates, convert_to_nice, Candidate, CandidateKind, TaskIdAllocator,
-};
+pub use transform::{convert_candidates, Candidate, CandidateKind, TaskIdAllocator};

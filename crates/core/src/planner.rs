@@ -52,7 +52,7 @@ impl FileRequirement {
     }
 
     /// The effective block demand `mᵢ + rᵢ`.
-    pub fn demand(&self) -> u32 {
+    pub(crate) fn demand(&self) -> u32 {
         self.size_blocks + self.faults
     }
 }
@@ -178,7 +178,7 @@ impl Planner {
 
     /// The pinwheel task system induced by a bandwidth of `blocks_per_second`
     /// (windows are `⌊B·Tᵢ⌋` slots).
-    pub fn task_system(
+    pub(crate) fn task_system(
         files: &[FileRequirement],
         blocks_per_second: u64,
     ) -> Result<TaskSystem, PlannerError> {
@@ -195,7 +195,7 @@ impl Planner {
     }
 
     /// The density of the induced task system at a given bandwidth.
-    pub fn density_at(files: &[FileRequirement], blocks_per_second: u64) -> f64 {
+    pub(crate) fn density_at(files: &[FileRequirement], blocks_per_second: u64) -> f64 {
         files
             .iter()
             .map(|f| {
@@ -205,34 +205,6 @@ impl Planner {
                 f64::from(f.demand()) / window
             })
             .sum()
-    }
-
-    /// The smallest bandwidth at which the density test alone
-    /// (`density ≤ 7/10`) admits the file set — the constructive promise the
-    /// paper relies on.
-    pub fn minimum_density_test_bandwidth(
-        &self,
-        files: &[FileRequirement],
-    ) -> Result<u64, PlannerError> {
-        Self::validate(files)?;
-        let mut b = 1u64.max(
-            files
-                .iter()
-                .map(|f| (f64::from(f.demand()) / f.latency_seconds).ceil() as u64)
-                .max()
-                .unwrap_or(1),
-        );
-        // Density decreases monotonically in B; walk up from the per-file
-        // lower bound (the plan bound is a few steps above at most, so a
-        // linear walk is cheap and simpler than a binary search with floors).
-        let cap = self.plan(files)?.chan_chin_bound.max(b) + 2;
-        while b <= cap {
-            if Self::density_at(files, b) <= CHAN_CHIN_DENSITY_BOUND + 1e-12 {
-                return Ok(b);
-            }
-            b += 1;
-        }
-        Ok(cap)
     }
 
     /// The smallest bandwidth at which the scheduler cascade actually
@@ -259,16 +231,6 @@ impl Planner {
             }
         }
         Err(PlannerError::SearchExhausted { max_tried: cap })
-    }
-
-    /// Constructs a verified schedule at an explicitly chosen bandwidth.
-    pub fn schedule_at(
-        &self,
-        files: &[FileRequirement],
-        blocks_per_second: u64,
-    ) -> Result<Option<Schedule>, PlannerError> {
-        let system = Self::task_system(files, blocks_per_second)?;
-        Ok(self.scheduler.schedule(&system).ok())
     }
 }
 
@@ -366,32 +328,6 @@ mod tests {
         // task system at bandwidth b.
         let system = Planner::task_system(&files, b).unwrap();
         pinwheel::verify(&schedule, &system).unwrap();
-    }
-
-    #[test]
-    fn density_test_bandwidth_matches_equation_bound_closely() {
-        let files = awacs_files();
-        let planner = Planner::default();
-        let plan = planner.plan(&files).unwrap();
-        let dt = planner.minimum_density_test_bandwidth(&files).unwrap();
-        // The integer floor on windows (the 0.4 s file) can push the density
-        // test one or two blocks/sec past the real-valued Equation-1 bound.
-        assert!(dt <= plan.chan_chin_bound + 2);
-        assert!(Planner::density_at(&files, dt) <= CHAN_CHIN_DENSITY_BOUND + 1e-9);
-    }
-
-    #[test]
-    fn schedule_at_explicit_bandwidth() {
-        let files = awacs_files();
-        let planner = Planner::default();
-        let plan = planner.plan(&files).unwrap();
-        // At the Eq.1 bound a schedule exists; at the lower bound it may not,
-        // but the call must not error.
-        assert!(planner
-            .schedule_at(&files, plan.chan_chin_bound)
-            .unwrap()
-            .is_some());
-        let _ = planner.schedule_at(&files, plan.lower_bound).unwrap();
     }
 
     #[test]

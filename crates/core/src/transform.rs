@@ -82,7 +82,7 @@ impl TaskIdAllocator {
     }
 
     /// Returns a fresh task id.
-    pub fn allocate(&mut self) -> TaskId {
+    pub(crate) fn allocate(&mut self) -> TaskId {
         let id = self.next;
         self.next += 1;
         id
@@ -121,7 +121,10 @@ pub fn convert_candidates(
 }
 
 /// The best (lowest-density) nice conjunct for a broadcast condition.
-pub fn convert_to_nice(bc: &Bc, ids: &mut TaskIdAllocator) -> Result<Candidate, ConditionError> {
+pub(crate) fn convert_to_nice(
+    bc: &Bc,
+    ids: &mut TaskIdAllocator,
+) -> Result<Candidate, ConditionError> {
     let mut candidates = convert_candidates(bc, ids)?;
     debug_assert!(!candidates.is_empty(), "TR1 always yields a candidate");
     Ok(candidates.remove(0))

@@ -76,8 +76,8 @@ static LOG: [u8; 256] = build_log_table(&EXP);
 /// The type is a transparent wrapper around a byte; all arithmetic operators
 /// are implemented, with addition/subtraction as XOR and multiplication /
 /// division through log/exp tables.  Division by [`Gf256::ZERO`] panics, the
-/// same way integer division by zero panics; use [`Gf256::checked_div`] or
-/// [`Gf256::inverse`] for fallible variants.
+/// same way integer division by zero panics; use [`Gf256::inverse`]
+/// for a fallible variant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct Gf256(u8);
@@ -86,9 +86,7 @@ impl Gf256 {
     /// The additive identity.
     pub const ZERO: Gf256 = Gf256(0);
     /// The multiplicative identity.
-    pub const ONE: Gf256 = Gf256(1);
-    /// The primitive element α = 0x02 that generates the multiplicative group.
-    pub const GENERATOR: Gf256 = Gf256(2);
+    pub(crate) const ONE: Gf256 = Gf256(1);
 
     /// Wraps a raw byte as a field element.
     #[inline]
@@ -108,17 +106,11 @@ impl Gf256 {
         self.0 == 0
     }
 
-    /// `α^power` for any exponent (reduced modulo the group order 255).
-    #[inline]
-    pub fn pow_of_generator(power: usize) -> Self {
-        Gf256(EXP[power % GROUP_ORDER])
-    }
-
     /// Raises the element to an arbitrary non-negative integer power.
     ///
     /// `0⁰` is defined as `1`, matching the usual convention for evaluating
     /// polynomials at zero.
-    pub fn pow(self, exponent: usize) -> Self {
+    pub(crate) fn pow(self, exponent: usize) -> Self {
         if exponent == 0 {
             return Gf256::ONE;
         }
@@ -138,17 +130,10 @@ impl Gf256 {
         Ok(Gf256(EXP[GROUP_ORDER - log]))
     }
 
-    /// Fallible division; returns an error when `rhs` is zero.
-    pub fn checked_div(self, rhs: Self) -> Result<Self, FieldError> {
-        if rhs.is_zero() {
-            return Err(FieldError::DivisionByZero);
-        }
-        Ok(self / rhs)
-    }
-
     /// Multiplication without tables, used in tests to cross-check the table
     /// driven implementation.
-    pub fn slow_mul(self, rhs: Self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn slow_mul(self, rhs: Self) -> Self {
         Gf256(clmul(self.0, rhs.0))
     }
 }
@@ -322,10 +307,6 @@ mod tests {
     #[test]
     fn zero_has_no_inverse() {
         assert_eq!(Gf256::ZERO.inverse(), Err(FieldError::ZeroHasNoInverse));
-        assert_eq!(
-            Gf256::ONE.checked_div(Gf256::ZERO),
-            Err(FieldError::DivisionByZero)
-        );
     }
 
     #[test]
@@ -345,13 +326,13 @@ mod tests {
 
     #[test]
     fn generator_has_full_order() {
-        // α must generate all 255 non-zero elements.
+        // α = 0x02 must generate all 255 non-zero elements.
         let mut seen = [false; 256];
         let mut x = Gf256::ONE;
         for _ in 0..255 {
             assert!(!seen[x.value() as usize], "generator order < 255");
             seen[x.value() as usize] = true;
-            x *= Gf256::GENERATOR;
+            x *= Gf256::new(2);
         }
         assert_eq!(x, Gf256::ONE, "α^255 must be 1");
     }
@@ -366,13 +347,6 @@ mod tests {
                 acc *= a;
             }
         }
-    }
-
-    #[test]
-    fn pow_of_generator_wraps_modulo_group_order() {
-        assert_eq!(Gf256::pow_of_generator(0), Gf256::ONE);
-        assert_eq!(Gf256::pow_of_generator(255), Gf256::ONE);
-        assert_eq!(Gf256::pow_of_generator(256), Gf256::GENERATOR);
     }
 
     #[test]

@@ -75,15 +75,9 @@ impl MulTable {
         }
     }
 
-    /// The coefficient this table multiplies by.
-    #[inline]
-    pub fn coeff(&self) -> Gf256 {
-        self.coeff
-    }
-
     /// Scalar product `coeff · x` via the split-nibble tables (branch-free).
     #[inline]
-    pub fn mul(&self, x: u8) -> u8 {
+    pub(crate) fn mul(&self, x: u8) -> u8 {
         self.lo[(x & 0x0f) as usize] ^ self.hi[(x >> 4) as usize]
     }
 
@@ -91,7 +85,7 @@ impl MulTable {
     ///
     /// A source shorter than the accumulator behaves as if zero-padded (the
     /// tail of `acc` is untouched).  `coeff = 0` is a no-op and `coeff = 1`
-    /// degrades to [`xor_slice`].
+    /// degrades to `xor_slice`.
     pub fn mul_acc(&self, src: &[u8], acc: &mut [u8]) {
         if self.coeff.is_zero() {
             return;
@@ -128,7 +122,7 @@ impl MulTable {
 /// `acc[i] ^= src[i]` for `i < min(src.len(), acc.len())`, XORing eight
 /// bytes at a time through `u64` lanes — the additive half of the field
 /// (and the whole of a `coeff = 1` multiply).
-pub fn xor_slice(src: &[u8], acc: &mut [u8]) {
+pub(crate) fn xor_slice(src: &[u8], acc: &mut [u8]) {
     let n = src.len().min(acc.len());
     let mut src_chunks = src[..n].chunks_exact(8);
     let mut acc_chunks = acc[..n].chunks_exact_mut(8);
@@ -144,22 +138,6 @@ pub fn xor_slice(src: &[u8], acc: &mut [u8]) {
     {
         *a ^= *s;
     }
-}
-
-/// `acc[i] ^= coeff · src[i]` — one-shot convenience over [`MulTable`].
-///
-/// Builds the tables on the fly; repeated multiplies by the same
-/// coefficient should build a [`MulTable`] once and call
-/// [`MulTable::mul_acc`].
-pub fn mul_slice(coeff: Gf256, src: &[u8], acc: &mut [u8]) {
-    if coeff.is_zero() {
-        return;
-    }
-    if coeff == Gf256::ONE {
-        xor_slice(src, acc);
-        return;
-    }
-    MulTable::new(coeff).mul_acc(src, acc);
 }
 
 #[cfg(test)]
@@ -179,7 +157,6 @@ mod tests {
         // The full 256×256 multiplication table, nibble-table vs. operator.
         for a in 0..=255u8 {
             let table = MulTable::new(Gf256::new(a));
-            assert_eq!(table.coeff(), Gf256::new(a));
             for b in 0..=255u8 {
                 assert_eq!(
                     table.mul(b),
@@ -210,18 +187,6 @@ mod tests {
                 table.mul_acc(src, &mut acc);
                 assert_eq!(acc, expected, "coeff {c}, len {len}");
             }
-        }
-    }
-
-    #[test]
-    fn mul_slice_one_shot_matches_table_path() {
-        let src = all_bytes_scrambled();
-        for c in [0u8, 1, 2, 0x1d, 0x8e, 255] {
-            let mut via_table = vec![0x55u8; src.len()];
-            let mut via_slice = vec![0x55u8; src.len()];
-            MulTable::new(Gf256::new(c)).mul_acc(&src, &mut via_table);
-            mul_slice(Gf256::new(c), &src, &mut via_slice);
-            assert_eq!(via_table, via_slice, "coeff {c}");
         }
     }
 

@@ -12,9 +12,8 @@
 //! division use compile-time generated exponential/logarithm tables, so a
 //! single multiply is two table lookups and one conditional.  Bulk
 //! constant-coefficient multiplication — the shape information dispersal
-//! actually needs — goes through the vectorizable slice kernels in
-//! [`kernel`] instead ([`kernel::MulTable`], [`kernel::mul_slice`],
-//! [`kernel::xor_slice`] and [`Matrix::mul_blocks_into`]).
+//! actually needs — goes through the vectorizable slice kernel of a
+//! [`MulTable`] instead, built once per coefficient.
 //!
 //! ## Quick example
 //!
@@ -28,25 +27,23 @@
 //! // A 3×3 Vandermonde matrix is invertible.
 //! let v = Matrix::vandermonde(3, 3).unwrap();
 //! let inv = v.inverted().unwrap();
-//! assert!(v.mul(&inv).unwrap().is_identity());
+//! assert_eq!(inv.inverted().unwrap(), v);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod field;
-pub mod kernel;
+mod kernel;
 mod matrix;
 
 pub use field::Gf256;
-pub use kernel::{mul_slice, xor_slice, MulTable};
+pub use kernel::MulTable;
 pub use matrix::{Matrix, MatrixError};
 
 /// Errors produced by field-level operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldError {
-    /// Division by the zero element was attempted.
-    DivisionByZero,
     /// The inverse of the zero element was requested.
     ZeroHasNoInverse,
 }
@@ -54,7 +51,6 @@ pub enum FieldError {
 impl core::fmt::Display for FieldError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            FieldError::DivisionByZero => write!(f, "division by zero in GF(256)"),
             FieldError::ZeroHasNoInverse => write!(f, "zero has no multiplicative inverse"),
         }
     }

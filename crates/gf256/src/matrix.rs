@@ -142,7 +142,7 @@ impl Matrix {
     }
 
     /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m[(i, i)] = Gf256::ONE;
@@ -151,7 +151,11 @@ impl Matrix {
     }
 
     /// Builds a matrix from row-major data.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<Gf256>) -> Result<Self, MatrixError> {
+    pub(crate) fn from_rows(
+        rows: usize,
+        cols: usize,
+        data: Vec<Gf256>,
+    ) -> Result<Self, MatrixError> {
         if data.len() != rows * cols {
             return Err(MatrixError::DimensionMismatch {
                 expected: rows * cols,
@@ -159,11 +163,6 @@ impl Matrix {
             });
         }
         Ok(Matrix { rows, cols, data })
-    }
-
-    /// Builds a matrix from row-major raw bytes.
-    pub fn from_bytes(rows: usize, cols: usize, data: &[u8]) -> Result<Self, MatrixError> {
-        Self::from_rows(rows, cols, data.iter().copied().map(Gf256::new).collect())
     }
 
     /// Number of rows.
@@ -190,7 +189,8 @@ impl Matrix {
     }
 
     /// Returns `true` if this is a square identity matrix.
-    pub fn is_identity(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_identity(&self) -> bool {
         if self.rows != self.cols {
             return false;
         }
@@ -312,7 +312,8 @@ impl Matrix {
     }
 
     /// Matrix product `self × rhs`.
-    pub fn mul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
+    #[cfg(test)]
+    pub(crate) fn mul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
         if self.cols != rhs.rows {
             return Err(MatrixError::IncompatibleShapes {
                 left: self.shape(),
@@ -367,8 +368,8 @@ impl Matrix {
     ///
     /// Such rows make the matrix *partially systematic*: applying the row to
     /// a block of source slices is a verbatim copy of source `c`, no field
-    /// arithmetic at all.  [`Matrix::mul_blocks_into`] (and the dispersal
-    /// fast paths built on it) use this to skip the multiply entirely.
+    /// arithmetic at all.  The dispersal fast paths in `ida` use this to skip
+    /// the multiply entirely.
     pub fn identity_row(&self, r: usize) -> Option<usize> {
         let mut unit = None;
         for (c, &v) in self.row(r).iter().enumerate() {
@@ -382,75 +383,6 @@ impl Matrix {
             }
         }
         unit
-    }
-
-    /// Applies each row of the matrix to `cols`-many byte slices at once,
-    /// writing into caller-owned output buffers:
-    /// `out[r][k] = Σ_c self[r,c] · sources[c][k]`.
-    ///
-    /// This is the byte-oriented, allocation-free successor of
-    /// [`Matrix::mul_blocks`]: sources and outputs are raw byte slices (a
-    /// byte *is* a field element), the inner loops run on the vectorizable
-    /// [`crate::kernel`] slice kernels, and unit rows degrade to plain
-    /// copies.  Every output must have the same length; a source shorter
-    /// than that length is treated as zero-padded (so the final partial
-    /// block of a file can be encoded without materialising its padding).
-    ///
-    /// For repeated products by the same matrix, prefer caching one
-    /// [`crate::kernel::MulTable`] per coefficient (as `ida`'s encode plans
-    /// do); this entry point rebuilds them per call, which is only amortised
-    /// for long blocks.
-    pub fn mul_blocks_into(
-        &self,
-        sources: &[&[u8]],
-        outputs: &mut [&mut [u8]],
-    ) -> Result<(), MatrixError> {
-        if sources.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols,
-                actual: sources.len(),
-            });
-        }
-        if outputs.len() != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows,
-                actual: outputs.len(),
-            });
-        }
-        let block_len = outputs.first().map_or(0, |o| o.len());
-        for out in outputs.iter() {
-            if out.len() != block_len {
-                return Err(MatrixError::DimensionMismatch {
-                    expected: block_len,
-                    actual: out.len(),
-                });
-            }
-        }
-        for src in sources {
-            if src.len() > block_len {
-                return Err(MatrixError::DimensionMismatch {
-                    expected: block_len,
-                    actual: src.len(),
-                });
-            }
-        }
-        for (r, out) in outputs.iter_mut().enumerate() {
-            if let Some(c) = self.identity_row(r) {
-                let src = sources[c];
-                out[..src.len()].copy_from_slice(src);
-                out[src.len()..].fill(0);
-                continue;
-            }
-            out.fill(0);
-            for (c, src) in sources.iter().enumerate() {
-                let coeff = self[(r, c)];
-                if coeff.is_zero() {
-                    continue;
-                }
-                crate::kernel::mul_slice(coeff, src, out);
-            }
-        }
-        Ok(())
     }
 
     /// The inverse of a square matrix, computed with Gauss–Jordan
@@ -550,6 +482,10 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn from_bytes(rows: usize, cols: usize, data: &[u8]) -> Result<Matrix, MatrixError> {
+        Matrix::from_rows(rows, cols, data.iter().copied().map(Gf256::new).collect())
+    }
 
     #[test]
     fn identity_times_anything_is_unchanged() {
@@ -655,7 +591,7 @@ mod tests {
     #[test]
     fn singular_matrix_is_rejected() {
         // Two identical rows.
-        let m = Matrix::from_bytes(2, 2, &[1, 2, 1, 2]).unwrap();
+        let m = from_bytes(2, 2, &[1, 2, 1, 2]).unwrap();
         assert_eq!(m.inverted().unwrap_err(), MatrixError::Singular);
         assert_eq!(m.rank(), 1);
     }
@@ -663,7 +599,7 @@ mod tests {
     #[test]
     fn shape_errors_are_reported() {
         assert!(matches!(
-            Matrix::from_bytes(2, 2, &[1, 2, 3]),
+            from_bytes(2, 2, &[1, 2, 3]),
             Err(MatrixError::DimensionMismatch { .. })
         ));
         let a = Matrix::identity(2);
@@ -727,94 +663,10 @@ mod tests {
             assert_eq!(s.identity_row(r), None, "coded row {r}");
         }
         // A scaled unit row is not an identity row.
-        let m = Matrix::from_bytes(1, 3, &[0, 2, 0]).unwrap();
+        let m = from_bytes(1, 3, &[0, 2, 0]).unwrap();
         assert_eq!(m.identity_row(0), None);
         let z = Matrix::zero(1, 3);
         assert_eq!(z.identity_row(0), None);
-    }
-
-    #[test]
-    fn mul_blocks_into_matches_mul_blocks() {
-        for build in [Matrix::vandermonde, Matrix::cauchy, Matrix::systematic] {
-            let m = build(9, 4).unwrap();
-            let block_len = 37;
-            let sources_bytes: Vec<Vec<u8>> = (0..4)
-                .map(|c| {
-                    (0..block_len)
-                        .map(|k| (k * 17 + c * 59 + 3) as u8)
-                        .collect()
-                })
-                .collect();
-            let sources_gf: Vec<Vec<Gf256>> = sources_bytes
-                .iter()
-                .map(|s| s.iter().copied().map(Gf256::new).collect())
-                .collect();
-            let expected = m.mul_blocks(&sources_gf).unwrap();
-
-            let source_refs: Vec<&[u8]> = sources_bytes.iter().map(Vec::as_slice).collect();
-            let mut outputs = vec![vec![0xAAu8; block_len]; 9];
-            let mut output_refs: Vec<&mut [u8]> =
-                outputs.iter_mut().map(Vec::as_mut_slice).collect();
-            m.mul_blocks_into(&source_refs, &mut output_refs).unwrap();
-            for (r, row) in expected.iter().enumerate() {
-                let bytes: Vec<u8> = row.iter().copied().map(Gf256::value).collect();
-                assert_eq!(outputs[r], bytes, "row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_blocks_into_zero_pads_short_sources() {
-        let m = Matrix::systematic(4, 2).unwrap();
-        let full = [1u8, 2, 3, 4, 5];
-        let short = [9u8, 8]; // behaves as [9, 8, 0, 0, 0]
-        let mut outputs = vec![vec![0xFFu8; 5]; 4];
-        let mut output_refs: Vec<&mut [u8]> = outputs.iter_mut().map(Vec::as_mut_slice).collect();
-        m.mul_blocks_into(&[&full, &short], &mut output_refs)
-            .unwrap();
-        assert_eq!(outputs[0], full);
-        assert_eq!(outputs[1], vec![9, 8, 0, 0, 0]);
-        let padded: Vec<Gf256> = [9u8, 8, 0, 0, 0].iter().copied().map(Gf256::new).collect();
-        let sources_gf = vec![
-            full.iter().copied().map(Gf256::new).collect::<Vec<_>>(),
-            padded,
-        ];
-        let expected = m.mul_blocks(&sources_gf).unwrap();
-        for r in 0..4 {
-            let bytes: Vec<u8> = expected[r].iter().copied().map(Gf256::value).collect();
-            assert_eq!(outputs[r], bytes, "row {r}");
-        }
-    }
-
-    #[test]
-    fn mul_blocks_into_shape_errors() {
-        let m = Matrix::identity(2);
-        let a = [1u8, 2];
-        let mut out_short = vec![vec![0u8; 2]; 1];
-        let mut refs: Vec<&mut [u8]> = out_short.iter_mut().map(Vec::as_mut_slice).collect();
-        assert!(matches!(
-            m.mul_blocks_into(&[&a, &a], &mut refs),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
-        let mut uneven = [vec![0u8; 2], vec![0u8; 3]];
-        let mut refs: Vec<&mut [u8]> = uneven.iter_mut().map(Vec::as_mut_slice).collect();
-        assert!(matches!(
-            m.mul_blocks_into(&[&a, &a], &mut refs),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
-        let long = [1u8, 2, 3];
-        let mut out = vec![vec![0u8; 2]; 2];
-        let mut refs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        assert!(matches!(
-            m.mul_blocks_into(&[&long, &a], &mut refs),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
-        let mut out = vec![vec![0u8; 2]; 2];
-        let mut refs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        assert!(matches!(
-            m.mul_blocks_into(&[&a], &mut refs),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

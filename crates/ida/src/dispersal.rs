@@ -223,11 +223,6 @@ impl DispersedFile {
         &self.blocks
     }
 
-    /// Consumes the value and returns the blocks.
-    pub fn into_blocks(self) -> Vec<DispersedBlock> {
-        self.blocks
-    }
-
     /// The block with the given dispersal index.
     pub fn block(&self, index: usize) -> Option<&DispersedBlock> {
         self.blocks.get(index)
@@ -349,7 +344,7 @@ impl Dispersal {
 
     /// The per-block payload size for a file of `len` bytes: the file is
     /// padded to a multiple of `m` and split column-wise.
-    pub fn block_payload_len(&self, len: usize) -> usize {
+    pub(crate) fn block_payload_len(&self, len: usize) -> usize {
         len.div_ceil(self.m)
     }
 
@@ -744,7 +739,7 @@ mod tests {
         let data = sample(123);
         // A reconstruct-only configuration never builds the encode plan.
         let other = Dispersal::new(4, 9).unwrap();
-        let blocks = other.disperse(FileId(5), &data).unwrap().into_blocks();
+        let blocks = other.disperse(FileId(5), &data).unwrap().blocks().to_vec();
         assert_eq!(d.reconstruct(&blocks).unwrap(), data);
         assert!(d.encode.get().is_none());
         // The first disperse of any clone builds it for all of them.

@@ -54,7 +54,7 @@ mod aida;
 mod block;
 mod dispersal;
 
-pub use aida::{Aida, BandwidthAllocation, ModeProfile, RedundancyPolicy};
+pub use aida::{ModeProfile, RedundancyPolicy};
 pub use block::{BlockHeader, DispersedBlock, FileId};
 /// The shared payload buffer of a [`DispersedBlock`] and the content type of
 /// [`Dispersal::disperse_bytes`].
@@ -94,15 +94,6 @@ pub enum IdaError {
         /// The dispersal width from the header.
         n: usize,
     },
-    /// The requested transmission count is outside `[m, n]`.
-    InvalidAllocation {
-        /// Requested number of blocks to transmit.
-        requested: usize,
-        /// Reconstruction threshold.
-        m: usize,
-        /// Maximum available dispersed blocks.
-        n: usize,
-    },
     /// An underlying matrix operation failed.
     Matrix(MatrixError),
 }
@@ -135,9 +126,6 @@ impl core::fmt::Display for IdaError {
                     f,
                     "block index {index} out of range for dispersal width {n}"
                 )
-            }
-            IdaError::InvalidAllocation { requested, m, n } => {
-                write!(f, "allocation {requested} outside valid range [{m}, {n}]")
             }
             IdaError::Matrix(e) => write!(f, "matrix error: {e}"),
         }

@@ -174,7 +174,13 @@ mod tests {
         assert!(!candidates.is_empty());
         // Inflation of the best candidate must respect the 10/7 cap.
         let best = &candidates[0];
-        assert!(best.spec.max_inflation() <= 10.0 / 7.0 + 1e-9);
+        let inflation = best
+            .spec
+            .windows()
+            .iter()
+            .map(|&(id, w)| f64::from(system.task(id).unwrap().window) / f64::from(w))
+            .fold(1.0, f64::max);
+        assert!(inflation <= 10.0 / 7.0 + 1e-9);
         let s = di.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
     }

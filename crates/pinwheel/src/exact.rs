@@ -73,7 +73,7 @@ impl ExactSolver {
 
     /// Decides schedulability of a unit-requirement instance given as
     /// `(id, window)` pairs.
-    pub fn decide_windows(&self, windows: &[(TaskId, u32)]) -> ExactOutcome {
+    pub(crate) fn decide_windows(&self, windows: &[(TaskId, u32)]) -> ExactOutcome {
         let n = windows.len();
         if n == 0 {
             return ExactOutcome::Schedulable(Schedule::new(vec![None]));

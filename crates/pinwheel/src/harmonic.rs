@@ -30,7 +30,7 @@ use crate::{PinwheelScheduler, Schedule, ScheduleError, TaskSystem};
 /// For non-chain instances it returns [`ScheduleError::NotHarmonic`]; use one
 /// of the specialization-based schedulers instead.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HarmonicScheduler;
+pub(crate) struct HarmonicScheduler;
 
 /// A free residue class within one column: frames `≡ offset (mod modulus)`.
 #[derive(Debug, Clone, Copy)]

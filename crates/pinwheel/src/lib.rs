@@ -12,8 +12,9 @@
 //! * cyclic schedules and an **exact window verifier**
 //!   ([`Schedule`], [`verify`]);
 //! * constructive schedulers of increasing sophistication:
-//!   * [`HarmonicScheduler`] — optimal (density ≤ 1) for instances whose
-//!     windows form a divisibility chain;
+//!   * the harmonic column packer ([`SchedulerChoice::Harmonic`]) —
+//!     optimal (density ≤ 1) for instances whose windows form a
+//!     divisibility chain;
 //!   * [`SaScheduler`] — Holte et al.'s powers-of-two specialization,
 //!     guaranteed for density ≤ 1/2;
 //!   * [`SxScheduler`] — single-integer reduction with an exhaustive base
@@ -56,21 +57,13 @@ mod verify;
 
 pub use double_integer::DoubleIntegerScheduler;
 pub use exact::{ExactOutcome, ExactSolver};
-pub use harmonic::HarmonicScheduler;
 pub use llf::LlfScheduler;
 pub use sa::SaScheduler;
 pub use schedule::Schedule;
 pub use scheduler::{AutoScheduler, PinwheelScheduler, ScheduleError, SchedulerChoice};
-pub use specialize::{
-    specialize_double, specialize_pow2, specialize_single, Specialization, SpecializedSystem,
-};
 pub use sx::SxScheduler;
 pub use task::{Density, Task, TaskId, TaskSystem, TaskSystemError};
 pub use verify::{verify, verify_task, VerificationError};
-
-/// The density below which Holte et al.'s simple scheduler (Sa) is guaranteed
-/// to succeed.
-pub const SA_DENSITY_BOUND: f64 = 0.5;
 
 /// The density below which Chan & Chin's double-integer-reduction scheduler is
 /// guaranteed to succeed; the paper's bandwidth Equations 1 and 2 are derived

@@ -2,10 +2,10 @@
 //!
 //! Every window is shrunk to the largest power of two not exceeding it; the
 //! specialized windows trivially form a divisibility chain and are scheduled
-//! by [`crate::HarmonicScheduler`]'s column packing.  Since shrinking a
-//! window at most doubles the task's density, any instance with density at
-//! most **1/2** is guaranteed to be schedulable this way — the "simple and
-//! elegant algorithm" the paper cites for the 0.5 bound.
+//! by the harmonic column packing.  Since shrinking a window at most
+//! doubles the task's density, any instance with density at most **1/2**
+//! is guaranteed to be schedulable this way — the "simple and elegant
+//! algorithm" the paper cites for the 0.5 bound.
 
 use crate::specialize::{specialize_pow2, SpecializedSystem};
 use crate::{harmonic, PinwheelScheduler, Schedule, ScheduleError, TaskSystem};

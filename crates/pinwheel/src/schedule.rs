@@ -56,7 +56,7 @@ impl Schedule {
     }
 
     /// Number of idle slots per period.
-    pub fn idle_slots(&self) -> usize {
+    pub(crate) fn idle_slots(&self) -> usize {
         self.slots.iter().filter(|s| s.is_none()).count()
     }
 
@@ -78,7 +78,7 @@ impl Schedule {
     }
 
     /// The positions (within one period) at which `task` is scheduled.
-    pub fn positions(&self, task: TaskId) -> Vec<usize> {
+    pub(crate) fn positions(&self, task: TaskId) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
@@ -131,16 +131,6 @@ impl Schedule {
         Schedule {
             slots: self.slots.iter().map(|s| s.and_then(&f)).collect(),
         }
-    }
-
-    /// Repeats the cycle `times` times (useful for rendering several
-    /// broadcast periods, as the paper's figures do).
-    pub fn repeated(&self, times: usize) -> Schedule {
-        let mut slots = Vec::with_capacity(self.slots.len() * times);
-        for _ in 0..times {
-            slots.extend_from_slice(&self.slots);
-        }
-        Schedule { slots }
     }
 }
 
@@ -208,17 +198,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(r.slots(), &[Some(1), Some(1), None, None]);
-    }
-
-    #[test]
-    fn repeated_extends_period() {
-        let s = Schedule::from_tasks(vec![1, 2]);
-        let r = s.repeated(3);
-        assert_eq!(r.period(), 6);
-        assert_eq!(
-            r.slots(),
-            &[Some(1), Some(2), Some(1), Some(2), Some(1), Some(2)]
-        );
     }
 
     #[test]

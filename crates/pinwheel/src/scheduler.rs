@@ -1,8 +1,9 @@
 //! The scheduler trait, shared error type and the cascading [`AutoScheduler`].
 
+use crate::harmonic::HarmonicScheduler;
 use crate::{
-    Density, DoubleIntegerScheduler, ExactOutcome, ExactSolver, HarmonicScheduler, LlfScheduler,
-    SaScheduler, Schedule, SxScheduler, TaskSystem, TaskSystemError, VerificationError,
+    Density, DoubleIntegerScheduler, ExactOutcome, ExactSolver, LlfScheduler, SaScheduler,
+    Schedule, SxScheduler, TaskSystem, TaskSystemError, VerificationError,
 };
 
 /// Why a scheduler declined to produce (or failed to find) a schedule.
@@ -150,12 +151,13 @@ pub trait PinwheelScheduler {
 /// (for small instances) to exact search.
 ///
 /// Order: double-integer reduction → single-integer reduction (Sx) →
-/// powers-of-two (Sa) → least-laxity greedy → exact state-space search.
+/// least-laxity greedy → exact state-space search.  Sx's base search always
+/// includes the powers-of-two base, so it succeeds wherever Holte et al.'s
+/// Sa does, and Sa needs no place of its own.
 #[derive(Debug, Clone)]
 pub struct AutoScheduler {
     double_integer: DoubleIntegerScheduler,
     sx: SxScheduler,
-    sa: SaScheduler,
     llf: LlfScheduler,
     exact: ExactSolver,
     /// Product-of-windows threshold below which the exact solver is consulted.
@@ -167,7 +169,6 @@ impl Default for AutoScheduler {
         AutoScheduler {
             double_integer: DoubleIntegerScheduler::default(),
             sx: SxScheduler::default(),
-            sa: SaScheduler,
             llf: LlfScheduler::default(),
             exact: ExactSolver::default(),
             exact_state_budget: 2_000_000,
@@ -187,7 +188,6 @@ impl AutoScheduler {
         AutoScheduler {
             double_integer,
             sx,
-            sa: SaScheduler,
             llf,
             exact,
             exact_state_budget,
@@ -220,8 +220,7 @@ impl PinwheelScheduler for AutoScheduler {
         }
 
         let mut last_err = None;
-        let cascade: [&dyn PinwheelScheduler; 4] =
-            [&self.double_integer, &self.sx, &self.sa, &self.llf];
+        let cascade: [&dyn PinwheelScheduler; 3] = [&self.double_integer, &self.sx, &self.llf];
         for scheduler in cascade {
             match scheduler.schedule(system) {
                 Ok(s) => return Ok(s),
@@ -263,7 +262,7 @@ impl PinwheelScheduler for AutoScheduler {
 /// hand the designer a custom instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerChoice {
-    /// [`HarmonicScheduler`]: optimal, but only for divisibility-chain
+    /// The harmonic column packer: optimal, but only for divisibility-chain
     /// windows.
     Harmonic,
     /// [`SaScheduler`]: Holte et al.'s powers-of-two specialization

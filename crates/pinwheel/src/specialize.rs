@@ -13,13 +13,13 @@
 use crate::{Task, TaskId, TaskSystem};
 
 /// The largest power of two that does not exceed `w` (`w ≥ 1`).
-pub fn specialize_pow2(w: u32) -> u32 {
+pub(crate) fn specialize_pow2(w: u32) -> u32 {
     debug_assert!(w >= 1);
     1 << (31 - w.leading_zeros())
 }
 
 /// The largest value of the form `x·2^j ≤ w`, or `None` when `w < x`.
-pub fn specialize_single(w: u32, x: u32) -> Option<u32> {
+pub(crate) fn specialize_single(w: u32, x: u32) -> Option<u32> {
     if w < x || x == 0 {
         return None;
     }
@@ -32,7 +32,7 @@ pub fn specialize_single(w: u32, x: u32) -> Option<u32> {
 
 /// The largest value in `{x·2^j} ∪ {y·2^j}` that does not exceed `w`, or
 /// `None` when `w < min(x, y)`.
-pub fn specialize_double(w: u32, x: u32, y: u32) -> Option<u32> {
+pub(crate) fn specialize_double(w: u32, x: u32, y: u32) -> Option<u32> {
     let a = specialize_single(w, x);
     let b = specialize_single(w, y);
     match (a, b) {
@@ -45,7 +45,7 @@ pub fn specialize_double(w: u32, x: u32, y: u32) -> Option<u32> {
 
 /// One task's specialization: the original window and its specialized value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Specialization {
+pub(crate) struct Specialization {
     /// The task id.
     pub id: TaskId,
     /// The original window.
@@ -54,17 +54,10 @@ pub struct Specialization {
     pub specialized: u32,
 }
 
-impl Specialization {
-    /// The inflation factor `original / specialized` (always ≥ 1).
-    pub fn inflation(&self) -> f64 {
-        f64::from(self.original) / f64::from(self.specialized)
-    }
-}
-
 /// A fully specialized unit-requirement system, remembering the mapping back
 /// to the original windows.
 #[derive(Debug, Clone)]
-pub struct SpecializedSystem {
+pub(crate) struct SpecializedSystem {
     entries: Vec<Specialization>,
 }
 
@@ -73,7 +66,7 @@ impl SpecializedSystem {
     ///
     /// Returns `None` if any window cannot be specialized (i.e. `f` returns
     /// `None` for it).
-    pub fn build(
+    pub(crate) fn build(
         system: &TaskSystem,
         mut f: impl FnMut(u32) -> Option<u32>,
     ) -> Option<SpecializedSystem> {
@@ -91,29 +84,16 @@ impl SpecializedSystem {
         Some(SpecializedSystem { entries })
     }
 
-    /// The per-task specializations.
-    pub fn entries(&self) -> &[Specialization] {
-        &self.entries
-    }
-
     /// The density of the specialized system, `Σ 1/specialized`.
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         self.entries
             .iter()
             .map(|e| 1.0 / f64::from(e.specialized))
             .sum()
     }
 
-    /// The worst single-task inflation factor.
-    pub fn max_inflation(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(Specialization::inflation)
-            .fold(1.0, f64::max)
-    }
-
     /// The specialized system as a unit [`TaskSystem`] (ids preserved).
-    pub fn to_task_system(&self) -> TaskSystem {
+    pub(crate) fn to_task_system(&self) -> TaskSystem {
         TaskSystem::new(
             self.entries
                 .iter()
@@ -124,18 +104,22 @@ impl SpecializedSystem {
     }
 
     /// The specialized windows as `(id, window)` pairs.
-    pub fn windows(&self) -> Vec<(TaskId, u32)> {
+    pub(crate) fn windows(&self) -> Vec<(TaskId, u32)> {
         self.entries.iter().map(|e| (e.id, e.specialized)).collect()
     }
 }
 
-/// Candidate bases for single- and double-integer reduction.
+/// Candidate bases for single- and double-integer reduction, ascending.
 ///
 /// Bases `x ≤ ⌊w_min/2⌋` are equivalent (on windows ≥ `w_min`) to their
 /// doubled representative in `(⌊w_min/2⌋, w_min]`, so only that half-open
 /// range needs to be searched.  For very large `w_min` the range is sampled
-/// down to `max_candidates` evenly spaced values.
-pub fn candidate_bases(min_window: u32, max_candidates: usize) -> Vec<u32> {
+/// down to `max_candidates` evenly spaced values (both endpoints included
+/// once there is room for two).  The power-of-two base
+/// [`specialize_pow2`]`(w_min)` is always a candidate — when sampling, it
+/// takes the place of the nearest sample — so a search over these bases
+/// never does worse than Sa's powers-of-two specialization.
+pub(crate) fn candidate_bases(min_window: u32, max_candidates: usize) -> Vec<u32> {
     if min_window == 0 {
         return Vec::new();
     }
@@ -143,18 +127,24 @@ pub fn candidate_bases(min_window: u32, max_candidates: usize) -> Vec<u32> {
     let hi = min_window;
     let count = (hi - lo + 1) as usize;
     if count <= max_candidates || max_candidates == 0 {
-        (lo..=hi).collect()
-    } else {
-        // Evenly sample the range, always including both endpoints.
-        let mut out = Vec::with_capacity(max_candidates);
-        for i in 0..max_candidates {
-            let v = lo + ((hi - lo) as usize * i / (max_candidates - 1)) as u32;
-            if out.last() != Some(&v) {
-                out.push(v);
-            }
-        }
-        out
+        return (lo..=hi).collect();
     }
+    let steps = (max_candidates - 1).max(1);
+    let mut out: Vec<u32> = (0..max_candidates)
+        .map(|i| lo + ((hi - lo) as usize * i / steps) as u32)
+        .collect();
+    out.dedup();
+    let pow2 = specialize_pow2(min_window);
+    if let Err(at) = out.binary_search(&pow2) {
+        // `pow2` lies in `[lo, hi]`, so a sample sits on at least one side.
+        let nearest = match (at.checked_sub(1), out.get(at)) {
+            (Some(below), Some(&above)) if above - pow2 < pow2 - out[below] => at,
+            (Some(below), _) => below,
+            (None, _) => at,
+        };
+        out[nearest] = pow2;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -229,7 +219,6 @@ mod tests {
         let spec = SpecializedSystem::build(&system, |w| specialize_single(w, 5)).unwrap();
         assert_eq!(spec.windows(), vec![(1, 10), (2, 10), (3, 20)]);
         assert!((spec.density() - (0.1 + 0.1 + 0.05)).abs() < 1e-12);
-        assert!((spec.max_inflation() - 1.35).abs() < 1e-12);
         let ts = spec.to_task_system();
         assert_eq!(ts.task(3).unwrap().window, 20);
     }
@@ -247,6 +236,14 @@ mod tests {
         assert_eq!(candidate_bases(2, 100), vec![2]);
         assert_eq!(candidate_bases(3, 100), vec![2, 3]);
         assert_eq!(candidate_bases(0, 100), Vec::<u32>::new());
+        // A cap of one keeps only the power-of-two base.
+        assert_eq!(candidate_bases(10, 1), vec![8]);
+        assert_eq!(candidate_bases(4, 1), vec![4]);
+        assert_eq!(candidate_bases(3, 1), vec![2]);
+        assert_eq!(candidate_bases(1, 1), vec![1]);
+        // A cap of two keeps the top endpoint beside the power-of-two base.
+        assert_eq!(candidate_bases(10, 2), vec![8, 10]);
+        assert_eq!(candidate_bases(12, 2), vec![8, 12]);
     }
 
     #[test]
@@ -257,5 +254,17 @@ mod tests {
         assert_eq!(*c.last().unwrap(), 100_000);
         // Monotone increasing.
         assert!(c.windows(2).all(|p| p[0] < p[1]));
+        // The power-of-two base is in every sample, whatever the cap.
+        for min_window in [4u32, 10, 30, 1000, 8193, 65_535, 65_536, 100_000, 131_071] {
+            for cap in [1usize, 2, 3, 8, 16, 4096] {
+                let c = candidate_bases(min_window, cap);
+                assert!(c.len() <= cap, "w_min {min_window}, cap {cap}: {c:?}");
+                assert!(
+                    c.contains(&specialize_pow2(min_window)),
+                    "w_min {min_window}, cap {cap}: {c:?}"
+                );
+                assert!(c.windows(2).all(|p| p[0] < p[1]));
+            }
+        }
     }
 }

@@ -35,7 +35,10 @@ impl Default for SxScheduler {
 impl SxScheduler {
     /// Finds the candidate base minimising the specialized density, together
     /// with that specialization.  Returns `None` when the system is empty.
-    pub fn best_specialization(&self, unit: &TaskSystem) -> Option<(u32, SpecializedSystem)> {
+    pub(crate) fn best_specialization(
+        &self,
+        unit: &TaskSystem,
+    ) -> Option<(u32, SpecializedSystem)> {
         let min_window = unit.min_window();
         let mut best: Option<(u32, SpecializedSystem, f64)> = None;
         for x in candidate_bases(min_window, self.max_candidates) {
@@ -84,7 +87,7 @@ impl PinwheelScheduler for SxScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify, SaScheduler, TaskSystem};
+    use crate::{verify, TaskSystem};
 
     fn unit_sys(windows: &[(u32, u32)]) -> TaskSystem {
         TaskSystem::from_windows(windows).unwrap()
@@ -122,25 +125,6 @@ mod tests {
                 .schedule(&system)
                 .unwrap_or_else(|e| panic!("failed on {windows:?}: {e}"));
             verify(&s, &system).unwrap();
-        }
-    }
-
-    #[test]
-    fn never_worse_than_sa_on_random_style_instances() {
-        // On every instance Sa can schedule, Sx must also succeed (base 2^j
-        // chains are included in the search space via density comparison).
-        let instances: Vec<Vec<(u32, u32)>> = vec![
-            vec![(1, 4), (2, 9), (3, 17), (4, 40)],
-            vec![(1, 6), (2, 6), (3, 13)],
-            vec![(1, 8), (2, 12), (3, 20), (4, 28), (5, 60)],
-        ];
-        for windows in instances {
-            let system = unit_sys(&windows);
-            if SaScheduler.schedule(&system).is_ok() {
-                let s = SxScheduler::default().schedule(&system);
-                assert!(s.is_ok(), "Sx failed where Sa succeeded on {windows:?}");
-                verify(&s.unwrap(), &system).unwrap();
-            }
         }
     }
 

@@ -42,16 +42,16 @@ impl Task {
     }
 
     /// Whether the task is structurally valid (`a ≥ 1`, `b ≥ 1`, `a ≤ b`).
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.requirement >= 1 && self.window >= 1 && self.requirement <= self.window
     }
 
     /// Rule R3 of the pinwheel algebra: `pc(i, a, b) ⇐ pc(i, 1, ⌊b/a⌋)`.
     ///
     /// Returns the unit-requirement task whose satisfaction implies this one.
-    pub fn to_unit(&self) -> Task {
+    pub(crate) fn to_unit(self) -> Task {
         if self.requirement <= 1 {
-            return *self;
+            return self;
         }
         Task::unit(self.id, self.window / self.requirement)
     }
@@ -137,7 +137,8 @@ impl TaskSystem {
     }
 
     /// Builds a system of unit-requirement tasks from `(id, window)` pairs.
-    pub fn from_windows(windows: &[(TaskId, u32)]) -> Result<Self, TaskSystemError> {
+    #[cfg(test)]
+    pub(crate) fn from_windows(windows: &[(TaskId, u32)]) -> Result<Self, TaskSystemError> {
         TaskSystem::new(windows.iter().map(|&(id, w)| Task::unit(id, w)).collect())
     }
 
@@ -169,26 +170,21 @@ impl TaskSystem {
     }
 
     /// `true` if every task has requirement 1.
-    pub fn is_unit(&self) -> bool {
+    pub(crate) fn is_unit(&self) -> bool {
         self.tasks.iter().all(|t| t.requirement == 1)
     }
 
     /// The rule-R3 relaxation: every task `(a, b)` is replaced by
     /// `(1, ⌊b/a⌋)`.  A schedule for the result is a schedule for `self`.
-    pub fn to_unit_system(&self) -> TaskSystem {
+    pub(crate) fn to_unit_system(&self) -> TaskSystem {
         TaskSystem {
-            tasks: self.tasks.iter().map(Task::to_unit).collect(),
+            tasks: self.tasks.iter().copied().map(Task::to_unit).collect(),
         }
     }
 
     /// The smallest window in the system.
-    pub fn min_window(&self) -> u32 {
+    pub(crate) fn min_window(&self) -> u32 {
         self.tasks.iter().map(|t| t.window).min().unwrap_or(0)
-    }
-
-    /// The largest window in the system.
-    pub fn max_window(&self) -> u32 {
-        self.tasks.iter().map(|t| t.window).max().unwrap_or(0)
     }
 }
 
@@ -248,7 +244,6 @@ mod tests {
     fn window_extremes_and_lookup() {
         let s = TaskSystem::from_windows(&[(1, 4), (2, 9), (3, 6)]).unwrap();
         assert_eq!(s.min_window(), 4);
-        assert_eq!(s.max_window(), 9);
         assert_eq!(s.task(2), Some(&Task::unit(2, 9)));
         assert_eq!(s.task(7), None);
         assert_eq!(s.len(), 3);

@@ -69,6 +69,56 @@ fn sa_schedules_everything_below_density_half() {
     }
 }
 
+/// Sx's base search always contains Sa's powers-of-two base, whatever its
+/// candidate cap, so Sx schedules every instance Sa schedules — the reason
+/// the auto-scheduler's cascade runs no Sa of its own.  The window ranges
+/// make each cap sample its candidates: above 16 a cap of 8 samples, above
+/// 8193 the default cap of 4096 does, and a cap of 1 always does.
+#[test]
+fn sx_schedules_whatever_sa_schedules_at_every_candidate_cap() {
+    let mut rng = StdRng::seed_from_u64(0x5A07);
+    let mut systems: Vec<TaskSystem> = [vec![10, 30], vec![4, 9, 17, 40], vec![8194, 20_000]]
+        .iter()
+        .map(|windows: &Vec<u32>| {
+            let tasks = windows
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| Task::unit(i as u32 + 1, w))
+                .collect();
+            TaskSystem::new(tasks).unwrap()
+        })
+        .collect();
+    for case in 0..48 {
+        let (lo, hi, max_tasks) = [(2, 200, 12), (17, 400, 40), (8194, 20_000, 4)][case % 3];
+        let target = rng.gen_range(0.3..1.0);
+        let mut tasks = Vec::new();
+        let mut density = 0.0;
+        while tasks.len() < max_tasks {
+            let w = rng.gen_range(lo..hi);
+            if density + 1.0 / f64::from(w) > target {
+                break;
+            }
+            density += 1.0 / f64::from(w);
+            tasks.push(Task::unit(tasks.len() as u32 + 1, w));
+        }
+        if !tasks.is_empty() {
+            systems.push(TaskSystem::new(tasks).unwrap());
+        }
+    }
+    for system in &systems {
+        let sa = SaScheduler.schedule(system);
+        for max_candidates in [1, 8, 4096] {
+            let sx = SxScheduler { max_candidates }.schedule(system);
+            if sa.is_ok() {
+                let schedule = sx.unwrap_or_else(|e| {
+                    panic!("Sx (cap {max_candidates}) failed where Sa succeeded: {e}, {system:?}")
+                });
+                assert!(verify(&schedule, system).is_ok());
+            }
+        }
+    }
+}
+
 /// Every scheduler only ever returns verified schedules, at any density.
 #[test]
 fn schedulers_never_return_invalid_schedules() {
