@@ -17,6 +17,11 @@
 //! * [`leaf_hash`] — binds a block's `(file, index, m, n, original_len)`
 //!   header *and* payload into one leaf, so proofs vouch for identity, not
 //!   just bytes;
+//! * [`leaf_hashes`] — the same leaves for a whole file at once, hashed two
+//!   at a time: on SHA-NI hardware the two messages' rounds interleave
+//!   (1.1–1.3× one leaf at a time, measured on a 2-vCPU x86-64 box),
+//!   elsewhere it is two single hashes.  Dispersal commits every
+//!   authenticated file through it;
 //! * [`CommitPlan`] — per-dispersal tree shape (depth, padding hashes),
 //!   built once per `(m, n)` configuration and `Arc`-shared exactly like
 //!   the encode plan it mirrors;
@@ -37,5 +42,7 @@
 mod merkle;
 mod sha256;
 
-pub use merkle::{leaf_hash, verify_block, BlockProof, CommitPlan, Commitment, Root, MAX_DEPTH};
+pub use merkle::{
+    leaf_hash, leaf_hashes, verify_block, BlockProof, CommitPlan, Commitment, Root, MAX_DEPTH,
+};
 pub use sha256::sha256;

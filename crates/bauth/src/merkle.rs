@@ -12,7 +12,7 @@
 //! `Dispersal` and shared via `Arc` — the commit/verify analogue of the
 //! shared encode plan.
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{sha256, sha256_pair, Sha256};
 
 /// A file's Merkle commitment root.
 pub type Root = [u8; 32];
@@ -30,6 +30,40 @@ const PAD_TAG: u8 = 0x02;
 /// header and payload, so a proof vouches for *which* block this is, not
 /// just its bytes.
 pub fn leaf_hash(file: u32, index: u32, m: u32, n: u32, original_len: u64, payload: &[u8]) -> Root {
+    let mut h = Sha256::new();
+    h.update(&leaf_header(file, index, m, n, original_len))
+        .update(payload);
+    h.finalize()
+}
+
+/// The [`leaf_hash`] of every `(index, payload)` block of one file, in
+/// order.  Neighbouring payloads of one length are hashed as a pair, two
+/// messages side by side through the hash (a dispersal's blocks all have
+/// one length, so a file's leaves pair up); an unpaired block is hashed
+/// alone.
+pub fn leaf_hashes<'a>(
+    file: u32,
+    m: u32,
+    n: u32,
+    original_len: u64,
+    blocks: impl IntoIterator<Item = (u32, &'a [u8])>,
+) -> Vec<Root> {
+    let mut blocks = blocks.into_iter().peekable();
+    let mut out = Vec::with_capacity(blocks.size_hint().0);
+    while let Some((index, payload)) = blocks.next() {
+        match blocks.next_if(|(_, next)| next.len() == payload.len()) {
+            Some((second, next)) => {
+                let head = [index, second].map(|i| leaf_header(file, i, m, n, original_len));
+                out.extend(sha256_pair([&head[0], &head[1]], [payload, next]));
+            }
+            None => out.push(leaf_hash(file, index, m, n, original_len, payload)),
+        }
+    }
+    out
+}
+
+/// A leaf's tagged `(file, index, m, n, original_len)` prefix.
+fn leaf_header(file: u32, index: u32, m: u32, n: u32, original_len: u64) -> [u8; 25] {
     let mut header = [0u8; 25];
     header[0] = LEAF_TAG;
     header[1..5].copy_from_slice(&file.to_le_bytes());
@@ -37,9 +71,7 @@ pub fn leaf_hash(file: u32, index: u32, m: u32, n: u32, original_len: u64, paylo
     header[9..13].copy_from_slice(&m.to_le_bytes());
     header[13..17].copy_from_slice(&n.to_le_bytes());
     header[17..25].copy_from_slice(&original_len.to_le_bytes());
-    let mut h = Sha256::new();
-    h.update(&header).update(payload);
-    h.finalize()
+    header
 }
 
 fn node_hash(left: &Root, right: &Root) -> Root {
@@ -162,26 +194,6 @@ impl CommitPlan {
         }
         Commitment { levels }
     }
-
-    /// Verifies one block against `root` under this plan: recomputes the
-    /// leaf, pins the proof depth to the plan's tree, folds the path.
-    #[allow(clippy::too_many_arguments)] // the block header, spelled out
-    pub fn verify(
-        &self,
-        root: &Root,
-        file: u32,
-        index: u32,
-        m: u32,
-        original_len: u64,
-        payload: &[u8],
-        proof: &BlockProof,
-    ) -> bool {
-        if proof.depth() != self.depth || (index as usize) >= self.n {
-            return false;
-        }
-        let leaf = leaf_hash(file, index, m, self.n as u32, original_len, payload);
-        proof.verify(index, &leaf, root)
-    }
 }
 
 /// A built per-file commitment: the root plus every interior node, so the
@@ -258,19 +270,18 @@ mod tests {
                 let proof = commitment.proof(i).unwrap();
                 assert_eq!(proof.depth(), plan.depth());
                 assert!(
-                    plan.verify(&root, 7, i as u32, 3, 4096, &[i as u8; 64], &proof),
+                    verify_block(
+                        &root,
+                        7,
+                        i as u32,
+                        3,
+                        n as u32,
+                        4096,
+                        &[i as u8; 64],
+                        &proof
+                    ),
                     "width {n} leaf {i}"
                 );
-                assert!(verify_block(
-                    &root,
-                    7,
-                    i as u32,
-                    3,
-                    n as u32,
-                    4096,
-                    &[i as u8; 64],
-                    &proof
-                ));
             }
         }
     }
@@ -282,19 +293,45 @@ mod tests {
         let commitment = plan.commit(&leaves(n));
         let root = commitment.root();
         let proof = commitment.proof(4).unwrap();
-        // Payload, header fields, index, root and path are each binding.
-        assert!(!plan.verify(&root, 7, 4, 3, 4096, &[0xAA; 64], &proof));
-        assert!(!plan.verify(&root, 8, 4, 3, 4096, &[4u8; 64], &proof));
-        assert!(!plan.verify(&root, 7, 5, 3, 4096, &[4u8; 64], &proof));
-        assert!(!plan.verify(&root, 7, 4, 4, 4096, &[4u8; 64], &proof));
-        assert!(!plan.verify(&root, 7, 4, 3, 4095, &[4u8; 64], &proof));
+        assert!(verify_block(
+            &root, 7, 4, 3, n as u32, 4096, &[4u8; 64], &proof
+        ));
+        // Payload, header fields, index, width, root and path are each
+        // binding.
+        assert!(!verify_block(
+            &root,
+            7,
+            4,
+            3,
+            n as u32,
+            4096,
+            &[0xAA; 64],
+            &proof
+        ));
+        assert!(!verify_block(
+            &root, 8, 4, 3, n as u32, 4096, &[4u8; 64], &proof
+        ));
+        assert!(!verify_block(
+            &root, 7, 5, 3, n as u32, 4096, &[4u8; 64], &proof
+        ));
+        assert!(!verify_block(
+            &root, 7, 4, 4, n as u32, 4096, &[4u8; 64], &proof
+        ));
+        assert!(!verify_block(
+            &root, 7, 4, 3, n as u32, 4095, &[4u8; 64], &proof
+        ));
+        assert!(!verify_block(&root, 7, 4, 3, 11, 4096, &[4u8; 64], &proof));
         let mut bad_root = root;
         bad_root[0] ^= 1;
-        assert!(!plan.verify(&bad_root, 7, 4, 3, 4096, &[4u8; 64], &proof));
+        assert!(!verify_block(
+            &bad_root, 7, 4, 3, n as u32, 4096, &[4u8; 64], &proof
+        ));
         let mut bad_path = proof.path().to_vec();
         bad_path[0][0] ^= 1;
         let bad = BlockProof::from_path(bad_path).unwrap();
-        assert!(!plan.verify(&root, 7, 4, 3, 4096, &[4u8; 64], &bad));
+        assert!(!verify_block(
+            &root, 7, 4, 3, n as u32, 4096, &[4u8; 64], &bad
+        ));
     }
 
     #[test]
@@ -305,19 +342,28 @@ mod tests {
         let root = commitment.root();
         let proof_of_2 = commitment.proof(2).unwrap();
         // Block 3's contents under block 2's proof (and vice versa) fail.
-        assert!(!plan.verify(&root, 7, 3, 3, 4096, &[3u8; 64], &proof_of_2));
+        assert!(!verify_block(
+            &root,
+            7,
+            3,
+            3,
+            n as u32,
+            4096,
+            &[3u8; 64],
+            &proof_of_2
+        ));
     }
 
     #[test]
     fn padding_leaves_are_not_provable_as_data() {
-        // Width 5 pads to 8: indices 5..8 exist in the tree but the plan
-        // refuses them (index >= n).
+        // Width 5 pads to 8: indices 5..8 exist in the tree but
+        // verification refuses them (index >= n).
         let n = 5;
         let plan = CommitPlan::new(n).unwrap();
         let commitment = plan.commit(&leaves(n));
         let root = commitment.root();
         let proof = commitment.proof(5).unwrap();
-        assert!(!plan.verify(&root, 7, 5, 3, 4096, &[], &proof));
+        assert!(!verify_block(&root, 7, 5, 3, n as u32, 4096, &[], &proof));
     }
 
     #[test]
@@ -332,7 +378,16 @@ mod tests {
         let commitment = plan.commit(&leaves(1));
         let proof = commitment.proof(0).unwrap();
         assert!(proof.path().is_empty());
-        assert!(plan.verify(&commitment.root(), 7, 0, 3, 4096, &[0u8; 64], &proof));
+        assert!(verify_block(
+            &commitment.root(),
+            7,
+            0,
+            3,
+            1,
+            4096,
+            &[0u8; 64],
+            &proof
+        ));
     }
 
     #[test]

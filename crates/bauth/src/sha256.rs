@@ -11,7 +11,9 @@
 //!   the hash sits directly on the broadcast hot path; the scalar
 //!   rounds top out around 150 MB/s while the hardware rounds run in
 //!   the GB/s range — the difference between authentication being a
-//!   rounding error and halving delivered throughput.
+//!   rounding error and halving delivered throughput.  A second entry
+//!   runs two equal-length messages side by side (`sha256_pair`, for
+//!   Merkle leaves), interleaving their rounds.
 //!
 //! Both paths produce identical digests (pinned by the equivalence
 //! test below); the scalar path is the reference.
@@ -20,7 +22,8 @@
 //! SHA instructions have no VEX encoding, so inside a caller that has
 //! just touched 256-bit registers (any AVX-enabled build copying a
 //! 32-byte digest) each of them would pay an SSE/AVX transition stall —
-//! measured at 47× on a 68-leaf tree commit.  See `ni::compress_blocks`.
+//! measured at 47× on a 68-leaf tree commit.  See `ni::compress_blocks`;
+//! the two-lane `ni::compress_blocks2` is out of line for the same reason.
 
 /// The SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -96,20 +99,10 @@ impl Sha256 {
 
     /// Pads and returns the digest.
     pub(crate) fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        // `0x80`, zeros up to 56 mod 64, the bit length: 9 to 72 bytes,
-        // absorbed in one `update`.
-        let zeros = (119 - self.buffered) % 64;
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad[..9 + zeros]);
-        debug_assert_eq!(self.buffered, 0);
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        let mut tail = [0u8; 128];
+        let len = pad_tail(&self.buf[..self.buffered], &[], self.len, &mut tail);
+        self.compress_blocks(&tail[..len]);
+        digest(self.state)
     }
 
     /// Compresses `data`, which must be a whole number of 64-byte blocks,
@@ -127,6 +120,30 @@ impl Sha256 {
             compress_soft(&mut self.state, block.try_into().expect("chunks_exact(64)"));
         }
     }
+}
+
+/// Writes a message's last partial block, `prefix || rest` (under 64
+/// bytes together), into the zeroed `out` followed by the padding: `0x80`,
+/// zeros up to 56 mod 64, the message's bit length.  Returns the padded
+/// length, 64 or 128.
+fn pad_tail(prefix: &[u8], rest: &[u8], message_len: u64, out: &mut [u8; 128]) -> usize {
+    let n = prefix.len() + rest.len();
+    debug_assert!(n < 64);
+    out[..prefix.len()].copy_from_slice(prefix);
+    out[prefix.len()..n].copy_from_slice(rest);
+    out[n] = 0x80;
+    let len = if n < 56 { 64 } else { 128 };
+    out[len - 8..len].copy_from_slice(&message_len.wrapping_mul(8).to_be_bytes());
+    len
+}
+
+/// The big-endian digest bytes of a final state.
+fn digest(state: [u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// The portable scalar compression function — the reference path.
@@ -220,13 +237,7 @@ mod ni {
         // Four round constants per quad, K[4i] in the low lane.
         let kv = |i: usize| _mm_loadu_si128(K.as_ptr().add(4 * i) as *const __m128i);
 
-        // Repack (a,b,c,d),(e,f,g,h) into the ISA's (a,b,e,f),(c,d,g,h).
-        let s01 = _mm_loadu_si128(state.as_ptr() as *const __m128i);
-        let s23 = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
-        let t = _mm_shuffle_epi32(s01, 0xB1);
-        let efgh = _mm_shuffle_epi32(s23, 0x1B);
-        let mut abef = _mm_alignr_epi8(t, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, t, 0xF0);
+        let (mut abef, mut cdgh) = load_state(state);
 
         // Two rounds per `sha256rnds2`; the operand swap between the pair
         // of calls restores the (abef, cdgh) roles every four rounds.
@@ -268,7 +279,87 @@ mod ni {
             cdgh = _mm_add_epi32(cdgh, cdgh_save);
         }
 
-        // Repack back into FIPS order.
+        store_state(state, abef, cdgh);
+    }
+
+    /// [`compress_blocks`] over two independent messages at once: the
+    /// two lanes' rounds alternate, so one lane's `sha256rnds2` issues
+    /// while the other's waits on its predecessor, and the pair costs
+    /// well under two single passes.  Out of line for the same reason.
+    ///
+    /// # Safety
+    /// Requires the `sha`, `ssse3` and `sse4.1` CPU features, and both
+    /// `data` slices of one length, a multiple of 64.
+    #[inline(never)]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(crate) unsafe fn compress_blocks2(state: &mut [[u32; 8]; 2], data: [&[u8]; 2]) {
+        debug_assert_eq!(data[0].len(), data[1].len());
+        debug_assert_eq!(data[0].len() % 64, 0);
+        let mask = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0Bu64 as i64, 0x0405_0607_0001_0203);
+        let kv = |i: usize| _mm_loadu_si128(K.as_ptr().add(4 * i) as *const __m128i);
+        let (mut abef0, mut cdgh0) = load_state(&state[0]);
+        let (mut abef1, mut cdgh1) = load_state(&state[1]);
+
+        // Four rounds of each lane, interleaved instruction by instruction.
+        macro_rules! rounds4 {
+            ($w0:expr, $w1:expr, $k:expr) => {{
+                let k = kv($k);
+                let wk0 = _mm_add_epi32($w0, k);
+                let wk1 = _mm_add_epi32($w1, k);
+                cdgh0 = _mm_sha256rnds2_epu32(cdgh0, abef0, wk0);
+                cdgh1 = _mm_sha256rnds2_epu32(cdgh1, abef1, wk1);
+                abef0 = _mm_sha256rnds2_epu32(abef0, cdgh0, _mm_shuffle_epi32(wk0, 0x0E));
+                abef1 = _mm_sha256rnds2_epu32(abef1, cdgh1, _mm_shuffle_epi32(wk1, 0x0E));
+            }};
+        }
+
+        for (b0, b1) in data[0].chunks_exact(64).zip(data[1].chunks_exact(64)) {
+            let save = (abef0, cdgh0, abef1, cdgh1);
+            let (p0, p1) = (b0.as_ptr() as *const __m128i, b1.as_ptr() as *const __m128i);
+            macro_rules! load {
+                ($p:expr, $i:expr) => {
+                    _mm_shuffle_epi8(_mm_loadu_si128($p.add($i)), mask)
+                };
+            }
+            let mut w = [load!(p0, 0), load!(p0, 1), load!(p0, 2), load!(p0, 3)];
+            let mut v = [load!(p1, 0), load!(p1, 1), load!(p1, 2), load!(p1, 3)];
+            for quad in 0..4 {
+                rounds4!(w[quad], v[quad], quad);
+            }
+            for quad in (4..16).step_by(4) {
+                for i in 0..4 {
+                    let wn = schedule(w[i], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let vn = schedule(v[i], v[(i + 1) % 4], v[(i + 2) % 4], v[(i + 3) % 4]);
+                    rounds4!(wn, vn, quad + i);
+                    w[i] = wn;
+                    v[i] = vn;
+                }
+            }
+            abef0 = _mm_add_epi32(abef0, save.0);
+            cdgh0 = _mm_add_epi32(cdgh0, save.1);
+            abef1 = _mm_add_epi32(abef1, save.2);
+            cdgh1 = _mm_add_epi32(cdgh1, save.3);
+        }
+
+        store_state(&mut state[0], abef0, cdgh0);
+        store_state(&mut state[1], abef1, cdgh1);
+    }
+
+    /// Repacks FIPS `(a,b,c,d),(e,f,g,h)` into the ISA's `(a,b,e,f),(c,d,g,h)`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
+        let s01 = _mm_loadu_si128(state.as_ptr() as *const __m128i);
+        let s23 = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
+        let t = _mm_shuffle_epi32(s01, 0xB1);
+        let efgh = _mm_shuffle_epi32(s23, 0x1B);
+        (_mm_alignr_epi8(t, efgh, 8), _mm_blend_epi16(efgh, t, 0xF0))
+    }
+
+    /// The inverse of [`load_state`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
         let t = _mm_shuffle_epi32(abef, 0x1B);
         let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
         let abcd = _mm_blend_epi16(t, dchg, 0xF0);
@@ -283,6 +374,55 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// Digests of the two messages `head[i] || body[i]`, whose heads have one
+/// length under 64 bytes (a Merkle leaf's header) and whose bodies have
+/// one length.  The SHA-NI path hashes the two side by side
+/// (`ni::compress_blocks2`); the portable path hashes one after the other.
+pub(crate) fn sha256_pair(head: [&[u8]; 2], body: [&[u8]; 2]) -> [[u8; 32]; 2] {
+    debug_assert!(head[0].len() == head[1].len() && head[0].len() < 64);
+    debug_assert_eq!(body[0].len(), body[1].len());
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    if ni::available() {
+        let h = head[0].len();
+        let message_len = (h + body[0].len()) as u64;
+        let mut state = [H0, H0];
+        // A message that fills a block opens with head plus the body's
+        // first bytes, then runs the body's whole blocks in place; what is
+        // left (all of a shorter message) goes into the padded tail.
+        let (mut prefix, mut rest) = (head, body);
+        if h + body[0].len() >= 64 {
+            let mut first = [[0u8; 64]; 2];
+            for lane in 0..2 {
+                first[lane][..h].copy_from_slice(head[lane]);
+                first[lane][h..].copy_from_slice(&body[lane][..64 - h]);
+            }
+            let after = body[0].len() - (64 - h);
+            let whole = after - after % 64;
+            let blocks = body.map(|b| &b[64 - h..64 - h + whole]);
+            // SAFETY: `available` confirmed sha + ssse3 + sse4.1 at
+            // runtime; both lanes are 64, then `whole`, bytes long.
+            unsafe {
+                ni::compress_blocks2(&mut state, [&first[0], &first[1]]);
+                ni::compress_blocks2(&mut state, blocks);
+            }
+            prefix = [&[], &[]];
+            rest = body.map(|b| &b[64 - h + whole..]);
+        }
+        let mut tail = [[0u8; 128]; 2];
+        let len = pad_tail(prefix[0], rest[0], message_len, &mut tail[0]);
+        pad_tail(prefix[1], rest[1], message_len, &mut tail[1]);
+        // SAFETY: as above; both tails are `len` bytes, 64 or 128.
+        unsafe { ni::compress_blocks2(&mut state, [&tail[0][..len], &tail[1][..len]]) };
+        return state.map(digest);
+    }
+    [0, 1].map(|lane| {
+        let mut h = Sha256::new();
+        h.update(head[lane]).update(body[lane]);
+        h.finalize()
+    })
 }
 
 #[cfg(test)]
@@ -333,6 +473,24 @@ mod tests {
                 h.update(piece);
             }
             assert_eq!(h.finalize(), whole, "chunk size {chunk}");
+        }
+    }
+
+    /// The paired digests equal two single ones across every tail shape:
+    /// each head length a leaf header could have, bodies straddling the
+    /// one- and two-block padding boundaries, and a whole 16 KiB leaf.
+    #[test]
+    fn pairs_match_single_digests() {
+        for h in [0usize, 1, 25, 55, 56, 63] {
+            for len in (0..200).chain([4096, 16_384, 16_385]) {
+                let head: [Vec<u8>; 2] =
+                    [0u8, 1].map(|lane| (0..h).map(|i| i as u8 ^ lane).collect());
+                let body: [Vec<u8>; 2] =
+                    [3usize, 5].map(|k| (0..len).map(|i| (i * k + h) as u8).collect());
+                let want = [0, 1].map(|lane| sha256(&[&head[lane][..], &body[lane][..]].concat()));
+                let got = sha256_pair([&head[0], &head[1]], [&body[0], &body[1]]);
+                assert_eq!(got, want, "head {h} body {len}");
+            }
         }
     }
 

@@ -692,18 +692,40 @@ struct Group {
     count: u16,
     received: usize,
     chunks: Vec<Option<Vec<u8>>>,
+    /// Arrival stamp of the group's first fragment: the smallest is the
+    /// oldest group, whatever sequence number a sender chose.
+    started: u64,
+    /// What this group holds: its chunks' bytes and its slot table.
+    bytes: usize,
 }
+
+/// Most bytes one [`Reassembler`] holds across its partial frames (chunk
+/// bytes plus per-fragment slot tables).  Without it a forger can park
+/// `max_groups × MAX_FRAGMENTS` chunks of up to ~64 KB each — about 4.3 GB
+/// for a client's 16 groups — in frames that never complete.  16 MiB holds
+/// two of the largest frames a default 1400-byte MTU can carry (4 096 ×
+/// 1 374 B ≈ 5.6 MB), and a thousand of the 17 KB frames that carry a
+/// 16 KiB authenticated block.
+pub const MAX_REASSEMBLY_BYTES: usize = 16 << 20;
 
 /// Glues [`Fragment`]s back into complete frame encodings.
 ///
-/// Groups are keyed by sequence number and bounded: when more than
-/// `max_groups` are in flight the lowest-numbered (oldest) group is evicted
-/// — on a lossy medium an incomplete old group is a lost frame, and the
-/// eviction counter lets the receiver account it as an erasure.
+/// Groups are keyed by sequence number and bounded twice: by count (more
+/// than `max_groups` in flight) and by the bytes they hold (more than
+/// [`MAX_REASSEMBLY_BYTES`]).  Over either bound the oldest group — the
+/// one whose first fragment arrived earliest — is evicted.  On a lossy
+/// medium an incomplete old group is a lost frame, and the eviction
+/// counter lets the receiver account it as an erasure.  A frame larger
+/// than the byte bound on its own can never complete; it is evicted like
+/// any other.
 pub struct Reassembler {
     groups: BTreeMap<u64, Group>,
     max_groups: usize,
     evicted: u64,
+    /// Sum of every group's `bytes`.
+    held: usize,
+    /// The next group's arrival stamp.
+    next_start: u64,
 }
 
 impl Reassembler {
@@ -713,6 +735,8 @@ impl Reassembler {
             groups: BTreeMap::new(),
             max_groups: max_groups.max(1),
             evicted: 0,
+            held: 0,
+            next_start: 0,
         }
     }
 
@@ -723,36 +747,65 @@ impl Reassembler {
     /// the start of a fresh frame under the same sequence number (the old
     /// group is evicted as corrupt).  Duplicate fragments are ignored.
     pub fn offer(&mut self, frag: Fragment) -> Option<Vec<u8>> {
-        if let Some(group) = self.groups.get(&frag.seq) {
-            if group.count != frag.count {
-                self.groups.remove(&frag.seq);
-                self.evicted += 1;
-            }
+        if self
+            .groups
+            .get(&frag.seq)
+            .is_some_and(|group| group.count != frag.count)
+        {
+            self.evict(frag.seq);
         }
-        let group = self.groups.entry(frag.seq).or_insert_with(|| Group {
-            count: frag.count,
-            received: 0,
-            chunks: vec![None; frag.count as usize],
+        let group = self.groups.entry(frag.seq).or_insert_with(|| {
+            let table = frag.count as usize * std::mem::size_of::<Option<Vec<u8>>>();
+            self.held += table;
+            self.next_start += 1;
+            Group {
+                count: frag.count,
+                received: 0,
+                chunks: vec![None; frag.count as usize],
+                started: self.next_start,
+                bytes: table,
+            }
         });
         let slot = &mut group.chunks[frag.index as usize];
         if slot.is_none() {
+            group.bytes += frag.chunk.len();
+            self.held += frag.chunk.len();
             *slot = Some(frag.chunk);
             group.received += 1;
         }
         if group.received == group.count as usize {
             let group = self.groups.remove(&frag.seq).expect("group exists");
+            self.held -= group.bytes;
             let mut frame = Vec::with_capacity(group.chunks.iter().flatten().map(Vec::len).sum());
             for chunk in group.chunks.into_iter().flatten() {
                 frame.extend_from_slice(&chunk);
             }
             return Some(frame);
         }
-        while self.groups.len() > self.max_groups {
-            let oldest = *self.groups.keys().next().expect("non-empty");
-            self.groups.remove(&oldest);
-            self.evicted += 1;
+        while self.groups.len() > self.max_groups || self.held > MAX_REASSEMBLY_BYTES {
+            let oldest = self
+                .groups
+                .iter()
+                .min_by_key(|(_, group)| group.started)
+                .map(|(&seq, _)| seq)
+                .expect("over a bound means non-empty");
+            self.evict(oldest);
         }
         None
+    }
+
+    /// Drops the partial frame `seq` as a lost one.
+    fn evict(&mut self, seq: u64) {
+        if let Some(group) = self.groups.remove(&seq) {
+            self.held -= group.bytes;
+            self.evicted += 1;
+        }
+    }
+
+    /// Bytes held in partial frames now, at most [`MAX_REASSEMBLY_BYTES`]
+    /// between offers.
+    pub fn held_bytes(&self) -> usize {
+        self.held
     }
 
     /// Partial frames evicted so far (each is a frame that will never
@@ -1025,6 +1078,49 @@ mod tests {
         }
         assert!(reassembler.pending() <= 2);
         assert_eq!(reassembler.evicted(), 8);
+    }
+
+    #[test]
+    fn reassembly_bytes_are_capped_oldest_arrival_first() {
+        let mut reassembler = Reassembler::new(16);
+        let chunk = 60_000;
+        // Never-completing groups under descending sequence numbers: the
+        // byte cap, not the group count, forces the evictions, and each
+        // takes the group that arrived first, not the lowest `seq`.
+        let per_group = 32;
+        let groups = 3 * MAX_REASSEMBLY_BYTES / (per_group * chunk);
+        for g in 0..groups as u64 {
+            for index in 0..per_group as u16 {
+                reassembler.offer(Fragment {
+                    seq: u64::MAX - g,
+                    index,
+                    count: 4095,
+                    chunk: vec![0xEE; chunk],
+                });
+                assert!(reassembler.held_bytes() <= MAX_REASSEMBLY_BYTES);
+            }
+        }
+        assert!(reassembler.pending() < 16, "the byte cap bound first");
+        assert!(reassembler.evicted() > 0);
+        let newest = reassembler.groups.keys().next().copied();
+        assert_eq!(newest, Some(u64::MAX - (groups as u64 - 1)));
+        // A genuine frame still reassembles, and completing it releases
+        // its bytes.
+        let frame = slot_frame(5000);
+        let frags: Vec<Fragment> = datagrams(&frame, 1400, 7)
+            .iter()
+            .map(|d| match decode(d).unwrap() {
+                Packet::Fragment(f) => f,
+                other => panic!("expected a fragment, got {other:?}"),
+            })
+            .collect();
+        let before = reassembler.held_bytes();
+        let mut complete = None;
+        for frag in frags {
+            complete = complete.or(reassembler.offer(frag));
+        }
+        assert_eq!(decode(&complete.unwrap()).unwrap(), Packet::Frame(frame));
+        assert!(reassembler.held_bytes() <= before);
     }
 
     #[test]

@@ -538,3 +538,155 @@ fn five_percent_post_crc_corruption_is_verified_away_on_a_real_link() {
         "every rejected block is booked as an erasure"
     );
 }
+
+/// `len` bytes of a xorshift stream: content with no period a dispersal's
+/// block boundaries could line up with.
+fn xorshift_bytes(len: usize, seed: u32) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+fn hex(root: &Root) -> String {
+    root.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn paired_leaf_hashes_equal_one_leaf_at_a_time() {
+    // Payload lengths around every SHA-256 padding boundary a 25-byte leaf
+    // header creates, and a whole 16 KiB leaf.
+    let lengths = [0usize, 38, 39, 40, 54, 55, 56, 103, 119, 120, 16_384];
+    let payload =
+        |len: usize, index: u32| xorshift_bytes(len, 0x5EED ^ index.wrapping_mul(977) ^ len as u32);
+    let one_at_a_time = |blocks: &[(u32, Vec<u8>)]| -> Vec<Root> {
+        blocks
+            .iter()
+            .map(|(index, p)| rtbdisk::bauth::leaf_hash(3, *index, 5, 9, 77_777, p))
+            .collect()
+    };
+    let batched = |blocks: &[(u32, Vec<u8>)]| {
+        rtbdisk::bauth::leaf_hashes(3, 5, 9, 77_777, blocks.iter().map(|(i, p)| (*i, &p[..])))
+    };
+    for &len in &lengths {
+        for count in [1usize, 2, 3, 4, 7] {
+            let blocks: Vec<(u32, Vec<u8>)> =
+                (0..count as u32).map(|i| (i, payload(len, i))).collect();
+            assert_eq!(
+                batched(&blocks),
+                one_at_a_time(&blocks),
+                "{count} leaves of {len} bytes"
+            );
+        }
+    }
+    // Unequal lengths in one batch: runs of equal lengths pair up, odd ones
+    // out are hashed alone, and the order is the input's.
+    let mixed: Vec<(u32, Vec<u8>)> = [55usize, 55, 56, 0, 0, 0, 120, 16_384, 16_384, 39, 40, 40]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| (i as u32 * 3, payload(len, i as u32)))
+        .collect();
+    assert_eq!(batched(&mixed), one_at_a_time(&mixed));
+    assert!(batched(&[]).is_empty());
+}
+
+/// Roots recorded before dispersal hashed leaves in pairs and, for large
+/// files, beside the coding: the commitment a client checks against must
+/// not drift with how the station computes it.
+#[test]
+fn authenticated_dispersal_roots_are_pinned() {
+    let cases = [
+        // 1 MiB at (64, 68): 1 088 KiB of leaves, hashed beside the coding.
+        (
+            64,
+            68,
+            1usize << 20,
+            1,
+            0x9E37_79B9,
+            "ea63feb28c0be097a5aa3730c9d091af9b4cdfbe979431558c338aabf1d500b5",
+        ),
+        // A padded last block, also beside the coding.
+        (
+            64,
+            68,
+            (1 << 20) - 1000,
+            3,
+            7,
+            "6b9080af73bec68377e36acdf5e750370244030a98f2aab32a0cfb432a5dc301",
+        ),
+        // 256 KiB at (16, 18): 288 KiB of leaves, on the calling thread.
+        (
+            16,
+            18,
+            256 << 10,
+            2,
+            0x2545_F491,
+            "5b9a76092cecbddc3e3e07cadabf64649dbc41d414b5226ed94f044baf51ec44",
+        ),
+    ];
+    for (m, n, len, file, seed, pinned) in cases {
+        let dispersal = Dispersal::authenticated(m, n).expect("valid (m, n)");
+        let dispersed = dispersal
+            .disperse(FileId(file), &xorshift_bytes(len, seed))
+            .expect("disperses");
+        let root = dispersed.commitment_root().expect("authenticated commits");
+        assert_eq!(hex(&root), pinned, "({m}, {n}) of {len} bytes");
+    }
+}
+
+/// A 1 MiB authenticated dispersal — hashed on two threads — equals one
+/// built serially from the public pieces: the unauthenticated payloads,
+/// one `leaf_hash` per block, one `CommitPlan` tree.
+#[test]
+fn threaded_and_serial_dispersal_give_identical_files() {
+    let (m, n) = (64, 68);
+    let data = xorshift_bytes((1 << 20) - 1000, 11);
+    let threaded = Dispersal::authenticated(m, n)
+        .expect("valid (m, n)")
+        .disperse(FileId(5), &data)
+        .expect("disperses");
+
+    let plain = Dispersal::new(m, n)
+        .expect("valid (m, n)")
+        .disperse(FileId(5), &data)
+        .expect("disperses");
+    let leaves: Vec<Root> = plain
+        .blocks()
+        .iter()
+        .map(|b| {
+            rtbdisk::bauth::leaf_hash(
+                5,
+                b.index(),
+                m as u32,
+                n as u32,
+                data.len() as u64,
+                b.payload(),
+            )
+        })
+        .collect();
+    let commitment = rtbdisk::bauth::CommitPlan::new(n)
+        .expect("n fits a plan")
+        .commit(&leaves);
+    let serial: Vec<DispersedBlock> = plain
+        .blocks()
+        .iter()
+        .map(|b| {
+            let proof = commitment
+                .proof(b.index() as usize)
+                .expect("inside the tree");
+            b.clone().with_proof(Arc::new(proof))
+        })
+        .collect();
+
+    assert_eq!(threaded.commitment_root(), Some(commitment.root()));
+    assert_eq!(
+        threaded.blocks(),
+        &serial[..],
+        "payloads, headers and proofs"
+    );
+}

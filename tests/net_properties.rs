@@ -11,13 +11,19 @@
 //! * **fragmentation is transparent** — a tiny MTU that forces every slot
 //!   frame through the fragment path reconstructs identically.
 //!
-//! All three feed [`rtbdisk::bnet::ClientState`] directly: the state
+//! * **a forged-fragment flood is bounded** — fragments of frames that
+//!   never complete cost at most the reassembly byte cap, count as
+//!   erasures, and leave a genuine retrieval byte-identical.
+//!
+//! All of them feed [`rtbdisk::bnet::ClientState`] directly: the state
 //! machine is socket-free, so the deterministic in-memory wire is exactly
 //! what a `UdpSocket` would deliver, minus the non-determinism.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtbdisk::bnet::wire::{datagrams, encode, Frame, SlotFrame};
+use rtbdisk::bnet::wire::{
+    crc32, datagrams, decode, encode, Frame, Packet, Reassembler, SlotFrame, MAX_REASSEMBLY_BYTES,
+};
 use rtbdisk::bnet::ClientState;
 use rtbdisk::{Broadcast, ErrorModel, FileId, GeneralizedFileSpec, Station, TransmissionRef};
 
@@ -204,4 +210,78 @@ fn fragmentation_under_a_tiny_mtu_is_transparent() {
         assert_eq!(outcome.data, expected.data, "case {case} file {file}");
         assert_eq!(state.stats().erasures, 0, "a lossless wire has no erasures");
     }
+}
+
+/// A fragment datagram as anyone on the medium can build one: wire v1,
+/// kind 0x02, `seq, index, count, chunk_len, chunk`, CRC-32 sealed.
+fn forged_fragment(seq: u64, index: u16, count: u16, chunk: &[u8]) -> Vec<u8> {
+    let mut out = b"BNET\x01\x02".to_vec();
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&index.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+    out.extend_from_slice(chunk);
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn a_forged_fragment_flood_is_capped_and_a_genuine_retrieval_still_completes() {
+    let station = station_case(0);
+    let file = station.specs()[0].id;
+    let info = station.network_directory()[&file.0];
+    let mut fleet = vec![station.subscribe(file, 0).unwrap()];
+    let expected = station
+        .run_until_complete(&mut fleet, &mut rtbdisk::NoErrors)
+        .unwrap()
+        .pop()
+        .unwrap();
+
+    // Three caps' worth of 60 KB fragments, in groups that announce 4 095
+    // fragments and never complete, under sequence numbers above any the
+    // station will use.
+    let chunk = vec![0xA5u8; 60_000];
+    let per_group = 64u16;
+    let groups = 3 * MAX_REASSEMBLY_BYTES / (per_group as usize * chunk.len()) + 1;
+    let mut reassembler = Reassembler::new(16);
+    let mut state = ClientState::new(file);
+    for group in 0..groups as u64 {
+        for index in 0..per_group {
+            let datagram = forged_fragment(u64::MAX - group, index, 4095, &chunk);
+            assert!(!state.feed_datagram(&datagram));
+            let Ok(Packet::Fragment(fragment)) = decode(&datagram) else {
+                panic!("a forged fragment decodes as a fragment");
+            };
+            assert!(reassembler.offer(fragment).is_none());
+            assert!(
+                reassembler.held_bytes() <= MAX_REASSEMBLY_BYTES,
+                "{} bytes held after group {group} fragment {index}",
+                reassembler.held_bytes()
+            );
+        }
+    }
+    assert!(
+        state.stats().erasures > 0,
+        "evicted forged frames count as erasures"
+    );
+
+    // The genuine stream, every frame fragmented, through the same client.
+    let stream = station
+        .stream_channel(info.channel as usize, 0)
+        .unwrap()
+        .filter_map(|(_, tx)| tx)
+        .take(station.listen_cap());
+    'outer: for (seq, tx) in stream.enumerate() {
+        let frame = Frame::Slot(SlotFrame::from_transmission(info.channel, info.epoch, tx));
+        for piece in &datagrams(&frame, 96, seq as u64) {
+            if state.feed_datagram(piece) {
+                break 'outer;
+            }
+        }
+    }
+    let outcome = state
+        .finish()
+        .expect("the genuine retrieval completes after the flood");
+    assert_eq!(outcome.data, expected.data);
 }
