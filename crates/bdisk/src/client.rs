@@ -392,14 +392,12 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, Transmission,
-    };
+    use crate::{BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder};
 
     /// Test shorthand: one slot of the broadcast into the session.
-    fn hear(session: &mut ClientSession, tx: Option<&Transmission>, ok: bool) -> Ingest {
+    fn hear(session: &mut ClientSession, tx: Option<TransmissionRef<'_>>, ok: bool) -> Ingest {
         session.ingest(Observation::Slot {
-            transmission: tx.map(Transmission::as_ref),
+            transmission: tx,
             received_ok: ok,
         })
     }
@@ -422,8 +420,8 @@ mod tests {
         let mut session = ClientSession::new(FileId(0), 5, 0);
         let mut slot = 0;
         while !session.is_complete() {
-            let tx = server.transmit(slot);
-            hear(&mut session, tx.as_ref(), true);
+            let tx = server.transmit_ref(slot);
+            hear(&mut session, tx, true);
             slot += 1;
             assert!(slot <= 16, "retrieval did not complete in a data cycle");
         }
@@ -450,14 +448,14 @@ mod tests {
         let mut failed = false;
         let mut slot = 0;
         while !session.is_complete() {
-            let tx = server.transmit(slot);
-            let ok = if !failed && tx.as_ref().map(|t| t.block.file()) == Some(FileId(0)) {
+            let tx = server.transmit_ref(slot);
+            let ok = if !failed && tx.map(|t| t.block.file()) == Some(FileId(0)) {
                 failed = true;
                 false
             } else {
                 true
             };
-            hear(&mut session, tx.as_ref(), ok);
+            hear(&mut session, tx, ok);
             slot += 1;
         }
         let outcome = session.finish(&dispersal).unwrap();
@@ -479,10 +477,10 @@ mod tests {
         let server = BroadcastServer::with_synthetic_contents(&files, program).unwrap();
         let mut session = ClientSession::new(FileId(0), 2, 0);
         // Feed the same slot repeatedly: only one distinct block arrives.
-        let tx = server.transmit(0);
-        assert_eq!(hear(&mut session, tx.as_ref(), true), Ingest::Stored);
+        let tx = server.transmit_ref(0);
+        assert_eq!(hear(&mut session, tx, true), Ingest::Stored);
         for _ in 0..4 {
-            assert_eq!(hear(&mut session, tx.as_ref(), true), Ingest::Ignored);
+            assert_eq!(hear(&mut session, tx, true), Ingest::Ignored);
         }
         assert_eq!(session.blocks_received(), 1);
         assert!(!session.is_complete());
@@ -493,9 +491,9 @@ mod tests {
         let (_, server, _) = setup();
         let mut session = ClientSession::new(FileId(1), 3, 0);
         // Slot 0 carries A1 in the spread layout; it must not count for B.
-        let tx = server.transmit(0);
-        assert_eq!(tx.as_ref().unwrap().block.file(), FileId(0));
-        assert_eq!(hear(&mut session, tx.as_ref(), true), Ingest::Ignored);
+        let tx = server.transmit_ref(0);
+        assert_eq!(tx.unwrap().block.file(), FileId(0));
+        assert_eq!(hear(&mut session, tx, true), Ingest::Ignored);
         assert_eq!(session.blocks_received(), 0);
     }
 
@@ -503,7 +501,7 @@ mod tests {
     fn finishing_early_fails_cleanly() {
         let (_, server, dispersal) = setup();
         let mut session = ClientSession::new(FileId(0), 5, 0);
-        hear(&mut session, server.transmit(0).as_ref(), true);
+        hear(&mut session, server.transmit_ref(0), true);
         assert!(session.finish(&dispersal).is_err());
     }
 
@@ -526,12 +524,12 @@ mod tests {
         assert!(!session.is_complete());
         let mut slot = 0;
         while !session.is_complete() {
-            hear(&mut session, server.transmit(slot).as_ref(), true);
+            hear(&mut session, server.transmit_ref(slot), true);
             slot += 1;
         }
         let before = session.blocks_received();
         assert_eq!(
-            hear(&mut session, server.transmit(slot).as_ref(), true),
+            hear(&mut session, server.transmit_ref(slot), true),
             Ingest::Ignored
         );
         assert_eq!(session.blocks_received(), before);

@@ -25,12 +25,6 @@ impl LatencyVector {
         LatencyVector(vec![latency])
     }
 
-    /// A "regular" fault-tolerant real-time file: the same latency for every
-    /// fault level `0..=faults`.
-    pub fn uniform(latency: u32, faults: usize) -> Self {
-        LatencyVector(vec![latency; faults + 1])
-    }
-
     /// The latency tolerable with `j` faults, if specified.
     pub fn latency(&self, faults: usize) -> Option<u32> {
         self.0.get(faults).copied()
@@ -195,8 +189,6 @@ mod tests {
 
     #[test]
     fn uniform_latency_vectors() {
-        let v = LatencyVector::uniform(50, 3);
-        assert_eq!(v.as_slice(), &[50, 50, 50, 50]);
         let z = LatencyVector::uniform_zero_faults(9);
         assert_eq!(z.max_faults(), 0);
     }
@@ -205,7 +197,7 @@ mod tests {
     fn file_builders_and_accessors() {
         let f = BroadcastFile::new(FileId(1), "A", 5, 128)
             .with_dispersal(10)
-            .with_latency_vector(LatencyVector::uniform(40, 2));
+            .with_latency_vector(LatencyVector::new(vec![40; 3]).unwrap());
         assert_eq!(f.threshold(), 5);
         assert_eq!(f.redundancy(), 5);
         assert_eq!(f.total_bytes(), 640);

@@ -5,29 +5,6 @@ use ida::{BlockHeader, Bytes, Dispersal, DispersedBlock, DispersedFile, FileId, 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A block transmission in one slot of the broadcast (owned).
-///
-/// Cloning a [`DispersedBlock`] is cheap-ish (the payload is
-/// reference-counted) but still allocates a header copy per slot; hot loops
-/// should prefer [`BroadcastServer::transmit_ref`] and [`TransmissionRef`].
-#[derive(Debug, Clone)]
-pub struct Transmission {
-    /// The slot (time) of the transmission.
-    pub slot: usize,
-    /// The transmitted block (self-identifying).
-    pub block: DispersedBlock,
-}
-
-impl Transmission {
-    /// A borrowing view of this transmission.
-    pub fn as_ref(&self) -> TransmissionRef<'_> {
-        TransmissionRef {
-            slot: self.slot,
-            block: &self.block,
-        }
-    }
-}
-
 /// A borrowed view of one slot's transmission — the zero-copy hot path used
 /// by the facade slot-driver and the simulator.
 #[derive(Debug, Clone, Copy)]
@@ -36,16 +13,6 @@ pub struct TransmissionRef<'a> {
     pub slot: usize,
     /// The transmitted block (borrowed from the server).
     pub block: &'a DispersedBlock,
-}
-
-impl TransmissionRef<'_> {
-    /// An owned copy of this transmission.
-    pub(crate) fn to_owned(self) -> Transmission {
-        Transmission {
-            slot: self.slot,
-            block: self.block.clone(),
-        }
-    }
 }
 
 /// Errors raised when assembling a server.
@@ -286,14 +253,6 @@ impl BroadcastServer {
     }
 
     /// What the server transmits in slot `slot`: `None` for an idle slot.
-    ///
-    /// This clones the block (header + reference-counted payload handle);
-    /// slot-driver loops should use [`BroadcastServer::transmit_ref`].
-    pub fn transmit(&self, slot: usize) -> Option<Transmission> {
-        self.transmit_ref(slot).map(TransmissionRef::to_owned)
-    }
-
-    /// Borrowing variant of [`BroadcastServer::transmit`]: no per-slot clone.
     pub fn transmit_ref(&self, slot: usize) -> Option<TransmissionRef<'_>> {
         match self.program.entry(slot) {
             ProgramEntry::Idle => None,
@@ -308,15 +267,6 @@ impl BroadcastServer {
                 Some(TransmissionRef { slot, block })
             }
         }
-    }
-
-    /// An iterator over the transmissions of slots `[start, start + len)`.
-    pub fn transmissions(
-        &self,
-        start: usize,
-        len: usize,
-    ) -> impl Iterator<Item = Option<Transmission>> + '_ {
-        (start..start + len).map(move |s| self.transmit(s))
     }
 }
 
@@ -368,7 +318,7 @@ mod tests {
         let server = BroadcastServer::new(&files, program.clone(), &contents(&files)).unwrap();
         for slot in 0..program.data_cycle() * 2 {
             let tx = server
-                .transmit(slot)
+                .transmit_ref(slot)
                 .expect("flat programs have no idle slots");
             match program.entry(slot) {
                 ProgramEntry::Block { file, block } => {
@@ -526,17 +476,7 @@ mod tests {
             BroadcastProgram::from_pinwheel_schedule(&schedule, &files, |_| Some(FileId(0)))
                 .unwrap();
         let server = BroadcastServer::with_synthetic_contents(&files, program).unwrap();
-        assert!(server.transmit(0).is_some());
-        assert!(server.transmit(1).is_none());
-    }
-
-    #[test]
-    fn transmissions_iterator_covers_a_range() {
-        let files = paper_files();
-        let program = BroadcastProgram::flat(&files, FlatOrder::Spread).unwrap();
-        let server = BroadcastServer::with_synthetic_contents(&files, program).unwrap();
-        let txs: Vec<_> = server.transmissions(4, 10).collect();
-        assert_eq!(txs.len(), 10);
-        assert!(txs.iter().all(Option::is_some));
+        assert!(server.transmit_ref(0).is_some());
+        assert!(server.transmit_ref(1).is_none());
     }
 }

@@ -85,9 +85,9 @@ pub fn scheduler_ablation(instances_per_bucket: usize, seed: u64) -> SchedulerAb
     let densities = [0.45, 0.55, 0.65, 0.70, 0.75, 0.85, 0.95];
     let schedulers: Vec<(&str, Box<dyn PinwheelScheduler>)> = vec![
         ("Sa", Box::new(SaScheduler)),
-        ("Sx", Box::new(SxScheduler::default())),
-        ("double-int", Box::new(DoubleIntegerScheduler::default())),
-        ("greedy", Box::new(LlfScheduler::default())),
+        ("Sx", Box::new(SxScheduler)),
+        ("double-int", Box::new(DoubleIntegerScheduler)),
+        ("greedy", Box::new(LlfScheduler)),
     ];
     let exact = ExactSolver {
         state_limit: 200_000,

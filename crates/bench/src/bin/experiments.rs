@@ -21,18 +21,18 @@
 //!
 //! `check_regression` is the CI perf gate: it compares the trajectories
 //! against committed baselines and exits non-zero on a throughput drop
-//! beyond the tolerance:
+//! beyond the tolerance (30%, or `RTBDISK_PERF_TOLERANCE` on noisy
+//! runners):
 //!
 //! ```text
-//! experiments check_regression --tolerance 0.30 \
+//! experiments check_regression \
 //!     --pair BENCH_ida.baseline.json:BENCH_ida.json \
 //!     --pair BENCH_runtime.baseline.json:BENCH_runtime.json \
 //!     --pair BENCH_net.baseline.json:BENCH_net.json \
 //!     --pair BENCH_fault.baseline.json:BENCH_fault.json
 //! ```
 //!
-//! (`RTBDISK_PERF_TOLERANCE` overrides `--tolerance` for noisy runners;
-//! the pairs above are the default when none are given.)
+//! (the pairs above are the default when none are given.)
 
 use bench::{
     ablations, bounds, fault_matrix, figures, modes, net_perf, perf, regression, runtime_perf,
@@ -73,31 +73,19 @@ fn run(id: &str, json: bool) -> bool {
         "sharding" => print_experiment(&sharding::sharding_figure(100, 0x5A4D), json),
         "modes" => print_experiment(&modes::modes_figure(25, 0x0D35), json),
         "ida_perf" => {
-            let iters = std::env::var("RTBDISK_PERF_ITERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(40);
-            let result = perf::ida_perf(iters);
+            let result = perf::ida_perf(perf::ITERS);
             let pretty = serde_json::to_string_pretty(&result).expect("perf results serialise");
             std::fs::write("BENCH_ida.json", &pretty).expect("BENCH_ida.json is writable");
             print_experiment(&result, json);
         }
         "runtime_perf" => {
-            let batches = std::env::var("RTBDISK_PERF_BATCHES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(runtime_perf::default_batches);
-            let result = runtime_perf::runtime_perf(batches);
+            let result = runtime_perf::runtime_perf();
             let pretty = serde_json::to_string_pretty(&result).expect("perf results serialise");
             std::fs::write("BENCH_runtime.json", &pretty).expect("BENCH_runtime.json is writable");
             print_experiment(&result, json);
         }
         "net_perf" => {
-            let batches = std::env::var("RTBDISK_PERF_BATCHES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(net_perf::default_batches);
-            let result = net_perf::net_perf(batches);
+            let result = net_perf::net_perf();
             let pretty = serde_json::to_string_pretty(&result).expect("perf results serialise");
             std::fs::write("BENCH_net.json", &pretty).expect("BENCH_net.json is writable");
             print_experiment(&result, json);
@@ -115,18 +103,10 @@ fn run(id: &str, json: bool) -> bool {
 
 /// Runs the `check_regression` gate; returns the process exit code.
 fn check_regression(args: &[String]) -> i32 {
-    let mut tolerance_flag = None;
     let mut pairs: Vec<(String, String)> = Vec::new();
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--tolerance" => {
-                tolerance_flag = iter.next().and_then(|v| v.parse().ok());
-                if tolerance_flag.is_none() {
-                    eprintln!("--tolerance needs a fractional value (e.g. 0.30)");
-                    return 2;
-                }
-            }
             "--pair" => {
                 let Some(pair) = iter.next().and_then(|v| v.split_once(':')) else {
                     eprintln!("--pair needs `baseline.json:current.json`");
@@ -160,7 +140,7 @@ fn check_regression(args: &[String]) -> i32 {
             ),
         ];
     }
-    let tolerance = regression::tolerance_from(tolerance_flag);
+    let tolerance = regression::tolerance();
     match regression::check_files(&pairs, tolerance) {
         Ok(report) => {
             println!("{report}");

@@ -158,13 +158,12 @@ pub fn bandwidth_experiment(
     fault_tolerant: bool,
     seed: u64,
 ) -> BandwidthExperiment {
-    let planner = Planner::default();
+    let planner = Planner;
     let mut rows = Vec::new();
     for &files in sizes {
         let config = WorkloadConfig {
             files,
             max_faults: if fault_tolerant { 3 } else { 0 },
-            ..WorkloadConfig::default()
         };
         let reqs: Vec<FileRequirement> = RequirementGenerator::new(config, seed).generate();
         let plan = planner.plan(&reqs).expect("valid workload");

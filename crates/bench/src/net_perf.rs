@@ -170,14 +170,13 @@ fn measure_once(clients: usize) -> NetPerfRow {
     }
 }
 
-/// Measures every fleet size, best of `batches` runs each (by slot
+/// Measures every fleet size, best of `BATCHES` runs each (by slot
 /// throughput).
-pub fn net_perf(batches: usize) -> NetPerfResult {
-    let batches = batches.clamp(1, BATCHES * 4);
+pub fn net_perf() -> NetPerfResult {
     let rows = CLIENT_COUNTS
         .iter()
         .map(|&clients| {
-            (0..batches)
+            (0..BATCHES)
                 .map(|_| measure_once(clients))
                 .max_by(|a, b| {
                     a.slots_per_s
@@ -188,11 +187,6 @@ pub fn net_perf(batches: usize) -> NetPerfResult {
         })
         .collect();
     NetPerfResult { rows }
-}
-
-/// The default batch count (`BATCHES`), overridable for smoke runs.
-pub fn default_batches() -> usize {
-    BATCHES
 }
 
 impl core::fmt::Display for NetPerfResult {

@@ -91,6 +91,9 @@ fn time<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// Timed iterations per configuration of the recorded `BENCH_ida.json`.
+pub const ITERS: usize = 40;
+
 /// Measures disperse/reconstruct throughput with `iters` timed iterations
 /// per configuration.
 pub fn ida_perf(iters: usize) -> IdaPerfResult {

@@ -244,13 +244,11 @@ pub fn check_files(pairs: &[(String, String)], tolerance: f64) -> Result<Regress
     })
 }
 
-/// The gate's tolerance: `RTBDISK_PERF_TOLERANCE` wins over the `--tolerance`
-/// flag, which wins over the 0.30 default.
-pub fn tolerance_from(flag: Option<f64>) -> f64 {
+/// The gate's tolerance: `RTBDISK_PERF_TOLERANCE`, else 0.30.
+pub fn tolerance() -> f64 {
     std::env::var("RTBDISK_PERF_TOLERANCE")
         .ok()
-        .and_then(|v| v.parse().ok())
-        .or(flag)
+        .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(0.30)
         .clamp(0.0, 0.99)
 }
@@ -398,12 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_resolution_order() {
+    fn tolerance_defaults_to_thirty_percent() {
         // No env in tests (the harness may run in parallel, so only check
-        // the flag/default legs).
+        // the default leg).
         if std::env::var("RTBDISK_PERF_TOLERANCE").is_err() {
-            assert_eq!(tolerance_from(None), 0.30);
-            assert_eq!(tolerance_from(Some(0.1)), 0.1);
+            assert_eq!(tolerance(), 0.30);
         }
     }
 }

@@ -24,8 +24,7 @@ pub const SUBSCRIBER_COUNTS: [usize; 3] = [1, 8, 64];
 pub const CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// The fleet sizes of the scaling curve — the publish-once ring's whole
-/// point is that serving cost stays flat here.  Overridable via
-/// `RTBDISK_SCALING_FLEETS` (comma-separated counts) for smoke runs.
+/// point is that serving cost stays flat here.
 pub const SCALING_SUBSCRIBER_COUNTS: [usize; 2] = [1000, 10_000];
 
 /// Channels of the scaling-curve station (kept small: the curve varies the
@@ -374,25 +373,11 @@ fn measure_lateness(slots: usize, period: Duration) -> LatenessReport {
     }
 }
 
-/// The scaling-curve fleet sizes: `RTBDISK_SCALING_FLEETS` (comma-separated
-/// counts; empty disables the curve) over the recorded default.
-fn scaling_fleets() -> Vec<usize> {
-    match std::env::var("RTBDISK_SCALING_FLEETS") {
-        Ok(spec) => spec
-            .split(',')
-            .filter_map(|v| v.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect(),
-        Err(_) => SCALING_SUBSCRIBER_COUNTS.to_vec(),
-    }
-}
-
-/// Measures every `(channels, subscribers)` combination, best of `batches`
-/// runs each (by fleet completion throughput), then the fleet-scaling
-/// curve (best of at most two batches — its rows cost thousands of thread
-/// spawns each).
-pub fn runtime_perf(batches: usize) -> RuntimePerfResult {
-    let batches = batches.clamp(1, BATCHES * 4);
+/// Measures every `(channels, subscribers)` combination, best of
+/// `BATCHES` runs each (by fleet completion throughput), then the
+/// fleet-scaling curve (best of two batches — its rows cost thousands of
+/// thread spawns each).
+pub fn runtime_perf() -> RuntimePerfResult {
     let best_of = |runs: usize, measure: &dyn Fn() -> RuntimePerfRow| {
         (0..runs)
             .map(|_| measure())
@@ -406,12 +391,12 @@ pub fn runtime_perf(batches: usize) -> RuntimePerfResult {
     let mut rows = Vec::new();
     for &channels in &CHANNEL_COUNTS {
         for &subscribers in &SUBSCRIBER_COUNTS {
-            rows.push(best_of(batches, &|| measure_once(channels, subscribers)));
+            rows.push(best_of(BATCHES, &|| measure_once(channels, subscribers)));
         }
     }
-    let scaling = scaling_fleets()
+    let scaling = SCALING_SUBSCRIBER_COUNTS
         .into_iter()
-        .map(|subscribers| best_of(batches.min(2), &|| measure_scaling(subscribers)))
+        .map(|subscribers| best_of(2, &|| measure_scaling(subscribers)))
         .collect();
     let lateness = measure_lateness(2000, Duration::from_micros(250));
     RuntimePerfResult {
@@ -419,11 +404,6 @@ pub fn runtime_perf(batches: usize) -> RuntimePerfResult {
         scaling,
         lateness,
     }
-}
-
-/// The default batch count (`BATCHES`), overridable for smoke runs.
-pub fn default_batches() -> usize {
-    BATCHES
 }
 
 impl core::fmt::Display for RuntimePerfResult {

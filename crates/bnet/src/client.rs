@@ -10,8 +10,8 @@
 //!   re-sends `Join` with exponential backoff plus deterministic jitter
 //!   whenever no datagram arrived within the retry window;
 //! * a partition is suspected when the liveness watchdog sees no datagram
-//!   for [`RecoveryConfig::watchdog`] (derivable as K slot periods from
-//!   the station's clock); the loop then runs a full *recovery round*;
+//!   for [`RecoveryConfig::watchdog`]; the loop then runs a full *recovery
+//!   round*;
 //! * a mode swap the client missed entirely shows up as a newer epoch on
 //!   the wire ([`ClientState::stale_epoch`]) — the same recovery round
 //!   re-tunes it.
@@ -40,37 +40,13 @@ use std::time::{Duration, Instant};
 /// the same registry, so its snapshot gauge must go by another name.
 pub(crate) const VERIFY_FAILURES_COUNTER: &str = "bauth_verify_failures";
 
-/// Timeouts of one [`ControlClient`] connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControlTimeouts {
-    /// Bound on establishing the TCP connection.
-    pub connect: Duration,
-    /// Per-read socket timeout.
-    pub read: Duration,
-    /// Per-write socket timeout.
-    pub write: Duration,
-}
+/// Bound on establishing, reading and writing one [`ControlClient`]
+/// connection.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for ControlTimeouts {
-    fn default() -> Self {
-        ControlTimeouts {
-            connect: Duration::from_secs(2),
-            read: Duration::from_secs(2),
-            write: Duration::from_secs(2),
-        }
-    }
-}
-
-impl ControlTimeouts {
-    /// The same bound for connect, read and write.
-    pub fn uniform(timeout: Duration) -> Self {
-        ControlTimeouts {
-            connect: timeout,
-            read: timeout,
-            write: timeout,
-        }
-    }
-}
+/// Fraction of the join backoff added as deterministic jitter, so a fleet
+/// rejoining after an outage does not stampede in lockstep.
+const JOIN_JITTER: f64 = 0.25;
 
 /// Tunables of the self-healing retrieval loop.
 #[derive(Debug, Clone)]
@@ -80,12 +56,8 @@ pub struct RecoveryConfig {
     pub join_backoff: Duration,
     /// Ceiling of the join backoff.
     pub max_backoff: Duration,
-    /// Fraction of the backoff added as deterministic jitter, so a fleet
-    /// rejoining after an outage does not stampede in lockstep.
-    pub jitter: f64,
     /// Silence longer than this ⇒ suspect a partition and run a recovery
-    /// round.  Derive it from the station's slot period with
-    /// [`RecoveryConfig::watchdog_from_clock`].
+    /// round.
     pub watchdog: Duration,
     /// Most recovery rounds before the retrieval degrades to
     /// [`NetError::Rejoined`].
@@ -93,8 +65,6 @@ pub struct RecoveryConfig {
     /// The station's TCP control plane; `None` limits recovery rounds to
     /// re-joining (no epoch resync).
     pub control: Option<SocketAddr>,
-    /// Timeouts of the control-plane connections recovery rounds open.
-    pub control_timeouts: ControlTimeouts,
     /// Seed of the deterministic backoff jitter.
     pub seed: u64,
 }
@@ -104,11 +74,9 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             join_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_secs(2),
-            jitter: 0.25,
             watchdog: Duration::from_secs(1),
             max_recoveries: 8,
             control: None,
-            control_timeouts: ControlTimeouts::default(),
             seed: 0x0BF4,
         }
     }
@@ -118,17 +86,6 @@ impl RecoveryConfig {
     /// Points recovery rounds at the station's TCP control plane.
     pub fn with_control(mut self, addr: SocketAddr) -> Self {
         self.control = Some(addr);
-        self
-    }
-
-    /// Sets the watchdog to `slots` of the station clock's slot period —
-    /// "no datagram within K slot periods ⇒ suspect partition".  A clock
-    /// without a wall period (e.g. a `ManualClock`) leaves the watchdog
-    /// unchanged.
-    pub fn watchdog_from_clock(mut self, clock: &impl brt::SlotClock, slots: u32) -> Self {
-        if let Some(period) = clock.slot_period() {
-            self.watchdog = period.saturating_mul(slots.max(1));
-        }
         self
     }
 }
@@ -176,7 +133,7 @@ impl NetClient {
         // verify-on-receive is armed from the first datagram, not only
         // after a recovery round.
         if let Some(control) = config.control {
-            if let Ok(mut cc) = ControlClient::connect_with(control, config.control_timeouts) {
+            if let Ok(mut cc) = ControlClient::connect(control) {
                 if let Ok(info) = cc.subscribe(file) {
                     state.feed_frame(Frame::Control(ControlFrame::SubscribeAck { file, info }));
                 }
@@ -307,7 +264,7 @@ impl NetClient {
                         // traffic ever arrived before.
                         self.send_join()?;
                         last_join = Instant::now();
-                        let jitter = backoff.mul_f64(self.config.jitter * rng.gen::<f64>());
+                        let jitter = backoff.mul_f64(JOIN_JITTER * rng.gen::<f64>());
                         backoff = (backoff.saturating_mul(2) + jitter).min(self.config.max_backoff);
                     }
                 }
@@ -327,12 +284,11 @@ impl NetClient {
         self.recoveries += 1;
         let mut resynced = false;
         if let Some(control) = self.config.control {
-            let round = ControlClient::connect_with(control, self.config.control_timeouts)
-                .and_then(|mut client| {
-                    let (_, next_slot) = client.resync()?;
-                    let info = client.subscribe(self.state.file())?;
-                    Ok((next_slot, info))
-                });
+            let round = ControlClient::connect(control).and_then(|mut client| {
+                let (_, next_slot) = client.resync()?;
+                let info = client.subscribe(self.state.file())?;
+                Ok((next_slot, info))
+            });
             if let Ok((next_slot, info)) = round {
                 self.state.resubscribe(info, next_slot);
                 resynced = true;
@@ -396,19 +352,14 @@ fn named_timeout(err: NetError, during: &'static str) -> NetError {
 }
 
 impl ControlClient {
-    /// Connects to a station's control plane with the default
-    /// [`ControlTimeouts`] (2 s each).
+    /// Connects to a station's control plane.  Connecting, and every read
+    /// and write after it, is bounded by 2 s; a timeout surfaces as
+    /// [`NetError::Timeout`], never as a raw io error.
     pub fn connect(addr: SocketAddr) -> Result<Self, NetError> {
-        ControlClient::connect_with(addr, ControlTimeouts::default())
-    }
-
-    /// [`ControlClient::connect`] with explicit timeouts.  Timeouts
-    /// surface as [`NetError::Timeout`], never as raw io errors.
-    pub fn connect_with(addr: SocketAddr, timeouts: ControlTimeouts) -> Result<Self, NetError> {
-        let stream = TcpStream::connect_timeout(&addr, timeouts.connect)
+        let stream = TcpStream::connect_timeout(&addr, CONTROL_TIMEOUT)
             .map_err(|e| named_timeout(e.into(), "control connect"))?;
-        stream.set_read_timeout(Some(timeouts.read))?;
-        stream.set_write_timeout(Some(timeouts.write))?;
+        stream.set_read_timeout(Some(CONTROL_TIMEOUT))?;
+        stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
         Ok(ControlClient { stream })
     }
 

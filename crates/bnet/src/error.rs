@@ -43,6 +43,18 @@ pub enum NetError {
         /// The operation that timed out.
         during: &'static str,
     },
+    /// The station would send a slot frame that cannot cross the wire at
+    /// the configured MTU: more fragments than a frame may have, more bytes
+    /// than a client reassembles, or (an MTU with no room for a fragment)
+    /// longer than one datagram.
+    FrameTooLarge {
+        /// Encoded bytes of the largest frame.
+        bytes: usize,
+        /// The configured MTU.
+        mtu: usize,
+        /// The longest frame that crosses the wire at `mtu`.
+        max: usize,
+    },
     /// The retrieval failed even though the client recovered (rejoined
     /// and, where a control plane was available, resynced) `attempts`
     /// times — the graceful-degradation context around the final failure.
@@ -76,6 +88,10 @@ impl core::fmt::Display for NetError {
             }
             NetError::Protocol(what) => write!(f, "protocol violation: {what}"),
             NetError::Timeout { during } => write!(f, "timed out during {during}"),
+            NetError::FrameTooLarge { bytes, mtu, max } => write!(
+                f,
+                "a {bytes}-byte slot frame cannot cross the wire at mtu {mtu} (max {max} bytes)"
+            ),
             NetError::Rejoined { attempts, cause } => {
                 write!(f, "failed after {attempts} recovery round(s): {cause}")
             }

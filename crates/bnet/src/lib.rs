@@ -54,8 +54,10 @@ mod server;
 mod session;
 pub mod wire;
 
-pub use client::{ControlClient, ControlTimeouts, NetClient, RecoveryConfig};
+pub use client::{ControlClient, NetClient, RecoveryConfig};
 pub use error::NetError;
-pub use server::{directory_of, Directory, NetConfig, NetHandle, NetServer, NetStats, UdpFanout};
+pub use server::{
+    check_mtu, directory_of, Directory, NetConfig, NetHandle, NetServer, NetStats, UdpFanout,
+};
 pub use session::{ClientState, ClientStats};
 pub use wire::{MetricsFormat, SubscriptionInfo, VERSION, VERSION_AUTH};

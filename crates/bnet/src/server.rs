@@ -44,8 +44,8 @@
 use crate::error::NetError;
 use crate::gso;
 use crate::wire::{
-    datagrams, decode, encode, ControlFrame, Frame, MetricsFormat, Packet, SlotFrame,
-    SubscriptionInfo,
+    decode, encode, max_frame_bytes, slot_frame_len, split, ControlFrame, Frame, MetricsFormat,
+    Packet, SlotFrame, SubscriptionInfo, MIN_SLOT_FRAME,
 };
 use bdisk::EpochBank;
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
@@ -69,8 +69,6 @@ pub struct NetConfig {
     pub control_bind: Option<SocketAddr>,
     /// Largest datagram the fan-out will send; larger frames fragment.
     pub mtu: usize,
-    /// Most peers the fan-out set will hold; further joins are ignored.
-    pub max_peers: usize,
 }
 
 impl Default for NetConfig {
@@ -79,7 +77,6 @@ impl Default for NetConfig {
             data_bind: "127.0.0.1:0".parse().expect("valid literal"),
             control_bind: None,
             mtu: 1400,
-            max_peers: 64,
         }
     }
 }
@@ -121,6 +118,28 @@ pub fn directory_of(bank: &EpochBank) -> Directory {
     directory
 }
 
+/// Refuses a station whose slot frames cannot cross the wire at `mtu`:
+/// the largest block any channel of `bank` serves must encode to a frame
+/// the fan-out can cut into datagrams and a client can reassemble.
+pub fn check_mtu(bank: &EpochBank, mtu: usize) -> Result<(), NetError> {
+    let largest = (0..bank.channel_count())
+        .filter_map(|channel| bank.current(channel))
+        .flat_map(|server| server.file_ids().filter_map(|file| server.dispersed(file)))
+        .flat_map(|dispersed| dispersed.blocks())
+        .map(slot_frame_len)
+        .max()
+        .unwrap_or(MIN_SLOT_FRAME);
+    frame_fits(largest, mtu)
+}
+
+fn frame_fits(bytes: usize, mtu: usize) -> Result<(), NetError> {
+    let max = max_frame_bytes(mtu);
+    if bytes > max {
+        return Err(NetError::FrameTooLarge { bytes, mtu, max });
+    }
+    Ok(())
+}
+
 /// A snapshot of the network side's counters — a view over the station's
 /// [`bobs`] registry, kept shape-compatible with earlier releases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,6 +158,8 @@ pub struct NetStats {
     pub send_calls: u64,
     /// Datagrams the socket refused (full buffer, unreachable peer; a
     /// refused train counts every fragment it carried) — loss, by design.
+    /// A frame too large for the wire at the fan-out's MTU is never cut
+    /// into datagrams and counts once per peer.
     pub send_errors: u64,
     /// Join datagrams honoured (monotonic).
     pub joins: u64,
@@ -214,7 +235,6 @@ struct Shared {
     current_epoch: AtomicU64,
     stop: AtomicBool,
     directory: Mutex<Directory>,
-    max_peers: usize,
 }
 
 impl Shared {
@@ -233,6 +253,8 @@ pub struct UdpFanout {
     socket: UdpSocket,
     shared: Arc<Shared>,
     mtu: usize,
+    /// [`max_frame_bytes`] at `mtu`: a longer frame is dropped, not sent.
+    max_frame: usize,
     seq: u64,
     /// Whether fragmented frames still go out as trains; cleared for good
     /// the first time the kernel says it does not do them here.
@@ -289,15 +311,23 @@ impl SlotSink for UdpFanout {
                 lane.epoch,
                 lane.transmission,
             ));
-            let packets = datagrams(&frame, self.mtu, self.seq);
+            let encoded = encode(&frame);
             self.shared.metrics.frames_sent.inc();
-            if packets.len() > 1 {
-                self.seq = self.seq.wrapping_add(1);
-                self.shared.metrics.frames_fragmented.inc();
-            }
             let mut dropped = false;
-            for &peer in &peers {
-                dropped |= self.send_frame(&packets, peer);
+            if encoded.len() > self.max_frame {
+                // A swap brought in a block the wire cannot carry: every
+                // peer loses the frame, and the serving thread goes on.
+                self.shared.metrics.send_errors.add(peers.len() as u64);
+                dropped = true;
+            } else {
+                let packets = split(encoded, self.mtu, self.seq);
+                if packets.len() > 1 {
+                    self.seq = self.seq.wrapping_add(1);
+                    self.shared.metrics.frames_fragmented.inc();
+                }
+                for &peer in &peers {
+                    dropped |= self.send_frame(&packets, peer);
+                }
             }
             self.shared.telemetry.record_event(|| Event::FrameSent {
                 slot: slot as u64,
@@ -408,6 +438,7 @@ impl NetServer {
         directory: Directory,
         telemetry: Telemetry,
     ) -> Result<(UdpFanout, NetHandle), NetError> {
+        frame_fits(MIN_SLOT_FRAME, config.mtu)?;
         let membership = UdpSocket::bind(config.data_bind)?;
         membership.set_read_timeout(Some(Duration::from_millis(20)))?;
         let data_addr = membership.local_addr()?;
@@ -425,7 +456,6 @@ impl NetServer {
             current_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             directory: Mutex::new(directory),
-            max_peers: config.max_peers.max(1),
         });
 
         let mut threads = Vec::new();
@@ -453,6 +483,7 @@ impl NetServer {
             socket: send_socket,
             shared: Arc::clone(&shared),
             mtu: config.mtu,
+            max_frame: max_frame_bytes(config.mtu),
             seq: 0,
             gso: true,
         };
@@ -480,7 +511,7 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
         match control {
             ControlFrame::Join => {
                 let mut peers = shared.peers.lock().expect("peer set lock");
-                if peers.len() < shared.max_peers || peers.contains(&from) {
+                if peers.len() < MAX_PEERS || peers.contains(&from) {
                     peers.insert(from);
                     shared.metrics.peers.set(peers.len() as i64);
                     shared.metrics.joins.inc();
@@ -504,6 +535,9 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
         }
     }
 }
+
+/// Most peers the fan-out set holds; further joins are ignored.
+const MAX_PEERS: usize = 64;
 
 /// Largest control frame the TCP plane will read.
 const MAX_CONTROL_FRAME: usize = 64 * 1024;
@@ -664,6 +698,7 @@ pub(crate) fn write_control_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::datagrams;
     use bdisk::{
         BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, TransmissionRef,
     };

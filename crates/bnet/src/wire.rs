@@ -371,8 +371,11 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             } else {
                 VERSION
             };
-            let proof_bytes = proof.map_or(0, |p| 1 + 32 * p.depth());
-            let mut out = open_packet(version, KIND_SLOT, 42 + sf.block.len() + proof_bytes);
+            let mut out = open_packet(
+                version,
+                KIND_SLOT,
+                slot_frame_len(&sf.block) - PACKET_OVERHEAD,
+            );
             put_u64(&mut out, sf.epoch);
             put_u16(&mut out, sf.channel);
             put_u64(&mut out, sf.slot);
@@ -461,29 +464,57 @@ fn encode_fragment(seq: u64, index: u16, count: u16, chunk: &[u8]) -> Vec<u8> {
 ///
 /// A frame whose encoding fits in `mtu` yields exactly one datagram;
 /// anything larger is split into fragment packets sharing the caller's
-/// `seq`.  `mtu` must leave room for at least one chunk byte per fragment
-/// (`PACKET_OVERHEAD` + the fragment header + 1); blocks requiring more
-/// than `MAX_FRAGMENTS` pieces are a configuration error and panic.
+/// `seq`.  A frame that needs more than `MAX_FRAGMENTS` fragments, or more
+/// bytes than a client reassembles ([`MAX_REASSEMBLY_BYTES`]), is a
+/// configuration error and panics; a station refuses such a configuration
+/// before serving ([`crate::check_mtu`]).
 pub fn datagrams(frame: &Frame, mtu: usize, seq: u64) -> Vec<Vec<u8>> {
     let encoded = encode(frame);
+    let max = max_frame_bytes(mtu);
+    assert!(
+        encoded.len() <= max,
+        "a frame of {} bytes cannot cross the wire at mtu {mtu} (max {max})",
+        encoded.len()
+    );
+    split(encoded, mtu, seq)
+}
+
+/// Cuts an encoded frame of at most [`max_frame_bytes`]`(mtu)` bytes into
+/// datagrams of at most `mtu` bytes.
+pub(crate) fn split(encoded: Vec<u8>, mtu: usize, seq: u64) -> Vec<Vec<u8>> {
     if encoded.len() <= mtu {
         return vec![encoded];
     }
-    let chunk_size = mtu
-        .checked_sub(PACKET_OVERHEAD + FRAG_HEADER)
-        .filter(|&c| c > 0)
-        .expect("mtu too small to carry a fragment chunk");
+    let chunk_size = mtu - PACKET_OVERHEAD - FRAG_HEADER;
     let count = encoded.len().div_ceil(chunk_size);
-    assert!(
-        count <= MAX_FRAGMENTS as usize,
-        "frame of {} bytes needs {count} fragments at mtu {mtu} (max {MAX_FRAGMENTS})",
-        encoded.len()
-    );
     encoded
         .chunks(chunk_size)
         .enumerate()
         .map(|(index, chunk)| encode_fragment(seq, index as u16, count as u16, chunk))
         .collect()
+}
+
+/// Bytes of a slot frame carrying no payload and no proof: the smallest
+/// frame a station sends.
+pub(crate) const MIN_SLOT_FRAME: usize = PACKET_OVERHEAD + 46;
+
+/// Encoded length of the slot frame carrying `block`.
+pub(crate) fn slot_frame_len(block: &DispersedBlock) -> usize {
+    MIN_SLOT_FRAME + block.len() + block.proof().map_or(0, |p| 1 + 32 * p.depth())
+}
+
+/// Longest frame encoding that crosses the wire at `mtu`: one datagram, or
+/// at most [`MAX_FRAGMENTS`] fragments whose chunks and slot table a
+/// client's [`Reassembler`] holds within [`MAX_REASSEMBLY_BYTES`].  An
+/// `mtu` with no room for a fragment's chunk carries single datagrams only.
+pub(crate) fn max_frame_bytes(mtu: usize) -> usize {
+    let chunk = mtu.saturating_sub(PACKET_OVERHEAD + FRAG_HEADER);
+    if chunk == 0 {
+        return mtu;
+    }
+    let per_fragment = chunk + std::mem::size_of::<Option<Vec<u8>>>();
+    let fragments = (MAX_FRAGMENTS as usize).min(MAX_REASSEMBLY_BYTES / per_fragment);
+    mtu.max(fragments * chunk)
 }
 
 // ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ pub use trace::{Event, EventRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Default number of events the trace ring retains.
-pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1024;
+/// Number of events the trace ring retains.
+const TRACE_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 struct TelemetryInner {
@@ -80,17 +80,13 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A fresh handle with recording OFF and the default trace capacity.
+    /// A fresh handle with recording OFF, retaining the last 1024 trace
+    /// events.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A fresh handle retaining at most `capacity` trace events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         Self {
             inner: Arc::new(TelemetryInner {
                 registry: Registry::new(),
-                trace: EventRing::new(capacity),
+                trace: EventRing::new(TRACE_CAPACITY),
                 recording: AtomicBool::new(false),
             }),
         }

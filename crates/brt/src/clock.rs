@@ -2,7 +2,7 @@
 //!
 //! The paper's model is a server that emits exactly one block per channel
 //! per *slot*, forever.  A [`SlotClock`] turns that abstract slot time into
-//! something a thread can wait on:
+//! something a thread can wait on, with one of two clocks:
 //!
 //! * [`WallClock`] — real pacing: slot `t` becomes due at
 //!   `origin + t × period`.  This is what a deployed station runs on.
@@ -16,9 +16,9 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What a [`SlotClock::poll`] says about a slot.
+/// What a clock's `poll` says about a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockPoll {
+pub(crate) enum ClockPoll {
     /// The slot is due: serve it now.
     Ready,
     /// The slot is not due yet; if `Some`, a hint for how long until it is
@@ -28,26 +28,48 @@ pub enum ClockPoll {
     Closed,
 }
 
-/// A source of slot time for the serving thread.
+/// The source of slot time for the serving thread: a [`WallClock`] or a
+/// [`ManualClock`], each converting into it.
 ///
-/// The runtime polls the clock once per loop iteration and parks on its
-/// [`WakeSignal`] while a slot is not due, so an implementation wakes every
-/// registered waker whenever its answer to [`SlotClock::poll`] may have
-/// changed (an advance, a close).  [`WallClock`] and [`ManualClock`] are the
-/// two implementations.
-pub trait SlotClock: Send + Sync + 'static {
+/// The runtime polls the clock once per loop iteration and parks on a wake
+/// signal while a slot is not due; both clocks wake every registered
+/// waker whenever their answer may have changed (an advance, a close).
+#[derive(Debug, Clone)]
+pub enum SlotClock {
+    /// Real pacing.
+    Wall(WallClock),
+    /// Hand-cranked pacing.
+    Manual(ManualClock),
+}
+
+impl From<WallClock> for SlotClock {
+    fn from(clock: WallClock) -> Self {
+        SlotClock::Wall(clock)
+    }
+}
+
+impl From<ManualClock> for SlotClock {
+    fn from(clock: ManualClock) -> Self {
+        SlotClock::Manual(clock)
+    }
+}
+
+impl SlotClock {
     /// Is `slot` due, not yet due, or is the clock closed?
-    fn poll(&self, slot: usize) -> ClockPoll;
+    pub(crate) fn poll(&self, slot: usize) -> ClockPoll {
+        match self {
+            SlotClock::Wall(clock) => clock.poll(slot),
+            SlotClock::Manual(clock) => clock.poll(slot),
+        }
+    }
 
     /// How many consecutive slots starting at `from` are due right now
-    /// (`0` when `from` itself is not due, or the clock is closed).  One
-    /// query can size a whole serving burst, so implementations that know
-    /// their release frontier save the serving loop a poll per slot; the
-    /// default conservatively derives a run of at most one.
-    fn ready_run(&self, from: usize) -> usize {
-        match self.poll(from) {
-            ClockPoll::Ready => 1,
-            _ => 0,
+    /// (`0` when `from` itself is not due, or the clock is closed): one
+    /// query sizes a whole serving burst.
+    pub(crate) fn ready_run(&self, from: usize) -> usize {
+        match self {
+            SlotClock::Wall(clock) => clock.ready_run(from),
+            SlotClock::Manual(clock) => clock.ready_run(from),
         }
     }
 
@@ -55,48 +77,48 @@ pub trait SlotClock: Send + Sync + 'static {
     /// positive when the slot's due-time has already passed (a late
     /// publish), negative when it is being served ahead of its deadline.
     ///
-    /// `None` means the clock has no wall-time deadlines — the default,
-    /// and what [`ManualClock`] inherits.  Telemetry gates every
-    /// wall-clock quantity (lateness, serving-phase timings) on this
-    /// returning `Some`, so a manually-cranked run never records a
-    /// nondeterministic value: two identical `ManualClock` runs produce
-    /// identical traces and histogram bucket counts.
-    fn slot_lateness(&self, slot: usize) -> Option<i64> {
-        let _ = slot;
-        None
-    }
-
-    /// The wall-time duration of one slot, when the clock has one.
-    ///
-    /// `None` means slot time is not tied to wall time — the default, and
-    /// what [`ManualClock`] inherits.  Callers that derive wall-clock
-    /// budgets from slot counts (e.g. a network client sizing its
-    /// partition watchdog as "K slot periods") gate on this returning
-    /// `Some` and fall back to their own defaults otherwise.
-    fn slot_period(&self) -> Option<Duration> {
-        None
+    /// `None` for a [`ManualClock`], which has no wall-time deadlines.
+    /// Telemetry gates every wall-clock quantity (lateness, serving-phase
+    /// timings) on this returning `Some`, so a manually-cranked run never
+    /// records a nondeterministic value: two identical `ManualClock` runs
+    /// produce identical traces and histogram bucket counts.
+    pub(crate) fn slot_lateness(&self, slot: usize) -> Option<i64> {
+        match self {
+            SlotClock::Wall(clock) => Some(clock.slot_lateness(slot)),
+            SlotClock::Manual(_) => None,
+        }
     }
 
     /// Registers a waker to be notified whenever the clock's state changes.
-    fn register_waker(&self, waker: Arc<WakeSignal>);
+    pub(crate) fn register_waker(&self, waker: Arc<WakeSignal>) {
+        match self {
+            SlotClock::Wall(clock) => clock.register_waker(waker),
+            SlotClock::Manual(clock) => clock.register_waker(waker),
+        }
+    }
 
-    /// Closes the clock: every current and future [`SlotClock::poll`]
-    /// returns [`ClockPoll::Closed`] and all registered wakers are woken.
-    fn close(&self);
+    /// Closes the clock: every current and future `poll` returns
+    /// [`ClockPoll::Closed`] and all registered wakers are woken.
+    pub(crate) fn close(&self) {
+        match self {
+            SlotClock::Wall(clock) => clock.close(),
+            SlotClock::Manual(clock) => clock.close(),
+        }
+    }
 }
 
 /// A parkable wake-up flag: the serving thread waits on it between slots,
 /// and clocks / command senders poke it.  (A tiny hand-rolled event — the
 /// runtime is std-only by design.)
 #[derive(Debug, Default)]
-pub struct WakeSignal {
+pub(crate) struct WakeSignal {
     poked: Mutex<bool>,
     condvar: Condvar,
 }
 
 impl WakeSignal {
     /// A fresh, un-poked signal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WakeSignal::default()
     }
 
@@ -159,9 +181,7 @@ impl WallClock {
     pub fn period(&self) -> Duration {
         self.period
     }
-}
 
-impl SlotClock for WallClock {
     fn poll(&self, slot: usize) -> ClockPoll {
         if self.state.lock().expect("wall clock lock").closed {
             return ClockPoll::Closed;
@@ -190,22 +210,18 @@ impl SlotClock for WallClock {
         due.saturating_sub(from)
     }
 
-    fn slot_lateness(&self, slot: usize) -> Option<i64> {
+    fn slot_lateness(&self, slot: usize) -> i64 {
         // Same widening as `poll`: the due offset saturates at u64
         // nanoseconds (~584 years), far past any real schedule.
         let nanos = self.period.as_nanos().saturating_mul(slot as u128);
         let due = self.origin + Duration::from_nanos(nanos.min(u64::MAX as u128) as u64);
         let now = Instant::now();
         let signed = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
-        Some(if now >= due {
+        if now >= due {
             signed(now - due)
         } else {
             -signed(due - now)
-        })
-    }
-
-    fn slot_period(&self) -> Option<Duration> {
-        Some(self.period)
+        }
     }
 
     fn register_waker(&self, waker: Arc<WakeSignal>) {
@@ -262,9 +278,7 @@ impl ManualClock {
     pub fn released(&self) -> usize {
         self.state.lock().expect("manual clock lock").released
     }
-}
 
-impl SlotClock for ManualClock {
     fn poll(&self, slot: usize) -> ClockPoll {
         let state = self.state.lock().expect("manual clock lock");
         if state.closed {
@@ -343,18 +357,11 @@ mod tests {
     fn lateness_is_signed_and_manual_clocks_have_none() {
         let clock = WallClock::new(Duration::from_millis(50));
         // Slot 0 was due at the origin: by now we are (non-negatively) late.
-        assert!(clock.slot_lateness(0).unwrap() >= 0);
+        assert!(clock.slot_lateness(0) >= 0);
         // Slot 1000 is due ~50 s out: serving it now would be very early.
-        assert!(clock.slot_lateness(1000).unwrap() < 0);
+        assert!(clock.slot_lateness(1000) < 0);
         // Manual clocks have no deadlines — nothing wall-timed may record.
-        assert_eq!(ManualClock::new().slot_lateness(0), None);
-    }
-
-    #[test]
-    fn slot_period_is_wall_clock_only() {
-        let period = Duration::from_millis(7);
-        assert_eq!(WallClock::new(period).slot_period(), Some(period));
-        assert_eq!(ManualClock::new().slot_period(), None);
+        assert_eq!(SlotClock::from(ManualClock::new()).slot_lateness(0), None);
     }
 
     #[test]

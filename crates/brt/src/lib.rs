@@ -57,7 +57,7 @@ mod scheduler;
 mod sink;
 
 pub use bobs::{Event, Telemetry};
-pub use clock::{ClockPoll, ManualClock, SlotClock, WakeSignal, WallClock};
+pub use clock::{ManualClock, SlotClock, WallClock};
 pub use drive::{drive, DriveError};
 pub use engine::{Engine, Subscriber, SwapNote};
 pub use ring::{BroadcastRing, LaneCell, RingRead, SlotCell};

@@ -327,7 +327,7 @@ impl<T> Subscription<T> {
 /// server wind down detached.
 pub struct Runtime<E: Engine> {
     controller: RuntimeController<E>,
-    clock: Arc<dyn SlotClock>,
+    clock: SlotClock,
     config: RuntimeConfig,
     ring: Arc<BroadcastRing>,
     telemetry: Telemetry,
@@ -351,7 +351,7 @@ impl<E: Engine> core::fmt::Debug for Runtime<E> {
 
 impl<E: Engine> Runtime<E> {
     /// Spawns the serving thread over `engine`, paced by `clock`.
-    pub fn spawn(engine: E, clock: impl SlotClock, config: RuntimeConfig) -> Self {
+    pub fn spawn(engine: E, clock: impl Into<SlotClock>, config: RuntimeConfig) -> Self {
         Self::spawn_with_telemetry(engine, clock, config, Vec::new(), Telemetry::new())
     }
 
@@ -366,7 +366,7 @@ impl<E: Engine> Runtime<E> {
     /// stays whatever the handle says; counters and gauges always count.
     pub fn spawn_with_telemetry(
         engine: E,
-        clock: impl SlotClock,
+        clock: impl Into<SlotClock>,
         config: RuntimeConfig,
         mut sinks: Vec<Box<dyn SlotSink>>,
         telemetry: Telemetry,
@@ -376,7 +376,7 @@ impl<E: Engine> Runtime<E> {
         for sink in &mut sinks {
             sink.mode_changed(engine.bank());
         }
-        let clock: Arc<dyn SlotClock> = Arc::new(clock);
+        let clock = clock.into();
         let waker = Arc::new(WakeSignal::new());
         clock.register_waker(waker.clone());
         let ring = Arc::new(BroadcastRing::new(config.queue_capacity));
@@ -563,7 +563,7 @@ struct FleetMetrics {
     next_slot: Gauge,
     /// Signed slot-deadline lateness: publish time minus the slot's
     /// `SlotClock` due-time, nanoseconds.  Recording-gated, and only fed
-    /// when the clock has deadlines ([`SlotClock::slot_lateness`]).
+    /// when the clock has deadlines (a `WallClock`).
     slot_lateness_ns: Histogram,
     /// Per-phase serving-loop timings, recording-gated like lateness.
     phase_build_ns: Histogram,
@@ -674,7 +674,7 @@ impl<E: Engine> ServerState<E> {
 
 fn server_loop<E: Engine>(
     mut engine: E,
-    clock: Arc<dyn SlotClock>,
+    clock: SlotClock,
     waker: Arc<WakeSignal>,
     commands: mpsc::Receiver<Command<E>>,
     ring: Arc<BroadcastRing>,
@@ -758,11 +758,11 @@ fn server_loop<E: Engine>(
                     wake.wake();
                     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
                         record_phases(&state.fleet, t0, t1, t2, Instant::now());
-                        record_lateness(&state.fleet, &*clock, slot - run, slot);
+                        record_lateness(&state.fleet, &clock, slot - run, slot);
                     }
                 } else {
                     for _ in 0..run {
-                        serve_slot(&engine, slot, &ring, &mut sinks, &state, timed, &*clock);
+                        serve_slot(&engine, slot, &ring, &mut sinks, &state, timed, &clock);
                         slot += 1;
                     }
                 }
@@ -799,7 +799,7 @@ fn record_phases(fleet: &FleetMetrics, t0: Instant, t1: Instant, t2: Instant, t3
 
 /// Books the signed deadline lateness of every slot in `[from, to)`, as of
 /// now — right after the span was published.
-fn record_lateness(fleet: &FleetMetrics, clock: &dyn SlotClock, from: usize, to: usize) {
+fn record_lateness(fleet: &FleetMetrics, clock: &SlotClock, from: usize, to: usize) {
     for s in from..to {
         if let Some(lateness) = clock.slot_lateness(s) {
             fleet.slot_lateness_ns.record(lateness);
@@ -1045,7 +1045,7 @@ fn serve_slot<E: Engine>(
     sinks: &mut [Box<dyn SlotSink>],
     state: &ServerState<E>,
     timed: bool,
-    clock: &dyn SlotClock,
+    clock: &SlotClock,
 ) {
     let t0 = timed.then(Instant::now);
     let cell = build_cell(engine, slot);

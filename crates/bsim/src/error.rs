@@ -273,40 +273,40 @@ impl ErrorModel for TargetedLoss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdisk::{
-        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, NoErrors,
-        Transmission,
-    };
+    use bdisk::{BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, NoErrors};
 
-    fn a_transmission() -> Transmission {
+    /// A one-file server; its slot 0 is the transmission the models sample.
+    fn a_server() -> BroadcastServer {
         let files = FileSet::new(vec![BroadcastFile::new(FileId(0), "A", 2, 8)]).unwrap();
         let program = BroadcastProgram::flat(&files, FlatOrder::Spread).unwrap();
-        let server = BroadcastServer::with_synthetic_contents(&files, program).unwrap();
-        server.transmit(0).unwrap()
+        BroadcastServer::with_synthetic_contents(&files, program).unwrap()
     }
 
     #[test]
     fn no_errors_never_loses() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut model = NoErrors;
-        assert!((0..100).all(|_| !model.is_lost(tx.as_ref())));
+        assert!((0..100).all(|_| !model.is_lost(tx)));
     }
 
     #[test]
     fn bernoulli_loss_rate_is_close_to_p() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut model = BernoulliErrors::new(0.3, 42);
-        let losses = (0..20_000).filter(|_| model.is_lost(tx.as_ref())).count();
+        let losses = (0..20_000).filter(|_| model.is_lost(tx)).count();
         let rate = losses as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
     }
 
     #[test]
     fn bernoulli_is_deterministic_per_seed() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let sample = |seed| {
             let mut m = BernoulliErrors::new(0.5, seed);
-            (0..64).map(|_| m.is_lost(tx.as_ref())).collect::<Vec<_>>()
+            (0..64).map(|_| m.is_lost(tx)).collect::<Vec<_>>()
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8));
@@ -314,9 +314,10 @@ mod tests {
 
     #[test]
     fn gilbert_elliott_produces_bursty_losses() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut model = GilbertElliott::typical(1);
-        let outcomes: Vec<bool> = (0..50_000).map(|_| model.is_lost(tx.as_ref())).collect();
+        let outcomes: Vec<bool> = (0..50_000).map(|_| model.is_lost(tx)).collect();
         let losses = outcomes.iter().filter(|&&l| l).count();
         assert!(losses > 0);
         // Burstiness: the probability that a loss is followed by another loss
@@ -341,71 +342,75 @@ mod tests {
 
     #[test]
     fn plain_models_ignore_the_channel_index() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut model = BernoulliErrors::new(0.5, 7);
         let mut reference = BernoulliErrors::new(0.5, 7);
         for channel in 0..8 {
-            assert_eq!(
-                model.is_lost_on(channel, tx.as_ref()),
-                reference.is_lost(tx.as_ref())
-            );
+            assert_eq!(model.is_lost_on(channel, tx), reference.is_lost(tx));
         }
     }
 
     #[test]
     fn independent_channels_keep_separate_processes() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut bank = IndependentChannels::new(vec![
             Box::new(NoErrors),
             Box::new(TargetedLoss::new(FileId(0), 1)),
         ]);
         assert_eq!(bank.channel_count(), 2);
         // Channel 0 is lossless; channel 1 loses exactly one reception.
-        assert!(!bank.is_lost_on(0, tx.as_ref()));
-        assert!(bank.is_lost_on(1, tx.as_ref()));
-        assert!(!bank.is_lost_on(1, tx.as_ref()));
+        assert!(!bank.is_lost_on(0, tx));
+        assert!(bank.is_lost_on(1, tx));
+        assert!(!bank.is_lost_on(1, tx));
         // Channels beyond the configured list are lossless.
-        assert!(!bank.is_lost_on(9, tx.as_ref()));
+        assert!(!bank.is_lost_on(9, tx));
     }
 
     #[test]
     fn correlated_channels_share_one_per_slot_event() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         // The common process loses exactly the first slot it samples.
         let mut bank = CorrelatedChannels::new(
             Box::new(TargetedLoss::new(FileId(0), 1)),
             vec![Box::new(NoErrors), Box::new(NoErrors)],
         );
         // Same slot: the common event is sampled once and hits every channel.
-        assert!(bank.is_lost_on(0, tx.as_ref()));
-        assert!(bank.is_lost_on(1, tx.as_ref()));
+        assert!(bank.is_lost_on(0, tx));
+        assert!(bank.is_lost_on(1, tx));
         // A later slot re-samples the (now exhausted) common process.
-        let mut later = tx.clone();
-        later.slot += 1;
-        assert!(!bank.is_lost_on(0, later.as_ref()));
-        assert!(!bank.is_lost_on(1, later.as_ref()));
+        let later = TransmissionRef {
+            slot: tx.slot + 1,
+            ..tx
+        };
+        assert!(!bank.is_lost_on(0, later));
+        assert!(!bank.is_lost_on(1, later));
     }
 
     #[test]
     fn on_channel_confines_losses_to_one_channel() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut burst = OnChannel::new(1, TargetedLoss::new(FileId(0), 100));
-        assert!(!burst.is_lost_on(0, tx.as_ref()));
-        assert!(burst.is_lost_on(1, tx.as_ref()));
-        assert!(!burst.is_lost_on(2, tx.as_ref()));
+        assert!(!burst.is_lost_on(0, tx));
+        assert!(burst.is_lost_on(1, tx));
+        assert!(!burst.is_lost_on(2, tx));
         assert_eq!(burst.inner().remaining(), 99);
     }
 
     #[test]
     fn targeted_loss_counts_down_per_matching_file() {
-        let tx = a_transmission();
+        let server = a_server();
+        let tx = server.transmit_ref(0).unwrap();
         let mut model = TargetedLoss::new(FileId(0), 2);
-        assert!(model.is_lost(tx.as_ref()));
-        assert!(model.is_lost(tx.as_ref()));
-        assert!(!model.is_lost(tx.as_ref()));
+        assert!(model.is_lost(tx));
+        assert!(model.is_lost(tx));
+        assert!(!model.is_lost(tx));
         assert_eq!(model.remaining(), 0);
         let mut other = TargetedLoss::new(FileId(9), 2);
-        assert!(!other.is_lost(tx.as_ref()));
+        assert!(!other.is_lost(tx));
         assert_eq!(other.remaining(), 2);
     }
 }

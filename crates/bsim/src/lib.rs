@@ -14,8 +14,8 @@
 //! * [`worst_case`] — an exact adversarial analysis of retrieval delay under
 //!   a bounded number of reception failures (the generator of Figure 7 and
 //!   the empirical check of Lemmas 1 and 2);
-//! * [`workload`] — file-set and requirement generators: uniform and Zipf
-//!   synthetic mixes plus the paper's AWACS / IVHS motivating scenarios;
+//! * [`workload`] — file-set and requirement generators: uniform synthetic
+//!   mixes plus the paper's AWACS / IVHS motivating scenarios;
 //! * [`stats`] — latency summaries (mean, max, percentiles) and deadline-miss
 //!   accounting;
 //! * [`sim`] — a Monte-Carlo retrieval simulator driving a

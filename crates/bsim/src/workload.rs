@@ -23,39 +23,30 @@ use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration for random file-requirement generation.
+/// Configuration for random file-requirement generation.  Sizes are drawn
+/// uniformly from 1–50 blocks and latencies from 0.5–30 s.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of files.
     pub files: usize,
-    /// Minimum file size in blocks.
-    pub min_blocks: u32,
-    /// Maximum file size in blocks.
-    pub max_blocks: u32,
-    /// Minimum latency in seconds.
-    pub min_latency: f64,
-    /// Maximum latency in seconds.
-    pub max_latency: f64,
     /// Maximum per-file fault-tolerance requirement (faults are drawn
     /// uniformly from `0..=max_faults`).
     pub max_faults: u32,
-    /// Zipf skew for file sizes (0 = uniform; 1 ≈ classic web-object skew).
-    pub size_skew: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             files: 20,
-            min_blocks: 1,
-            max_blocks: 50,
-            min_latency: 0.5,
-            max_latency: 30.0,
             max_faults: 3,
-            size_skew: 0.0,
         }
     }
 }
+
+/// Smallest and largest generated file size, in blocks.
+const BLOCKS: std::ops::RangeInclusive<u32> = 1..=50;
+/// Shortest and longest generated latency, in seconds.
+const LATENCY_SECONDS: std::ops::RangeInclusive<f64> = 0.5..=30.0;
 
 /// Deterministic random generator of planner inputs.
 #[derive(Debug, Clone)]
@@ -77,17 +68,9 @@ impl RequirementGenerator {
     pub fn generate(&mut self) -> Vec<FileRequirement> {
         let c = &self.config;
         (0..c.files)
-            .map(|i| {
-                let size = if c.size_skew <= f64::EPSILON {
-                    self.rng.gen_range(c.min_blocks..=c.max_blocks)
-                } else {
-                    // Rank-based Zipf-ish skew: file i gets a size proportional
-                    // to 1/(i+1)^skew of the maximum, floored at the minimum.
-                    let scale = 1.0 / ((i + 1) as f64).powf(c.size_skew);
-                    let span = f64::from(c.max_blocks - c.min_blocks);
-                    c.min_blocks + (span * scale).round() as u32
-                };
-                let latency = self.rng.gen_range(c.min_latency..=c.max_latency);
+            .map(|_| {
+                let size = self.rng.gen_range(BLOCKS);
+                let latency = self.rng.gen_range(LATENCY_SECONDS);
                 let faults = self.rng.gen_range(0..=c.max_faults);
                 FileRequirement::new(size, latency).with_faults(faults)
             })
@@ -163,9 +146,8 @@ mod tests {
             assert_eq!(x.size_blocks, y.size_blocks);
             assert!((x.latency_seconds - y.latency_seconds).abs() < 1e-12);
             assert_eq!(x.faults, y.faults);
-            assert!(x.size_blocks >= config.min_blocks && x.size_blocks <= config.max_blocks);
-            assert!(x.latency_seconds >= config.min_latency);
-            assert!(x.latency_seconds <= config.max_latency);
+            assert!(BLOCKS.contains(&x.size_blocks));
+            assert!(LATENCY_SECONDS.contains(&x.latency_seconds));
             assert!(x.faults <= config.max_faults);
         }
         let c = RequirementGenerator::new(config, 8).generate();
@@ -174,22 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn zipf_skew_produces_decreasing_sizes() {
-        let config = WorkloadConfig {
-            files: 10,
-            size_skew: 1.0,
-            ..WorkloadConfig::default()
-        };
-        let reqs = RequirementGenerator::new(config, 3).generate();
-        assert!(reqs[0].size_blocks >= reqs[5].size_blocks);
-        assert!(reqs[5].size_blocks >= reqs[9].size_blocks);
-    }
-
-    #[test]
     fn scenarios_are_plannable() {
         use bcore::Planner;
         for scenario in [awacs_scenario(), ivhs_scenario()] {
-            let plan = Planner::default().plan(&scenario).unwrap();
+            let plan = Planner.plan(&scenario).unwrap();
             assert!(plan.chan_chin_bound >= plan.lower_bound);
             assert!(plan.overhead <= 0.5);
         }

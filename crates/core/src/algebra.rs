@@ -162,7 +162,7 @@ mod tests {
     /// end-to-end semantic check of a rule instance.
     fn check_rule_semantically(rhs: &[Pc], aliases: &[(TaskId, TaskId)], lhs: &[Pc]) {
         let system = TaskSystem::new(rhs.iter().copied().map(Pc::to_task).collect()).unwrap();
-        let schedule = AutoScheduler::default()
+        let schedule = AutoScheduler
             .schedule(&system)
             .expect("rule-check instance must be schedulable");
         // Fold aliases: slots of i′ count as slots of i.

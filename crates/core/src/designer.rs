@@ -212,7 +212,7 @@ impl BdiskDesigner<AutoScheduler> {
     #[allow(clippy::should_implement_trait)]
     pub fn default() -> Self {
         BdiskDesigner {
-            scheduler: AutoScheduler::default(),
+            scheduler: AutoScheduler,
         }
     }
 }

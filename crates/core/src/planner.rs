@@ -128,17 +128,10 @@ impl BandwidthPlan {
 }
 
 /// The bandwidth planner.
-#[derive(Debug, Clone, Default)]
-pub struct Planner {
-    scheduler: AutoScheduler,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Planner;
 
 impl Planner {
-    /// Creates a planner with an explicitly configured scheduler cascade.
-    pub fn with_scheduler(scheduler: AutoScheduler) -> Self {
-        Planner { scheduler }
-    }
-
     fn validate(files: &[FileRequirement]) -> Result<(), PlannerError> {
         if files.is_empty() {
             return Err(PlannerError::NoFiles);
@@ -226,7 +219,7 @@ impl Planner {
             if !system.density().within(1.0) {
                 continue;
             }
-            if let Ok(schedule) = self.scheduler.schedule(&system) {
+            if let Ok(schedule) = AutoScheduler.schedule(&system) {
                 return Ok((b, schedule));
             }
         }
@@ -253,7 +246,7 @@ mod tests {
     fn equation_1_matches_hand_computation() {
         let files = vec![FileRequirement::new(5, 2.0), FileRequirement::new(3, 1.5)];
         // Σ mᵢ/Tᵢ = 2.5 + 2 = 4.5; lower bound 5; Eq.1 bound ⌈4.5·10/7⌉ = ⌈6.43⌉ = 7.
-        let plan = Planner::default().plan(&files).unwrap();
+        let plan = Planner.plan(&files).unwrap();
         assert_eq!(plan.lower_bound, 5);
         assert_eq!(plan.chan_chin_bound, 7);
         assert!(plan.overhead <= 0.43 + 1e-9);
@@ -266,7 +259,7 @@ mod tests {
             FileRequirement::new(3, 1.5).with_faults(1),
         ];
         // Σ (mᵢ+rᵢ)/Tᵢ = 3.5 + 8/3 = 6.1667; Eq.2 bound ⌈8.81⌉ = 9.
-        let plan = Planner::default().plan(&files).unwrap();
+        let plan = Planner.plan(&files).unwrap();
         assert_eq!(plan.lower_bound, 7);
         assert_eq!(plan.chan_chin_bound, 9);
     }
@@ -287,7 +280,7 @@ mod tests {
             awacs_files(),
         ];
         for files in cases {
-            let plan = Planner::default().plan(&files).unwrap();
+            let plan = Planner.plan(&files).unwrap();
             assert!(
                 plan.density_at_bound <= CHAN_CHIN_DENSITY_BOUND + 0.03,
                 "density {} too far above 0.7",
@@ -298,7 +291,7 @@ mod tests {
 
     #[test]
     fn overhead_stays_within_its_integer_slot_allowance() {
-        let planner = Planner::default();
+        let planner = Planner;
         // Σ (mᵢ + rᵢ)/Tᵢ = 5 + 2/3 + 1 + 2/3 = 7.33: ⌈10.48⌉ = 11 slots over
         // 8, 37.5%.
         let plan = planner.plan(&awacs_files()).unwrap();
@@ -315,7 +308,7 @@ mod tests {
     #[test]
     fn constructive_bandwidth_lies_between_the_bounds() {
         let files = awacs_files();
-        let planner = Planner::default();
+        let planner = Planner;
         let plan = planner.plan(&files).unwrap();
         let (b, schedule) = planner.minimum_constructive_bandwidth(&files).unwrap();
         assert!(b >= plan.lower_bound, "constructive {b} below lower bound");
@@ -332,7 +325,7 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        let planner = Planner::default();
+        let planner = Planner;
         assert_eq!(planner.plan(&[]).unwrap_err(), PlannerError::NoFiles);
         assert_eq!(
             planner.plan(&[FileRequirement::new(5, 0.0)]).unwrap_err(),

@@ -289,7 +289,7 @@ mod tests {
     fn assert_conjunct_implies_bc(candidate: &Candidate, bc: &Bc) {
         use pinwheel::{verify, AutoScheduler, PinwheelScheduler, Task, TaskSystem};
         let system = candidate.conjunct.to_task_system().unwrap();
-        let schedule = AutoScheduler::default()
+        let schedule = AutoScheduler
             .schedule(&system)
             .expect("candidate conjunct must be schedulable for the semantic check");
         let representative: pinwheel::TaskId = 1_000_000;

@@ -24,10 +24,10 @@
 //! let b = Gf256::new(0xCA);
 //! assert_eq!((a * b) / b, a);
 //!
-//! // A 3×3 Vandermonde matrix is invertible.
-//! let v = Matrix::vandermonde(3, 3).unwrap();
-//! let inv = v.inverted().unwrap();
-//! assert_eq!(inv.inverted().unwrap(), v);
+//! // Any 3 rows of a 5×3 systematic dispersal matrix are invertible.
+//! let sub = Matrix::systematic(5, 3).unwrap().submatrix_rows(&[1, 3, 4]).unwrap();
+//! let inv = sub.inverted().unwrap();
+//! assert_eq!(inv.inverted().unwrap(), sub);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,9 +3,9 @@
 //! The information dispersal algorithm needs three matrix facilities:
 //!
 //! 1. construction of an `N×m` dispersal matrix whose every `m×m` sub-matrix
-//!    is invertible (Vandermonde and Cauchy constructions are provided, plus
-//!    a *systematic* variant whose first `m` rows form the identity so the
-//!    first `m` dispersed blocks are verbatim copies of the source);
+//!    is invertible (the *systematic* Vandermonde variant, whose first `m`
+//!    rows form the identity so the first `m` dispersed blocks are verbatim
+//!    copies of the source);
 //! 2. matrix × vector / matrix × matrix multiplication (dispersal and
 //!    reconstruction are exactly this);
 //! 3. inversion of an `m×m` matrix by Gauss–Jordan elimination
@@ -38,8 +38,8 @@ pub enum MatrixError {
     },
     /// The matrix is singular and cannot be inverted.
     Singular,
-    /// A Vandermonde/Cauchy construction was requested with more rows than
-    /// the field has distinct evaluation points.
+    /// A dispersal matrix was requested with more rows than the field has
+    /// distinct evaluation points.
     TooManyRows {
         /// Rows requested.
         requested: usize,
@@ -210,8 +210,10 @@ impl Matrix {
     ///
     /// Any `cols×cols` sub-matrix formed by choosing distinct rows is
     /// invertible, which is exactly the property IDA needs.  At most 256 rows
-    /// are available (the field has 256 distinct elements).
-    pub fn vandermonde(rows: usize, cols: usize) -> Result<Self, MatrixError> {
+    /// are available (the field has 256 distinct elements).  The reference
+    /// [`Matrix::systematic`]'s closed form is tested against.
+    #[cfg(test)]
+    pub(crate) fn vandermonde(rows: usize, cols: usize) -> Result<Self, MatrixError> {
         if rows > 256 {
             return Err(MatrixError::TooManyRows {
                 requested: rows,
@@ -223,27 +225,6 @@ impl Matrix {
             let x = Gf256::new(r as u8);
             for c in 0..cols {
                 m[(r, c)] = x.pow(c);
-            }
-        }
-        Ok(m)
-    }
-
-    /// A `rows×cols` Cauchy matrix `1 / (xᵢ + yⱼ)` with
-    /// `xᵢ = i` and `yⱼ = rows + j`; all the xs and ys are distinct so every
-    /// square sub-matrix is invertible.  Requires `rows + cols ≤ 256`.
-    pub fn cauchy(rows: usize, cols: usize) -> Result<Self, MatrixError> {
-        if rows + cols > 256 {
-            return Err(MatrixError::TooManyRows {
-                requested: rows + cols,
-                maximum: 256,
-            });
-        }
-        let mut m = Matrix::zero(rows, cols);
-        for r in 0..rows {
-            let x = Gf256::new(r as u8);
-            for c in 0..cols {
-                let y = Gf256::new((rows + c) as u8);
-                m[(r, c)] = (x + y).inverse()?;
             }
         }
         Ok(m)
@@ -523,21 +504,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_cauchy_row_subset_is_invertible() {
-        let n = 7;
-        let m = 3;
-        let v = Matrix::cauchy(n, m).unwrap();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for c in (b + 1)..n {
-                    let sub = v.submatrix_rows(&[a, b, c]).unwrap();
-                    assert!(sub.inverted().is_ok(), "rows {a},{b},{c}");
-                }
-            }
-        }
-    }
-
     /// `V · V_top⁻¹` by actually inverting — the construction
     /// [`Matrix::systematic`] was defined by, kept as its reference.
     fn systematic_by_inversion(rows: usize, cols: usize) -> Matrix {
@@ -615,10 +581,6 @@ mod tests {
         ));
         assert!(matches!(
             Matrix::vandermonde(300, 3),
-            Err(MatrixError::TooManyRows { .. })
-        ));
-        assert!(matches!(
-            Matrix::cauchy(200, 100),
             Err(MatrixError::TooManyRows { .. })
         ));
         assert!(matches!(

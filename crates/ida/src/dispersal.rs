@@ -8,21 +8,6 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Which generator matrix family backs the dispersal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatrixKind {
-    /// A systematic matrix: the first `m` dispersed blocks are the source
-    /// blocks verbatim — views of the file, not copies, where they lie
-    /// wholly inside it (cheapest reconstruction when no faults occur).
-    /// This is the default.
-    #[default]
-    Systematic,
-    /// A plain Vandermonde matrix: every dispersed block is a coded block.
-    Vandermonde,
-    /// A Cauchy matrix (requires `m + n ≤ 256`).
-    Cauchy,
-}
-
 /// A dispersal configuration: files are split into `m` source blocks and
 /// encoded into `n ≥ m` dispersed blocks, any `m` of which reconstruct the
 /// original.
@@ -47,7 +32,6 @@ pub enum MatrixKind {
 pub struct Dispersal {
     m: usize,
     n: usize,
-    kind: MatrixKind,
     matrix: Matrix,
     encode: Arc<OnceLock<EncodePlan>>,
     inverses: Arc<Mutex<InverseCache>>,
@@ -275,12 +259,28 @@ impl DispersedFile {
 }
 
 impl Dispersal {
-    /// Creates a dispersal configuration with a systematic generator matrix.
+    /// Creates a dispersal configuration with a systematic generator matrix:
+    /// the first `m` dispersed blocks are the source blocks verbatim — views
+    /// of the file, not copies, where they lie wholly inside it (cheapest
+    /// reconstruction when no faults occur).
     ///
     /// `m` is the reconstruction threshold, `n` the total number of dispersed
     /// blocks; `1 ≤ m ≤ n ≤ 255` must hold.
     pub fn new(m: usize, n: usize) -> Result<Self, IdaError> {
-        Self::with_kind(m, n, MatrixKind::Systematic)
+        if m == 0 {
+            return Err(IdaError::ThresholdTooSmall);
+        }
+        if n < m || n > 255 {
+            return Err(IdaError::InvalidBlockCount { m, n });
+        }
+        Ok(Dispersal {
+            m,
+            n,
+            matrix: Matrix::systematic(n, m)?,
+            encode: Arc::default(),
+            inverses: Arc::new(Mutex::new(InverseCache::default())),
+            commit: None,
+        })
     }
 
     /// [`Dispersal::new`] with Merkle commitments: every dispersed file
@@ -289,35 +289,11 @@ impl Dispersal {
     /// erasures.  The commit plan (tree shape, padding hashes) is built once
     /// here and shared by every clone.
     pub fn authenticated(m: usize, n: usize) -> Result<Self, IdaError> {
-        let mut d = Self::with_kind(m, n, MatrixKind::Systematic)?;
+        let mut d = Self::new(m, n)?;
         d.commit = Some(Arc::new(
             CommitPlan::new(n).expect("n ≤ 255 always fits a commit plan"),
         ));
         Ok(d)
-    }
-
-    /// Creates a dispersal configuration with an explicit matrix family.
-    pub fn with_kind(m: usize, n: usize, kind: MatrixKind) -> Result<Self, IdaError> {
-        if m == 0 {
-            return Err(IdaError::ThresholdTooSmall);
-        }
-        if n < m || n > 255 {
-            return Err(IdaError::InvalidBlockCount { m, n });
-        }
-        let matrix = match kind {
-            MatrixKind::Systematic => Matrix::systematic(n, m)?,
-            MatrixKind::Vandermonde => Matrix::vandermonde(n, m)?,
-            MatrixKind::Cauchy => Matrix::cauchy(n, m)?,
-        };
-        Ok(Dispersal {
-            m,
-            n,
-            kind,
-            matrix,
-            encode: Arc::default(),
-            inverses: Arc::new(Mutex::new(InverseCache::default())),
-            commit: None,
-        })
     }
 
     /// `true` when this configuration commits what it disperses (built via
@@ -370,11 +346,6 @@ impl Dispersal {
     /// The number of *redundant* blocks, `n − m`.
     pub fn redundancy(&self) -> usize {
         self.n - self.m
-    }
-
-    /// The matrix family in use.
-    pub fn kind(&self) -> MatrixKind {
-        self.kind
     }
 
     /// Number of distinct received-index subsets whose reconstruction
@@ -699,18 +670,12 @@ mod tests {
 
     #[test]
     fn round_trip_with_all_blocks() {
-        for kind in [
-            MatrixKind::Systematic,
-            MatrixKind::Vandermonde,
-            MatrixKind::Cauchy,
-        ] {
-            let d = Dispersal::with_kind(5, 10, kind).unwrap();
-            let data = sample(997); // not a multiple of m → exercises padding
-            let df = d.disperse(FileId(1), &data).unwrap();
-            assert_eq!(df.blocks().len(), 10);
-            let out = d.reconstruct(df.blocks()).unwrap();
-            assert_eq!(out, data, "kind {kind:?}");
-        }
+        let d = Dispersal::new(5, 10).unwrap();
+        let data = sample(997); // not a multiple of m → exercises padding
+        let df = d.disperse(FileId(1), &data).unwrap();
+        assert_eq!(df.blocks().len(), 10);
+        let out = d.reconstruct(df.blocks()).unwrap();
+        assert_eq!(out, data);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use block::{BlockHeader, DispersedBlock, FileId};
 /// The shared payload buffer of a [`DispersedBlock`] and the content type of
 /// [`Dispersal::disperse_bytes`].
 pub use bytes::Bytes;
-pub use dispersal::{Dispersal, DispersedFile, MatrixKind};
+pub use dispersal::{Dispersal, DispersedFile};
 
 use gf256::MatrixError;
 

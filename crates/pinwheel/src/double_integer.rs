@@ -22,30 +22,18 @@ use crate::{
 };
 
 /// Double-integer-reduction scheduler (two-chain specialization).
-#[derive(Debug, Clone)]
-pub struct DoubleIntegerScheduler {
-    /// Maximum number of candidate first bases `x` (sampled evenly beyond
-    /// this).
-    pub max_base_candidates: usize,
-    /// How many of the best `(x, y)` specializations to hand to the
-    /// constructive back-end before giving up.
-    pub max_attempts: usize,
-    /// Step limit for the greedy back-end.
-    pub greedy_step_limit: usize,
-    /// State budget for the exact back-end on the *specialized* instance.
-    pub exact_state_budget: u128,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DoubleIntegerScheduler;
 
-impl Default for DoubleIntegerScheduler {
-    fn default() -> Self {
-        DoubleIntegerScheduler {
-            max_base_candidates: 512,
-            max_attempts: 8,
-            greedy_step_limit: 1 << 18,
-            exact_state_budget: 200_000,
-        }
-    }
-}
+/// Most candidate first bases `x` searched (sampled evenly beyond this).
+const MAX_BASE_CANDIDATES: usize = 512;
+/// How many of the best `(x, y)` specializations are handed to the
+/// constructive back-end before giving up.
+const MAX_ATTEMPTS: usize = 8;
+/// Step limit of the greedy back-end.
+const GREEDY_STEP_LIMIT: usize = 1 << 18;
+/// State budget of the exact back-end on the *specialized* instance.
+const EXACT_STATE_BUDGET: u128 = 200_000;
 
 /// A scored candidate specialization.
 #[derive(Debug, Clone)]
@@ -58,10 +46,10 @@ struct Candidate {
 
 impl DoubleIntegerScheduler {
     /// Enumerates `(x, y)` specializations sorted by specialized density.
-    fn candidates(&self, unit: &TaskSystem) -> Vec<Candidate> {
+    fn candidates(unit: &TaskSystem) -> Vec<Candidate> {
         let min_window = unit.min_window();
         let mut out: Vec<Candidate> = Vec::new();
-        for x in candidate_bases(min_window, self.max_base_candidates) {
+        for x in candidate_bases(min_window, MAX_BASE_CANDIDATES) {
             // y near x·√2 keeps the worst inflation below 10/7; scan a small
             // neighbourhood so that integer effects (small x) are covered.
             let ideal = (f64::from(x) * std::f64::consts::SQRT_2).round() as u32;
@@ -93,7 +81,7 @@ impl DoubleIntegerScheduler {
     }
 
     /// Tries to schedule one specialized instance.
-    fn schedule_candidate(&self, candidate: &Candidate) -> Option<Schedule> {
+    fn schedule_candidate(candidate: &Candidate) -> Option<Schedule> {
         let windows = candidate.spec.windows();
         // Degenerate case: every window landed on a single chain — the
         // harmonic packer is optimal for it.
@@ -103,17 +91,14 @@ impl DoubleIntegerScheduler {
                 return Some(s);
             }
         }
-        let greedy = LlfScheduler {
-            step_limit: self.greedy_step_limit,
-        };
-        if let Ok(s) = greedy.schedule_unit(&windows) {
+        if let Ok(s) = LlfScheduler::schedule_unit(&windows, GREEDY_STEP_LIMIT) {
             return Some(s);
         }
         // Small specialized instances: let the exact solver decide.
         let states: u128 = windows
             .iter()
             .fold(1u128, |acc, &(_, w)| acc.saturating_mul(u128::from(w)));
-        if states <= self.exact_state_budget {
+        if states <= EXACT_STATE_BUDGET {
             let system = candidate.spec.to_task_system();
             if let ExactOutcome::Schedulable(s) = ExactSolver::default().decide(&system) {
                 return Some(s);
@@ -134,7 +119,7 @@ impl PinwheelScheduler for DoubleIntegerScheduler {
             return Err(ScheduleError::DensityExceedsOne(density));
         }
         let unit = system.to_unit_system();
-        let candidates = self.candidates(&unit);
+        let candidates = Self::candidates(&unit);
         if candidates.is_empty() {
             return Err(ScheduleError::PackingFailed);
         }
@@ -143,10 +128,10 @@ impl PinwheelScheduler for DoubleIntegerScheduler {
             if candidate.density > 1.0 + 1e-12 {
                 break;
             }
-            if attempts >= self.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 break;
             }
-            if let Some(schedule) = self.schedule_candidate(candidate) {
+            if let Some(schedule) = Self::schedule_candidate(candidate) {
                 crate::verify(&schedule, system)?;
                 debug_assert!(candidate.y > candidate.x && candidate.y < 2 * candidate.x);
                 return Ok(schedule);
@@ -169,8 +154,7 @@ mod tests {
     fn two_chain_specialization_beats_single_chain_on_awkward_windows() {
         // Windows chosen so no single chain fits well: 10, 14, 19, 27, 39.
         let system = unit_sys(&[(1, 10), (2, 14), (3, 19), (4, 27), (5, 39)]);
-        let di = DoubleIntegerScheduler::default();
-        let candidates = di.candidates(&system.to_unit_system());
+        let candidates = DoubleIntegerScheduler::candidates(&system.to_unit_system());
         assert!(!candidates.is_empty());
         // Inflation of the best candidate must respect the 10/7 cap.
         let best = &candidates[0];
@@ -181,13 +165,13 @@ mod tests {
             .map(|&(id, w)| f64::from(system.task(id).unwrap().window) / f64::from(w))
             .fold(1.0, f64::max);
         assert!(inflation <= 10.0 / 7.0 + 1e-9);
-        let s = di.schedule(&system).unwrap();
+        let s = DoubleIntegerScheduler.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
     }
 
     #[test]
     fn schedules_instances_near_the_seven_tenths_bound() {
-        let di = DoubleIntegerScheduler::default();
+        let di = DoubleIntegerScheduler;
         let instances: Vec<Vec<(u32, u32)>> = vec![
             vec![(1, 3), (2, 5), (3, 7), (4, 50)],          // ≈ 0.696
             vec![(1, 4), (2, 5), (3, 9), (4, 13), (5, 60)], // ≈ 0.65
@@ -216,7 +200,7 @@ mod tests {
     fn rejects_density_above_one() {
         let system = unit_sys(&[(1, 2), (2, 2), (3, 5)]);
         assert!(matches!(
-            DoubleIntegerScheduler::default().schedule(&system),
+            DoubleIntegerScheduler.schedule(&system),
             Err(ScheduleError::DensityExceedsOne(_))
         ));
     }
@@ -227,7 +211,7 @@ mod tests {
         // exceeds density one, so the scheduler must report failure (and the
         // cascade falls back to the greedy).
         let system = unit_sys(&[(1, 2), (2, 5), (3, 7), (4, 9), (5, 43)]);
-        let result = DoubleIntegerScheduler::default().schedule(&system);
+        let result = DoubleIntegerScheduler.schedule(&system);
         match result {
             Ok(s) => verify(&s, &system).unwrap(),
             Err(e) => assert!(matches!(
@@ -242,12 +226,12 @@ mod tests {
         // All windows already powers-of-two multiples of 6: the two-chain
         // search still succeeds (y chain simply unused).
         let system = unit_sys(&[(1, 6), (2, 12), (3, 24), (4, 24)]);
-        let s = DoubleIntegerScheduler::default().schedule(&system).unwrap();
+        let s = DoubleIntegerScheduler.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
     }
 
     #[test]
     fn name_is_stable() {
-        assert_eq!(DoubleIntegerScheduler::default().name(), "double-integer");
+        assert_eq!(DoubleIntegerScheduler.name(), "double-integer");
     }
 }

@@ -36,7 +36,7 @@
 //!
 //! // Example 1 of the paper: {(1,1,2), (2,1,3)} is schedulable.
 //! let system = TaskSystem::new(vec![Task::new(1, 1, 2), Task::new(2, 1, 3)]).unwrap();
-//! let schedule = AutoScheduler::default().schedule(&system).unwrap();
+//! let schedule = AutoScheduler.schedule(&system).unwrap();
 //! assert!(pinwheel::verify(&schedule, &system).is_ok());
 //! ```
 

@@ -31,29 +31,21 @@ use std::collections::HashMap;
 ///
 /// (The name is kept short after the "least-laxity family" of greedy
 /// distance-constrained schedulers it belongs to.)
-#[derive(Debug, Clone)]
-pub struct LlfScheduler {
-    /// Maximum number of slots to simulate before giving up on finding a
-    /// cycle.  The state space is bounded by the product of the windows, but
-    /// in practice cycles appear within a few multiples of the largest
-    /// window.
-    pub step_limit: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LlfScheduler;
 
-impl Default for LlfScheduler {
-    fn default() -> Self {
-        LlfScheduler {
-            step_limit: 1 << 20,
-        }
-    }
-}
+/// Most slots [`LlfScheduler`] simulates before giving up on finding a
+/// cycle.  The state space is bounded by the product of the windows, but in
+/// practice cycles appear within a few multiples of the largest window.
+const STEP_LIMIT: usize = 1 << 20;
 
 impl LlfScheduler {
     /// Runs the greedy simulation on unit-requirement `(id, window)` tasks
-    /// and returns the cyclic part of the trajectory.
+    /// for at most `step_limit` slots and returns the cyclic part of the
+    /// trajectory.
     pub(crate) fn schedule_unit(
-        &self,
         windows: &[(TaskId, u32)],
+        step_limit: usize,
     ) -> Result<Schedule, ScheduleError> {
         if windows.is_empty() {
             return Err(ScheduleError::PackingFailed);
@@ -67,7 +59,7 @@ impl LlfScheduler {
         let mut seen: HashMap<Vec<u32>, usize> = HashMap::new();
         seen.insert(elapsed.clone(), 0);
 
-        for slot in 0..self.step_limit {
+        for slot in 0..step_limit {
             let chosen = Self::pick(windows, &elapsed)
                 .map_err(|()| ScheduleError::GreedyConflict { slot })?;
             emitted.push(Some(windows[chosen].0));
@@ -85,9 +77,7 @@ impl LlfScheduler {
             }
             seen.insert(elapsed.clone(), slot + 1);
         }
-        Err(ScheduleError::CycleNotFound {
-            steps: self.step_limit,
-        })
+        Err(ScheduleError::CycleNotFound { steps: step_limit })
     }
 
     /// Picks the task to run given the elapsed-time vector, or `Err(())` when
@@ -140,7 +130,7 @@ impl PinwheelScheduler for LlfScheduler {
         }
         let unit = system.to_unit_system();
         let windows: Vec<(TaskId, u32)> = unit.tasks().iter().map(|t| (t.id, t.window)).collect();
-        let schedule = self.schedule_unit(&windows)?;
+        let schedule = Self::schedule_unit(&windows, STEP_LIMIT)?;
         crate::verify(&schedule, system)?;
         Ok(schedule)
     }
@@ -157,7 +147,7 @@ mod tests {
 
     #[test]
     fn schedules_paper_example_1() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let s1 = unit_sys(&[(1, 2), (2, 3)]);
         verify(&llf.schedule(&s1).unwrap(), &s1).unwrap();
         let s2 = TaskSystem::new(vec![Task::new(1, 2, 5), Task::unit(2, 3)]).unwrap();
@@ -170,14 +160,14 @@ mod tests {
         // task and then collides; the proportional-progress rule finds the
         // optimal 1,2,1,3,… layout.
         let system = unit_sys(&[(1, 2), (2, 5), (3, 5)]);
-        let s = LlfScheduler::default().schedule(&system).unwrap();
+        let s = LlfScheduler.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
         assert_eq!(s.max_gap(1), Some(2));
     }
 
     #[test]
     fn schedules_dense_feasible_instances() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let instances: Vec<Vec<(u32, u32)>> = vec![
             vec![(1, 2), (2, 4), (3, 8), (4, 8)], // harmonic, density 1.0
             vec![(1, 3), (2, 3), (3, 4)],         // density 11/12
@@ -197,7 +187,7 @@ mod tests {
     fn detects_conflicts_instead_of_emitting_bad_schedules() {
         // {2, 3, n}: infeasible for every n; the greedy must fail, never
         // mis-schedule.
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         for n in [6u32, 10, 100] {
             let system = unit_sys(&[(1, 2), (2, 3), (3, n)]);
             assert!(
@@ -213,7 +203,7 @@ mod tests {
 
     #[test]
     fn rejects_density_above_one() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let system = unit_sys(&[(1, 2), (2, 3), (3, 4)]);
         assert!(matches!(
             llf.schedule(&system),
@@ -223,18 +213,17 @@ mod tests {
 
     #[test]
     fn step_limit_is_honoured() {
-        let llf = LlfScheduler { step_limit: 3 };
-        let system = unit_sys(&[(1, 50), (2, 60), (3, 70)]);
+        let windows = [(1, 50), (2, 60), (3, 70)];
         // Three steps are not enough to close a cycle over three tasks.
         assert!(matches!(
-            llf.schedule(&system),
+            LlfScheduler::schedule_unit(&windows, 3),
             Err(ScheduleError::CycleNotFound { steps: 3 })
         ));
     }
 
     #[test]
     fn cycle_extraction_produces_small_periods() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let system = unit_sys(&[(1, 2), (2, 4), (3, 8), (4, 8)]);
         let s = llf.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
@@ -243,7 +232,7 @@ mod tests {
 
     #[test]
     fn single_task_is_trivially_scheduled() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let system = unit_sys(&[(9, 7)]);
         let s = llf.schedule(&system).unwrap();
         assert_eq!(s.occurrences(9), s.period());
@@ -253,7 +242,7 @@ mod tests {
     fn two_chain_specialized_instances_are_schedulable() {
         // The shape produced by double-integer reduction: windows drawn from
         // {10·2^j} ∪ {14·2^j}.
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let system = unit_sys(&[
             (1, 10),
             (2, 14),
@@ -272,7 +261,7 @@ mod tests {
 
     #[test]
     fn multi_unit_tasks_are_relaxed_via_r3() {
-        let llf = LlfScheduler::default();
+        let llf = LlfScheduler;
         let system = TaskSystem::new(vec![Task::new(1, 2, 6), Task::new(2, 3, 10)]).unwrap();
         let s = llf.schedule(&system).unwrap();
         verify(&s, &system).unwrap();

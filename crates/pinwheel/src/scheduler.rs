@@ -154,46 +154,14 @@ pub trait PinwheelScheduler {
 /// least-laxity greedy → exact state-space search.  Sx's base search always
 /// includes the powers-of-two base, so it succeeds wherever Holte et al.'s
 /// Sa does, and Sa needs no place of its own.
-#[derive(Debug, Clone)]
-pub struct AutoScheduler {
-    double_integer: DoubleIntegerScheduler,
-    sx: SxScheduler,
-    llf: LlfScheduler,
-    exact: ExactSolver,
-    /// Product-of-windows threshold below which the exact solver is consulted.
-    exact_state_budget: u128,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AutoScheduler;
 
-impl Default for AutoScheduler {
-    fn default() -> Self {
-        AutoScheduler {
-            double_integer: DoubleIntegerScheduler::default(),
-            sx: SxScheduler::default(),
-            llf: LlfScheduler::default(),
-            exact: ExactSolver::default(),
-            exact_state_budget: 2_000_000,
-        }
-    }
-}
+/// Product-of-windows threshold below which [`AutoScheduler`] consults the
+/// exact solver.
+const EXACT_STATE_BUDGET: u128 = 2_000_000;
 
 impl AutoScheduler {
-    /// Creates an auto-scheduler with explicit sub-scheduler configuration.
-    pub fn new(
-        double_integer: DoubleIntegerScheduler,
-        sx: SxScheduler,
-        llf: LlfScheduler,
-        exact: ExactSolver,
-        exact_state_budget: u128,
-    ) -> Self {
-        AutoScheduler {
-            double_integer,
-            sx,
-            llf,
-            exact,
-            exact_state_budget,
-        }
-    }
-
     fn state_space_size(system: &TaskSystem) -> u128 {
         system
             .to_unit_system()
@@ -220,7 +188,8 @@ impl PinwheelScheduler for AutoScheduler {
         }
 
         let mut last_err = None;
-        let cascade: [&dyn PinwheelScheduler; 3] = [&self.double_integer, &self.sx, &self.llf];
+        let cascade: [&dyn PinwheelScheduler; 3] =
+            [&DoubleIntegerScheduler, &SxScheduler, &LlfScheduler];
         for scheduler in cascade {
             match scheduler.schedule(system) {
                 Ok(s) => return Ok(s),
@@ -228,8 +197,8 @@ impl PinwheelScheduler for AutoScheduler {
             }
         }
 
-        if Self::state_space_size(system) <= self.exact_state_budget {
-            match self.exact.decide(&system.to_unit_system()) {
+        if Self::state_space_size(system) <= EXACT_STATE_BUDGET {
+            match ExactSolver::default().decide(&system.to_unit_system()) {
                 ExactOutcome::Schedulable(s) => {
                     crate::verify(&s, system)?;
                     return Ok(s);
@@ -300,9 +269,9 @@ impl PinwheelScheduler for SchedulerChoice {
         match self {
             SchedulerChoice::Harmonic => HarmonicScheduler.schedule(system),
             SchedulerChoice::Sa => SaScheduler.schedule(system),
-            SchedulerChoice::Sx => SxScheduler::default().schedule(system),
-            SchedulerChoice::DoubleInteger => DoubleIntegerScheduler::default().schedule(system),
-            SchedulerChoice::Llf => LlfScheduler::default().schedule(system),
+            SchedulerChoice::Sx => SxScheduler.schedule(system),
+            SchedulerChoice::DoubleInteger => DoubleIntegerScheduler.schedule(system),
+            SchedulerChoice::Llf => LlfScheduler.schedule(system),
             SchedulerChoice::Exact => {
                 let unit = system.to_unit_system();
                 match ExactSolver::default().decide(&unit) {
@@ -320,7 +289,7 @@ impl PinwheelScheduler for SchedulerChoice {
                     }
                 }
             }
-            SchedulerChoice::Auto => AutoScheduler::default().schedule(system),
+            SchedulerChoice::Auto => AutoScheduler.schedule(system),
         }
     }
 }
@@ -342,7 +311,7 @@ mod tests {
 
     #[test]
     fn auto_schedules_paper_example_1_instances() {
-        let auto = AutoScheduler::default();
+        let auto = AutoScheduler;
         for tasks in [vec![(1, 1, 2), (2, 1, 3)], vec![(1, 2, 5), (2, 1, 3)]] {
             let system = sys(&tasks);
             let s = auto.schedule(&system).expect("schedulable instance");
@@ -352,7 +321,7 @@ mod tests {
 
     #[test]
     fn auto_rejects_density_above_one() {
-        let auto = AutoScheduler::default();
+        let auto = AutoScheduler;
         let system = sys(&[(1, 1, 2), (2, 1, 2), (3, 1, 3)]);
         assert!(matches!(
             auto.schedule(&system),
@@ -363,7 +332,7 @@ mod tests {
     #[test]
     fn auto_proves_example_1_third_instance_infeasible() {
         // {(1,1,2),(2,1,3),(3,1,n)} is infeasible for every n; check a few.
-        let auto = AutoScheduler::default();
+        let auto = AutoScheduler;
         for n in [6u32, 7, 12, 30] {
             let system = sys(&[(1, 1, 2), (2, 1, 3), (3, 1, n)]);
             let result = auto.schedule(&system);
@@ -377,7 +346,7 @@ mod tests {
     #[test]
     fn auto_handles_density_point_seven_instances() {
         // A spread of instances at density ≈ 0.7 (the Chan & Chin bound).
-        let auto = AutoScheduler::default();
+        let auto = AutoScheduler;
         let instances = [
             vec![(1u32, 1u32, 3u32), (2, 1, 5), (3, 1, 7), (4, 1, 50)],
             vec![(1, 1, 4), (2, 1, 4), (3, 1, 6), (4, 1, 30)],
@@ -396,7 +365,7 @@ mod tests {
 
     #[test]
     fn auto_handles_multi_unit_requirements() {
-        let auto = AutoScheduler::default();
+        let auto = AutoScheduler;
         let system = sys(&[(1, 2, 10), (2, 3, 12), (3, 1, 9)]);
         let s = auto.schedule(&system).unwrap();
         verify(&s, &system).unwrap();

@@ -114,7 +114,7 @@ impl SpecializedSystem {
 /// Bases `x ≤ ⌊w_min/2⌋` are equivalent (on windows ≥ `w_min`) to their
 /// doubled representative in `(⌊w_min/2⌋, w_min]`, so only that half-open
 /// range needs to be searched.  For very large `w_min` the range is sampled
-/// down to `max_candidates` evenly spaced values (both endpoints included
+/// down to `max_candidates ≥ 1` evenly spaced values (both endpoints included
 /// once there is room for two).  The power-of-two base
 /// [`specialize_pow2`]`(w_min)` is always a candidate — when sampling, it
 /// takes the place of the nearest sample — so a search over these bases
@@ -126,7 +126,7 @@ pub(crate) fn candidate_bases(min_window: u32, max_candidates: usize) -> Vec<u32
     let lo = min_window / 2 + 1;
     let hi = min_window;
     let count = (hi - lo + 1) as usize;
-    if count <= max_candidates || max_candidates == 0 {
+    if count <= max_candidates {
         return (lo..=hi).collect();
     }
     let steps = (max_candidates - 1).max(1);

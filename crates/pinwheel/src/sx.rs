@@ -15,33 +15,26 @@
 use crate::specialize::{candidate_bases, specialize_single, SpecializedSystem};
 use crate::{harmonic, PinwheelScheduler, Schedule, ScheduleError, TaskSystem};
 
-/// Single-integer-reduction scheduler with exhaustive base search.
-#[derive(Debug, Clone)]
-pub struct SxScheduler {
-    /// Maximum number of candidate bases examined (the candidate range is
-    /// sampled evenly beyond this).  The default of 4096 makes the search
-    /// exhaustive for every realistic broadcast-disk instance.
-    pub max_candidates: usize,
-}
+/// Most candidate bases Sx examines; beyond it the candidate range is
+/// sampled evenly.  4096 makes the search exhaustive for every realistic
+/// broadcast-disk instance.
+const MAX_CANDIDATES: usize = 4096;
 
-impl Default for SxScheduler {
-    fn default() -> Self {
-        SxScheduler {
-            max_candidates: 4096,
-        }
-    }
-}
+/// Single-integer-reduction scheduler with exhaustive base search.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SxScheduler;
 
 impl SxScheduler {
-    /// Finds the candidate base minimising the specialized density, together
-    /// with that specialization.  Returns `None` when the system is empty.
-    pub(crate) fn best_specialization(
-        &self,
+    /// Finds the base among `candidate_bases(w_min, max_candidates)`
+    /// minimising the specialized density, together with that
+    /// specialization.  Returns `None` when the system is empty.
+    fn best_specialization(
         unit: &TaskSystem,
+        max_candidates: usize,
     ) -> Option<(u32, SpecializedSystem)> {
         let min_window = unit.min_window();
         let mut best: Option<(u32, SpecializedSystem, f64)> = None;
-        for x in candidate_bases(min_window, self.max_candidates) {
+        for x in candidate_bases(min_window, max_candidates) {
             let Some(spec) = SpecializedSystem::build(unit, |w| specialize_single(w, x)) else {
                 continue;
             };
@@ -56,22 +49,19 @@ impl SxScheduler {
         }
         best.map(|(x, spec, _)| (x, spec))
     }
-}
 
-impl PinwheelScheduler for SxScheduler {
-    fn name(&self) -> &'static str {
-        "sx"
-    }
-
-    fn schedule(&self, system: &TaskSystem) -> Result<Schedule, ScheduleError> {
+    /// [`PinwheelScheduler::schedule`] over at most `max_candidates` bases.
+    fn schedule_capped(
+        system: &TaskSystem,
+        max_candidates: usize,
+    ) -> Result<Schedule, ScheduleError> {
         let density = system.density();
         if !density.within(1.0) {
             return Err(ScheduleError::DensityExceedsOne(density));
         }
         let unit = system.to_unit_system();
-        let (_, spec) = self
-            .best_specialization(&unit)
-            .ok_or(ScheduleError::PackingFailed)?;
+        let (_, spec) =
+            Self::best_specialization(&unit, max_candidates).ok_or(ScheduleError::PackingFailed)?;
         let spec_density = spec.density();
         if spec_density > 1.0 + 1e-12 {
             return Err(ScheduleError::SpecializationFailed {
@@ -81,6 +71,16 @@ impl PinwheelScheduler for SxScheduler {
         let schedule = harmonic::schedule_chain(&spec.windows())?;
         crate::verify(&schedule, system)?;
         Ok(schedule)
+    }
+}
+
+impl PinwheelScheduler for SxScheduler {
+    fn name(&self) -> &'static str {
+        "sx"
+    }
+
+    fn schedule(&self, system: &TaskSystem) -> Result<Schedule, ScheduleError> {
+        Self::schedule_capped(system, MAX_CANDIDATES)
     }
 }
 
@@ -98,10 +98,10 @@ mod tests {
         // Windows {7, 100}: powers of two give 4 + 64 (density 0.2656…);
         // base 7 gives 7 + 56; base 6 gives 6 + 96 (density 0.177).
         let system = unit_sys(&[(1, 7), (2, 100)]);
-        let (x, spec) = SxScheduler::default().best_specialization(&system).unwrap();
+        let (x, spec) = SxScheduler::best_specialization(&system, MAX_CANDIDATES).unwrap();
         assert!(spec.density() <= 1.0 / 7.0 + 1.0 / 56.0 + 1e-12);
         assert!((4..=7).contains(&x));
-        let s = SxScheduler::default().schedule(&system).unwrap();
+        let s = SxScheduler.schedule(&system).unwrap();
         verify(&s, &system).unwrap();
     }
 
@@ -121,7 +121,7 @@ mod tests {
                 d > 0.5 && d <= 0.67 + 1e-9,
                 "instance {windows:?} density {d}"
             );
-            let s = SxScheduler::default()
+            let s = SxScheduler
                 .schedule(&system)
                 .unwrap_or_else(|e| panic!("failed on {windows:?}: {e}"));
             verify(&s, &system).unwrap();
@@ -132,7 +132,7 @@ mod tests {
     fn rejects_density_above_one() {
         let system = unit_sys(&[(1, 2), (2, 2), (3, 3)]);
         assert!(matches!(
-            SxScheduler::default().schedule(&system),
+            SxScheduler.schedule(&system),
             Err(ScheduleError::DensityExceedsOne(_))
         ));
     }
@@ -141,7 +141,7 @@ mod tests {
     fn reports_specialization_failure_when_no_base_fits() {
         // Density 0.95: any single-chain specialization pushes it above 1.
         let system = unit_sys(&[(1, 2), (2, 3), (3, 9), (4, 90)]);
-        let result = SxScheduler::default().schedule(&system);
+        let result = SxScheduler.schedule(&system);
         assert!(
             matches!(result, Err(ScheduleError::SpecializationFailed { .. })),
             "got {result:?}"
@@ -150,9 +150,68 @@ mod tests {
 
     #[test]
     fn candidate_cap_is_respected() {
-        let sx = SxScheduler { max_candidates: 8 };
         let system = unit_sys(&[(1, 10_000), (2, 30_000), (3, 90_001)]);
-        let s = sx.schedule(&system).unwrap();
+        let s = SxScheduler::schedule_capped(&system, 8).unwrap();
         verify(&s, &system).unwrap();
+    }
+
+    /// The search always contains Sa's powers-of-two base, whatever its
+    /// cap, so Sx schedules every instance Sa schedules — the reason the
+    /// auto-scheduler's cascade runs no Sa of its own.  The window ranges
+    /// make each cap sample its candidates: above 16 a cap of 8 samples,
+    /// above 8193 the cap of 4096 does, and a cap of 1 always does (it
+    /// once divided by zero on `{10, 30}`).
+    #[test]
+    fn sx_schedules_whatever_sa_schedules_at_every_candidate_cap() {
+        use crate::{SaScheduler, Task};
+
+        // A fixed linear congruential stream: the crate takes no RNG.
+        let mut state = 0x5A07u64;
+        let mut window_in = |lo: u32, hi: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (state >> 33) as u32 % (hi - lo)
+        };
+        let mut systems: Vec<TaskSystem> = [&[10, 30][..], &[4, 9, 17, 40], &[8194, 20_000]]
+            .iter()
+            .map(|windows| {
+                let tasks = windows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &w)| Task::unit(i as u32 + 1, w))
+                    .collect();
+                TaskSystem::new(tasks).unwrap()
+            })
+            .collect();
+        for case in 0..48 {
+            let (lo, hi, max_tasks) = [(2, 200, 12), (17, 400, 40), (8194, 20_000, 4)][case % 3];
+            let target = 0.3 + 0.7 * case as f64 / 48.0;
+            let mut tasks = Vec::new();
+            let mut density = 0.0;
+            while tasks.len() < max_tasks {
+                let w = window_in(lo, hi);
+                if density + 1.0 / f64::from(w) > target {
+                    break;
+                }
+                density += 1.0 / f64::from(w);
+                tasks.push(Task::unit(tasks.len() as u32 + 1, w));
+            }
+            if !tasks.is_empty() {
+                systems.push(TaskSystem::new(tasks).unwrap());
+            }
+        }
+        for system in &systems {
+            let sa = SaScheduler.schedule(system);
+            for cap in [1, 8, MAX_CANDIDATES] {
+                let sx = SxScheduler::schedule_capped(system, cap);
+                if sa.is_ok() {
+                    let schedule = sx.unwrap_or_else(|e| {
+                        panic!("Sx (cap {cap}) failed where Sa succeeded: {e}, {system:?}")
+                    });
+                    assert!(verify(&schedule, system).is_ok());
+                }
+            }
+        }
     }
 }

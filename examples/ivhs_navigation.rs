@@ -39,7 +39,7 @@ const NAMES: [&str; 5] = [
 fn main() -> Result<(), rtbdisk::Error> {
     // 1. Size the channel with Equations 1/2.
     let requirements = ivhs_scenario();
-    let planner = Planner::default();
+    let planner = Planner;
     let plan = planner.plan(&requirements).expect("valid scenario");
     let (bandwidth, _) = planner
         .minimum_constructive_bandwidth(&requirements)

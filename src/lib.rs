@@ -108,8 +108,7 @@ pub use bmode::{
     ChannelTransition, ModeEvent, ModePlanner, ModeSchedule, ModeSpec, SwapPolicy, TransitionPlan,
 };
 pub use bnet::{
-    ControlClient, ControlTimeouts, MetricsFormat, NetClient, NetConfig, NetError, NetStats,
-    RecoveryConfig,
+    ControlClient, MetricsFormat, NetClient, NetConfig, NetError, NetStats, RecoveryConfig,
 };
 pub use bobs::{Event, Telemetry};
 pub use brt::{

@@ -28,15 +28,18 @@ impl Station {
     ///
     /// Clients join with [`bnet::NetClient::join`] against
     /// [`NetServing::data_addr`].
-    pub fn serve_network(self, clock: impl brt::SlotClock) -> Result<NetServing, Error> {
+    pub fn serve_network(self, clock: impl Into<brt::SlotClock>) -> Result<NetServing, Error> {
         self.serve_network_with(clock, RuntimeConfig::default(), NetConfig::default())
     }
 
     /// [`Station::serve_network`] with explicit runtime and network
     /// tunables (bind addresses, MTU, the optional TCP control plane).
+    ///
+    /// Refuses, with [`Error::Net`], a station whose largest block does
+    /// not cross the wire at the configured MTU (see [`bnet::check_mtu`]).
     pub fn serve_network_with(
         self,
-        clock: impl brt::SlotClock,
+        clock: impl Into<brt::SlotClock>,
         runtime_config: RuntimeConfig,
         net_config: NetConfig,
     ) -> Result<NetServing, Error> {
@@ -44,6 +47,7 @@ impl Station {
         // metrics scrape over the control plane sees `brt_*` and `bnet_*`
         // in a single registry.  The directory starts empty: spawning the
         // runtime hands the fan-out the bank before any slot is served.
+        bnet::check_mtu(self.bank(), net_config.mtu).map_err(|e| Error::Net(e.to_string()))?;
         let telemetry = bobs::Telemetry::new();
         let (fanout, net) =
             NetServer::bind_with_telemetry(net_config, Directory::new(), telemetry.clone())

@@ -31,7 +31,7 @@ impl Station {
     /// Use a [`brt::WallClock`] for real pacing and a [`brt::ManualClock`]
     /// for deterministic tests (no slot is served until the clock is
     /// advanced).
-    pub fn serve_concurrent(self, clock: impl brt::SlotClock) -> RuntimeHandle {
+    pub fn serve_concurrent(self, clock: impl Into<brt::SlotClock>) -> RuntimeHandle {
         self.serve_concurrent_with(clock, RuntimeConfig::default())
     }
 
@@ -39,7 +39,7 @@ impl Station {
     /// smaller broadcast ring to exercise lag behaviour).
     pub fn serve_concurrent_with(
         self,
-        clock: impl brt::SlotClock,
+        clock: impl Into<brt::SlotClock>,
         config: RuntimeConfig,
     ) -> RuntimeHandle {
         RuntimeHandle {

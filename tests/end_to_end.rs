@@ -145,7 +145,7 @@ fn designer_and_planner_agree_on_an_awacs_style_disk() {
     // requirements in slots at the constructive bandwidth and design the
     // program through the facade; the design must be feasible and verified.
     let requirements = bsim::awacs_scenario();
-    let planner = bcore::Planner::default();
+    let planner = bcore::Planner;
     let (bandwidth, _) = planner
         .minimum_constructive_bandwidth(&requirements)
         .unwrap();

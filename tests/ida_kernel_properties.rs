@@ -1,18 +1,20 @@
 //! New-vs-old coding-path equivalence: the vectorized slice-kernel
 //! disperse/reconstruct must be byte-identical to the scalar `Gf256`
-//! matrix algebra it replaced, for every matrix family, odd/padded file
-//! lengths and arbitrary loss patterns.
+//! matrix algebra it replaced, for the systematic generator, odd/padded
+//! file lengths and arbitrary loss patterns.  Rows `0..m` of the generator
+//! are the identity and every row `≥ m` is coded, so each case checks both
+//! the view rows and the coded rows.
 //!
 //! The "old" path is reproduced here from the public `gf256` scalar API
 //! exactly as `ida` used it before the kernel rewrite: pad to `m` blocks of
-//! `Gf256`, multiply by the generator matrix via [`Matrix::mul_blocks`],
+//! `Gf256`, multiply by [`Matrix::systematic`] via [`Matrix::mul_blocks`],
 //! and on reconstruction invert the received-row sub-matrix and multiply
 //! again.  The production path ([`ida::Dispersal`]) runs on split-nibble /
 //! bit-broadcast slice kernels with a systematic fast path and memoised
 //! decode plans — none of which may change a single byte.
 
 use gf256::{Gf256, Matrix};
-use ida::{Dispersal, DispersedBlock, FileId, MatrixKind};
+use ida::{Dispersal, DispersedBlock, FileId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,15 +25,6 @@ fn prop_cases() -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(64)
         .max(1)
-}
-
-fn generator(kind: MatrixKind, n: usize, m: usize) -> Matrix {
-    match kind {
-        MatrixKind::Systematic => Matrix::systematic(n, m),
-        MatrixKind::Vandermonde => Matrix::vandermonde(n, m),
-        MatrixKind::Cauchy => Matrix::cauchy(n, m),
-    }
-    .expect("test parameters are valid for every family")
 }
 
 /// The pre-kernel scalar encode: zero-pad into `m` `Gf256` blocks, multiply
@@ -94,13 +87,7 @@ fn scalar_reconstruct(matrix: &Matrix, m: usize, blocks: &[&DispersedBlock]) -> 
 #[test]
 fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
     let mut rng = StdRng::seed_from_u64(0x1DA_C0DE);
-    let kinds = [
-        MatrixKind::Systematic,
-        MatrixKind::Vandermonde,
-        MatrixKind::Cauchy,
-    ];
     for case in 0..prop_cases() {
-        let kind = kinds[case % kinds.len()];
         let m = rng.gen_range(1usize..=8);
         let n = rng.gen_range(m..=m + 10);
         // Odd lengths on purpose: the final source block is partial, so the
@@ -108,9 +95,9 @@ fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
         let len = rng.gen_range(1usize..=400) * 2 - 1;
         let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..=255) as u8).collect();
 
-        let dispersal = Dispersal::with_kind(m, n, kind).unwrap();
+        let dispersal = Dispersal::new(m, n).unwrap();
         let dispersed = dispersal.disperse(FileId(7), &data).unwrap();
-        let matrix = generator(kind, n, m);
+        let matrix = Matrix::systematic(n, m).unwrap();
 
         // Encode equivalence: all n payloads, byte for byte.
         let scalar_blocks = scalar_disperse(&matrix, m, &data);
@@ -118,7 +105,7 @@ fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
             assert_eq!(
                 &dispersed.blocks()[index].payload()[..],
                 &expected[..],
-                "case {case} ({kind:?}, {m}/{n}, len {len}): encode block {index}"
+                "case {case} ({m}/{n}, len {len}): encode block {index}"
             );
         }
 
@@ -139,7 +126,7 @@ fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
         assert_eq!(
             fast,
             slow,
-            "case {case} ({kind:?}, {m}/{n}, len {len}): decode from {:?}",
+            "case {case} ({m}/{n}, len {len}): decode from {:?}",
             &order[..keep]
         );
         assert_eq!(fast, data, "case {case}: decode must round-trip");
@@ -159,7 +146,7 @@ fn systematic_fast_paths_match_scalar_on_extreme_loss_patterns() {
         let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..=255) as u8).collect();
         let dispersal = Dispersal::new(m, n).unwrap();
         let dispersed = dispersal.disperse(FileId(3), &data).unwrap();
-        let matrix = generator(MatrixKind::Systematic, n, m);
+        let matrix = Matrix::systematic(n, m).unwrap();
 
         let patterns: Vec<Vec<usize>> = vec![
             (0..m).collect(),                               // systematic prefix verbatim

@@ -3,10 +3,12 @@
 //! to the in-process drive — with injected garbage datagrams accounted as
 //! erasures along the way.
 
-use rtbdisk::bnet::NetClient;
+use rtbdisk::bnet::wire::{encode, ControlFrame, Frame};
+use rtbdisk::bnet::{Directory, NetClient, NetServer};
 use rtbdisk::{
-    Broadcast, ControlClient, FileId, GeneralizedFileSpec, ManualClock, ModeSchedule, ModeSpec,
-    NetConfig, NetError, NetServing, NoErrors, RuntimeConfig, Station, SwapPolicy,
+    Broadcast, ControlClient, Error, FileId, GeneralizedFileSpec, ManualClock, ModeSchedule,
+    ModeSpec, NetConfig, NetError, NetServing, NoErrors, RecoveryConfig, RuntimeConfig, Station,
+    SwapPolicy,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -312,4 +314,95 @@ fn swaps_through_the_bare_runtime_handle_reach_the_control_plane() {
     assert_eq!((refreshed.m, refreshed.n), (widened.m, widened.n));
     assert_ne!(refreshed.commitment_root, widened.commitment_root);
     serving.shutdown().unwrap();
+}
+
+/// A 6 MiB block encodes to a frame of more fragments than the wire allows
+/// at the default MTU.  A station serving one is refused before its serving
+/// thread starts, and so is an MTU with no room for a fragment.  A block
+/// that large swapped in later is dropped lane by lane, counted once per
+/// peer as a send error, and the serving thread goes on serving the rest.
+#[test]
+fn blocks_the_wire_cannot_carry_are_refused_up_front_and_dropped_after_a_swap() {
+    let oversize = GeneralizedFileSpec::new(FileId(1), 1, vec![10, 14])
+        .unwrap()
+        .with_block_bytes(6 << 20);
+    let refused = Broadcast::builder()
+        .file(oversize)
+        .build()
+        .unwrap()
+        .serve_network_with(
+            ManualClock::new(),
+            RuntimeConfig::default(),
+            NetConfig::default(),
+        );
+    match refused {
+        Err(Error::Net(message)) => assert!(
+            message.contains("cannot cross the wire at mtu 1400"),
+            "{message}"
+        ),
+        other => panic!("a 6 MiB block must be refused, got {:?}", other.err()),
+    }
+    let tiny = NetConfig {
+        mtu: 26,
+        ..NetConfig::default()
+    };
+    match NetServer::bind(tiny.clone(), Directory::new()) {
+        Err(NetError::FrameTooLarge { mtu: 26, .. }) => {}
+        other => panic!("an mtu of 26 must be refused, got {:?}", other.err()),
+    }
+    assert!(matches!(
+        station().serve_network_with(ManualClock::new(), RuntimeConfig::default(), tiny),
+        Err(Error::Net(_))
+    ));
+
+    let clock = ManualClock::new();
+    let serving = station()
+        .serve_network_with(
+            clock.clone(),
+            RuntimeConfig::default(),
+            NetConfig::default().with_control_plane(),
+        )
+        .unwrap();
+    // A peer that never leaves, so every lane of every slot is published.
+    let peer = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    peer.send_to(
+        &encode(&Frame::Control(ControlFrame::Join)),
+        serving.data_addr(),
+    )
+    .unwrap();
+    let recovery = RecoveryConfig::default().with_control(serving.control_addr().unwrap());
+    let client = NetClient::join_with(serving.data_addr(), FileId(1), recovery).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while serving.net_stats().joins < 2 {
+        assert!(Instant::now() < deadline, "both joins must land");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut specs = serving.runtime().snapshot().unwrap().specs().to_vec();
+    specs[1] = specs[1].clone().with_block_bytes(6 << 20);
+    let schedule = ModeSchedule::new().at(
+        0,
+        ModeSpec::new("oversize").files(specs),
+        SwapPolicy::Immediate,
+    );
+    let outcomes = serving.runtime().run_schedule(schedule).join();
+    assert!(outcomes[0].applied(), "{:?}", outcomes[0]);
+    let expected = expected_bytes(&serving.runtime().snapshot().unwrap(), FileId(1));
+
+    let retrieval = std::thread::spawn(move || client.retrieve(Duration::from_secs(30)));
+    advance_until(&clock, || {
+        retrieval.is_finished() && serving.net_stats().send_errors > 0
+    });
+    let outcome = retrieval
+        .join()
+        .expect("client thread does not panic")
+        .expect("the untouched file is still served");
+    assert_eq!(outcome.data, expected);
+    assert!(
+        serving.runtime().stats().is_ok(),
+        "the serving thread lives"
+    );
+    serving
+        .shutdown()
+        .expect("the serving thread shuts down cleanly");
 }

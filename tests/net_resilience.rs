@@ -9,9 +9,8 @@ use rtbdisk::bnet::wire::{encode, Frame, SlotFrame};
 use rtbdisk::bnet::ClientState;
 use rtbdisk::ida::{BlockHeader, DispersedBlock};
 use rtbdisk::{
-    Broadcast, ControlClient, ControlTimeouts, FileId, GeneralizedFileSpec, ManualClock, ModeSpec,
-    NetClient, NetConfig, NetError, NetServing, NoErrors, RecoveryConfig, RuntimeConfig, Station,
-    SwapPolicy, WallClock,
+    Broadcast, ControlClient, FileId, GeneralizedFileSpec, ManualClock, ModeSpec, NetClient,
+    NetConfig, NetError, NetServing, NoErrors, RecoveryConfig, RuntimeConfig, Station, SwapPolicy,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -253,8 +252,7 @@ fn control_plane_timeouts_surface_as_named_errors() {
     // replies never come.
     let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = silent.local_addr().unwrap();
-    let timeouts = ControlTimeouts::uniform(Duration::from_millis(50));
-    let mut client = ControlClient::connect_with(addr, timeouts).unwrap();
+    let mut client = ControlClient::connect(addr).unwrap();
     match client.subscribe(FileId(1)) {
         Err(NetError::Timeout { during }) => assert_eq!(during, "subscribe reply"),
         other => panic!("a silent control plane must surface a named timeout, got {other:?}"),
@@ -296,15 +294,4 @@ fn recovery_rounds_are_bounded_and_degrade_to_rejoined() {
         stats.partition_suspects >= 1,
         "the watchdog must have suspected the silence: {stats:?}"
     );
-}
-
-#[test]
-fn the_watchdog_derives_from_the_station_clock() {
-    let period = Duration::from_millis(5);
-    let config = RecoveryConfig::default().watchdog_from_clock(&WallClock::new(period), 100);
-    assert_eq!(config.watchdog, period * 100);
-    // A manual clock has no wall period: the watchdog keeps its default.
-    let default = RecoveryConfig::default().watchdog;
-    let config = RecoveryConfig::default().watchdog_from_clock(&ManualClock::new(), 100);
-    assert_eq!(config.watchdog, default);
 }

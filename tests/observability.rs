@@ -201,24 +201,26 @@ fn a_live_station_serves_metrics_over_the_control_plane() {
 
 #[test]
 fn the_event_trace_ring_is_bounded_and_counts_evictions() {
-    let telemetry = Telemetry::with_trace_capacity(8);
+    let telemetry = Telemetry::new();
     telemetry.set_recording(true);
-    for slot in 0..20u64 {
+    let capacity = telemetry.trace().capacity();
+    let events = capacity as u64 + 12;
+    for slot in 0..events {
         telemetry.record_event(|| rtbdisk::Event::FrameDropped { slot });
     }
     let trace = telemetry.trace().snapshot();
-    assert_eq!(trace.len(), 8, "the ring holds its capacity");
+    assert_eq!(trace.len(), capacity, "the ring holds its capacity");
     assert_eq!(telemetry.trace().dropped(), 12, "evictions are counted");
     assert_eq!(
         trace.last(),
-        Some(&rtbdisk::Event::FrameDropped { slot: 19 }),
+        Some(&rtbdisk::Event::FrameDropped { slot: events - 1 }),
         "the newest events survive"
     );
 
     // Recording off: the closure must not even run.
     telemetry.set_recording(false);
     telemetry.record_event(|| panic!("a disabled trace must not evaluate events"));
-    assert_eq!(telemetry.trace().snapshot().len(), 8);
+    assert_eq!(telemetry.trace().snapshot().len(), capacity);
 }
 
 #[test]

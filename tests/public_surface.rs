@@ -20,6 +20,14 @@
 //! [`ALLOWLIST`] names the uncalled items that stay `pub` on purpose, each
 //! with its [`Reason`].  The list can only shrink: an entry that gains a
 //! caller or stops being a `pub` item fails the test as well.
+//!
+//! The option surface is pinned the same way.  An option is a `pub` field
+//! of a `pub struct` whose crate hand-writes its `impl Default` (a chosen
+//! default is a knob; a `#[derive(Default)]` stats struct is not), or an
+//! `RTBDISK_*` environment variable some code under `crates/`, `src/` or
+//! `tests/` reads.  [`OPTIONS`] lists each one with the non-test source
+//! that sets it, or the reason it stays with none.  A new option and a
+//! stale entry both fail, by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -61,9 +69,7 @@ const ALLOWLIST: &[(&str, &str, Reason)] = &[
     ("bnet", "with_telemetry", Metric),        // `NetClient::with_telemetry`
     ("bobs", "EventRing", Signature),          // `Telemetry::trace`
     ("bobs", "HistogramSnapshot", Signature),  // `Histogram::snapshot`
-    ("brt", "ClockPoll", Signature),           // `SlotClock::poll`
     ("brt", "RuntimeController", Signature),   // `Runtime::controller`
-    ("brt", "WakeSignal", Signature),          // `SlotClock::register_waker`
     ("bsim", "LatencySummary", Signature),     // `SimulationReport::latency`
     ("bsim", "MissReport", Signature),         // `SimulationReport::misses`
     ("bsim", "SimulationReport", Signature),   // `RetrievalSimulator::run_file`
@@ -72,6 +78,85 @@ const ALLOWLIST: &[(&str, &str, Reason)] = &[
     ("pinwheel", "Density", Signature),        // `TaskSystem::density`
     ("pinwheel", "VerificationError", Signature), // `verify`
 ];
+
+/// How an option is set outside the tests, or why it stays without a setter.
+#[derive(Clone, Copy, Debug)]
+enum Setter {
+    /// `(file, name)`: a non-test source, relative to the repository root,
+    /// that sets the option through `name` (the field, a builder method or
+    /// the variable).
+    In(&'static str, &'static str),
+    /// Nothing outside the tests sets it; it stays for this reason.
+    Because(&'static str),
+}
+
+use Setter::{Because, In};
+
+const FAULT_MATRIX: &str = "crates/bench/src/fault_matrix.rs";
+const ABLATIONS: &str = "crates/bench/src/ablations.rs";
+const CI: &str = ".github/workflows/ci.yml";
+
+/// Every option, with its setter: `Struct::field` or the variable's name.
+const OPTIONS: &[(&str, Setter)] = &[
+    (
+        "RuntimeConfig::queue_capacity",
+        In("crates/bench/src/runtime_perf.rs", "queue_capacity"),
+    ),
+    (
+        "NetConfig::data_bind",
+        In("examples/net_client.rs", "data_bind"),
+    ),
+    (
+        "NetConfig::control_bind",
+        In(FAULT_MATRIX, "with_control_plane"),
+    ),
+    (
+        "NetConfig::mtu",
+        Because("`benchmark/` sizes its wire frames by the default"),
+    ),
+    (
+        "RecoveryConfig::join_backoff",
+        In(FAULT_MATRIX, "join_backoff"),
+    ),
+    (
+        "RecoveryConfig::max_backoff",
+        In(FAULT_MATRIX, "max_backoff"),
+    ),
+    ("RecoveryConfig::watchdog", In(FAULT_MATRIX, "watchdog")),
+    (
+        "RecoveryConfig::max_recoveries",
+        In(FAULT_MATRIX, "max_recoveries"),
+    ),
+    ("RecoveryConfig::control", In(FAULT_MATRIX, "with_control")),
+    ("RecoveryConfig::seed", In(FAULT_MATRIX, "seed")),
+    (
+        "SimulationConfig::retrievals_per_file",
+        In(ABLATIONS, "retrievals_per_file"),
+    ),
+    (
+        "SimulationConfig::deadline_slots",
+        In(ABLATIONS, "deadline_slots"),
+    ),
+    (
+        "SimulationConfig::max_listen_slots",
+        In(ABLATIONS, "max_listen_slots"),
+    ),
+    ("SimulationConfig::seed", In(ABLATIONS, "seed")),
+    (
+        "WorkloadConfig::files",
+        In("crates/bench/src/bounds.rs", "files"),
+    ),
+    (
+        "WorkloadConfig::max_faults",
+        In("crates/bench/src/bounds.rs", "max_faults"),
+    ),
+    ("ExactSolver::state_limit", In(ABLATIONS, "state_limit")),
+    ("RTBDISK_PROP_CASES", In(CI, "RTBDISK_PROP_CASES")),
+    ("RTBDISK_PERF_TOLERANCE", In(CI, "RTBDISK_PERF_TOLERANCE")),
+];
+
+/// Where an `RTBDISK_*` variable may be read.
+const OPTION_READERS: &[&str] = &["crates", "src", "tests"];
 
 /// The experiment harness under `crates/`.
 const HARNESS: &str = "bench";
@@ -89,10 +174,12 @@ const CALLERS: &[&str] = &[
 enum Token {
     Ident(String),
     Punct(char),
+    /// The body of a plain string literal.
+    Str(String),
 }
 
-/// Splits Rust source into identifiers and punctuation, dropping comments,
-/// string and character literals, lifetimes and numbers.
+/// Splits Rust source into identifiers, punctuation and plain string
+/// literals, dropping comments, other literals, lifetimes and numbers.
 fn tokens(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
     let word_end = |mut i: usize| {
@@ -129,7 +216,10 @@ fn tokens(src: &str) -> Vec<Token> {
                 }
             }
         } else if c == '"' {
-            i = skip_string(&chars, i + 1);
+            let end = skip_string(&chars, i + 1);
+            let body = chars[i + 1..end.saturating_sub(1).max(i + 1)].iter();
+            out.push(Token::Str(body.collect()));
+            i = end;
         } else if c == '\'' {
             i = skip_char_or_lifetime(&chars, i, word_end(i + 1));
         } else if c.is_ascii_digit() {
@@ -275,7 +365,7 @@ fn identifiers(src: &str) -> BTreeSet<String> {
         .into_iter()
         .filter_map(|t| match t {
             Token::Ident(w) => Some(w),
-            Token::Punct(_) => None,
+            Token::Punct(_) | Token::Str(_) => None,
         })
         .collect()
 }
@@ -450,6 +540,127 @@ impl Index {
     }
 }
 
+/// `Struct::field` for every `pub` field of a `pub struct` that one of
+/// `crates` hand-writes `impl Default` for, each crate given as its
+/// sources' texts.
+fn option_fields(crates: &[Vec<String>]) -> BTreeSet<String> {
+    let mut options = BTreeSet::new();
+    for sources in crates {
+        let toks: Vec<Vec<Token>> = sources.iter().map(|s| non_test_tokens(s)).collect();
+        let defaulted: BTreeSet<String> = toks
+            .iter()
+            .flat_map(|t| t.windows(4))
+            .filter_map(|w| match w {
+                [Token::Ident(i), Token::Ident(d), Token::Ident(f), Token::Ident(name)]
+                    if i == "impl" && d == "Default" && f == "for" =>
+                {
+                    Some(name.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        for t in &toks {
+            for (i, _) in t
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| is_ident(t.get(i), "pub") && is_ident(t.get(i + 1), "struct"))
+            {
+                let Some(Token::Ident(name)) = t.get(i + 2) else {
+                    continue;
+                };
+                if !defaulted.contains(name) || t.get(i + 3) != Some(&Token::Punct('{')) {
+                    continue;
+                }
+                let mut depth = 0;
+                for (j, token) in t.iter().enumerate().skip(i + 3) {
+                    match token {
+                        Token::Punct('{') => depth += 1,
+                        Token::Punct('}') => depth -= 1,
+                        _ => {}
+                    }
+                    if depth == 0 {
+                        break;
+                    }
+                    if let (1, true, Some(Token::Ident(field)), Some(Token::Punct(':'))) = (
+                        depth,
+                        is_ident(Some(token), "pub"),
+                        t.get(j + 1),
+                        t.get(j + 2),
+                    ) {
+                        options.insert(format!("{name}::{field}"));
+                    }
+                }
+            }
+        }
+    }
+    options
+}
+
+/// Every `RTBDISK_*` variable a source reads: the string literal passed to
+/// `var(` or `var_os(`.
+fn option_variables(sources: &[String]) -> BTreeSet<String> {
+    sources
+        .iter()
+        .flat_map(|s| {
+            tokens(s)
+                .windows(3)
+                .filter_map(|w| match w {
+                    [Token::Ident(read), Token::Punct('('), Token::Str(name)]
+                        if (read == "var" || read == "var_os") && name.starts_with("RTBDISK_") =>
+                    {
+                        Some(name.clone())
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The workspace's options: each crate's (and the facade's) `pub` fields
+/// with a hand-written default, and the variables read under
+/// [`OPTION_READERS`].
+fn workspace_options() -> BTreeSet<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates directory")
+        .map(|e| e.expect("directory entry").path().join("src"))
+        .collect();
+    crate_dirs.push(root.join("src"));
+    crate_dirs.sort();
+    let crates: Vec<Vec<String>> = crate_dirs
+        .iter()
+        .map(|dir| rust_files(dir).iter().map(|f| read(f)).collect())
+        .collect();
+    let readers: Vec<String> = OPTION_READERS
+        .iter()
+        .flat_map(|dir| rust_files(&root.join(dir)))
+        .map(|f| read(&f))
+        .collect();
+    let mut options = option_fields(&crates);
+    options.extend(option_variables(&readers));
+    options
+}
+
+/// An option `table` does not list and a table entry that is no option,
+/// each as a readable problem.
+fn option_problems(options: &BTreeSet<String>, table: &[(&str, Setter)]) -> Vec<String> {
+    let listed: BTreeSet<String> = table.iter().map(|(o, _)| o.to_string()).collect();
+    let mut problems = Vec::new();
+    for option in options.difference(&listed) {
+        problems.push(format!(
+            "`{option}` is a new option: make it a constant, or list it in OPTIONS with the \
+             non-test source that sets it"
+        ));
+    }
+    for option in listed.difference(options) {
+        problems.push(format!(
+            "OPTIONS lists `{option}`, which is not an option any more: drop the entry"
+        ));
+    }
+    problems
+}
+
 #[test]
 fn every_public_item_has_a_caller_or_a_stated_reason() {
     let problems = Index::of_workspace().problems(ALLOWLIST);
@@ -463,7 +674,7 @@ fn every_public_item_has_a_caller_or_a_stated_reason() {
 
 #[test]
 fn the_allowlist_stays_short_and_names_each_item_once() {
-    assert!(ALLOWLIST.len() <= 30, "{} entries", ALLOWLIST.len());
+    assert!(ALLOWLIST.len() <= 28, "{} entries", ALLOWLIST.len());
     let keys: BTreeSet<(&str, &str)> = ALLOWLIST.iter().map(|&(k, i, _)| (k, i)).collect();
     assert_eq!(keys.len(), ALLOWLIST.len(), "an entry is listed twice");
 }
@@ -558,4 +769,62 @@ fn the_tokenizer_skips_comments_strings_and_test_modules() {
     ] {
         assert!(!idents.contains(hidden), "`{hidden}` is not code");
     }
+}
+
+#[test]
+fn every_option_has_a_setter_or_a_stated_reason() {
+    let problems = option_problems(&workspace_options(), OPTIONS);
+    assert!(
+        problems.is_empty(),
+        "{} problem(s):\n  {}",
+        problems.len(),
+        problems.join("\n  ")
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for &(option, setter) in OPTIONS {
+        match setter {
+            In(file, name) => {
+                let text = std::fs::read_to_string(root.join(file))
+                    .unwrap_or_else(|e| panic!("`{option}`'s setter {file}: {e}"));
+                assert!(
+                    text.contains(name),
+                    "`{option}`: {file} never names `{name}`"
+                );
+            }
+            Because(reason) => assert!(!reason.is_empty(), "`{option}` states no reason"),
+        }
+    }
+    let keys: BTreeSet<&str> = OPTIONS.iter().map(|&(o, _)| o).collect();
+    assert_eq!(keys.len(), OPTIONS.len(), "an option is listed twice");
+}
+
+#[test]
+fn a_new_option_and_a_stale_option_entry_both_fail() {
+    let config = "pub struct Config { pub depth: u8, pub(crate) hidden: u8, pub seed: u64 }\n\
+                  impl Default for Config { fn default() -> Self { todo!() } }\n\
+                  #[derive(Default)] pub struct Stats { pub count: u64 }\n\
+                  pub struct Plain { pub field: u8 }\n\
+                  #[cfg(test)] mod tests { impl Default for Plain { } }";
+    let reader = "fn knob() { std::env::var(\"RTBDISK_NEW\"); }\n\
+                  // std::env::var(\"RTBDISK_COMMENTED\")\n\
+                  const LISTED: &str = \"RTBDISK_NOT_READ\";";
+    let mut options = option_fields(&[vec![config.to_string()]]);
+    options.extend(option_variables(&[reader.to_string()]));
+    let expected = ["Config::depth", "Config::seed", "RTBDISK_NEW"];
+    assert_eq!(options, expected.iter().map(|o| o.to_string()).collect());
+    let table = [
+        ("Config::depth", Because("kept")),
+        ("RTBDISK_NEW", Because("kept")),
+        ("Gone::field", Because("kept")),
+    ];
+    let problems = option_problems(&options, &table);
+    assert_eq!(problems.len(), 2, "{problems:?}");
+    assert!(problems[0].contains("`Config::seed` is a new option"));
+    assert!(problems[1].contains("`Gone::field`, which is not an option"));
+    let complete = [
+        ("Config::depth", Because("kept")),
+        ("Config::seed", Because("kept")),
+        ("RTBDISK_NEW", Because("kept")),
+    ];
+    assert!(option_problems(&options, &complete).is_empty());
 }
