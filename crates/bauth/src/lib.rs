@@ -28,7 +28,8 @@
 //! * [`Commitment`] — a built tree: the [`Root`] plus O(log n)-lookup
 //!   per-block [`BlockProof`]s;
 //! * [`verify_block`] — standalone verify-on-receive for receivers that
-//!   only hold the advertised `(root, n)`.
+//!   only hold the advertised `(root, n)`; [`verify_block_pair`] checks two
+//!   blocks of one file with their leaves hashed side by side.
 //!
 //! The crate is std-only and dependency-free, so every layer from `ida` up
 //! can use it without widening the build.
@@ -43,6 +44,7 @@ mod merkle;
 mod sha256;
 
 pub use merkle::{
-    leaf_hash, leaf_hashes, verify_block, BlockProof, CommitPlan, Commitment, Root, MAX_DEPTH,
+    leaf_hash, leaf_hashes, verify_block, verify_block_pair, BlockProof, CommitPlan, Commitment,
+    Root, MAX_DEPTH,
 };
 pub use sha256::sha256;

@@ -52,14 +52,32 @@ pub fn leaf_hashes<'a>(
     let mut out = Vec::with_capacity(blocks.size_hint().0);
     while let Some((index, payload)) = blocks.next() {
         match blocks.next_if(|(_, next)| next.len() == payload.len()) {
-            Some((second, next)) => {
-                let head = [index, second].map(|i| leaf_header(file, i, m, n, original_len));
-                out.extend(sha256_pair([&head[0], &head[1]], [payload, next]));
-            }
+            Some((second, next)) => out.extend(leaf_pair(
+                file,
+                m,
+                n,
+                original_len,
+                [index, second],
+                [payload, next],
+            )),
             None => out.push(leaf_hash(file, index, m, n, original_len, payload)),
         }
     }
     out
+}
+
+/// The leaves of two blocks of one file whose payloads have one length,
+/// hashed side by side.
+fn leaf_pair(
+    file: u32,
+    m: u32,
+    n: u32,
+    original_len: u64,
+    index: [u32; 2],
+    payload: [&[u8]; 2],
+) -> [Root; 2] {
+    let head = index.map(|i| leaf_header(file, i, m, n, original_len));
+    sha256_pair([&head[0], &head[1]], payload)
 }
 
 /// A leaf's tagged `(file, index, m, n, original_len)` prefix.
@@ -242,12 +260,51 @@ pub fn verify_block(
     payload: &[u8],
     proof: &BlockProof,
 ) -> bool {
-    let expected_depth = (n.max(1) as u64).next_power_of_two().trailing_zeros() as usize;
-    if proof.depth() != expected_depth || index >= n {
+    if !fits_tree(index, n, proof) {
         return false;
     }
     let leaf = leaf_hash(file, index, m, n, original_len, payload);
     proof.verify(index, &leaf, root)
+}
+
+/// [`verify_block`] for two blocks of one file at once: when their payloads
+/// have one length their leaves are hashed side by side, through the
+/// two-lane path [`leaf_hashes`] pairs a file's leaves with; otherwise one
+/// at a time.  Each verdict equals [`verify_block`]'s for that block.
+#[allow(clippy::too_many_arguments)] // the shared header, spelled out
+pub fn verify_block_pair(
+    root: &Root,
+    file: u32,
+    m: u32,
+    n: u32,
+    original_len: u64,
+    index: [u32; 2],
+    payload: [&[u8]; 2],
+    proof: [&BlockProof; 2],
+) -> [bool; 2] {
+    if payload[0].len() != payload[1].len() {
+        return [0, 1].map(|i| {
+            verify_block(
+                root,
+                file,
+                index[i],
+                m,
+                n,
+                original_len,
+                payload[i],
+                proof[i],
+            )
+        });
+    }
+    let leaf = leaf_pair(file, m, n, original_len, index, payload);
+    [0, 1].map(|i| fits_tree(index[i], n, proof[i]) && proof[i].verify(index[i], &leaf[i], root))
+}
+
+/// Whether `proof` has the depth a width-`n` tree pins and `index` lies
+/// inside that tree.
+fn fits_tree(index: u32, n: u32, proof: &BlockProof) -> bool {
+    let expected_depth = (n.max(1) as u64).next_power_of_two().trailing_zeros() as usize;
+    proof.depth() == expected_depth && index < n
 }
 
 #[cfg(test)]
@@ -332,6 +389,48 @@ mod tests {
         assert!(!verify_block(
             &root, 7, 4, 3, n as u32, 4096, &[4u8; 64], &bad
         ));
+    }
+
+    #[test]
+    fn paired_verdicts_equal_one_block_at_a_time() {
+        let n = 10;
+        let commitment = CommitPlan::new(n).unwrap().commit(&leaves(n));
+        let root = commitment.root();
+        let proofs: Vec<BlockProof> = (0..n).map(|i| commitment.proof(i).unwrap()).collect();
+        let payloads: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 64]).collect();
+        // Each block honest, tampered, or cut to another length.
+        let variant = |i: usize, how: usize| -> Vec<u8> {
+            let mut p = payloads[i].clone();
+            match how {
+                0 => {}
+                1 => p[9] ^= 0x10,
+                _ => p.truncate(40),
+            }
+            p
+        };
+        for a in 0..n {
+            for b in [0, 3, 9] {
+                for (how_a, how_b) in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)] {
+                    let (pa, pb) = (variant(a, how_a), variant(b, how_b));
+                    let index = [a as u32, b as u32];
+                    let pair = verify_block_pair(
+                        &root,
+                        7,
+                        3,
+                        n as u32,
+                        4096,
+                        index,
+                        [&pa, &pb],
+                        [&proofs[a], &proofs[b]],
+                    );
+                    let alone = [(a, &pa), (b, &pb)].map(|(i, p)| {
+                        verify_block(&root, 7, i as u32, 3, n as u32, 4096, p, &proofs[i])
+                    });
+                    assert_eq!(pair, alone, "blocks {a}/{b}, variants {how_a}/{how_b}");
+                    assert_eq!(pair, [how_a == 0, how_b == 0]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::TransmissionRef;
 use bauth::{BlockProof, Root};
 use ida::{Dispersal, DispersedBlock, FileId, IdaError};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// One unit of client-side block/erasure intake — everything a
@@ -97,6 +97,10 @@ pub enum Ingest {
     /// expected root and was booked as an erasure — the typed Byzantine
     /// outcome (corruption degrades to a loss the `n − m` budget absorbs).
     BadProof,
+    /// The block was held back unverified, to be checked together with the
+    /// next block of the file (see [`ClientSession::ingest`]).  It is not
+    /// stored and not counted in [`ClientSession::blocks_received`].
+    Held,
 }
 
 impl Ingest {
@@ -146,6 +150,9 @@ pub struct ClientSession {
     /// The `(channel, epoch)` the session is tuned to, once known.
     tuning: Option<(usize, u64)>,
     received: BTreeMap<u32, DispersedBlock>,
+    /// A block of the file held back unverified, with its proof, until a
+    /// second block arrives to share the leaf hashing (armed sessions only).
+    held: Option<(DispersedBlock, Arc<BlockProof>)>,
     errors_observed: usize,
     verify_failures: usize,
     completed_at: Option<usize>,
@@ -164,6 +171,7 @@ impl ClientSession {
             expected_root: None,
             tuning: None,
             received: BTreeMap::new(),
+            held: None,
             errors_observed: 0,
             verify_failures: 0,
             completed_at: None,
@@ -178,7 +186,10 @@ impl ClientSession {
     /// The one keep-or-restart rule: the collected blocks survive only when
     /// `(m, n)` and the root are both unchanged; otherwise they are dropped
     /// and collection starts again, every erasure and verify failure
-    /// observed so far carried forward.  A completed session ignores it.
+    /// observed so far carried forward.  A block held back unverified is
+    /// first checked against the root it arrived under, so it is kept or
+    /// booked exactly as if it had been verified on arrival.  A completed
+    /// session ignores it.
     pub fn retune(
         &mut self,
         channel: usize,
@@ -189,6 +200,7 @@ impl ClientSession {
         if self.is_complete() {
             return;
         }
+        self.settle();
         let params = params.filter(|&(m, n)| (1..=n).contains(&m));
         if params.is_some_and(|p| self.params() != Some(p)) || root != self.expected_root {
             self.received.clear();
@@ -205,6 +217,7 @@ impl ClientSession {
     /// an erasure ([`Ingest::BadProof`]).  Blocks already stored are kept —
     /// arm the root before feeding the session.
     pub fn require_root(&mut self, root: Root) {
+        self.settle();
         self.expected_root = Some(root);
     }
 
@@ -245,9 +258,17 @@ impl ClientSession {
         self.file
     }
 
-    /// Number of distinct blocks received so far.
+    /// Number of distinct blocks received so far (verified, when a root is
+    /// armed; a block held back unverified is not counted).
     pub fn blocks_received(&self) -> usize {
         self.received.len()
+    }
+
+    /// Whether a block of the session's file with this `index` could still
+    /// be stored: the session is not complete and holds no block of that
+    /// index.  A transport asks before it pays for a block's bytes.
+    pub fn needs(&self, index: u32) -> bool {
+        !self.is_complete() && !self.received.contains_key(&index)
     }
 
     /// Number of failed receptions observed so far.
@@ -272,10 +293,25 @@ impl ClientSession {
     ///   with a wire-carried inclusion proof;
     /// * [`Observation::Erasure`] — out-of-band erasures (lag accounting).
     ///
+    /// A block whose index the session already holds is
+    /// [`Ingest::Ignored`] before any hashing, whatever its bytes.
+    ///
     /// When a root is armed ([`ClientSession::require_root`]), every block
     /// must verify against it before it is stored; a failure is booked as
     /// an erasure and reported as [`Ingest::BadProof`] so callers can count
-    /// it distinctly (it is the Byzantine signal, not a mere loss).
+    /// it distinctly (it is the Byzantine signal, not a mere loss).  To
+    /// hash leaves two at a time, an armed session that already stores a
+    /// block holds one more back unverified ([`Ingest::Held`]: not stored,
+    /// not counted, never reconstructed) and checks it together with the
+    /// next block of the file.  A block is checked at once, with any held
+    /// one, when it is the first to be stored, when it could complete the
+    /// session (stored + held + 1 ≥ `m`), or when it repeats the held
+    /// index (the held copy is then checked first, as if alone).  The
+    /// outcome reports the observed block; a held block that fails is
+    /// booked, once, in the call that checks it, and shows in
+    /// [`ClientSession::verify_failures`].  So the completion slot, the
+    /// stored blocks and, from completion on, the error counts equal those
+    /// of checking every block on arrival.
     pub fn ingest(&mut self, observation: Observation<'_>) -> Ingest {
         match observation {
             Observation::Erasure { count } => {
@@ -321,42 +357,121 @@ impl ClientSession {
         if !self.fits(block) {
             return Ingest::Ignored;
         }
-        let h = block.header();
-        if let Some(root) = &self.expected_root {
-            let verified = proof.or(block.proof()).is_some_and(|p| {
-                bauth::verify_block(
-                    root,
+        match self.expected_root {
+            Some(root) => self.verify_and_store(root, slot, block, proof),
+            None => self.store(slot, block),
+        }
+    }
+
+    /// Stores `block` once it verifies against `root` — alone, with the
+    /// block held back, or held back itself (see [`ClientSession::ingest`]).
+    fn verify_and_store(
+        &mut self,
+        root: Root,
+        slot: usize,
+        block: &DispersedBlock,
+        proof: Option<&Arc<BlockProof>>,
+    ) -> Ingest {
+        if self.received.contains_key(&block.index()) {
+            return Ingest::Ignored;
+        }
+        if self
+            .held
+            .as_ref()
+            .is_some_and(|(held, _)| held.index() == block.index())
+        {
+            self.settle();
+            if self.received.contains_key(&block.index()) {
+                return Ingest::Ignored;
+            }
+        }
+        let Some(proof) = proof.or(block.proof()) else {
+            self.reject();
+            return Ingest::BadProof;
+        };
+        let verified = match self.held.take() {
+            None if !self.received.is_empty()
+                && self.received.len() + 1 < block.threshold() as usize =>
+            {
+                self.held = Some((block.clone(), Arc::clone(proof)));
+                return Ingest::Held;
+            }
+            None => verify(&root, block, proof),
+            Some((held, held_proof)) => {
+                let h = held.header();
+                debug_assert!(
+                    (h.m, h.n, h.original_len, held.len())
+                        == (
+                            block.threshold(),
+                            block.header().n,
+                            block.header().original_len,
+                            block.len()
+                        ),
+                    "held and new blocks both fit the stored ones"
+                );
+                let [held_ok, ok] = bauth::verify_block_pair(
+                    &root,
                     h.file.0,
-                    h.index,
                     h.m,
                     h.n,
                     h.original_len,
-                    block.payload(),
-                    p,
-                )
-            });
-            if !verified {
-                self.errors_observed += 1;
-                self.verify_failures += 1;
-                return Ingest::BadProof;
+                    [h.index, block.index()],
+                    [held.payload(), block.payload()],
+                    [&held_proof, proof],
+                );
+                if held_ok {
+                    self.received.insert(held.index(), held);
+                } else {
+                    self.reject();
+                }
+                ok
             }
+        };
+        if !verified {
+            self.reject();
+            return Ingest::BadProof;
         }
+        self.store(slot, block)
+    }
+
+    /// Stores a block of an index not yet held, completing the session at
+    /// `slot` when it is the `m`-th.
+    fn store(&mut self, slot: usize, block: &DispersedBlock) -> Ingest {
+        let Entry::Vacant(entry) = self.received.entry(block.index()) else {
+            return Ingest::Ignored;
+        };
+        entry.insert(block.clone());
+        let h = block.header();
         let m = *self.threshold.get_or_insert(h.m as usize);
         self.width.get_or_insert(h.n as usize);
-        let mut fresh = false;
-        self.received.entry(block.index()).or_insert_with(|| {
-            fresh = true;
-            block.clone()
-        });
         if self.received.len() >= m {
             self.completed_at = Some(slot);
             return Ingest::Completed;
         }
-        if fresh {
-            Ingest::Stored
+        Ingest::Stored
+    }
+
+    /// Checks a held-back block alone, against the armed root: stored when
+    /// it verifies (a held block can never complete the session), booked
+    /// otherwise.
+    fn settle(&mut self) {
+        let Some((held, proof)) = self.held.take() else {
+            return;
+        };
+        let root = self
+            .expected_root
+            .expect("a block is held only under a root");
+        if verify(&root, &held, &proof) {
+            self.received.insert(held.index(), held);
         } else {
-            Ingest::Ignored
+            self.reject();
         }
+    }
+
+    /// Books one block that failed commitment verification.
+    fn reject(&mut self) {
+        self.errors_observed += 1;
+        self.verify_failures += 1;
     }
 
     /// Whether `block` can join the blocks collected so far: its header
@@ -387,6 +502,21 @@ impl ClientSession {
             data,
         })
     }
+}
+
+/// Whether `block` verifies against `root` under `proof`.
+fn verify(root: &Root, block: &DispersedBlock, proof: &BlockProof) -> bool {
+    let h = block.header();
+    bauth::verify_block(
+        root,
+        h.file.0,
+        h.index,
+        h.m,
+        h.n,
+        h.original_len,
+        block.payload(),
+        proof,
+    )
 }
 
 #[cfg(test)]
@@ -602,6 +732,9 @@ mod tests {
 
         // The authentic blocks complete the retrieval byte-identically; a
         // wire-carried proof (explicit field) works like an embedded one.
+        // The first is checked alone, the second is held back and checked
+        // with the third, which completes the session.
+        let expected = [Ingest::Stored, Ingest::Held, Ingest::Completed];
         for (i, b) in df.blocks().iter().take(3).enumerate() {
             let outcome = session.ingest(Observation::Block {
                 slot: 2 + i,
@@ -609,16 +742,55 @@ mod tests {
                 received_ok: true,
                 proof: b.proof().cloned(),
             });
-            if i == 2 {
-                assert_eq!(outcome, Ingest::Completed);
-            } else {
-                assert_eq!(outcome, Ingest::Stored);
-            }
+            assert_eq!(outcome, expected[i], "block {i}");
         }
         let outcome = session.finish(&d).unwrap();
         assert_eq!(outcome.data, data);
         assert_eq!(outcome.errors_observed, 2);
         assert_eq!(session.verify_failures(), 2);
+    }
+
+    /// A copy of an index the session holds is ignored before hashing, so
+    /// a tampered copy costs nothing; the same for a copy of the index
+    /// held back unverified, once the held copy checks out.
+    #[test]
+    fn a_tampered_duplicate_is_ignored_unhashed_and_unbooked() {
+        use bytes::Bytes;
+        let d = Dispersal::authenticated(4, 8).unwrap();
+        let df = d.disperse(FileId(3), &[0x3Cu8; 400]).unwrap();
+        let root = df.commitment_root().unwrap();
+        let tamper = |b: &DispersedBlock| {
+            let mut payload = b.payload().to_vec();
+            payload[1] ^= 0x80;
+            DispersedBlock::new(*b.header(), Bytes::from(payload))
+                .with_proof(b.proof().unwrap().clone())
+        };
+        let mut session = ClientSession::new(FileId(3), 0, 0);
+        session.require_root(root);
+        let blocks = df.blocks();
+        assert_eq!(block_in(&mut session, 0, &blocks[0]), Ingest::Stored);
+        assert!(!session.needs(0) && session.needs(1));
+        assert_eq!(
+            block_in(&mut session, 1, &tamper(&blocks[0])),
+            Ingest::Ignored
+        );
+        assert_eq!(block_in(&mut session, 2, &blocks[1]), Ingest::Held);
+        assert_eq!(
+            block_in(&mut session, 3, &tamper(&blocks[1])),
+            Ingest::Ignored
+        );
+        assert_eq!(session.blocks_received(), 2, "the held copy checked out");
+        assert_eq!(
+            (session.errors_observed(), session.verify_failures()),
+            (0, 0)
+        );
+        assert_eq!(block_in(&mut session, 4, &blocks[2]), Ingest::Held);
+        assert_eq!(block_in(&mut session, 5, &blocks[3]), Ingest::Completed);
+        let outcome = session.finish(&d).unwrap();
+        assert_eq!(
+            (outcome.data, outcome.errors_observed),
+            (vec![0x3C; 400], 0)
+        );
     }
 
     fn block_in(session: &mut ClientSession, slot: usize, block: &DispersedBlock) -> Ingest {

@@ -7,7 +7,18 @@
 //! what the wire needs: it decodes packets, reassembles fragments, hands
 //! blocks of its file to the session, flags a newer epoch on its channel
 //! as stale, and — the heart of the paper's model — turns everything that
-//! goes wrong on the medium into *erasures* rather than failures:
+//! goes wrong on the medium into *erasures* rather than failures.
+//!
+//! A datagram costs in proportion to what the session keeps from it.  A
+//! slot frame names its block in its header, and for a fragmented frame
+//! fragment 0 carries that header: a frame of another file, of an index
+//! the session holds, or arriving after completion feeds only the gap
+//! detector and the staleness check.  Its group is dropped there, and its
+//! later fragments are skipped without a checksum or a copy.  A kept
+//! frame's chunks are written once into one buffer, and the block's
+//! payload is a view of it.
+//!
+//! Erasures:
 //!
 //! * a datagram that fails to decode (corrupt, short, foreign, or a control
 //!   note of a retired opcode) counts as one erasure;
@@ -24,9 +35,12 @@
 //! property tests), or a replay log.
 
 use crate::error::NetError;
-use crate::wire::{decode, ControlFrame, Frame, Packet, Reassembler, SlotFrame, SubscriptionInfo};
+use crate::wire::{
+    self, ControlFrame, FragmentView, Frame, PacketView, Reassembler, SlotFrame, SlotHead,
+    SubscriptionInfo,
+};
 use bauth::Root;
-use bdisk::{ClientSession, Ingest, Observation, RetrievalOutcome};
+use bdisk::{ClientSession, Observation, RetrievalOutcome};
 use ida::{Dispersal, FileId};
 
 /// Counters describing what a [`ClientState`] has seen.
@@ -153,7 +167,7 @@ impl ClientState {
     /// Arms verify-on-receive against `root` out of band (e.g. a root
     /// pinned by the operator rather than learned from the station).
     pub fn require_root(&mut self, root: Root) {
-        self.session.require_root(root);
+        self.booking(|session| session.require_root(root));
     }
 
     /// The epoch the client's channel serves under, once learned.
@@ -178,7 +192,8 @@ impl ClientState {
         self.stats
     }
 
-    /// Distinct blocks of the file received so far.
+    /// Distinct blocks of the file received so far (verified, when a root
+    /// is armed; see [`ClientSession::ingest`] for a block held back).
     pub fn blocks_received(&self) -> usize {
         self.session.blocks_received()
     }
@@ -187,33 +202,58 @@ impl ClientState {
     /// retrieval.
     pub fn feed_datagram(&mut self, buf: &[u8]) -> bool {
         self.stats.datagrams += 1;
-        match decode(buf) {
-            Ok(Packet::Frame(frame)) => self.feed_frame(frame),
-            Ok(Packet::Fragment(frag)) => {
-                let before = self.reassembler.evicted();
-                let complete = self.reassembler.offer(frag);
-                self.note_erasures((self.reassembler.evicted() - before) as usize);
-                match complete {
-                    Some(bytes) => match decode(&bytes) {
-                        Ok(Packet::Frame(frame)) => self.feed_frame(frame),
-                        // A reassembled frame that decodes to garbage (or,
-                        // nonsensically, to another fragment) is a lost
-                        // frame: one erasure.
-                        _ => {
-                            self.stats.decode_errors += 1;
-                            self.note_erasures(1);
-                            false
-                        }
-                    },
-                    None => false,
-                }
+        if wire::peek_fragment(buf)
+            .is_some_and(|(seq, index, count)| self.reassembler.skips(seq, index, count))
+        {
+            return false;
+        }
+        match wire::parse(buf) {
+            Ok(PacketView::Slot(view)) if self.needs(view.head) => self.feed_slot(view.to_frame()),
+            Ok(PacketView::Slot(view)) => {
+                let head = view.head;
+                self.hear(head.channel, head.epoch, head.slot);
+                false
             }
+            Ok(PacketView::Control(cf)) => self.feed_frame(Frame::Control(cf)),
+            Ok(PacketView::Fragment(frag)) => self.feed_fragment(&frag),
             Err(_) => {
-                self.stats.decode_errors += 1;
-                self.note_erasures(1);
+                self.decode_error();
                 false
             }
         }
+    }
+
+    fn feed_fragment(&mut self, frag: &FragmentView<'_>) -> bool {
+        if frag.index == 0 {
+            if let Some(head) = wire::peek_slot(frag.chunk).filter(|&head| !self.needs(head)) {
+                self.reassembler.skip(frag.seq, frag.count);
+                self.hear(head.channel, head.epoch, head.slot);
+                return false;
+            }
+        }
+        let before = self.reassembler.evicted();
+        let complete = self.reassembler.offer_view(frag);
+        self.note_erasures((self.reassembler.evicted() - before) as usize);
+        match complete.map(wire::decode_reassembled) {
+            Some(Ok(frame)) => self.feed_frame(frame),
+            // A reassembled frame that decodes to garbage (or, nonsensically,
+            // to another fragment) is a lost frame: one erasure.
+            Some(Err(_)) => {
+                self.decode_error();
+                false
+            }
+            None => false,
+        }
+    }
+
+    /// Whether the session could keep the block a slot header names.
+    fn needs(&self, head: SlotHead) -> bool {
+        head.file == self.file() && self.session.needs(head.index)
+    }
+
+    fn decode_error(&mut self) {
+        self.stats.decode_errors += 1;
+        self.note_erasures(1);
     }
 
     /// Feeds one already-decoded frame (the TCP control path and the
@@ -274,52 +314,68 @@ impl ClientState {
     }
 
     fn feed_slot(&mut self, sf: SlotFrame) -> bool {
-        self.stats.slot_frames += 1;
-        let channel = usize::from(sf.channel);
         let ours = sf.block.file() == self.file();
         if ours && self.session.channel().is_none() {
             // The first block of the file tunes a client no ack tuned.
             let root = self.session.expected_root();
-            self.session.retune(channel, sf.epoch, None, root);
+            self.session
+                .retune(usize::from(sf.channel), sf.epoch, None, root);
+        }
+        self.hear(sf.channel, sf.epoch, sf.slot);
+        if !ours {
+            return false;
+        }
+        self.booking(|session| {
+            session.ingest(Observation::Block {
+                slot: sf.slot as usize,
+                block: &sf.block,
+                received_ok: true,
+                proof: None,
+            })
+        })
+        .completed()
+    }
+
+    /// Books one slot frame heard: the slot counter and the epoch of the
+    /// session's channel.
+    fn hear(&mut self, channel: u16, epoch: u64, slot: u64) {
+        self.stats.slot_frames += 1;
+        if self.session.channel() != Some(usize::from(channel)) {
+            return;
         }
         // Lost-datagram detection: the station serves its channels every
         // slot, so a jump in the slot numbering of *our* channel means the
         // intervening datagrams were lost on the medium.
-        if self.session.channel() == Some(channel) {
-            if let Some(last) = self.last_slot {
-                if sf.slot > last + 1 {
-                    let gap = (sf.slot - last - 1) as usize;
-                    self.stats.gap_erasures += gap as u64;
-                    self.note_erasures(gap);
-                }
-            }
-            if self.last_slot.is_none_or(|last| sf.slot > last) {
-                self.last_slot = Some(sf.slot);
-            }
-            // A *newer* epoch on our channel means a mode swap happened —
-            // flagged stale so a supervising loop can resync, never an
-            // error (the frames themselves still carry valid blocks).
-            if self.session.epoch().is_some_and(|known| sf.epoch > known) {
-                self.stale_epoch = Some(sf.epoch);
+        if let Some(last) = self.last_slot {
+            if slot > last + 1 {
+                let gap = (slot - last - 1) as usize;
+                self.stats.gap_erasures += gap as u64;
+                self.note_erasures(gap);
             }
         }
-        if !ours {
-            return false;
+        if self.last_slot.is_none_or(|last| slot > last) {
+            self.last_slot = Some(slot);
         }
-        let outcome = self.session.ingest(Observation::Block {
-            slot: sf.slot as usize,
-            block: &sf.block,
-            received_ok: true,
-            proof: None,
-        });
-        if outcome == Ingest::BadProof {
-            // Byzantine corruption: the block survived the CRC but fails
-            // its inclusion proof — a typed erasure, never a poisoned
-            // reconstruction.
-            self.stats.verify_failures += 1;
-            self.stats.erasures += 1;
+        // A *newer* epoch on our channel means a mode swap happened —
+        // flagged stale so a supervising loop can resync, never an error
+        // (the frames themselves still carry valid blocks).
+        if self.session.epoch().is_some_and(|known| epoch > known) {
+            self.stale_epoch = Some(epoch);
         }
-        outcome.completed()
+    }
+
+    /// Runs `f` on the session and books the verification failures it
+    /// found — Byzantine corruption: a block that survived the CRC but
+    /// fails its inclusion proof is a typed erasure, never a poisoned
+    /// reconstruction.  A block held back unverified is booked by the call
+    /// that checks it, so failures are counted from the session.
+    fn booking<R>(&mut self, f: impl FnOnce(&mut ClientSession) -> R) -> R {
+        let before = self.session.verify_failures();
+        let out = f(&mut self.session);
+        let found = (self.session.verify_failures() - before) as u64;
+        self.stats.verify_failures += found;
+        self.stats.erasures += found;
+        out
     }
 
     fn feed_control(&mut self, cf: ControlFrame) {
@@ -340,8 +396,7 @@ impl ClientState {
         self.stale_epoch = None;
         let params = Some((info.m as usize, info.n as usize));
         let channel = usize::from(info.channel);
-        self.session
-            .retune(channel, info.epoch, params, info.commitment_root);
+        self.booking(|session| session.retune(channel, info.epoch, params, info.commitment_root));
     }
 
     fn note_erasures(&mut self, count: usize) {

@@ -4,16 +4,20 @@
 //! byte, kind byte), a kind-specific body, and a trailing CRC-32 (IEEE) over
 //! everything before it.  All integers are little-endian.
 //!
-//! The checksum is [`crc32`].  Every wire byte crosses it four times — the
-//! whole frame and each fragment when [`datagrams`] seals them, the same
-//! two again when the receiver [`decode`]s the fragment and then the
-//! reassembled frame — so it is computed sixteen bytes per step from
-//! `const`-built slicing tables (safe Rust, every target) and, on x86-64
-//! CPUs that report `pclmulqdq` and `sse4.1` at run time, by carry-less
-//! multiplication for every input of 64 bytes or more, the tables
-//! finishing the last `< 16` bytes.  Both compute exactly the function the
-//! format was defined with; nothing selects between them but the CPU and
-//! the input length.
+//! The checksum is [`crc32`].  A station computes it twice over every
+//! wire byte of a fragmented frame — the whole frame and each fragment when
+//! [`datagrams`] seals them.  A client checks every datagram's, and the
+//! reassembled frame's only for a frame it keeps: fragment 0 carries the
+//! slot header, so a client drops a frame of another file (or of a block
+//! it already holds) there and skips the frame's later fragments
+//! unchecked and uncopied.  The frame checksum stays for kept frames: it
+//! is what rejects chunks of two frames mixed under one sequence number.
+//! It is computed sixteen bytes per step from `const`-built slicing tables
+//! (safe Rust, every target) and, on x86-64 CPUs that report `pclmulqdq`
+//! and `sse4.1` at run time, by carry-less multiplication for every input
+//! of 64 bytes or more, the tables finishing the last `< 16` bytes.  Both
+//! compute exactly the function the format was defined with; nothing
+//! selects between them but the CPU and the input length.
 //!
 //! | kind | packet | body |
 //! |------|--------|------|
@@ -36,20 +40,19 @@
 //!
 //! A frame that does not fit the transport MTU is split by [`datagrams`]
 //! into fragment packets sharing a sequence number; a [`Reassembler`] on the
-//! receiver glues them back into the original encoded frame, which is then
-//! decoded again.  Because a broadcast medium is lossy by assumption, the
-//! decoder is hardened rather than trusting: every length field is
-//! bounds-checked against the buffer before use, bodies must be consumed
-//! exactly (trailing garbage is rejected), and no input can make [`decode`]
-//! panic or allocate unboundedly — corruption always surfaces as a
-//! [`WireError`].
+//! receiver writes their chunks into one buffer, the original encoded
+//! frame, which is then decoded again, its payload a view of that buffer.
+//! Because a broadcast medium is lossy by assumption, the decoder is
+//! hardened rather than trusting: every length field is bounds-checked
+//! against the buffer before use, bodies must be consumed exactly (trailing
+//! garbage is rejected), and no input can make [`decode`] panic or allocate
+//! unboundedly — corruption always surfaces as a [`WireError`].
 
 pub use crate::crc::crc32;
 use bauth::{BlockProof, Root};
 use bdisk::TransmissionRef;
 use bytes::Bytes;
 use ida::{BlockHeader, DispersedBlock, FileId};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The four magic bytes opening every packet.
@@ -572,8 +575,107 @@ impl<'a> Reader<'a> {
 ///
 /// Rejects wrong magic/version/kind, checksum mismatches, any length field
 /// pointing past the buffer, and bodies with trailing bytes.  Never panics
-/// on any input.
+/// on any input.  The owned form of the borrowing parser a client runs.
 pub fn decode(buf: &[u8]) -> Result<Packet, WireError> {
+    Ok(match parse(buf)? {
+        PacketView::Slot(view) => Packet::Frame(Frame::Slot(view.to_frame())),
+        PacketView::Control(cf) => Packet::Frame(Frame::Control(cf)),
+        PacketView::Fragment(frag) => Packet::Fragment(Fragment {
+            seq: frag.seq,
+            index: frag.index,
+            count: frag.count,
+            chunk: frag.chunk.to_vec(),
+        }),
+    })
+}
+
+/// A packet as it lies in its datagram: what [`parse`] yields, borrowing
+/// the payload, proof path or chunk instead of copying it.
+pub(crate) enum PacketView<'a> {
+    /// A complete slot frame.
+    Slot(SlotView<'a>),
+    /// A control frame (small; decoded owned).
+    Control(ControlFrame),
+    /// One fragment.
+    Fragment(FragmentView<'a>),
+}
+
+/// A slot frame's fields ahead of its dispersal parameters: whose block it
+/// carries, and where and when it was sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotHead {
+    pub(crate) epoch: u64,
+    pub(crate) channel: u16,
+    pub(crate) slot: u64,
+    pub(crate) file: FileId,
+    pub(crate) index: u32,
+}
+
+/// Bytes from a packet's start through its [`SlotHead`].
+const SLOT_HEAD_END: usize = 6 + 8 + 2 + 8 + 4 + 4;
+
+/// A slot frame with its payload and proof path borrowed.
+pub(crate) struct SlotView<'a> {
+    pub(crate) head: SlotHead,
+    header: BlockHeader,
+    payload: &'a [u8],
+    /// The inclusion proof's path, `depth × 32` bytes (none when empty).
+    path: &'a [u8],
+}
+
+impl SlotView<'_> {
+    /// The owned frame, its payload copied out of the datagram.
+    pub(crate) fn to_frame(&self) -> SlotFrame {
+        slot_frame(
+            self.head,
+            self.header,
+            Bytes::copy_from_slice(self.payload),
+            self.proof(),
+        )
+    }
+
+    fn proof(&self) -> Option<Arc<BlockProof>> {
+        if self.path.is_empty() {
+            return None;
+        }
+        let path = self
+            .path
+            .chunks_exact(32)
+            .map(|node| node.try_into().expect("32-byte node"))
+            .collect();
+        let proof = BlockProof::from_path(path).expect("parse bounds the depth");
+        Some(Arc::new(proof))
+    }
+}
+
+fn slot_frame(
+    head: SlotHead,
+    header: BlockHeader,
+    payload: Bytes,
+    proof: Option<Arc<BlockProof>>,
+) -> SlotFrame {
+    let block = DispersedBlock::new(header, payload);
+    SlotFrame {
+        epoch: head.epoch,
+        channel: head.channel,
+        slot: head.slot,
+        block: match proof {
+            Some(proof) => block.with_proof(proof),
+            None => block,
+        },
+    }
+}
+
+/// One fragment with its chunk borrowed.
+pub(crate) struct FragmentView<'a> {
+    pub(crate) seq: u64,
+    pub(crate) index: u16,
+    pub(crate) count: u16,
+    pub(crate) chunk: &'a [u8],
+}
+
+/// The borrowing parser behind [`decode`]: the same checks, nothing copied.
+pub(crate) fn parse(buf: &[u8]) -> Result<PacketView<'_>, WireError> {
     if buf.len() < PACKET_OVERHEAD {
         return Err(WireError::TooShort);
     }
@@ -592,64 +694,106 @@ pub fn decode(buf: &[u8]) -> Result<Packet, WireError> {
     let kind = buf[5];
     let mut rd = Reader { buf: &content[6..] };
     let packet = match kind {
-        KIND_SLOT => Packet::Frame(Frame::Slot(decode_slot(&mut rd, version)?)),
-        KIND_FRAG => Packet::Fragment(decode_fragment(&mut rd)?),
-        KIND_CONTROL => Packet::Frame(Frame::Control(decode_control(&mut rd, version)?)),
+        KIND_SLOT => PacketView::Slot(parse_slot(&mut rd, version)?),
+        KIND_FRAG => PacketView::Fragment(parse_fragment(&mut rd)?),
+        KIND_CONTROL => PacketView::Control(decode_control(&mut rd, version)?),
         k => return Err(WireError::BadKind(k)),
     };
     rd.finish()?;
     Ok(packet)
 }
 
-fn decode_slot(rd: &mut Reader<'_>, version: u8) -> Result<SlotFrame, WireError> {
-    let epoch = rd.u64()?;
-    let channel = rd.u16()?;
-    let slot = rd.u64()?;
-    let file = FileId(rd.u32()?);
-    let index = rd.u32()?;
+/// Decodes a frame a [`Reassembler`] put together; a slot frame's payload
+/// is a view of `frame`'s allocation, not a copy.
+pub(crate) fn decode_reassembled(frame: Vec<u8>) -> Result<Frame, WireError> {
+    let view = match parse(&frame)? {
+        PacketView::Slot(view) => view,
+        PacketView::Control(cf) => return Ok(Frame::Control(cf)),
+        PacketView::Fragment(_) => return Err(WireError::Inconsistent("a fragment of fragments")),
+    };
+    let start = view.payload.as_ptr() as usize - frame.as_ptr() as usize;
+    let payload = start..start + view.payload.len();
+    let (head, header, proof) = (view.head, view.header, view.proof());
+    let payload = Bytes::from(frame).slice(payload);
+    Ok(Frame::Slot(slot_frame(head, header, payload, proof)))
+}
+
+/// A fragment datagram's `(seq, index, count)`, read before its checksum
+/// is checked: enough to skip a fragment of a frame already dropped, whose
+/// bytes are then never checked or copied.
+pub(crate) fn peek_fragment(buf: &[u8]) -> Option<(u64, u16, u16)> {
+    if buf.len() < PACKET_OVERHEAD + FRAG_HEADER || buf[0..4] != MAGIC || buf[5] != KIND_FRAG {
+        return None;
+    }
+    let mut rd = Reader { buf: &buf[6..] };
+    Some((rd.u64().ok()?, rd.u16().ok()?, rd.u16().ok()?))
+}
+
+/// The slot header at the start of a frame's encoding (fragment 0's
+/// chunk), when the frame is a slot frame and the bytes reach that far.
+/// Only the fragment's checksum covers them; the frame's is checked when
+/// the frame is whole.
+pub(crate) fn peek_slot(frame_start: &[u8]) -> Option<SlotHead> {
+    if frame_start.len() < SLOT_HEAD_END
+        || frame_start[0..4] != MAGIC
+        || !matches!(frame_start[4], VERSION | VERSION_AUTH)
+        || frame_start[5] != KIND_SLOT
+    {
+        return None;
+    }
+    read_slot_head(&mut Reader {
+        buf: &frame_start[6..SLOT_HEAD_END],
+    })
+    .ok()
+}
+
+fn read_slot_head(rd: &mut Reader<'_>) -> Result<SlotHead, WireError> {
+    Ok(SlotHead {
+        epoch: rd.u64()?,
+        channel: rd.u16()?,
+        slot: rd.u64()?,
+        file: FileId(rd.u32()?),
+        index: rd.u32()?,
+    })
+}
+
+fn parse_slot<'a>(rd: &mut Reader<'a>, version: u8) -> Result<SlotView<'a>, WireError> {
+    let head = read_slot_head(rd)?;
     let m = rd.u32()?;
     let n = rd.u32()?;
     let original_len = rd.u64()?;
     if m == 0 || m > n {
         return Err(WireError::Inconsistent("dispersal requires 1 <= m <= n"));
     }
-    if index >= n {
+    if head.index >= n {
         return Err(WireError::Inconsistent("block index must be < n"));
     }
     let payload_len = rd.u32()? as usize;
     let payload = rd.take(payload_len)?;
-    let header = BlockHeader {
-        file,
-        index,
-        m,
-        n,
-        original_len,
-    };
-    let mut block = DispersedBlock::new(header, Bytes::from(payload));
+    let mut path: &[u8] = &[];
     if version >= VERSION_AUTH {
         let depth = rd.u8()? as usize;
         if depth > bauth::MAX_DEPTH {
             return Err(WireError::Inconsistent("proof deeper than MAX_DEPTH"));
         }
-        if depth > 0 {
-            let mut path: Vec<Root> = Vec::with_capacity(depth);
-            for _ in 0..depth {
-                path.push(rd.take(32)?.try_into().expect("32-byte node"));
-            }
-            let proof = BlockProof::from_path(path)
-                .ok_or(WireError::Inconsistent("proof deeper than MAX_DEPTH"))?;
-            block = block.with_proof(Arc::new(proof));
-        }
+        path = rd.take(32 * depth)?;
     }
-    Ok(SlotFrame {
-        epoch,
-        channel,
-        slot,
-        block,
+    let header = BlockHeader {
+        file: head.file,
+        index: head.index,
+        m,
+        n,
+        original_len,
+    };
+    Ok(SlotView {
+        head,
+        header,
+        payload,
+        path,
     })
 }
 
-fn decode_fragment(rd: &mut Reader<'_>) -> Result<Fragment, WireError> {
+fn parse_fragment<'a>(rd: &mut Reader<'a>) -> Result<FragmentView<'a>, WireError> {
     let seq = rd.u64()?;
     let index = rd.u16()?;
     let count = rd.u16()?;
@@ -660,8 +804,8 @@ fn decode_fragment(rd: &mut Reader<'_>) -> Result<Fragment, WireError> {
         return Err(WireError::Inconsistent("fragment index must be < count"));
     }
     let chunk_len = rd.u32()? as usize;
-    let chunk = rd.take(chunk_len)?.to_vec();
-    Ok(Fragment {
+    let chunk = rd.take(chunk_len)?;
+    Ok(FragmentView {
         seq,
         index,
         count,
@@ -719,27 +863,133 @@ fn decode_control(rd: &mut Reader<'_>, version: u8) -> Result<ControlFrame, Wire
 // ---------------------------------------------------------------------------
 // Reassembly.
 
+/// One partial frame.
 struct Group {
+    seq: u64,
     count: u16,
+    /// The length of every chunk but the last, once one of them arrived.
+    chunk: Option<usize>,
+    /// The frame's encoding, chunk `i` at `i × chunk`: `count × chunk`
+    /// bytes, allocated once `chunk` is known.
+    frame: Vec<u8>,
+    /// The last chunk, set aside while `chunk` is not yet known.
+    tail: Vec<u8>,
+    /// The last chunk's length, once it arrived.
+    last: Option<usize>,
+    /// Which chunks arrived, one bit per index.
+    have: [u64; MAX_FRAGMENTS as usize / 64],
     received: usize,
-    chunks: Vec<Option<Vec<u8>>>,
     /// Arrival stamp of the group's first fragment: the smallest is the
     /// oldest group, whatever sequence number a sender chose.
     started: u64,
-    /// What this group holds: its chunks' bytes and its slot table.
-    bytes: usize,
 }
 
-/// Most bytes one [`Reassembler`] holds across its partial frames (chunk
-/// bytes plus per-fragment slot tables).  Without it a forger can park
-/// `max_groups × MAX_FRAGMENTS` chunks of up to ~64 KB each — about 4.3 GB
-/// for a client's 16 groups — in frames that never complete.  16 MiB holds
-/// two of the largest frames a default 1400-byte MTU can carry (4 096 ×
-/// 1 374 B ≈ 5.6 MB), and a thousand of the 17 KB frames that carry a
-/// 16 KiB authenticated block.
+/// What placing one chunk did to its group.
+enum Placed {
+    /// Written, or a duplicate of a chunk already in place.
+    Kept,
+    /// Its length contradicts the chunks already in place: ignored.
+    Misfit,
+    /// `count × chunk` exceeds [`MAX_REASSEMBLY_BYTES`]: the frame can
+    /// never complete.
+    Oversize,
+}
+
+impl Group {
+    fn new(seq: u64, count: u16, started: u64) -> Self {
+        Group {
+            seq,
+            count,
+            chunk: None,
+            frame: Vec::new(),
+            tail: Vec::new(),
+            last: None,
+            have: [0; MAX_FRAGMENTS as usize / 64],
+            received: 0,
+            started,
+        }
+    }
+
+    /// Bytes this group holds.
+    fn bytes(&self) -> usize {
+        self.frame.capacity() + self.tail.len()
+    }
+
+    fn place(&mut self, index: usize, chunk: &[u8]) -> Placed {
+        let bit = 1u64 << (index % 64);
+        if self.have[index / 64] & bit != 0 {
+            return Placed::Kept;
+        }
+        let count = self.count as usize;
+        if index + 1 == count {
+            match self.chunk {
+                Some(size) if chunk.len() > size => return Placed::Misfit,
+                Some(size) => self.write(index * size, chunk),
+                None => self.tail = chunk.to_vec(),
+            }
+            self.last = Some(chunk.len());
+        } else {
+            let size = chunk.len();
+            match self.chunk {
+                Some(known) if known != size => return Placed::Misfit,
+                Some(_) => {}
+                None if self.last.is_some_and(|last| last > size) => return Placed::Misfit,
+                None if count * size > MAX_REASSEMBLY_BYTES => return Placed::Oversize,
+                None => {
+                    self.chunk = Some(size);
+                    self.frame = Vec::with_capacity(count * size);
+                    if self.last.is_some() {
+                        let tail = std::mem::take(&mut self.tail);
+                        self.write((count - 1) * size, &tail);
+                    }
+                }
+            }
+            self.write(index * size, chunk);
+        }
+        self.have[index / 64] |= bit;
+        self.received += 1;
+        Placed::Kept
+    }
+
+    /// Writes `chunk` at byte `at` of the frame buffer.  Chunks arriving in
+    /// order append; one arriving early zero-fills the gap before it, which
+    /// the missing chunks overwrite.
+    fn write(&mut self, at: usize, chunk: &[u8]) {
+        if self.frame.len() <= at {
+            self.frame.resize(at, 0);
+            self.frame.extend_from_slice(chunk);
+        } else {
+            self.frame[at..at + chunk.len()].copy_from_slice(chunk);
+        }
+    }
+
+    /// The whole frame, once every chunk arrived.
+    fn into_frame(self) -> Vec<u8> {
+        match self.chunk {
+            Some(_) => self.frame,
+            // A one-fragment frame: its only chunk is the last.
+            None => self.tail,
+        }
+    }
+}
+
+/// Most bytes one [`Reassembler`] holds across its partial frames.  A
+/// partial frame holds its whole buffer, `count × chunk` bytes, from its
+/// first chunk on, and a frame whose buffer alone exceeds the bound is
+/// refused at once.  Without it a forger can park `max_groups ×
+/// MAX_FRAGMENTS` chunks of up to ~64 KB each — about 4.3 GB for a
+/// client's 16 groups — in frames that never complete.  16 MiB holds two of
+/// the largest frames a default 1400-byte MTU can carry (4 096 × 1 374 B ≈
+/// 5.6 MB), and a thousand of the 17 KB frames that carry a 16 KiB
+/// authenticated block.
 pub const MAX_REASSEMBLY_BYTES: usize = 16 << 20;
 
-/// Glues [`Fragment`]s back into complete frame encodings.
+/// How many dropped groups a [`Reassembler`] remembers, to skip their
+/// later fragments: as many as a client keeps partial groups.
+const SKIPPED_GROUPS: usize = 16;
+
+/// Glues [`Fragment`]s back into complete frame encodings, each chunk
+/// written once, in place, into its frame's buffer.
 ///
 /// Groups are keyed by sequence number and bounded twice: by count (more
 /// than `max_groups` in flight) and by the bytes they hold (more than
@@ -747,27 +997,37 @@ pub const MAX_REASSEMBLY_BYTES: usize = 16 << 20;
 /// one whose first fragment arrived earliest — is evicted.  On a lossy
 /// medium an incomplete old group is a lost frame, and the eviction
 /// counter lets the receiver account it as an erasure.  A frame larger
-/// than the byte bound on its own can never complete; it is evicted like
-/// any other.
+/// than the byte bound on its own can never complete; it is evicted on
+/// arrival and its later fragments skipped.
+///
+/// The client's receive path may also drop a group itself, at its fragment
+/// 0: its buffered chunks are released, not counted as an eviction, and its
+/// later fragments are skipped for as long as the `(seq, count)` pair is
+/// among the last few dropped.
 pub struct Reassembler {
-    groups: BTreeMap<u64, Group>,
+    groups: Vec<Group>,
     max_groups: usize,
     evicted: u64,
     /// Sum of every group's `bytes`.
     held: usize,
     /// The next group's arrival stamp.
     next_start: u64,
+    /// The last dropped `(seq, count)` pairs, a ring; `count` 0 is empty.
+    skipped: [(u64, u16); SKIPPED_GROUPS],
+    next_skip: usize,
 }
 
 impl Reassembler {
     /// Creates a reassembler holding at most `max_groups` partial frames.
     pub fn new(max_groups: usize) -> Self {
         Reassembler {
-            groups: BTreeMap::new(),
+            groups: Vec::new(),
             max_groups: max_groups.max(1),
             evicted: 0,
             held: 0,
             next_start: 0,
+            skipped: [(0, 0); SKIPPED_GROUPS],
+            next_skip: 0,
         }
     }
 
@@ -776,61 +1036,96 @@ impl Reassembler {
     ///
     /// A fragment whose `count` disagrees with its group's is treated as
     /// the start of a fresh frame under the same sequence number (the old
-    /// group is evicted as corrupt).  Duplicate fragments are ignored.
+    /// group is evicted as corrupt).  Duplicate fragments, and chunks whose
+    /// length contradicts the chunks already placed, are ignored.
     pub fn offer(&mut self, frag: Fragment) -> Option<Vec<u8>> {
-        if self
-            .groups
-            .get(&frag.seq)
-            .is_some_and(|group| group.count != frag.count)
-        {
-            self.evict(frag.seq);
+        self.offer_view(&FragmentView {
+            seq: frag.seq,
+            index: frag.index,
+            count: frag.count,
+            chunk: &frag.chunk,
+        })
+    }
+
+    /// [`Reassembler::offer`] for a fragment still in its datagram.
+    pub(crate) fn offer_view(&mut self, frag: &FragmentView<'_>) -> Option<Vec<u8>> {
+        let key = (frag.seq, frag.count);
+        if self.skips(frag.seq, frag.index, frag.count) {
+            return None;
         }
-        let group = self.groups.entry(frag.seq).or_insert_with(|| {
-            let table = frag.count as usize * std::mem::size_of::<Option<Vec<u8>>>();
-            self.held += table;
+        if frag.index == 0 {
+            // A fragment 0 opens its frame afresh, also one dropped before.
+            for entry in self.skipped.iter_mut().filter(|entry| **entry == key) {
+                *entry = (0, 0);
+            }
+        }
+        let mut at = self.groups.iter().position(|group| group.seq == frag.seq);
+        if let Some(i) = at.filter(|&i| self.groups[i].count != frag.count) {
+            self.evict(i);
+            at = None;
+        }
+        let i = at.unwrap_or_else(|| {
             self.next_start += 1;
-            Group {
-                count: frag.count,
-                received: 0,
-                chunks: vec![None; frag.count as usize],
-                started: self.next_start,
-                bytes: table,
-            }
+            self.groups
+                .push(Group::new(frag.seq, frag.count, self.next_start));
+            self.groups.len() - 1
         });
-        let slot = &mut group.chunks[frag.index as usize];
-        if slot.is_none() {
-            group.bytes += frag.chunk.len();
-            self.held += frag.chunk.len();
-            *slot = Some(frag.chunk);
-            group.received += 1;
-        }
-        if group.received == group.count as usize {
-            let group = self.groups.remove(&frag.seq).expect("group exists");
-            self.held -= group.bytes;
-            let mut frame = Vec::with_capacity(group.chunks.iter().flatten().map(Vec::len).sum());
-            for chunk in group.chunks.into_iter().flatten() {
-                frame.extend_from_slice(&chunk);
+        let group = &mut self.groups[i];
+        let before = group.bytes();
+        match group.place(frag.index as usize, frag.chunk) {
+            Placed::Kept | Placed::Misfit => {}
+            Placed::Oversize => {
+                self.evict(i);
+                self.remember(key);
+                return None;
             }
-            return Some(frame);
+        }
+        self.held = self.held - before + group.bytes();
+        if group.received == group.count as usize {
+            let group = self.groups.swap_remove(i);
+            self.held -= group.bytes();
+            return Some(group.into_frame());
         }
         while self.groups.len() > self.max_groups || self.held > MAX_REASSEMBLY_BYTES {
-            let oldest = self
-                .groups
-                .iter()
-                .min_by_key(|(_, group)| group.started)
-                .map(|(&seq, _)| seq)
+            let oldest = (0..self.groups.len())
+                .min_by_key(|&i| self.groups[i].started)
                 .expect("over a bound means non-empty");
             self.evict(oldest);
         }
         None
     }
 
-    /// Drops the partial frame `seq` as a lost one.
-    fn evict(&mut self, seq: u64) {
-        if let Some(group) = self.groups.remove(&seq) {
-            self.held -= group.bytes;
-            self.evicted += 1;
+    /// Drops the frame `(seq, count)` as one its receiver will not keep:
+    /// releases what is buffered of it, uncounted, and skips its later
+    /// fragments.
+    pub(crate) fn skip(&mut self, seq: u64, count: u16) {
+        if let Some(i) = self
+            .groups
+            .iter()
+            .position(|group| (group.seq, group.count) == (seq, count))
+        {
+            self.held -= self.groups.swap_remove(i).bytes();
         }
+        self.remember((seq, count));
+    }
+
+    /// Whether the fragment `index` of `(seq, count)` belongs to a frame
+    /// dropped before: any fragment but a fragment 0, which opens a frame.
+    pub(crate) fn skips(&self, seq: u64, index: u16, count: u16) -> bool {
+        index != 0 && self.skipped.contains(&(seq, count))
+    }
+
+    fn remember(&mut self, key: (u64, u16)) {
+        if !self.skipped.contains(&key) {
+            self.skipped[self.next_skip] = key;
+            self.next_skip = (self.next_skip + 1) % SKIPPED_GROUPS;
+        }
+    }
+
+    /// Drops the partial frame at `i` as a lost one.
+    fn evict(&mut self, i: usize) {
+        self.held -= self.groups.swap_remove(i).bytes();
+        self.evicted += 1;
     }
 
     /// Bytes held in partial frames now, at most [`MAX_REASSEMBLY_BYTES`]
@@ -1115,17 +1410,18 @@ mod tests {
     fn reassembly_bytes_are_capped_oldest_arrival_first() {
         let mut reassembler = Reassembler::new(16);
         let chunk = 60_000;
-        // Never-completing groups under descending sequence numbers: the
-        // byte cap, not the group count, forces the evictions, and each
-        // takes the group that arrived first, not the lowest `seq`.
+        // Never-completing groups under descending sequence numbers, each
+        // buffer (255 × 60 KB) just under the cap: the byte cap, not the
+        // group count, forces the evictions, and each takes the group that
+        // arrived first, not the lowest `seq`.
         let per_group = 32;
-        let groups = 3 * MAX_REASSEMBLY_BYTES / (per_group * chunk);
-        for g in 0..groups as u64 {
-            for index in 0..per_group as u16 {
+        let groups = 6;
+        for g in 0..groups {
+            for index in 0..per_group {
                 reassembler.offer(Fragment {
                     seq: u64::MAX - g,
                     index,
-                    count: 4095,
+                    count: 255,
                     chunk: vec![0xEE; chunk],
                 });
                 assert!(reassembler.held_bytes() <= MAX_REASSEMBLY_BYTES);
@@ -1133,8 +1429,8 @@ mod tests {
         }
         assert!(reassembler.pending() < 16, "the byte cap bound first");
         assert!(reassembler.evicted() > 0);
-        let newest = reassembler.groups.keys().next().copied();
-        assert_eq!(newest, Some(u64::MAX - (groups as u64 - 1)));
+        let held: Vec<u64> = reassembler.groups.iter().map(|g| g.seq).collect();
+        assert_eq!(held, [u64::MAX - (groups - 1)], "only the newest is left");
         // A genuine frame still reassembles, and completing it releases
         // its bytes.
         let frame = slot_frame(5000);
@@ -1152,6 +1448,97 @@ mod tests {
         }
         assert_eq!(decode(&complete.unwrap()).unwrap(), Packet::Frame(frame));
         assert!(reassembler.held_bytes() <= before);
+    }
+
+    #[test]
+    fn a_frame_over_the_byte_cap_is_evicted_once_and_its_fragments_skipped() {
+        let mut reassembler = Reassembler::new(16);
+        for index in 0..8 {
+            let done = reassembler.offer(Fragment {
+                seq: 5,
+                index,
+                count: 4095,
+                chunk: vec![0xEE; 60_000],
+            });
+            assert!(done.is_none());
+        }
+        assert_eq!((reassembler.evicted(), reassembler.pending()), (1, 0));
+        assert_eq!(reassembler.held_bytes(), 0);
+        // Another frame under the same sequence number is a fresh group.
+        let frame = slot_frame(3000);
+        let mut complete = None;
+        for d in datagrams(&frame, 1400, 5) {
+            let Packet::Fragment(frag) = decode(&d).unwrap() else {
+                panic!("expected a fragment");
+            };
+            complete = complete.or(reassembler.offer(frag));
+        }
+        assert_eq!(decode(&complete.unwrap()).unwrap(), Packet::Frame(frame));
+    }
+
+    #[test]
+    fn skipped_groups_release_their_bytes_and_skip_later_fragments() {
+        let frame = slot_frame(5000);
+        let frags: Vec<Fragment> = datagrams(&frame, 1400, 9)
+            .iter()
+            .map(|d| match decode(d).unwrap() {
+                Packet::Fragment(f) => f,
+                other => panic!("expected a fragment, got {other:?}"),
+            })
+            .collect();
+        let count = frags[0].count;
+        let mut reassembler = Reassembler::new(16);
+        assert!(reassembler.offer(frags[2].clone()).is_none());
+        assert!(reassembler.held_bytes() > 0);
+        reassembler.skip(9, count);
+        assert_eq!((reassembler.held_bytes(), reassembler.pending()), (0, 0));
+        for frag in &frags[1..] {
+            assert!(reassembler.offer(frag.clone()).is_none());
+        }
+        assert_eq!(reassembler.pending(), 0, "later fragments are skipped");
+        assert_eq!(reassembler.evicted(), 0, "a dropped group is no loss");
+        // A fragment 0 under the same (seq, count) opens the frame afresh.
+        let mut complete = None;
+        for frag in &frags {
+            complete = complete.or(reassembler.offer(frag.clone()));
+        }
+        assert_eq!(decode(&complete.unwrap()).unwrap(), Packet::Frame(frame));
+    }
+
+    #[test]
+    fn the_borrowing_parser_agrees_with_decode_and_peeks_the_slot_head() {
+        let frame = authenticated_slot_frame();
+        let whole = encode(&frame);
+        let Ok(PacketView::Slot(view)) = parse(&whole) else {
+            panic!("expected a slot view");
+        };
+        assert_eq!(Frame::Slot(view.to_frame()), frame);
+        let Frame::Slot(sf) = &frame else {
+            unreachable!()
+        };
+        let head = SlotHead {
+            epoch: sf.epoch,
+            channel: sf.channel,
+            slot: sf.slot,
+            file: sf.block.file(),
+            index: sf.block.index(),
+        };
+        assert_eq!(view.head, head);
+        assert_eq!(peek_slot(&whole), Some(head));
+        assert_eq!(peek_slot(&whole[..SLOT_HEAD_END]), Some(head));
+        assert_eq!(peek_slot(&whole[..SLOT_HEAD_END - 1]), None);
+        let control = encode(&Frame::Control(ControlFrame::Join));
+        assert_eq!(peek_slot(&control), None);
+        // A reassembled frame decodes to the same frame, its payload a view
+        // of the frame buffer.
+        let buffer = whole.clone();
+        let base = buffer.as_ptr() as usize;
+        let Ok(Frame::Slot(shared)) = decode_reassembled(buffer) else {
+            panic!("expected a slot frame");
+        };
+        let at = shared.block.payload().as_ptr() as usize;
+        assert!((base..base + whole.len()).contains(&at), "no copy");
+        assert_eq!(Frame::Slot(shared), frame);
     }
 
     #[test]

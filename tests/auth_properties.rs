@@ -21,6 +21,8 @@
 //!   `authenticated(true)`, corrupted blocks visible as typed erasures.
 
 use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rtbdisk::bauth::Root;
 use rtbdisk::bdisk::{ClientSession, Ingest, Observation};
 use rtbdisk::bfault::{FaultPlan, ImpairedLink};
@@ -688,5 +690,232 @@ fn threaded_and_serial_dispersal_give_identical_files() {
         threaded.blocks(),
         &serial[..],
         "payloads, headers and proofs"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Paired verification equals verification on arrival.
+
+/// One input of the paired-verification property.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// Block `index` of the content, honest or with one payload bit flipped,
+    /// in the next slot.
+    Block { index: usize, tampered: bool },
+    /// A retune to the same channel, epoch, `(m, n)` and root.
+    Retune,
+}
+
+/// How a run ended: the completion slot, the stored indices (observable
+/// before completion only, so empty after it), the stored block count, the
+/// reconstructed bytes and the verify failures.
+#[derive(Debug, PartialEq, Eq)]
+struct Ending {
+    completion_slot: Option<usize>,
+    stored: Vec<u32>,
+    count: usize,
+    bytes: Option<Vec<u8>>,
+    verify_failures: usize,
+}
+
+/// The reference: every block of the file checked alone on arrival, a copy
+/// of a stored index ignored unhashed — what an armed session did before
+/// it held blocks back to pair their leaf hashes.
+fn eager(
+    dispersal: &Dispersal,
+    root: &Root,
+    blocks: impl Iterator<Item = (usize, DispersedBlock)>,
+) -> Ending {
+    let mut stored = std::collections::BTreeMap::new();
+    let (mut completion_slot, mut verify_failures) = (None, 0);
+    for (slot, block) in blocks {
+        if completion_slot.is_some() || stored.contains_key(&block.index()) {
+            continue;
+        }
+        if !dispersal.verify_block(root, &block) {
+            verify_failures += 1;
+            continue;
+        }
+        stored.insert(block.index(), block);
+        if stored.len() >= dispersal.threshold() {
+            completion_slot = Some(slot);
+        }
+    }
+    let blocks: Vec<DispersedBlock> = stored.values().cloned().collect();
+    Ending {
+        completion_slot,
+        stored: match completion_slot {
+            Some(_) => Vec::new(),
+            None => stored.keys().copied().collect(),
+        },
+        count: stored.len(),
+        bytes: completion_slot.map(|_| dispersal.reconstruct(&blocks).expect("reconstructs")),
+        verify_failures,
+    }
+}
+
+/// Runs `events` through the eager reference, a `ClientSession` and a
+/// `ClientState` fed fragmented datagrams, each ending with a retune to
+/// the same tuning (which checks a block still held back).  Returns the
+/// three endings and the state's erasure count.
+fn run_three(
+    dispersal: &Dispersal,
+    file: &rtbdisk::ida::DispersedFile,
+    events: &[Event],
+) -> ([Ending; 3], u64) {
+    let (m, n) = (dispersal.threshold(), dispersal.total_blocks());
+    let root = file.commitment_root().expect("authenticated");
+    let info = SubscriptionInfo::new(0, 1, m as u32, n as u32).with_root(root);
+    // Blocks take consecutive slots; a retune takes none.
+    let mut slot = 0;
+    let timed: Vec<(usize, Option<DispersedBlock>)> = events
+        .iter()
+        .map(|event| match *event {
+            Event::Block {
+                index,
+                tampered: flipped,
+            } => {
+                let block = &file.blocks()[index];
+                slot += 1;
+                let block = if flipped {
+                    tampered(block)
+                } else {
+                    block.clone()
+                };
+                (slot, Some(block))
+            }
+            Event::Retune => (slot, None),
+        })
+        .collect();
+    let reference = eager(
+        dispersal,
+        &root,
+        timed
+            .iter()
+            .filter_map(|(slot, b)| Some((*slot, b.clone()?))),
+    );
+
+    let mut session = ClientSession::new(file.file(), 0, 0);
+    session.retune(0, 1, Some((m, n)), Some(root));
+    for (slot, block) in &timed {
+        match block {
+            Some(block) => {
+                session.ingest(Observation::Block {
+                    slot: *slot,
+                    block,
+                    received_ok: true,
+                    proof: None,
+                });
+            }
+            None => session.retune(0, 1, Some((m, n)), Some(root)),
+        }
+    }
+    session.retune(0, 1, Some((m, n)), Some(root));
+    let outcome = session.finish(dispersal).ok();
+    let session_end = Ending {
+        completion_slot: outcome.as_ref().map(|o| o.completion_slot),
+        stored: match session.is_complete() {
+            true => Vec::new(),
+            false => (0..n as u32).filter(|&i| !session.needs(i)).collect(),
+        },
+        count: session.blocks_received(),
+        bytes: outcome.map(|o| o.data),
+        verify_failures: session.verify_failures(),
+    };
+
+    let mut state = ClientState::new(file.file());
+    state.feed_frame(Frame::Control(ControlFrame::SubscribeAck {
+        file: file.file(),
+        info,
+    }));
+    for (slot, block) in &timed {
+        match block {
+            Some(block) => {
+                let frame = Frame::Slot(SlotFrame {
+                    epoch: 1,
+                    channel: 0,
+                    slot: *slot as u64,
+                    block: block.clone(),
+                });
+                for datagram in datagrams(&frame, 256, *slot as u64) {
+                    state.feed_datagram(&datagram);
+                }
+            }
+            None => state.resubscribe(info, 0),
+        }
+    }
+    state.resubscribe(info, 0);
+    let outcome = state.finish().ok();
+    // The state shows no stored indices; the session's stand in, checked
+    // by the count.
+    let state_end = Ending {
+        completion_slot: outcome.as_ref().map(|o| o.completion_slot),
+        stored: session_end.stored.clone(),
+        count: state.blocks_received(),
+        bytes: outcome.map(|o| o.data),
+        verify_failures: state.stats().verify_failures as usize,
+    };
+    ([reference, session_end, state_end], state.stats().erasures)
+}
+
+#[test]
+fn paired_verification_equals_verification_on_arrival() {
+    let dispersal = Dispersal::authenticated(5, 9).expect("5-of-9 is valid");
+    let data = xorshift_bytes(5 * 700 - 3, 0xA11CE);
+    let file = dispersal.disperse(FileId(4), &data).expect("disperses");
+    let good = |index| Event::Block {
+        index,
+        tampered: false,
+    };
+    let bad = |index| Event::Block {
+        index,
+        tampered: true,
+    };
+    let retune = Event::Retune;
+    #[rustfmt::skip]
+    let mut cases: Vec<(&str, Vec<Event>)> = vec![
+        ("all honest", (0..9).map(good).collect()),
+        ("a tampered held block", vec![good(0), bad(1), good(2), good(3), good(4), good(5)]),
+        ("a tampered completing block", vec![good(0), good(1), good(2), good(3), bad(4), good(5)]),
+        ("an honest copy after a tampered held copy", vec![good(0), bad(1), good(1), good(2), good(3), good(4)]),
+        ("a tampered copy after an honest held copy", vec![good(0), good(1), bad(1), good(2), good(3), good(4)]),
+        ("an odd number of own blocks", vec![good(0), good(1), good(2)]),
+        ("a retune while a block is held", vec![good(0), good(1), retune, good(2), good(3), good(4)]),
+        ("a retune while a tampered block is held", vec![good(0), bad(1), retune, good(2), good(3), good(4), good(5)]),
+        ("a tampered first block", vec![bad(0), good(0), good(1), good(2), good(3), good(4)]),
+        ("nothing honest", (0..9).map(bad).collect()),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x9A12_ED00);
+    for _ in 0..300 {
+        let len = rng.gen_range(1..24);
+        let events = (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => retune,
+                k => Event::Block {
+                    index: rng.gen_range(0..9),
+                    tampered: k <= 3,
+                },
+            })
+            .collect();
+        cases.push(("seeded", events));
+    }
+    let mut completed = 0;
+    for (name, events) in &cases {
+        let ([reference, session, state], erasures) = run_three(&dispersal, &file, events);
+        assert_eq!(session, reference, "{name}: ClientSession, {events:?}");
+        assert_eq!(state, reference, "{name}: ClientState, {events:?}");
+        assert_eq!(
+            erasures, reference.verify_failures as u64,
+            "{name}: erasures, {events:?}"
+        );
+        if let Some(bytes) = &reference.bytes {
+            assert_eq!(bytes, &data, "{name}: no tampered payload is stored");
+            completed += 1;
+        }
+    }
+    assert!(
+        completed > 50,
+        "{completed} of {} runs completed",
+        cases.len()
     );
 }

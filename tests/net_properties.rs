@@ -285,3 +285,170 @@ fn a_forged_fragment_flood_is_capped_and_a_genuine_retrieval_still_completes() {
         .expect("the genuine retrieval completes after the flood");
     assert_eq!(outcome.data, expected.data);
 }
+
+// ---------------------------------------------------------------------------
+// Dropping at fragment 0.
+
+/// `m` for the two-file streams below: more own frames than a client keeps
+/// partial groups, so a leaked group would be evicted as an erasure.
+const TWO_FILE_M: usize = 20;
+
+/// Two plain files of 20-of-24 dispersal, their blocks alternating on
+/// channel 0 — the client's (file 1) at even slots, another's (file 2) at
+/// odd ones — each frame cut at a 96-byte MTU into fragments under its
+/// slot as sequence number.  Returns the client's content and the frames.
+fn two_file_fragments() -> (Vec<u8>, Vec<Vec<Vec<u8>>>) {
+    let dispersal = rtbdisk::ida::Dispersal::new(TWO_FILE_M, TWO_FILE_M + 4).expect("valid");
+    let mut contents: Vec<Vec<u8>> = (1..=2u8)
+        .map(|salt| (0..TWO_FILE_M * 150).map(|i| (i as u8) ^ salt).collect())
+        .collect();
+    let files: Vec<_> = contents
+        .iter()
+        .zip(1..)
+        .map(|(data, id)| dispersal.disperse(FileId(id), data).expect("disperses"))
+        .collect();
+    let frames = (0..2 * (TWO_FILE_M + 4))
+        .map(|slot| {
+            let frame = Frame::Slot(SlotFrame {
+                epoch: 1,
+                channel: 0,
+                slot: slot as u64,
+                block: files[slot % 2].blocks()[slot / 2].clone(),
+            });
+            let pieces = datagrams(&frame, 96, slot as u64);
+            assert!(pieces.len() >= 3, "every frame fragments");
+            pieces
+        })
+        .collect();
+    (contents.swap_remove(0), frames)
+}
+
+/// Feeds `frames` (each frame's datagrams in the order given) to a client
+/// of file 1 until it completes.
+fn feed_frames(frames: impl IntoIterator<Item = Vec<Vec<u8>>>) -> ClientState {
+    let mut state = ClientState::new(FileId(1));
+    'frames: for frame in frames {
+        for datagram in &frame {
+            if state.feed_datagram(datagram) {
+                break 'frames;
+            }
+        }
+    }
+    state
+}
+
+#[test]
+fn dropping_at_fragment_0_keeps_the_wire_accounting_exact() {
+    let (content, frames) = two_file_fragments();
+    // Every own block arrives: the m-th is in slot 2 (m − 1).
+    let done_at = 2 * (TWO_FILE_M - 1);
+
+    // A loss-free interleaved stream.
+    let state = feed_frames(frames.clone());
+    let outcome = state.finish().expect("completes");
+    assert_eq!(
+        (outcome.data, outcome.completion_slot),
+        (content.clone(), done_at)
+    );
+    let stats = state.stats();
+    assert_eq!((stats.gap_erasures, stats.erasures), (0, 0));
+    assert_eq!(
+        stats.slot_frames,
+        done_at as u64 + 1,
+        "every frame is heard"
+    );
+
+    // Later fragments before fragment 0: every foreign frame's fragment 0
+    // comes last.  Its earlier fragments are released when it arrives, so
+    // no group lingers to be evicted as a loss.
+    let late_zero = frames.iter().enumerate().map(|(slot, frame)| {
+        let mut frame = frame.clone();
+        if slot % 2 == 1 {
+            frame.rotate_left(1);
+        }
+        frame
+    });
+    let state = feed_frames(late_zero);
+    let outcome = state.finish().expect("completes");
+    assert_eq!(
+        (outcome.data, outcome.completion_slot),
+        (content.clone(), done_at)
+    );
+    assert_eq!(state.stats().erasures, 0);
+
+    // A lost fragment 0, of a foreign and of an own frame: the frame is
+    // lost, one erasure each (the gap its slot leaves), and what is left
+    // of it stays within the reassembly bound.
+    for lost in [3, 4] {
+        let mut reassembler = Reassembler::new(16);
+        let delivered: Vec<Vec<Vec<u8>>> = frames
+            .iter()
+            .enumerate()
+            .map(|(slot, frame)| frame[usize::from(slot == lost)..].to_vec())
+            .collect();
+        for datagram in delivered.iter().flatten() {
+            let Ok(Packet::Fragment(fragment)) = decode(datagram) else {
+                panic!("every datagram is a fragment");
+            };
+            reassembler.offer(fragment);
+            assert!(reassembler.held_bytes() <= MAX_REASSEMBLY_BYTES);
+        }
+        let state = feed_frames(delivered);
+        let outcome = state.finish().expect("completes");
+        let late = if lost % 2 == 0 { 2 } else { 0 };
+        assert_eq!(
+            (outcome.data, outcome.completion_slot),
+            (content.clone(), done_at + late),
+            "fragment 0 of slot {lost} lost"
+        );
+        let stats = state.stats();
+        assert_eq!(
+            (stats.gap_erasures, stats.erasures),
+            (1, 1),
+            "fragment 0 of slot {lost} lost"
+        );
+    }
+}
+
+#[test]
+fn a_forged_fragment_0_naming_another_file_costs_at_most_one_erasure() {
+    let (content, frames) = two_file_fragments();
+    // Fragment 0 of the foreign frame in slot 1, resealed under the
+    // sequence number of the own frame in slot `own`: it names file 2.
+    let forge = |own: usize| -> Vec<u8> {
+        let Ok(Packet::Fragment(foreign)) = decode(&frames[1][0]) else {
+            panic!("a fragment");
+        };
+        let Ok(Packet::Fragment(genuine)) = decode(&frames[own][0]) else {
+            panic!("a fragment");
+        };
+        assert_eq!(foreign.count, genuine.count, "one frame shape");
+        forged_fragment(own as u64, 0, genuine.count, &foreign.chunk)
+    };
+    // Before the genuine fragment 0, after it, and after the genuine later
+    // fragments but before the genuine fragment 0.
+    for (own, placement) in [(4, 0), (6, 1), (8, 2)] {
+        let mut stream = frames.clone();
+        let frame = &mut stream[own];
+        match placement {
+            0 => frame.insert(0, forge(own)),
+            1 => frame.insert(1, forge(own)),
+            _ => {
+                frame.rotate_left(1);
+                let last = frame.len() - 1;
+                frame.insert(last, forge(own));
+            }
+        }
+        let state = feed_frames(stream);
+        let outcome = state.finish().expect("completes");
+        assert_eq!(
+            outcome.data, content,
+            "placement {placement}: never wrong bytes"
+        );
+        assert!(
+            state.stats().erasures <= 1,
+            "placement {placement}: {:?}",
+            state.stats()
+        );
+    }
+}
