@@ -27,18 +27,12 @@ use crate::error::NetError;
 use crate::session::{ClientState, ClientStats};
 use crate::wire::{encode, ControlFrame, Frame, MetricsFormat, SubscriptionInfo};
 use bdisk::RetrievalOutcome;
-use bobs::{Event, Telemetry};
 use ida::FileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::ErrorKind;
 use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
-
-/// The live counter [`NetClient`] bumps on its telemetry registry per block
-/// whose inclusion proof failed.  [`ClientStats::export_into`] may target
-/// the same registry, so its snapshot gauge must go by another name.
-pub(crate) const VERIFY_FAILURES_COUNTER: &str = "bauth_verify_failures";
 
 /// Bound on establishing, reading and writing one [`ControlClient`]
 /// connection.
@@ -102,7 +96,6 @@ pub struct NetClient {
     server: SocketAddr,
     state: ClientState,
     config: RecoveryConfig,
-    telemetry: Option<Telemetry>,
     recoveries: u64,
 }
 
@@ -144,16 +137,8 @@ impl NetClient {
             server,
             state,
             config,
-            telemetry: None,
             recoveries: 0,
         })
-    }
-
-    /// Records recovery events and counters (`bnet_rejoins`,
-    /// `bnet_resyncs`, `bnet_partition_suspects`) into `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
     }
 
     /// The client's local socket address.
@@ -214,16 +199,7 @@ impl NetClient {
             }
             match self.socket.recv_from(&mut buf) {
                 Ok((len, _)) => {
-                    let rejected_before = self.state.stats().verify_failures;
                     self.state.feed_datagram(&buf[..len]);
-                    let rejected = self.state.stats().verify_failures;
-                    if rejected > rejected_before {
-                        if let Some(telemetry) = &self.telemetry {
-                            telemetry.registry().counter(VERIFY_FAILURES_COUNTER).inc();
-                            let file = self.state.file().0 as u64;
-                            telemetry.record_event(|| Event::BadBlock { file, rejected });
-                        }
-                    }
                     last_rx = Instant::now();
                     suspected = false;
                     backoff = self.config.join_backoff;
@@ -243,12 +219,6 @@ impl NetClient {
                         if !suspected {
                             suspected = true;
                             self.state.note_partition_suspect();
-                            if let Some(telemetry) = &self.telemetry {
-                                telemetry
-                                    .registry()
-                                    .counter("bnet_partition_suspects")
-                                    .inc();
-                            }
                         }
                         if !self.recover() {
                             break;
@@ -282,7 +252,6 @@ impl NetClient {
             return false;
         }
         self.recoveries += 1;
-        let mut resynced = false;
         if let Some(control) = self.config.control {
             let round = ControlClient::connect(control).and_then(|mut client| {
                 let (_, next_slot) = client.resync()?;
@@ -291,7 +260,6 @@ impl NetClient {
             });
             if let Ok((next_slot, info)) = round {
                 self.state.resubscribe(info, next_slot);
-                resynced = true;
             }
             // A failed control round is not fatal: the partition may still
             // be on — the next watchdog period retries.
@@ -302,20 +270,6 @@ impl NetClient {
             .socket
             .send_to(&encode(&Frame::Control(ControlFrame::Join)), self.server);
         self.state.note_rejoin();
-        if let Some(telemetry) = &self.telemetry {
-            let registry = telemetry.registry();
-            registry.counter("bnet_rejoins").inc();
-            if resynced {
-                registry.counter("bnet_resyncs").inc();
-            }
-            let file = self.state.file().0 as u64;
-            let attempts = self.recoveries;
-            telemetry.record_event(|| Event::Recovery {
-                file,
-                attempts,
-                resynced,
-            });
-        }
         true
     }
 
@@ -323,15 +277,7 @@ impl NetClient {
         self.socket
             .send_to(&encode(&Frame::Control(ControlFrame::Join)), self.server)?;
         self.state.note_rejoin();
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.registry().counter("bnet_rejoins").inc();
-        }
         Ok(())
-    }
-
-    /// A snapshot of what the client has seen.
-    pub fn stats(&self) -> ClientStats {
-        self.state.stats()
     }
 }
 

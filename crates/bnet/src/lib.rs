@@ -27,7 +27,7 @@
 //! * [`NetClient`] / [`ControlClient`] — the socket clients wrapping it.
 //!
 //! The station side records into a shared [`bobs::Telemetry`] (see
-//! [`NetServer::bind_with_telemetry`]); the TCP control plane serves the
+//! [`NetServer::bind`]); the TCP control plane serves the
 //! registry as a live metrics endpoint ([`ControlClient::metrics`]) in
 //! Prometheus-style text or JSON.
 //!

@@ -49,7 +49,7 @@ use crate::wire::{
 };
 use bdisk::EpochBank;
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
-use brt::{LaneView, SlotSink};
+use brt::{SlotCell, SlotSink};
 use std::collections::{BTreeMap, HashSet};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -289,14 +289,21 @@ impl UdpFanout {
 }
 
 impl SlotSink for UdpFanout {
-    fn publish(&mut self, slot: usize, lanes: &[LaneView<'_>]) {
+    fn publish(&mut self, cell: &SlotCell) {
+        let slot = cell.slot;
+        // Dark lanes and idle slots carry nothing a receiver acts on.
+        let live = || {
+            cell.lanes.iter().enumerate().filter_map(|(channel, lane)| {
+                Some((channel as u16, lane.epoch?, lane.block.as_ref()?))
+            })
+        };
         self.shared
             .next_slot
             .store(slot as u64 + 1, Ordering::Relaxed);
-        for lane in lanes {
+        for (_, epoch, _) in live() {
             self.shared
                 .current_epoch
-                .fetch_max(lane.epoch, Ordering::Relaxed);
+                .fetch_max(epoch, Ordering::Relaxed);
         }
         let peers: Vec<SocketAddr> = {
             let guard = self.shared.peers.lock().expect("peer set lock");
@@ -305,12 +312,13 @@ impl SlotSink for UdpFanout {
         if peers.is_empty() {
             return;
         }
-        for lane in lanes {
-            let frame = Frame::Slot(SlotFrame::from_transmission(
-                lane.channel as u16,
-                lane.epoch,
-                lane.transmission,
-            ));
+        for (channel, epoch, block) in live() {
+            let frame = Frame::Slot(SlotFrame {
+                epoch,
+                channel,
+                slot: slot as u64,
+                block: block.clone(),
+            });
             let encoded = encode(&frame);
             self.shared.metrics.frames_sent.inc();
             let mut dropped = false;
@@ -421,21 +429,12 @@ impl NetServer {
     /// Binds the UDP data/membership socket (and the TCP control listener
     /// when configured), spawns their service threads, and returns the
     /// fan-out sink to attach to a runtime plus the handle to manage it.
-    /// Records into a fresh private [`Telemetry`]; use
-    /// [`NetServer::bind_with_telemetry`] to share one with a runtime.
+    /// The network side records into `telemetry` — hand it the runtime's
+    /// handle and the control plane's metrics opcode exposes runtime and
+    /// network metrics from one registry.  The control plane's directory
+    /// starts empty and is rebuilt on every [`SlotSink::mode_changed`].
     pub fn bind(
         config: NetConfig,
-        directory: Directory,
-    ) -> Result<(UdpFanout, NetHandle), NetError> {
-        NetServer::bind_with_telemetry(config, directory, Telemetry::new())
-    }
-
-    /// [`NetServer::bind`] recording into a caller-supplied [`Telemetry`] —
-    /// hand it the runtime's handle and the control plane's metrics opcode
-    /// exposes runtime and network metrics from one registry.
-    pub fn bind_with_telemetry(
-        config: NetConfig,
-        directory: Directory,
         telemetry: Telemetry,
     ) -> Result<(UdpFanout, NetHandle), NetError> {
         frame_fits(MIN_SLOT_FRAME, config.mtu)?;
@@ -455,7 +454,7 @@ impl NetServer {
             next_slot: AtomicU64::new(0),
             current_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            directory: Mutex::new(directory),
+            directory: Mutex::new(Directory::new()),
         });
 
         let mut threads = Vec::new();
@@ -528,9 +527,9 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
                     shared.metrics.leaves.inc();
                 }
             }
-            ControlFrame::ResyncRequest => {
-                let _ = socket.send_to(&encode(&Frame::Control(shared.resync_frame())), from);
-            }
+            // A resync is asked over the control plane; every join ack
+            // already carries one.  Anything else gets no reply, so the
+            // data socket never answers a source that has not joined.
             _ => {}
         }
     }
@@ -702,8 +701,20 @@ mod tests {
     use bdisk::{
         BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, TransmissionRef,
     };
+    use brt::LaneCell;
     use bytes::Bytes;
     use ida::{BlockHeader, DispersedBlock, FileId};
+
+    /// The cell of `slot` with one live lane, channel 0 under `epoch`.
+    fn one_lane(slot: usize, epoch: u64, block: &DispersedBlock) -> SlotCell {
+        SlotCell {
+            slot,
+            lanes: vec![LaneCell {
+                epoch: Some(epoch),
+                block: Some(block.clone()),
+            }],
+        }
+    }
 
     fn test_block() -> DispersedBlock {
         DispersedBlock::new(
@@ -724,18 +735,7 @@ mod tests {
         let mut buf = [0u8; 2048];
 
         let block = test_block();
-        let tx = TransmissionRef {
-            slot: 3,
-            block: &block,
-        };
-        fanout.publish(
-            3,
-            &[LaneView {
-                channel: 0,
-                epoch: 7,
-                transmission: tx,
-            }],
-        );
+        fanout.publish(&one_lane(3, 7, &block));
         let (len, _) = client.recv_from(&mut buf).unwrap();
         let Packet::Frame(Frame::Slot(sf)) = decode(&buf[..len]).unwrap() else {
             panic!("expected a slot frame");
@@ -758,7 +758,7 @@ mod tests {
     /// for the ack.
     fn station_with_listener(config: NetConfig) -> (UdpFanout, NetHandle, UdpSocket) {
         let ip = config.data_bind.ip();
-        let (fanout, handle) = NetServer::bind(config, Directory::new()).unwrap();
+        let (fanout, handle) = NetServer::bind(config, Telemetry::new()).unwrap();
         let client = UdpSocket::bind(SocketAddr::new(ip, 0)).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(2)))
@@ -791,14 +791,7 @@ mod tests {
         let transmission = TransmissionRef { slot, block };
         let frame = Frame::Slot(SlotFrame::from_transmission(0, 1, transmission));
         let expected = datagrams(&frame, fanout.mtu, fanout.seq);
-        fanout.publish(
-            slot,
-            &[LaneView {
-                channel: 0,
-                epoch: 1,
-                transmission,
-            }],
-        );
+        fanout.publish(&one_lane(slot, 1, block));
         let mut buf = vec![0u8; 65_536];
         let heard = (0..expected.len())
             .map(|i| {
@@ -960,38 +953,55 @@ mod tests {
             waited += 1;
         }
         assert_eq!(handle.stats().peers, 0);
-        let block = test_block();
-        fanout.publish(
-            0,
-            &[LaneView {
-                channel: 0,
-                epoch: 1,
-                transmission: TransmissionRef {
-                    slot: 0,
-                    block: &block,
-                },
-            }],
-        );
+        fanout.publish(&one_lane(0, 1, &test_block()));
         assert_eq!(handle.stats().datagrams_sent, 0);
         handle.shutdown();
     }
 
     #[test]
+    fn the_data_socket_answers_a_join_and_no_resync_request() {
+        let (_fanout, handle, client) = station_with_listener(NetConfig::default());
+        client
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        // The membership loop takes datagrams in order: once the second
+        // join's ack is in, an answer to the request would be too.
+        for control in [ControlFrame::ResyncRequest, ControlFrame::Join] {
+            client
+                .send_to(&encode(&Frame::Control(control)), handle.data_addr())
+                .unwrap();
+        }
+        let mut buf = [0u8; 2048];
+        let (len, _) = client.recv_from(&mut buf).expect("the join ack");
+        assert!(matches!(
+            decode(&buf[..len]).unwrap(),
+            Packet::Frame(Frame::Control(ControlFrame::Resync { .. }))
+        ));
+        let extra = client.recv_from(&mut buf);
+        assert!(extra.is_err(), "a reply to the resync request: {extra:?}");
+        handle.shutdown();
+    }
+
+    #[test]
     fn control_plane_answers_subscriptions_from_the_directory() {
-        let mut directory = Directory::new();
-        directory.insert(1, SubscriptionInfo::new(2, 5, 3, 6).with_root([7; 32]));
-        let (_fanout, handle) =
-            NetServer::bind(NetConfig::default().with_control_plane(), directory).unwrap();
+        let (mut fanout, handle) =
+            NetServer::bind(NetConfig::default().with_control_plane(), Telemetry::new()).unwrap();
+        // A bank whose second channel was reprogrammed: file 2 is served
+        // under epoch 1 there.
+        let mut bank = EpochBank::new(vec![server_for(&[1]), server_for(&[3])]).unwrap();
+        bank.swap(8, vec![server_for(&[1]), server_for(&[2])])
+            .unwrap();
+        fanout.mode_changed(&bank);
         let addr = handle.control_addr().expect("control plane configured");
         let mut stream = TcpStream::connect(addr).unwrap();
 
-        write_control_frame(&mut stream, &ControlFrame::Subscribe { file: FileId(1) }).unwrap();
+        write_control_frame(&mut stream, &ControlFrame::Subscribe { file: FileId(2) }).unwrap();
         let reply = read_control_frame(&mut stream).unwrap().unwrap();
         assert_eq!(
             reply,
             ControlFrame::SubscribeAck {
-                file: FileId(1),
-                info: SubscriptionInfo::new(2, 5, 3, 6).with_root([7; 32]),
+                file: FileId(2),
+                info: SubscriptionInfo::new(1, 1, 2, 4),
             }
         );
 
@@ -1027,7 +1037,7 @@ mod tests {
     #[test]
     fn mode_changes_and_published_epochs_reach_the_control_plane() {
         let (mut fanout, handle) =
-            NetServer::bind(NetConfig::default().with_control_plane(), Directory::new()).unwrap();
+            NetServer::bind(NetConfig::default().with_control_plane(), Telemetry::new()).unwrap();
         let addr = handle.control_addr().expect("control plane configured");
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut served = |file: u32| {
@@ -1055,18 +1065,7 @@ mod tests {
         assert_eq!(served(3), Some(SubscriptionInfo::new(1, 1, 2, 4)));
 
         // Publishing under epoch 9 makes the resync report the live epoch.
-        let block = test_block();
-        fanout.publish(
-            5,
-            &[LaneView {
-                channel: 0,
-                epoch: 9,
-                transmission: TransmissionRef {
-                    slot: 5,
-                    block: &block,
-                },
-            }],
-        );
+        fanout.publish(&one_lane(5, 9, &test_block()));
         write_control_frame(&mut stream, &ControlFrame::ResyncRequest).unwrap();
         let reply = read_control_frame(&mut stream).unwrap().unwrap();
         assert_eq!(
@@ -1082,26 +1081,11 @@ mod tests {
     #[test]
     fn control_plane_serves_metrics_in_both_formats() {
         let telemetry = Telemetry::new();
-        let (mut fanout, handle) = NetServer::bind_with_telemetry(
-            NetConfig::default().with_control_plane(),
-            Directory::new(),
-            telemetry.clone(),
-        )
-        .unwrap();
+        let (mut fanout, handle) =
+            NetServer::bind(NetConfig::default().with_control_plane(), telemetry.clone()).unwrap();
         // Publishing with no peers still registers the bnet_* names, so a
         // scrape sees them at zero; publish once to be sure.
-        let block = test_block();
-        fanout.publish(
-            0,
-            &[LaneView {
-                channel: 0,
-                epoch: 1,
-                transmission: TransmissionRef {
-                    slot: 0,
-                    block: &block,
-                },
-            }],
-        );
+        fanout.publish(&one_lane(0, 1, &test_block()));
         let addr = handle.control_addr().expect("control plane configured");
         let mut stream = TcpStream::connect(addr).unwrap();
 

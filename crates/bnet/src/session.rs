@@ -18,21 +18,27 @@
 //! frame's chunks are written once into one buffer, and the block's
 //! payload is a view of it.
 //!
-//! Erasures:
+//! Erasures — one per lost slot:
 //!
-//! * a datagram that fails to decode (corrupt, short, foreign, or a control
-//!   note of a retired opcode) counts as one erasure;
 //! * a gap in the slot numbering of the client's channel counts as one
 //!   erasure per missing slot (lost datagrams — conservative: the gap may
 //!   have carried other files' blocks);
-//! * an evicted fragment group (a frame that will never complete) counts
-//!   as one erasure.
+//! * a block that fails its inclusion proof counts as one (the session
+//!   books it);
+//! * a datagram that fails to decode (corrupt, short, foreign, or a control
+//!   note of a retired opcode) and an evicted fragment group (a frame that
+//!   will never complete) count as decode errors.  Once the gap detector
+//!   has a baseline, that is all they cost: a lost frame of the client's
+//!   channel leaves a gap that books its slot, and one of another channel
+//!   costs the retrieval nothing.  Before a baseline, with no gap to book
+//!   it, each also counts as one erasure.
 //!
 //! Erasures go straight into the session, also before the dispersal
 //! parameters are known, so `errors_observed` is faithful from the first
-//! listened slot.  Being socket-free, the state machine is driven
-//! identically by a real `UdpSocket`, an in-memory lossy channel (see the
-//! property tests), or a replay log.
+//! listened slot; [`ClientStats::erasures`] reads it there.  Being
+//! socket-free, the state machine is driven identically by a real
+//! `UdpSocket`, an in-memory lossy channel (see the property tests), or a
+//! replay log.
 
 use crate::error::NetError;
 use crate::wire::{
@@ -52,12 +58,15 @@ pub struct ClientStats {
     pub slot_frames: u64,
     /// Control frames successfully decoded.
     pub control_frames: u64,
-    /// Datagrams that failed to decode (corrupt/short/foreign).
+    /// Datagrams that failed to decode (corrupt/short/foreign), and
+    /// fragmented frames evicted before they came together.
     pub decode_errors: u64,
     /// Missing slots detected on the client's channel.
     pub gap_erasures: u64,
-    /// Erasures recorded in total (decode errors + gaps + evictions +
-    /// verification failures).
+    /// Erasures the retrieval's session has booked, its `errors_observed`:
+    /// one per missing slot on the client's channel, one per block that
+    /// fails its inclusion proof, and — only before the gap detector has a
+    /// baseline — one per decode error.
     pub erasures: u64,
     /// Blocks rejected because their Merkle inclusion proof failed against
     /// the file's commitment root (each is also counted as an erasure).
@@ -126,6 +135,8 @@ pub struct ClientState {
     /// channel (or the slot before a resync's `next_slot`).
     last_slot: Option<u64>,
     stale_epoch: Option<u64>,
+    /// Every count but the two the session keeps (`erasures`,
+    /// `verify_failures`), which [`ClientState::stats`] reads from it.
     stats: ClientStats,
 }
 
@@ -167,7 +178,7 @@ impl ClientState {
     /// Arms verify-on-receive against `root` out of band (e.g. a root
     /// pinned by the operator rather than learned from the station).
     pub fn require_root(&mut self, root: Root) {
-        self.booking(|session| session.require_root(root));
+        self.session.require_root(root);
     }
 
     /// The epoch the client's channel serves under, once learned.
@@ -189,7 +200,11 @@ impl ClientState {
 
     /// What the state machine has seen so far.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        ClientStats {
+            erasures: self.session.errors_observed() as u64,
+            verify_failures: self.session.verify_failures() as u64,
+            ..self.stats
+        }
     }
 
     /// Distinct blocks of the file received so far (verified, when a root
@@ -217,7 +232,7 @@ impl ClientState {
             Ok(PacketView::Control(cf)) => self.feed_frame(Frame::Control(cf)),
             Ok(PacketView::Fragment(frag)) => self.feed_fragment(&frag),
             Err(_) => {
-                self.decode_error();
+                self.lost_frames(1);
                 false
             }
         }
@@ -233,13 +248,13 @@ impl ClientState {
         }
         let before = self.reassembler.evicted();
         let complete = self.reassembler.offer_view(frag);
-        self.note_erasures((self.reassembler.evicted() - before) as usize);
+        self.lost_frames(self.reassembler.evicted() - before);
         match complete.map(wire::decode_reassembled) {
             Some(Ok(frame)) => self.feed_frame(frame),
             // A reassembled frame that decodes to garbage (or, nonsensically,
-            // to another fragment) is a lost frame: one erasure.
+            // to another fragment) is a lost frame.
             Some(Err(_)) => {
-                self.decode_error();
+                self.lost_frames(1);
                 false
             }
             None => false,
@@ -251,9 +266,15 @@ impl ClientState {
         head.file == self.file() && self.session.needs(head.index)
     }
 
-    fn decode_error(&mut self) {
-        self.stats.decode_errors += 1;
-        self.note_erasures(1);
+    /// Books `count` datagrams or frames that never decoded.  Once the gap
+    /// detector has a baseline, the slot such a frame leaves on the
+    /// session's channel is booked by the gap, so they cost no erasure
+    /// here: a slot is lost once.
+    fn lost_frames(&mut self, count: u64) {
+        self.stats.decode_errors += count;
+        if self.last_slot.is_none() {
+            self.note_erasures(count as usize);
+        }
     }
 
     /// Feeds one already-decoded frame (the TCP control path and the
@@ -325,15 +346,14 @@ impl ClientState {
         if !ours {
             return false;
         }
-        self.booking(|session| {
-            session.ingest(Observation::Block {
+        self.session
+            .ingest(Observation::Block {
                 slot: sf.slot as usize,
                 block: &sf.block,
                 received_ok: true,
                 proof: None,
             })
-        })
-        .completed()
+            .completed()
     }
 
     /// Books one slot frame heard: the slot counter and the epoch of the
@@ -364,20 +384,6 @@ impl ClientState {
         }
     }
 
-    /// Runs `f` on the session and books the verification failures it
-    /// found — Byzantine corruption: a block that survived the CRC but
-    /// fails its inclusion proof is a typed erasure, never a poisoned
-    /// reconstruction.  A block held back unverified is booked by the call
-    /// that checks it, so failures are counted from the session.
-    fn booking<R>(&mut self, f: impl FnOnce(&mut ClientSession) -> R) -> R {
-        let before = self.session.verify_failures();
-        let out = f(&mut self.session);
-        let found = (self.session.verify_failures() - before) as u64;
-        self.stats.verify_failures += found;
-        self.stats.erasures += found;
-        out
-    }
-
     fn feed_control(&mut self, cf: ControlFrame) {
         match cf {
             ControlFrame::SubscribeAck { file, info } if file == self.file() => self.tune(info),
@@ -396,11 +402,11 @@ impl ClientState {
         self.stale_epoch = None;
         let params = Some((info.m as usize, info.n as usize));
         let channel = usize::from(info.channel);
-        self.booking(|session| session.retune(channel, info.epoch, params, info.commitment_root));
+        self.session
+            .retune(channel, info.epoch, params, info.commitment_root);
     }
 
     fn note_erasures(&mut self, count: usize) {
-        self.stats.erasures += count as u64;
         self.session.ingest(Observation::Erasure { count });
     }
 }
@@ -454,6 +460,29 @@ mod tests {
         state.feed_datagram(&encode(&frame(2, 0, 1, 1, b"bbbb")));
         let outcome = state.finish().unwrap();
         assert_eq!(outcome.errors_observed, 2);
+    }
+
+    #[test]
+    fn a_corrupt_datagram_after_the_baseline_costs_only_the_slot_it_leaves() {
+        let mut state = ClientState::new(FileId(1));
+        state.feed_datagram(&encode(&frame(0, 0, 1, 0, b"aaaa")));
+        // Another channel's datagram, corrupted: no slot of ours is lost.
+        let mut foreign = encode(&frame(1, 3, 2, 0, b"xxxx"));
+        foreign[10] ^= 0xFF;
+        state.feed_datagram(&foreign);
+        let stats = state.stats();
+        assert_eq!((stats.decode_errors, stats.erasures), (1, 0));
+        // Our slot 1, corrupted: the gap it leaves books it, once.
+        let mut own = encode(&frame(1, 0, 1, 1, b"bbbb"));
+        own[10] ^= 0xFF;
+        state.feed_datagram(&own);
+        assert!(state.feed_datagram(&encode(&frame(2, 0, 1, 1, b"bbbb"))));
+        let stats = state.stats();
+        assert_eq!(
+            (stats.decode_errors, stats.gap_erasures, stats.erasures),
+            (2, 1, 1)
+        );
+        assert_eq!(state.finish().unwrap().errors_observed, 1);
     }
 
     #[test]
@@ -660,25 +689,7 @@ mod tests {
         let outcome = state.finish().unwrap();
         assert_eq!(outcome.data, data);
         assert_eq!(outcome.errors_observed, 1);
-
-        // The snapshot exports beside the live counter `NetClient` bumps on
-        // the same registry, in either order: one name asked for as two
-        // kinds panics the registry.
-        for counter_first in [true, false] {
-            let registry = bobs::Registry::new();
-            let live = || registry.counter(crate::client::VERIFY_FAILURES_COUNTER);
-            if counter_first {
-                live().inc();
-            }
-            state.stats().export_into(&registry);
-            live().inc();
-            let snap = registry.snapshot();
-            assert_eq!(snap.gauges["bnet_client_verify_failures"], 1);
-            assert_eq!(
-                snap.counters[crate::client::VERIFY_FAILURES_COUNTER],
-                1 + u64::from(counter_first)
-            );
-        }
+        assert_eq!(state.stats().erasures, 1);
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub enum ControlFrame {
         /// The next slot the station will serve.
         next_slot: u64,
     },
-    /// A client asks for a [`ControlFrame::Resync`].
+    /// A client asks for a [`ControlFrame::Resync`] (TCP control plane).
     ResyncRequest,
     /// A client asks the station for a telemetry snapshot in `format`
     /// (TCP control plane).

@@ -76,28 +76,6 @@ pub enum Event {
         /// The slot whose frame was dropped.
         slot: u64,
     },
-    /// A network client ran a recovery round: it rejoined the station
-    /// after a suspected partition, eviction, or stale epoch.
-    Recovery {
-        /// The file being retrieved when recovery fired.
-        file: u64,
-        /// Recovery rounds run so far for this retrieval (this one
-        /// included).
-        attempts: u64,
-        /// `true` when the round reached the control plane and re-tuned
-        /// the session (a resync), `false` when it could only re-send
-        /// its join.
-        resynced: bool,
-    },
-    /// A received block failed Merkle verification against the file's
-    /// commitment root — a Byzantine (post-CRC) corruption, booked as an
-    /// erasure rather than poisoning the reconstruction.
-    BadBlock {
-        /// The file whose block failed verification.
-        file: u64,
-        /// Blocks of this retrieval rejected so far (this one included).
-        rejected: u64,
-    },
 }
 
 #[derive(Debug, Default)]

@@ -32,7 +32,7 @@
 //! * [`SwapScheduler`] — plays a [`bmode::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
-//!   live lanes are published once to each attached sink, and every swap
+//!   [`SlotCell`] is published once to each attached sink, and every swap
 //!   the serving loop lands is announced to it with the bank
 //!   ([`SlotSink::mode_changed`]).  A network transport is a *sink*, not a
 //!   subscriber — the medium fans out for free, exactly the paper's
@@ -66,7 +66,7 @@ pub use runtime::{
     SubscriptionStats,
 };
 pub use scheduler::{run_schedule, ScheduleOutcome, SwapScheduler};
-pub use sink::{LaneView, SlotSink};
+pub use sink::SlotSink;
 
 #[cfg(test)]
 mod tests {
@@ -404,14 +404,15 @@ mod tests {
         }
         struct Recorder(Arc<Mutex<Record>>);
         impl SlotSink for Recorder {
-            fn publish(&mut self, slot: usize, lanes: &[LaneView<'_>]) {
-                self.0.lock().unwrap().published.push((
-                    slot,
-                    lanes
-                        .iter()
-                        .map(|l| (l.channel, l.epoch, l.transmission.block.file()))
-                        .collect(),
-                ));
+            fn publish(&mut self, cell: &SlotCell) {
+                let lanes = cell.lanes.iter().enumerate().filter_map(|(channel, lane)| {
+                    Some((channel, lane.epoch?, lane.block.as_ref()?.file()))
+                });
+                self.0
+                    .lock()
+                    .unwrap()
+                    .published
+                    .push((cell.slot, lanes.collect()));
             }
             fn mode_changed(&mut self, bank: &EpochBank) {
                 let mut record = self.0.lock().unwrap();
@@ -473,8 +474,8 @@ mod tests {
             seen: mpsc::Sender<(usize, u64)>,
         }
         impl SlotSink for Probe {
-            fn publish(&mut self, slot: usize, _: &[LaneView<'_>]) {
-                let _ = self.seen.send((slot, self.served.get()));
+            fn publish(&mut self, cell: &SlotCell) {
+                let _ = self.seen.send((cell.slot, self.served.get()));
             }
         }
         let telemetry = Telemetry::new();

@@ -44,7 +44,7 @@
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
 use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
 use crate::ring::{BatchRead, BroadcastRing, LaneCell, SlotCell};
-use crate::sink::{LaneView, SlotSink};
+use crate::sink::SlotSink;
 use bdisk::{ChannelErrorModel, TransmissionRef};
 use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
@@ -356,9 +356,9 @@ impl<E: Engine> Runtime<E> {
     }
 
     /// [`Runtime::spawn`] with transport-facing fan-out sinks attached: each
-    /// served slot's live lanes are published once to every sink (on the
-    /// serving thread, from the same lane snapshot the broadcast ring cell
-    /// is built from) — the seam a network transport plugs into.
+    /// served slot's [`SlotCell`] is published once to every sink (on the
+    /// serving thread, just before the broadcast ring publishes the same
+    /// cell) — the seam a network transport plugs into.
     ///
     /// The runtime records into the caller-owned [`Telemetry`] handle — the
     /// facade passes one shared handle so the runtime, the network fan-out
@@ -1054,20 +1054,8 @@ fn serve_slot<E: Engine>(
         lanes: live_lanes(&cell),
     });
     let t1 = timed.then(Instant::now);
-    if !sinks.is_empty() {
-        let mut views: Vec<LaneView<'_>> = Vec::with_capacity(cell.lanes.len());
-        for (channel, lane) in cell.lanes.iter().enumerate() {
-            if let (Some(epoch), Some(block)) = (lane.epoch, lane.block.as_ref()) {
-                views.push(LaneView {
-                    channel,
-                    epoch,
-                    transmission: TransmissionRef { slot, block },
-                });
-            }
-        }
-        for sink in sinks.iter_mut() {
-            sink.publish(slot, &views);
-        }
+    for sink in sinks.iter_mut() {
+        sink.publish(&cell);
     }
     let wake = ring.publish_prepared(cell);
     // Counted once it is out on every sink and on the ring, so the count

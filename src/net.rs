@@ -49,9 +49,8 @@ impl Station {
         // runtime hands the fan-out the bank before any slot is served.
         bnet::check_mtu(self.bank(), net_config.mtu).map_err(|e| Error::Net(e.to_string()))?;
         let telemetry = bobs::Telemetry::new();
-        let (fanout, net) =
-            NetServer::bind_with_telemetry(net_config, Directory::new(), telemetry.clone())
-                .map_err(|e| Error::Net(e.to_string()))?;
+        let (fanout, net) = NetServer::bind(net_config, telemetry.clone())
+            .map_err(|e| Error::Net(e.to_string()))?;
         let runtime = brt::Runtime::spawn_with_telemetry(
             self,
             clock,

@@ -14,7 +14,7 @@
 //!   `(m, n)` republishes the same commitment root, so armed sessions keep
 //!   verifying across the flip;
 //! * **a tampered root fails typed** — a session armed with the wrong root
-//!   rejects every authentic block as `bauth_verify_failures`, never as a
+//!   rejects every authentic block as a verify failure, never as a
 //!   poisoned reconstruct;
 //! * **the acceptance scenario** — a real retrieval through a 5% post-CRC
 //!   corrupting `ImpairedLink` reconstructs byte-identically with

@@ -4,7 +4,7 @@
 //! erasures along the way.
 
 use rtbdisk::bnet::wire::{encode, ControlFrame, Frame};
-use rtbdisk::bnet::{Directory, NetClient, NetServer};
+use rtbdisk::bnet::{NetClient, NetServer};
 use rtbdisk::{
     Broadcast, ControlClient, Error, FileId, GeneralizedFileSpec, ManualClock, ModeSchedule,
     ModeSpec, NetConfig, NetError, NetServing, NoErrors, RecoveryConfig, RuntimeConfig, Station,
@@ -346,7 +346,7 @@ fn blocks_the_wire_cannot_carry_are_refused_up_front_and_dropped_after_a_swap() 
         mtu: 26,
         ..NetConfig::default()
     };
-    match NetServer::bind(tiny.clone(), Directory::new()) {
+    match NetServer::bind(tiny.clone(), rtbdisk::Telemetry::new()) {
         Err(NetError::FrameTooLarge { mtu: 26, .. }) => {}
         other => panic!("an mtu of 26 must be refused, got {:?}", other.err()),
     }

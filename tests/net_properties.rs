@@ -6,8 +6,8 @@
 //!   byte-identically to the serial drive losing the *same* receptions
 //!   through an error model;
 //! * **corruption is loss** — flipping bytes in a datagram instead of
-//!   dropping it yields the same reconstruction (the decoder rejects the
-//!   datagram, the dispersal absorbs it as an erasure);
+//!   dropping it yields the same reconstruction and the same erasure count
+//!   (the decoder rejects the datagram, the gap it leaves is booked once);
 //! * **fragmentation is transparent** — a tiny MTU that forces every slot
 //!   frame through the fragment path reconstructs identically.
 //!
@@ -22,7 +22,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtbdisk::bnet::wire::{
-    crc32, datagrams, decode, encode, Frame, Packet, Reassembler, SlotFrame, MAX_REASSEMBLY_BYTES,
+    crc32, datagrams, decode, encode, ControlFrame, Frame, Packet, Reassembler, SlotFrame,
+    SubscriptionInfo, MAX_REASSEMBLY_BYTES,
 };
 use rtbdisk::bnet::ClientState;
 use rtbdisk::{Broadcast, ErrorModel, FileId, GeneralizedFileSpec, Station, TransmissionRef};
@@ -50,9 +51,15 @@ impl ErrorModel for PatternErrors {
 }
 
 fn station_case(case: usize) -> Station {
+    station_of(case, 1)
+}
+
+/// [`station_case`] with files of `size` blocks each.
+fn station_of(case: usize, size: u32) -> Station {
     let channels = [1, 2][case % 2];
     let files = (1..=(2 * channels) as u32).map(|i| {
-        GeneralizedFileSpec::new(FileId(i), 1, vec![10 + 3 * i, 15 + 3 * i]).expect("feasible spec")
+        let d = size * (10 + 3 * i);
+        GeneralizedFileSpec::new(FileId(i), size, vec![d, d + 5 * size]).expect("feasible spec")
     });
     Broadcast::builder()
         .files(files)
@@ -61,11 +68,18 @@ fn station_case(case: usize) -> Station {
         .expect("the case specs are feasible")
 }
 
-/// The wire stream of one channel: every live transmission encoded as a
-/// slot-frame datagram, in slot order, up to `limit` receptions.
-fn wire_stream(station: &Station, channel: u16, epoch: u64, limit: usize) -> Vec<Vec<u8>> {
+/// The wire stream of one channel from slot `from`: every live
+/// transmission encoded as a slot-frame datagram, in slot order, up to
+/// `limit` receptions.
+fn wire_stream(
+    station: &Station,
+    channel: u16,
+    epoch: u64,
+    from: usize,
+    limit: usize,
+) -> Vec<Vec<u8>> {
     station
-        .stream_channel(channel as usize, 0)
+        .stream_channel(channel as usize, from)
         .expect("the directory names a real channel")
         .filter_map(|(_, tx)| tx)
         .take(limit)
@@ -101,7 +115,7 @@ fn lossy_wire_resolves_byte_identically_to_the_serial_bernoulli_drive() {
             // The wire: the same channel's datagram stream through a lossy
             // in-memory socket dropping the same receptions.
             let mut state = ClientState::new(file);
-            for (i, datagram) in wire_stream(&station, info.channel, info.epoch, pattern.len())
+            for (i, datagram) in wire_stream(&station, info.channel, info.epoch, 0, pattern.len())
                 .iter()
                 .enumerate()
             {
@@ -113,6 +127,7 @@ fn lossy_wire_resolves_byte_identically_to_the_serial_bernoulli_drive() {
                 }
             }
             let outcome = state.finish().expect("the wire leg reconstructs");
+            assert_eq!(state.stats().erasures, outcome.errors_observed as u64);
             assert_eq!(
                 outcome.data, expected.data,
                 "case {case} file {file}: wire loss and serial-drive loss must \
@@ -127,8 +142,11 @@ fn lossy_wire_resolves_byte_identically_to_the_serial_bernoulli_drive() {
 #[test]
 fn corrupted_datagrams_resolve_like_dropped_ones() {
     let mut rng = StdRng::seed_from_u64(0x03E7_0002);
+    let mut corrupted_total = 0;
     for case in 0..6 {
-        let station = station_case(case);
+        // Files of several blocks, so the retrieval listens long enough
+        // for the pattern to mark some of its datagrams.
+        let station = station_of(case, 4 + case as u32);
         let spec = &station.specs()[case % station.specs().len()];
         let file = spec.id;
         let info = station.network_directory()[&file.0];
@@ -144,13 +162,13 @@ fn corrupted_datagrams_resolve_like_dropped_ones() {
             .unwrap();
 
         // Same drop pattern, but instead of vanishing, the marked datagrams
-        // arrive corrupted: a flipped byte somewhere in the body.
-        let mut state = ClientState::new(file);
+        // arrive corrupted: a flipped byte somewhere in the body.  The client
+        // joins at slot 1, so the join ack's resync gives its gap detector a
+        // baseline before the first datagram.
+        let stream = wire_stream(&station, info.channel, info.epoch, 1, pattern.len());
+        let mut state = joined(file, info, 1);
         let mut corrupted_fed = 0u64;
-        for (i, datagram) in wire_stream(&station, info.channel, info.epoch, pattern.len())
-            .iter()
-            .enumerate()
-        {
+        for (i, datagram) in stream.iter().enumerate() {
             let done = if pattern[i] {
                 let mut garbled = datagram.clone();
                 let at = rng.gen_range(0..garbled.len());
@@ -171,7 +189,43 @@ fn corrupted_datagrams_resolve_like_dropped_ones() {
         // Every corrupted datagram the decoder saw was rejected and counted.
         assert_eq!(state.stats().decode_errors, corrupted_fed);
         assert!(state.stats().erasures >= corrupted_fed);
+        assert_eq!(state.stats().erasures, outcome.errors_observed as u64);
+        corrupted_total += corrupted_fed;
+
+        // The marked datagrams dropped instead: the same erasures, one per
+        // lost slot, whether the slot's datagram vanished or arrived
+        // garbled.
+        let mut dropped = joined(file, info, 1);
+        let kept = stream.iter().zip(&pattern).filter(|(_, &lost)| !lost);
+        for (datagram, _) in kept {
+            if dropped.feed_datagram(datagram) {
+                break;
+            }
+        }
+        let dropped = dropped.finish().expect("loss is absorbed");
+        assert_eq!(
+            (dropped.completion_slot, dropped.errors_observed),
+            (outcome.completion_slot, outcome.errors_observed),
+            "case {case} file {file}: corrupted and dropped datagrams"
+        );
     }
+    assert!(
+        corrupted_total > 0,
+        "the suite corrupts no datagram it feeds"
+    );
+}
+
+/// A client of `file` as a join leaves it when the station's next slot is
+/// `next_slot`: tuned by the control plane's subscribe ack, its gap
+/// detector baselined by the join ack's resync.
+fn joined(file: FileId, info: SubscriptionInfo, next_slot: u64) -> ClientState {
+    let mut state = ClientState::new(file);
+    state.feed_frame(Frame::Control(ControlFrame::SubscribeAck { file, info }));
+    state.feed_frame(Frame::Control(ControlFrame::Resync {
+        epoch: info.epoch,
+        next_slot,
+    }));
+    state
 }
 
 #[test]
@@ -290,7 +344,7 @@ fn a_forged_fragment_flood_is_capped_and_a_genuine_retrieval_still_completes() {
 // Dropping at fragment 0.
 
 /// `m` for the two-file streams below: more own frames than a client keeps
-/// partial groups, so a leaked group would be evicted as an erasure.
+/// partial groups, so a leaked group would be evicted as a decode error.
 const TWO_FILE_M: usize = 20;
 
 /// Two plain files of 20-of-24 dispersal, their blocks alternating on
@@ -351,7 +405,10 @@ fn dropping_at_fragment_0_keeps_the_wire_accounting_exact() {
         (content.clone(), done_at)
     );
     let stats = state.stats();
-    assert_eq!((stats.gap_erasures, stats.erasures), (0, 0));
+    assert_eq!(
+        (stats.gap_erasures, stats.erasures, stats.decode_errors),
+        (0, 0, 0)
+    );
     assert_eq!(
         stats.slot_frames,
         done_at as u64 + 1,
@@ -374,7 +431,10 @@ fn dropping_at_fragment_0_keeps_the_wire_accounting_exact() {
         (outcome.data, outcome.completion_slot),
         (content.clone(), done_at)
     );
-    assert_eq!(state.stats().erasures, 0);
+    assert_eq!(
+        (state.stats().erasures, state.stats().decode_errors),
+        (0, 0)
+    );
 
     // A lost fragment 0, of a foreign and of an own frame: the frame is
     // lost, one erasure each (the gap its slot leaves), and what is left
