@@ -230,8 +230,8 @@ struct Shared {
     /// The next slot the serving loop will publish — what a `Resync`
     /// reports.
     next_slot: AtomicU64,
-    /// The highest epoch the fan-out has published under — what a
-    /// `Resync` reports as the live epoch.
+    /// The highest epoch the fan-out has published any lane under — what
+    /// a `Resync` reports (not a per-channel epoch).
     current_epoch: AtomicU64,
     stop: AtomicBool,
     directory: Mutex<Directory>,

@@ -21,8 +21,11 @@
 //! Erasures — one per lost slot:
 //!
 //! * a gap in the slot numbering of the client's channel counts as one
-//!   erasure per missing slot (lost datagrams — conservative: the gap may
-//!   have carried other files' blocks);
+//!   erasure per missing slot.  The wire carries no per-lane frame count,
+//!   so a gap cannot tell a lost frame of the client's file from a lost
+//!   frame of another file or from an idle slot (the fan-out sends nothing
+//!   for a lane with no block): the wire's `errors_observed` is an upper
+//!   bound on the paper's `r`, not `r` itself;
 //! * a block that fails its inclusion proof counts as one (the session
 //!   books it);
 //! * a datagram that fails to decode (corrupt, short, foreign, or a control
@@ -48,6 +51,7 @@ use crate::wire::{
 use bauth::Root;
 use bdisk::{ClientSession, Observation, RetrievalOutcome};
 use ida::{Dispersal, FileId};
+use std::collections::BTreeMap;
 
 /// Counters describing what a [`ClientState`] has seen.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,7 +65,10 @@ pub struct ClientStats {
     /// Datagrams that failed to decode (corrupt/short/foreign), and
     /// fragmented frames evicted before they came together.
     pub decode_errors: u64,
-    /// Missing slots detected on the client's channel.
+    /// Missing slots detected on the client's channel, each booked as an
+    /// erasure: lost frames of the client's file, but also lost frames of
+    /// other files and idle slots, which the fan-out sends nothing for —
+    /// so an upper bound on the erasures the paper's `r` counts.
     pub gap_erasures: u64,
     /// Erasures the retrieval's session has booked, its `errors_observed`:
     /// one per missing slot on the client's channel, one per block that
@@ -134,6 +141,9 @@ pub struct ClientState {
     /// The gap detector's baseline: the newest slot heard on the session's
     /// channel (or the slot before a resync's `next_slot`).
     last_slot: Option<u64>,
+    /// The newest slot heard on each channel while the session does not
+    /// yet know its own: where its baseline stands once it tunes.
+    untuned_heard: BTreeMap<u16, u64>,
     stale_epoch: Option<u64>,
     /// Every count but the two the session keeps (`erasures`,
     /// `verify_failures`), which [`ClientState::stats`] reads from it.
@@ -148,6 +158,7 @@ impl ClientState {
             session: ClientSession::new(file, 0, 0),
             reassembler: Reassembler::new(CLIENT_REASSEMBLY_GROUPS),
             last_slot: None,
+            untuned_heard: BTreeMap::new(),
             stale_epoch: None,
             stats: ClientStats::default(),
         }
@@ -341,6 +352,7 @@ impl ClientState {
             let root = self.session.expected_root();
             self.session
                 .retune(usize::from(sf.channel), sf.epoch, None, root);
+            self.baseline_tuned_channel();
         }
         self.hear(sf.channel, sf.epoch, sf.slot);
         if !ours {
@@ -360,12 +372,18 @@ impl ClientState {
     /// session's channel.
     fn hear(&mut self, channel: u16, epoch: u64, slot: u64) {
         self.stats.slot_frames += 1;
-        if self.session.channel() != Some(usize::from(channel)) {
+        let Some(tuned) = self.session.channel() else {
+            let newest = self.untuned_heard.entry(channel).or_insert(slot);
+            *newest = (*newest).max(slot);
+            return;
+        };
+        if tuned != usize::from(channel) {
             return;
         }
-        // Lost-datagram detection: the station serves its channels every
-        // slot, so a jump in the slot numbering of *our* channel means the
-        // intervening datagrams were lost on the medium.
+        // Lost-datagram detection: a jump in the slot numbering of *our*
+        // channel means the intervening slots never arrived — lost on the
+        // medium, or idle (the fan-out sends nothing for them), which the
+        // wire cannot tell apart.
         if let Some(last) = self.last_slot {
             if slot > last + 1 {
                 let gap = (slot - last - 1) as usize;
@@ -404,6 +422,23 @@ impl ClientState {
         let channel = usize::from(info.channel);
         self.session
             .retune(channel, info.epoch, params, info.commitment_root);
+        self.baseline_tuned_channel();
+    }
+
+    /// Raises a resync's gap baseline to the newest slot heard, while
+    /// untuned, on the channel the session has just tuned to: none of
+    /// those slots was lost.  Without a resync baseline the next frame
+    /// heard sets it, because a decode failure while untuned has already
+    /// booked its erasure.
+    fn baseline_tuned_channel(&mut self) {
+        let heard = std::mem::take(&mut self.untuned_heard);
+        let newest = self
+            .session
+            .channel()
+            .and_then(|channel| heard.get(&(channel as u16)));
+        if let (Some(baseline), Some(&newest)) = (self.last_slot.as_mut(), newest) {
+            *baseline = (*baseline).max(newest);
+        }
     }
 
     fn note_erasures(&mut self, count: usize) {
@@ -515,6 +550,27 @@ mod tests {
         state.feed_datagram(&encode(&frame(100, 0, 1, 0, b"aaaa")));
         assert_eq!(state.stats().gap_erasures, 0);
         state.feed_datagram(&encode(&frame(102, 0, 1, 1, b"bbbb")));
+        assert_eq!(state.stats().gap_erasures, 1);
+    }
+
+    #[test]
+    fn frames_heard_before_the_first_own_block_are_not_gaps() {
+        // A join ack's resync, then other files' frames on the channel the
+        // first own block later names: nothing was lost.
+        let mut state = ClientState::new(FileId(1));
+        state.feed_frame(Frame::Control(ControlFrame::Resync {
+            epoch: 0,
+            next_slot: 10,
+        }));
+        for slot in 10..15 {
+            state.feed_datagram(&encode(&frame(slot, 0, 2, 0, b"xxxx")));
+        }
+        state.feed_datagram(&encode(&frame(15, 0, 1, 0, b"aaaa")));
+        let stats = state.stats();
+        assert_eq!(state.channel(), Some(0));
+        assert_eq!((stats.gap_erasures, stats.erasures), (0, 0));
+        // The baseline now follows the channel: a real gap still books.
+        state.feed_datagram(&encode(&frame(17, 0, 1, 1, b"bbbb")));
         assert_eq!(state.stats().gap_erasures, 1);
     }
 

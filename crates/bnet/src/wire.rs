@@ -189,8 +189,10 @@ pub enum ControlFrame {
     },
     /// The station tells a (re)joining client where the slot counter is.
     Resync {
-        /// The epoch of the station's lowest-numbered live channel (0 when
-        /// unknown — advisory).
+        /// The highest epoch any lane has been published under so far (0
+        /// before the first live slot) — the station's newest mode, not
+        /// the epoch of any one channel: a channel a swap left alone may
+        /// still serve an older one.  Advisory: `NetClient` ignores it.
         epoch: u64,
         /// The next slot the station will serve.
         next_slot: u64,

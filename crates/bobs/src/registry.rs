@@ -4,8 +4,8 @@
 //! Handles are `Arc`-shared `Clone`s of the underlying atomics, so a hot
 //! loop holds its handles directly and never touches the registry lock —
 //! the `Mutex` guards only name → handle resolution and snapshots.  Every
-//! write is a single relaxed atomic RMW; a histogram record is three
-//! (bucket, count, sum).
+//! write is a single atomic RMW; a histogram record is three (bucket,
+//! count, sum).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -30,8 +30,18 @@ impl Counter {
     }
 
     /// Adds `n`.
+    ///
+    /// Counters bump with `Release` and read with `Acquire`, so a thread
+    /// that reads a total also sees every write the bumping thread made
+    /// before the bump.  That is what lets one count vouch for another:
+    /// the serving thread bumps `brt_slots_served` after the sinks have
+    /// counted the slot's datagrams, so whoever reads the served count and
+    /// then `bnet_datagrams_sent` never finds a served slot's datagrams
+    /// missing (a credit pacer sizes its grant from the two).  On x86-64
+    /// the orderings are free: `lock xadd` is a full barrier and every
+    /// load is an acquire.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Release);
     }
 
     /// Adds 1.
@@ -39,9 +49,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total.
+    /// The current total (an `Acquire` read; see [`Counter::add`]).
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 }
 

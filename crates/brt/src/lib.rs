@@ -686,7 +686,10 @@ mod tests {
         clock.advance(1);
         assert_eq!(arrivals.recv_timeout(PAUSE_BUDGET), Ok(0));
         clock.advance(39);
-        while runtime.slots_served() < 40 {
+        // A stats answer comes at a run boundary, once the ring holds every
+        // slot it counts (`slots_served()` may count a run's slots before
+        // the ring publishes them).
+        while runtime.stats().unwrap().slots_served < 40 {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(swap.join().unwrap().unwrap(), 1);

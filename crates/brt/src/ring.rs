@@ -4,10 +4,10 @@
 //! once and every receiver tuned in hears it for free.  The ring reproduces
 //! that shape in-process: the serving loop publishes one [`SlotCell`] per
 //! slot (an `Arc`-shared snapshot of every lane's epoch and transmission)
-//! onto a fixed-capacity ring, wakes parked readers with at most a single
-//! `Condvar` broadcast, and never touches per-subscriber state again.  Each
-//! subscriber holds a private cursor and reads cells without cloning
-//! payloads (the block bytes are reference-counted).
+//! onto a fixed-capacity ring, a ready run of them under one lock, wakes
+//! parked readers once per run, and never touches per-subscriber state
+//! again.  Each subscriber holds a private cursor and reads cells without
+//! cloning payloads (the block bytes are reference-counted).
 //!
 //! Two wakeup economies keep the writer fast on a loaded machine: parked
 //! readers wait in *per-slot groups* (a `BTreeMap` keyed by the slot each
@@ -131,9 +131,10 @@ impl RingState {
 }
 
 /// The wait groups a publish satisfied, detached from the ring lock and
-/// not yet notified.  [`BroadcastRing::publish_prepared`] returns one so
-/// the serving loop can time the ring update and the cohort wakeup as
-/// separate phases; dropping a `WakeSet` without calling
+/// not yet notified.  [`BroadcastRing::publish_run`] returns one so the
+/// serving loop can time the ring update and the cohort wakeup as
+/// separate phases, and so woken readers never pile straight into a held
+/// mutex; dropping a `WakeSet` without calling
 /// [`WakeSet::wake`] would strand parked readers, so don't.
 #[must_use = "call wake() or the satisfied cohort stays parked"]
 #[derive(Debug, Default)]
@@ -174,65 +175,36 @@ impl BroadcastRing {
         self.capacity
     }
 
-    /// The next slot to be published — equivalently, how many slots have
-    /// been published or skipped so far.  A cheap observability probe: no
-    /// command round-trip to the serving thread, just the ring lock.
-    pub fn tail(&self) -> usize {
-        let state = self.state.lock().expect("broadcast ring lock");
-        state.base + state.cells.len()
-    }
-
     /// Publishes the next slot's cell (slots must be published in order,
-    /// starting at 0), evicting the oldest cell when full.
-    ///
-    /// Only the wait groups this slot satisfies are woken: readers parked
-    /// for future slots stay parked (no futex round-trip for them), and
-    /// the notifications happen after the lock is released so woken
-    /// readers never pile straight into a held mutex.
+    /// starting at 0), evicting the oldest cell when full: a run of one.
     pub fn publish(&self, cell: SlotCell) {
-        self.publish_prepared(cell).wake();
-    }
-
-    /// Like [`BroadcastRing::publish`], but returns the satisfied reader
-    /// cohort as a [`WakeSet`] instead of notifying it — the caller
-    /// performs (and may time) the wakeup as its own phase.
-    pub(crate) fn publish_prepared(&self, cell: SlotCell) -> WakeSet {
-        let mut state = self.state.lock().expect("broadcast ring lock");
-        debug_assert_eq!(cell.slot, state.base + state.cells.len());
-        if state.closed {
-            return WakeSet::default();
-        }
-        let slot = cell.slot;
-        state.cells.push_back(Arc::new(cell));
-        if state.cells.len() > self.capacity {
-            state.cells.pop_front();
-            state.base += 1;
-        }
-        WakeSet(state.satisfied_groups(slot))
+        self.publish_run([Arc::new(cell)]).wake();
     }
 
     /// Publishes a run of consecutive cells (continuing the ring's tail
-    /// order) under one lock acquisition, draining `cells` — the batched
-    /// equivalent of calling [`BroadcastRing::publish_prepared`] per cell,
-    /// with one [`WakeSet`] for the whole run.
-    pub(crate) fn publish_run_prepared(&self, cells: &mut Vec<SlotCell>) -> WakeSet {
-        let Some(last) = cells.last().map(|c| c.slot) else {
-            return WakeSet::default();
-        };
+    /// order) under one lock acquisition, evicting the oldest cells once
+    /// `capacity` is reached, and returns the wait groups the run satisfied
+    /// as one [`WakeSet`] — the caller performs (and may time) the wakeup as
+    /// its own phase.  Readers parked for later slots stay parked (no futex
+    /// round-trip for them).
+    pub(crate) fn publish_run(&self, cells: impl IntoIterator<Item = Arc<SlotCell>>) -> WakeSet {
         let mut state = self.state.lock().expect("broadcast ring lock");
         if state.closed {
-            cells.clear();
             return WakeSet::default();
         }
-        for cell in cells.drain(..) {
+        let mut last = None;
+        for cell in cells {
             debug_assert_eq!(cell.slot, state.base + state.cells.len());
-            state.cells.push_back(Arc::new(cell));
+            last = Some(cell.slot);
+            state.cells.push_back(cell);
             if state.cells.len() > self.capacity {
                 state.cells.pop_front();
                 state.base += 1;
             }
         }
-        WakeSet(state.satisfied_groups(last))
+        last.map_or_else(WakeSet::default, |slot| {
+            WakeSet(state.satisfied_groups(slot))
+        })
     }
 
     /// Advances the ring past the `count` slots starting at `from` without
@@ -259,11 +231,9 @@ impl BroadcastRing {
         // should be parked on a slot the server decided was unobservable,
         // but leaving one stranded would turn a bookkeeping bug into a
         // deadlock (it wakes to find the span overwritten).
-        let wake = state.satisfied_groups(from + count - 1);
+        let wake = WakeSet(state.satisfied_groups(from + count - 1));
         drop(state);
-        for group in wake {
-            group.notify_all();
-        }
+        wake.wake();
     }
 
     /// Blocks until the cell at `cursor` is available (or the cursor is
@@ -326,11 +296,9 @@ impl BroadcastRing {
     /// reader's detach flag so it observes [`RingRead::Detached`] promptly.
     pub(crate) fn kick(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
-        let wake = state.all_groups();
+        let wake = WakeSet(state.all_groups());
         drop(state);
-        for group in wake {
-            group.notify_all();
-        }
+        wake.wake();
     }
 
     /// Closes the ring: readers drain the retained cells, then observe
@@ -338,11 +306,9 @@ impl BroadcastRing {
     pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
         state.closed = true;
-        let wake = state.all_groups();
+        let wake = WakeSet(state.all_groups());
         drop(state);
-        for group in wake {
-            group.notify_all();
-        }
+        wake.wake();
     }
 }
 
@@ -351,6 +317,12 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use ida::{BlockHeader, FileId};
+
+    /// The next slot to be published: how many were published or skipped.
+    fn tail(ring: &BroadcastRing) -> usize {
+        let state = ring.state.lock().unwrap();
+        state.base + state.cells.len()
+    }
 
     fn cell(slot: usize) -> SlotCell {
         let block = DispersedBlock::new(
@@ -468,7 +440,7 @@ mod tests {
             RingRead::Overwritten { resume } => assert_eq!(resume, 5),
             other => panic!("expected the skipped span to read overwritten, got {other:?}"),
         }
-        assert_eq!(ring.tail(), 5);
+        assert_eq!(tail(&ring), 5);
         // … and ordinary publishing picks up at the next slot.
         ring.publish(cell(5));
         match ring.read(5, &live) {

@@ -11,17 +11,22 @@
 //!      │ spawn                                   ┌─────────────┐
 //!      ├──────────────────────────────────────▶  │ server loop │ owns the Engine
 //!      │                                         └──────┬──────┘
-//!      │ subscribe_with(..)                             │ publish once per slot
+//!      │                                                │ each cell ──▶ every SlotSink
+//!      │ subscribe_with(..)                             │ then the run, once
 //!      ▼                                                ▼
 //!   Subscription ◀── client task ◀─ cursor ─▶ [ BroadcastRing ] ◀─ cursor ─ …
 //! ```
 //!
-//! * The **server loop** waits on the [`SlotClock`] for each slot, applies
-//!   any swap whose planned slot has arrived, snapshots the slot's lanes
-//!   into one [`SlotCell`] and publishes it to the [`BroadcastRing`] — one
-//!   `Arc` store and one `Condvar` broadcast per slot, independent of the
-//!   fleet size.  The server never touches per-subscriber state on the data
-//!   path.
+//! * The **server loop** waits on the [`SlotClock`] for a run of ready
+//!   slots, applies any swap whose planned slot has arrived, and advances
+//!   the run one of two ways.  When nothing can observe it (no live
+//!   subscriber, no sink) the ring skips it.  Otherwise it is served:
+//!   each slot's lanes are snapshotted into one [`SlotCell`]; each cell,
+//!   in slot order, goes to every [`SlotSink`] and is then counted in
+//!   `brt_slots_served`; and the run is published to the [`BroadcastRing`]
+//!   under one lock with one wake of the readers it satisfies —
+//!   independent of the fleet size.  The server never touches
+//!   per-subscriber state on the data path.
 //! * Each **client task** holds a cursor into the ring, resolves its own
 //!   epoch transitions against the published lane epochs, samples its own
 //!   reception-error process, and feeds its retrieval.  A reader that falls
@@ -50,6 +55,7 @@ use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
 use ida::FileId;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -331,6 +337,8 @@ pub struct Runtime<E: Engine> {
     config: RuntimeConfig,
     ring: Arc<BroadcastRing>,
     telemetry: Telemetry,
+    /// The serving loop's `brt_slots_served`, read without a round-trip.
+    slots_served: Counter,
     server: Option<JoinHandle<E>>,
 }
 
@@ -357,8 +365,9 @@ impl<E: Engine> Runtime<E> {
 
     /// [`Runtime::spawn`] with transport-facing fan-out sinks attached: each
     /// served slot's [`SlotCell`] is published once to every sink (on the
-    /// serving thread, just before the broadcast ring publishes the same
-    /// cell) — the seam a network transport plugs into.
+    /// serving thread, before the broadcast ring publishes the same cell
+    /// with the rest of its run) — the seam a network transport plugs
+    /// into.
     ///
     /// The runtime records into the caller-owned [`Telemetry`] handle — the
     /// facade passes one shared handle so the runtime, the network fan-out
@@ -399,6 +408,7 @@ impl<E: Engine> Runtime<E> {
             clock,
             config,
             ring,
+            slots_served: telemetry.registry().counter("brt_slots_served"),
             telemetry,
             server: Some(server),
         }
@@ -419,12 +429,16 @@ impl<E: Engine> Runtime<E> {
         &self.config
     }
 
-    /// Slots the server has transmitted so far, read straight off the
-    /// broadcast ring — unlike [`Runtime::stats`] this never round-trips a
-    /// command through the serving thread, so it is safe to poll tightly
-    /// (a stats round-trip per poll preempts the server it is watching).
+    /// Slots the server has transmitted so far: the `brt_slots_served`
+    /// counter [`RuntimeStats::slots_served`] reads too.  A slot counts once
+    /// every sink has it, before its run reaches the ring, so a reader that
+    /// sees it served also sees what the sinks counted for it.  Unlike
+    /// [`Runtime::stats`] this never round-trips a command through the
+    /// serving thread, so it is safe to poll tightly (a stats round-trip per
+    /// poll preempts the server it is watching); a stats answer comes at a
+    /// run boundary, once the ring holds every slot it counts.
     pub fn slots_served(&self) -> u64 {
-        self.ring.tail() as u64
+        self.slots_served.get()
     }
 
     /// Subscribes to `file` from `at_slot` on and spawns a client task
@@ -547,7 +561,7 @@ struct PendingSwap<E: Engine> {
 /// The fleet-level metrics, as handles into the `bobs` registry: the
 /// serving loop's counting *is* the registry's content, so
 /// [`RuntimeStats`] is a snapshot view rather than a second set of books.
-/// Counter/gauge writes are single relaxed atomics — the same cost as the
+/// Counter/gauge writes are single atomics — the same cost as the
 /// plain-field bookkeeping they replaced, now scrapable.
 struct FleetMetrics {
     slots_served: Counter,
@@ -683,7 +697,6 @@ fn server_loop<E: Engine>(
 ) -> E {
     let mut slot: usize = 0;
     let mut state = ServerState::<E>::new(ring.clone(), telemetry);
-    let mut burst: Vec<SlotCell> = Vec::with_capacity(SERVE_BURST);
     'serve: loop {
         // Commands are handled at slot boundaries only, so a subscribe or a
         // swap can never observe (or cause) a half-served slot.
@@ -710,15 +723,11 @@ fn server_loop<E: Engine>(
                 // cap bounds command latency to a burst's worth of slots,
                 // and a pending swap forces slot-at-a-time serving so it
                 // applies exactly at its planned slot.
-                let mut run = clock.ready_run(slot).clamp(1, SERVE_BURST);
-                if !state.pending.is_empty() {
-                    run = 1;
-                }
-                // One recording check per burst; wall-clock phases are
-                // additionally gated on the clock *having* deadlines, so a
-                // ManualClock run records nothing nondeterministic.
-                let recording = state.telemetry.recording();
-                let timed = recording && clock.slot_lateness(slot).is_some();
+                let run = if state.pending.is_empty() {
+                    clock.ready_run(slot).clamp(1, SERVE_BURST)
+                } else {
+                    1
+                };
                 if state.subscribers.is_empty() && sinks.is_empty() {
                     // Nothing can observe these slots — no subscriber is
                     // live, no sink is attached, and a later subscriber's
@@ -731,41 +740,10 @@ fn server_loop<E: Engine>(
                         from_slot: slot as u64,
                         slots: run as u64,
                     });
-                    slot += run;
-                } else if sinks.is_empty() {
-                    // No sink wants per-slot views, so the burst's cells are
-                    // built outside the ring lock and published in one
-                    // batch — one lock acquisition and one wake sweep per
-                    // run instead of one per slot.
-                    burst.clear();
-                    let t0 = timed.then(Instant::now);
-                    for _ in 0..run {
-                        burst.push(build_cell(&engine, slot));
-                        slot += 1;
-                    }
-                    state.fleet.slots_served.add(run as u64);
-                    if recording {
-                        for cell in &burst {
-                            state.telemetry.record_event(|| Event::SlotPublished {
-                                slot: cell.slot as u64,
-                                lanes: live_lanes(cell),
-                            });
-                        }
-                    }
-                    let t1 = timed.then(Instant::now);
-                    let wake = ring.publish_run_prepared(&mut burst);
-                    let t2 = timed.then(Instant::now);
-                    wake.wake();
-                    if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
-                        record_phases(&state.fleet, t0, t1, t2, Instant::now());
-                        record_lateness(&state.fleet, &clock, slot - run, slot);
-                    }
                 } else {
-                    for _ in 0..run {
-                        serve_slot(&engine, slot, &ring, &mut sinks, &state, timed, &clock);
-                        slot += 1;
-                    }
+                    serve_run(&engine, slot..slot + run, &mut sinks, &state, &clock);
                 }
+                slot += run;
                 state.fleet.next_slot.set(slot as i64);
             }
             ClockPoll::NotYet(hint) => {
@@ -781,30 +759,6 @@ fn server_loop<E: Engine>(
     // Unapplied swaps and unanswered note requests: their reply senders
     // drop with the queue, unblocking the waiters.
     engine
-}
-
-/// Lanes of a cell that carry a block this slot.
-fn live_lanes(cell: &SlotCell) -> u32 {
-    cell.lanes.iter().filter(|l| l.block.is_some()).count() as u32
-}
-
-/// Books one serving pass's phase timings: cell build `[t0, t1)`, ring
-/// publish `[t1, t2)`, cohort wakeup `[t2, t3)`.
-fn record_phases(fleet: &FleetMetrics, t0: Instant, t1: Instant, t2: Instant, t3: Instant) {
-    let nanos = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
-    fleet.phase_build_ns.record(nanos(t1 - t0));
-    fleet.phase_publish_ns.record(nanos(t2 - t1));
-    fleet.phase_wakeup_ns.record(nanos(t3 - t2));
-}
-
-/// Books the signed deadline lateness of every slot in `[from, to)`, as of
-/// now — right after the span was published.
-fn record_lateness(fleet: &FleetMetrics, clock: &SlotClock, from: usize, to: usize) {
-    for s in from..to {
-        if let Some(lateness) = clock.slot_lateness(s) {
-            fleet.slot_lateness_ns.record(lateness);
-        }
-    }
 }
 
 fn handle_command<E: Engine>(
@@ -1033,39 +987,59 @@ fn build_cell<E: Engine>(engine: &E, slot: usize) -> SlotCell {
     SlotCell { slot, lanes }
 }
 
-/// Serves one slot: snapshots every lane's epoch and transmission into one
-/// [`SlotCell`], publishes it to the attached sinks and then onto the
-/// broadcast ring — one publication per slot, independent of the fleet.
-/// Sink sends are part of the "publish" phase: they put the slot on the
-/// wire exactly as the ring puts it on the in-process air.
-fn serve_slot<E: Engine>(
+/// Serves the slots of `run`, the one way every observable slot goes out:
+/// each is snapshotted into one [`SlotCell`]; then, in slot order, each
+/// cell is handed to every sink and only then counted served; then the
+/// whole run is published onto the broadcast ring under one lock and its
+/// readers are woken once.  A ring reader never sees a slot the sinks have
+/// not, and the served count never runs ahead of what the sinks sent —
+/// slot by slot, so a pacer reading it sees progress inside a run.
+///
+/// Phases and lateness are booked per run: cell build `[t0, t1)`, sinks
+/// and ring publish `[t1, t2)`, cohort wakeup `[t2, t3)`, and every slot's
+/// lateness as of the run's publish.  They are recorded only while
+/// recording is on and the clock has deadlines, so a `ManualClock` run
+/// records nothing nondeterministic.
+fn serve_run<E: Engine>(
     engine: &E,
-    slot: usize,
-    ring: &BroadcastRing,
+    run: Range<usize>,
     sinks: &mut [Box<dyn SlotSink>],
     state: &ServerState<E>,
-    timed: bool,
     clock: &SlotClock,
 ) {
+    let timed = state.telemetry.recording() && clock.slot_lateness(run.start).is_some();
     let t0 = timed.then(Instant::now);
-    let cell = build_cell(engine, slot);
-    state.telemetry.record_event(|| Event::SlotPublished {
-        slot: slot as u64,
-        lanes: live_lanes(&cell),
-    });
+    let cells: Vec<Arc<SlotCell>> = run
+        .clone()
+        .map(|s| Arc::new(build_cell(engine, s)))
+        .collect();
     let t1 = timed.then(Instant::now);
-    for sink in sinks.iter_mut() {
-        sink.publish(&cell);
+    for cell in &cells {
+        state.telemetry.record_event(|| Event::SlotPublished {
+            slot: cell.slot as u64,
+            lanes: cell.lanes.iter().filter(|l| l.block.is_some()).count() as u32,
+        });
+        for sink in sinks.iter_mut() {
+            sink.publish(cell);
+        }
+        // Released after the sinks' own counts (see `bobs::Counter`): a
+        // reader that sees this slot served also sees its datagrams sent.
+        state.fleet.slots_served.inc();
     }
-    let wake = ring.publish_prepared(cell);
-    // Counted once it is out on every sink and on the ring, so the count
-    // never runs ahead of what was transmitted.
-    state.fleet.slots_served.inc();
+    let wake = state.ring.publish_run(cells);
     let t2 = timed.then(Instant::now);
     wake.wake();
     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
-        record_phases(&state.fleet, t0, t1, t2, Instant::now());
-        record_lateness(&state.fleet, clock, slot, slot + 1);
+        let t3 = Instant::now();
+        let nanos = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
+        state.fleet.phase_build_ns.record(nanos(t1 - t0));
+        state.fleet.phase_publish_ns.record(nanos(t2 - t1));
+        state.fleet.phase_wakeup_ns.record(nanos(t3 - t2));
+        for slot in run {
+            if let Some(lateness) = clock.slot_lateness(slot) {
+                state.fleet.slot_lateness_ns.record(lateness);
+            }
+        }
     }
 }
 

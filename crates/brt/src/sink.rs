@@ -7,7 +7,9 @@
 //! sender nothing per receiver, exactly the paper's broadcast model).  A
 //! [`SlotSink`] is that seam: the serving loop hands every attached sink the
 //! [`SlotCell`] it is about to publish onto the ring, on the serving thread,
-//! before the next slot is served.
+//! before the ring publishes it.  The ring takes a ready run of slots at
+//! once, so a sink may see the next slots of the run before any ring
+//! reader sees this one.
 //!
 //! Implementations must therefore be fast and non-blocking — a sink that
 //! stalls stalls the broadcast.  Dropping data (a full socket buffer, an
@@ -23,7 +25,8 @@ use bdisk::EpochBank;
 ///
 /// Called once per served slot on the serving thread, in slot order, with
 /// the slot's cell *before* the ring publishes it: a ring reader never
-/// sees a slot its sinks have not.  Implementations must not block.
+/// sees a slot its sinks have not, and the runtime counts a slot served
+/// only once every sink has it.  Implementations must not block.
 pub trait SlotSink: Send + 'static {
     /// Publishes one served slot: `cell.lanes` covers every channel, dark
     /// lanes (`epoch` `None`) and idle ones (`block` `None`) included.

@@ -156,9 +156,11 @@ impl RuntimeHandle {
         self.inner.telemetry()
     }
 
-    /// Slots the server has transmitted so far, read straight off the
-    /// broadcast ring — pollable without the command round-trip (and the
-    /// server preemption) that [`RuntimeHandle::stats`] costs.
+    /// Slots the server has transmitted so far: the `brt_slots_served`
+    /// counter [`RuntimeHandle::stats`] reads too, pollable without the
+    /// command round-trip (and the server preemption) that `stats` costs.
+    /// A slot counts once every sink (the network fan-out) has sent it,
+    /// which can be before the in-process ring holds it.
     pub fn slots_served(&self) -> u64 {
         self.inner.slots_served()
     }

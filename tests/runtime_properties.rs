@@ -7,6 +7,10 @@
 //!   a `ManualClock` resolves *identically* (bytes, completion slots,
 //!   latencies) to the same fleet driven through the synchronous
 //!   `Station::run_until_complete` path;
+//! * **sink plus readers** — in-process subscribers behind an attached
+//!   network sink, released in multi-slot bursts, resolve as the
+//!   synchronous drive does, and the served count at rest is the slots
+//!   released;
 //! * **seed compatibility** — a concurrent subscriber sampling its own
 //!   per-channel-seeded loss model observes exactly what a single-retrieval
 //!   synchronous drive with the same model observes;
@@ -35,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtbdisk::{
     BernoulliErrors, Broadcast, ChannelErrorModel, ErrorModel, FileId, GeneralizedFileSpec,
-    ManualClock, ModeSchedule, ModeSpec, NoErrors, RetrievalResolution, RuntimeConfig,
+    ManualClock, ModeSchedule, ModeSpec, NetConfig, NoErrors, RetrievalResolution, RuntimeConfig,
     RuntimeHandle, Station, SwapPolicy, TransmissionRef, WallClock,
 };
 use std::collections::BTreeMap;
@@ -181,6 +185,72 @@ fn concurrent_drives_are_byte_identical_to_the_synchronous_station() {
             }
         }
         handle.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn in_process_readers_behind_a_network_sink_match_the_synchronous_drive() {
+    // A UDP fan-out attached and in-process subscribers on the ring: the
+    // shape of a deployed station, released in multi-slot bursts so every
+    // run the server serves spans several slots.
+    let mut rng = StdRng::seed_from_u64(0xB2_38);
+    for case in 0..prop_cases().div_ceil(8).max(4) {
+        let station = random_station(&mut rng, [1, 2][case % 2]);
+        let requests: Vec<(FileId, usize)> = station
+            .specs()
+            .iter()
+            .flat_map(|s| [(s.id, rng.gen_range(0..24)), (s.id, rng.gen_range(0..24))])
+            .collect();
+        let serial = station.clone();
+        let mut fleet: Vec<_> = requests
+            .iter()
+            .map(|&(file, at)| serial.subscribe(file, at).unwrap())
+            .collect();
+        let expected = serial
+            .run_until_complete(&mut fleet, &mut NoErrors)
+            .unwrap();
+
+        let clock = ManualClock::new();
+        let serving = station
+            .serve_network_with(
+                clock.clone(),
+                RuntimeConfig {
+                    queue_capacity: 1 << 20, // no lag: this is the identity leg
+                },
+                NetConfig::default(),
+            )
+            .unwrap();
+        let handle = serving.runtime();
+        let clients: Vec<_> = requests
+            .iter()
+            .map(|&(file, at)| handle.subscribe(file, at).unwrap())
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !clients.iter().all(|c| c.is_finished()) {
+            assert!(Instant::now() < deadline, "case {case}: clients hung");
+            clock.advance(rng.gen_range(2..=48));
+            while handle.slots_served() < clock.released() as u64 {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        for (client, expected) in clients.into_iter().zip(&expected) {
+            match client.join().unwrap() {
+                RetrievalResolution::Complete(outcome) => {
+                    assert_eq!(outcome.data, expected.data, "case {case}");
+                    assert_eq!(
+                        outcome.completion_slot, expected.completion_slot,
+                        "case {case} file {}",
+                        expected.file
+                    );
+                }
+                other => panic!("case {case}: lossless retrieval resolved as {other:?}"),
+            }
+        }
+        // At rest, both reads of the one served count agree with the clock.
+        let released = clock.released() as u64;
+        assert_eq!(handle.slots_served(), released, "case {case}");
+        assert_eq!(handle.stats().unwrap().slots_served, released);
+        serving.shutdown().unwrap();
     }
 }
 
