@@ -11,7 +11,7 @@
 //! * [`ModeSpec`] — a named target mode: a set of
 //!   [`bcore::GeneralizedFileSpec`]s plus an optional [`ida::ModeProfile`]
 //!   whose redundancy policies are folded into per-file dispersal-width
-//!   floors, and an optional channel-budget override;
+//!   floors;
 //! * [`ModePlanner`] — re-runs the [`bcore::MultiChannelDesigner`] pipeline
 //!   for the target mode (reusing the [`bcore::ShardPlanner`] seam) and
 //!   diffs the result against the *current* per-channel programs;

@@ -11,8 +11,8 @@
 
 use crate::ModeSpec;
 use bcore::{
-    BdiskDesigner, ChannelBudget, DesignError, GeneralizedFileSpec, MultiChannelDesigner,
-    MultiChannelReport, ShardPlanner,
+    BdiskDesigner, DesignError, GeneralizedFileSpec, MultiChannelDesigner, MultiChannelReport,
+    ShardPlanner,
 };
 use bdisk::{BroadcastProgram, FileSet};
 use ida::FileId;
@@ -181,11 +181,6 @@ impl<S: PinwheelScheduler + Clone> ModePlanner<S> {
         ModePlanner { planner, designer }
     }
 
-    /// The default channel budget (overridable per [`ModeSpec`]).
-    pub fn channel_budget(&self) -> ChannelBudget {
-        self.planner.channels()
-    }
-
     /// Designs `target` (profile folded in) and diffs it against `current`.
     pub fn plan(
         &self,
@@ -193,12 +188,8 @@ impl<S: PinwheelScheduler + Clone> ModePlanner<S> {
         target: &ModeSpec,
     ) -> Result<ModePlan, DesignError> {
         let resolved = target.resolved_specs();
-        let planner = match target.channel_budget() {
-            Some(ChannelBudget::Fixed(k)) => ShardPlanner::fixed(k),
-            Some(ChannelBudget::Auto) => ShardPlanner::auto(),
-            None => self.planner,
-        };
-        let design = MultiChannelDesigner::new(planner, self.designer.clone()).design(&resolved)?;
+        let design =
+            MultiChannelDesigner::new(self.planner, self.designer.clone()).design(&resolved)?;
         let transition = diff(current, target.name(), &design);
         Ok(ModePlan { design, transition })
     }
@@ -458,21 +449,5 @@ mod tests {
         assert!(new_width >= old_width);
         // The widened file's channel necessarily flips.
         assert!(!plan.transition.is_noop());
-    }
-
-    #[test]
-    fn mode_channel_budget_overrides_the_planner_default() {
-        let specs: Vec<_> = (1..=4).map(|i| spec(i, 1, &[8 + 2 * i])).collect();
-        let old = design_of(&specs, 1);
-        let current = CurrentMode {
-            specs: &specs,
-            channels: view(&old),
-            dirty: BTreeSet::new(),
-        };
-        let wide = ModeSpec::new("wide").files(specs.clone()).with_channels(2);
-        let plan = ModePlanner::fixed(1).plan(&current, &wide).unwrap();
-        assert_eq!(plan.design.channel_count(), 2);
-        assert_eq!(plan.transition.new_channels, 2);
-        assert_eq!(plan.transition.channels[1], ChannelTransition::Added);
     }
 }

@@ -1,11 +1,12 @@
 //! Mode specifications: a named target configuration of the broadcast disk.
 
-use bcore::{ChannelBudget, GeneralizedFileSpec};
+use bcore::GeneralizedFileSpec;
 use ida::{FileId, ModeProfile, RedundancyPolicy};
 
-/// A named operating mode: the file specifications to serve, an optional
-/// [`ModeProfile`] adding per-file AIDA redundancy, and an optional channel
-/// budget override.
+/// A named operating mode: the file specifications to serve and an optional
+/// [`ModeProfile`] adding per-file AIDA redundancy.  The channel budget is
+/// the station's: every mode is planned by the [`crate::ModePlanner`] the
+/// station was built with.
 ///
 /// The profile is folded into the specifications by
 /// [`ModeSpec::resolved_specs`]: each file's policy becomes a *floor* on the
@@ -30,7 +31,6 @@ pub struct ModeSpec {
     name: String,
     specs: Vec<GeneralizedFileSpec>,
     profile: Option<ModeProfile>,
-    channels: Option<ChannelBudget>,
 }
 
 impl ModeSpec {
@@ -40,7 +40,6 @@ impl ModeSpec {
             name: name.into(),
             specs: Vec::new(),
             profile: None,
-            channels: None,
         }
     }
 
@@ -63,19 +62,6 @@ impl ModeSpec {
         self
     }
 
-    /// Overrides the channel budget for this mode (defaults to whatever the
-    /// current station uses).
-    pub fn with_channels(mut self, k: usize) -> Self {
-        self.channels = Some(ChannelBudget::Fixed(k.max(1)));
-        self
-    }
-
-    /// Lets this mode use as few channels as the density packing needs.
-    pub fn with_auto_channels(mut self) -> Self {
-        self.channels = Some(ChannelBudget::Auto);
-        self
-    }
-
     /// The mode's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -84,11 +70,6 @@ impl ModeSpec {
     /// The raw (pre-profile) file specifications.
     pub fn specs(&self) -> &[GeneralizedFileSpec] {
         &self.specs
-    }
-
-    /// The channel budget override, if any.
-    pub fn channel_budget(&self) -> Option<ChannelBudget> {
-        self.channels
     }
 
     /// The dispersal-width floor this mode's profile demands for `file` of
@@ -171,16 +152,9 @@ mod tests {
 
     #[test]
     fn builder_accessors_round_trip() {
-        let mode = ModeSpec::new("m")
-            .files([spec(1, 1, &[8]), spec(2, 1, &[10])])
-            .with_channels(2);
+        let mode = ModeSpec::new("m").files([spec(1, 1, &[8]), spec(2, 1, &[10])]);
         assert_eq!(mode.name(), "m");
         assert_eq!(mode.specs().len(), 2);
         assert!(mode.profile.is_none());
-        assert_eq!(mode.channel_budget(), Some(ChannelBudget::Fixed(2)));
-        assert_eq!(
-            ModeSpec::new("a").with_auto_channels().channel_budget(),
-            Some(ChannelBudget::Auto)
-        );
     }
 }

@@ -36,16 +36,11 @@ pub enum Event {
         /// The slot the swap landed at.
         at_slot: u64,
     },
-    /// A subscriber passed admission and joined the fleet.
+    /// A subscriber joined the fleet.
     SubscriberAdmitted {
         /// The subscription id.
         id: u64,
         /// The subscribed file.
-        file: u64,
-    },
-    /// A subscriber was refused admission.
-    SubscriberRefused {
-        /// The file the refused subscription asked for.
         file: u64,
     },
     /// A subscriber's cursor was overwritten: it lagged the ring.

@@ -141,22 +141,6 @@ pub trait Engine: Send + 'static {
     /// Subscribes to `file` starting at `at_slot`, tuned to the latest mode.
     fn subscribe(&self, file: FileId, at_slot: usize) -> Result<Self::Ticket, Self::Error>;
 
-    /// Admission control, consulted by the runtime after [`Engine::subscribe`]
-    /// issued a ticket and before the seat is granted: `active_on_channel`
-    /// subscribers are already live on the ticket's channel; return an error
-    /// to refuse the subscription (e.g. because one more would break the
-    /// channel's declared Lemma 3 latency budget).  Admits everything by
-    /// default.
-    fn admit(
-        &self,
-        file: FileId,
-        channel: usize,
-        active_on_channel: usize,
-    ) -> Result<(), Self::Error> {
-        let _ = (file, channel, active_on_channel);
-        Ok(())
-    }
-
     /// The disposition of a subscriber of `file`, tuned to `channel` at
     /// `epoch`, after the channel's epoch moved past it: the first swap the
     /// subscriber has not seen decides between retune and cancel.

@@ -26,9 +26,8 @@
 //!   [`bdisk::ChannelErrorModel`].  Backpressure is by overwrite — a reader
 //!   that falls more than the ring's capacity behind self-accounts the
 //!   lost span as lag/erasures ([`Subscriber::erase`]); the server never
-//!   stalls on a slow client.  Notes come from the serving thread over a
-//!   reply channel carried in the request, and [`Engine::admit`] gates
-//!   subscriptions against per-channel fleet budgets;
+//!   stalls on a slow client.  Every subscription is seated; notes come
+//!   from the serving thread over a reply channel carried in the request;
 //! * [`SwapScheduler`] — plays a [`bmode::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
@@ -93,8 +92,6 @@ mod tests {
         mode: String,
         /// Blocks of its file a ticket needs before it completes.
         threshold: usize,
-        /// Per-channel fleet budget for `admit` (`None` admits everything).
-        budget: Option<usize>,
     }
 
     /// Counts received blocks of one file; completes at the threshold.
@@ -182,14 +179,6 @@ mod tests {
         fn retire(&mut self, slot: usize, _epoch: u64) {
             self.bank.retire_before(slot);
         }
-        fn admit(&self, _file: FileId, channel: usize, active: usize) -> Result<(), String> {
-            match self.budget {
-                Some(budget) if active >= budget => {
-                    Err(format!("channel {channel} fleet budget {budget} exhausted"))
-                }
-                _ => Ok(()),
-            }
-        }
         fn snapshot(&self) -> Self {
             self.clone()
         }
@@ -232,7 +221,6 @@ mod tests {
             catalog,
             mode: "initial".to_string(),
             threshold: 2,
-            budget: None,
         }
     }
 
@@ -524,9 +512,7 @@ mod tests {
         let doomed = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         let schedule = ModeSchedule::new().at(
             10,
-            ModeSpec::new("other")
-                .file(bcore_spec_stub())
-                .with_channels(1),
+            ModeSpec::new("other").file(bcore_spec_stub()),
             SwapPolicy::Immediate,
         );
         let scheduler = run_schedule(runtime.controller(), schedule);
@@ -737,28 +723,5 @@ mod tests {
         let ticket = join_within_budget(sub);
         assert!(!ticket.is_resolved());
         assert_eq!(ticket.epoch, 0, "no note was applied");
-    }
-
-    #[test]
-    fn admission_control_refuses_subscriptions_over_the_channel_budget() {
-        let clock = ManualClock::new();
-        let mut capped = engine();
-        capped.budget = Some(1);
-        let runtime = Runtime::spawn(capped, clock.clone(), RuntimeConfig::default());
-        let seated = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
-        // Same channel (the bank has one), budget 1: the second seat is
-        // refused by the engine's admission hook, not by subscribe itself.
-        let refused = runtime.subscribe_with(FileId(2), 0, NoErrors).unwrap_err();
-        assert!(matches!(refused, RuntimeError::Engine(_)));
-        let stats = runtime.stats().unwrap();
-        assert_eq!(stats.admission_denied, 1);
-        assert_eq!(stats.total_subscriptions, 1);
-        // The refused seat freed nothing; the seated one completes and its
-        // departure reopens the channel for a new subscriber.
-        clock.advance(64);
-        assert_eq!(seated.join().received, 2);
-        let reseated = runtime.subscribe_with(FileId(2), 64, NoErrors);
-        assert!(reseated.is_ok());
-        runtime.shutdown().unwrap();
     }
 }

@@ -117,17 +117,14 @@ pub struct SubscriptionStats {
 /// A point-in-time snapshot of the whole runtime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Slots the server has transmitted.
+    /// Slots the server has transmitted (or skipped with nobody to hear
+    /// them).  Answered at a run boundary, it is also the next slot the
+    /// server will serve.
     pub slots_served: u64,
-    /// The next slot the server will serve.
-    pub next_slot: u64,
     /// Currently live subscribers.
     pub active_subscribers: usize,
-    /// Subscriptions ever accepted.
+    /// Subscriptions ever seated.
     pub total_subscriptions: u64,
-    /// Subscriptions refused by admission control (the channel's fleet
-    /// budget was exhausted).
-    pub admission_denied: u64,
     /// Subscriptions that resolved complete.
     pub completed: u64,
     /// Subscriptions cancelled by a mode swap.
@@ -447,9 +444,10 @@ impl<E: Engine> Runtime<E> {
     ///
     /// Slots already served when the subscription registers are gone (a
     /// broadcast does not rewind); the client's cursor starts at the later
-    /// of the request slot and the serving cursor.  The engine's admission
-    /// control runs before the seat is granted: a subscription that would
-    /// break its channel's fleet budget is refused with the engine's error.
+    /// of the request slot and the serving cursor.  Every subscription the
+    /// engine issues a ticket for is seated: a broadcast serves any number
+    /// of listeners, so the only error is the engine's own (for the
+    /// facade, an unknown file).
     pub fn subscribe_with(
         &self,
         file: FileId,
@@ -540,11 +538,10 @@ impl<E: Engine> Drop for Runtime<E> {
 
 struct Entry {
     file: FileId,
-    channel: usize,
     epoch: u64,
     /// The reader's starting cursor: the later of its request slot and the
-    /// serving slot at admission.  Its cursor — and so any span it replays
-    /// as lag — never drops below it.
+    /// serving slot when it was seated.  Its cursor — and so any span it
+    /// replays as lag — never drops below it.
     start: usize,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
@@ -566,7 +563,6 @@ struct PendingSwap<E: Engine> {
 struct FleetMetrics {
     slots_served: Counter,
     total_subscriptions: Counter,
-    admission_denied: Counter,
     completed: Counter,
     cancelled: Counter,
     lagged_slots: Counter,
@@ -574,7 +570,6 @@ struct FleetMetrics {
     swaps_applied: Counter,
     active_subscribers: Gauge,
     pending_swaps: Gauge,
-    next_slot: Gauge,
     /// Signed slot-deadline lateness: publish time minus the slot's
     /// `SlotClock` due-time, nanoseconds.  Recording-gated, and only fed
     /// when the clock has deadlines (a `WallClock`).
@@ -590,7 +585,6 @@ impl FleetMetrics {
         FleetMetrics {
             slots_served: registry.counter("brt_slots_served"),
             total_subscriptions: registry.counter("brt_subscriptions_total"),
-            admission_denied: registry.counter("brt_admission_denied"),
             completed: registry.counter("brt_completed"),
             cancelled: registry.counter("brt_cancelled"),
             lagged_slots: registry.counter("brt_lagged_slots"),
@@ -598,7 +592,6 @@ impl FleetMetrics {
             swaps_applied: registry.counter("brt_swaps_applied"),
             active_subscribers: registry.gauge("brt_active_subscribers"),
             pending_swaps: registry.gauge("brt_pending_swaps"),
-            next_slot: registry.gauge("brt_next_slot"),
             slot_lateness_ns: registry.histogram("brt_slot_lateness_ns"),
             phase_build_ns: registry.histogram("brt_phase_build_ns"),
             phase_publish_ns: registry.histogram("brt_phase_publish_ns"),
@@ -612,9 +605,6 @@ struct ServerState<E: Engine> {
     next_id: u64,
     next_seq: u64,
     subscribers: BTreeMap<u64, Entry>,
-    /// Live subscribers per channel, maintained incrementally so admission
-    /// control stays O(log channels) however large the fleet grows.
-    active: BTreeMap<usize, usize>,
     pending: Vec<PendingSwap<E>>,
     fleet: FleetMetrics,
     telemetry: Telemetry,
@@ -627,28 +617,10 @@ impl<E: Engine> ServerState<E> {
             next_id: 0,
             next_seq: 0,
             subscribers: BTreeMap::new(),
-            active: BTreeMap::new(),
             pending: Vec::new(),
             fleet: FleetMetrics::new(telemetry.registry()),
             telemetry,
             ring,
-        }
-    }
-
-    fn active_on(&self, channel: usize) -> usize {
-        self.active.get(&channel).copied().unwrap_or(0)
-    }
-
-    fn grow_active(&mut self, channel: usize) {
-        *self.active.entry(channel).or_insert(0) += 1;
-    }
-
-    fn drop_active(&mut self, channel: usize) {
-        if let Some(count) = self.active.get_mut(&channel) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.active.remove(&channel);
-            }
         }
     }
 
@@ -661,7 +633,6 @@ impl<E: Engine> ServerState<E> {
     /// drain-down into a quadratic wakeup storm.
     fn retire(&mut self, id: u64, wake: bool) -> Option<Entry> {
         let entry = self.subscribers.remove(&id)?;
-        self.drop_active(entry.channel);
         self.fleet
             .active_subscribers
             .set(self.subscribers.len() as i64);
@@ -744,7 +715,6 @@ fn server_loop<E: Engine>(
                     serve_run(&engine, slot..slot + run, &mut sinks, &state, &clock);
                 }
                 slot += run;
-                state.fleet.next_slot.set(slot as i64);
             }
             ClockPoll::NotYet(hint) => {
                 let wait = hint.unwrap_or(Duration::from_secs(60));
@@ -776,29 +746,18 @@ fn handle_command<E: Engine>(
             reply,
         } => match engine.subscribe(file, at_slot) {
             Ok(ticket) => {
-                let channel = ticket.channel();
-                if let Err(refusal) = engine.admit(file, channel, state.active_on(channel)) {
-                    state.fleet.admission_denied.inc();
-                    state.telemetry.record_event(|| Event::SubscriberRefused {
-                        file: file.0 as u64,
-                    });
-                    let _ = reply.send(Err(refusal));
-                    return;
-                }
                 let id = state.next_id;
                 state.next_id += 1;
                 state.subscribers.insert(
                     id,
                     Entry {
                         file,
-                        channel,
                         epoch: ticket.epoch(),
                         start: ticket.request_slot().max(slot),
                         counters,
                         detached,
                     },
                 );
-                state.grow_active(channel);
                 state.fleet.total_subscriptions.inc();
                 state
                     .fleet
@@ -865,16 +824,8 @@ fn handle_command<E: Engine>(
                 return; // departed: dropping `reply` ends the waiting reader
             };
             let note = engine.note_for(entry.file, channel, epoch);
-            if let SwapNote::Retune {
-                channel: new_channel,
-                epoch: new_epoch,
-                ..
-            } = &note
-            {
-                let previous = std::mem::replace(&mut entry.channel, *new_channel);
-                entry.epoch = *new_epoch;
-                state.drop_active(previous);
-                state.grow_active(*new_channel);
+            if let SwapNote::Retune { epoch, .. } = &note {
+                entry.epoch = *epoch;
             } else {
                 state.retire(id, true);
                 state.fleet.cancelled.inc();
@@ -911,10 +862,8 @@ fn handle_command<E: Engine>(
         Command::Stats { reply } => {
             let _ = reply.send(RuntimeStats {
                 slots_served: state.fleet.slots_served.get(),
-                next_slot: slot as u64,
                 active_subscribers: state.subscribers.len(),
                 total_subscriptions: state.fleet.total_subscriptions.get(),
-                admission_denied: state.fleet.admission_denied.get(),
                 completed: state.fleet.completed.get(),
                 cancelled: state.fleet.cancelled.get(),
                 lagged_slots: state.fleet.lagged_slots.get(),

@@ -59,7 +59,5 @@ pub use designer::{
     lemma_3_conditions, BdiskDesigner, DesignError, DesignReport, GeneralizedFileSpec,
 };
 pub use planner::{BandwidthPlan, FileRequirement, Planner, PlannerError};
-pub use sharding::{
-    ChannelBudget, MultiChannelDesigner, MultiChannelReport, ShardPlan, ShardPlanner,
-};
+pub use sharding::{MultiChannelDesigner, MultiChannelReport, ShardPlan, ShardPlanner};
 pub use transform::{convert_candidates, Candidate, CandidateKind, TaskIdAllocator};

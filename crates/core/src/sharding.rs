@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 /// How many channels a [`ShardPlanner`] may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelBudget {
+pub(crate) enum ChannelBudget {
     /// Exactly this many channels (at least 1).
     Fixed(usize),
     /// As few channels as the greedy packing needs.
@@ -89,11 +89,6 @@ impl ShardPlanner {
         ShardPlanner {
             channels: ChannelBudget::Auto,
         }
-    }
-
-    /// The configured channel budget.
-    pub fn channels(&self) -> ChannelBudget {
-        self.channels
     }
 
     /// Partitions `specs` across channels.
@@ -285,7 +280,7 @@ impl<S: PinwheelScheduler> MultiChannelDesigner<S> {
 
     /// Partitions `specs` and designs a broadcast program per shard.
     pub fn design(&self, specs: &[GeneralizedFileSpec]) -> Result<MultiChannelReport, DesignError> {
-        let auto = self.planner.channels() == ChannelBudget::Auto;
+        let auto = self.planner.channels == ChannelBudget::Auto;
         let mut planner = self.planner;
         loop {
             let plan = planner.plan(specs)?;

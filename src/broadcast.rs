@@ -51,7 +51,6 @@ impl Default for BroadcastBuilder {
                 scheduler: SchedulerChoice::default(),
                 channels: ShardPlanner::fixed(1),
                 listen_cap: 100_000,
-                channel_fleet_budget: None,
                 authenticated: false,
             },
         }
@@ -110,16 +109,6 @@ impl BroadcastBuilder {
         self
     }
 
-    /// Declares the station's per-channel fleet budget (clamped to at least
-    /// 1): how many concurrent subscribers each channel is provisioned to
-    /// drain while keeping the Lemma 3 latency promise.  The concurrent
-    /// runtime's admission control refuses subscriptions beyond it with
-    /// [`Error::AdmissionDenied`].  Unset (the default) admits everything.
-    pub fn channel_fleet_budget(mut self, budget: usize) -> Self {
-        self.settings.channel_fleet_budget = Some(budget.max(1));
-        self
-    }
-
     /// Commits every file's dispersed blocks to a Merkle root at build time
     /// (and again at every re-dispersal a mode swap triggers), so clients
     /// can verify each received block against the root before it enters
@@ -151,7 +140,6 @@ impl BroadcastBuilder {
         let (mode, servers) = Mode::load(
             "initial",
             self.specs,
-            None,
             Arc::new(design),
             self.contents,
             settings.authenticated,

@@ -61,23 +61,6 @@ pub enum Error {
     /// ([`crate::Station::serve_concurrent`]) whose serving thread has
     /// already shut down.
     RuntimeClosed,
-    /// A subscription was refused by admission control: its channel's live
-    /// fleet already fills the declared per-channel budget.  The budget is
-    /// the operator's capacity declaration for the Lemma 3 latency promise —
-    /// every admitted subscriber is guaranteed its file's worst-case latency
-    /// vector `d⁽ʳ⁾` only while the serving host can drain the whole fleet;
-    /// admitting past the budget would break that promise for everyone on
-    /// the channel, so the newcomer is turned away instead.
-    AdmissionDenied {
-        /// The file the refused subscription targeted.
-        file: FileId,
-        /// The channel whose fleet budget is exhausted.
-        channel: usize,
-        /// Live subscribers on the channel at refusal time.
-        active: usize,
-        /// The channel's declared fleet budget.
-        budget: usize,
-    },
     /// The network side failed ([`crate::Station::serve_network`]): a
     /// socket could not be bound or a control exchange failed.  Carries
     /// the rendered [`bnet::NetError`] (this enum stays `Clone` +
@@ -134,16 +117,6 @@ impl core::fmt::Display for Error {
             Error::RuntimeClosed => {
                 write!(f, "the broadcast runtime has shut down")
             }
-            Error::AdmissionDenied {
-                file,
-                channel,
-                active,
-                budget,
-            } => write!(
-                f,
-                "subscription to {file} refused: channel {channel} already serves {active} of \
-                 its {budget}-subscriber Lemma 3 budget"
-            ),
             Error::Net(msg) => write!(f, "network serving failed: {msg}"),
             Error::RetrievalStalled { file, listened } => write!(
                 f,
@@ -245,12 +218,6 @@ mod tests {
             },
             Error::NoSubscribers,
             Error::RuntimeClosed,
-            Error::AdmissionDenied {
-                file: FileId(1),
-                channel: 0,
-                active: 64,
-                budget: 64,
-            },
             Error::Net("bind failed".to_string()),
         ];
         for e in errors {

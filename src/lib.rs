@@ -99,7 +99,7 @@ pub use runtime::{ClientHandle, RuntimeHandle, ScheduleHandle};
 pub use station::{Station, Stream};
 
 // The handful of cross-crate types every facade user touches.
-pub use bcore::{ChannelBudget, GeneralizedFileSpec, ShardPlan, ShardPlanner};
+pub use bcore::{GeneralizedFileSpec, ShardPlan, ShardPlanner};
 pub use bdisk::{
     ChannelErrorModel, EpochBank, ErrorModel, LatencyVector, NoErrors, RetrievalOutcome,
     TransmissionRef,

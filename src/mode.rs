@@ -12,7 +12,7 @@
 //! station's mode pointer: cheap, and unable to fail on design grounds.
 
 use crate::{Error, Station};
-use bcore::{ChannelBudget, DesignReport, GeneralizedFileSpec, MultiChannelReport};
+use bcore::{DesignReport, GeneralizedFileSpec, MultiChannelReport};
 use bdisk::{BroadcastFile, BroadcastServer, FileSet, LatencyVector};
 use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
 use ida::{Bytes, Dispersal, DispersedFile, FileId};
@@ -27,9 +27,6 @@ use std::sync::Arc;
 pub(crate) struct Mode {
     pub(crate) name: String,
     pub(crate) specs: Vec<GeneralizedFileSpec>,
-    /// The channel budget the mode stated; `None` when it was designed under
-    /// the station's own shard planner.
-    pub(crate) channels: Option<ChannelBudget>,
     /// Shared with every later mode that keeps the same specifications.
     pub(crate) design: Arc<MultiChannelReport>,
     /// The per-channel file sets merged back into one, in specification
@@ -60,7 +57,6 @@ impl Mode {
     pub(crate) fn load(
         name: &str,
         specs: Vec<GeneralizedFileSpec>,
-        channels: Option<ChannelBudget>,
         design: Arc<MultiChannelReport>,
         supplied: BTreeMap<FileId, Vec<u8>>,
         authenticated: bool,
@@ -159,7 +155,6 @@ impl Mode {
         let mode = Mode {
             name: name.to_string(),
             specs,
-            channels,
             design,
             files,
             dispersals,
@@ -250,11 +245,6 @@ impl PreparedMode {
     /// re-subscription (identical dispersal parameters and contents).
     pub fn resubscribable(&self) -> impl Iterator<Item = FileId> + '_ {
         self.resubscribe.keys().copied()
-    }
-
-    /// The station epoch this preparation was computed against.
-    pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
     }
 
     /// `true` when swapping this mode in would change nothing on the air.

@@ -113,11 +113,6 @@ impl Retrieval {
         self.cancelled_by.is_some()
     }
 
-    /// The mode whose swap cancelled this retrieval, if any.
-    pub fn cancelled_by(&self) -> Option<&str> {
-        self.cancelled_by.as_deref()
-    }
-
     /// `true` once the retrieval needs no further driving: it completed or a
     /// mode swap cancelled it.
     pub fn is_resolved(&self) -> bool {
@@ -169,11 +164,6 @@ impl Retrieval {
     /// The reconstruction threshold `mᵢ` (distinct blocks needed).
     pub fn threshold(&self) -> usize {
         self.dispersal.threshold()
-    }
-
-    /// The dispersal width `nᵢ` the station transmits for this file.
-    pub fn dispersal_width(&self) -> usize {
-        self.dispersal.total_blocks()
     }
 
     /// The file's declared latency vector `d⃗ᵢ` (slots, indexed by fault
@@ -343,7 +333,7 @@ mod tests {
         r.cancel("landing".to_string());
         assert!(r.is_cancelled());
         assert!(r.is_resolved());
-        assert_eq!(r.cancelled_by(), Some("landing"));
+        assert_eq!(r.cancelled_by.as_deref(), Some("landing"));
         assert!(matches!(
             r.finish(),
             Err(Error::ModeChanged {

@@ -65,10 +65,6 @@ pub(crate) struct Settings {
     pub(crate) listen_cap: usize,
     pub(crate) scheduler: SchedulerChoice,
     pub(crate) channels: ShardPlanner,
-    /// Per-channel fleet budget for concurrent admission control (`None`
-    /// admits every subscription) — the operator's Lemma 3 capacity
-    /// declaration; see [`Error::AdmissionDenied`].
-    pub(crate) channel_fleet_budget: Option<usize>,
     /// Whether every dispersal is Merkle-committed ([`bauth`]) so clients
     /// verify blocks on receive; set by `Broadcast::builder().authenticated`.
     pub(crate) authenticated: bool,
@@ -100,12 +96,6 @@ impl Station {
             swaps: Vec::new(),
             retired_flips: BTreeMap::new(),
         })
-    }
-
-    /// The per-channel fleet budget concurrent admission control enforces
-    /// (`None` admits every subscription).
-    pub fn channel_fleet_budget(&self) -> Option<usize> {
-        self.settings.channel_fleet_budget
     }
 
     /// Whether this station Merkle-commits every dispersal so clients verify
@@ -355,14 +345,12 @@ impl Station {
                 .collect(),
         };
         let specs = mode.resolved_specs();
-        // The designer is deterministic in the specifications and the shard
-        // planner: when both are the ones the design on the air came from,
-        // re-planning would reproduce it.  Anything else re-plans through
-        // the same ShardPlanner/scheduler seams that built the station.
-        let (design, transition) = if mode.channel_budget().is_none()
-            && serving.channels.is_none()
-            && specs == serving.specs
-        {
+        // The designer is deterministic in the specifications, and every
+        // mode is planned by the station's own shard planner and scheduler:
+        // when the specifications are the ones the design on the air came
+        // from, re-planning would reproduce it.  Anything else re-plans
+        // through the same seams that built the station.
+        let (design, transition) = if specs == serving.specs {
             let transition = diff(&current, mode.name(), &serving.design);
             (serving.design.clone(), transition)
         } else {
@@ -376,7 +364,6 @@ impl Station {
         let (next, servers) = Mode::load(
             mode.name(),
             specs,
-            mode.channel_budget(),
             design,
             new_contents,
             self.settings.authenticated,
@@ -661,24 +648,6 @@ impl brt::Engine for Station {
         }
     }
 
-    /// Lemma 3 admission control: the paper's latency vectors `d⁽ʳ⁾` promise
-    /// each admitted subscriber a bounded worst-case retrieval latency, a
-    /// promise the serving host can only keep while it drains the whole
-    /// fleet every slot.  A declared per-channel budget caps the live fleet;
-    /// a subscription that would exceed it is refused with a typed error
-    /// instead of admitted into certain deadline violation.
-    fn admit(&self, file: FileId, channel: usize, active_on_channel: usize) -> Result<(), Error> {
-        match self.settings.channel_fleet_budget {
-            Some(budget) if active_on_channel >= budget => Err(Error::AdmissionDenied {
-                file,
-                channel,
-                active: active_on_channel,
-                budget,
-            }),
-            _ => Ok(()),
-        }
-    }
-
     /// Drops the program history below `slot` and the swap records up to
     /// `epoch`.  Only the runtime calls it: the synchronous drivers keep the
     /// station's whole history.
@@ -890,19 +859,27 @@ mod tests {
 
     #[test]
     fn compatible_files_resubscribe_across_a_reshard() {
-        // Same files, different channel count: programs change but every
-        // file keeps its (m, n) and contents, so in-flight retrievals
-        // transparently re-subscribe instead of cancelling.
+        // Dropping the densest file re-packs the rest under the station's
+        // own two-channel planner: file 2 moves channels, but it keeps its
+        // (m, n) and contents, so its in-flight retrieval transparently
+        // re-subscribes instead of cancelling.
         let mut station = two_channel_station();
         let file = FileId(2);
+        let old_channel = station.channel_of(file).unwrap();
         let mut in_flight = vec![station.subscribe(file, 0).unwrap()];
-        let target = ModeSpec::new("one-channel")
-            .files(station.specs().to_vec())
-            .with_channels(1);
+        let target = ModeSpec::new("without-1").files(
+            station
+                .specs()
+                .iter()
+                .filter(|s| s.id != FileId(1))
+                .cloned(),
+        );
         let prepared = station.prepare_mode(&target).unwrap();
         assert!(prepared.resubscribable().any(|f| f == file));
         station.swap(prepared, 0, SwapPolicy::Immediate).unwrap();
-        assert_eq!(station.channel_count(), 1);
+        assert_eq!(station.channel_count(), 2);
+        let new_channel = station.channel_of(file).unwrap();
+        assert_ne!(new_channel, old_channel, "the file was re-packed");
         let resolutions = station
             .run_until_resolved(&mut in_flight, &mut NoErrors)
             .unwrap();
@@ -913,7 +890,7 @@ mod tests {
             }
             other => panic!("compatible retrieval should survive, got {other:?}"),
         }
-        assert_eq!(in_flight[0].channel(), 0);
+        assert_eq!(in_flight[0].channel(), new_channel);
         assert_eq!(in_flight[0].epoch(), 1);
     }
 

@@ -12,10 +12,7 @@
 //!   contract survives the fan-out rewrite);
 //! * **departed subscribers book nothing** — a client unsubscribed while
 //!   the server runs ahead contributes zero lag to the fleet counters (the
-//!   old fan-out kept pushing to closed queues and counted every push);
-//! * **admission control** — a station built with a per-channel fleet
-//!   budget refuses the subscription that would exceed it with
-//!   [`rtbdisk::Error::AdmissionDenied`], and a departure reopens the seat.
+//!   old fan-out kept pushing to closed queues and counted every push).
 
 use rtbdisk::{
     Broadcast, Error, ErrorModel, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution,
@@ -198,54 +195,5 @@ fn departed_subscribers_book_no_lag_however_far_the_server_runs_ahead() {
         Err(Error::RetrievalIncomplete { file, .. }) => assert_eq!(file, FileId(1)),
         other => panic!("an unsubscribed mid-flight client resolves incomplete, got {other:?}"),
     }
-    handle.shutdown().unwrap();
-}
-
-#[test]
-fn the_channel_fleet_budget_refuses_the_overflowing_subscription() {
-    let station = Broadcast::builder()
-        .file(GeneralizedFileSpec::new(FileId(1), 1, vec![6]).unwrap())
-        .file(GeneralizedFileSpec::new(FileId(2), 1, vec![7]).unwrap())
-        .channel_fleet_budget(2)
-        .build()
-        .unwrap();
-    assert_eq!(station.channel_fleet_budget(), Some(2));
-
-    let clock = ManualClock::new();
-    let handle = station.serve_concurrent(clock.clone());
-    let seated_one = handle.subscribe(FileId(1), 0).unwrap();
-    let seated_two = handle.subscribe(FileId(2), 0).unwrap();
-    match handle.subscribe(FileId(1), 0) {
-        Err(Error::AdmissionDenied {
-            file,
-            channel,
-            active,
-            budget,
-        }) => {
-            assert_eq!(file, FileId(1));
-            assert_eq!(channel, 0);
-            assert_eq!(active, 2);
-            assert_eq!(budget, 2);
-        }
-        other => panic!("the third subscription must be refused, got {other:?}"),
-    }
-    let stats = handle.stats().unwrap();
-    assert_eq!(stats.admission_denied, 1);
-    assert_eq!(stats.total_subscriptions, 2);
-
-    // Seated clients complete and depart; their seats reopen.
-    clock.advance(64);
-    for seated in [seated_one, seated_two] {
-        match seated.join().unwrap() {
-            RetrievalResolution::Complete(outcome) => assert!(!outcome.data.is_empty()),
-            other => panic!("a seated client completes, got {other:?}"),
-        }
-    }
-    let reseated = handle.subscribe(FileId(1), clock.released()).unwrap();
-    clock.advance(64);
-    assert!(matches!(
-        reseated.join().unwrap(),
-        RetrievalResolution::Complete(_)
-    ));
     handle.shutdown().unwrap();
 }

@@ -23,9 +23,10 @@
 //!
 //! The option surface is pinned the same way.  An option is a `pub` field
 //! of a `pub struct` whose crate hand-writes its `impl Default` (a chosen
-//! default is a knob; a `#[derive(Default)]` stats struct is not), or an
-//! `RTBDISK_*` environment variable some code under `crates/`, `src/` or
-//! `tests/` reads.  [`OPTIONS`] lists each one with the non-test source
+//! default is a knob; a `#[derive(Default)]` stats struct is not), a
+//! `pub fn …(mut self, …) -> Self` setter of a builder [`BUILDERS`] names,
+//! or an `RTBDISK_*` environment variable some code under `crates/`, `src/`
+//! or `tests/` reads.  [`OPTIONS`] lists each one with the non-test source
 //! that sets it, or the reason it stays with none.  A new option and a
 //! stale entry both fail, by name.
 
@@ -150,9 +151,57 @@ const OPTIONS: &[(&str, Setter)] = &[
         In("crates/bench/src/bounds.rs", "max_faults"),
     ),
     ("ExactSolver::state_limit", In(ABLATIONS, "state_limit")),
+    (
+        "BroadcastBuilder::file",
+        In("examples/quickstart.rs", ".file("),
+    ),
+    (
+        "BroadcastBuilder::files",
+        In("examples/sharded_broadcast.rs", ".files("),
+    ),
+    (
+        "BroadcastBuilder::content",
+        In("benchmark/src/gen.rs", ".content("),
+    ),
+    (
+        "BroadcastBuilder::scheduler",
+        Because("the paper's schedulers behind one seam; ROADMAP item 12 measures them"),
+    ),
+    (
+        "BroadcastBuilder::channels",
+        In("examples/sharded_broadcast.rs", ".channels("),
+    ),
+    (
+        "BroadcastBuilder::auto_channels",
+        Because("ROADMAP item 12 measures it"),
+    ),
+    (
+        "BroadcastBuilder::listen_cap",
+        In("benchmark/src/workloads/drive.rs", ".listen_cap("),
+    ),
+    (
+        "BroadcastBuilder::authenticated",
+        In(FAULT_MATRIX, ".authenticated("),
+    ),
+    (
+        "ModeSpec::file",
+        Because("the one-file form of `ModeSpec::files`, as on `BroadcastBuilder`"),
+    ),
+    (
+        "ModeSpec::files",
+        In("crates/bench/src/modes.rs", ".files("),
+    ),
+    (
+        "ModeSpec::with_profile",
+        In("crates/bench/src/modes.rs", ".with_profile("),
+    ),
     ("RTBDISK_PROP_CASES", In(CI, "RTBDISK_PROP_CASES")),
     ("RTBDISK_PERF_TOLERANCE", In(CI, "RTBDISK_PERF_TOLERANCE")),
 ];
+
+/// The builders whose `pub fn …(mut self, …) -> Self` setters are options:
+/// each setter is a knob a caller picks, as a `pub` config field is.
+const BUILDERS: &[&str] = &["BroadcastBuilder", "ModeSpec"];
 
 /// Where an `RTBDISK_*` variable may be read.
 const OPTION_READERS: &[&str] = &["crates", "src", "tests"];
@@ -595,6 +644,63 @@ fn option_fields(crates: &[Vec<String>]) -> BTreeSet<String> {
     options
 }
 
+/// `Builder::setter` for every `pub fn setter(mut self, …) -> Self` that an
+/// `impl Builder { … }` block of `sources` declares, for each builder
+/// `builders` names.
+fn option_setters(sources: &[String], builders: &[&str]) -> BTreeSet<String> {
+    let mut options = BTreeSet::new();
+    for t in sources.iter().map(|s| non_test_tokens(s)) {
+        for i in (0..t.len()).filter(|&i| is_ident(t.get(i), "impl")) {
+            let Some(Token::Ident(name)) = t.get(i + 1) else {
+                continue;
+            };
+            if !builders.contains(&name.as_str()) || t.get(i + 2) != Some(&Token::Punct('{')) {
+                continue;
+            }
+            let mut depth = 0;
+            for (j, token) in t.iter().enumerate().skip(i + 2) {
+                match token {
+                    Token::Punct('{') => depth += 1,
+                    Token::Punct('}') => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                let Some(Token::Ident(setter)) = t.get(j + 2) else {
+                    continue;
+                };
+                let head = (is_ident(Some(token), "pub") && is_ident(t.get(j + 1), "fn"))
+                    && t.get(j + 3) == Some(&Token::Punct('('))
+                    && is_ident(t.get(j + 4), "mut")
+                    && is_ident(t.get(j + 5), "self");
+                if depth == 1 && head && returns_self(&t[j + 3..]) {
+                    options.insert(format!("{name}::{setter}"));
+                }
+            }
+        }
+    }
+    options
+}
+
+/// Whether the parameter list opening `t` is followed by `-> Self`.
+fn returns_self(t: &[Token]) -> bool {
+    let mut depth = 0;
+    for (k, token) in t.iter().enumerate() {
+        match token {
+            Token::Punct('(') => depth += 1,
+            Token::Punct(')') => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return t.get(k + 1) == Some(&Token::Punct('-'))
+                && t.get(k + 2) == Some(&Token::Punct('>'))
+                && is_ident(t.get(k + 3), "Self");
+        }
+    }
+    false
+}
+
 /// Every `RTBDISK_*` variable a source reads: the string literal passed to
 /// `var(` or `var_os(`.
 fn option_variables(sources: &[String]) -> BTreeSet<String> {
@@ -617,8 +723,8 @@ fn option_variables(sources: &[String]) -> BTreeSet<String> {
 }
 
 /// The workspace's options: each crate's (and the facade's) `pub` fields
-/// with a hand-written default, and the variables read under
-/// [`OPTION_READERS`].
+/// with a hand-written default, the setters of [`BUILDERS`], and the
+/// variables read under [`OPTION_READERS`].
 fn workspace_options() -> BTreeSet<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
@@ -637,6 +743,7 @@ fn workspace_options() -> BTreeSet<String> {
         .map(|f| read(&f))
         .collect();
     let mut options = option_fields(&crates);
+    options.extend(option_setters(&crates.concat(), BUILDERS));
     options.extend(option_variables(&readers));
     options
 }
@@ -826,4 +933,23 @@ fn a_new_option_and_a_stale_option_entry_both_fail() {
         ("RTBDISK_NEW", Because("kept")),
     ];
     assert!(option_problems(&options, &complete).is_empty());
+}
+
+#[test]
+fn a_builders_setters_are_options_and_nothing_else_is() {
+    let builder = "pub struct Builder { depth: u8 }\n\
+                   impl Builder {\n\
+                       pub fn depth(mut self, depth: u8) -> Self { self.depth = depth; self }\n\
+                       pub fn pairs(mut self, p: impl IntoIterator<Item = (u8, u8)>) -> Self { self }\n\
+                       pub fn build(self) -> Thing { todo!() }\n\
+                       pub fn peek(&self) -> u8 { self.depth }\n\
+                       pub(crate) fn hidden(mut self) -> Self { self }\n\
+                       fn private(mut self) -> Self { self }\n\
+                       pub fn sized(mut self) -> Result<Self, ()> { Ok(self) }\n\
+                   }\n\
+                   impl Other { pub fn knob(mut self) -> Self { self } }\n\
+                   #[cfg(test)] mod tests { impl Builder { pub fn seed(mut self) -> Self { self } } }";
+    let setters = option_setters(&[builder.to_string()], &["Builder"]);
+    let expected = ["Builder::depth", "Builder::pairs"];
+    assert_eq!(setters, expected.iter().map(|o| o.to_string()).collect());
 }

@@ -109,7 +109,7 @@ fn subscribe_churn_against_a_live_runtime() {
             std::thread::spawn(move || {
                 for round in 0..12u32 {
                     let file = FileId(1 + (t + round) % 4);
-                    let at_slot = handle.stats().unwrap().next_slot as usize;
+                    let at_slot = handle.stats().unwrap().slots_served as usize;
                     let client = handle.subscribe(file, at_slot).unwrap();
                     match client.join().unwrap() {
                         RetrievalResolution::Complete(outcome) => {
