@@ -1,10 +1,11 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md` §5:
-//! which pinwheel scheduler backs the planner, how much AIDA redundancy to
-//! transmit, and how finely to disperse (block-size trade-off).
+//! Ablation experiments for three design choices: which pinwheel scheduler
+//! backs the planner (`ablation-schedulers`), how much AIDA redundancy to
+//! transmit (`ablation-redundancy`), and how finely to disperse, the
+//! block-size trade-off (`ablation-blocksize`).
 
 use crate::render_table;
 use bdisk::{BroadcastProgram, BroadcastServer, FlatOrder};
-use bsim::{extra_delay_table, BernoulliErrors, RetrievalSimulator, SimulationConfig};
+use bsim::{worst_case_latency, BernoulliErrors, RetrievalSimulator, SimulationConfig};
 use ida::{Dispersal, FileId};
 use pinwheel::{
     DoubleIntegerScheduler, ExactSolver, LlfScheduler, PinwheelScheduler, SaScheduler, SxScheduler,
@@ -304,7 +305,7 @@ pub fn blocksize_ablation() -> BlocksizeAblation {
         ])
         .unwrap();
         let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
-        let extra = extra_delay_table(&program, FileId(0), m as usize, 1)[1];
+        let extra = worst_case_latency(&program, FileId(0), m as usize, 1).extra_delay;
         // Coding cost: encoding multiplies an m-vector by an n×m matrix per
         // byte-column → n·m multiplications per m bytes → n mults per byte.
         let dispersal = Dispersal::new(m as usize, n as usize).unwrap();

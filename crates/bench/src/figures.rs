@@ -4,7 +4,7 @@
 
 use crate::render_table;
 use bdisk::{BroadcastFile, BroadcastProgram, FileSet, FlatOrder};
-use bsim::{extra_delay_table, worst_case_table};
+use bsim::{worst_case_latency, worst_case_table};
 use ida::FileId;
 use serde::Serialize;
 
@@ -154,16 +154,16 @@ impl core::fmt::Display for Figure7 {
 pub fn figure_7() -> Figure7 {
     let flat = BroadcastProgram::flat(&paper_example_files(false), FlatOrder::Spread).unwrap();
     let aida = BroadcastProgram::aida_flat(&paper_example_files(true), FlatOrder::Spread).unwrap();
-    let with_ida = extra_delay_table(&aida, FileId(0), 5, 5);
-    let without_ida = extra_delay_table(&flat, FileId(0), 5, 5);
+    let with_ida = worst_case_table(&aida, FileId(0), 5, 5);
+    let without_ida = worst_case_table(&flat, FileId(0), 5, 5);
     let paper_with = [0usize, 3, 4, 6, 7, 8];
     let paper_without = [0usize, 8, 16, 24, 32, 40];
     Figure7 {
         rows: (0..=5)
             .map(|r| Figure7Row {
                 errors: r,
-                with_ida: with_ida[r],
-                without_ida: without_ida[r],
+                with_ida: with_ida[r].extra_delay,
+                without_ida: without_ida[r].extra_delay,
                 paper_with_ida: paper_with[r],
                 paper_without_ida: paper_without[r],
             })
@@ -220,7 +220,7 @@ pub fn lemma_bounds() -> LemmaBounds {
         let flat = BroadcastProgram::flat(&flat_set, FlatOrder::Spread).unwrap();
         let tau = flat.broadcast_period();
         for r in 0..=2usize {
-            let a = worst_case_table(&flat, FileId(0), blocks as usize, r)[r];
+            let a = worst_case_latency(&flat, FileId(0), blocks as usize, r);
             let bound = r * tau;
             ok &= a.extra_delay <= bound;
             rows.push((format!("lemma1 {nfiles}x{blocks}"), r, a.extra_delay, bound));
@@ -231,7 +231,7 @@ pub fn lemma_bounds() -> LemmaBounds {
         let aida = BroadcastProgram::aida_flat(&aida_set, FlatOrder::Spread).unwrap();
         let delta = aida.max_gap(FileId(0)).unwrap();
         for r in 0..=(blocks as usize).min(3) {
-            let a = worst_case_table(&aida, FileId(0), blocks as usize, r)[r];
+            let a = worst_case_latency(&aida, FileId(0), blocks as usize, r);
             let bound = r * delta;
             ok &= a.extra_delay <= bound;
             rows.push((format!("lemma2 {nfiles}x{blocks}"), r, a.extra_delay, bound));

@@ -5,7 +5,8 @@
 //! prints them (optionally as JSON); the Criterion benches in `benches/`
 //! measure the underlying machinery.
 //!
-//! Paper artefacts covered (see `DESIGN.md` §3 for the full index):
+//! Paper artefacts covered, by `experiments` id (the binary's docs list
+//! the ids beyond the paper: `modes` and the perf trajectories):
 //!
 //! | id | artefact | function |
 //! |----|----------|----------|

@@ -15,7 +15,9 @@ use bsim::BernoulliErrors;
 use ida::{FileId, ModeProfile, RedundancyPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtbdisk::{Broadcast, ModeSchedule, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy};
+use rtbdisk::{
+    Broadcast, ModeSchedule, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy, SwapReport,
+};
 use serde::Serialize;
 
 /// Disruption accounting for one executed swap.
@@ -172,7 +174,7 @@ fn transition_cell(
     let prepared = station
         .prepare_mode(&event.mode)
         .expect("the surge mode designs on k channels");
-    let report = station
+    let report: SwapReport = station
         .swap(prepared, event.at_slot, event.policy)
         .expect("fresh preparation swaps cleanly");
     let resolutions = station

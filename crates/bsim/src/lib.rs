@@ -39,4 +39,4 @@ pub use error::{
 pub use sim::{RetrievalSimulator, SimulationConfig, SimulationReport};
 pub use stats::{LatencySummary, MissReport};
 pub use workload::{awacs_scenario, ivhs_scenario, RequirementGenerator, WorkloadConfig};
-pub use worst_case::{extra_delay_table, worst_case_latency, worst_case_table, WorstCaseAnalysis};
+pub use worst_case::{worst_case_latency, worst_case_table, WorstCaseAnalysis};

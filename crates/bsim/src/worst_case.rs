@@ -9,9 +9,16 @@
 //! extra delay ≤ r·τ) and Lemma 2 (AIDA programs: extra delay ≤ r·Δ where Δ
 //! is the maximum inter-block gap).
 //!
-//! The analysis is exact: for every request slot the adversary's choice of
-//! failures is explored by a branch-and-bound search.  Two structural facts
-//! shrink the space far below the naive `2^receptions`:
+//! The analysis is exact at every dispersal width.  The program repeats
+//! every data cycle, so the file's receptions in one cycle, read as a
+//! periodic stream, are every reception there is.  Only one request slot
+//! per reception is tried: the slot just after it.  Every later request
+//! before the next reception waits for the same receptions and completes at
+//! the same slot, so the earliest of them has the longest latency.
+//!
+//! From each request slot the adversary's choice of failures is explored by
+//! a branch-and-bound search.  Two structural facts shrink the space far
+//! below the naive `2^receptions`:
 //!
 //! 1. only receptions carrying a *new* block are choice points — failing a
 //!    duplicate wastes an error and receiving one changes nothing — so the
@@ -19,12 +26,9 @@
 //! 2. from any state, completion is forced no later than the slot where
 //!    `need + errors_left` *distinct* uncollected blocks have gone by (the
 //!    adversary can fail at most `errors_left` of their first appearances),
-//!    which gives an admissible upper bound to prune against the incumbent.
-//!
-//! This scales Figure-7-style tables well past the `n ≈ 20` the previous
-//! memoised exhaustive search managed; dispersals wider than the exact-search
-//! limit (40 blocks) still fall back to a pessimistic greedy adversary and
-//! are flagged in the result.
+//!    and no later than the end of `errors_left + 1` data cycles (each
+//!    carries every block once or more, so every block gets through), which
+//!    gives an admissible upper bound to prune against the incumbent.
 
 use bdisk::{BroadcastProgram, ProgramEntry};
 use ida::FileId;
@@ -39,278 +43,266 @@ pub struct WorstCaseAnalysis {
     pub latency: usize,
     /// Worst-case *extra* delay relative to the fault-free worst case.
     pub extra_delay: usize,
-    /// `true` when the exact adversary search was used; `false` means the
-    /// dispersal width was too large and a greedy (still adversarial, but
-    /// possibly not maximal) strategy was used instead.
-    pub exact: bool,
 }
-
-/// Exact-search width limit: dispersals up to this many blocks use the
-/// branch-and-bound adversary (the pruning keeps instances this wide cheap;
-/// the collected-set bitmask caps it below 64 regardless).
-const EXACT_WIDTH_LIMIT: usize = 40;
 
 /// Computes the worst-case retrieval latency (slots) for retrieving `file`
 /// (needing `threshold` distinct blocks) from `program`, when an adversary
-/// chooses the request slot and fails exactly up to `errors` receptions.
+/// chooses the request slot and fails up to `errors` receptions.
+///
+/// # Panics
+///
+/// If `file` never appears in `program`, or `program` carries fewer than
+/// `threshold` distinct blocks of it.
 pub fn worst_case_latency(
     program: &BroadcastProgram,
     file: FileId,
     threshold: usize,
     errors: usize,
 ) -> WorstCaseAnalysis {
-    let receptions = reception_sequence(program, file);
-    assert!(
-        !receptions.is_empty(),
-        "file {file} never appears in the program"
-    );
-    let width = (receptions.iter().map(|r| r.block).max().unwrap_or(0) + 1) as usize;
-    let exact = width <= EXACT_WIDTH_LIMIT;
-
-    let cycle = program.data_cycle();
-    let fault_free = (0..cycle)
-        .map(|s| latency_from(&receptions, cycle, s, threshold, 0, exact))
-        .max()
-        .expect("non-empty cycle");
-    let with_errors = (0..cycle)
-        .map(|s| latency_from(&receptions, cycle, s, threshold, errors, exact))
-        .max()
-        .expect("non-empty cycle");
+    let receptions = Receptions::of(program, file, threshold);
+    let latency = receptions.worst_latency(errors);
     WorstCaseAnalysis {
         errors,
-        latency: with_errors,
-        extra_delay: with_errors.saturating_sub(fault_free),
-        exact,
+        latency,
+        extra_delay: latency - receptions.worst_latency(0),
     }
 }
 
-/// The worst-case latency table for `r = 0..=max_errors` (absolute
-/// latencies).
+/// The worst-case analysis for every `r = 0..=max_errors`, sharing one
+/// fault-free worst case.
+///
+/// # Panics
+///
+/// As [`worst_case_latency`].
 pub fn worst_case_table(
     program: &BroadcastProgram,
     file: FileId,
     threshold: usize,
     max_errors: usize,
 ) -> Vec<WorstCaseAnalysis> {
-    (0..=max_errors)
-        .map(|r| worst_case_latency(program, file, threshold, r))
+    let receptions = Receptions::of(program, file, threshold);
+    let latencies: Vec<usize> = (0..=max_errors)
+        .map(|errors| receptions.worst_latency(errors))
+        .collect();
+    latencies
+        .iter()
+        .enumerate()
+        .map(|(errors, &latency)| WorstCaseAnalysis {
+            errors,
+            latency,
+            extra_delay: latency - latencies[0],
+        })
         .collect()
 }
 
-/// The paper's Figure 7 view: worst-case **extra** delay per error count.
-pub fn extra_delay_table(
-    program: &BroadcastProgram,
-    file: FileId,
-    threshold: usize,
-    max_errors: usize,
-) -> Vec<usize> {
-    worst_case_table(program, file, threshold, max_errors)
-        .into_iter()
-        .map(|a| a.extra_delay)
-        .collect()
-}
-
-/// One reception opportunity for the target file within the data cycle.
+/// One reception opportunity for the target file.
 #[derive(Debug, Clone, Copy)]
 struct Reception {
     slot: usize,
     block: u32,
 }
 
-fn reception_sequence(program: &BroadcastProgram, file: FileId) -> Vec<Reception> {
-    program
-        .entries()
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, e)| match e {
-            ProgramEntry::Block { file: f, block } if *f == file => Some(Reception {
-                slot,
-                block: *block,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Worst-case completion latency when the retrieval starts at `start` and the
-/// adversary may fail up to `errors` receptions.
-fn latency_from(
-    receptions: &[Reception],
+/// The target file's receptions in one data cycle, read as an endless
+/// periodic stream: reception `k` is the `(k mod len)`-th of the cycle,
+/// `k / len` cycles later.
+struct Receptions {
     cycle: usize,
-    start: usize,
+    once: Vec<Reception>,
+    /// One past the largest block index the file is broadcast with.
+    width: usize,
     threshold: usize,
-    errors: usize,
-    exact: bool,
-) -> usize {
-    // Materialise the reception stream from `start`, long enough that even
-    // `errors` failures plus duplicate blocks cannot exhaust it: every data
-    // cycle contains every dispersed block at least once, so
-    // `errors + threshold + 1` cycles are always sufficient.
-    let cycles_needed = errors + threshold + 1;
-    let mut stream = Vec::with_capacity(receptions.len() * cycles_needed);
-    for c in 0..cycles_needed {
-        for r in receptions {
-            let slot = r.slot + c * cycle;
-            if slot >= start {
-                stream.push(Reception {
+}
+
+impl Receptions {
+    fn of(program: &BroadcastProgram, file: FileId, threshold: usize) -> Receptions {
+        let once: Vec<Reception> = program
+            .entries()
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, e)| match e {
+                ProgramEntry::Block { file: f, block } if *f == file => Some(Reception {
                     slot,
-                    block: r.block,
-                });
-            }
+                    block: *block,
+                }),
+                _ => None,
+            })
+            .collect();
+        assert!(!once.is_empty(), "file {file} never appears in the program");
+        let width = once.iter().map(|r| r.block as usize).max().unwrap_or(0) + 1;
+        let mut distinct = BlockSet::with_width(width);
+        for r in &once {
+            distinct.insert(r.block);
+        }
+        assert!(
+            threshold <= distinct.len,
+            "file {file} needs {threshold} distinct blocks but the program carries only {}",
+            distinct.len
+        );
+        Receptions {
+            cycle: program.data_cycle(),
+            once,
+            width,
+            threshold,
         }
     }
-    if exact {
-        let mut incumbent = 0usize;
-        bb_search(&stream, 0, 0u64, threshold, errors, &mut incumbent);
-        incumbent - start + 1
-    } else {
-        let slot = greedy_adversary(&stream, threshold, errors);
-        slot - start + 1
+
+    /// Reception `k` of the periodic stream.
+    fn at(&self, k: usize) -> Reception {
+        let r = self.once[k % self.once.len()];
+        Reception {
+            slot: r.slot + (k / self.once.len()) * self.cycle,
+            block: r.block,
+        }
+    }
+
+    /// The worst latency over every request slot, when the adversary may
+    /// fail up to `errors` receptions: the worst over the slots just after
+    /// each reception, each of which waits from the next reception on.
+    fn worst_latency(&self, errors: usize) -> usize {
+        (0..self.once.len())
+            .map(|k| self.latest_completion(k + 1, errors) - self.once[k].slot)
+            .max()
+            .expect("the file appears in the program")
+    }
+
+    /// The latest slot at which a client listening from reception `from`
+    /// on completes, over every choice of up to `errors` failures.
+    fn latest_completion(&self, from: usize, errors: usize) -> usize {
+        let mut search = Search {
+            receptions: self,
+            collected: BlockSet::with_width(self.width),
+            scratch: BlockSet::with_width(self.width),
+            latest: 0,
+        };
+        search.branch(from, errors);
+        search.latest
     }
 }
 
-/// Exact branch-and-bound adversary: maximise the completion slot over all
-/// choices of which receptions to fail (at most `errors_left`).
-///
-/// Only receptions carrying a block the client has not collected are choice
-/// points: failing a reception of an already-collected (or duplicate) block
-/// spends an error without changing the client's state, and receiving one is
-/// a no-op — an adversary that skips such moves does at least as well, so
-/// restricting the branching preserves exactness while capping the tree
-/// depth at `threshold + errors_left`.
-fn bb_search(
-    stream: &[Reception],
-    index: usize,
-    collected: u64,
-    threshold: usize,
-    errors_left: usize,
-    incumbent: &mut usize,
-) {
-    if errors_left == 0 {
-        // No choices left: the client collects deterministically.
-        let slot = fault_free_completion(stream, index, collected, threshold);
-        *incumbent = (*incumbent).max(slot);
-        return;
+/// A set of block indices, one bit per index below the file's width.
+#[derive(Clone)]
+struct BlockSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BlockSet {
+    fn with_width(width: usize) -> BlockSet {
+        BlockSet {
+            words: vec![0; width.div_ceil(64)],
+            len: 0,
+        }
     }
-    // Admissible upper bound: completion is forced once `need + errors_left`
-    // distinct uncollected blocks have gone by (at most `errors_left` of
-    // their first appearances can be failed, so at least `need` distinct
-    // blocks get through by then).
-    if completion_upper_bound(stream, index, collected, threshold, errors_left) <= *incumbent {
-        return;
+
+    fn contains(&self, block: u32) -> bool {
+        self.words[block as usize / 64] & (1 << (block % 64)) != 0
     }
-    // Advance to the next choice point: a reception of an uncollected block.
-    let mut i = index;
-    let (at, bit) = loop {
-        match stream.get(i) {
-            None => {
-                // Horizon exhausted (defensive; the stream is sized so
-                // completion happens first for well-formed programs).
-                let slot = stream.last().map(|r| r.slot).unwrap_or(0);
-                *incumbent = (*incumbent).max(slot);
-                return;
-            }
-            Some(r) => {
-                let bit = 1u64 << r.block;
-                if collected & bit == 0 {
-                    break (*r, bit);
+
+    /// Adds `block`, returning whether it was new.
+    fn insert(&mut self, block: u32) -> bool {
+        let new = !self.contains(block);
+        self.words[block as usize / 64] |= 1 << (block % 64);
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Takes out `block`, which must be in the set.
+    fn remove(&mut self, block: u32) {
+        self.words[block as usize / 64] &= !(1 << (block % 64));
+        self.len -= 1;
+    }
+}
+
+/// The branch-and-bound adversary for one request slot.
+struct Search<'a> {
+    receptions: &'a Receptions,
+    /// The blocks the client holds in the state being explored.
+    collected: BlockSet,
+    /// Room for the forward scans to mark blocks without touching
+    /// `collected`.
+    scratch: BlockSet,
+    /// The incumbent: the latest completion slot found so far.
+    latest: usize,
+}
+
+impl Search<'_> {
+    /// Maximises the completion slot over all choices of which receptions
+    /// from `index` on to fail (at most `errors_left`).
+    ///
+    /// Only receptions carrying a block the client has not collected are
+    /// choice points: failing a reception of an already-collected block
+    /// spends an error without changing the client's state, and receiving
+    /// one is a no-op — an adversary that skips such moves does at least as
+    /// well, so restricting the branching preserves exactness while capping
+    /// the tree depth at `threshold + errors_left`.
+    fn branch(&mut self, index: usize, errors_left: usize) {
+        if errors_left == 0 {
+            // No choices left: the client collects deterministically.
+            let slot = self.fault_free_completion(index);
+            self.latest = self.latest.max(slot);
+            return;
+        }
+        if self.completion_bound(index, errors_left) <= self.latest {
+            return;
+        }
+        // Advance to the next choice point: a reception of an uncollected
+        // block.  One exists within a cycle, since the client holds fewer
+        // than `threshold` of the file's distinct blocks.
+        let mut i = index;
+        while self.collected.contains(self.receptions.at(i).block) {
+            i += 1;
+        }
+        let at = self.receptions.at(i);
+        // Fail branch first: delaying moves tend to raise the incumbent
+        // early, which makes the bound prune harder on the success branches.
+        self.branch(i + 1, errors_left - 1);
+        self.collected.insert(at.block);
+        if self.collected.len >= self.receptions.threshold {
+            self.latest = self.latest.max(at.slot);
+        } else {
+            self.branch(i + 1, errors_left);
+        }
+        self.collected.remove(at.block);
+    }
+
+    /// The slot at which the client completes from reception `index` on
+    /// when no further receptions fail.
+    fn fault_free_completion(&mut self, index: usize) -> usize {
+        self.scratch.clone_from(&self.collected);
+        (index..)
+            .map(|k| self.receptions.at(k))
+            .find(|r| self.scratch.insert(r.block) && self.scratch.len >= self.receptions.threshold)
+            .expect("a data cycle carries every block")
+            .slot
+    }
+
+    /// An upper bound on the completion slot any adversary with
+    /// `errors_left` failures can force from reception `index` on: the slot
+    /// of the `(need + errors_left)`-th *distinct* uncollected block, or the
+    /// end of `errors_left + 1` data cycles, whichever comes first.
+    fn completion_bound(&mut self, index: usize, errors_left: usize) -> usize {
+        let target = self.receptions.threshold - self.collected.len + errors_left;
+        let horizon = index + (errors_left + 1) * self.receptions.once.len();
+        self.scratch.clone_from(&self.collected);
+        let mut distinct = 0;
+        for k in index..horizon {
+            let r = self.receptions.at(k);
+            if self.scratch.insert(r.block) {
+                distinct += 1;
+                if distinct >= target {
+                    return r.slot;
                 }
-                i += 1;
             }
         }
-    };
-    // Fail branch first: delaying moves tend to raise the incumbent early,
-    // which makes the bound prune harder on the success branches.
-    bb_search(
-        stream,
-        i + 1,
-        collected,
-        threshold,
-        errors_left - 1,
-        incumbent,
-    );
-    let next = collected | bit;
-    if next.count_ones() as usize >= threshold {
-        *incumbent = (*incumbent).max(at.slot);
-    } else {
-        bb_search(stream, i + 1, next, threshold, errors_left, incumbent);
+        self.receptions.at(horizon - 1).slot
     }
-}
-
-/// The slot at which a client in state `(index, collected)` completes when
-/// no further receptions fail.
-fn fault_free_completion(
-    stream: &[Reception],
-    index: usize,
-    collected: u64,
-    threshold: usize,
-) -> usize {
-    let mut set = collected;
-    for r in &stream[index.min(stream.len())..] {
-        let bit = 1u64 << r.block;
-        if set & bit == 0 {
-            set |= bit;
-            if set.count_ones() as usize >= threshold {
-                return r.slot;
-            }
-        }
-    }
-    stream.last().map(|r| r.slot).unwrap_or(0)
-}
-
-/// An upper bound on the completion slot any adversary with `errors_left`
-/// failures can force from state `(index, collected)`: the slot of the
-/// `(need + errors_left)`-th *distinct* uncollected block seen from `index`.
-fn completion_upper_bound(
-    stream: &[Reception],
-    index: usize,
-    collected: u64,
-    threshold: usize,
-    errors_left: usize,
-) -> usize {
-    let need = threshold.saturating_sub(collected.count_ones() as usize);
-    let target = need + errors_left;
-    let mut seen = collected;
-    let mut distinct = 0usize;
-    for r in &stream[index.min(stream.len())..] {
-        let bit = 1u64 << r.block;
-        if seen & bit == 0 {
-            seen |= bit;
-            distinct += 1;
-            if distinct >= target {
-                return r.slot;
-            }
-        }
-    }
-    stream.last().map(|r| r.slot).unwrap_or(0)
-}
-
-/// Pessimistic greedy adversary for very wide dispersals: fail the last
-/// `errors` receptions that would otherwise complete the retrieval.
-fn greedy_adversary(stream: &[Reception], threshold: usize, errors: usize) -> usize {
-    let mut errors_left = errors;
-    let mut collected: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for r in stream {
-        let is_new = !collected.contains(&r.block);
-        if is_new && collected.len() + 1 >= threshold && errors_left > 0 {
-            // This reception would complete the retrieval: fail it.
-            errors_left -= 1;
-            continue;
-        }
-        if is_new {
-            collected.insert(r.block);
-            if collected.len() >= threshold {
-                return r.slot;
-            }
-        }
-    }
-    stream.last().map(|r| r.slot).unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bdisk::{BroadcastFile, BroadcastProgram, FileSet, FlatOrder};
+    use std::collections::HashMap;
 
     fn paper_files(dispersed: bool) -> FileSet {
         let (na, nb) = if dispersed { (10, 6) } else { (5, 3) };
@@ -319,6 +311,23 @@ mod tests {
             BroadcastFile::new(FileId(1), "B", 3, 64).with_dispersal(nb),
         ])
         .unwrap()
+    }
+
+    /// The three programs of the paper's two-file example: AIDA spread,
+    /// flat spread and AIDA sequential.
+    fn paper_programs() -> [BroadcastProgram; 3] {
+        [
+            BroadcastProgram::aida_flat(&paper_files(true), FlatOrder::Spread).unwrap(),
+            BroadcastProgram::flat(&paper_files(false), FlatOrder::Spread).unwrap(),
+            BroadcastProgram::aida_flat(&paper_files(true), FlatOrder::Sequential).unwrap(),
+        ]
+    }
+
+    fn extra_delays(program: &BroadcastProgram, m: usize, max_errors: usize) -> Vec<usize> {
+        worst_case_table(program, FileId(0), m, max_errors)
+            .iter()
+            .map(|a| a.extra_delay)
+            .collect()
     }
 
     #[test]
@@ -330,7 +339,6 @@ mod tests {
         for (file, m) in [(FileId(0), 5usize), (FileId(1), 3usize)] {
             for r in 0..=4 {
                 let analysis = worst_case_latency(&program, file, m, r);
-                assert!(analysis.exact);
                 assert!(
                     analysis.extra_delay <= r * tau,
                     "file {file}, r={r}: extra {} > r·τ = {}",
@@ -347,7 +355,8 @@ mod tests {
         // The bound applies while the error count stays within the file's
         // redundancy (r ≤ nᵢ − mᵢ): beyond that the client starts seeing
         // duplicate blocks and a single further error can cost more than Δ
-        // (see EXPERIMENTS.md).  File A tolerates 5 errors, file B only 3.
+        // (the `lemmas` experiment sweeps r only within the redundancy).
+        // File A tolerates 5 errors, file B only 3.
         let files = paper_files(true);
         let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
         for (file, m, max_r) in [(FileId(0), 5usize, 5usize), (FileId(1), 3usize, 3usize)] {
@@ -366,10 +375,9 @@ mod tests {
 
     #[test]
     fn figure_7_shape_ida_beats_no_ida_and_errors_cost_a_period_without_ida() {
-        let flat = BroadcastProgram::flat(&paper_files(false), FlatOrder::Spread).unwrap();
-        let aida = BroadcastProgram::aida_flat(&paper_files(true), FlatOrder::Spread).unwrap();
-        let without = extra_delay_table(&flat, FileId(0), 5, 5);
-        let with = extra_delay_table(&aida, FileId(0), 5, 5);
+        let [aida, flat, _] = paper_programs();
+        let without = extra_delays(&flat, 5, 5);
+        let with = extra_delays(&aida, 5, 5);
         assert_eq!(without[0], 0);
         assert_eq!(with[0], 0);
         for r in 1..=5 {
@@ -414,32 +422,19 @@ mod tests {
     }
 
     #[test]
-    fn greedy_fallback_is_used_for_very_wide_dispersals() {
-        let files = FileSet::new(vec![
-            BroadcastFile::new(FileId(0), "W", 16, 64).with_dispersal(48)
-        ])
-        .unwrap();
-        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
-        let a = worst_case_latency(&program, FileId(0), 16, 2);
-        assert!(!a.exact);
-        assert!(a.latency >= 16);
+    #[should_panic(expected = "file F0 needs 6 distinct blocks but the program carries only 5")]
+    fn a_threshold_above_the_files_distinct_blocks_is_refused() {
+        let [_, flat, _] = paper_programs();
+        worst_case_latency(&flat, FileId(0), 6, 1);
     }
 
-    #[test]
-    fn exact_adversary_dominates_the_greedy_one() {
-        // On a small instance the exact adversary must be at least as bad
-        // (for the client) as the greedy heuristic.
-        let files = paper_files(true);
-        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
-        let receptions = reception_sequence(&program, FileId(0));
-        let cycle = program.data_cycle();
-        for start in 0..cycle {
-            for r in 0..=3 {
-                let exact = latency_from(&receptions, cycle, start, 5, r, true);
-                let greedy = latency_from(&receptions, cycle, start, 5, r, false);
-                assert!(exact >= greedy, "start {start}, r {r}");
-            }
-        }
+    /// The receptions from slot `start` on, copied out for `cycles` data
+    /// cycles: the finite stream the exhaustive oracle walks.
+    fn copied_stream(receptions: &Receptions, start: usize, cycles: usize) -> Vec<Reception> {
+        (0..cycles * receptions.once.len())
+            .map(|k| receptions.at(k))
+            .filter(|r| r.slot >= start)
+            .collect()
     }
 
     /// The pre-pruning exhaustive adversary (memoised over every reception,
@@ -451,7 +446,7 @@ mod tests {
         collected: u64,
         threshold: usize,
         errors_left: usize,
-        memo: &mut std::collections::HashMap<(usize, u64, usize), usize>,
+        memo: &mut HashMap<(usize, u64, usize), usize>,
     ) -> usize {
         if index >= stream.len() {
             return stream.last().map(|r| r.slot).unwrap_or(0);
@@ -487,43 +482,89 @@ mod tests {
         best
     }
 
+    /// The exhaustive adversary's latest completion slot for a request at
+    /// `start`, over a stream long enough that it never runs dry.
+    fn exhaustive_completion(receptions: &Receptions, start: usize, errors: usize) -> usize {
+        let cycles = errors + receptions.threshold + 1;
+        let stream = copied_stream(receptions, start, cycles);
+        let mut memo = HashMap::new();
+        exhaustive_adversary(&stream, 0, 0, receptions.threshold, errors, &mut memo)
+    }
+
     #[test]
     fn branch_and_bound_matches_the_exhaustive_adversary() {
-        // Identical results on every instance the old memoised search could
-        // handle: the pruning must not change a single number.
-        let programs = [
-            BroadcastProgram::aida_flat(&paper_files(true), FlatOrder::Spread).unwrap(),
-            BroadcastProgram::flat(&paper_files(false), FlatOrder::Spread).unwrap(),
-            BroadcastProgram::aida_flat(&paper_files(true), FlatOrder::Sequential).unwrap(),
-        ];
-        for program in &programs {
-            let cycle = program.data_cycle();
+        // Identical results from every request slot: neither the pruning
+        // nor the periodic view may change a single number.
+        for program in &paper_programs() {
             for (file, m) in [(FileId(0), 5usize), (FileId(1), 3usize)] {
-                let receptions = reception_sequence(program, file);
-                for start in 0..cycle {
+                let receptions = Receptions::of(program, file, m);
+                for start in 0..program.data_cycle() {
+                    // The first reception at or after `start`.
+                    let first = receptions
+                        .once
+                        .iter()
+                        .position(|r| r.slot >= start)
+                        .unwrap_or(receptions.once.len());
                     for r in 0..=4usize {
-                        let cycles_needed = r + m + 1;
-                        let mut stream = Vec::new();
-                        for c in 0..cycles_needed {
-                            for rec in &receptions {
-                                let slot = rec.slot + c * cycle;
-                                if slot >= start {
-                                    stream.push(Reception {
-                                        slot,
-                                        block: rec.block,
-                                    });
-                                }
-                            }
-                        }
-                        let mut memo = std::collections::HashMap::new();
-                        let reference = exhaustive_adversary(&stream, 0, 0, m, r, &mut memo);
-                        let mut incumbent = 0usize;
-                        bb_search(&stream, 0, 0, m, r, &mut incumbent);
-                        assert_eq!(incumbent, reference, "file {file}, start {start}, r {r}");
+                        assert_eq!(
+                            receptions.latest_completion(first, r),
+                            exhaustive_completion(&receptions, start, r),
+                            "file {file}, start {start}, r {r}"
+                        );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_slots_just_after_each_reception_hold_the_worst_request() {
+        // Trying one request slot per reception loses nothing: the worst
+        // over them is the worst over every slot of the data cycle.
+        for program in &paper_programs() {
+            for (file, m) in [(FileId(0), 5usize), (FileId(1), 3usize)] {
+                let receptions = Receptions::of(program, file, m);
+                for r in 0..=4usize {
+                    let every_start = (0..program.data_cycle())
+                        .map(|start| exhaustive_completion(&receptions, start, r) - start + 1)
+                        .max()
+                        .unwrap();
+                    assert_eq!(
+                        worst_case_latency(program, file, m, r).latency,
+                        every_start,
+                        "file {file}, r {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_dispersals_are_analysed_exactly() {
+        // Widths past any machine word: two (64, 68) files, as the wire
+        // workloads serve, and one (16, 48) file.
+        let files = FileSet::new(vec![
+            BroadcastFile::new(FileId(0), "W", 64, 64).with_dispersal(68),
+            BroadcastFile::new(FileId(1), "X", 64, 64).with_dispersal(68),
+        ])
+        .unwrap();
+        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
+        let latencies: Vec<usize> = worst_case_table(&program, FileId(0), 64, 4)
+            .iter()
+            .map(|a| a.latency)
+            .collect();
+        assert_eq!(latencies, [128, 130, 132, 134, 136]);
+
+        let files = FileSet::new(vec![
+            BroadcastFile::new(FileId(0), "W", 16, 64).with_dispersal(48)
+        ])
+        .unwrap();
+        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
+        let latencies: Vec<usize> = worst_case_table(&program, FileId(0), 16, 2)
+            .iter()
+            .map(|a| a.latency)
+            .collect();
+        assert_eq!(latencies, [16, 17, 18]);
     }
 
     #[test]
@@ -539,7 +580,6 @@ mod tests {
         let delta = program.max_gap(FileId(0)).unwrap();
         for r in 0..=3usize {
             let a = worst_case_latency(&program, FileId(0), 12, r);
-            assert!(a.exact, "n = 36 must use the exact adversary now");
             // Lemma 2 still bounds the extra delay (r within redundancy).
             assert!(
                 a.extra_delay <= r * delta,
@@ -548,7 +588,7 @@ mod tests {
                 r * delta
             );
         }
-        // Monotone in r, and the pruned search dominates greedy.
+        // Monotone in r.
         let table = worst_case_table(&program, FileId(0), 12, 3);
         assert!(table.windows(2).all(|w| w[0].latency <= w[1].latency));
     }

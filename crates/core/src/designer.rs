@@ -196,8 +196,9 @@ impl DesignReport {
 /// The broadcast-program designer for generalized Bdisks.
 ///
 /// The scheduler backing step 3 of the pipeline is a type parameter so that
-/// callers (notably the `rtbdisk` facade's `SchedulerChoice`) can plug in any
-/// [`PinwheelScheduler`]; the default remains the [`AutoScheduler`] cascade.
+/// callers can plug in any [`PinwheelScheduler`] (a `SchedulerChoice`, for
+/// one); the default, which every `rtbdisk` station uses, is the
+/// [`AutoScheduler`] cascade.
 #[derive(Debug, Clone, Default)]
 pub struct BdiskDesigner<S: PinwheelScheduler = AutoScheduler> {
     scheduler: S,

@@ -204,8 +204,9 @@ impl Planner {
     /// constructs (and verifies) a schedule, together with that schedule.
     ///
     /// The search starts from the information-theoretic lower bound and walks
-    /// upward; it stops at `search_cap_factor × chan_chin_bound` (a factor of
-    /// 2 is far beyond anything needed in practice).
+    /// upward one bandwidth at a time, up to twice the Equation 1/2 bound
+    /// (and at least 8 past the lower bound), far beyond anything needed in
+    /// practice.
     pub fn minimum_constructive_bandwidth(
         &self,
         files: &[FileRequirement],

@@ -18,7 +18,8 @@
 //!   another (rules R0/R2, the manual simplifications of Examples 5 and 6),
 //!   and convert what survives with R4 helpers.  On Example 4 this candidate
 //!   finds `pc(i, 5, 9)` at density 5/9 ≈ 0.556 — *below* the paper's best of
-//!   0.6 and exactly at the density lower bound (see `EXPERIMENTS.md`).
+//!   0.6 and exactly at the density lower bound (the `examples`
+//!   experiment prints both beside the paper's).
 //!
 //! The best candidate is chosen by density (ties broken towards fewer
 //! conditions), which is the paper's "choose the candidate transformation

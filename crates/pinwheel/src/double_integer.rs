@@ -12,8 +12,11 @@
 //! density, and schedules the resulting two-chain instance with a
 //! constructive back-end (the greedy cycle-detection scheduler, falling back
 //! to exact search for small instances).  Every produced schedule is
-//! verified against the *original* windows before being returned.  See
-//! `DESIGN.md` §4 for how this relates to the published construction.
+//! verified against the *original* windows before being returned.  Unlike
+//! the published construction, which schedules every instance of density
+//! at most 7/10, the back-end is a search: an instance under the bound can
+//! still fail here.  The `ablation-schedulers` experiment measures how
+//! often, per density.
 
 use crate::specialize::{candidate_bases, specialize_double, SpecializedSystem};
 use crate::{

@@ -21,10 +21,14 @@
 //!     search;
 //!   * [`DoubleIntegerScheduler`] — two-chain (Chan & Chin style)
 //!     specialization with a verified constructive back-end;
-//!   * [`LlfScheduler`] — least-laxity-first greedy with cycle detection;
+//!   * [`LlfScheduler`] — least-laxity-first greedy with cycle detection
+//!     (the double-integer reduction's back-end);
 //!   * [`ExactSolver`] — state-space search that *decides* schedulability of
 //!     small instances and extracts a witness schedule;
-//!   * [`AutoScheduler`] — the cascade used by the broadcast-disk planner.
+//!   * [`AutoScheduler`] — the cascade used by the broadcast-disk planner:
+//!     harmonic → double-integer → Sx → exact.  Sx covers Sa, and the
+//!     greedy never scheduled a design the reductions had not, so neither
+//!     has a stage of its own.
 //!
 //! Every scheduler verifies its own output before returning it, so a
 //! successful result is always a genuine schedule.

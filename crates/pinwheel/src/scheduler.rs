@@ -146,14 +146,13 @@ pub trait PinwheelScheduler {
     fn schedule(&self, system: &TaskSystem) -> Result<Schedule, ScheduleError>;
 }
 
-/// The cascade used by the broadcast-disk planner: try the cheapest /
-/// strongest schedulers first, fall back to more general ones, and finally
-/// (for small instances) to exact search.
-///
-/// Order: double-integer reduction → single-integer reduction (Sx) →
-/// least-laxity greedy → exact state-space search.  Sx's base search always
+/// The cascade used by the broadcast-disk planner: harmonic column packing
+/// → double-integer reduction → single-integer reduction (Sx) → exact
+/// state-space search for small instances.  Sx's base search always
 /// includes the powers-of-two base, so it succeeds wherever Holte et al.'s
-/// Sa does, and Sa needs no place of its own.
+/// Sa does.  The least-laxity greedy ([`LlfScheduler`]) has no stage either:
+/// it scheduled no design the reductions had not, yet its failures were
+/// most of the cost of each bandwidth the planner's scan rejects.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AutoScheduler;
 
@@ -188,8 +187,7 @@ impl PinwheelScheduler for AutoScheduler {
         }
 
         let mut last_err = None;
-        let cascade: [&dyn PinwheelScheduler; 3] =
-            [&DoubleIntegerScheduler, &SxScheduler, &LlfScheduler];
+        let cascade: [&dyn PinwheelScheduler; 2] = [&DoubleIntegerScheduler, &SxScheduler];
         for scheduler in cascade {
             match scheduler.schedule(system) {
                 Ok(s) => return Ok(s),
@@ -223,8 +221,8 @@ impl PinwheelScheduler for AutoScheduler {
     }
 }
 
-/// A named choice among the schedulers in this crate — the plug-in point the
-/// `rtbdisk` facade exposes on its broadcast builder.
+/// A named choice among the schedulers in this crate, for a caller that
+/// hands one to a designer (`bcore::BdiskDesigner::with_scheduler`).
 ///
 /// Every variant uses its scheduler's default configuration; callers needing
 /// tuned sub-schedulers can implement [`PinwheelScheduler`] themselves and

@@ -5,7 +5,6 @@ use crate::station::Settings;
 use crate::{Error, Station};
 use bcore::{BdiskDesigner, GeneralizedFileSpec, MultiChannelDesigner, ShardPlanner};
 use ida::FileId;
-use pinwheel::SchedulerChoice;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ impl Broadcast {
 }
 
 /// Builder for a [`Station`]: collect file specifications (and optionally
-/// contents, a scheduler choice and a listen cap), then [`build`].
+/// contents, a channel count and a listen cap), then [`build`].
 ///
 /// [`build`]: BroadcastBuilder::build
 #[derive(Debug, Clone)]
@@ -48,7 +47,6 @@ impl Default for BroadcastBuilder {
             specs: Vec::new(),
             contents: BTreeMap::new(),
             settings: Settings {
-                scheduler: SchedulerChoice::default(),
                 channels: ShardPlanner::fixed(1),
                 listen_cap: 100_000,
                 authenticated: false,
@@ -76,13 +74,6 @@ impl BroadcastBuilder {
     /// simulations that only care about timing.
     pub fn content(mut self, file: FileId, bytes: impl Into<Vec<u8>>) -> Self {
         self.contents.insert(file, bytes.into());
-        self
-    }
-
-    /// Chooses the pinwheel scheduler backing the design step (default: the
-    /// [`SchedulerChoice::Auto`] cascade).
-    pub fn scheduler(mut self, scheduler: SchedulerChoice) -> Self {
-        self.settings.scheduler = scheduler;
         self
     }
 
@@ -124,16 +115,14 @@ impl BroadcastBuilder {
     /// Runs the full design pipeline and returns a serving [`Station`].
     ///
     /// Pipeline: specifications → shard plan (one shard per channel) →
-    /// per-channel broadcast conditions → nice pinwheel conjunct → schedule →
-    /// AIDA block layout → verification → dispersal of contents.  A program
-    /// that fails verification against its own broadcast conditions is never
-    /// returned, on any channel.
+    /// per-channel broadcast conditions → nice pinwheel conjunct → schedule
+    /// (by the [`pinwheel::AutoScheduler`] cascade) → AIDA block layout →
+    /// verification → dispersal of contents.  A program that fails
+    /// verification against its own broadcast conditions is never returned,
+    /// on any channel.
     pub fn build(self) -> Result<Station, Error> {
         let settings = self.settings;
-        let designer = MultiChannelDesigner::new(
-            settings.channels,
-            BdiskDesigner::with_scheduler(settings.scheduler),
-        );
+        let designer = MultiChannelDesigner::new(settings.channels, BdiskDesigner::default());
         let design = designer.design(&self.specs)?;
         // Supplied contents stay with the mode, so a later swap carries
         // retained files' payloads over; the rest serve synthetic defaults.
@@ -273,22 +262,5 @@ mod tests {
         assert_eq!(station.channel_count(), 1);
         assert_eq!(station.program().entries(), plain.program.entries());
         assert_eq!(station.density(), plain.density);
-    }
-
-    #[test]
-    fn scheduler_choice_is_pluggable() {
-        for choice in [
-            SchedulerChoice::Auto,
-            SchedulerChoice::Sa,
-            SchedulerChoice::DoubleInteger,
-        ] {
-            let station = Broadcast::builder()
-                .file(spec(1, 1, &[8]))
-                .file(spec(2, 1, &[16]))
-                .scheduler(choice)
-                .build()
-                .unwrap_or_else(|e| panic!("{choice:?} failed: {e}"));
-            assert!(station.report().verification.is_ok());
-        }
     }
 }

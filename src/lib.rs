@@ -16,8 +16,10 @@
 //!   [`Station::stream`] exposes the raw slot sequence.
 //! * [`Error`] unifies every stage's error type, so the whole pipeline is
 //!   `?`-able.
-//! * [`SchedulerChoice`] plugs any of the pinwheel schedulers (harmonic /
-//!   Sa / Sx / double-integer / exact / the auto cascade) into the designer.
+//! * Every station is scheduled by the pinwheel cascade
+//!   ([`pinwheel::AutoScheduler`]: harmonic → double-integer → Sx → exact).
+//!   [`SchedulerChoice`] names each scheduler on its own, for callers that
+//!   hand one to a [`bcore::BdiskDesigner`] directly.
 //! * `Broadcast::builder().channels(k)` (or `.auto_channels()`) shards the
 //!   file set across `k` slot-synchronized broadcast channels, each with its
 //!   own pinwheel schedule under its own density ≤ 1 budget;

@@ -109,7 +109,7 @@ impl Retrieval {
     }
 
     /// `true` when a mode swap cancelled this retrieval.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.cancelled_by.is_some()
     }
 

@@ -11,7 +11,7 @@ use bdisk::{
 };
 use bmode::{diff, ChannelTransition, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
 use ida::{Dispersal, FileId};
-use pinwheel::{Schedule, SchedulerChoice};
+use pinwheel::Schedule;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -63,7 +63,6 @@ pub struct Station {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Settings {
     pub(crate) listen_cap: usize,
-    pub(crate) scheduler: SchedulerChoice,
     pub(crate) channels: ShardPlanner,
     /// Whether every dispersal is Merkle-committed ([`bauth`]) so clients
     /// verify blocks on receive; set by `Broadcast::builder().authenticated`.
@@ -346,7 +345,7 @@ impl Station {
         };
         let specs = mode.resolved_specs();
         // The designer is deterministic in the specifications, and every
-        // mode is planned by the station's own shard planner and scheduler:
+        // mode is planned by the station's own shard planner and designer:
         // when the specifications are the ones the design on the air came
         // from, re-planning would reproduce it.  Anything else re-plans
         // through the same seams that built the station.
@@ -354,10 +353,7 @@ impl Station {
             let transition = diff(&current, mode.name(), &serving.design);
             (serving.design.clone(), transition)
         } else {
-            let planner = ModePlanner::new(
-                self.settings.channels,
-                BdiskDesigner::with_scheduler(self.settings.scheduler),
-            );
+            let planner = ModePlanner::new(self.settings.channels, BdiskDesigner::default());
             let plan = planner.plan(&current, mode)?;
             (Arc::new(plan.design), plan.transition)
         };

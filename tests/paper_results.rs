@@ -1,6 +1,6 @@
 //! Integration checks of the paper's headline quantitative results, pinned so
 //! that regressions in any crate are caught by a single suite (these are the
-//! numbers recorded in `EXPERIMENTS.md`).
+//! numbers `cargo run --release -p bench --bin experiments -- all` prints).
 
 use bench::{ablations, bounds, figures};
 
