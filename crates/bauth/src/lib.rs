@@ -23,8 +23,8 @@
 //!   elsewhere it is two single hashes.  Dispersal commits every
 //!   authenticated file through it;
 //! * [`CommitPlan`] — per-dispersal tree shape (depth, padding hashes),
-//!   built once per `(m, n)` configuration and `Arc`-shared exactly like
-//!   the encode plan it mirrors;
+//!   built once per `(m, n)` configuration and `Arc`-shared by its
+//!   clones;
 //! * [`Commitment`] — a built tree: the [`Root`] plus O(log n)-lookup
 //!   per-block [`BlockProof`]s;
 //! * [`verify_block`] — standalone verify-on-receive for receivers that

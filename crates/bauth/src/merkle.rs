@@ -9,8 +9,7 @@
 //!
 //! Tree shape is fixed by the dispersal width `n` alone, so the
 //! [`CommitPlan`] (depth, padding subtree hashes) is built once per
-//! `Dispersal` and shared via `Arc` — the commit/verify analogue of the
-//! shared encode plan.
+//! `Dispersal` and shared via `Arc`.
 
 use crate::sha256::{sha256, sha256_pair, Sha256};
 

@@ -18,15 +18,14 @@ use rand::{Rng, SeedableRng};
 use rtbdisk::{
     Broadcast, ModeSchedule, ModeSpec, NoErrors, Retrieval, Station, SwapPolicy, SwapReport,
 };
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Disruption accounting for one executed swap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransitionMetrics {
-    /// Slot the swap was requested at.
-    pub requested_slot: usize,
-    /// Slot the changed channels flipped at.
-    pub flip_slot: usize,
+    /// The swap as the station executed it: the slot it was requested at,
+    /// the slot the changed channels flipped at and the latency between.
+    pub swap: SwapReport,
     /// In-flight retrievals at request time whose channel the swap never
     /// touched.
     pub untouched: usize,
@@ -41,14 +40,29 @@ pub struct TransitionMetrics {
 }
 
 impl TransitionMetrics {
-    /// Slots between request and flip (the swap latency the policy paid).
-    pub fn swap_latency(&self) -> usize {
-        self.flip_slot - self.requested_slot
-    }
-
     /// Total in-flight retrievals the swap found.
     pub fn in_flight(&self) -> usize {
         self.untouched + self.completed_before_flip + self.resubscribed + self.disrupted
+    }
+}
+
+impl Serialize for TransitionMetrics {
+    /// The swap's requested and flip slots, then the fleet's four counts.
+    fn serialize(&self) -> Value {
+        let fields = [
+            ("requested_slot", self.swap.requested_slot),
+            ("flip_slot", self.swap.flip_slot),
+            ("untouched", self.untouched),
+            ("completed_before_flip", self.completed_before_flip),
+            ("resubscribed", self.resubscribed),
+            ("disrupted", self.disrupted),
+        ];
+        Value::Map(
+            fields
+                .into_iter()
+                .map(|(name, count)| (name.to_string(), count.serialize()))
+                .collect(),
+        )
     }
 }
 
@@ -93,7 +107,7 @@ impl core::fmt::Display for ModesFigure {
                 vec![
                     r.channels.to_string(),
                     r.policy.clone(),
-                    r.metrics.swap_latency().to_string(),
+                    r.metrics.swap.swap_latency().to_string(),
                     r.flipped_channels.to_string(),
                     r.metrics.untouched.to_string(),
                     r.metrics.completed_before_flip.to_string(),
@@ -182,10 +196,13 @@ fn transition_cell(
         .expect("post-swap drive cannot stall under the listen cap");
 
     let mut metrics = TransitionMetrics {
-        requested_slot: report.requested_slot,
-        flip_slot: report.flip_slot,
-        ..TransitionMetrics::default()
+        swap: report,
+        untouched: 0,
+        completed_before_flip: 0,
+        resubscribed: 0,
+        disrupted: 0,
     };
+    let report = &metrics.swap;
     for (retrieval, resolution) in fleet.iter().zip(&resolutions) {
         if resolution.is_mode_changed() {
             metrics.disrupted += 1;
@@ -254,17 +271,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_account_for_every_in_flight_retrieval() {
-        let m = TransitionMetrics {
-            requested_slot: 40,
-            flip_slot: 64,
-            untouched: 3,
-            completed_before_flip: 2,
-            resubscribed: 1,
-            disrupted: 4,
-        };
-        assert_eq!(m.swap_latency(), 24);
-        assert_eq!(m.in_flight(), 10);
+    fn metrics_serialize_the_swaps_slots_then_the_fleet_counts() {
+        let row = transition_cell(2, SwapPolicy::Drain, 3, 0.10, 0x0D35);
+        let m = &row.metrics;
+        assert_eq!(m.in_flight(), 3 * sharding_workload().len());
+        let json = m.serialize();
+        let fields = json.as_map().expect("metrics serialise as a map");
+        let expected = [
+            ("requested_slot", m.swap.requested_slot),
+            ("flip_slot", m.swap.flip_slot),
+            ("untouched", m.untouched),
+            ("completed_before_flip", m.completed_before_flip),
+            ("resubscribed", m.resubscribed),
+            ("disrupted", m.disrupted),
+        ];
+        assert_eq!(fields.len(), expected.len());
+        for ((name, value), (want, count)) in fields.iter().zip(expected) {
+            assert_eq!((name.as_str(), value), (want, &Value::UInt(count as u64)));
+        }
     }
 
     #[test]
@@ -280,8 +304,8 @@ mod tests {
             // the swap is per-channel, not whole-station.
             assert_eq!(row.flipped_channels, 1);
             match row.policy.as_str() {
-                "immediate" => assert_eq!(row.metrics.swap_latency(), 0),
-                "drain" => assert!(row.metrics.swap_latency() > 0),
+                "immediate" => assert_eq!(row.metrics.swap.swap_latency(), 0),
+                "drain" => assert!(row.metrics.swap.swap_latency() > 0),
                 other => panic!("unexpected policy {other}"),
             }
         }

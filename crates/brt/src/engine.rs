@@ -33,7 +33,8 @@ pub enum SwapNote {
         /// The epoch the channel serves under after the swap.
         epoch: u64,
         /// The (unchanged-parameters) dispersal configuration to continue
-        /// with — shared, so encode plans and inverse caches are reused.
+        /// with — shared, which saves only the generator build and keeps
+        /// the retrieval on the configuration its blocks came from.
         dispersal: Arc<Dispersal>,
         /// The file's declared latency vector in the new mode.
         latencies: LatencyVector,

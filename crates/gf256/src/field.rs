@@ -106,6 +106,14 @@ impl Gf256 {
         self.0 == 0
     }
 
+    /// `2 · self`: a left shift, reduced by the polynomial when the top bit
+    /// carries out (branch-free, no table).
+    #[inline]
+    pub(crate) const fn double(self) -> Self {
+        let carry = 0u8.wrapping_sub(self.0 >> 7);
+        Gf256((self.0 << 1) ^ (carry & (REDUCTION_POLY & 0xff) as u8))
+    }
+
     /// Raises the element to an arbitrary non-negative integer power.
     ///
     /// `0⁰` is defined as `1`, matching the usual convention for evaluating

@@ -21,9 +21,8 @@
 //!   AVX2/AVX-512).  This drives the bulk path and is what makes dispersal
 //!   run at memory-bandwidth-class speeds rather than lookup-latency speeds.
 //!
-//! The additive half of the field (`c = 1`, and reconstruction's verbatim
-//! systematic rows) is plain XOR and goes through [`xor_slice`]'s wide
-//! `u64` lanes.
+//! The additive half of the field (`c = 1`) is plain XOR and goes through
+//! [`xor_slice`]'s wide `u64` lanes.
 //!
 //! All kernels treat a source shorter than the accumulator as implicitly
 //! zero-padded (a zero source byte contributes nothing), which lets callers
@@ -38,11 +37,8 @@ use crate::Gf256;
 /// it as two 16-byte lanes.
 const LANE: usize = 32;
 
-/// Precomputed multiplication tables for one fixed coefficient.
-///
-/// Construction costs 40 scalar multiplies; a table is meant to be built
-/// once per matrix coefficient and applied to arbitrarily many slices (the
-/// `ida` crate caches one per generator-matrix entry).
+/// Precomputed multiplication tables for one fixed coefficient, cheap
+/// enough to build per call (the `ida` crate builds them and keeps none).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulTable {
     coeff: Gf256,
@@ -55,17 +51,21 @@ pub struct MulTable {
 }
 
 impl MulTable {
-    /// Builds the split-nibble and bit-broadcast tables for `coeff`.
+    /// Builds the split-nibble and bit-broadcast tables for `coeff`: the
+    /// bits' products are successive doublings, and as multiplying by
+    /// `coeff` is GF(2)-linear, each nibble's product XORs its bits'.
     pub fn new(coeff: Gf256) -> Self {
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        let mut bits = [0u8; 8];
-        for x in 0..16u8 {
-            lo[x as usize] = (coeff * Gf256::new(x)).value();
-            hi[x as usize] = (coeff * Gf256::new(x << 4)).value();
+        let (mut bits, mut product) = ([0u8; 8], coeff);
+        for bit in &mut bits {
+            (*bit, product) = (product.value(), product.double());
         }
-        for (b, bit) in bits.iter_mut().enumerate() {
-            *bit = (coeff * Gf256::new(1 << b)).value();
+        let (mut lo, mut hi) = ([0u8; 16], [0u8; 16]);
+        for x in 0..16 {
+            for b in 0..4 {
+                let set = 0u8.wrapping_sub((x >> b) as u8 & 1);
+                lo[x] ^= bits[b] & set;
+                hi[x] ^= bits[b + 4] & set;
+            }
         }
         MulTable {
             coeff,

@@ -4,8 +4,9 @@
 //! with dense matrices over that field.  It is the numeric
 //! substrate underneath Rabin's Information Dispersal Algorithm (IDA) as used
 //! by the broadcast-disk crates in this workspace: dispersal is a matrix
-//! multiplication over GF(2⁸), and reconstruction is a multiplication by the
-//! inverse of an m×m sub-matrix of the dispersal matrix.
+//! multiplication over GF(2⁸), and reconstruction multiplies by the inverse
+//! of a square sub-matrix of the dispersal matrix (for a systematic one,
+//! only the k×k block that solves the k missing source blocks).
 //!
 //! The field is realised with the Reed–Solomon-style irreducible polynomial
 //! `x⁸ + x⁴ + x³ + x² + 1` (bit pattern `0x11d`).  Scalar multiplication and
@@ -13,7 +14,7 @@
 //! single multiply is two table lookups and one conditional.  Bulk
 //! constant-coefficient multiplication — the shape information dispersal
 //! actually needs — goes through the vectorizable slice kernel of a
-//! [`MulTable`] instead, built once per coefficient.
+//! [`MulTable`] instead, cheap enough to build per coefficient per call.
 //!
 //! ## Quick example
 //!

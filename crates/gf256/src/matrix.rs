@@ -171,12 +171,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Shape as `(rows, cols)`.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
@@ -343,27 +337,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// If row `r` is a unit vector `e_c`, returns `Some(c)`.
-    ///
-    /// Such rows make the matrix *partially systematic*: applying the row to
-    /// a block of source slices is a verbatim copy of source `c`, no field
-    /// arithmetic at all.  The dispersal fast paths in `ida` use this to skip
-    /// the multiply entirely.
-    pub fn identity_row(&self, r: usize) -> Option<usize> {
-        let mut unit = None;
-        for (c, &v) in self.row(r).iter().enumerate() {
-            if v == Gf256::ONE {
-                if unit.is_some() {
-                    return None;
-                }
-                unit = Some(c);
-            } else if !v.is_zero() {
-                return None;
-            }
-        }
-        unit
     }
 
     /// The inverse of a square matrix, computed with Gauss–Jordan
@@ -613,22 +586,6 @@ mod tests {
         let received: Vec<Vec<Gf256>> = keep.iter().map(|&r| encoded[r].clone()).collect();
         let decoded = sub_inv.mul_blocks(&received).unwrap();
         assert_eq!(decoded, sources);
-    }
-
-    #[test]
-    fn identity_rows_are_detected() {
-        let s = Matrix::systematic(7, 3).unwrap();
-        for r in 0..3 {
-            assert_eq!(s.identity_row(r), Some(r));
-        }
-        for r in 3..7 {
-            assert_eq!(s.identity_row(r), None, "coded row {r}");
-        }
-        // A scaled unit row is not an identity row.
-        let m = from_bytes(1, 3, &[0, 2, 0]).unwrap();
-        assert_eq!(m.identity_row(0), None);
-        let z = Matrix::zero(1, 3);
-        assert_eq!(z.identity_row(0), None);
     }
 
     #[test]

@@ -3,175 +3,41 @@
 use crate::{BlockHeader, DispersedBlock, FileId, IdaError};
 use bauth::{CommitPlan, Root};
 use bytes::Bytes;
-use gf256::{Matrix, MulTable};
+use gf256::{Gf256, Matrix, MulTable};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A dispersal configuration: files are split into `m` source blocks and
 /// encoded into `n ≥ m` dispersed blocks, any `m` of which reconstruct the
 /// original.
 ///
-/// The transformation matrix is computed once per configuration.  Its
-/// *encode plan* of per-coefficient [`MulTable`]s, with identity rows folded
-/// into views of the file, is built by the first [`Dispersal::disperse`] of
-/// any clone and then shared, so dispersing runs entirely on the
-/// vectorizable `gf256::kernel` slice kernels with zero per-call table
-/// builds and zero element-at-a-time field arithmetic — and a configuration
-/// that only ever reconstructs (every client's) never builds it.
+/// A configuration holds `m`, `n`, its systematic generator matrix (built
+/// once, in closed form) and, when authenticated, its Merkle commit plan —
+/// nothing learned from use, so a clone or a fresh build behaves exactly
+/// alike.  Both directions run on `gf256`'s vectorizable slice kernels and
+/// build their per-coefficient [`MulTable`]s per call: a
+/// [`Dispersal::disperse`] the `(n − m)·m` of its coded rows, a
+/// [`Dispersal::reconstruct`] the `k·m` that solve its `k` missing source
+/// blocks.
 ///
 /// The paper notes that the inverse transformations "could be precomputed
-/// for some or even all possible subsets of m rows"; precomputing all
-/// `C(n, m)` of them is wasteful, but broadcast loss patterns repeat (the
-/// same blocks go missing cycle after cycle), so *decode plans* are memoised
-/// instead: the first reconstruction from a given received-index subset pays
-/// the O(m³) Gauss–Jordan inversion (plus the plan's table build), repeats
-/// hit a bounded cache shared by all clones of the configuration (a
-/// [`crate::Dispersal`] is cloned into every client handle).
+/// for some or even all possible subsets of m rows"; none is.  The
+/// generator's top `m` rows are the identity, so a reconstruction copies
+/// the source blocks it received and solves only the `k` it is missing,
+/// from the `k` coded blocks received in their place: a `k×k` inversion,
+/// not an `m×m` one, and none at all on a fault-free retrieval.
 #[derive(Debug, Clone)]
 pub struct Dispersal {
     m: usize,
     n: usize,
     matrix: Matrix,
-    encode: Arc<OnceLock<EncodePlan>>,
-    inverses: Arc<Mutex<InverseCache>>,
     /// The shared Merkle commit plan of an *authenticated* configuration:
     /// [`Dispersal::disperse`] commits every file it disperses (root on the
     /// [`DispersedFile`], O(log n) inclusion proof on every block).  `None`
-    /// disperses unauthenticated, exactly as before.  Built once per
-    /// configuration and shared by every clone, mirroring the encode plan.
+    /// disperses unauthenticated.  Built once per configuration and shared
+    /// by every clone.
     commit: Option<Arc<CommitPlan>>,
-}
-
-/// How one dispersed (or reconstructed) block is produced from a set of
-/// equally-long byte slices.
-#[derive(Debug, Clone)]
-enum RowPlan {
-    /// The matrix row is a unit vector: the block is one input verbatim (a
-    /// systematic row on encode — a view of the file unless it is the
-    /// padded last block — a directly-received source block on decode).
-    Copy(usize),
-    /// A coded row: XOR of per-input constant-coefficient products, one
-    /// prebuilt [`MulTable`] per input.
-    Coded(Vec<MulTable>),
-}
-
-impl RowPlan {
-    fn for_row(matrix: &Matrix, r: usize) -> RowPlan {
-        match matrix.identity_row(r) {
-            Some(c) => RowPlan::Copy(c),
-            None => RowPlan::Coded(
-                (0..matrix.cols())
-                    .map(|c| MulTable::new(matrix[(r, c)]))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Writes this row applied to the inputs into `out`, where `input(c)` is
-    /// the `c`-th input slice.  `out` must be zero-initialised by the caller
-    /// (decode hands out the fresh output buffer; encode calls this only for
-    /// coded rows and the padded last systematic block, each into the fresh
-    /// buffer that becomes the block's payload, so the row never pays an
-    /// extra clearing pass); inputs shorter than `out` are treated as
-    /// zero-padded.
-    fn apply<'a>(&self, input: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
-        match self {
-            RowPlan::Copy(c) => {
-                let src = input(*c);
-                let n = src.len().min(out.len());
-                out[..n].copy_from_slice(&src[..n]);
-            }
-            RowPlan::Coded(tables) => {
-                for (c, table) in tables.iter().enumerate() {
-                    table.mul_acc(input(c), out);
-                }
-            }
-        }
-    }
-}
-
-/// The precomputed encode layout of one configuration: one [`RowPlan`] per
-/// dispersed block.  Built on the first [`Dispersal::disperse`] and shared by
-/// every clone via `Arc` (alongside the decode-plan cache).
-#[derive(Debug)]
-struct EncodePlan {
-    rows: Vec<RowPlan>,
-}
-
-impl EncodePlan {
-    fn new(matrix: &Matrix) -> Self {
-        EncodePlan {
-            rows: (0..matrix.rows())
-                .map(|r| RowPlan::for_row(matrix, r))
-                .collect(),
-        }
-    }
-}
-
-/// The precomputed decode layout for one received-index subset: for each
-/// source block, either the position of the received block that carries it
-/// verbatim (the systematic fast path — the inverse row is a unit vector
-/// exactly when a source block was received as-is) or the [`MulTable`] row
-/// solving it from all `m` received blocks.
-#[derive(Debug)]
-struct DecodePlan {
-    rows: Vec<RowPlan>,
-}
-
-impl DecodePlan {
-    fn new(matrix: &Matrix, rows: &[usize]) -> Result<Self, IdaError> {
-        let sub = matrix.submatrix_rows(rows)?;
-        let inverse = sub.inverted()?;
-        Ok(DecodePlan {
-            rows: (0..inverse.rows())
-                .map(|r| RowPlan::for_row(&inverse, r))
-                .collect(),
-        })
-    }
-}
-
-/// Bounded memo of decode plans, keyed by the ordered tuple of received
-/// block indices.  Insertion order is tracked so the cache evicts
-/// oldest-first once `INVERSE_CACHE_CAP` distinct loss patterns have been
-/// seen (hot patterns re-enter immediately on the next reconstruction).
-#[derive(Debug, Default)]
-struct InverseCache {
-    map: std::collections::HashMap<Vec<u8>, Arc<DecodePlan>>,
-    order: std::collections::VecDeque<Vec<u8>>,
-}
-
-/// Maximum number of distinct received-index subsets memoised per
-/// configuration.
-const INVERSE_CACHE_CAP: usize = 256;
-
-impl InverseCache {
-    /// Entry-style lookup: returns the memoised plan for `key`, or builds,
-    /// inserts and returns it.  Callers hold the cache lock across the whole
-    /// operation — one lock acquisition per reconstruction, and two threads
-    /// racing on the same unseen loss pattern pay the O(m³) inversion once
-    /// (the second blocks briefly instead of duplicating the work).
-    fn get_or_try_insert_with(
-        &mut self,
-        key: &[u8],
-        build: impl FnOnce() -> Result<DecodePlan, IdaError>,
-    ) -> Result<Arc<DecodePlan>, IdaError> {
-        if let Some(plan) = self.map.get(key) {
-            return Ok(plan.clone());
-        }
-        let plan = Arc::new(build()?);
-        while self.map.len() >= INVERSE_CACHE_CAP {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        self.order.push_back(key.to_vec());
-        self.map.insert(key.to_vec(), plan.clone());
-        Ok(plan)
-    }
 }
 
 /// The `n × block_len` leaf bytes from which an authenticated disperse
@@ -182,34 +48,6 @@ impl InverseCache {
 /// smaller files (a 256 KiB file at (16, 18) holds 288 KiB of leaves) stay
 /// on one thread.
 const PARALLEL_LEAF_BYTES: usize = 512 * 1024;
-
-/// Block `index`'s payload when it is a view of the file: a systematic row
-/// whose source block lies wholly inside `data`.
-fn view_row(rows: &[RowPlan], index: usize, data: &Bytes, block_len: usize) -> Option<Bytes> {
-    match rows[index] {
-        RowPlan::Copy(c) if (c + 1) * block_len <= data.len() => {
-            Some(data.slice(c * block_len..(c + 1) * block_len))
-        }
-        _ => None,
-    }
-}
-
-/// Block `index`'s payload: a view of the file where it can be, else a
-/// fresh buffer the row is coded (or the padded last block copied) into.
-fn encode_row(rows: &[RowPlan], index: usize, data: &Bytes, block_len: usize) -> Bytes {
-    view_row(rows, index, data, block_len).unwrap_or_else(|| {
-        // The c-th source block as a (possibly short — implicitly
-        // zero-padded) view into the file.
-        let source = |c: usize| {
-            let start = (c * block_len).min(data.len());
-            let end = (start + block_len).min(data.len());
-            &data[start..end]
-        };
-        let mut payload = vec![0u8; block_len];
-        rows[index].apply(source, &mut payload);
-        Bytes::from(payload)
-    })
-}
 
 /// The values of `(index, value)` pairs, sorted by index.
 fn in_index_order<T>(pairs: impl IntoIterator<Item = (u32, T)>) -> Vec<T> {
@@ -277,8 +115,6 @@ impl Dispersal {
             m,
             n,
             matrix: Matrix::systematic(n, m)?,
-            encode: Arc::default(),
-            inverses: Arc::new(Mutex::new(InverseCache::default())),
             commit: None,
         })
     }
@@ -348,15 +184,11 @@ impl Dispersal {
         self.n - self.m
     }
 
-    /// Number of distinct received-index subsets whose reconstruction
-    /// inverse is currently memoised (the cache is shared across clones of
-    /// this configuration and bounded, evicting oldest patterns first).
+    /// Always 0: a configuration memoises no reconstruction inverses (each
+    /// [`Dispersal::reconstruct`] solves its own `k×k` system).  Kept for
+    /// callers that report the count.
     pub fn cached_inverses(&self) -> usize {
-        self.inverses
-            .lock()
-            .expect("inverse cache lock is never poisoned")
-            .map
-            .len()
+        0
     }
 
     /// The per-block payload size for a file of `len` bytes: the file is
@@ -381,9 +213,9 @@ impl Dispersal {
     /// once: a systematic block that lies wholly inside the file is a
     /// *view* of `data` (it copies nothing and keeps `data` alive), the
     /// zero-padded last block is a copy, and coded rows are written by the
-    /// precomputed per-coefficient slice kernels straight into the buffer
-    /// their block keeps — no element-at-a-time field arithmetic and no
-    /// intermediate `Gf256` buffers.
+    /// per-coefficient slice kernels (tables built per call) straight into
+    /// the buffer their block keeps — no element-at-a-time field arithmetic
+    /// and no intermediate `Gf256` buffers.
     ///
     /// An authenticated configuration hashes the blocks' Merkle leaves two
     /// at a time ([`bauth::leaf_hashes`]).  When the `n` blocks hold at
@@ -408,21 +240,17 @@ impl Dispersal {
             return Err(IdaError::EmptyFile);
         }
         let block_len = self.block_payload_len(data.len());
-        let rows = &self
-            .encode
-            .get_or_init(|| EncodePlan::new(&self.matrix))
-            .rows;
         // Authenticated configurations commit what they encode: one leaf per
         // block, one Merkle tree per file, the root on the file and an
         // O(log n) proof on every block.
         let (payloads, commitment) = match &self.commit {
             Some(plan) if self.n * block_len >= parallel_from => {
-                let (payloads, leaves) = self.encode_and_hash_beside(rows, file, data, block_len);
+                let (payloads, leaves) = self.encode_and_hash_beside(file, data, block_len);
                 (payloads, Some(plan.commit(&leaves)))
             }
             commit => {
                 let payloads: Vec<Bytes> = (0..self.n)
-                    .map(|index| encode_row(rows, index, data, block_len))
+                    .map(|index| self.encode_row(index, data, block_len))
                     .collect();
                 let commitment = commit.as_ref().map(|plan| {
                     let blocks = payloads.iter().enumerate();
@@ -465,6 +293,30 @@ impl Dispersal {
         })
     }
 
+    /// Block `index`'s payload when it is a view of the file: a source block
+    /// (the generator's top rows are the identity) lying wholly inside
+    /// `data`.
+    fn view_row(&self, index: usize, data: &Bytes, block_len: usize) -> Option<Bytes> {
+        (index < self.m && (index + 1) * block_len <= data.len())
+            .then(|| data.slice(index * block_len..(index + 1) * block_len))
+    }
+
+    /// Block `index`'s payload: a view of the file where it can be, else a
+    /// fresh buffer that generator row `index` is coded into (the padded
+    /// last source block's row is a unit vector, so it is a copy).  Source
+    /// blocks that run past the file's end count as zero-padded.
+    fn encode_row(&self, index: usize, data: &Bytes, block_len: usize) -> Bytes {
+        self.view_row(index, data, block_len).unwrap_or_else(|| {
+            let mut payload = vec![0u8; block_len];
+            for (c, &coeff) in self.matrix.row(index).iter().enumerate() {
+                let start = (c * block_len).min(data.len());
+                let end = (start + block_len).min(data.len());
+                MulTable::new(coeff).mul_acc(&data[start..end], &mut payload);
+            }
+            Bytes::from(payload)
+        })
+    }
+
     /// The Merkle leaves of `file`'s `(index, payload)` blocks, in order.
     fn leaf_hashes<'a>(
         &self,
@@ -488,7 +340,6 @@ impl Dispersal {
     /// helper only if the coded blocks are out by the time it runs dry.
     fn encode_and_hash_beside(
         &self,
-        rows: &[RowPlan],
         file: FileId,
         data: &Bytes,
         block_len: usize,
@@ -496,7 +347,7 @@ impl Dispersal {
         let mut views = Vec::with_capacity(self.n);
         let mut coded_rows = Vec::with_capacity(self.n);
         for index in 0..self.n {
-            match view_row(rows, index, data, block_len) {
+            match self.view_row(index, data, block_len) {
                 Some(view) => views.push((index as u32, view)),
                 None => coded_rows.push(index),
             }
@@ -528,7 +379,7 @@ impl Dispersal {
             let coded = coded.get_or_init(|| {
                 coded_rows
                     .iter()
-                    .map(|&index| (index as u32, encode_row(rows, index, data, block_len)))
+                    .map(|&index| (index as u32, self.encode_row(index, data, block_len)))
                     .collect()
             });
             let mut out = Vec::with_capacity(self.n);
@@ -555,11 +406,16 @@ impl Dispersal {
     ///
     /// Extra blocks beyond the first `m` distinct indices are ignored.
     ///
-    /// Received blocks that carry a source block verbatim (the systematic
-    /// prefix — detected exactly, as unit rows of the decode inverse) are
-    /// copied straight into the output; only the missing source blocks are
-    /// solved, through the memoised decode plan for this loss pattern.  A
-    /// fault-free systematic retrieval is therefore pure `memcpy`.
+    /// Received source blocks (indices below `m`) are copied straight into
+    /// the output.  The `k` missing ones are solved from the `k` coded
+    /// blocks received in their place: with `R` those blocks' rows and `M`
+    /// the missing columns, `A = G[R, M]` is `k×k` and invertible whenever
+    /// the chosen rows are, and row `i` of `A⁻¹`, folded through `G` over
+    /// the received source blocks, is the coded row that yields missing
+    /// block `i` from the `m` chosen blocks — the row the full `m×m`
+    /// inverse would give.  A fault-free systematic retrieval is pure
+    /// `memcpy`, and only bytes inside `original_len` are computed (the
+    /// padding of the final partial block is never decoded).
     pub fn reconstruct(&self, blocks: &[DispersedBlock]) -> Result<Vec<u8>, IdaError> {
         // Select the first m blocks with distinct indices and a consistent header.
         let mut chosen: Vec<&DispersedBlock> = Vec::with_capacity(self.m);
@@ -602,35 +458,54 @@ impl Dispersal {
             });
         }
         let reference = reference.expect("at least one block present");
-        let original_len = reference.original_len as usize;
         let block_len = chosen[0].len();
+        let len = (reference.original_len as usize).min(self.m * block_len);
+        // Source block `c`'s bytes in the output: empty past the file's end.
+        let segment = |c: usize| {
+            let start = (c * block_len).min(len);
+            start..(start + block_len).min(len)
+        };
 
-        // The decode plan for the received indices: memoised per loss
-        // pattern (indices fit in u8 because n ≤ 255).  One lock
-        // acquisition covers lookup and (on a miss) the O(m³) inversion, so
-        // concurrent reconstructions of the same unseen pattern never
-        // duplicate the inversion.
-        let rows: Vec<usize> = chosen.iter().map(|b| b.index() as usize).collect();
-        let key: Vec<u8> = rows.iter().map(|&r| r as u8).collect();
-        let plan = self
-            .inverses
-            .lock()
-            .expect("inverse cache lock is never poisoned")
-            .get_or_try_insert_with(&key, || DecodePlan::new(&self.matrix, &rows))?;
-
-        // Assemble the m source blocks directly into the output, computing
-        // only the bytes inside `original_len` (the padding of the final
-        // partial block is never decoded).
-        let received = |c: usize| &chosen[c].payload()[..];
-        let mut out = vec![0u8; original_len.min(self.m * block_len)];
-        for (i, row) in plan.rows.iter().enumerate() {
-            let start = (i * block_len).min(out.len());
-            let end = (start + block_len).min(out.len());
-            if start == end {
+        let mut out = vec![0u8; len];
+        let (sources, coded): (Vec<&DispersedBlock>, Vec<&DispersedBlock>) = chosen
+            .into_iter()
+            .partition(|b| (b.index() as usize) < self.m);
+        let mut received = vec![false; self.m];
+        for b in &sources {
+            let c = b.index() as usize;
+            received[c] = true;
+            let range = segment(c);
+            let n = range.len();
+            out[range].copy_from_slice(&b.payload()[..n]);
+        }
+        let missing: Vec<usize> = (0..self.m).filter(|&c| !received[c]).collect();
+        let row = |b: &DispersedBlock| self.matrix.row(b.index() as usize);
+        let mut system = Matrix::zero(coded.len(), missing.len());
+        for (r, b) in coded.iter().enumerate() {
+            for (j, &c) in missing.iter().enumerate() {
+                system[(r, j)] = row(b)[c];
+            }
+        }
+        let solve = system.inverted()?;
+        for (i, &c) in missing.iter().enumerate() {
+            let range = segment(c);
+            if range.is_empty() {
                 break;
             }
-            let (_, segment) = out.split_at_mut(start);
-            row.apply(received, &mut segment[..end - start]);
+            let weights = solve.row(i);
+            let target = &mut out[range];
+            for (&weight, b) in weights.iter().zip(&coded) {
+                MulTable::new(weight).mul_acc(b.payload(), target);
+            }
+            for b in &sources {
+                let source = b.index() as usize;
+                let weight: Gf256 = weights
+                    .iter()
+                    .zip(&coded)
+                    .map(|(&w, p)| w * row(p)[source])
+                    .sum();
+                MulTable::new(weight).mul_acc(b.payload(), target);
+            }
         }
         Ok(out)
     }
@@ -805,64 +680,6 @@ mod tests {
         let d = Dispersal::new(5, 10).unwrap();
         assert_eq!(d.block_payload_len(5 * 512), 512);
         assert_eq!(d.block_payload_len(5 * 512 + 1), 513);
-    }
-
-    #[test]
-    fn repeated_loss_patterns_hit_the_inverse_cache() {
-        let d = Dispersal::new(4, 9).unwrap();
-        let data = sample(123);
-        let df = d.disperse(FileId(5), &data).unwrap();
-        let subset = vec![
-            df.blocks()[8].clone(),
-            df.blocks()[2].clone(),
-            df.blocks()[6].clone(),
-            df.blocks()[0].clone(),
-        ];
-        assert_eq!(d.cached_inverses(), 0);
-        assert_eq!(d.reconstruct(&subset).unwrap(), data);
-        assert_eq!(d.cached_inverses(), 1);
-        // Same pattern again: no new entry, same answer.
-        assert_eq!(d.reconstruct(&subset).unwrap(), data);
-        assert_eq!(d.cached_inverses(), 1);
-        // A different pattern adds a second entry.
-        let other: Vec<_> = df.blocks()[..4].to_vec();
-        assert_eq!(d.reconstruct(&other).unwrap(), data);
-        assert_eq!(d.cached_inverses(), 2);
-        // Clones share the cache (a client handle reuses the station's).
-        let clone = d.clone();
-        assert_eq!(clone.cached_inverses(), 2);
-        assert_eq!(clone.reconstruct(&subset).unwrap(), data);
-        assert_eq!(d.cached_inverses(), 2);
-    }
-
-    #[test]
-    fn the_encode_plan_is_built_by_the_first_disperse_and_shared() {
-        let d = Dispersal::new(4, 9).unwrap();
-        let data = sample(123);
-        // A reconstruct-only configuration never builds the encode plan.
-        let other = Dispersal::new(4, 9).unwrap();
-        let blocks = other.disperse(FileId(5), &data).unwrap().blocks().to_vec();
-        assert_eq!(d.reconstruct(&blocks).unwrap(), data);
-        assert!(d.encode.get().is_none());
-        // The first disperse of any clone builds it for all of them.
-        let clone = d.clone();
-        clone.disperse(FileId(5), &data).unwrap();
-        assert!(d.encode.get().is_some());
-    }
-
-    #[test]
-    fn inverse_cache_is_bounded() {
-        // 1-of-n reconstructions generate one pattern per block index; push
-        // more patterns than the cap and check the cache never exceeds it.
-        let d = Dispersal::new(2, 255).unwrap();
-        let data = sample(64);
-        let df = d.disperse(FileId(1), &data).unwrap();
-        for a in 0..255usize {
-            let subset = vec![df.blocks()[a].clone(), df.blocks()[(a + 1) % 255].clone()];
-            assert_eq!(d.reconstruct(&subset).unwrap(), data);
-        }
-        assert!(d.cached_inverses() <= super::INVERSE_CACHE_CAP);
-        assert!(d.cached_inverses() > 0);
     }
 
     #[test]

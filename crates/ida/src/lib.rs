@@ -18,11 +18,12 @@
 //! carries the file it belongs to, its sequence number, and the dispersal
 //! parameters, so a client can pick the correct inverse transformation.
 //!
-//! Both directions run on `gf256`'s vectorized slice kernels: a
-//! [`Dispersal`] precomputes per-coefficient multiplication tables at
-//! construction (identity rows become verbatim copies — the systematic
-//! fast path), and reconstruction memoises a decode plan per loss pattern
-//! in a bounded cache shared across clones, so the hot paths never touch
+//! Both directions run on `gf256`'s vectorized slice kernels, with
+//! per-coefficient multiplication tables built per call and kept nowhere.
+//! The generator is systematic: source blocks disperse as views of the
+//! file, and a reconstruction copies the source blocks it received and
+//! solves only the `k` it is missing, from a `k×k` system of the coded
+//! blocks received in their place.  The hot paths never touch
 //! element-at-a-time field arithmetic.
 //!
 //! ## Quick example

@@ -49,11 +49,11 @@ impl Mode {
     /// dispersal configuration per file, one content-loaded server per
     /// channel.  Against a serving station, whatever survives the
     /// transition is reused by handle — payloads, dispersals whose
-    /// `(m, n)` are unchanged (they share encode plans and inverse caches
-    /// with in-flight retrievals), the dispersed blocks of files that keep
-    /// both (so refreshing one file disperses and commits one file) and
-    /// the servers of unchanged channels (so the swap keeps them
-    /// byte-identical for free).
+    /// `(m, n)` are unchanged (which saves only the generator build and
+    /// keeps in-flight retrievals on the same configuration), the dispersed
+    /// blocks of files that keep both (so refreshing one file disperses
+    /// and commits one file) and the servers of unchanged channels (so the
+    /// swap keeps them byte-identical for free).
     pub(crate) fn load(
         name: &str,
         specs: Vec<GeneralizedFileSpec>,

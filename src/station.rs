@@ -427,6 +427,13 @@ impl Station {
     /// the *new* mode and wait for the flip — see [`Station::subscribe`] —
     /// so latency-sensitive post-swap work should subscribe at or after the
     /// flip slot.
+    ///
+    /// A swap retires no history: the swapped-out program segment, with
+    /// the payloads it serves, stays readable for replays before the flip.
+    /// Only a served station's runtime drops segments behind its retention
+    /// floor, so a station that is only driven synchronously grows with
+    /// every swap — about 57 KB per content refresh of one 32 KiB file at
+    /// `(m, n) = (8, 10)`.
     pub fn swap(
         &mut self,
         prepared: PreparedMode,

@@ -8,10 +8,12 @@
 //! The "old" path is reproduced here from the public `gf256` scalar API
 //! exactly as `ida` used it before the kernel rewrite: pad to `m` blocks of
 //! `Gf256`, multiply by [`Matrix::systematic`] via [`Matrix::mul_blocks`],
-//! and on reconstruction invert the received-row sub-matrix and multiply
-//! again.  The production path ([`ida::Dispersal`]) runs on split-nibble /
-//! bit-broadcast slice kernels with a systematic fast path and memoised
-//! decode plans — none of which may change a single byte.
+//! and on reconstruction invert the whole `m×m` received-row sub-matrix and
+//! multiply again.  The production path ([`ida::Dispersal`]) runs on
+//! split-nibble / bit-broadcast slice kernels, copies the source blocks it
+//! received and solves only the `k` missing ones from a `k×k` system of the
+//! coded blocks — none of which may change a single byte, at the small
+//! widths and at the wire's (`m` up to 64, up to 8 coded blocks).
 
 use gf256::{Gf256, Matrix};
 use ida::{Dispersal, DispersedBlock, FileId};
@@ -84,6 +86,13 @@ fn scalar_reconstruct(matrix: &Matrix, m: usize, blocks: &[&DispersedBlock]) -> 
     out
 }
 
+/// Shuffles `items` in place (Fisher–Yates).
+fn shuffle(rng: &mut StdRng, items: &mut [usize]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0usize..=i));
+    }
+}
+
 #[test]
 fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
     let mut rng = StdRng::seed_from_u64(0x1DA_C0DE);
@@ -113,9 +122,7 @@ fn vectorized_coding_is_byte_identical_to_scalar_for_random_cases() {
         // m..=n survivors, in random order.
         let keep = rng.gen_range(m..=n);
         let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0usize..=i));
-        }
+        shuffle(&mut rng, &mut order);
         let survivors: Vec<&DispersedBlock> = order[..keep]
             .iter()
             .map(|&i| &dispersed.blocks()[i])
@@ -160,6 +167,56 @@ fn systematic_fast_paths_match_scalar_on_extreme_loss_patterns() {
             let fast = dispersal.reconstruct(&owned).unwrap();
             assert_eq!(fast, scalar_reconstruct(&matrix, m, &survivors));
             assert_eq!(fast, data, "pattern {pattern:?}");
+        }
+    }
+}
+
+#[test]
+fn wire_shapes_match_scalar_with_parity_heavy_losses() {
+    // The widths a wire station disperses at (m up to 64, n − m from 1 to
+    // 8), at short odd lengths, under two loss patterns in random order: a
+    // random survivor set, and a parity-heavy one holding every coded block
+    // that fits among the m chosen (k = min(m, n − m) blocks solved).
+    let mut rng = StdRng::seed_from_u64(0x64_0068);
+    for case in 0..prop_cases() {
+        let m = rng.gen_range(1usize..=64);
+        let n = m + rng.gen_range(1usize..=8);
+        let len = rng.gen_range(1usize..=3 * m) * 2 - 1;
+        let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..=255) as u8).collect();
+        let dispersal = Dispersal::new(m, n).unwrap();
+        let dispersed = dispersal.disperse(FileId(11), &data).unwrap();
+        let matrix = Matrix::systematic(n, m).unwrap();
+        for (index, expected) in scalar_disperse(&matrix, m, &data).iter().enumerate() {
+            assert_eq!(
+                &dispersed.blocks()[index].payload()[..],
+                &expected[..],
+                "case {case} ({m}/{n}, len {len}): encode block {index}"
+            );
+        }
+
+        let mut random: Vec<usize> = (0..n).collect();
+        shuffle(&mut rng, &mut random);
+        random.truncate(rng.gen_range(m..=n));
+        let (mut coded, mut sources): (Vec<usize>, Vec<usize>) =
+            ((m..n).collect(), (0..m).collect());
+        shuffle(&mut rng, &mut coded);
+        shuffle(&mut rng, &mut sources);
+        coded.truncate(m);
+        sources.truncate(m - coded.len());
+        let mut heavy: Vec<usize> = coded.into_iter().chain(sources).collect();
+        shuffle(&mut rng, &mut heavy);
+
+        for pattern in [random, heavy] {
+            let survivors: Vec<&DispersedBlock> =
+                pattern.iter().map(|&i| &dispersed.blocks()[i]).collect();
+            let owned: Vec<DispersedBlock> = survivors.iter().map(|&b| b.clone()).collect();
+            let fast = dispersal.reconstruct(&owned).unwrap();
+            assert_eq!(
+                fast,
+                scalar_reconstruct(&matrix, m, &survivors),
+                "case {case} ({m}/{n}, len {len}): decode from {pattern:?}"
+            );
+            assert_eq!(fast, data, "case {case}: decode must round-trip");
         }
     }
 }

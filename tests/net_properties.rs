@@ -14,6 +14,9 @@
 //! * **a forged-fragment flood is bounded** — fragments of frames that
 //!   never complete cost at most the reassembly byte cap, count as
 //!   erasures, and leave a genuine retrieval byte-identical.
+//! * **the wire's erasure count is an upper bound** — a lossless wire
+//!   completes in the drive's slot while booking at least the drive's
+//!   erasures.
 //!
 //! All of them feed [`rtbdisk::bnet::ClientState`] directly: the state
 //! machine is socket-free, so the deterministic in-memory wire is exactly
@@ -510,5 +513,56 @@ fn a_forged_fragment_0_naming_another_file_costs_at_most_one_erasure() {
             "placement {placement}: {:?}",
             state.stats()
         );
+    }
+}
+
+#[test]
+fn the_wire_completes_with_the_drive_and_books_at_least_its_erasures() {
+    // Item 15 of the roadmap: a frame does not say how many frames its lane
+    // carried before it, so the gap detector books every idle slot and
+    // every slot of another file on the channel as an erasure of its own
+    // retrieval.  On this lossless case the drive books 0 and the wire 1 or
+    // 2, yet both complete in the same slot.  A per-lane frame counter on
+    // the wire would make the two counts equal.
+    for channels in [1, 2] {
+        let files = (1..=2).map(|i| GeneralizedFileSpec::new(FileId(i), 2, vec![8, 9]).unwrap());
+        let station = Broadcast::builder()
+            .files(files)
+            .channels(channels)
+            .build()
+            .expect("two m = 2 files fit");
+        for spec in station.specs() {
+            let file = spec.id;
+            let info = station.network_directory()[&file.0];
+            let mut fleet = vec![station.subscribe(file, 0).unwrap()];
+            let expected = station
+                .run_until_complete(&mut fleet, &mut rtbdisk::NoErrors)
+                .unwrap()
+                .pop()
+                .unwrap();
+
+            let mut state = joined(file, info, 0);
+            for datagram in wire_stream(&station, info.channel, info.epoch, 0, station.listen_cap())
+            {
+                if state.feed_datagram(&datagram) {
+                    break;
+                }
+            }
+            let outcome = state.finish().expect("a lossless wire completes");
+            assert_eq!(
+                outcome.data, expected.data,
+                "{channels} channels, file {file}"
+            );
+            assert_eq!(
+                outcome.completion_slot, expected.completion_slot,
+                "{channels} channels, file {file}"
+            );
+            assert!(
+                outcome.errors_observed >= expected.errors_observed,
+                "{channels} channels, file {file}: wire {} < drive {}",
+                outcome.errors_observed,
+                expected.errors_observed
+            );
+        }
     }
 }

@@ -2,9 +2,8 @@
 //! concurrent runtime shares across threads, plus std-thread stress tests
 //! hammering the shared-state hot spots:
 //!
-//! * concurrent `reconstruct` on one shared `Arc<Dispersal>` — locks in the
-//!   PR-4 single-lock inverse-cache fix (two threads missing the same loss
-//!   pattern must not race the insert or double-invert);
+//! * concurrent `reconstruct` on one shared `Arc<Dispersal>`, which holds
+//!   no mutable state: every thread must decode the same bytes;
 //! * subscribe/complete churn against a live runtime while the clock runs.
 
 use rtbdisk::{
@@ -38,7 +37,7 @@ fn shared_types_are_send_and_sync() {
 }
 
 #[test]
-fn concurrent_reconstructs_share_one_inverse_cache_safely() {
+fn concurrent_reconstructs_through_one_shared_dispersal_agree() {
     let (m, n) = (8, 16);
     let dispersal = Arc::new(rtbdisk::ida::Dispersal::new(m, n).unwrap());
     let payload: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 37 + 11) as u8).collect();
@@ -52,8 +51,8 @@ fn concurrent_reconstructs_share_one_inverse_cache_safely() {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 // Every thread walks the same deterministic loss patterns in
-                // the same order, so all of them race to insert the same
-                // inverse-cache entries at the same time.
+                // the same order, so all of them solve the same systems
+                // through the one shared configuration at the same time.
                 for round in 0..24usize {
                     let drop_a = (t + round) % n;
                     let drop_b = (t + 2 * round + 1) % n;
@@ -74,7 +73,6 @@ fn concurrent_reconstructs_share_one_inverse_cache_safely() {
     for thread in threads {
         thread.join().unwrap();
     }
-    assert!(dispersal.cached_inverses() > 0);
 }
 
 #[test]
