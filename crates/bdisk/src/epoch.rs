@@ -61,11 +61,12 @@ impl Lane {
     }
 }
 
-/// One versioned routing table: in force from `from_slot` on.
+/// One versioned routing table: in force from `from_slot` on.  Shared, so
+/// cloning a bank copies no table.
 #[derive(Debug, Clone)]
 struct RoutingEpoch {
     from_slot: usize,
-    routing: BTreeMap<FileId, usize>,
+    routing: Arc<BTreeMap<FileId, usize>>,
 }
 
 /// What a [`EpochBank::swap`] did.
@@ -130,7 +131,7 @@ impl EpochBank {
             lanes,
             routings: vec![RoutingEpoch {
                 from_slot: 0,
-                routing,
+                routing: Arc::new(routing),
             }],
             epoch: 0,
             current_channels,
@@ -202,7 +203,11 @@ impl EpochBank {
     /// A shared handle to the latest mode's server of `channel` (what a swap
     /// passes back in to keep a channel byte-identical).
     pub fn current_arc(&self, channel: usize) -> Option<Arc<BroadcastServer>> {
-        self.lanes.get(channel)?.latest()?.server.clone()
+        self.on_air(channel).cloned()
+    }
+
+    fn on_air(&self, channel: usize) -> Option<&Arc<BroadcastServer>> {
+        self.lanes.get(channel)?.latest()?.server.as_ref()
     }
 
     /// What `channel` transmits in `slot` (borrowed; dark and idle slots are
@@ -279,30 +284,36 @@ impl EpochBank {
                 frontier: self.frontier,
             });
         }
-        let routing = routing_of(&servers)?;
-        let epoch = self.epoch + 1;
+        // Per lane: whether the next mode keeps its server (no flip), and
+        // whether it keeps its files.  When every lane keeps its files — a
+        // content refresh moves no file — the next mode routes exactly as
+        // the latest version does, so no table is rebuilt or versioned.
         let lanes_needed = self.lanes.len().max(servers.len());
+        let kept: Vec<(bool, bool)> = (0..lanes_needed)
+            .map(
+                |channel| match (self.on_air(channel), servers.get(channel)) {
+                    (Some(old), Some(new)) if Arc::ptr_eq(old, new) => (true, true),
+                    (Some(old), Some(new)) => (false, old.file_ids().eq(new.file_ids())),
+                    (None, None) => (true, true),
+                    _ => (false, false),
+                },
+            )
+            .collect();
+        let routing = match kept.iter().all(|&(_, files)| files) {
+            true => None,
+            false => Some(routing_of(&servers)?),
+        };
+        let epoch = self.epoch + 1;
+        self.lanes.resize_with(lanes_needed, Lane::default);
         let mut flipped = Vec::new();
-        for channel in 0..lanes_needed {
-            if channel >= self.lanes.len() {
-                self.lanes.push(Lane::default());
-            }
-            let next = servers.get(channel);
-            let unchanged = match (
-                self.lanes[channel].latest().and_then(|s| s.server.as_ref()),
-                next,
-            ) {
-                (Some(old), Some(new)) => Arc::ptr_eq(old, new),
-                (None, None) => true,
-                _ => false,
-            };
-            if unchanged {
+        for (channel, &(same_server, _)) in kept.iter().enumerate() {
+            if same_server {
                 continue;
             }
             self.lanes[channel].segments.push(Segment {
                 epoch,
                 from_slot: flip_slot,
-                server: next.cloned(),
+                server: servers.get(channel).cloned(),
             });
             flipped.push(channel);
         }
@@ -310,11 +321,11 @@ impl EpochBank {
         self.frontier = flip_slot;
         self.current_channels = servers.len();
         // A version identical to the latest would answer every
-        // `channel_of_at` the same way: a content refresh moves no file.
-        if routing != *self.routing_now() {
+        // `channel_of_at` the same way.
+        if let Some(routing) = routing.filter(|r| r != self.routing_now()) {
             self.routings.push(RoutingEpoch {
                 from_slot: flip_slot,
-                routing,
+                routing: Arc::new(routing),
             });
         }
         Ok(SwapApplied {

@@ -114,20 +114,22 @@ impl BroadcastFile {
 }
 
 /// A set of broadcast files destined for the same broadcast disk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Files keep their declaration order; lookups by id go through a sorted
+/// index, so [`FileSet::get`] costs `O(log n)` however large the catalog.
+#[derive(Clone, Default)]
 pub struct FileSet {
     files: Vec<BroadcastFile>,
+    /// `(id, position in files)`, sorted by id; the first file declared
+    /// under an id wins.
+    index: Vec<(FileId, usize)>,
 }
 
 impl FileSet {
     /// Builds a file set; ids must be unique.
     pub fn new(files: Vec<BroadcastFile>) -> Option<Self> {
-        for (i, f) in files.iter().enumerate() {
-            if files.iter().skip(i + 1).any(|g| g.id == f.id) {
-                return None;
-            }
-        }
-        Some(FileSet { files })
+        let set: FileSet = files.into_iter().collect();
+        (set.index.len() == set.files.len()).then_some(set)
     }
 
     /// The files in declaration order.
@@ -147,7 +149,8 @@ impl FileSet {
 
     /// Looks a file up by id.
     pub fn get(&self, id: FileId) -> Option<&BroadcastFile> {
-        self.files.iter().find(|f| f.id == id)
+        let at = self.index.binary_search_by_key(&id, |(id, _)| *id).ok()?;
+        Some(&self.files[self.index[at].1])
     }
 
     /// Total number of pre-dispersal blocks, `Σ mᵢ` — the broadcast period of
@@ -163,11 +166,34 @@ impl FileSet {
     }
 }
 
+/// Collects files in order, without the uniqueness check of
+/// [`FileSet::new`]: a repeated id is looked up as its first file.
 impl FromIterator<BroadcastFile> for FileSet {
     fn from_iter<T: IntoIterator<Item = BroadcastFile>>(iter: T) -> Self {
-        FileSet {
-            files: iter.into_iter().collect(),
-        }
+        let files: Vec<BroadcastFile> = iter.into_iter().collect();
+        let mut index: Vec<(FileId, usize)> = files.iter().map(|f| f.id).zip(0..).collect();
+        // Stable, so equal ids stay in declaration order and the first wins.
+        index.sort_by_key(|(id, _)| *id);
+        index.dedup_by_key(|(id, _)| *id);
+        FileSet { files, index }
+    }
+}
+
+/// Two sets are equal when they list the same files in the same order (the
+/// index follows from the files).
+impl PartialEq for FileSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.files == other.files
+    }
+}
+
+impl Eq for FileSet {}
+
+impl core::fmt::Debug for FileSet {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("FileSet")
+            .field("files", &self.files)
+            .finish()
     }
 }
 
@@ -236,5 +262,29 @@ mod tests {
             BroadcastFile::new(FileId(1), "B", 3, 64),
         ]);
         assert!(dup.is_none());
+    }
+
+    #[test]
+    fn lookups_go_through_the_index_in_any_declaration_order() {
+        let ids = [7u32, 2, 9, 4, 1];
+        let set = FileSet::new(
+            ids.iter()
+                .map(|&id| BroadcastFile::new(FileId(id), format!("f{id}"), id, 8))
+                .collect(),
+        )
+        .unwrap();
+        for id in ids {
+            assert_eq!(set.get(FileId(id)).unwrap().size_blocks, id);
+        }
+        assert!(set.get(FileId(3)).is_none());
+        assert_eq!(set.files()[0].id, FileId(7), "declaration order is kept");
+        // Collected without the uniqueness check, a repeated id finds its
+        // first file.
+        let collected: FileSet = [("A", 5), ("B", 3)]
+            .into_iter()
+            .map(|(name, m)| BroadcastFile::new(FileId(1), name, m, 8))
+            .collect();
+        assert_eq!(collected.len(), 2);
+        assert_eq!(collected.get(FileId(1)).unwrap().name, "A");
     }
 }

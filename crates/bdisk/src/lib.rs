@@ -60,4 +60,4 @@ pub use file::{BroadcastFile, FileSet, LatencyVector};
 pub use ida::FileId;
 pub use loss::{ChannelErrorModel, ErrorModel, NoErrors};
 pub use program::{BroadcastProgram, FlatOrder, ProgramEntry, ProgramError};
-pub use server::{BroadcastServer, ServerError, TransmissionRef};
+pub use server::{BroadcastServer, FileSource, ServerError, TransmissionRef};

@@ -1,6 +1,6 @@
 //! The broadcast server: dispersing file contents and emitting the program.
 
-use crate::{BroadcastProgram, FileSet, ProgramEntry};
+use crate::{BroadcastFile, BroadcastProgram, FileSet, ProgramEntry};
 use ida::{BlockHeader, Bytes, Dispersal, DispersedBlock, DispersedFile, FileId, IdaError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -85,6 +85,15 @@ impl From<IdaError> for ServerError {
     }
 }
 
+/// Where [`BroadcastServer::with_dispersals`] gets one file's blocks.
+#[derive(Debug, Clone)]
+pub enum FileSource {
+    /// The file's bytes, to disperse.
+    Content(Bytes),
+    /// Blocks already dispersed, carried over as they are.
+    Dispersed(DispersedFile),
+}
+
 /// A broadcast server: holds the dispersed contents of every file and walks
 /// the broadcast program, emitting one block per slot.
 #[derive(Debug, Clone)]
@@ -104,102 +113,114 @@ impl BroadcastServer {
         program: BroadcastProgram,
         contents: &BTreeMap<FileId, Vec<u8>>,
     ) -> Result<Self, ServerError> {
-        let contents = contents
-            .iter()
-            .map(|(id, bytes)| (*id, Bytes::copy_from_slice(bytes)))
-            .collect();
-        Self::with_dispersals(
-            files,
-            program,
-            &contents,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-        )
+        if let Some(id) = contents.keys().find(|id| files.get(**id).is_none()) {
+            return Err(ServerError::UnknownFile(*id));
+        }
+        Self::with_dispersals(files, program, &BTreeMap::new(), |f| {
+            let bytes = contents.get(&f.id)?;
+            Some(FileSource::Content(Bytes::copy_from_slice(bytes)))
+        })
     }
 
-    /// [`BroadcastServer::new`] over shared contents, reusing already-built
-    /// [`Dispersal`] configurations.
+    /// [`BroadcastServer::new`] over shared sources, reusing already-built
+    /// [`Dispersal`] configurations: `source` says, per file of the set,
+    /// where its blocks come from.
     ///
-    /// Each file's full systematic blocks are views of its `contents` entry
-    /// ([`Dispersal::disperse_bytes`]), so a caller that keeps the content
-    /// (a station's mode) holds those bytes once, not once more per server.
+    /// A [`FileSource::Content`] is dispersed.  Its full systematic blocks
+    /// are views of those bytes ([`Dispersal::disperse_bytes`]), so a caller
+    /// that keeps the content (a station's mode) holds them once, not once
+    /// more per server.  A station re-dispersing a mode's contents already
+    /// owns exactly the configurations it needs: files whose entry in
+    /// `dispersals` matches their declared `(mᵢ, nᵢ)` reuse it, which saves
+    /// only the generator build (a `Dispersal` keeps no plans or inverses,
+    /// so the blocks are the same bytes either way), and files without a
+    /// usable entry fall back to a fresh build.
     ///
-    /// A station re-dispersing a mode's contents already owns exactly the
-    /// configurations it needs.  Files whose entry in `dispersals` matches
-    /// their declared `(mᵢ, nᵢ)` reuse it, which saves only the generator
-    /// build (a `Dispersal` keeps no plans or inverses, so the blocks are
-    /// the same bytes either way), and files without a usable entry fall
-    /// back to a fresh build.
+    /// A [`FileSource::Dispersed`] file is not dispersed at all: it serves
+    /// blocks a server already on the air dispersed from the same bytes
+    /// with the same configuration, and carrying them bumps one reference
+    /// count (a [`DispersedFile`] shares its blocks).  They pass the checks
+    /// bytes would — the size the file declares, its `(mᵢ, nᵢ)` and all
+    /// `nᵢ` blocks — in O(1): one dispersal stamps every block of a file
+    /// with the same header but for the index, so the block count and
+    /// block 0's header vouch for all of them.
     ///
-    /// A file with an entry in `carried` is not dispersed at all (and needs
-    /// no bytes): it serves those blocks, which a server already on the air
-    /// dispersed from the same bytes with the same configuration (cloning a
-    /// [`DispersedFile`] copies headers and bumps payload reference
-    /// counts).  What is carried over passes the checks bytes would: the
-    /// size the file declares, its `(mᵢ, nᵢ)` and all `nᵢ` blocks, in every
-    /// block header.
+    /// A file `source` has nothing for fails with
+    /// [`ServerError::MissingContent`].
     pub fn with_dispersals(
         files: &FileSet,
         program: BroadcastProgram,
-        contents: &BTreeMap<FileId, Bytes>,
         dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
-        carried: &BTreeMap<FileId, DispersedFile>,
+        mut source: impl FnMut(&BroadcastFile) -> Option<FileSource>,
     ) -> Result<Self, ServerError> {
-        for id in contents.keys().chain(carried.keys()) {
-            if files.get(*id).is_none() {
-                return Err(ServerError::UnknownFile(*id));
-            }
-        }
         let mut dispersed = BTreeMap::new();
         for f in files.files() {
-            if let Some(df) = carried.get(&f.id) {
-                if df.original_len() != f.total_bytes() {
-                    return Err(ServerError::ContentSizeMismatch {
-                        file: f.id,
-                        expected: f.total_bytes(),
-                        actual: df.original_len(),
-                    });
-                }
-                let declared = |(index, block): (usize, &DispersedBlock)| {
-                    *block.header()
-                        == BlockHeader {
-                            file: f.id,
-                            index: index as u32,
-                            m: f.size_blocks,
-                            n: f.dispersed_blocks,
-                            original_len: f.total_bytes() as u64,
-                        }
-                };
-                if df.blocks().len() != f.dispersed_blocks as usize
-                    || !df.blocks().iter().enumerate().all(declared)
-                {
-                    return Err(ServerError::Ida(IdaError::InconsistentBlocks));
-                }
-                dispersed.insert(f.id, df.clone());
-                continue;
-            }
-            let data = contents
-                .get(&f.id)
-                .ok_or(ServerError::MissingContent(f.id))?;
-            if data.len() != f.total_bytes() {
-                return Err(ServerError::ContentSizeMismatch {
-                    file: f.id,
-                    expected: f.total_bytes(),
-                    actual: data.len(),
-                });
-            }
             let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
-            let reused = dispersals
-                .get(&f.id)
-                .filter(|d| d.threshold() == m && d.total_blocks() == n)
-                .cloned();
-            let dispersal = match reused {
-                Some(d) => d,
-                None => Arc::new(Dispersal::new(m, n)?),
+            let df = match source(f).ok_or(ServerError::MissingContent(f.id))? {
+                FileSource::Content(data) => {
+                    disperse(f.id, (m, n), f.total_bytes(), &data, dispersals)?
+                }
+                FileSource::Dispersed(df) => {
+                    if df.original_len() != f.total_bytes() {
+                        return Err(ServerError::ContentSizeMismatch {
+                            file: f.id,
+                            expected: f.total_bytes(),
+                            actual: df.original_len(),
+                        });
+                    }
+                    let declared = BlockHeader {
+                        file: f.id,
+                        index: 0,
+                        m: f.size_blocks,
+                        n: f.dispersed_blocks,
+                        original_len: f.total_bytes() as u64,
+                    };
+                    if df.blocks().len() != n || df.block(0).map(|b| *b.header()) != Some(declared)
+                    {
+                        return Err(ServerError::Ida(IdaError::InconsistentBlocks));
+                    }
+                    df
+                }
             };
-            dispersed.insert(f.id, dispersal.disperse_bytes(f.id, data)?);
+            dispersed.insert(f.id, df);
         }
         Ok(BroadcastServer { program, dispersed })
+    }
+
+    /// This server with new bytes for some of its files — what a content
+    /// refresh puts on a channel whose program stays: the same program and
+    /// files, each file in `contents` dispersed anew as
+    /// [`BroadcastServer::with_dispersals`] disperses content, every other
+    /// one served by the very blocks it serves here.  Costs one copy of the
+    /// file table (a reference count per kept file) plus the new files'
+    /// dispersal.
+    ///
+    /// Fails with [`ServerError::UnknownFile`] for a file this server does
+    /// not carry and [`ServerError::ContentSizeMismatch`] for bytes of
+    /// another length than the file's.
+    pub fn with_new_contents(
+        &self,
+        contents: &BTreeMap<FileId, Bytes>,
+        dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
+    ) -> Result<Self, ServerError> {
+        let mut dispersed = self.dispersed.clone();
+        for (&id, data) in contents {
+            let serving = self
+                .dispersed
+                .get(&id)
+                .ok_or(ServerError::UnknownFile(id))?;
+            let header = serving
+                .block(0)
+                .expect("a dispersal yields at least one block")
+                .header();
+            let shape = (header.m as usize, header.n as usize);
+            let refreshed = disperse(id, shape, serving.original_len(), data, dispersals)?;
+            dispersed.insert(id, refreshed);
+        }
+        Ok(BroadcastServer {
+            program: self.program.clone(),
+            dispersed,
+        })
     }
 
     /// Deterministic pseudo-random content for one file — convenient for
@@ -250,6 +271,12 @@ impl BroadcastServer {
         self.dispersed.keys().copied()
     }
 
+    /// The dispersed representation of every file this server carries, in
+    /// ascending file order.
+    pub fn dispersed_files(&self) -> impl Iterator<Item = &DispersedFile> + '_ {
+        self.dispersed.values()
+    }
+
     /// What the server transmits in slot `slot`: `None` for an idle slot.
     pub fn transmit_ref(&self, slot: usize) -> Option<TransmissionRef<'_>> {
         match self.program.entry(slot) {
@@ -266,6 +293,34 @@ impl BroadcastServer {
             }
         }
     }
+}
+
+/// Disperses `data` as file `id` of `len` bytes at `(m, n)`, through the
+/// configuration in `dispersals` when its `(m, n)` match and a fresh one
+/// otherwise.
+fn disperse(
+    id: FileId,
+    (m, n): (usize, usize),
+    len: usize,
+    data: &Bytes,
+    dispersals: &BTreeMap<FileId, Arc<Dispersal>>,
+) -> Result<DispersedFile, ServerError> {
+    if data.len() != len {
+        return Err(ServerError::ContentSizeMismatch {
+            file: id,
+            expected: len,
+            actual: data.len(),
+        });
+    }
+    let reused = dispersals
+        .get(&id)
+        .filter(|d| d.threshold() == m && d.total_blocks() == n)
+        .cloned();
+    let dispersal = match reused {
+        Some(d) => d,
+        None => Arc::new(Dispersal::new(m, n)?),
+    };
+    Ok(dispersal.disperse_bytes(id, data)?)
 }
 
 impl AsRef<BroadcastServer> for BroadcastServer {
@@ -302,11 +357,15 @@ mod tests {
             .collect()
     }
 
-    fn shared(contents: &BTreeMap<FileId, Vec<u8>>) -> BTreeMap<FileId, Bytes> {
-        contents
-            .iter()
-            .map(|(id, bytes)| (*id, Bytes::from(bytes.clone())))
-            .collect()
+    /// Every file's bytes as a [`FileSource::Content`].
+    fn content_of(
+        contents: &BTreeMap<FileId, Vec<u8>>,
+    ) -> impl Fn(&BroadcastFile) -> Option<FileSource> + '_ {
+        |f| {
+            Some(FileSource::Content(Bytes::from(
+                contents.get(&f.id)?.clone(),
+            )))
+        }
     }
 
     #[test]
@@ -386,9 +445,8 @@ mod tests {
         let reusing = BroadcastServer::with_dispersals(
             &files,
             program.clone(),
-            &shared(&contents),
             &lookup,
-            &BTreeMap::new(),
+            content_of(&contents),
         )
         .unwrap();
         let fresh = BroadcastServer::new(&files, program, &contents).unwrap();
@@ -406,53 +464,58 @@ mod tests {
     #[test]
     fn with_dispersals_carries_dispersed_files_over_and_checks_them() {
         let files = paper_files();
-        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
         let contents = contents(&files);
-        let serving = BroadcastServer::new(&files, program.clone(), &contents).unwrap();
-        let mut contents = shared(&contents);
-        let load = |contents: &BTreeMap<FileId, Bytes>, carried: &BTreeMap<_, _>| {
+        let program = |files: &FileSet| BroadcastProgram::aida_flat(files, FlatOrder::Spread);
+        let serving = BroadcastServer::new(&files, program(&files).unwrap(), &contents).unwrap();
+        // File A rides over as `a` (or has no source at all); file B is
+        // dispersed from its bytes.
+        let load = |files: &FileSet, a: Option<&DispersedFile>| {
             let none = BTreeMap::new();
-            BroadcastServer::with_dispersals(&files, program.clone(), contents, &none, carried)
+            BroadcastServer::with_dispersals(files, program(files).unwrap(), &none, |f| {
+                match f.id {
+                    FileId(0) => a.cloned().map(FileSource::Dispersed),
+                    _ => content_of(&contents)(f),
+                }
+            })
         };
 
-        // File A rides over by handle; file B is dispersed from its bytes.
-        contents.remove(&FileId(0));
-        let a = serving.dispersed(FileId(0)).unwrap().clone();
-        let next = load(&contents, &BTreeMap::from([(FileId(0), a.clone())])).unwrap();
+        let a = serving.dispersed(FileId(0)).unwrap();
+        let next = load(&files, Some(a)).unwrap();
         let carried = next.dispersed(FileId(0)).unwrap();
-        for (old, new) in a.blocks().iter().zip(carried.blocks()) {
-            assert_eq!(old.payload().as_ptr(), new.payload().as_ptr());
-        }
+        assert_eq!(a.blocks().as_ptr(), carried.blocks().as_ptr());
 
         // Neither bytes nor blocks for a file is still an error.
         assert_eq!(
-            load(&contents, &BTreeMap::new()).unwrap_err(),
+            load(&files, None).unwrap_err(),
             ServerError::MissingContent(FileId(0))
         );
-        // B's blocks handed over as A's: wrong size; A's (5, 10) blocks for a
-        // file declaring the same bytes as (5, 9): wrong headers.
-        let b = serving.dispersed(FileId(1)).unwrap().clone();
+        // B's blocks handed over as A's: wrong size.
+        let b = serving.dispersed(FileId(1)).unwrap();
         assert!(matches!(
-            load(&contents, &BTreeMap::from([(FileId(0), b)])).unwrap_err(),
+            load(&files, Some(b)).unwrap_err(),
             ServerError::ContentSizeMismatch {
                 file: FileId(0),
                 ..
             }
         ));
+        // A's (5, 10) blocks for a file declaring the same bytes as (5, 9),
+        // and blocks of the right shape dispersed for another file: wrong
+        // headers.
         let narrower = FileSet::new(vec![
             BroadcastFile::new(FileId(0), "A", 5, 16).with_dispersal(9),
             BroadcastFile::new(FileId(1), "B", 3, 16).with_dispersal(6),
         ])
         .unwrap();
         assert_eq!(
-            BroadcastServer::with_dispersals(
-                &narrower,
-                BroadcastProgram::aida_flat(&narrower, FlatOrder::Spread).unwrap(),
-                &contents,
-                &BTreeMap::new(),
-                &BTreeMap::from([(FileId(0), a)]),
-            )
-            .unwrap_err(),
+            load(&narrower, Some(a)).unwrap_err(),
+            ServerError::Ida(IdaError::InconsistentBlocks)
+        );
+        let elsewhere = Dispersal::new(5, 10)
+            .unwrap()
+            .disperse(FileId(9), &contents[&FileId(0)])
+            .unwrap();
+        assert_eq!(
+            load(&files, Some(&elsewhere)).unwrap_err(),
             ServerError::Ida(IdaError::InconsistentBlocks)
         );
     }

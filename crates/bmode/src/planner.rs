@@ -17,7 +17,7 @@ use bcore::{
 use bdisk::{BroadcastProgram, FileSet};
 use ida::FileId;
 use pinwheel::{AutoScheduler, PinwheelScheduler};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A borrowed view of one channel currently on the air.
 #[derive(Debug, Clone, Copy)]
@@ -214,12 +214,13 @@ pub fn diff(
         } else {
             let old = &current.channels[c];
             let new = &design.reports[c];
-            let content_dirty = old
-                .files
-                .files()
-                .iter()
-                .any(|f| current.dirty.contains(&f.id));
-            if !content_dirty && old.files == &new.files && old.program == &new.program {
+            // A mode that reuses the design on the air hands in the very
+            // file set and program it serves: identity settles those.
+            let same_files = std::ptr::eq(old.files, &new.files) || *old.files == new.files;
+            let same_program =
+                std::ptr::eq(old.program, &new.program) || *old.program == new.program;
+            let content_dirty = current.dirty.iter().any(|&id| old.files.get(id).is_some());
+            if !content_dirty && same_files && same_program {
                 ChannelTransition::Unchanged
             } else {
                 ChannelTransition::Reprogrammed
@@ -228,20 +229,27 @@ pub fn diff(
         channels.push(t);
     }
 
-    // Old and new routing tables (old one rebuilt from the channel views).
-    let mut old_routing: BTreeMap<FileId, usize> = BTreeMap::new();
-    for (c, view) in current.channels.iter().enumerate() {
-        for f in view.files.files() {
-            old_routing.insert(f.id, c);
-        }
-    }
+    // The old routing, rebuilt from the channel views in file order, walked
+    // beside the new one (the design's assignment, also in file order).
+    let mut old_routing: Vec<(FileId, usize)> = current
+        .channels
+        .iter()
+        .enumerate()
+        .flat_map(|(c, view)| view.files.files().iter().map(move |f| (f.id, c)))
+        .collect();
+    old_routing.sort_unstable();
+    old_routing.dedup_by_key(|(file, _)| *file);
     let mut moved = Vec::new();
     let mut added = Vec::new();
     let mut dropped = Vec::new();
-    let mut retained = Vec::new();
+    let mut retained = Vec::with_capacity(old_routing.len());
+    let mut old = old_routing.iter().copied().peekable();
     for (&file, &new_channel) in design.plan.assignment.iter() {
-        match old_routing.get(&file) {
-            Some(&old_channel) => {
+        while let Some((gone, _)) = old.next_if(|&(id, _)| id < file) {
+            dropped.push(gone);
+        }
+        match old.next_if(|&(id, _)| id == file) {
+            Some((_, old_channel)) => {
                 retained.push(file);
                 if old_channel != new_channel {
                     moved.push((file, old_channel, new_channel));
@@ -250,30 +258,37 @@ pub fn diff(
             None => added.push(file),
         }
     }
-    for &file in old_routing.keys() {
-        if !design.plan.assignment.contains_key(&file) {
-            dropped.push(file);
-        }
-    }
+    dropped.extend(old.map(|(gone, _)| gone));
 
     // Affected files: anything whose old channel flips, plus anything
     // dropped; the drain horizon is the worst declared latency among them.
+    // The specifications, in file order, are walked beside the routing (the
+    // first one of an id is the file's).
+    let mut specs: Vec<&GeneralizedFileSpec> = current.specs.iter().collect();
+    specs.sort_by_key(|s| s.id);
+    let mut specs = specs.into_iter().peekable();
     let mut affected = Vec::new();
     let mut drain_horizon = 0u32;
-    for (&file, &old_channel) in old_routing.iter() {
+    for &(file, old_channel) in &old_routing {
+        while specs.next_if(|s| s.id < file).is_some() {}
         if matches!(channels[old_channel], ChannelTransition::Unchanged) {
             continue;
         }
         affected.push(file);
-        if let Some(spec) = current.specs.iter().find(|s| s.id == file) {
-            if let Some(&worst) = spec.latencies.last() {
-                drain_horizon = drain_horizon.max(worst);
+        match specs.peek().filter(|s| s.id == file) {
+            Some(spec) => {
+                if let Some(&worst) = spec.latencies.last() {
+                    drain_horizon = drain_horizon.max(worst);
+                }
             }
-        } else if let Some(f) = current.channels[old_channel].files.get(file) {
             // Spec missing (shouldn't happen through the facade) — fall back
             // to the served latency vector.
-            if let Some(worst) = f.latencies.latency(f.latencies.max_faults()) {
-                drain_horizon = drain_horizon.max(worst);
+            None => {
+                if let Some(f) = current.channels[old_channel].files.get(file) {
+                    if let Some(worst) = f.latencies.latency(f.latencies.max_faults()) {
+                        drain_horizon = drain_horizon.max(worst);
+                    }
+                }
             }
         }
     }

@@ -95,11 +95,28 @@ impl ModeSpec {
     pub fn resolved_specs(&self) -> Vec<GeneralizedFileSpec> {
         self.specs
             .iter()
-            .map(|s| {
-                let floor = self.width_floor(s.id, s.size_blocks).max(s.min_dispersal);
-                s.clone().with_min_dispersal(floor)
-            })
+            .map(|s| s.clone().with_min_dispersal(self.resolved_floor(s)))
             .collect()
+    }
+
+    /// Whether [`ModeSpec::resolved_specs`] equals `resolved`, without
+    /// building it: a specification the profile leaves alone is compared in
+    /// place.  A content refresh asks this of the specifications on the air.
+    pub fn resolves_to(&self, resolved: &[GeneralizedFileSpec]) -> bool {
+        self.specs.len() == resolved.len()
+            && self.specs.iter().zip(resolved).all(|(s, r)| {
+                let floor = self.resolved_floor(s);
+                match floor == s.min_dispersal {
+                    true => s == r,
+                    false => s.clone().with_min_dispersal(floor) == *r,
+                }
+            })
+    }
+
+    /// The dispersal-width floor `s` resolves to: its own, or the profile's
+    /// when that is higher.
+    fn resolved_floor(&self, s: &GeneralizedFileSpec) -> u32 {
+        self.width_floor(s.id, s.size_blocks).max(s.min_dispersal)
     }
 }
 
@@ -129,6 +146,9 @@ mod tests {
         assert_eq!(resolved[1].min_dispersal, 5); // m + faults
         assert_eq!(resolved[2].min_dispersal, 7); // fixed
         assert_eq!(resolved[3].min_dispersal, 0); // default: no floor
+        assert!(mode.resolves_to(&resolved));
+        assert!(!mode.resolves_to(mode.specs()), "the profile raises floors");
+        assert!(!mode.resolves_to(&resolved[1..]));
     }
 
     #[test]

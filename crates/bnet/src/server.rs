@@ -33,13 +33,14 @@
 //! [`ControlFrame::Leave`] sent to the data address) so a pure-UDP client
 //! needs nothing else: dispersal parameters travel in every block header.
 //! The optional TCP control plane answers [`ControlFrame::Subscribe`] from
-//! a [`Directory`] and serves slot-counter resyncs — a reliable
-//! convenience, not a requirement.  The directory is *derived*, never
-//! pushed: the serving loop tells the fan-out whenever the bank's mode
-//! changed ([`SlotSink::mode_changed`]) and the fan-out rebuilds it with
-//! [`directory_of`], so every swap — scheduled, blocking, or through the
-//! bare runtime handle — is on the control plane before its requester
-//! hears it landed.
+//! a directory and serves slot-counter resyncs — a reliable convenience,
+//! not a requirement.  The directory is *derived*, never pushed: the
+//! serving loop tells the fan-out whenever the bank's mode changed
+//! ([`SlotSink::mode_changed`]) and the fan-out brings it up to date, so
+//! every swap — scheduled, blocking, or through the bare runtime handle —
+//! is on the control plane before its requester hears it landed.  It
+//! answers what [`directory_of`] the bank would, but a swap rewrites only
+//! the entries of the files it changed.
 
 use crate::error::NetError;
 use crate::gso;
@@ -47,9 +48,10 @@ use crate::wire::{
     decode, encode, max_frame_bytes, slot_frame_len, split, ControlFrame, Frame, MetricsFormat,
     Packet, SlotFrame, SubscriptionInfo, MIN_SLOT_FRAME,
 };
-use bdisk::EpochBank;
+use bdisk::{BroadcastServer, EpochBank};
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
 use brt::{SlotCell, SlotSink};
+use ida::{DispersedFile, FileId};
 use std::collections::{BTreeMap, HashSet};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -90,10 +92,10 @@ impl NetConfig {
 }
 
 /// The control plane's view of the station: file id → where it is served.
-/// On a running station it is [`directory_of`] the serving bank, rebuilt
-/// by [`UdpFanout`] on every [`SlotSink::mode_changed`] — so a recovering
-/// client that missed a swap resubscribes against the live program, not
-/// the one it tuned to originally.
+/// On a running station it is [`directory_of`] the serving bank, brought
+/// up to date by [`UdpFanout`] on every [`SlotSink::mode_changed`] — so a
+/// recovering client that missed a swap resubscribes against the live
+/// program, not the one it tuned to originally.
 pub type Directory = BTreeMap<u32, SubscriptionInfo>;
 
 /// The directory of `bank`'s latest mode: each routed file's channel, that
@@ -105,17 +107,110 @@ pub fn directory_of(bank: &EpochBank) -> Directory {
         let Some(dispersed) = bank.current(channel).and_then(|s| s.dispersed(file)) else {
             continue;
         };
-        let Some(header) = dispersed.block(0).map(|b| b.header()) else {
-            continue;
-        };
         let epoch = bank.current_epoch_of(channel).unwrap_or(0);
-        let mut info = SubscriptionInfo::new(channel as u16, epoch, header.m, header.n);
-        if let Some(root) = dispersed.commitment_root() {
-            info = info.with_root(root);
+        if let Some(info) = info_of(channel, epoch, dispersed) {
+            directory.insert(file.0, info);
         }
-        directory.insert(file.0, info);
     }
     directory
+}
+
+/// The subscription answer for a file served as `dispersed` on `channel`
+/// under `epoch`: the `(m, n)` its blocks carry and its commitment root.
+fn info_of(channel: usize, epoch: u64, dispersed: &DispersedFile) -> Option<SubscriptionInfo> {
+    let header = dispersed.block(0)?.header();
+    let info = SubscriptionInfo::new(channel as u16, epoch, header.m, header.n);
+    Some(match dispersed.commitment_root() {
+        Some(root) => info.with_root(root),
+        None => info,
+    })
+}
+
+/// The control plane's live [`directory_of`] the serving bank, kept apart
+/// so a mode change costs what it changed: each file's answer is stored
+/// with its channel's epoch left out, and each channel keeps its epoch and
+/// the server its files were read from.  A mode change re-reads only the
+/// channels whose server changed and, on those, rewrites only the entries
+/// of files whose blocks changed, that arrived or that left.
+#[derive(Debug, Default)]
+struct LiveDirectory {
+    files: BTreeMap<u32, SubscriptionInfo>,
+    channels: Vec<(u64, Option<Arc<BroadcastServer>>)>,
+}
+
+impl LiveDirectory {
+    /// What [`directory_of`] the bank last seen answers for `file`.
+    fn get(&self, file: u32) -> Option<SubscriptionInfo> {
+        let info = self.files.get(&file)?;
+        let (epoch, _) = self.channels.get(info.channel as usize)?;
+        Some(SubscriptionInfo {
+            epoch: *epoch,
+            ..*info
+        })
+    }
+
+    /// Catches up with `bank`'s latest mode.
+    fn update(&mut self, bank: &EpochBank) {
+        let lanes = bank.lane_count().max(self.channels.len());
+        self.channels.resize(lanes, (0, None));
+        let mut changes = Vec::new();
+        for (channel, (epoch, read)) in self.channels.iter_mut().enumerate() {
+            *epoch = bank.current_epoch_of(channel).unwrap_or(0);
+            let server = bank.current_arc(channel);
+            let same = match (&*read, &server) {
+                (Some(old), Some(new)) => Arc::ptr_eq(old, new),
+                (old, new) => old.is_none() && new.is_none(),
+            };
+            if !same {
+                let old = std::mem::replace(read, server);
+                let (fresh, gone) = changes_between(old.as_deref(), read.as_deref());
+                changes.push((channel, fresh, gone));
+            }
+        }
+        // Departures first, so a file that moved between two changed
+        // channels ends up where it arrived.
+        for (channel, _, gone) in &changes {
+            for file in gone {
+                let here = self.files.get(&file.0).map(|i| i.channel as usize) == Some(*channel);
+                if here {
+                    self.files.remove(&file.0);
+                }
+            }
+        }
+        for (channel, fresh, _) in changes {
+            for dispersed in fresh {
+                if let Some(info) = info_of(channel, 0, &dispersed) {
+                    self.files.insert(dispersed.file().0, info);
+                }
+            }
+        }
+    }
+}
+
+/// What a channel going from serving `old` to serving `new` changes: the
+/// files `new` serves with other blocks than `old` (or that `old` lacks),
+/// and the files `old` carries that `new` does not.  Both are walked side
+/// by side in file order; a file whose blocks are shared is neither.
+fn changes_between(
+    old: Option<&BroadcastServer>,
+    new: Option<&BroadcastServer>,
+) -> (Vec<DispersedFile>, Vec<FileId>) {
+    let mut was = old
+        .into_iter()
+        .flat_map(BroadcastServer::dispersed_files)
+        .peekable();
+    let (mut fresh, mut gone) = (Vec::new(), Vec::new());
+    for file in new.into_iter().flat_map(BroadcastServer::dispersed_files) {
+        while let Some(left) = was.next_if(|w| w.file() < file.file()) {
+            gone.push(left.file());
+        }
+        let kept = was.next_if(|w| w.file() == file.file());
+        if kept.is_none_or(|w| w.blocks().as_ptr() != file.blocks().as_ptr()) {
+            fresh.push(file.clone());
+        }
+    }
+    gone.extend(was.map(DispersedFile::file));
+    (fresh, gone)
 }
 
 /// Refuses a station whose slot frames cannot cross the wire at `mtu`:
@@ -124,7 +219,7 @@ pub fn directory_of(bank: &EpochBank) -> Directory {
 pub fn check_mtu(bank: &EpochBank, mtu: usize) -> Result<(), NetError> {
     let largest = (0..bank.channel_count())
         .filter_map(|channel| bank.current(channel))
-        .flat_map(|server| server.file_ids().filter_map(|file| server.dispersed(file)))
+        .flat_map(|server| server.dispersed_files())
         .flat_map(|dispersed| dispersed.blocks())
         .map(slot_frame_len)
         .max()
@@ -234,7 +329,7 @@ struct Shared {
     /// a `Resync` reports (not a per-channel epoch).
     current_epoch: AtomicU64,
     stop: AtomicBool,
-    directory: Mutex<Directory>,
+    directory: Mutex<LiveDirectory>,
 }
 
 impl Shared {
@@ -350,7 +445,8 @@ impl SlotSink for UdpFanout {
     }
 
     fn mode_changed(&mut self, bank: &EpochBank) {
-        *self.shared.directory.lock().expect("directory lock") = directory_of(bank);
+        let mut directory = self.shared.directory.lock().expect("directory lock");
+        directory.update(bank);
     }
 }
 
@@ -432,7 +528,7 @@ impl NetServer {
     /// The network side records into `telemetry` — hand it the runtime's
     /// handle and the control plane's metrics opcode exposes runtime and
     /// network metrics from one registry.  The control plane's directory
-    /// starts empty and is rebuilt on every [`SlotSink::mode_changed`].
+    /// starts empty and follows every [`SlotSink::mode_changed`].
     pub fn bind(
         config: NetConfig,
         telemetry: Telemetry,
@@ -454,7 +550,7 @@ impl NetServer {
             next_slot: AtomicU64::new(0),
             current_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            directory: Mutex::new(Directory::new()),
+            directory: Mutex::new(LiveDirectory::default()),
         });
 
         let mut threads = Vec::new();
@@ -623,12 +719,7 @@ fn serve_control_connection(
         };
         let reply = match frame {
             ControlFrame::Subscribe { file } => {
-                let info = shared
-                    .directory
-                    .lock()
-                    .expect("directory lock")
-                    .get(&file.0)
-                    .copied();
+                let info = shared.directory.lock().expect("directory lock").get(file.0);
                 Some(match info {
                     Some(info) => ControlFrame::SubscribeAck { file, info },
                     None => ControlFrame::SubscribeNak {
@@ -699,7 +790,8 @@ mod tests {
     use super::*;
     use crate::wire::datagrams;
     use bdisk::{
-        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FlatOrder, TransmissionRef,
+        BroadcastFile, BroadcastProgram, BroadcastServer, FileSet, FileSource, FlatOrder,
+        TransmissionRef,
     };
     use brt::LaneCell;
     use bytes::Bytes;
@@ -1021,6 +1113,66 @@ mod tests {
         let reply = read_control_frame(&mut stream).unwrap().unwrap();
         assert!(matches!(reply, ControlFrame::Resync { epoch: 0, .. }));
         handle.shutdown();
+    }
+
+    #[test]
+    fn the_live_directory_follows_moves_drops_dark_lanes_and_refreshes() {
+        let mut live = LiveDirectory::default();
+        let answers = |live: &LiveDirectory| (0..8).map(|f| live.get(f)).collect::<Vec<_>>();
+        let expected = |bank: &EpochBank| {
+            let directory = directory_of(bank);
+            (0..8)
+                .map(|f| directory.get(&f).copied())
+                .collect::<Vec<_>>()
+        };
+        let mut bank = EpochBank::new(vec![server_for(&[1, 2]), server_for(&[3])]).unwrap();
+        live.update(&bank);
+        assert_eq!(answers(&live), expected(&bank));
+        let steps: [&[&[u32]]; 5] = [
+            &[&[1, 2], &[3, 4]],    // a file arrives
+            &[&[1], &[3, 4], &[2]], // one moves to a lane that lights up
+            &[&[2, 1], &[4]],       // moves back, one is dropped, a lane goes dark
+            &[&[5]],                // everything changes
+            &[&[5], &[1], &[2, 3]], // lanes light up again
+        ];
+        for (slot, layout) in steps.iter().enumerate() {
+            bank.swap(slot, layout.iter().map(|ids| server_for(ids)).collect())
+                .unwrap();
+            live.update(&bank);
+            assert_eq!(answers(&live), expected(&bank), "after {layout:?}");
+        }
+
+        // A content refresh: channel 2 flips with file 3 re-dispersed and
+        // file 2 riding over as the same blocks; channel 1 keeps its epoch.
+        let old = bank.current_arc(2).unwrap();
+        let files = FileSet::new(
+            [2, 3]
+                .map(|i| BroadcastFile::new(FileId(i), format!("F{i}"), 2, 8).with_dispersal(4))
+                .to_vec(),
+        )
+        .unwrap();
+        let program = BroadcastProgram::aida_flat(&files, FlatOrder::Spread).unwrap();
+        let refreshed = BroadcastServer::with_dispersals(&files, program, &BTreeMap::new(), |f| {
+            Some(match f.id {
+                FileId(3) => FileSource::Content(vec![7u8; 16].into()),
+                id => FileSource::Dispersed(old.dispersed(id)?.clone()),
+            })
+        })
+        .unwrap();
+        let servers = vec![
+            bank.current_arc(0).unwrap(),
+            bank.current_arc(1).unwrap(),
+            Arc::new(refreshed),
+        ];
+        bank.swap(9, servers).unwrap();
+        live.update(&bank);
+        assert_eq!(answers(&live), expected(&bank));
+        assert_eq!(
+            live.get(2).unwrap().epoch,
+            bank.epoch(),
+            "a flipped channel's epoch"
+        );
+        assert!(live.get(1).unwrap().epoch < bank.epoch());
     }
 
     /// One channel server carrying `ids`, each 2 blocks dispersed to 4.

@@ -159,7 +159,9 @@ pub trait Engine: Send + 'static {
 
     /// A snapshot the preparation thread can design against while the
     /// serving thread keeps transmitting (stale preparations are rejected
-    /// by [`Engine::swap`]).
+    /// by [`Engine::swap`]).  The runtime takes one when it starts and after
+    /// each landed swap, on the serving thread, and hands out clones of it,
+    /// so it should cost handles, not payloads.
     fn snapshot(&self) -> Self
     where
         Self: Sized;

@@ -45,6 +45,10 @@
 //!   earliest slot a live reader may replay and the oldest epoch one is
 //!   tuned to.  History behind it is dropped, so a station refreshed
 //!   without end stays flat in memory.
+//! * Then it **publishes** a snapshot of the engine, before the swap's
+//!   requester hears back: only swaps change the engine, so
+//!   [`RuntimeController::snapshot`] clones the published one instead of
+//!   asking the serving thread.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
 use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
@@ -57,7 +61,7 @@ use ida::FileId;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -200,9 +204,6 @@ enum Command<E: Engine> {
         epoch: u64,
         reply: mpsc::Sender<SwapNote>,
     },
-    Snapshot {
-        reply: mpsc::Sender<E>,
-    },
     Swap {
         prepared: E::Prepared,
         at_slot: usize,
@@ -215,11 +216,16 @@ enum Command<E: Engine> {
     Shutdown,
 }
 
+/// The engine as of the last landed swap, published by the serving loop for
+/// [`RuntimeController::snapshot`]; `None` once the loop has ended.
+type Published<E> = Arc<Mutex<Option<E>>>;
+
 /// A cheap, cloneable handle for talking to a running server loop — what
 /// the [`crate::SwapScheduler`] and client tasks hold.
 pub struct RuntimeController<E: Engine> {
     commands: mpsc::Sender<Command<E>>,
     waker: Arc<WakeSignal>,
+    published: Published<E>,
 }
 
 impl<E: Engine> Clone for RuntimeController<E> {
@@ -227,6 +233,7 @@ impl<E: Engine> Clone for RuntimeController<E> {
         RuntimeController {
             commands: self.commands.clone(),
             waker: self.waker.clone(),
+            published: self.published.clone(),
         }
     }
 }
@@ -253,10 +260,20 @@ impl<E: Engine> RuntimeController<E> {
         answer.recv().map_err(|_| RuntimeError::Closed)
     }
 
-    /// A clone of the engine as of the next command-processing point —
-    /// what a preparation thread designs the next mode against.
+    /// A clone of the engine as of the last landed swap — what a
+    /// preparation thread designs the next mode against.  The serving loop
+    /// publishes its engine when it starts and after each landed swap (and
+    /// the retirement that follows it), before the swap's requester hears
+    /// back, so this never waits on the serving thread: it clones what was
+    /// published.  Nothing but a swap changes what a preparation reads, and
+    /// a preparation from before a later swap is still refused by the
+    /// engine's own staleness check.  Fails once the runtime has shut down.
     pub fn snapshot(&self) -> Result<E, RuntimeError<E::Error>> {
-        self.ask(|reply| Command::Snapshot { reply })
+        let published = self.published.lock().expect("published engine lock");
+        published
+            .as_ref()
+            .map(Engine::snapshot)
+            .ok_or(RuntimeError::Closed)
     }
 
     /// Schedules `prepared` to be swapped in when the serving loop reaches
@@ -386,21 +403,25 @@ impl<E: Engine> Runtime<E> {
         let waker = Arc::new(WakeSignal::new());
         clock.register_waker(waker.clone());
         let ring = Arc::new(BroadcastRing::new(config.queue_capacity));
+        let published = Arc::new(Mutex::new(Some(engine.snapshot())));
         let (tx, rx) = mpsc::channel();
         let server = {
             let clock = clock.clone();
             let waker = waker.clone();
-            let ring = ring.clone();
-            let telemetry = telemetry.clone();
+            let (ring, telemetry, published) = (ring.clone(), telemetry.clone(), published.clone());
             std::thread::Builder::new()
                 .name("brt-server".to_string())
-                .spawn(move || server_loop(engine, clock, waker, rx, ring, sinks, telemetry))
+                .spawn(move || {
+                    let state = ServerState::new(ring, telemetry, published);
+                    server_loop(engine, clock, waker, rx, state, sinks)
+                })
                 .expect("the broadcast server thread spawns")
         };
         Runtime {
             controller: RuntimeController {
                 commands: tx,
                 waker,
+                published,
             },
             clock,
             config,
@@ -609,10 +630,11 @@ struct ServerState<E: Engine> {
     fleet: FleetMetrics,
     telemetry: Telemetry,
     ring: Arc<BroadcastRing>,
+    published: Published<E>,
 }
 
 impl<E: Engine> ServerState<E> {
-    fn new(ring: Arc<BroadcastRing>, telemetry: Telemetry) -> Self {
+    fn new(ring: Arc<BroadcastRing>, telemetry: Telemetry, published: Published<E>) -> Self {
         ServerState {
             next_id: 0,
             next_seq: 0,
@@ -621,7 +643,14 @@ impl<E: Engine> ServerState<E> {
             fleet: FleetMetrics::new(telemetry.registry()),
             telemetry,
             ring,
+            published,
         }
+    }
+
+    /// Makes `engine` what [`RuntimeController::snapshot`] clones (`None`
+    /// once serving has ended).
+    fn publish(&self, engine: Option<E>) {
+        *self.published.lock().expect("published engine lock") = engine;
     }
 
     /// Removes a subscriber, raising its detach flag so its reader stops.
@@ -662,12 +691,11 @@ fn server_loop<E: Engine>(
     clock: SlotClock,
     waker: Arc<WakeSignal>,
     commands: mpsc::Receiver<Command<E>>,
-    ring: Arc<BroadcastRing>,
+    mut state: ServerState<E>,
     mut sinks: Vec<Box<dyn SlotSink>>,
-    telemetry: Telemetry,
 ) -> E {
     let mut slot: usize = 0;
-    let mut state = ServerState::<E>::new(ring.clone(), telemetry);
+    let ring = state.ring.clone();
     'serve: loop {
         // Commands are handled at slot boundaries only, so a subscribe or a
         // swap can never observe (or cause) a half-served slot.
@@ -725,6 +753,7 @@ fn server_loop<E: Engine>(
     for entry in state.subscribers.values() {
         entry.detached.store(true, Ordering::SeqCst);
     }
+    state.publish(None);
     ring.close();
     // Unapplied swaps and unanswered note requests: their reply senders
     // drop with the queue, unblocking the waiters.
@@ -836,9 +865,6 @@ fn handle_command<E: Engine>(
             }
             let _ = reply.send(note);
         }
-        Command::Snapshot { reply } => {
-            let _ = reply.send(engine.snapshot());
-        }
         Command::Swap {
             prepared,
             at_slot,
@@ -883,7 +909,9 @@ fn handle_command<E: Engine>(
 /// landed swap is announced to the sinks ([`SlotSink::mode_changed`]) before
 /// its requester hears back, and lets the engine retire what the live
 /// fleet can no longer read ([`Engine::retire`]) — so a station refreshed
-/// without end holds no more history than its readers need.
+/// without end holds no more history than its readers need.  Then the
+/// engine is published for [`RuntimeController::snapshot`], still before
+/// the reply.
 fn apply_due_swaps<E: Engine>(
     engine: &mut E,
     slot: usize,
@@ -912,6 +940,7 @@ fn apply_due_swaps<E: Engine>(
             }
             let (floor_slot, floor_epoch) = state.retention_floor(slot, engine.bank().epoch());
             engine.retire(floor_slot, floor_epoch);
+            state.publish(Some(engine.snapshot()));
         }
         let _ = swap.reply.send(result);
     }

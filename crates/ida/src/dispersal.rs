@@ -57,11 +57,17 @@ fn in_index_order<T>(pairs: impl IntoIterator<Item = (u32, T)>) -> Vec<T> {
 }
 
 /// The result of dispersing one file: the dispersed blocks plus bookkeeping.
+///
+/// The blocks are shared: a clone bumps one reference count, so every
+/// server and mode that carries an unchanged file holds the very blocks
+/// its dispersal produced.  Every block carries the header
+/// `{ file, index, m, n, original_len }` of its position in the one
+/// dispersal that made it.
 #[derive(Debug, Clone)]
 pub struct DispersedFile {
     file: FileId,
     original_len: usize,
-    blocks: Vec<DispersedBlock>,
+    blocks: Arc<[DispersedBlock]>,
     /// The file's Merkle commitment root, present when dispersed through an
     /// authenticated configuration ([`Dispersal::authenticated`]).
     root: Option<Root>,

@@ -128,7 +128,7 @@ impl BroadcastBuilder {
         // retained files' payloads over; the rest serve synthetic defaults.
         let (mode, servers) = Mode::load(
             "initial",
-            self.specs,
+            self.specs.into(),
             Arc::new(design),
             self.contents,
             settings.authenticated,

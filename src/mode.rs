@@ -13,26 +13,30 @@
 
 use crate::{Error, Station};
 use bcore::{DesignReport, GeneralizedFileSpec, MultiChannelReport};
-use bdisk::{BroadcastFile, BroadcastServer, FileSet, LatencyVector};
+use bdisk::{BroadcastFile, BroadcastServer, FileSet, FileSource, LatencyVector};
 use bmode::{ChannelTransition, SwapPolicy, TransitionPlan};
 use ida::{Bytes, Dispersal, DispersedFile, FileId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use ChannelTransition::Unchanged;
 
 /// The one description of an operating mode: what it was designed from,
 /// the verified design, and what its files disperse with and to.  Immutable
 /// once loaded — a [`Station`], its clones and runtime snapshots and every
 /// [`PreparedMode`] hold it by `Arc`, copying no payload and no report.
+///
+/// Everything but the payloads derives from the specifications and the
+/// design alone, so a later mode that keeps the design (a content refresh)
+/// shares all of it by reference count and copies only the payload table.
 #[derive(Debug)]
 pub(crate) struct Mode {
     pub(crate) name: String,
-    pub(crate) specs: Vec<GeneralizedFileSpec>,
-    /// Shared with every later mode that keeps the same specifications.
+    pub(crate) specs: Arc<[GeneralizedFileSpec]>,
     pub(crate) design: Arc<MultiChannelReport>,
     /// The per-channel file sets merged back into one, in specification
     /// order.
-    pub(crate) files: FileSet,
-    pub(crate) dispersals: BTreeMap<FileId, Arc<Dispersal>>,
+    pub(crate) files: Arc<FileSet>,
+    pub(crate) dispersals: Arc<BTreeMap<FileId, Arc<Dispersal>>>,
     /// Explicitly supplied payloads (files absent here serve deterministic
     /// synthetic contents), shared by reference count with the mode they
     /// were carried over from.  Each is the one copy of its file's bytes:
@@ -53,10 +57,13 @@ impl Mode {
     /// keeps in-flight retrievals on the same configuration), the dispersed
     /// blocks of files that keep both (so refreshing one file disperses
     /// and commits one file) and the servers of unchanged channels (so the
-    /// swap keeps them byte-identical for free).
+    /// swap keeps them byte-identical for free).  A target that keeps the
+    /// design on the air also keeps its merged file set and dispersal
+    /// table, so a content refresh does per-file work only for the files
+    /// it supplies and on the channels it flips.
     pub(crate) fn load(
         name: &str,
-        specs: Vec<GeneralizedFileSpec>,
+        specs: Arc<[GeneralizedFileSpec]>,
         design: Arc<MultiChannelReport>,
         supplied: BTreeMap<FileId, Vec<u8>>,
         authenticated: bool,
@@ -67,44 +74,42 @@ impl Mode {
                 return Err(Error::Verification(msg.clone()));
             }
         }
-        let files = merge_files(&specs, &design)?;
+        let current = serving.map(|(station, _)| &*station.mode);
+        let kept = current.filter(|mode| Arc::ptr_eq(&mode.design, &design));
+        let (files, dispersals) = match kept {
+            Some(mode) => (mode.files.clone(), mode.dispersals.clone()),
+            None => {
+                let files = merge_files(&specs, &design)?;
+                let dispersals = dispersals_of(&files, authenticated, current)?;
+                (Arc::new(files), Arc::new(dispersals))
+            }
+        };
         if let Some(id) = supplied.keys().find(|id| files.get(**id).is_none()) {
             return Err(Error::UnknownFile(*id));
         }
-        let current = serving.map(|(station, _)| &*station.mode);
 
-        // One copy into a fresh buffer, not the caller's allocation: keeping
+        // Retained files keep their stored payloads; supplied ones get one
+        // copy into a fresh buffer, not the caller's allocation: keeping
         // the supplied `Vec` made repeated set-ups fault in fresh pages.
-        let mut contents: BTreeMap<FileId, Bytes> = supplied
-            .into_iter()
-            .map(|(id, bytes)| (id, Bytes::copy_from_slice(&bytes)))
-            .collect();
-        let mut dispersals = BTreeMap::new();
-        for f in files.files() {
-            let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
-            if let Some(carried) = current.and_then(|mode| mode.contents.get(&f.id)) {
-                contents.entry(f.id).or_insert_with(|| carried.clone());
-            }
-            let reused = current
-                .and_then(|mode| mode.dispersals.get(&f.id))
-                .filter(|d| {
-                    d.threshold() == m
-                        && d.total_blocks() == n
-                        && d.is_authenticated() == authenticated
-                });
-            let dispersal = match reused {
-                Some(d) => d.clone(),
-                None if authenticated => Arc::new(Dispersal::authenticated(m, n)?),
-                None => Arc::new(Dispersal::new(m, n)?),
-            };
-            dispersals.insert(f.id, dispersal);
+        let mut contents: BTreeMap<FileId, Bytes> = match (kept, current) {
+            (Some(mode), _) => mode.contents.clone(),
+            (None, Some(mode)) => files
+                .files()
+                .iter()
+                .filter_map(|f| Some((f.id, mode.contents.get(&f.id)?.clone())))
+                .collect(),
+            (None, None) => BTreeMap::new(),
+        };
+        let fresh: BTreeSet<FileId> = supplied.keys().copied().collect();
+        for (id, bytes) in supplied {
+            contents.insert(id, Bytes::copy_from_slice(&bytes));
         }
 
         // A file whose payload and dispersal configuration both ride over
         // unchanged is on the air as exactly the blocks dispersing (and
         // committing) it again would produce, whichever channel the new
         // design places it on.
-        let on_air = |f: &BroadcastFile| -> Option<&DispersedFile> {
+        let on_air = |f: &BroadcastFile| -> Option<DispersedFile> {
             let (station, _) = serving?;
             let mode = &station.mode;
             let same_payload = match (contents.get(&f.id), mode.contents.get(&f.id)) {
@@ -112,44 +117,49 @@ impl Mode {
                 (None, None) => mode.files.get(f.id)?.total_bytes() == f.total_bytes(),
                 _ => false,
             };
-            if !same_payload || !Arc::ptr_eq(&dispersals[&f.id], mode.dispersals.get(&f.id)?) {
+            let dispersal = mode.dispersals.get(&f.id)?;
+            if !same_payload || !Arc::ptr_eq(&dispersals[&f.id], dispersal) {
                 return None;
             }
             let server = station.bank().current(station.channel_of(f.id)?)?;
-            server.dispersed(f.id)
+            server.dispersed(f.id).cloned()
         };
 
         let mut servers = Vec::with_capacity(design.reports.len());
         for (c, report) in design.reports.iter().enumerate() {
-            let unchanged = serving.filter(|(_, t)| t.channels[c] == ChannelTransition::Unchanged);
-            if let Some((station, _)) = unchanged {
-                let server = station.bank().current_arc(c);
-                servers.push(server.expect("unchanged channels are currently serving"));
-                continue;
-            }
-            // Dispersed here, off the hot path; payload bytes are
-            // independent of the channel layout, so a file reconstructs to
-            // identical bytes however the station is sharded.
-            let mut payloads = BTreeMap::new();
-            let mut carried = BTreeMap::new();
-            for f in report.files.files() {
-                if let Some(dispersed) = on_air(f) {
-                    carried.insert(f.id, dispersed.clone());
-                    continue;
+            let server = match serving {
+                Some((station, transition)) if transition.channels[c] == Unchanged => {
+                    let server = station.bank().current_arc(c);
+                    server.expect("unchanged channels are currently serving")
                 }
-                let bytes = match contents.get(&f.id) {
-                    Some(stored) => stored.clone(),
-                    None => Bytes::from(BroadcastServer::synthetic_content(f)),
-                };
-                payloads.insert(f.id, bytes);
-            }
-            servers.push(Arc::new(BroadcastServer::with_dispersals(
-                &report.files,
-                report.program.clone(),
-                &payloads,
-                &dispersals,
-                &carried,
-            )?));
+                // Under a kept design a channel flips only for new bytes:
+                // its server on the air, with those files dispersed anew.
+                Some((station, _)) if kept.is_some() => {
+                    let on_channel = fresh.iter().filter(|id| report.files.get(**id).is_some());
+                    let new = on_channel.map(|id| (*id, contents[id].clone())).collect();
+                    let serving = station.bank().current(c);
+                    let serving = serving.expect("a kept design serves every channel");
+                    Arc::new(serving.with_new_contents(&new, &dispersals)?)
+                }
+                // Dispersed here, off the hot path; payload bytes are
+                // independent of the channel layout, so a file reconstructs
+                // to identical bytes however the station is sharded.
+                _ => Arc::new(BroadcastServer::with_dispersals(
+                    &report.files,
+                    report.program.clone(),
+                    &dispersals,
+                    |f| {
+                        Some(match on_air(f) {
+                            Some(dispersed) => FileSource::Dispersed(dispersed),
+                            None => FileSource::Content(match contents.get(&f.id) {
+                                Some(stored) => stored.clone(),
+                                None => Bytes::from(BroadcastServer::synthetic_content(f)),
+                            }),
+                        })
+                    },
+                )?),
+            };
+            servers.push(server);
         }
 
         let mode = Mode {
@@ -175,6 +185,32 @@ impl Mode {
                 .is_some_and(|f| BroadcastServer::synthetic_content(f) == bytes),
         }
     }
+}
+
+/// One dispersal configuration per file of `files`: the one `current`
+/// serves the file with when its `(m, n)` and authentication still match,
+/// a fresh one otherwise.
+fn dispersals_of(
+    files: &FileSet,
+    authenticated: bool,
+    current: Option<&Mode>,
+) -> Result<BTreeMap<FileId, Arc<Dispersal>>, Error> {
+    let mut dispersals = BTreeMap::new();
+    for f in files.files() {
+        let (m, n) = (f.size_blocks as usize, f.dispersed_blocks as usize);
+        let reused = current
+            .and_then(|mode| mode.dispersals.get(&f.id))
+            .filter(|d| {
+                d.threshold() == m && d.total_blocks() == n && d.is_authenticated() == authenticated
+            });
+        let dispersal = match reused {
+            Some(d) => d.clone(),
+            None if authenticated => Arc::new(Dispersal::authenticated(m, n)?),
+            None => Arc::new(Dispersal::new(m, n)?),
+        };
+        dispersals.insert(f.id, dispersal);
+    }
+    Ok(dispersals)
 }
 
 /// Whether two stored payloads are the same buffer, not merely equal bytes.
@@ -213,17 +249,16 @@ fn merge_files(
 /// diff that no longer describes the air.
 #[derive(Debug, Clone)]
 pub struct PreparedMode {
-    pub(crate) next: Arc<Mode>,
     pub(crate) servers: Vec<Arc<BroadcastServer>>,
     pub(crate) transition: TransitionPlan,
-    pub(crate) resubscribe: BTreeMap<FileId, (usize, Arc<Dispersal>, LatencyVector)>,
+    pub(crate) handover: Handover,
     pub(crate) base_epoch: u64,
 }
 
 impl PreparedMode {
     /// The target mode's name.
     pub fn mode(&self) -> &str {
-        &self.next.name
+        &self.handover.to.name
     }
 
     /// The diff this preparation will execute.
@@ -233,23 +268,65 @@ impl PreparedMode {
 
     /// The target mode's verified per-channel designs.
     pub fn design(&self) -> &MultiChannelReport {
-        &self.next.design
+        &self.handover.to.design
     }
 
     /// The per-channel design reports of the target mode.
     pub fn reports(&self) -> &[DesignReport] {
-        &self.next.design.reports
+        &self.handover.to.design.reports
     }
 
     /// Files whose in-flight retrievals survive the swap by transparent
     /// re-subscription (identical dispersal parameters and contents).
     pub fn resubscribable(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.resubscribe.keys().copied()
+        let flips = |channel: usize| self.transition.channels[channel] != Unchanged;
+        let retained = self.transition.retained.iter().copied();
+        retained.filter(move |&file| self.handover.resubscription(file, flips).is_some())
     }
 
     /// `true` when swapping this mode in would change nothing on the air.
     pub fn is_noop(&self) -> bool {
         self.transition.is_noop()
+    }
+}
+
+/// What a swap hands in-flight retrievals across: the mode it leaves, the
+/// mode it installs, and the files whose bytes it replaces.  Built in O(1)
+/// beyond the replaced files; each retrieval's disposition is worked out
+/// when it asks ([`Handover::resubscription`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Handover {
+    pub(crate) from: Arc<Mode>,
+    pub(crate) to: Arc<Mode>,
+    /// Files whose explicitly supplied bytes differ from what `from` serves.
+    pub(crate) dirty: BTreeSet<FileId>,
+}
+
+impl Handover {
+    /// Transparent re-subscription of an in-flight retrieval of `file`
+    /// across the swap — `(new channel, new dispersal, new latency
+    /// vector)` — or `None` when the swap cancels it.  A retrieval carries
+    /// over when its channel flips (`flips`; one that does not was never
+    /// disturbed) and its file stays with identical dispersal parameters
+    /// and contents: the blocks it already collected stay valid under the
+    /// new program.
+    pub(crate) fn resubscription(
+        &self,
+        file: FileId,
+        flips: impl Fn(usize) -> bool,
+    ) -> Option<(usize, Arc<Dispersal>, LatencyVector)> {
+        let (from, to) = (&self.from, &self.to);
+        let (old, new) = (from.files.get(file)?, to.files.get(file)?);
+        let disturbed = flips(from.design.channel_of(file)?);
+        let compatible = old.size_blocks == new.size_blocks
+            && old.dispersed_blocks == new.dispersed_blocks
+            && old.block_bytes == new.block_bytes
+            && !self.dirty.contains(&file);
+        if !(disturbed && compatible) {
+            return None;
+        }
+        let channel = to.design.channel_of(file)?;
+        Some((channel, to.dispersals[&file].clone(), new.latencies.clone()))
     }
 }
 

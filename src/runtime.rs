@@ -101,11 +101,14 @@ impl RuntimeHandle {
         self.inner.unsubscribe(&client.inner);
     }
 
-    /// A clone of the serving station as of the next slot boundary — what
+    /// A clone of the serving station as of the last landed swap — what
     /// [`RuntimeHandle::prepare_mode`] designs against, and a window into
-    /// current routing/epochs for diagnostics.  Its program history reaches
-    /// back only to the retention floor ([`bdisk::EpochBank::retired_before`]):
-    /// slots below it read as `None`.
+    /// current routing/epochs for diagnostics.  The serving loop publishes
+    /// the station after each landed swap, before the swap's requester
+    /// hears back, so this clones what was published without waiting on
+    /// the serving thread.  Its program history reaches back only to the
+    /// retention floor ([`bdisk::EpochBank::retired_before`]): slots below
+    /// it read as `None`.
     pub fn snapshot(&self) -> Result<Station, Error> {
         self.inner.snapshot().map_err(facade_error)
     }

@@ -2,14 +2,13 @@
 //! bank of several, when the file set is sharded across parallel channels —
 //! whose per-channel programs can be *hot-swapped* between operating modes.
 
-use crate::mode::Mode;
+use crate::mode::{Handover, Mode};
 use crate::{Error, PreparedMode, Retrieval, RetrievalResolution, SwapReport};
 use bcore::{BdiskDesigner, DesignReport, GeneralizedFileSpec, ShardPlanner};
 use bdisk::{
-    BroadcastProgram, BroadcastServer, ChannelErrorModel, EpochBank, FileSet, LatencyVector,
-    TransmissionRef,
+    BroadcastProgram, BroadcastServer, ChannelErrorModel, EpochBank, FileSet, TransmissionRef,
 };
-use bmode::{diff, ChannelTransition, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
+use bmode::{diff, ChannelView, CurrentMode, ModePlanner, ModeSpec, SwapPolicy};
 use ida::{Dispersal, FileId};
 use pinwheel::Schedule;
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,15 +70,13 @@ pub(crate) struct Settings {
 
 /// One executed swap, kept so drivers can resolve in-flight retrievals that
 /// observe the epoch bump.  Flip *timing* lives in the bank's segment
-/// timeline; this record carries the per-file dispositions.
+/// timeline; this record carries what decides the per-file dispositions,
+/// which are worked out only for the retrievals that ask.
 #[derive(Debug, Clone)]
 struct SwapRecord {
     epoch: u64,
-    mode: String,
     flipped: BTreeSet<usize>,
-    /// Files whose in-flight retrievals transparently re-subscribe:
-    /// `file → (new channel, new dispersal, new latency vector)`.
-    resubscribe: BTreeMap<FileId, (usize, Arc<Dispersal>, LatencyVector)>,
+    handover: Handover,
 }
 
 impl Station {
@@ -114,6 +111,13 @@ impl Station {
             .current(channel)?
             .dispersed(file)?
             .commitment_root()
+    }
+
+    /// The dispersal configuration `file` is served with right now — the
+    /// one a [`Retrieval`] of it reconstructs with.  Shared by every mode
+    /// that keeps the file's `(m, n)`.  `None` for unknown files.
+    pub fn dispersal_of(&self, file: FileId) -> Option<&Arc<Dispersal>> {
+        self.mode.dispersals.get(&file)
     }
 
     /// The specifications this station's current mode was designed from.
@@ -258,7 +262,7 @@ impl Station {
         let unknown = || Error::UnknownFile(file);
         let channel = self.channel_of(file).ok_or_else(unknown)?;
         let f = self.mode.files.get(file).ok_or_else(unknown)?;
-        let dispersal = self.mode.dispersals.get(&file).ok_or_else(unknown)?;
+        let dispersal = self.dispersal_of(file).ok_or_else(unknown)?;
         let epoch = self.bank.current_epoch_of(channel).ok_or_else(unknown)?;
         Ok(Retrieval::new(
             file,
@@ -343,19 +347,19 @@ impl Station {
                 .map(|(id, _)| *id)
                 .collect(),
         };
-        let specs = mode.resolved_specs();
         // The designer is deterministic in the specifications, and every
         // mode is planned by the station's own shard planner and designer:
         // when the specifications are the ones the design on the air came
         // from, re-planning would reproduce it.  Anything else re-plans
         // through the same seams that built the station.
-        let (design, transition) = if specs == serving.specs {
+        let (specs, design, transition) = if mode.resolves_to(&serving.specs) {
             let transition = diff(&current, mode.name(), &serving.design);
-            (serving.design.clone(), transition)
+            (serving.specs.clone(), serving.design.clone(), transition)
         } else {
             let planner = ModePlanner::new(self.settings.channels, BdiskDesigner::default());
             let plan = planner.plan(&current, mode)?;
-            (Arc::new(plan.design), plan.transition)
+            let specs = mode.resolved_specs().into();
+            (specs, Arc::new(plan.design), plan.transition)
         };
         let (next, servers) = Mode::load(
             mode.name(),
@@ -365,42 +369,14 @@ impl Station {
             self.settings.authenticated,
             Some((self, &transition)),
         )?;
-
-        // Transparent re-subscription: files on flipped channels that keep
-        // their dispersal parameters and contents — their already-collected
-        // blocks stay valid under the new program.
-        let mut resubscribe = BTreeMap::new();
-        for file in &transition.retained {
-            let (Some(old_channel), Some(new_channel), Some(old), Some(new)) = (
-                self.channel_of(*file),
-                next.design.channel_of(*file),
-                serving.files.get(*file),
-                next.files.get(*file),
-            ) else {
-                continue;
-            };
-            // An unchanged channel was never disturbed: nothing to
-            // re-subscribe.
-            let disturbed = transition.channels[old_channel] != ChannelTransition::Unchanged;
-            let compatible = old.size_blocks == new.size_blocks
-                && old.dispersed_blocks == new.dispersed_blocks
-                && old.block_bytes == new.block_bytes
-                && !current.dirty.contains(file);
-            if disturbed && compatible {
-                let carried = (
-                    new_channel,
-                    next.dispersals[file].clone(),
-                    new.latencies.clone(),
-                );
-                resubscribe.insert(*file, carried);
-            }
-        }
-
         Ok(PreparedMode {
-            next: Arc::new(next),
             servers,
             transition,
-            resubscribe,
+            handover: Handover {
+                from: self.mode.clone(),
+                to: Arc::new(next),
+                dirty: current.dirty,
+            },
             base_epoch: self.bank.epoch(),
         })
     }
@@ -432,8 +408,13 @@ impl Station {
     /// the payloads it serves, stays readable for replays before the flip.
     /// Only a served station's runtime drops segments behind its retention
     /// floor, so a station that is only driven synchronously grows with
-    /// every swap — about 57 KB per content refresh of one 32 KiB file at
-    /// `(m, n) = (8, 10)`.
+    /// every swap — about 48 KB per content refresh of one 32 KiB file at
+    /// `(m, n) = (8, 10)`, most of it the new bytes and their coded blocks.
+    ///
+    /// The swap itself copies no per-file state: the bank keeps its routing
+    /// when no file moves, and the swap record keeps the two modes and the
+    /// replaced files, from which a retrieval's re-subscription is worked
+    /// out when it asks.
     pub fn swap(
         &mut self,
         prepared: PreparedMode,
@@ -456,13 +437,12 @@ impl Station {
             prepared.transition.changed_channels(),
             "the bank's Arc-identity diff must agree with the planned transition"
         );
+        self.mode = prepared.handover.to.clone();
         self.swaps.push(SwapRecord {
             epoch: applied.epoch,
-            mode: prepared.next.name.clone(),
             flipped: applied.flipped.iter().copied().collect(),
-            resubscribe: prepared.resubscribe,
+            handover: prepared.handover,
         });
-        self.mode = prepared.next;
         Ok(SwapReport {
             mode: self.mode.name.clone(),
             epoch: applied.epoch,
@@ -638,15 +618,16 @@ impl brt::Engine for Station {
                 mode: self.mode.name.clone(),
             };
         };
-        match record.resubscribe.get(&file) {
-            Some((new_channel, dispersal, latencies)) => brt::SwapNote::Retune {
-                channel: *new_channel,
+        let flips = |channel: usize| record.flipped.contains(&channel);
+        match record.handover.resubscription(file, flips) {
+            Some((channel, dispersal, latencies)) => brt::SwapNote::Retune {
+                channel,
                 epoch: record.epoch,
-                dispersal: dispersal.clone(),
-                latencies: latencies.clone(),
+                dispersal,
+                latencies,
             },
             None => brt::SwapNote::Cancel {
-                mode: record.mode.clone(),
+                mode: record.handover.to.name.clone(),
             },
         }
     }

@@ -19,7 +19,10 @@
 //! * **design reuse** — a target with the specifications on the air (a
 //!   content refresh) keeps the design on the air, which is what the
 //!   station's own planner would produce again; any other target goes
-//!   through the designer and gets the transition a fresh design gives.
+//!   through the designer and gets the transition a fresh design gives;
+//! * **sharing** — a content refresh copies nothing it keeps: every other
+//!   file is served by the very blocks, proofs, payloads and dispersal
+//!   configuration it was served by before.
 //!
 //! Case counts are tunable without code edits via the `RTBDISK_PROP_CASES`
 //! environment variable (default 64; CI runs 256).
@@ -33,6 +36,7 @@ use rtbdisk::{
     TransmissionRef,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Property-test depth: `RTBDISK_PROP_CASES` (default 64).
 fn prop_cases() -> usize {
@@ -572,6 +576,64 @@ fn a_swapped_in_mode_is_the_mode_a_fresh_build_produces() {
             at_slot,
             &format!("{context}, refreshed {}", dirty.id),
         );
+    }
+}
+
+#[test]
+fn a_content_refresh_copies_nothing_it_keeps() {
+    let mut rng = StdRng::seed_from_u64(0x5A4E);
+    for case in 0..prop_cases().div_ceil(2) {
+        let (layout, authenticated) = ([Some(1), Some(2)][case % 2], (case / 2) % 2 == 0);
+        let mut station = loop {
+            let n_files = rng.gen_range(2..=6);
+            let specs = random_specs(&mut rng, n_files, 0.6);
+            let mut fresh = builder(specs.clone(), layout, authenticated);
+            for (file, bytes) in random_contents(&mut rng, &specs, 0.5) {
+                fresh = fresh.content(file, bytes);
+            }
+            if let Ok(station) = fresh.build() {
+                break station;
+            }
+        };
+        let before = station.clone();
+        let specs = station.specs().to_vec();
+        let dirty = specs[rng.gen_range(0..specs.len())].clone();
+        let bytes = random_contents(&mut rng, std::slice::from_ref(&dirty), 1.0);
+        let refresh = ModeSpec::new("refresh").files(specs.clone());
+        let prepared = station.prepare_mode_with_contents(&refresh, bytes).unwrap();
+        station
+            .swap(prepared, rng.gen_range(0..50), SwapPolicy::Immediate)
+            .unwrap();
+
+        let context = format!(
+            "case {case} ({layout:?}, auth {authenticated}), refreshed {}",
+            dirty.id
+        );
+        let served = |station: &Station, file: FileId| {
+            let channel = station.channel_of(file).unwrap();
+            let server = station.bank().current(channel).unwrap();
+            server.dispersed(file).unwrap().clone()
+        };
+        for spec in &specs {
+            let (old, new) = (served(&before, spec.id), served(&station, spec.id));
+            if spec.id == dirty.id {
+                assert_ne!(old.blocks().as_ptr(), new.blocks().as_ptr(), "{context}");
+                continue;
+            }
+            let context = format!("{context}: file {}", spec.id);
+            assert_eq!(old.blocks().as_ptr(), new.blocks().as_ptr(), "{context}");
+            for (was, is) in old.blocks().iter().zip(new.blocks()) {
+                assert_eq!(was.payload().as_ptr(), is.payload().as_ptr(), "{context}");
+                match (was.proof(), is.proof()) {
+                    (Some(was), Some(is)) => assert!(Arc::ptr_eq(was, is), "{context}"),
+                    (was, is) => {
+                        assert!(was.is_none() && is.is_none() && !authenticated, "{context}")
+                    }
+                }
+            }
+            let (was, is) = (before.dispersal_of(spec.id), station.dispersal_of(spec.id));
+            assert!(Arc::ptr_eq(was.unwrap(), is.unwrap()), "{context}");
+        }
     }
 }
 

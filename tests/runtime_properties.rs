@@ -28,6 +28,10 @@
 //! * **retention** — a served station frees every swapped-out program no
 //!   reader can reach, while a parked reader's lag replay and a far-future
 //!   subscriber's swap notes stay exactly as they were;
+//! * **published snapshots** — a `snapshot()` taken once `swap_at` has
+//!   returned is the station after that swap and the retirement behind it,
+//!   read without a round trip to the serving thread, and a preparation
+//!   from before the swap is refused as stale;
 //! * **wall-clock smoke** — a real-time (`WallClock`) runtime completes a
 //!   multi-client retrieval with a scheduled swap firing at its planned
 //!   slot.
@@ -38,7 +42,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtbdisk::{
-    BernoulliErrors, Broadcast, ChannelErrorModel, ErrorModel, FileId, GeneralizedFileSpec,
+    BernoulliErrors, Broadcast, ChannelErrorModel, Error, ErrorModel, FileId, GeneralizedFileSpec,
     ManualClock, ModeSchedule, ModeSpec, NetConfig, NoErrors, RetrievalResolution, RuntimeConfig,
     RuntimeHandle, Station, SwapPolicy, TransmissionRef, WallClock,
 };
@@ -748,6 +752,63 @@ fn a_far_future_subscriber_retunes_through_refreshes_that_land_before_its_start(
             }
             other => panic!("case {case}: the far-future reader should retune, got {other:?}"),
         }
+        handle.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn snapshots_publish_each_landed_swap_and_its_retirement() {
+    let mut rng = StdRng::seed_from_u64(0xB2_13);
+    for case in 0..prop_cases().div_ceil(8).max(4) {
+        let station = random_station(&mut rng, [1, 2][case % 2]);
+        let files: Vec<FileId> = station.specs().iter().map(|s| s.id).collect();
+        let clock = ManualClock::new();
+        let handle = station.serve_concurrent(clock.clone());
+        // A subscriber far ahead of the cursor holds no slot floor, so the
+        // retirement behind a swap follows the swap's own flip.
+        let start = 1_000_000;
+        let client = handle.subscribe(files[0], start).unwrap();
+        let mut flip = 0;
+        for fill in 1..=3u8 {
+            release(&clock, &handle, rng.gen_range(0..=40));
+            let before = handle.snapshot().unwrap();
+            let file = files[rng.gen_range(0..files.len())];
+            let stale = {
+                let same = ModeSpec::new("stale").files(before.specs().to_vec());
+                let bytes = vec![!fill; before.files().get(file).unwrap().total_bytes()];
+                before.prepare_mode_with_contents(&same, BTreeMap::from([(file, bytes)]))
+            };
+            flip = refresh(&handle, file, fill);
+
+            // Published before `swap_at` returned: the new epoch and mode,
+            // and the history the swap retired is gone.
+            let after = handle.snapshot().unwrap();
+            let context = format!("case {case} refresh {fill}");
+            assert_eq!(after.epoch(), before.epoch() + 1, "{context}");
+            assert_eq!(after.mode(), format!("refresh-{fill}"), "{context}");
+            assert_eq!(after.bank().retired_before(), flip, "{context}");
+            if let Some(retired) = flip.checked_sub(1) {
+                assert!(after.transmit(retired).is_none(), "{context}");
+            }
+            let served = after.retrieve(file, flip, &mut NoErrors).unwrap().data;
+            assert!(served.iter().all(|&b| b == fill), "{context}");
+
+            // A preparation made before the swap no longer describes the air.
+            match handle.swap_at(stale.unwrap(), flip, SwapPolicy::Immediate) {
+                Err(Error::StalePreparation {
+                    prepared_epoch,
+                    current_epoch,
+                }) => {
+                    assert_eq!(prepared_epoch, before.epoch(), "{context}");
+                    assert_eq!(current_epoch, after.epoch(), "{context}");
+                }
+                other => panic!("{context}: a stale preparation swapped in: {other:?}"),
+            }
+            assert_eq!(handle.snapshot().unwrap().epoch(), after.epoch());
+        }
+        assert!(flip < start);
+        handle.unsubscribe(&client);
+        let _ = client.join();
         handle.shutdown().unwrap();
     }
 }
