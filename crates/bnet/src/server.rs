@@ -35,7 +35,7 @@
 //! The optional TCP control plane answers [`ControlFrame::Subscribe`] from
 //! a directory and serves slot-counter resyncs — a reliable convenience,
 //! not a requirement.  The directory is *derived*, never pushed: the
-//! serving loop tells the fan-out whenever the bank's mode changed
+//! runtime tells the fan-out whenever the bank's mode changed
 //! ([`SlotSink::mode_changed`]) and the fan-out brings it up to date, so
 //! every swap — scheduled, blocking, or through the bare runtime handle —
 //! is on the control plane before its requester hears it landed.  It

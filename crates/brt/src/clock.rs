@@ -107,9 +107,9 @@ impl SlotClock {
     }
 }
 
-/// A parkable wake-up flag: the serving thread waits on it between slots,
-/// and clocks / command senders poke it.  (A tiny hand-rolled event — the
-/// runtime is std-only by design.)
+/// A parkable wake-up flag: the serving thread waits on it between slots;
+/// clocks poke it, and so does a newly queued future-dated swap.  (A tiny
+/// hand-rolled event — the runtime is std-only by design.)
 #[derive(Debug, Default)]
 pub(crate) struct WakeSignal {
     poked: Mutex<bool>,
@@ -251,9 +251,10 @@ struct ManualState {
 
 /// A hand-cranked slot clock for deterministic tests and CI.
 ///
-/// Freshly created, *no* slot is due: the server parks immediately (and
-/// handles subscribe/swap commands while parked).  Each
-/// [`ManualClock::advance`] releases the next `n` slots.
+/// Freshly created, *no* slot is due: the server parks immediately (calls
+/// such as subscribe or a past-due swap still land while it is parked, on
+/// their callers' threads).  Each [`ManualClock::advance`] releases the
+/// next `n` slots.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
     state: Arc<Mutex<ManualState>>,

@@ -94,8 +94,8 @@ pub(crate) enum Tuning {
 /// slot (`lane_epoch`), and while the channel has flipped past it applies the
 /// first swap it has not seen — retune and re-evaluate on the new channel, or
 /// cancel.  The drivers differ only in how a note is fetched
-/// (`fetch_note(channel, epoch)`: inline from the engine, or a round-trip to
-/// the serving thread that can fail with `X`).
+/// (`fetch_note(channel, epoch)`: inline from the engine, or a call on the
+/// runtime's serving core that can fail with `X`).
 pub(crate) fn resolve_epoch<S: Subscriber, X>(
     subscriber: &mut S,
     lane_epoch: impl Fn(usize) -> Option<u64>,
@@ -160,8 +160,8 @@ pub trait Engine: Send + 'static {
     /// A snapshot the preparation thread can design against while the
     /// serving thread keeps transmitting (stale preparations are rejected
     /// by [`Engine::swap`]).  The runtime takes one when it starts and after
-    /// each landed swap, on the serving thread, and hands out clones of it,
-    /// so it should cost handles, not payloads.
+    /// each landed swap, under its serving core's lock, and hands out clones
+    /// of it, so it should cost handles, not payloads.
     fn snapshot(&self) -> Self
     where
         Self: Sized;

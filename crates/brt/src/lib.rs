@@ -27,7 +27,7 @@
 //!   that falls more than the ring's capacity behind self-accounts the
 //!   lost span as lag/erasures ([`Subscriber::erase`]); the server never
 //!   stalls on a slow client.  Every subscription is seated; notes come
-//!   from the serving thread over a reply channel carried in the request;
+//!   from the serving core, which every call locks on its caller's thread;
 //! * [`SwapScheduler`] — plays a [`bmode::ModeSchedule`] against a running
 //!   runtime: `prepare` off-thread, `swap` at the planned slot boundary;
 //! * [`SlotSink`] — the transport-facing fan-out hook: every served slot's
@@ -573,6 +573,113 @@ mod tests {
         assert_eq!(engine.bank.epoch_at(0, 20), Some(1));
     }
 
+    /// Records the thread every `mode_changed` ran on.
+    struct ModeWatch(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl SlotSink for ModeWatch {
+        fn publish(&mut self, _cell: &SlotCell) {}
+        fn mode_changed(&mut self, _bank: &EpochBank) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    type ModeLog = Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>;
+
+    /// A runtime with a [`ModeWatch`] sink under a parked `ManualClock`.
+    fn watched_runtime() -> (Runtime<BankEngine>, ManualClock, ModeLog) {
+        let modes = ModeLog::default();
+        let clock = ManualClock::new();
+        let runtime = Runtime::spawn_with_telemetry(
+            engine(),
+            clock.clone(),
+            RuntimeConfig::default(),
+            vec![Box::new(ModeWatch(modes.clone()))],
+            Telemetry::new(),
+        );
+        (runtime, clock, modes)
+    }
+
+    fn other_mode(runtime: &Runtime<BankEngine>) -> Vec<Arc<BroadcastServer>> {
+        runtime
+            .snapshot()
+            .unwrap()
+            .prepare(&ModeSpec::new("other").file(bcore_spec_stub()))
+            .unwrap()
+    }
+
+    fn wait_for(runtime: &Runtime<BankEngine>, done: impl Fn(RuntimeStats) -> bool) {
+        while !done(runtime.stats().unwrap()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_due_swap_lands_on_the_callers_thread() {
+        let (runtime, _clock, modes) = watched_runtime();
+        let here = std::thread::current().id();
+        assert_eq!(*modes.lock().unwrap(), [here], "announced at spawn");
+        // Slot 0 is the parked serving cursor, so the swap is due at once;
+        // the clock never moves, so no serving step can land it.
+        let prepared = other_mode(&runtime);
+        let epoch = runtime.swap_at(prepared, 0, SwapPolicy::Immediate).unwrap();
+        assert_eq!(epoch, 1);
+        assert_eq!(runtime.snapshot().unwrap().bank.epoch(), 1);
+        assert_eq!(
+            *modes.lock().unwrap(),
+            [here, here],
+            "one mode_changed, on the calling thread"
+        );
+        let registry = runtime.telemetry().registry();
+        assert_eq!(registry.counter("brt_swaps_applied").get(), 1);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_future_dated_swap_flips_at_its_planned_slot_once_the_clock_gets_there() {
+        let (runtime, clock, modes) = watched_runtime();
+        let prepared = other_mode(&runtime);
+        let controller = runtime.controller();
+        let swap =
+            std::thread::spawn(move || controller.swap_at(prepared, 10, SwapPolicy::Immediate));
+        wait_for(&runtime, |s| s.pending_swaps == 1);
+        clock.advance(9);
+        wait_for(&runtime, |s| s.slots_served >= 9);
+        // One slot short of its plan: still pending, the old mode on the air.
+        let stats = runtime.stats().unwrap();
+        assert_eq!((stats.pending_swaps, stats.swaps_applied), (1, 0));
+        assert_eq!(runtime.snapshot().unwrap().bank.epoch(), 0);
+        assert!(!swap.is_finished());
+        clock.advance(1);
+        assert_eq!(swap.join().unwrap().unwrap(), 1);
+        assert_eq!(modes.lock().unwrap().len(), 2);
+        let engine = runtime.shutdown().unwrap();
+        assert_eq!(engine.bank.frontier(), 10);
+        assert_eq!(engine.bank.epoch_at(0, 10), Some(1));
+    }
+
+    #[test]
+    fn a_past_due_swap_lands_after_a_pending_swap_whose_slot_the_cursor_passed() {
+        let (runtime, clock, modes) = watched_runtime();
+        let first = other_mode(&runtime);
+        let controller = runtime.controller();
+        let planned =
+            std::thread::spawn(move || controller.swap_at(first, 10, SwapPolicy::Immediate));
+        wait_for(&runtime, |s| s.pending_swaps == 1);
+        clock.advance(12);
+        wait_for(&runtime, |s| s.slots_served >= 12);
+        // The cursor moved past slot 10 under the core's lock, landing the
+        // planned swap on its way; one queued now for a slot behind both
+        // lands after it, whether or not its requester has woken yet.
+        let second = other_mode(&runtime);
+        let epoch = runtime.swap_at(second, 5, SwapPolicy::Immediate).unwrap();
+        assert_eq!(epoch, 2);
+        assert_eq!(planned.join().unwrap().unwrap(), 1);
+        assert_eq!(modes.lock().unwrap().len(), 3);
+        let engine = runtime.shutdown().unwrap();
+        assert_eq!(engine.bank.epoch(), 2);
+        assert_eq!(engine.bank.frontier(), 12);
+    }
+
     #[test]
     fn slow_consumers_lag_instead_of_stalling_the_server() {
         let clock = ManualClock::new();
@@ -640,7 +747,7 @@ mod tests {
     /// A runtime that has served slots `0..40` with a swap landed at slot 5,
     /// and one insatiable reader of the flipped channel parked inside slot 4
     /// with cell 5 already in its batch: the next thing it does on `resume`
-    /// is ask the serving thread for its swap note.
+    /// is ask the serving core for its swap note.
     fn reader_about_to_ask_for_a_note() -> (
         Runtime<BankEngine>,
         Subscription<BankTicket>,
@@ -700,12 +807,11 @@ mod tests {
 
     #[test]
     fn a_reader_wanting_a_swap_note_joins_when_unsubscribed_or_shut_down() {
-        // (a) Unsubscribed: the server has retired the reader by the time
-        // its request arrives, so it drops the reply sender unanswered and
-        // the reader, blocked on that reply, stops.
+        // (a) Unsubscribed: the core has retired the reader by the time it
+        // asks, so it gets no note and stops.
         let (runtime, sub, resume) = reader_about_to_ask_for_a_note();
         runtime.unsubscribe(&sub);
-        // The stats round-trip orders after the unsubscribe.
+        // Unsubscribe is a call on the core: it has landed once it returns.
         assert_eq!(runtime.stats().unwrap().active_subscribers, 0);
         resume.send(()).unwrap();
         let ticket = join_within_budget(sub);
@@ -714,8 +820,8 @@ mod tests {
         assert_eq!(runtime.stats().unwrap().cancelled, 0);
         runtime.shutdown().unwrap();
 
-        // (b) Shut down: the serving thread and its command queue are gone
-        // by the time the reader asks.
+        // (b) Shut down: the serving core is gone by the time the reader
+        // asks.
         let (runtime, sub, resume) = reader_about_to_ask_for_a_note();
         let engine = runtime.shutdown().unwrap();
         assert_eq!(engine.bank.epoch_at(0, 5), Some(1));

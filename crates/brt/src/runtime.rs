@@ -5,41 +5,55 @@
 //! ## Architecture
 //!
 //! ```text
-//!              commands (subscribe / lag / note / swap / stats / shutdown)
-//!   Runtime ────────────────────────────────────────────┐
-//!      │                                                ▼
-//!      │ spawn                                   ┌─────────────┐
-//!      ├──────────────────────────────────────▶  │ server loop │ owns the Engine
-//!      │                                         └──────┬──────┘
-//!      │                                                │ each cell ──▶ every SlotSink
-//!      │ subscribe_with(..)                             │ then the run, once
-//!      ▼                                                ▼
+//!          calls (subscribe / unsubscribe / lag / note / swap / stats)
+//!   Runtime ─────────────────────────────────────────────────┐
+//!      │                                                     ▼
+//!      │ spawn       ┌─────────────┐  locks once   ┌──────────────────┐
+//!      ├───────────▶ │ server loop │ ──per step──▶ │ core: engine,    │
+//!      │             └──────┬──────┘               │ subscribers,     │
+//!      │                    │                      │ swaps, sinks,    │
+//!      │                    │ each cell ──▶ every  │ serving cursor   │
+//!      │                    │ SlotSink, then the   └──────────────────┘
+//!      │ subscribe_with(..) │ run, once
+//!      ▼                    ▼
 //!   Subscription ◀── client task ◀─ cursor ─▶ [ BroadcastRing ] ◀─ cursor ─ …
 //! ```
 //!
+//! * One **serving core** behind one lock holds the engine, the subscriber
+//!   table, the pending swaps, the sinks and the serving cursor.  The
+//!   serving loop locks it once per step and holds it across the whole run
+//!   it serves; every other operation — subscribe, unsubscribe, a reader's
+//!   lag or note request, stats, a swap — is a plain call that locks it on
+//!   the caller's own thread, and so lands at a run boundary.  Locks are
+//!   taken in the order core → ring → published engine (or a sink's own
+//!   state); nothing takes the core while holding the ring.
 //! * The **server loop** waits on the [`SlotClock`] for a run of ready
-//!   slots, applies any swap whose planned slot has arrived, and advances
-//!   the run one of two ways.  When nothing can observe it (no live
-//!   subscriber, no sink) the ring skips it.  Otherwise it is served:
-//!   each slot's lanes are snapshotted into one [`SlotCell`]; each cell,
-//!   in slot order, goes to every [`SlotSink`] and is then counted in
+//!   slots and advances the run one of two ways.  When nothing can observe
+//!   it (no live subscriber, no sink) the ring skips it.  Otherwise it is
+//!   served: each slot's lanes are snapshotted into one [`SlotCell`]; each
+//!   cell, in slot order, goes to every [`SlotSink`] and is then counted in
 //!   `brt_slots_served`; and the run is published to the [`BroadcastRing`]
 //!   under one lock with one wake of the readers it satisfies —
-//!   independent of the fleet size.  The server never touches
+//!   independent of the fleet size.  Then the cursor moves and every swap
+//!   whose planned slot it reached lands, before the core is unlocked: no
+//!   swap is ever due while the core is free.  The server never touches
 //!   per-subscriber state on the data path.
 //! * Each **client task** holds a cursor into the ring, resolves its own
 //!   epoch transitions against the published lane epochs, samples its own
 //!   reception-error process, and feeds its retrieval.  A reader that falls
 //!   more than the ring's capacity behind observes the overwrite and
-//!   self-accounts the skipped span as lag/erasures (the server replays the
+//!   self-accounts the skipped span as lag/erasures (the core replays the
 //!   span's schedule off the data path to count exactly which dropped slots
 //!   carried the subscriber's file).
-//! * Swap notes are requested by the reader at the exact cell where it
-//!   observes its channel's epoch move and answered on a reply channel
-//!   inside the request — so a subscriber applies a mode transition at
-//!   precisely the right point of its delivery stream and epochs never
-//!   desync.  A departed subscriber or a shut-down server drops the reply
-//!   sender, which ends the waiting reader.
+//! * Swap notes are requested by the reader from the core at the exact cell
+//!   where it observes its channel's epoch move — so a subscriber applies a
+//!   mode transition at precisely the right point of its delivery stream
+//!   and epochs never desync.  A departed subscriber or a shut-down runtime
+//!   gets no note, which ends the reader.
+//! * A swap whose planned slot the cursor has reached **lands on the
+//!   calling thread**, under the core lock.  Only a future-dated swap waits
+//!   for the serving loop to reach its slot; it and shutdown are the only
+//!   things that wake a parked server.
 //! * Only the runtime knows who can still read, so after each landed swap
 //!   it hands the engine a **retention floor** ([`Engine::retire`]): the
 //!   earliest slot a live reader may replay and the oldest epoch one is
@@ -48,7 +62,7 @@
 //! * Then it **publishes** a snapshot of the engine, before the swap's
 //!   requester hears back: only swaps change the engine, so
 //!   [`RuntimeController::snapshot`] clones the published one instead of
-//!   asking the serving thread.
+//!   waiting for the core, which a serving run may hold.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
 use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
@@ -60,8 +74,8 @@ use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
 use ida::FileId;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, LockResult, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,10 +84,10 @@ use std::time::{Duration, Instant};
 /// small enough that detach/close checks stay prompt.
 const READ_BATCH: usize = 256;
 
-/// Ready slots the serving loop transmits per command-queue poll while no
-/// swap is pending: long enough to amortise the poll out of the per-slot
-/// cost when the clock free-runs, short enough that a command waits at
-/// most a few microseconds' worth of slots for its boundary.
+/// Ready slots the serving loop transmits per hold of the serving core
+/// while no swap is pending: long enough to amortise the lock and the clock
+/// query out of the per-slot cost when the clock free-runs, short enough
+/// that a call waits at most one such burst for its boundary.
 const SERVE_BURST: usize = 64;
 
 /// Tunables of a [`Runtime`].
@@ -165,65 +179,50 @@ impl<EE: core::fmt::Display> core::fmt::Display for RuntimeError<EE> {
 
 impl<EE: core::fmt::Debug + core::fmt::Display> std::error::Error for RuntimeError<EE> {}
 
-/// What a successful `Command::Subscribe` replies with: the runtime-assigned
-/// subscriber id, the engine's ticket, and the server's serving cursor at
-/// registration (slots before it are gone — a broadcast does not rewind).
+/// What a successful subscribe returns: the runtime-assigned subscriber id,
+/// the engine's ticket, and the serving cursor at registration (slots
+/// before it are gone — a broadcast does not rewind).
 type Seat<E> = (u64, <E as Engine>::Ticket, usize);
 
-enum Command<E: Engine> {
-    Subscribe {
-        file: FileId,
-        at_slot: usize,
-        counters: Arc<SubscriberCounters>,
-        detached: Arc<AtomicBool>,
-        reply: mpsc::Sender<Result<Seat<E>, E::Error>>,
-    },
-    Unsubscribe {
-        id: u64,
-    },
-    Resolved {
-        id: u64,
-        cancelled: bool,
-    },
-    /// A reader found its cursor overwritten: account slots `[from, to)` on
-    /// its tuned `(channel, epoch)` as lag, off the data path.
-    Lag {
-        id: u64,
-        channel: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        reply: mpsc::Sender<(u64, u64)>,
-    },
-    /// A reader observed its channel's epoch move past `epoch`: reply with
-    /// the engine's disposition (retune or cancel).  The reply sender is
-    /// dropped unanswered when the subscriber has departed.
-    Note {
-        id: u64,
-        channel: usize,
-        epoch: u64,
-        reply: mpsc::Sender<SwapNote>,
-    },
-    Swap {
-        prepared: E::Prepared,
-        at_slot: usize,
-        policy: SwapPolicy,
-        reply: mpsc::Sender<Result<E::Report, E::Error>>,
-    },
-    Stats {
-        reply: mpsc::Sender<RuntimeStats>,
-    },
-    Shutdown,
-}
-
-/// The engine as of the last landed swap, published by the serving loop for
-/// [`RuntimeController::snapshot`]; `None` once the loop has ended.
+/// The engine as of the last landed swap, published by the serving core for
+/// [`RuntimeController::snapshot`]; `None` once serving has ended.
 type Published<E> = Arc<Mutex<Option<E>>>;
 
-/// A cheap, cloneable handle for talking to a running server loop — what
+/// The serving core behind its lock (`None` once serving has ended), with
+/// a count of the calls that asked for it and of those it admitted.  A
+/// serving loop that finds calls waiting steps aside between runs until
+/// they are in: std's mutex is not fair, and a loop that relocked at once
+/// would starve them while the clock runs ahead of it.
+struct Shared<E: Engine> {
+    core: Mutex<Option<Core<E>>>,
+    asked: AtomicU64,
+    admitted: AtomicU64,
+}
+
+impl<E: Engine> Shared<E> {
+    /// Locks the core, queueing behind any run the serving loop holds it
+    /// for.  Poisoned once a panic (a sink's, say) left it half-stepped.
+    fn lock(&self) -> LockResult<MutexGuard<'_, Option<Core<E>>>> {
+        self.asked.fetch_add(1, Ordering::AcqRel);
+        let core = self.core.lock();
+        self.admitted.fetch_add(1, Ordering::AcqRel);
+        core
+    }
+
+    /// Yields until every call that asked for the core before now has had
+    /// it; later calls do not hold the serving loop up.
+    fn let_waiting_calls_in(&self) {
+        let asked = self.asked.load(Ordering::Acquire);
+        while self.admitted.load(Ordering::Acquire) < asked {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A cheap, cloneable handle on a running runtime's serving core — what
 /// the [`crate::SwapScheduler`] and client tasks hold.
 pub struct RuntimeController<E: Engine> {
-    commands: mpsc::Sender<Command<E>>,
+    shared: Arc<Shared<E>>,
     waker: Arc<WakeSignal>,
     published: Published<E>,
 }
@@ -231,7 +230,7 @@ pub struct RuntimeController<E: Engine> {
 impl<E: Engine> Clone for RuntimeController<E> {
     fn clone(&self) -> Self {
         RuntimeController {
-            commands: self.commands.clone(),
+            shared: self.shared.clone(),
             waker: self.waker.clone(),
             published: self.published.clone(),
         }
@@ -239,35 +238,26 @@ impl<E: Engine> Clone for RuntimeController<E> {
 }
 
 impl<E: Engine> RuntimeController<E> {
-    fn send(&self, command: Command<E>) -> Result<(), RuntimeError<E::Error>> {
-        self.commands
-            .send(command)
-            .map_err(|_| RuntimeError::Closed)?;
-        self.waker.wake();
-        Ok(())
-    }
-
-    /// Sends the command `build` makes around a fresh reply sender and waits
-    /// for the serving thread's answer.  Fails when the runtime is gone, or
-    /// when the server dropped the request unanswered (a note request of a
-    /// departed subscriber, or anything still queued at shutdown).
-    fn ask<R>(
+    /// Runs `call` on the serving core, on the calling thread, between two
+    /// of the serving loop's runs.  Fails once the runtime has shut down
+    /// (or a panic poisoned the core).
+    fn with_core<R>(
         &self,
-        build: impl FnOnce(mpsc::Sender<R>) -> Command<E>,
+        call: impl FnOnce(&mut Core<E>) -> R,
     ) -> Result<R, RuntimeError<E::Error>> {
-        let (reply, answer) = mpsc::channel();
-        self.send(build(reply))?;
-        answer.recv().map_err(|_| RuntimeError::Closed)
+        let mut core = self.shared.lock().map_err(|_| RuntimeError::Closed)?;
+        core.as_mut().map(call).ok_or(RuntimeError::Closed)
     }
 
     /// A clone of the engine as of the last landed swap — what a
-    /// preparation thread designs the next mode against.  The serving loop
-    /// publishes its engine when it starts and after each landed swap (and
-    /// the retirement that follows it), before the swap's requester hears
-    /// back, so this never waits on the serving thread: it clones what was
-    /// published.  Nothing but a swap changes what a preparation reads, and
-    /// a preparation from before a later swap is still refused by the
-    /// engine's own staleness check.  Fails once the runtime has shut down.
+    /// preparation thread designs against.  The serving core publishes its
+    /// engine when it starts and after each landed swap (and the retirement
+    /// that follows it), before the swap's requester hears back, so this
+    /// never waits for the core, which a serving run may hold: it clones
+    /// what was published.  Nothing but a swap changes what a preparation
+    /// reads, and a preparation from before a later swap is still refused
+    /// by the engine's own staleness check.  Fails once the runtime has
+    /// shut down.
     pub fn snapshot(&self) -> Result<E, RuntimeError<E::Error>> {
         let published = self.published.lock().expect("published engine lock");
         published
@@ -277,26 +267,36 @@ impl<E: Engine> RuntimeController<E> {
     }
 
     /// Schedules `prepared` to be swapped in when the serving loop reaches
-    /// `at_slot` (immediately, if it is already past it) and blocks until
-    /// the swap was applied, returning the engine's report.
+    /// `at_slot` and blocks until the swap was applied, returning the
+    /// engine's report.  A swap whose slot the serving cursor has reached
+    /// lands on the calling thread, under the serving core's lock, exactly
+    /// as the serving loop would land it (announced to the sinks, history
+    /// retired, the engine published) — so it costs the swap's own work,
+    /// even while the clock is parked.  A future-dated swap wakes the
+    /// serving loop, which lands it exactly at its planned slot.
     pub fn swap_at(
         &self,
         prepared: E::Prepared,
         at_slot: usize,
         policy: SwapPolicy,
     ) -> Result<E::Report, RuntimeError<E::Error>> {
-        self.ask(|reply| Command::Swap {
-            prepared,
-            at_slot,
-            policy,
-            reply,
-        })?
-        .map_err(RuntimeError::Engine)
+        let (reply, answer) = mpsc::channel();
+        let landed = self.with_core(|core| core.queue_swap(prepared, at_slot, policy, reply))?;
+        if !landed {
+            // A pending swap forces slot-at-a-time serving from the next
+            // step on.
+            self.waker.wake();
+        }
+        answer
+            .recv()
+            .map_err(|_| RuntimeError::Closed)?
+            .map_err(RuntimeError::Engine)
     }
 
-    /// Fleet-level counters as of the next command-processing point.
+    /// Fleet-level counters, read under the serving core's lock: at a run
+    /// boundary, once the ring holds every slot they count.
     pub fn stats(&self) -> Result<RuntimeStats, RuntimeError<E::Error>> {
-        self.ask(|reply| Command::Stats { reply })
+        self.with_core(|core| core.stats())
     }
 }
 
@@ -351,7 +351,7 @@ pub struct Runtime<E: Engine> {
     config: RuntimeConfig,
     ring: Arc<BroadcastRing>,
     telemetry: Telemetry,
-    /// The serving loop's `brt_slots_served`, read without a round-trip.
+    /// The serving loop's `brt_slots_served`, read without the core lock.
     slots_served: Counter,
     server: Option<JoinHandle<E>>,
 }
@@ -404,22 +404,33 @@ impl<E: Engine> Runtime<E> {
         clock.register_waker(waker.clone());
         let ring = Arc::new(BroadcastRing::new(config.queue_capacity));
         let published = Arc::new(Mutex::new(Some(engine.snapshot())));
-        let (tx, rx) = mpsc::channel();
+        let shared = Arc::new(Shared {
+            core: Mutex::new(Some(Core {
+                engine,
+                slot: 0,
+                next_id: 0,
+                next_seq: 0,
+                subscribers: BTreeMap::new(),
+                pending: Vec::new(),
+                sinks,
+                fleet: FleetMetrics::new(telemetry.registry()),
+                telemetry: telemetry.clone(),
+                ring: ring.clone(),
+                published: published.clone(),
+            })),
+            asked: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+        });
         let server = {
-            let clock = clock.clone();
-            let waker = waker.clone();
-            let (ring, telemetry, published) = (ring.clone(), telemetry.clone(), published.clone());
+            let (shared, clock, waker) = (shared.clone(), clock.clone(), waker.clone());
             std::thread::Builder::new()
                 .name("brt-server".to_string())
-                .spawn(move || {
-                    let state = ServerState::new(ring, telemetry, published);
-                    server_loop(engine, clock, waker, rx, state, sinks)
-                })
+                .spawn(move || server_loop(&shared, &clock, &waker))
                 .expect("the broadcast server thread spawns")
         };
         Runtime {
             controller: RuntimeController {
-                commands: tx,
+                shared,
                 waker,
                 published,
             },
@@ -451,10 +462,10 @@ impl<E: Engine> Runtime<E> {
     /// counter [`RuntimeStats::slots_served`] reads too.  A slot counts once
     /// every sink has it, before its run reaches the ring, so a reader that
     /// sees it served also sees what the sinks counted for it.  Unlike
-    /// [`Runtime::stats`] this never round-trips a command through the
-    /// serving thread, so it is safe to poll tightly (a stats round-trip per
-    /// poll preempts the server it is watching); a stats answer comes at a
-    /// run boundary, once the ring holds every slot it counts.
+    /// [`Runtime::stats`] this never takes the serving core's lock, so it is
+    /// safe to poll tightly (a stats call per poll makes the serving loop
+    /// step aside for it between runs); a stats answer comes at a run
+    /// boundary, once the ring holds every slot it counts.
     pub fn slots_served(&self) -> u64 {
         self.slots_served.get()
     }
@@ -479,13 +490,7 @@ impl<E: Engine> Runtime<E> {
         let detached = Arc::new(AtomicBool::new(false));
         let (id, ticket, start_slot) = self
             .controller
-            .ask(|reply| Command::Subscribe {
-                file,
-                at_slot,
-                counters: counters.clone(),
-                detached: detached.clone(),
-                reply,
-            })?
+            .with_core(|core| core.subscribe(file, at_slot, counters.clone(), detached.clone()))?
             .map_err(RuntimeError::Engine)?;
         let cursor = ticket.request_slot().max(start_slot);
         let controller = self.controller.clone();
@@ -508,9 +513,9 @@ impl<E: Engine> Runtime<E> {
     /// Detaches a subscription from the broadcast: its detach flag is
     /// raised and its client task finishes without further deliveries.
     pub fn unsubscribe<T>(&self, subscription: &Subscription<T>) {
-        let _ = self.controller.send(Command::Unsubscribe {
-            id: subscription.id,
-        });
+        let _ = self
+            .controller
+            .with_core(|core| core.retire(subscription.id, true));
     }
 
     /// See [`RuntimeController::snapshot`].
@@ -537,7 +542,6 @@ impl<E: Engine> Runtime<E> {
     /// subscriber) and returns the engine, so serving can resume later —
     /// synchronously or under a fresh runtime.
     pub fn shutdown(mut self) -> Result<E, RuntimeError<E::Error>> {
-        let _ = self.controller.send(Command::Shutdown);
         self.clock.close();
         let server = self.server.take().expect("shutdown runs at most once");
         server.join().map_err(|_| RuntimeError::Closed)
@@ -547,7 +551,6 @@ impl<E: Engine> Runtime<E> {
 impl<E: Engine> Drop for Runtime<E> {
     fn drop(&mut self) {
         if self.server.is_some() {
-            let _ = self.controller.send(Command::Shutdown);
             self.clock.close();
         }
     }
@@ -621,36 +624,57 @@ impl FleetMetrics {
     }
 }
 
-/// Everything the server loop owns besides the engine and the clock.
-struct ServerState<E: Engine> {
+/// The serving core: everything the serving loop and the controllers share,
+/// behind one lock.  The serving loop holds it across each run it serves;
+/// every other operation is a call on it from its caller's thread, landing
+/// at a run boundary.
+struct Core<E: Engine> {
+    engine: E,
+    /// The serving cursor: the next slot to serve.
+    slot: usize,
     next_id: u64,
     next_seq: u64,
     subscribers: BTreeMap<u64, Entry>,
     pending: Vec<PendingSwap<E>>,
+    sinks: Vec<Box<dyn SlotSink>>,
     fleet: FleetMetrics,
     telemetry: Telemetry,
     ring: Arc<BroadcastRing>,
     published: Published<E>,
 }
 
-impl<E: Engine> ServerState<E> {
-    fn new(ring: Arc<BroadcastRing>, telemetry: Telemetry, published: Published<E>) -> Self {
-        ServerState {
-            next_id: 0,
-            next_seq: 0,
-            subscribers: BTreeMap::new(),
-            pending: Vec::new(),
-            fleet: FleetMetrics::new(telemetry.registry()),
-            telemetry,
-            ring,
-            published,
-        }
-    }
-
-    /// Makes `engine` what [`RuntimeController::snapshot`] clones (`None`
-    /// once serving has ended).
-    fn publish(&self, engine: Option<E>) {
-        *self.published.lock().expect("published engine lock") = engine;
+impl<E: Engine> Core<E> {
+    /// Seats a subscriber of `file` from `at_slot` on, if the engine issues
+    /// it a ticket.
+    fn subscribe(
+        &mut self,
+        file: FileId,
+        at_slot: usize,
+        counters: Arc<SubscriberCounters>,
+        detached: Arc<AtomicBool>,
+    ) -> Result<Seat<E>, E::Error> {
+        let ticket = self.engine.subscribe(file, at_slot)?;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.subscribers.insert(
+            id,
+            Entry {
+                file,
+                epoch: ticket.epoch(),
+                start: ticket.request_slot().max(self.slot),
+                counters,
+                detached,
+            },
+        );
+        self.fleet.total_subscriptions.inc();
+        self.fleet
+            .active_subscribers
+            .set(self.subscribers.len() as i64);
+        self.telemetry.record_event(|| Event::SubscriberAdmitted {
+            id,
+            file: file.0 as u64,
+        });
+        Ok((id, ticket, self.slot))
     }
 
     /// Removes a subscriber, raising its detach flag so its reader stops.
@@ -672,278 +696,280 @@ impl<E: Engine> ServerState<E> {
         Some(entry)
     }
 
-    /// The oldest history a live reader can still ask about, with `slot`
-    /// the serving slot: no reader replays a slot below the earliest
-    /// starting cursor, and none asks for the note of a swap at or below
-    /// the oldest tuned epoch.  A reader admitted later starts at or after
-    /// the serving slot, tuned to the latest mode (`latest_epoch` when
-    /// nobody is live).
-    fn retention_floor(&self, slot: usize, latest_epoch: u64) -> (usize, u64) {
+    /// A reader completed its own retrieval.
+    fn complete(&mut self, id: u64) {
+        if self.retire(id, false).is_some() {
+            self.fleet.completed.inc();
+            self.telemetry.record_event(|| Event::SubscriberResolved {
+                id,
+                cancelled: false,
+            });
+        }
+    }
+
+    /// A reader found its cursor overwritten: books slots `[from, to)` on
+    /// its tuned `(channel, epoch)` as lag and returns the counts.  The
+    /// span's schedule is replayed to count exactly what the reader missed
+    /// — off the data path, so only lagging subscribers pay for it.
+    /// Departed subscribers book nothing.
+    fn lag(&self, id: u64, channel: usize, epoch: u64, from: usize, to: usize) -> (u64, u64) {
+        let Some(entry) = self.subscribers.get(&id) else {
+            return (0, 0);
+        };
+        let lagged = replay_lag(&self.engine, entry.file, channel, epoch, from, to);
+        entry.counters.lagged_slots.add(lagged.0);
+        entry.counters.lag_erasures.add(lagged.1);
+        self.fleet.lagged_slots.add(lagged.0);
+        self.fleet.lag_erasures.add(lagged.1);
+        self.telemetry.record_event(|| Event::SubscriberLagged {
+            id,
+            from_slot: from as u64,
+            to_slot: to as u64,
+        });
+        lagged
+    }
+
+    /// A reader observed its channel's epoch move past `epoch`: the
+    /// engine's disposition (retune or cancel), or `None` when the
+    /// subscriber has departed.  A cancel retires it.
+    fn note(&mut self, id: u64, channel: usize, epoch: u64) -> Option<SwapNote> {
+        let entry = self.subscribers.get_mut(&id)?;
+        let note = self.engine.note_for(entry.file, channel, epoch);
+        if let SwapNote::Retune { epoch, .. } = &note {
+            entry.epoch = *epoch;
+        } else {
+            self.retire(id, true);
+            self.fleet.cancelled.inc();
+            self.telemetry.record_event(|| Event::SubscriberResolved {
+                id,
+                cancelled: true,
+            });
+        }
+        Some(note)
+    }
+
+    /// Queues a swap planned for `at_slot`, whose result goes to `reply`,
+    /// and lands it at once when the serving cursor has reached its slot.
+    /// Returns whether it landed.
+    fn queue_swap(
+        &mut self,
+        prepared: E::Prepared,
+        at_slot: usize,
+        policy: SwapPolicy,
+        reply: mpsc::Sender<Result<E::Report, E::Error>>,
+    ) -> bool {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push(PendingSwap {
+            at_slot,
+            seq,
+            policy,
+            prepared,
+            reply,
+        });
+        self.fleet.pending_swaps.set(self.pending.len() as i64);
+        self.telemetry.record_event(|| Event::SwapPrepared {
+            at_slot: at_slot as u64,
+        });
+        let due = at_slot <= self.slot;
+        if due {
+            self.apply_due_swaps();
+        }
+        due
+    }
+
+    fn stats(&self) -> RuntimeStats {
+        RuntimeStats {
+            slots_served: self.fleet.slots_served.get(),
+            active_subscribers: self.subscribers.len(),
+            total_subscriptions: self.fleet.total_subscriptions.get(),
+            completed: self.fleet.completed.get(),
+            cancelled: self.fleet.cancelled.get(),
+            lagged_slots: self.fleet.lagged_slots.get(),
+            lag_erasures: self.fleet.lag_erasures.get(),
+            swaps_applied: self.fleet.swaps_applied.get(),
+            pending_swaps: self.pending.len(),
+        }
+    }
+
+    /// The oldest history a live reader can still ask about: no reader
+    /// replays a slot below the earliest starting cursor, and none asks for
+    /// the note of a swap at or below the oldest tuned epoch.  A reader
+    /// admitted later starts at or after the serving cursor, tuned to the
+    /// latest mode (the bank's epoch when nobody is live).
+    fn retention_floor(&self) -> (usize, u64) {
         let live = self.subscribers.values();
-        let slot = live.clone().map(|e| e.start).fold(slot, usize::min);
-        let epoch = live.map(|e| e.epoch).min().unwrap_or(latest_epoch);
+        let slot = live.clone().map(|e| e.start).fold(self.slot, usize::min);
+        let epoch = live
+            .map(|e| e.epoch)
+            .min()
+            .unwrap_or_else(|| self.engine.bank().epoch());
         (slot, epoch)
+    }
+
+    /// Applies every pending swap whose planned slot the serving cursor has
+    /// reached, in planned order (FIFO among equal slots), *before* the
+    /// cursor's slot is transmitted — so a swap planned for slot `s` flips
+    /// exactly at `s` when it was queued ahead of time, and at the cursor
+    /// when it arrived late.  Every landed swap is announced to the sinks
+    /// ([`SlotSink::mode_changed`]) before its requester hears back, and
+    /// lets the engine retire what the live fleet can no longer read
+    /// ([`Engine::retire`]) — so a station refreshed without end holds no
+    /// more history than its readers need.  Then the engine is published
+    /// for [`RuntimeController::snapshot`], still before the reply.
+    fn apply_due_swaps(&mut self) {
+        let slot = self.slot;
+        loop {
+            let due = self
+                .pending
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.at_slot <= slot)
+                .min_by_key(|(_, p)| (p.at_slot, p.seq))
+                .map(|(i, _)| i);
+            let Some(index) = due else { return };
+            let swap = self.pending.remove(index);
+            self.fleet.pending_swaps.set(self.pending.len() as i64);
+            let result = self.engine.swap(swap.prepared, slot, swap.policy);
+            if result.is_ok() {
+                self.fleet.swaps_applied.inc();
+                self.telemetry.record_event(|| Event::SwapLanded {
+                    at_slot: slot as u64,
+                });
+                for sink in self.sinks.iter_mut() {
+                    sink.mode_changed(self.engine.bank());
+                }
+                let (floor_slot, floor_epoch) = self.retention_floor();
+                self.engine.retire(floor_slot, floor_epoch);
+                *self.published.lock().expect("published engine lock") =
+                    Some(self.engine.snapshot());
+            }
+            let _ = swap.reply.send(result);
+        }
+    }
+
+    /// One step of the serving loop on a ready clock: serves (or skips) the
+    /// run of ready slots at the cursor, moves the cursor past it and lands
+    /// every swap the cursor reached — so no swap is due while the core is
+    /// unlocked.
+    fn serve_ready(&mut self, clock: &SlotClock) {
+        let slot = self.slot;
+        // One clock query sizes a whole burst of due slots; nothing can
+        // change the engine or the fleet while the core is held, so the
+        // burst serves in one hold.  The cap bounds how long a call waits
+        // for its boundary, and a pending swap forces slot-at-a-time
+        // serving so it lands exactly at its planned slot.
+        let run = if self.pending.is_empty() {
+            clock.ready_run(slot).clamp(1, SERVE_BURST)
+        } else {
+            1
+        };
+        if self.subscribers.is_empty() && self.sinks.is_empty() {
+            // Nothing can observe these slots — no subscriber is live, no
+            // sink is attached, and a later subscriber's cursor starts no
+            // earlier than the serving slot.  Advance past the run instead
+            // of snapshotting cells nobody can ever read.
+            self.ring.skip_run(slot, run);
+            self.fleet.slots_served.add(run as u64);
+            self.telemetry.record_event(|| Event::SlotsSkipped {
+                from_slot: slot as u64,
+                slots: run as u64,
+            });
+        } else {
+            self.serve_run(slot..slot + run, clock);
+        }
+        self.slot += run;
+        self.apply_due_swaps();
+    }
+
+    /// Serves the slots of `run`, the one way every observable slot goes
+    /// out: each is snapshotted into one [`SlotCell`]; then, in slot order,
+    /// each cell is handed to every sink and only then counted served; then
+    /// the whole run is published onto the broadcast ring under one lock
+    /// and its readers are woken once.  A ring reader never sees a slot the
+    /// sinks have not, and the served count never runs ahead of what the
+    /// sinks sent — slot by slot, so a pacer reading it sees progress
+    /// inside a run.
+    ///
+    /// Phases and lateness are booked per run: cell build `[t0, t1)`, sinks
+    /// and ring publish `[t1, t2)`, cohort wakeup `[t2, t3)`, and every
+    /// slot's lateness as of the run's publish.  They are recorded only
+    /// while recording is on and the clock has deadlines, so a
+    /// `ManualClock` run records nothing nondeterministic.
+    fn serve_run(&mut self, run: Range<usize>, clock: &SlotClock) {
+        let timed = self.telemetry.recording() && clock.slot_lateness(run.start).is_some();
+        let t0 = timed.then(Instant::now);
+        let cells: Vec<Arc<SlotCell>> = run
+            .clone()
+            .map(|s| Arc::new(build_cell(&self.engine, s)))
+            .collect();
+        let t1 = timed.then(Instant::now);
+        for cell in &cells {
+            self.telemetry.record_event(|| Event::SlotPublished {
+                slot: cell.slot as u64,
+                lanes: cell.lanes.iter().filter(|l| l.block.is_some()).count() as u32,
+            });
+            for sink in self.sinks.iter_mut() {
+                sink.publish(cell);
+            }
+            // Released after the sinks' own counts (see `bobs::Counter`): a
+            // reader that sees this slot served also sees its datagrams sent.
+            self.fleet.slots_served.inc();
+        }
+        let wake = self.ring.publish_run(cells);
+        let t2 = timed.then(Instant::now);
+        wake.wake();
+        if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+            let t3 = Instant::now();
+            let nanos = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
+            self.fleet.phase_build_ns.record(nanos(t1 - t0));
+            self.fleet.phase_publish_ns.record(nanos(t2 - t1));
+            self.fleet.phase_wakeup_ns.record(nanos(t3 - t2));
+            for slot in run {
+                if let Some(lateness) = clock.slot_lateness(slot) {
+                    self.fleet.slot_lateness_ns.record(lateness);
+                }
+            }
+        }
+    }
+
+    /// Ends serving: detaches every subscriber, withdraws the published
+    /// engine and closes the ring.  Unapplied swaps drop their reply
+    /// senders with the core, which unblocks their requesters.
+    fn close(self) -> E {
+        for entry in self.subscribers.values() {
+            entry.detached.store(true, Ordering::SeqCst);
+        }
+        *self.published.lock().expect("published engine lock") = None;
+        self.ring.close();
+        self.engine
     }
 }
 
-fn server_loop<E: Engine>(
-    mut engine: E,
-    clock: SlotClock,
-    waker: Arc<WakeSignal>,
-    commands: mpsc::Receiver<Command<E>>,
-    mut state: ServerState<E>,
-    mut sinks: Vec<Box<dyn SlotSink>>,
-) -> E {
-    let mut slot: usize = 0;
-    let ring = state.ring.clone();
-    'serve: loop {
-        // Commands are handled at slot boundaries only, so a subscribe or a
-        // swap can never observe (or cause) a half-served slot.
-        loop {
-            match commands.try_recv() {
-                Ok(Command::Shutdown) => break 'serve,
-                Ok(cmd) => handle_command(cmd, &engine, slot, &mut state),
-                Err(_) => break,
-            }
-        }
-        // Swaps whose planned slot is already at (or behind) the serving
-        // cursor apply right away — even while the clock is parked — so a
-        // blocked `swap_at(past_slot, …)` never waits for the next tick.
-        // Future-dated swaps stay pending until the cursor reaches them.
-        apply_due_swaps(&mut engine, slot, &mut state, &mut sinks);
-        match clock.poll(slot) {
-            ClockPoll::Closed => break 'serve,
+/// The serving thread: steps the core whenever the clock has a ready run,
+/// holding the core's lock for the step, and parks on `waker` while no slot
+/// is due.  Returns the engine once the clock closes.
+fn server_loop<E: Engine>(shared: &Shared<E>, clock: &SlotClock, waker: &WakeSignal) -> E {
+    let mut held = loop {
+        let mut held = shared.lock().expect("serving core lock");
+        let core = held.as_mut().expect("only the serving loop ends the core");
+        match clock.poll(core.slot) {
+            ClockPoll::Closed => break held,
             ClockPoll::Ready => {
-                // One clock query sizes a whole burst of due slots; with no
-                // swap pending, nothing can change the engine or the fleet
-                // until the next command is processed — commands only land
-                // at the boundaries this loop chooses to observe — so the
-                // burst serves without re-polling the command queue.  The
-                // cap bounds command latency to a burst's worth of slots,
-                // and a pending swap forces slot-at-a-time serving so it
-                // applies exactly at its planned slot.
-                let run = if state.pending.is_empty() {
-                    clock.ready_run(slot).clamp(1, SERVE_BURST)
-                } else {
-                    1
-                };
-                if state.subscribers.is_empty() && sinks.is_empty() {
-                    // Nothing can observe these slots — no subscriber is
-                    // live, no sink is attached, and a later subscriber's
-                    // cursor starts no earlier than the serving slot.
-                    // Advance past the run instead of snapshotting cells
-                    // nobody can ever read.
-                    ring.skip_run(slot, run);
-                    state.fleet.slots_served.add(run as u64);
-                    state.telemetry.record_event(|| Event::SlotsSkipped {
-                        from_slot: slot as u64,
-                        slots: run as u64,
-                    });
-                } else {
-                    serve_run(&engine, slot..slot + run, &mut sinks, &state, &clock);
-                }
-                slot += run;
+                core.serve_ready(clock);
+                drop(held);
+                shared.let_waiting_calls_in();
             }
             ClockPoll::NotYet(hint) => {
+                drop(held);
                 let wait = hint.unwrap_or(Duration::from_secs(60));
                 waker.wait_timeout(wait.min(Duration::from_secs(60)));
             }
         }
-    }
-    for entry in state.subscribers.values() {
-        entry.detached.store(true, Ordering::SeqCst);
-    }
-    state.publish(None);
-    ring.close();
-    // Unapplied swaps and unanswered note requests: their reply senders
-    // drop with the queue, unblocking the waiters.
-    engine
-}
-
-fn handle_command<E: Engine>(
-    command: Command<E>,
-    engine: &E,
-    slot: usize,
-    state: &mut ServerState<E>,
-) {
-    match command {
-        Command::Subscribe {
-            file,
-            at_slot,
-            counters,
-            detached,
-            reply,
-        } => match engine.subscribe(file, at_slot) {
-            Ok(ticket) => {
-                let id = state.next_id;
-                state.next_id += 1;
-                state.subscribers.insert(
-                    id,
-                    Entry {
-                        file,
-                        epoch: ticket.epoch(),
-                        start: ticket.request_slot().max(slot),
-                        counters,
-                        detached,
-                    },
-                );
-                state.fleet.total_subscriptions.inc();
-                state
-                    .fleet
-                    .active_subscribers
-                    .set(state.subscribers.len() as i64);
-                state.telemetry.record_event(|| Event::SubscriberAdmitted {
-                    id,
-                    file: file.0 as u64,
-                });
-                let _ = reply.send(Ok((id, ticket, slot)));
-            }
-            Err(e) => {
-                let _ = reply.send(Err(e));
-            }
-        },
-        Command::Unsubscribe { id } => {
-            state.retire(id, true);
-        }
-        Command::Resolved { id, cancelled } => {
-            if state.retire(id, false).is_some() {
-                if cancelled {
-                    state.fleet.cancelled.inc();
-                } else {
-                    state.fleet.completed.inc();
-                }
-                state
-                    .telemetry
-                    .record_event(|| Event::SubscriberResolved { id, cancelled });
-            }
-        }
-        Command::Lag {
-            id,
-            channel,
-            epoch,
-            from,
-            to,
-            reply,
-        } => {
-            // Replay the overwritten span's schedule to count exactly what
-            // the reader missed — off the data path, so only lagging
-            // subscribers pay for it.  Departed subscribers book nothing.
-            let mut lagged = (0, 0);
-            if let Some(entry) = state.subscribers.get(&id) {
-                lagged = replay_lag(engine, entry.file, channel, epoch, from, to);
-                entry.counters.lagged_slots.add(lagged.0);
-                entry.counters.lag_erasures.add(lagged.1);
-                state.fleet.lagged_slots.add(lagged.0);
-                state.fleet.lag_erasures.add(lagged.1);
-                state.telemetry.record_event(|| Event::SubscriberLagged {
-                    id,
-                    from_slot: from as u64,
-                    to_slot: to as u64,
-                });
-            }
-            let _ = reply.send(lagged);
-        }
-        Command::Note {
-            id,
-            channel,
-            epoch,
-            reply,
-        } => {
-            let Some(entry) = state.subscribers.get_mut(&id) else {
-                return; // departed: dropping `reply` ends the waiting reader
-            };
-            let note = engine.note_for(entry.file, channel, epoch);
-            if let SwapNote::Retune { epoch, .. } = &note {
-                entry.epoch = *epoch;
-            } else {
-                state.retire(id, true);
-                state.fleet.cancelled.inc();
-                state.telemetry.record_event(|| Event::SubscriberResolved {
-                    id,
-                    cancelled: true,
-                });
-            }
-            let _ = reply.send(note);
-        }
-        Command::Swap {
-            prepared,
-            at_slot,
-            policy,
-            reply,
-        } => {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            state.pending.push(PendingSwap {
-                at_slot,
-                seq,
-                policy,
-                prepared,
-                reply,
-            });
-            state.fleet.pending_swaps.set(state.pending.len() as i64);
-            state.telemetry.record_event(|| Event::SwapPrepared {
-                at_slot: at_slot as u64,
-            });
-        }
-        Command::Stats { reply } => {
-            let _ = reply.send(RuntimeStats {
-                slots_served: state.fleet.slots_served.get(),
-                active_subscribers: state.subscribers.len(),
-                total_subscriptions: state.fleet.total_subscriptions.get(),
-                completed: state.fleet.completed.get(),
-                cancelled: state.fleet.cancelled.get(),
-                lagged_slots: state.fleet.lagged_slots.get(),
-                lag_erasures: state.fleet.lag_erasures.get(),
-                swaps_applied: state.fleet.swaps_applied.get(),
-                pending_swaps: state.pending.len(),
-            });
-        }
-        Command::Shutdown => unreachable!("shutdown is intercepted by the serve loop"),
-    }
-}
-
-/// Applies every pending swap whose planned slot has arrived, in planned
-/// order (FIFO among equal slots), *before* the slot is transmitted — so a
-/// swap planned for slot `s` flips exactly at `s` when it was scheduled
-/// ahead of time, and at the current slot when it arrived late.  Every
-/// landed swap is announced to the sinks ([`SlotSink::mode_changed`]) before
-/// its requester hears back, and lets the engine retire what the live
-/// fleet can no longer read ([`Engine::retire`]) — so a station refreshed
-/// without end holds no more history than its readers need.  Then the
-/// engine is published for [`RuntimeController::snapshot`], still before
-/// the reply.
-fn apply_due_swaps<E: Engine>(
-    engine: &mut E,
-    slot: usize,
-    state: &mut ServerState<E>,
-    sinks: &mut [Box<dyn SlotSink>],
-) {
-    loop {
-        let due = state
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.at_slot <= slot)
-            .min_by_key(|(_, p)| (p.at_slot, p.seq))
-            .map(|(i, _)| i);
-        let Some(index) = due else { return };
-        let swap = state.pending.remove(index);
-        state.fleet.pending_swaps.set(state.pending.len() as i64);
-        let result = engine.swap(swap.prepared, slot, swap.policy);
-        if result.is_ok() {
-            state.fleet.swaps_applied.inc();
-            state.telemetry.record_event(|| Event::SwapLanded {
-                at_slot: slot as u64,
-            });
-            for sink in sinks.iter_mut() {
-                sink.mode_changed(engine.bank());
-            }
-            let (floor_slot, floor_epoch) = state.retention_floor(slot, engine.bank().epoch());
-            engine.retire(floor_slot, floor_epoch);
-            state.publish(Some(engine.snapshot()));
-        }
-        let _ = swap.reply.send(result);
-    }
+    };
+    let core = held.take().expect("only the serving loop ends the core");
+    drop(held);
+    core.close()
 }
 
 /// Snapshots every lane's epoch and transmission for `slot` into one
@@ -963,62 +989,6 @@ fn build_cell<E: Engine>(engine: &E, slot: usize) -> SlotCell {
         lanes.push(LaneCell { epoch, block });
     }
     SlotCell { slot, lanes }
-}
-
-/// Serves the slots of `run`, the one way every observable slot goes out:
-/// each is snapshotted into one [`SlotCell`]; then, in slot order, each
-/// cell is handed to every sink and only then counted served; then the
-/// whole run is published onto the broadcast ring under one lock and its
-/// readers are woken once.  A ring reader never sees a slot the sinks have
-/// not, and the served count never runs ahead of what the sinks sent —
-/// slot by slot, so a pacer reading it sees progress inside a run.
-///
-/// Phases and lateness are booked per run: cell build `[t0, t1)`, sinks
-/// and ring publish `[t1, t2)`, cohort wakeup `[t2, t3)`, and every slot's
-/// lateness as of the run's publish.  They are recorded only while
-/// recording is on and the clock has deadlines, so a `ManualClock` run
-/// records nothing nondeterministic.
-fn serve_run<E: Engine>(
-    engine: &E,
-    run: Range<usize>,
-    sinks: &mut [Box<dyn SlotSink>],
-    state: &ServerState<E>,
-    clock: &SlotClock,
-) {
-    let timed = state.telemetry.recording() && clock.slot_lateness(run.start).is_some();
-    let t0 = timed.then(Instant::now);
-    let cells: Vec<Arc<SlotCell>> = run
-        .clone()
-        .map(|s| Arc::new(build_cell(engine, s)))
-        .collect();
-    let t1 = timed.then(Instant::now);
-    for cell in &cells {
-        state.telemetry.record_event(|| Event::SlotPublished {
-            slot: cell.slot as u64,
-            lanes: cell.lanes.iter().filter(|l| l.block.is_some()).count() as u32,
-        });
-        for sink in sinks.iter_mut() {
-            sink.publish(cell);
-        }
-        // Released after the sinks' own counts (see `bobs::Counter`): a
-        // reader that sees this slot served also sees its datagrams sent.
-        state.fleet.slots_served.inc();
-    }
-    let wake = state.ring.publish_run(cells);
-    let t2 = timed.then(Instant::now);
-    wake.wake();
-    if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
-        let t3 = Instant::now();
-        let nanos = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
-        state.fleet.phase_build_ns.record(nanos(t1 - t0));
-        state.fleet.phase_publish_ns.record(nanos(t2 - t1));
-        state.fleet.phase_wakeup_ns.record(nanos(t3 - t2));
-        for slot in run {
-            if let Some(lateness) = clock.slot_lateness(slot) {
-                state.fleet.slot_lateness_ns.record(lateness);
-            }
-        }
-    }
 }
 
 /// Counts what a reader missed across an overwritten span `[from, to)` on
@@ -1079,17 +1049,11 @@ fn client_loop<E: Engine>(
         match ring.read_many(cursor, READ_BATCH, &detached, &mut batch) {
             BatchRead::Closed | BatchRead::Detached => break 'read,
             BatchRead::Overwritten { resume } => {
-                // Self-account the overwritten span as lag: the server
+                // Self-account the overwritten span as lag: the core
                 // replays the span's schedule (off the data path) and books
                 // the counts; the ticket records the erasures.
-                let lag = controller.ask(|reply| Command::Lag {
-                    id,
-                    channel: ticket.channel(),
-                    epoch: ticket.epoch(),
-                    from: cursor,
-                    to: resume,
-                    reply,
-                });
+                let (channel, epoch) = (ticket.channel(), ticket.epoch());
+                let lag = controller.with_core(|core| core.lag(id, channel, epoch, cursor, resume));
                 let Ok((lagged_slots, lagged_file_blocks)) = lag else {
                     break 'read;
                 };
@@ -1102,17 +1066,14 @@ fn client_loop<E: Engine>(
                 for cell in batch.drain(..) {
                     // The epoch rule, applied reader-side against the cell's
                     // published lane epochs, fetching notes from the serving
-                    // thread in stream order.
+                    // core in stream order.
                     let tuning = resolve_epoch(
                         &mut ticket,
                         |channel| cell.lanes.get(channel)?.epoch,
                         |channel, epoch| {
-                            controller.ask(|reply| Command::Note {
-                                id,
-                                channel,
-                                epoch,
-                                reply,
-                            })
+                            controller
+                                .with_core(|core| core.note(id, channel, epoch))?
+                                .ok_or(RuntimeError::Closed)
                         },
                     );
                     let channel = match tuning {
@@ -1121,7 +1082,7 @@ fn client_loop<E: Engine>(
                             cursor += 1;
                             continue;
                         }
-                        // Cancelled (the server retired us when it answered),
+                        // Cancelled (the core retired us when it answered),
                         // or retired / shut down before it could answer.
                         Ok(Tuning::Cancelled) | Err(_) => break 'read,
                     };
@@ -1133,10 +1094,7 @@ fn client_loop<E: Engine>(
                         };
                         let ok = !errors.is_lost_on(channel, tx);
                         if ticket.observe(Some(tx), ok) {
-                            let _ = controller.send(Command::Resolved {
-                                id,
-                                cancelled: false,
-                            });
+                            let _ = controller.with_core(|core| core.complete(id));
                             break 'read;
                         }
                     }

@@ -7,9 +7,10 @@
 //!    contents are `Arc`-shared),
 //! 2. runs the expensive design half, [`crate::Engine::prepare`], on its
 //!    own thread — the serving loop keeps transmitting, un-stalled,
-//! 3. hands the prepared mode to the serving loop, which installs it with
-//!    [`crate::Engine::swap`] exactly when the slot clock reaches the
-//!    event's planned slot (or immediately, if it is already past).
+//! 3. queues the prepared mode on the serving core, where
+//!    [`crate::Engine::swap`] installs it exactly when the serving loop
+//!    reaches the event's planned slot (or at once, on the scheduler's own
+//!    thread, if the loop is already past it).
 //!
 //! Events are executed strictly in order: the next preparation starts only
 //! after the previous swap applied, so each snapshot reflects every earlier

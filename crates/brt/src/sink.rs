@@ -33,10 +33,12 @@ pub trait SlotSink: Send + 'static {
     fn publish(&mut self, cell: &SlotCell);
 
     /// Tells the sink which mode the bank now serves: called once before
-    /// the first slot and again after every swap the serving loop lands,
-    /// before the next slot is published — so whatever a sink derives from
-    /// the bank (a transport's subscription directory, say) can never lag
-    /// a swap, however that swap was requested.  Ignored by default.
+    /// the first slot and again after every swap the runtime lands, before
+    /// the next slot is published — so whatever a sink derives from the
+    /// bank (a transport's subscription directory, say) can never lag a
+    /// swap, however that swap was requested.  A swap that was already due
+    /// lands on its requester's thread, so this may run there, under the
+    /// serving core's lock.  Ignored by default.
     fn mode_changed(&mut self, bank: &EpochBank) {
         let _ = bank;
     }

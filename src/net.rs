@@ -108,7 +108,9 @@ impl NetServing {
 
     /// [`RuntimeHandle::swap_at`] on the bundled runtime: schedules a
     /// prepared mode swap at `at_slot` and blocks until it lands — by which
-    /// time the control plane already answers from the new mode.
+    /// time the control plane already answers from the new mode.  A swap
+    /// the serving loop has already reached lands on the calling thread,
+    /// which then also updates the fan-out's directory.
     pub fn swap_at(
         &self,
         prepared: crate::PreparedMode,

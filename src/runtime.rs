@@ -103,10 +103,10 @@ impl RuntimeHandle {
 
     /// A clone of the serving station as of the last landed swap — what
     /// [`RuntimeHandle::prepare_mode`] designs against, and a window into
-    /// current routing/epochs for diagnostics.  The serving loop publishes
-    /// the station after each landed swap, before the swap's requester
-    /// hears back, so this clones what was published without waiting on
-    /// the serving thread.  Its program history reaches back only to the
+    /// current routing/epochs for diagnostics.  The runtime publishes the
+    /// station after each landed swap, before the swap's requester hears
+    /// back, so this clones what was published without waiting for a
+    /// serving run.  Its program history reaches back only to the
     /// retention floor ([`bdisk::EpochBank::retired_before`]): slots below
     /// it read as `None`.
     pub fn snapshot(&self) -> Result<Station, Error> {
@@ -121,9 +121,11 @@ impl RuntimeHandle {
     }
 
     /// Schedules `prepared` to be swapped in when the serving loop reaches
-    /// `at_slot` (immediately, if it is already past) and blocks until the
-    /// swap was applied.  With a [`brt::ManualClock`], advance the clock to
-    /// `at_slot` from another thread — the swap applies at the boundary.
+    /// `at_slot` and blocks until the swap was applied.  A swap the loop
+    /// has already reached lands on the calling thread at the next run
+    /// boundary, even while the clock is parked.  A future-dated one waits
+    /// for the clock: with a [`brt::ManualClock`], advance it to `at_slot`
+    /// from another thread — the swap applies at the boundary.
     pub fn swap_at(
         &self,
         prepared: PreparedMode,
@@ -145,7 +147,8 @@ impl RuntimeHandle {
         }
     }
 
-    /// Fleet-level statistics as of the next slot boundary.
+    /// Fleet-level statistics, read on the calling thread at the serving
+    /// loop's next run boundary.
     pub fn stats(&self) -> Result<RuntimeStats, Error> {
         self.inner.stats().map_err(facade_error)
     }
@@ -160,8 +163,9 @@ impl RuntimeHandle {
     }
 
     /// Slots the server has transmitted so far: the `brt_slots_served`
-    /// counter [`RuntimeHandle::stats`] reads too, pollable without the
-    /// command round-trip (and the server preemption) that `stats` costs.
+    /// counter [`RuntimeHandle::stats`] reads too, pollable without taking
+    /// the serving core's lock (a `stats` call waits for the run in
+    /// progress, and the serving loop steps aside for it).
     /// A slot counts once every sink (the network fan-out) has sent it,
     /// which can be before the in-process ring holds it.
     pub fn slots_served(&self) -> u64 {

@@ -894,7 +894,7 @@ mod tests {
         let (moving, beside, kept) = shared_and_lone(&station);
         let kept_channel = station.channel_of(kept).unwrap();
 
-        // A clone — and so a runtime snapshot, taken on the serving thread —
+        // A clone — and so a runtime snapshot, taken under the serving core —
         // is a pointer copy of the mode: no payload, no design report.
         let before = station.clone();
         assert!(Arc::ptr_eq(&before.mode, &station.mode));
