@@ -19,8 +19,9 @@ use std::time::{Duration, Instant};
 /// What a clock's `poll` says about a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ClockPoll {
-    /// The slot is due: serve it now.
-    Ready,
+    /// The slot is due, and so are the slots after it up to this many in
+    /// all (at least 1): one query sizes a whole serving burst.
+    Ready(usize),
     /// The slot is not due yet; if `Some`, a hint for how long until it is
     /// (wall clocks know, manual clocks do not).
     NotYet(Option<Duration>),
@@ -55,21 +56,12 @@ impl From<ManualClock> for SlotClock {
 }
 
 impl SlotClock {
-    /// Is `slot` due, not yet due, or is the clock closed?
+    /// Is `slot` due (and how many from it), not yet due, or is the clock
+    /// closed?
     pub(crate) fn poll(&self, slot: usize) -> ClockPoll {
         match self {
             SlotClock::Wall(clock) => clock.poll(slot),
             SlotClock::Manual(clock) => clock.poll(slot),
-        }
-    }
-
-    /// How many consecutive slots starting at `from` are due right now
-    /// (`0` when `from` itself is not due, or the clock is closed): one
-    /// query sizes a whole serving burst.
-    pub(crate) fn ready_run(&self, from: usize) -> usize {
-        match self {
-            SlotClock::Wall(clock) => clock.ready_run(from),
-            SlotClock::Manual(clock) => clock.ready_run(from),
         }
     }
 
@@ -89,20 +81,41 @@ impl SlotClock {
         }
     }
 
+    fn state(&self) -> &Mutex<ClockState> {
+        match self {
+            SlotClock::Wall(clock) => &clock.state,
+            SlotClock::Manual(clock) => &clock.state,
+        }
+    }
+
     /// Registers a waker to be notified whenever the clock's state changes.
     pub(crate) fn register_waker(&self, waker: Arc<WakeSignal>) {
-        match self {
-            SlotClock::Wall(clock) => clock.register_waker(waker),
-            SlotClock::Manual(clock) => clock.register_waker(waker),
-        }
+        self.state().lock().expect("clock lock").wakers.push(waker);
     }
 
     /// Closes the clock: every current and future `poll` returns
     /// [`ClockPoll::Closed`] and all registered wakers are woken.
     pub(crate) fn close(&self) {
-        match self {
-            SlotClock::Wall(clock) => clock.close(),
-            SlotClock::Manual(clock) => clock.close(),
+        let mut state = self.state().lock().expect("clock lock");
+        state.closed = true;
+        state.wake_all();
+    }
+}
+
+/// What a clock's clones share.
+#[derive(Debug, Default)]
+struct ClockState {
+    /// Slots `0..released` are due on a [`ManualClock`] (a [`WallClock`]'s
+    /// follow from its origin).
+    released: usize,
+    closed: bool,
+    wakers: Vec<Arc<WakeSignal>>,
+}
+
+impl ClockState {
+    fn wake_all(&self) {
+        for waker in &self.wakers {
+            waker.wake();
         }
     }
 }
@@ -145,12 +158,6 @@ impl WakeSignal {
     }
 }
 
-#[derive(Debug)]
-struct WallState {
-    closed: bool,
-    wakers: Vec<Arc<WakeSignal>>,
-}
-
 /// Real slot pacing: slot `t` is due at `origin + t × period`.
 ///
 /// The origin is captured when the clock is created, so create it right
@@ -160,7 +167,7 @@ struct WallState {
 pub struct WallClock {
     origin: Instant,
     period: Duration,
-    state: Arc<Mutex<WallState>>,
+    state: Arc<Mutex<ClockState>>,
 }
 
 impl WallClock {
@@ -170,10 +177,7 @@ impl WallClock {
         WallClock {
             origin: Instant::now(),
             period: period.max(Duration::from_micros(1)),
-            state: Arc::new(Mutex::new(WallState {
-                closed: false,
-                wakers: Vec::new(),
-            })),
+            state: Arc::default(),
         }
     }
 
@@ -182,40 +186,32 @@ impl WallClock {
         self.period
     }
 
-    fn poll(&self, slot: usize) -> ClockPoll {
-        if self.state.lock().expect("wall clock lock").closed {
-            return ClockPoll::Closed;
-        }
+    /// When `slot` is due.
+    fn due(&self, slot: usize) -> Instant {
         // Widen before multiplying: a `* slot as u32` would wrap after 2³²
         // slots (~50 days at 1 ms) and let the server free-run unpaced.
         // Saturating at u64 nanoseconds only kicks in ~584 years out.
         let nanos = self.period.as_nanos().saturating_mul(slot as u128);
-        let due = self.origin + Duration::from_nanos(nanos.min(u64::MAX as u128) as u64);
-        let now = Instant::now();
-        if now >= due {
-            ClockPoll::Ready
-        } else {
-            ClockPoll::NotYet(Some(due - now))
-        }
+        self.origin + Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
     }
 
-    fn ready_run(&self, from: usize) -> usize {
-        if self.state.lock().expect("wall clock lock").closed {
-            return 0;
+    fn poll(&self, slot: usize) -> ClockPoll {
+        if self.state.lock().expect("clock lock").closed {
+            return ClockPoll::Closed;
         }
-        let elapsed = Instant::now().saturating_duration_since(self.origin);
+        let (due, now) = (self.due(slot), Instant::now());
+        if now < due {
+            return ClockPoll::NotYet(Some(due - now));
+        }
         // Slot `t` is due once `elapsed >= t × period`, so the frontier is
         // `floor(elapsed / period) + 1` due slots.
-        let due = (elapsed.as_nanos() / self.period.as_nanos().max(1)) as usize + 1;
-        due.saturating_sub(from)
+        let elapsed = now - self.origin;
+        let frontier = (elapsed.as_nanos() / self.period.as_nanos()) as usize + 1;
+        ClockPoll::Ready(frontier.saturating_sub(slot).max(1))
     }
 
     fn slot_lateness(&self, slot: usize) -> i64 {
-        // Same widening as `poll`: the due offset saturates at u64
-        // nanoseconds (~584 years), far past any real schedule.
-        let nanos = self.period.as_nanos().saturating_mul(slot as u128);
-        let due = self.origin + Duration::from_nanos(nanos.min(u64::MAX as u128) as u64);
-        let now = Instant::now();
+        let (due, now) = (self.due(slot), Instant::now());
         let signed = |d: Duration| d.as_nanos().min(i64::MAX as u128) as i64;
         if now >= due {
             signed(now - due)
@@ -223,30 +219,6 @@ impl WallClock {
             -signed(due - now)
         }
     }
-
-    fn register_waker(&self, waker: Arc<WakeSignal>) {
-        self.state
-            .lock()
-            .expect("wall clock lock")
-            .wakers
-            .push(waker);
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("wall clock lock");
-        state.closed = true;
-        for w in &state.wakers {
-            w.wake();
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct ManualState {
-    /// Slots `0..released` are due.
-    released: usize,
-    closed: bool,
-    wakers: Vec<Arc<WakeSignal>>,
 }
 
 /// A hand-cranked slot clock for deterministic tests and CI.
@@ -257,7 +229,7 @@ struct ManualState {
 /// next `n` slots.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    state: Arc<Mutex<ManualState>>,
+    state: Arc<Mutex<ClockState>>,
 }
 
 impl ManualClock {
@@ -268,51 +240,24 @@ impl ManualClock {
 
     /// Releases the next `n` slots and wakes the server.
     pub fn advance(&self, n: usize) {
-        let mut state = self.state.lock().expect("manual clock lock");
+        let mut state = self.state.lock().expect("clock lock");
         state.released = state.released.saturating_add(n);
-        for w in &state.wakers {
-            w.wake();
-        }
+        state.wake_all();
     }
 
     /// How many slots have been released so far (the first unreleased slot).
     pub fn released(&self) -> usize {
-        self.state.lock().expect("manual clock lock").released
+        self.state.lock().expect("clock lock").released
     }
 
     fn poll(&self, slot: usize) -> ClockPoll {
-        let state = self.state.lock().expect("manual clock lock");
+        let state = self.state.lock().expect("clock lock");
         if state.closed {
             ClockPoll::Closed
         } else if slot < state.released {
-            ClockPoll::Ready
+            ClockPoll::Ready(state.released - slot)
         } else {
             ClockPoll::NotYet(None)
-        }
-    }
-
-    fn ready_run(&self, from: usize) -> usize {
-        let state = self.state.lock().expect("manual clock lock");
-        if state.closed {
-            0
-        } else {
-            state.released.saturating_sub(from)
-        }
-    }
-
-    fn register_waker(&self, waker: Arc<WakeSignal>) {
-        self.state
-            .lock()
-            .expect("manual clock lock")
-            .wakers
-            .push(waker);
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("manual clock lock");
-        state.closed = true;
-        for w in &state.wakers {
-            w.wake();
         }
     }
 }
@@ -326,11 +271,11 @@ mod tests {
         let clock = ManualClock::new();
         assert_eq!(clock.poll(0), ClockPoll::NotYet(None));
         clock.advance(2);
-        assert_eq!(clock.poll(0), ClockPoll::Ready);
-        assert_eq!(clock.poll(1), ClockPoll::Ready);
+        assert_eq!(clock.poll(0), ClockPoll::Ready(2));
+        assert_eq!(clock.poll(1), ClockPoll::Ready(1));
         assert_eq!(clock.poll(2), ClockPoll::NotYet(None));
         assert_eq!(clock.released(), 2);
-        clock.close();
+        SlotClock::from(clock.clone()).close();
         assert_eq!(clock.poll(0), ClockPoll::Closed);
     }
 
@@ -339,18 +284,18 @@ mod tests {
         let clock = ManualClock::new();
         let handle = clock.clone();
         handle.advance(5);
-        assert_eq!(clock.poll(4), ClockPoll::Ready);
+        assert_eq!(clock.poll(4), ClockPoll::Ready(1));
     }
 
     #[test]
     fn wall_clock_paces_slots() {
         let clock = WallClock::new(Duration::from_millis(5));
-        assert_eq!(clock.poll(0), ClockPoll::Ready);
+        assert!(matches!(clock.poll(0), ClockPoll::Ready(n) if n >= 1));
         match clock.poll(1000) {
             ClockPoll::NotYet(Some(d)) => assert!(d <= Duration::from_secs(5)),
             other => panic!("slot 1000 should not be due yet, got {other:?}"),
         }
-        clock.close();
+        SlotClock::from(clock.clone()).close();
         assert_eq!(clock.poll(0), ClockPoll::Closed);
     }
 
@@ -376,7 +321,7 @@ mod tests {
 
     #[test]
     fn closing_wakes_registered_wakers() {
-        let clock = ManualClock::new();
+        let clock = SlotClock::from(ManualClock::new());
         let waker = Arc::new(WakeSignal::new());
         clock.register_waker(waker.clone());
         let t = std::thread::spawn({

@@ -2,10 +2,14 @@
 //! facade's `Station::run_until_complete` / `run_until_resolved` /
 //! `run_until_slot` are thin adapters over.
 //!
-//! The threaded [`crate::Runtime`] and this driver share the same
-//! [`Engine`] / [`Subscriber`] seam and the one epoch rule
-//! (`resolve_epoch`), so the two paths stay behaviourally aligned by
-//! construction; `tests/runtime_properties.rs` pins them byte-identical.
+//! It feeds each unresolved subscriber through the same reader step
+//! (`hear`) the threaded [`crate::Runtime`]'s readers run per ring cell:
+//! one slot's lane epochs resolve the subscriber's mode (wait, listen, or
+//! fetch a note inline from [`Engine::note_for`] and retune or cancel), and
+//! a listened lane's transmission is sampled and observed.  Idle slots are
+//! fed to nobody.  What differs is only where a slot comes from — here,
+//! read straight off the bank into one reused buffer per slot — so
+//! `tests/runtime_properties.rs` pins the two drivers byte-identical.
 //!
 //! ## Error-sampling order (locked in)
 //!
@@ -20,7 +24,7 @@
 //! runtime, where each subscriber samples its own model per delivered slot
 //! of its channel, also in slot order.
 
-use crate::engine::{resolve_epoch, Engine, Subscriber, Tuning};
+use crate::engine::{hear, Engine, Heard, Subscriber};
 use bdisk::{ChannelErrorModel, TransmissionRef};
 use core::convert::Infallible;
 use ida::FileId;
@@ -75,16 +79,11 @@ pub fn drive<E: Engine, S: Subscriber>(
     stop_before: Option<usize>,
     listen_cap: usize,
 ) -> Result<(), DriveError> {
-    let mut remaining = subscribers.iter().filter(|r| !r.is_resolved()).count();
-    if remaining == 0 {
+    let unresolved = subscribers.iter().filter(|r| !r.is_resolved());
+    let Some(mut slot) = unresolved.clone().map(Subscriber::request_slot).min() else {
         return Ok(());
-    }
-    let mut slot = subscribers
-        .iter()
-        .filter(|r| !r.is_resolved())
-        .map(Subscriber::request_slot)
-        .min()
-        .expect("remaining > 0 guarantees an unresolved subscriber");
+    };
+    let mut remaining = unresolved.count();
     let bank = engine.bank();
     let lanes = bank.lane_count();
     // Per-slot, per-channel reception outcome, sampled lazily on the first
@@ -95,12 +94,7 @@ pub fn drive<E: Engine, S: Subscriber>(
     // (no per-slot allocation, no per-subscriber re-fetch when several
     // subscribers share a channel).
     let mut transmissions: Vec<Option<TransmissionRef<'_>>> = Vec::with_capacity(lanes);
-    while remaining > 0 {
-        if let Some(stop) = stop_before {
-            if slot >= stop {
-                break;
-            }
-        }
+    while remaining > 0 && stop_before.is_none_or(|stop| slot < stop) {
         channel_ok.fill(None);
         bank.transmit_all_into(slot, &mut transmissions);
         let mut any_listening = false;
@@ -122,34 +116,21 @@ pub fn drive<E: Engine, S: Subscriber>(
             if r.channel() >= lanes {
                 return Err(DriveError::UnknownChannel(r.file()));
             }
-            // Resolve mode transitions before observing: the channel may
-            // have flipped past the subscriber's epoch (re-subscribe or
-            // cancel), or the subscriber may be tuned to a mode that has
-            // not flipped in yet (wait).
             let file = r.file();
-            let Ok(tuning) = resolve_epoch(
+            let Ok(heard) = hear(
                 r,
-                |channel| bank.epoch_at(channel, slot),
+                |channel| Some((bank.epoch_at(channel, slot)?, transmissions[channel])),
                 |channel, epoch| Ok::<_, Infallible>(engine.note_for(file, channel, epoch)),
+                |channel, tx| {
+                    *channel_ok[channel].get_or_insert_with(|| !errors.is_lost_on(channel, tx))
+                },
             );
-            if tuning == Tuning::Cancelled {
+            if heard != Heard::Listening {
                 remaining -= 1;
             }
-            if r.is_resolved() {
-                continue;
-            }
-            any_listening = true;
-            let Tuning::Listen(channel) = tuning else {
-                continue; // waiting for a flip: listens, hears nothing
-            };
-            let tx = transmissions[channel];
-            let ok = *channel_ok[channel].get_or_insert_with(|| match tx {
-                Some(t) => !errors.is_lost_on(channel, t),
-                None => true,
-            });
-            if r.observe(tx, ok) {
-                remaining -= 1;
-            }
+            // A cancelled subscriber heard nothing; one waiting for its
+            // mode to flip in listens all the same.
+            any_listening |= heard != Heard::Cancelled;
         }
         slot = if any_listening || next_active == usize::MAX {
             slot + 1

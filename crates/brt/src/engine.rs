@@ -7,10 +7,10 @@
 //! so it can be unit-tested against a stub and reused over any slot source
 //! with an epoch timeline.
 //!
-//! [`Subscriber`] is the one client interface: the synchronous driver and
-//! the threaded runtime's client tasks both advance a subscriber through
-//! it, and both resolve mode transitions through the one epoch rule,
-//! `resolve_epoch`.
+//! [`Subscriber`] is the one client interface, and one reader step
+//! (`hear`) is the only code that feeds it: the synchronous driver calls
+//! it per subscriber per slot, and the threaded runtime's readers per cell
+//! of the broadcast ring.
 
 use bdisk::{EpochBank, LatencyVector, TransmissionRef};
 use bmode::{ModeSpec, SwapPolicy};
@@ -47,13 +47,6 @@ pub enum SwapNote {
     },
 }
 
-impl SwapNote {
-    /// `true` for [`SwapNote::Cancel`].
-    pub(crate) fn is_cancel(&self) -> bool {
-        matches!(self, SwapNote::Cancel { .. })
-    }
-}
-
 /// A client-side retrieval handle as the slot drivers see it: tuning state,
 /// observation, and swap-note application.
 pub trait Subscriber {
@@ -68,8 +61,9 @@ pub trait Subscriber {
     /// `true` once the subscriber needs no further slots (completed or
     /// cancelled).
     fn is_resolved(&self) -> bool;
-    /// Feeds one slot; returns `true` if this slot completed the retrieval.
-    fn observe(&mut self, transmission: Option<TransmissionRef<'_>>, received_ok: bool) -> bool;
+    /// Feeds one transmission of the tuned channel (idle slots are never
+    /// fed); returns `true` if it completed the retrieval.
+    fn observe(&mut self, transmission: TransmissionRef<'_>, received_ok: bool) -> bool;
     /// Records `count` reception errors observed out of band: blocks of the
     /// file that went by while a lagging reader's ring span was overwritten.
     fn erase(&mut self, count: usize);
@@ -77,45 +71,57 @@ pub trait Subscriber {
     fn apply(&mut self, note: &SwapNote);
 }
 
-/// Where a subscriber stands against its channel's epoch in one slot.
+/// What one slot did to a subscriber (see [`hear`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tuning {
-    /// The lane is dark, unknown, or still serving an older mode: the
-    /// subscriber listens but hears nothing until its epoch flips in.
-    Wait,
-    /// The subscriber's epoch is on the air on this channel.
-    Listen(usize),
-    /// A swap note cancelled the subscriber.
+pub(crate) enum Heard {
+    /// It is still listening: it heard a block that did not complete it,
+    /// or nothing (a dark or idle lane, or its mode not on the air yet).
+    Listening,
+    /// The slot completed its retrieval.
+    Completed,
+    /// A swap note cancelled it.
     Cancelled,
 }
 
-/// The epoch rule every slot driver resolves mode transitions through:
-/// compares the subscriber's tuned epoch with the one its channel serves this
-/// slot (`lane_epoch`), and while the channel has flipped past it applies the
-/// first swap it has not seen — retune and re-evaluate on the new channel, or
-/// cancel.  The drivers differ only in how a note is fetched
+/// The reader step, the only code that feeds a [`Subscriber`]: one slot
+/// as it hears it, where `lane(channel)` is the channel's epoch and
+/// transmission this slot (`None` while dark).  Both slot drivers run it.
+///
+/// A lane that is dark or still serving an older mode is waited on; one
+/// serving the subscriber's epoch is listened to; one that flipped past it
+/// makes the subscriber apply the first swap it has not seen
 /// (`fetch_note(channel, epoch)`: inline from the engine, or a call on the
-/// runtime's serving core that can fail with `X`).
-pub(crate) fn resolve_epoch<S: Subscriber, X>(
+/// runtime's serving core that can fail with `X`) — retune and look again,
+/// or cancel.  A listened lane's transmission, unless the slot is idle, is
+/// sampled by `received_ok(channel, transmission)` and observed.
+pub(crate) fn hear<'a, S: Subscriber, X>(
     subscriber: &mut S,
-    lane_epoch: impl Fn(usize) -> Option<u64>,
+    lane: impl Fn(usize) -> Option<(u64, Option<TransmissionRef<'a>>)>,
     mut fetch_note: impl FnMut(usize, u64) -> Result<SwapNote, X>,
-) -> Result<Tuning, X> {
-    loop {
+    received_ok: impl FnOnce(usize, TransmissionRef<'a>) -> bool,
+) -> Result<Heard, X> {
+    let (channel, transmission) = loop {
         let channel = subscriber.channel();
-        match lane_epoch(channel) {
-            None => return Ok(Tuning::Wait),
-            Some(e) if e < subscriber.epoch() => return Ok(Tuning::Wait),
-            Some(e) if e == subscriber.epoch() => return Ok(Tuning::Listen(channel)),
-            Some(_) => {
+        match lane(channel) {
+            Some((epoch, tx)) if epoch == subscriber.epoch() => break (channel, tx),
+            Some((epoch, _)) if epoch > subscriber.epoch() => {
                 let note = fetch_note(channel, subscriber.epoch())?;
                 subscriber.apply(&note);
-                if note.is_cancel() {
-                    return Ok(Tuning::Cancelled);
+                if let SwapNote::Cancel { .. } = note {
+                    return Ok(Heard::Cancelled);
                 }
             }
+            _ => return Ok(Heard::Listening),
         }
-    }
+    };
+    let Some(tx) = transmission else {
+        return Ok(Heard::Listening);
+    };
+    Ok(if subscriber.observe(tx, received_ok(channel, tx)) {
+        Heard::Completed
+    } else {
+        Heard::Listening
+    })
 }
 
 /// The serving side: the epoch-aware channel bank the slot drivers read,

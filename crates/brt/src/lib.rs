@@ -11,18 +11,24 @@
 //!   [`ManualClock`] for deterministic tests and CI;
 //! * [`Engine`] / [`Subscriber`] — the one seam: the thing being served
 //!   (the `rtbdisk` facade's `Station`) and the one client interface (its
-//!   `Retrieval`).  Both slot drivers below advance a subscriber through
-//!   [`Subscriber`] and resolve mode transitions through a single epoch
-//!   rule — wait for a flip, listen, or fetch the swap note and retune or
-//!   cancel — that differs between them only in how the note is fetched;
+//!   `Retrieval`).  One thread-free reader step, which both slot drivers
+//!   below run, is the only code that feeds a subscriber: it resolves the
+//!   subscriber's epoch against one slot's lane epochs — wait for a flip,
+//!   listen, or fetch the swap note and retune or cancel — then samples
+//!   loss on the lane it listens to and observes the transmission.  Idle
+//!   slots are fed to nobody.  The drivers differ only in where a slot
+//!   comes from and how a note is fetched;
 //! * [`drive`] — the synchronous slot driver (the facade's
-//!   `run_until_complete` family is a thin adapter over it); notes come
+//!   `run_until_complete` family is a thin adapter over it): the reader
+//!   step per subscriber per slot, read straight off the bank, with notes
 //!   inline from [`Engine::note_for`];
-//! * [`Runtime`] — the threaded server loop: one serving thread publishes
-//!   each slot **once** onto a shared [`BroadcastRing`]; N concurrent
-//!   client tasks read it through private cursors without cloning payloads
-//!   (a true broadcast: server cost is independent of the fleet size),
-//!   each feeding the engine's ticket and sampling its own
+//! * [`Runtime`] — the threaded server loop: one serving thread, the only
+//!   holder of the [`SlotClock`], steps a clock-free serving core that
+//!   publishes each slot **once** onto a shared [`BroadcastRing`]; N
+//!   concurrent client tasks read it through private cursors without
+//!   cloning payloads (a true broadcast: server cost is independent of the
+//!   fleet size), each handing its reads to a thread-free reader that runs
+//!   the reader step per cell for the engine's ticket, sampling its own
 //!   [`bdisk::ChannelErrorModel`].  Backpressure is by overwrite — a reader
 //!   that falls more than the ring's capacity behind self-accounts the
 //!   lost span as lag/erasures ([`Subscriber::erase`]); the server never
@@ -39,7 +45,9 @@
 //!
 //! The crate is std-only (threads, channels, condvars — no external
 //! dependencies) and deliberately generic: it never names a facade type,
-//! so the machinery is unit-testable against a stub engine.  It links no
+//! so the machinery is unit-testable against a stub engine — and, since
+//! neither the serving core nor a reader holds a thread or a clock, a test
+//! can step both by hand and search their interleavings.  It links no
 //! simulator either: the loss seam is `bdisk`'s and mode schedules are
 //! `bmode`'s, so a network station built on it carries neither `bsim`'s
 //! models nor its analysers.
@@ -70,7 +78,7 @@ pub use sink::SlotSink;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{resolve_epoch, Tuning};
+    use crate::engine::{hear, Heard};
     use bdisk::{
         BroadcastFile, BroadcastProgram, BroadcastServer, EpochBank, ErrorModel, FileSet,
         FlatOrder, LatencyVector, NoErrors, TransmissionRef,
@@ -86,25 +94,27 @@ mod tests {
     /// a fixed catalog of server banks; swaps always cancel in-flight
     /// subscribers of flipped channels (no transparent re-subscription).
     #[derive(Clone)]
-    struct BankEngine {
-        bank: EpochBank,
+    pub(crate) struct BankEngine {
+        pub(crate) bank: EpochBank,
         catalog: BTreeMap<String, Vec<Arc<BroadcastServer>>>,
         mode: String,
         /// Blocks of its file a ticket needs before it completes.
-        threshold: usize,
+        pub(crate) threshold: usize,
     }
 
     /// Counts received blocks of one file; completes at the threshold.
     #[derive(Debug)]
-    struct BankTicket {
-        file: FileId,
-        channel: usize,
-        epoch: u64,
+    pub(crate) struct BankTicket {
+        pub(crate) file: FileId,
+        pub(crate) channel: usize,
+        pub(crate) epoch: u64,
         request_slot: usize,
-        received: usize,
+        pub(crate) received: usize,
         threshold: usize,
-        erased: usize,
-        cancelled_by: Option<String>,
+        pub(crate) erased: usize,
+        pub(crate) cancelled_by: Option<String>,
+        /// The slots of every transmission observed, in order.
+        pub(crate) heard: Vec<usize>,
     }
 
     impl Subscriber for BankTicket {
@@ -123,12 +133,11 @@ mod tests {
         fn is_resolved(&self) -> bool {
             self.cancelled_by.is_some() || self.received >= self.threshold
         }
-        fn observe(&mut self, tx: Option<TransmissionRef<'_>>, ok: bool) -> bool {
-            if let Some(tx) = tx {
-                if ok && tx.block.file() == self.file {
-                    self.received += 1;
-                    return self.received >= self.threshold;
-                }
+        fn observe(&mut self, tx: TransmissionRef<'_>, ok: bool) -> bool {
+            self.heard.push(tx.slot);
+            if ok && tx.block.file() == self.file {
+                self.received += 1;
+                return self.received >= self.threshold;
             }
             false
         }
@@ -169,11 +178,21 @@ mod tests {
                 threshold: self.threshold,
                 erased: 0,
                 cancelled_by: None,
+                heard: Vec::new(),
             })
         }
-        fn note_for(&self, _file: FileId, _channel: usize, _epoch: u64) -> SwapNote {
-            SwapNote::Cancel {
-                mode: self.mode.clone(),
+        /// Retunes a file the latest mode still carries, cancels the rest.
+        fn note_for(&self, file: FileId, _channel: usize, _epoch: u64) -> SwapNote {
+            match self.bank.channel_of(file) {
+                Some(channel) => SwapNote::Retune {
+                    channel,
+                    epoch: self.bank.current_epoch_of(channel).unwrap_or(0),
+                    dispersal: Arc::new(Dispersal::new(2, 4).unwrap()),
+                    latencies: LatencyVector::uniform_zero_faults(8),
+                },
+                None => SwapNote::Cancel {
+                    mode: self.mode.clone(),
+                },
             }
         }
         fn retire(&mut self, slot: usize, _epoch: u64) {
@@ -202,7 +221,7 @@ mod tests {
         }
     }
 
-    fn server_for(ids: &[u32]) -> Arc<BroadcastServer> {
+    pub(crate) fn server_for(ids: &[u32]) -> Arc<BroadcastServer> {
         let files = FileSet::new(
             ids.iter()
                 .map(|&i| BroadcastFile::new(FileId(i), format!("F{i}"), 2, 8).with_dispersal(4))
@@ -213,9 +232,12 @@ mod tests {
         Arc::new(BroadcastServer::with_synthetic_contents(&files, program).unwrap())
     }
 
-    fn engine() -> BankEngine {
+    /// Serves files 1 and 2 on one channel.  Its catalog has `other`,
+    /// which drops both, and `keep`, which carries file 1 on.
+    pub(crate) fn engine() -> BankEngine {
         let mut catalog = BTreeMap::new();
         catalog.insert("other".to_string(), vec![server_for(&[9])]);
+        catalog.insert("keep".to_string(), vec![server_for(&[1, 9])]);
         BankEngine {
             bank: EpochBank::new(vec![server_for(&[1, 2])]).unwrap(),
             catalog,
@@ -226,7 +248,7 @@ mod tests {
 
     /// An engine whose tickets can never complete, so only a swap, an
     /// unsubscribe or a shutdown ends them.
-    fn insatiable_engine() -> BankEngine {
+    pub(crate) fn insatiable_engine() -> BankEngine {
         BankEngine {
             threshold: usize::MAX,
             ..engine()
@@ -234,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn the_epoch_rule_waits_listens_retunes_and_cancels() {
+    fn the_reader_step_waits_listens_retunes_and_cancels() {
         let retune = |channel, epoch| SwapNote::Retune {
             channel,
             epoch,
@@ -248,118 +270,195 @@ mod tests {
             name: &'static str,
             /// What each lane serves this slot (`None` = dark).
             lanes: Vec<Option<u64>>,
+            /// Whether the slot is idle: no lane carries a block.
+            idle: bool,
             /// The subscriber's tuned (channel, epoch) going in.
             tuned: (usize, u64),
+            /// Blocks the subscriber holds going in (it needs 2).
+            received: usize,
             /// The notes the source hands out, in request order; once it
             /// runs dry the source fails (the server is gone).
             notes: Vec<SwapNote>,
-            expect: Result<Tuning, &'static str>,
+            expect: Result<Heard, &'static str>,
             /// The (channel, epoch) pairs notes were requested for.
             requested: Vec<(usize, u64)>,
+            /// The channel whose transmission was sampled and observed.
+            observed: Option<usize>,
             /// The subscriber's tuned (channel, epoch) coming out.
             retuned: (usize, u64),
         }
+        let case = |name, lanes, tuned, notes, expect, requested, observed, retuned| Case {
+            name,
+            lanes,
+            idle: false,
+            tuned,
+            received: 0,
+            notes,
+            expect,
+            requested,
+            observed,
+            retuned,
+        };
+        let listening = Ok(Heard::Listening);
         let cases = vec![
+            case(
+                "dark lane",
+                vec![None],
+                (0, 0),
+                vec![],
+                listening,
+                vec![],
+                None,
+                (0, 0),
+            ),
+            case(
+                "lane this cell never had",
+                vec![Some(0)],
+                (3, 0),
+                vec![],
+                listening,
+                vec![],
+                None,
+                (3, 0),
+            ),
+            case(
+                "older epoch still on the air",
+                vec![Some(0)],
+                (0, 1),
+                vec![],
+                listening,
+                vec![],
+                None,
+                (0, 1),
+            ),
+            case(
+                "equal epoch",
+                vec![Some(7), Some(2)],
+                (1, 2),
+                vec![],
+                listening,
+                vec![],
+                Some(1),
+                (1, 2),
+            ),
             Case {
-                name: "dark lane",
-                lanes: vec![None],
-                tuned: (0, 0),
-                notes: vec![],
-                expect: Ok(Tuning::Wait),
-                requested: vec![],
-                retuned: (0, 0),
+                idle: true,
+                ..case(
+                    "equal epoch, idle slot: nothing is observed",
+                    vec![Some(0)],
+                    (0, 0),
+                    vec![],
+                    listening,
+                    vec![],
+                    None,
+                    (0, 0),
+                )
             },
             Case {
-                name: "lane this cell never had",
-                lanes: vec![Some(0)],
-                tuned: (3, 0),
-                notes: vec![],
-                expect: Ok(Tuning::Wait),
-                requested: vec![],
-                retuned: (3, 0),
+                received: 1,
+                ..case(
+                    "equal epoch, the block that completes",
+                    vec![Some(0)],
+                    (0, 0),
+                    vec![],
+                    Ok(Heard::Completed),
+                    vec![],
+                    Some(0),
+                    (0, 0),
+                )
             },
-            Case {
-                name: "older epoch still on the air",
-                lanes: vec![Some(0)],
-                tuned: (0, 1),
-                notes: vec![],
-                expect: Ok(Tuning::Wait),
-                requested: vec![],
-                retuned: (0, 1),
-            },
-            Case {
-                name: "equal epoch",
-                lanes: vec![Some(7), Some(2)],
-                tuned: (1, 2),
-                notes: vec![],
-                expect: Ok(Tuning::Listen(1)),
-                requested: vec![],
-                retuned: (1, 2),
-            },
-            Case {
-                name: "newer epoch, retuned onto a channel already serving it",
-                lanes: vec![Some(1), Some(1)],
-                tuned: (0, 0),
-                notes: vec![retune(1, 1)],
-                expect: Ok(Tuning::Listen(1)),
-                requested: vec![(0, 0)],
-                retuned: (1, 1),
-            },
-            Case {
-                name: "two unseen swaps apply one after the other",
-                lanes: vec![Some(2), Some(2)],
-                tuned: (0, 0),
-                notes: vec![retune(0, 1), retune(1, 2)],
-                expect: Ok(Tuning::Listen(1)),
-                requested: vec![(0, 0), (0, 1)],
-                retuned: (1, 2),
-            },
-            Case {
-                name: "retuned onto a channel that has not flipped yet",
-                lanes: vec![Some(1), Some(0)],
-                tuned: (0, 0),
-                notes: vec![retune(1, 1)],
-                expect: Ok(Tuning::Wait),
-                requested: vec![(0, 0)],
-                retuned: (1, 1),
-            },
-            Case {
-                name: "newer epoch, cancelled",
-                lanes: vec![Some(1)],
-                tuned: (0, 0),
-                notes: vec![cancel],
-                expect: Ok(Tuning::Cancelled),
-                requested: vec![(0, 0)],
-                retuned: (0, 0),
-            },
-            Case {
-                name: "the note source is gone",
-                lanes: vec![Some(1)],
-                tuned: (0, 0),
-                notes: vec![],
-                expect: Err("gone"),
-                requested: vec![(0, 0)],
-                retuned: (0, 0),
-            },
+            case(
+                "newer epoch, retuned onto a channel already serving it",
+                vec![Some(1), Some(1)],
+                (0, 0),
+                vec![retune(1, 1)],
+                listening,
+                vec![(0, 0)],
+                Some(1),
+                (1, 1),
+            ),
+            case(
+                "two unseen swaps apply one after the other",
+                vec![Some(2), Some(2)],
+                (0, 0),
+                vec![retune(0, 1), retune(1, 2)],
+                listening,
+                vec![(0, 0), (0, 1)],
+                Some(1),
+                (1, 2),
+            ),
+            case(
+                "retuned onto a channel that has not flipped yet",
+                vec![Some(1), Some(0)],
+                (0, 0),
+                vec![retune(1, 1)],
+                listening,
+                vec![(0, 0)],
+                None,
+                (1, 1),
+            ),
+            case(
+                "newer epoch, cancelled",
+                vec![Some(1)],
+                (0, 0),
+                vec![cancel],
+                Ok(Heard::Cancelled),
+                vec![(0, 0)],
+                None,
+                (0, 0),
+            ),
+            case(
+                "the note source is gone",
+                vec![Some(1)],
+                (0, 0),
+                vec![],
+                Err("gone"),
+                vec![(0, 0)],
+                None,
+                (0, 0),
+            ),
         ];
+        let block = ida::DispersedBlock::new(
+            ida::BlockHeader {
+                file: FileId(1),
+                index: 0,
+                m: 2,
+                n: 4,
+                original_len: 8,
+            },
+            bytes::Bytes::from(vec![0; 4]),
+        );
         for case in cases {
             let name = case.name;
             let mut ticket = engine().subscribe(FileId(1), 0).unwrap();
             (ticket.channel, ticket.epoch) = case.tuned;
+            ticket.received = case.received;
+            let tx = (!case.idle).then_some(TransmissionRef {
+                slot: 5,
+                block: &block,
+            });
             let mut notes = case.notes.into_iter();
             let mut requested = Vec::new();
-            let got = resolve_epoch(
+            let mut observed = None;
+            let got = hear(
                 &mut ticket,
-                |channel| case.lanes.get(channel).copied().flatten(),
+                |channel| Some((case.lanes.get(channel).copied().flatten()?, tx)),
                 |channel, epoch| {
                     requested.push((channel, epoch));
                     notes.next().ok_or("gone")
                 },
+                |channel, _| {
+                    observed = Some(channel);
+                    true
+                },
             );
             assert_eq!(got, case.expect, "{name}");
             assert_eq!(requested, case.requested, "{name}");
+            assert_eq!(observed, case.observed, "{name}");
+            let heard = if observed.is_some() { vec![5] } else { vec![] };
+            assert_eq!(ticket.heard, heard, "{name}: observed iff sampled");
             assert_eq!((ticket.channel, ticket.epoch), case.retuned, "{name}");
-            let cancelled = got == Ok(Tuning::Cancelled);
+            let cancelled = got == Ok(Heard::Cancelled);
             assert_eq!(ticket.cancelled_by.is_some(), cancelled, "{name}");
         }
     }
@@ -539,7 +638,7 @@ mod tests {
 
     /// `ModeSpec` insists on at least the shape of a file spec; the stub
     /// engine ignores it (modes resolve through the catalog).
-    fn bcore_spec_stub() -> bcore::GeneralizedFileSpec {
+    pub(crate) fn bcore_spec_stub() -> bcore::GeneralizedFileSpec {
         bcore::GeneralizedFileSpec::new(FileId(9), 1, vec![8]).unwrap()
     }
 

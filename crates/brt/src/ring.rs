@@ -23,6 +23,7 @@
 //! skipped span as lag/erasures (the same semantics as the bounded-queue
 //! drops this ring replaced, with the server off the data path entirely).
 
+use bdisk::TransmissionRef;
 use ida::DispersedBlock;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,12 +52,26 @@ pub struct SlotCell {
     pub lanes: Vec<LaneCell>,
 }
 
-/// What [`BroadcastRing::read_many`] found at a reader's cursor.
+impl SlotCell {
+    /// What `channel` carries in this cell: the epoch it serves under and
+    /// its transmission, `None` while the lane is dark (or unknown).
+    pub(crate) fn lane(&self, channel: usize) -> Option<(u64, Option<TransmissionRef<'_>>)> {
+        let lane = self.lanes.get(channel)?;
+        let tx = lane.block.as_ref().map(|block| TransmissionRef {
+            slot: self.slot,
+            block,
+        });
+        Some((lane.epoch?, tx))
+    }
+}
+
+/// What [`BroadcastRing::read`] found at a reader's cursor.  A batched
+/// read finds the same outcomes, with its cells in the caller's buffer.
 #[derive(Debug)]
-pub(crate) enum BatchRead {
-    /// One or more consecutive cells starting at the cursor were appended to
-    /// the caller's buffer (advance the cursor by one per cell processed).
-    Cells,
+pub enum RingRead<C = Arc<SlotCell>> {
+    /// The cell at the cursor (advance the cursor by one after processing);
+    /// for a batched read, one or more consecutive cells from the cursor.
+    Cell(C),
     /// The cursor fell behind the ring's base: slots `[cursor, resume)` were
     /// overwritten.  The reader self-accounts them as lag and resumes at
     /// `resume` (the oldest retained cell).
@@ -72,25 +87,9 @@ pub(crate) enum BatchRead {
     Detached,
 }
 
-/// What [`BroadcastRing::read`] found at a reader's cursor.
-#[derive(Debug)]
-pub enum RingRead {
-    /// The cell at the cursor (advance the cursor by one after processing).
-    Cell(Arc<SlotCell>),
-    /// The cursor fell behind the ring's base: slots `[cursor, resume)` were
-    /// overwritten.  The reader self-accounts them as lag and resumes at
-    /// `resume` (the oldest retained cell).
-    Overwritten {
-        /// The oldest slot still on the ring — where reading can resume.
-        resume: usize,
-    },
-    /// The ring is closed and no cell at or past the cursor will ever be
-    /// published (runtime shutdown).
-    Closed,
-    /// The reader's detach flag was raised (unsubscribe or cancellation);
-    /// no further cells are wanted.
-    Detached,
-}
+/// What [`BroadcastRing::read_many`] found: its cells went to the caller's
+/// buffer (advance the cursor by one per cell processed).
+pub(crate) type BatchRead = RingRead<()>;
 
 #[derive(Debug, Default)]
 struct RingState {
@@ -170,11 +169,6 @@ impl BroadcastRing {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Publishes the next slot's cell (slots must be published in order,
     /// starting at 0), evicting the oldest cell when full: a run of one.
     pub fn publish(&self, cell: SlotCell) {
@@ -245,10 +239,10 @@ impl BroadcastRing {
     pub fn read(&self, cursor: usize, detached: &AtomicBool) -> RingRead {
         let mut out = Vec::with_capacity(1);
         match self.read_many(cursor, 1, detached, &mut out) {
-            BatchRead::Cells => RingRead::Cell(out.pop().expect("one cell was batched")),
-            BatchRead::Overwritten { resume } => RingRead::Overwritten { resume },
-            BatchRead::Closed => RingRead::Closed,
-            BatchRead::Detached => RingRead::Detached,
+            RingRead::Cell(()) => RingRead::Cell(out.pop().expect("one cell was batched")),
+            RingRead::Overwritten { resume } => RingRead::Overwritten { resume },
+            RingRead::Closed => RingRead::Closed,
+            RingRead::Detached => RingRead::Detached,
         }
     }
 
@@ -275,7 +269,7 @@ impl BroadcastRing {
             let offset = cursor - state.base;
             if offset < state.cells.len() {
                 out.extend(state.cells.iter().skip(offset).take(max.max(1)).cloned());
-                return BatchRead::Cells;
+                return BatchRead::Cell(());
             }
             if state.closed {
                 return BatchRead::Closed;
@@ -313,10 +307,22 @@ impl BroadcastRing {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
     use ida::{BlockHeader, FileId};
+
+    /// Parks a wait group for `slot` as a blocked reader would, without a
+    /// thread.
+    pub(crate) fn park(ring: &BroadcastRing, slot: usize) {
+        let mut state = ring.state.lock().unwrap();
+        state.waiting.entry(slot).or_default();
+    }
+
+    /// How many wait groups are parked (a kick or a close empties them).
+    pub(crate) fn parked(ring: &BroadcastRing) -> usize {
+        ring.state.lock().unwrap().waiting.len()
+    }
 
     /// The next slot to be published: how many were published or skipped.
     fn tail(ring: &BroadcastRing) -> usize {
@@ -408,13 +414,13 @@ mod tests {
         // A reader two behind grabs the whole remaining run at once …
         assert!(matches!(
             ring.read_many(2, 64, &live, &mut out),
-            BatchRead::Cells
+            BatchRead::Cell(())
         ));
         assert_eq!(out.iter().map(|c| c.slot).collect::<Vec<_>>(), [2, 3, 4, 5]);
         // … bounded by `max` …
         assert!(matches!(
             ring.read_many(2, 3, &live, &mut out),
-            BatchRead::Cells
+            BatchRead::Cell(())
         ));
         assert_eq!(out.len(), 3);
         // … and an overwritten cursor still reports the resume point.

@@ -27,8 +27,10 @@
 //!   the caller's own thread, and so lands at a run boundary.  Locks are
 //!   taken in the order core → ring → published engine (or a sink's own
 //!   state); nothing takes the core while holding the ring.
-//! * The **server loop** waits on the [`SlotClock`] for a run of ready
-//!   slots and advances the run one of two ways.  When nothing can observe
+//! * The **server loop** is the only code that holds the [`SlotClock`] or
+//!   parks.  It waits for a run of ready slots and hands the run's length
+//!   and the clock's lateness to the core's serving step, which has no
+//!   clock of its own and advances the run one of two ways.  When nothing can observe
 //!   it (no live subscriber, no sink) the ring skips it.  Otherwise it is
 //!   served: each slot's lanes are snapshotted into one [`SlotCell`]; each
 //!   cell, in slot order, goes to every [`SlotSink`] and is then counted in
@@ -38,9 +40,11 @@
 //!   whose planned slot it reached lands, before the core is unlocked: no
 //!   swap is ever due while the core is free.  The server never touches
 //!   per-subscriber state on the data path.
-//! * Each **client task** holds a cursor into the ring, resolves its own
-//!   epoch transitions against the published lane epochs, samples its own
-//!   reception-error process, and feeds its retrieval.  A reader that falls
+//! * Each **client task** reads the ring and hands every batch to its
+//!   thread-free `Reader`, which owns the subscriber's id, ticket, cursor
+//!   and reception-error process.  Per cell it runs the reader step that
+//!   [`crate::drive`] runs per slot: resolve its epoch against the cell's
+//!   lane epochs, then sample and observe its lane.  A reader that falls
 //!   more than the ring's capacity behind observes the overwrite and
 //!   self-accounts the skipped span as lag/erasures (the core replays the
 //!   span's schedule off the data path to count exactly which dropped slots
@@ -65,10 +69,10 @@
 //!   waiting for the core, which a serving run may hold.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
-use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
+use crate::engine::{hear, Engine, Heard, Subscriber, SwapNote};
 use crate::ring::{BatchRead, BroadcastRing, LaneCell, SlotCell};
 use crate::sink::SlotSink;
-use bdisk::{ChannelErrorModel, TransmissionRef};
+use bdisk::ChannelErrorModel;
 use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
 use ida::FileId;
@@ -238,6 +242,44 @@ impl<E: Engine> Clone for RuntimeController<E> {
 }
 
 impl<E: Engine> RuntimeController<E> {
+    /// A serving core at slot 0 over `engine`, publishing onto `ring`, with
+    /// no thread and no clock: [`Runtime::spawn_with_telemetry`] starts the
+    /// serving loop that steps it.  Every sink hears of the mode on the air
+    /// first.
+    fn new(
+        engine: E,
+        mut sinks: Vec<Box<dyn SlotSink>>,
+        telemetry: Telemetry,
+        ring: Arc<BroadcastRing>,
+    ) -> Self {
+        for sink in &mut sinks {
+            sink.mode_changed(engine.bank());
+        }
+        let published = Arc::new(Mutex::new(Some(engine.snapshot())));
+        let core = Core {
+            engine,
+            slot: 0,
+            next_id: 0,
+            next_seq: 0,
+            subscribers: BTreeMap::new(),
+            pending: Vec::new(),
+            sinks,
+            fleet: FleetMetrics::new(telemetry.registry()),
+            telemetry,
+            ring,
+            published: published.clone(),
+        };
+        RuntimeController {
+            shared: Arc::new(Shared {
+                core: Mutex::new(Some(core)),
+                asked: AtomicU64::new(0),
+                admitted: AtomicU64::new(0),
+            }),
+            waker: Arc::new(WakeSignal::new()),
+            published,
+        }
+    }
+
     /// Runs `call` on the serving core, on the calling thread, between two
     /// of the serving loop's runs.  Fails once the runtime has shut down
     /// (or a panic poisoned the core).
@@ -391,49 +433,22 @@ impl<E: Engine> Runtime<E> {
         engine: E,
         clock: impl Into<SlotClock>,
         config: RuntimeConfig,
-        mut sinks: Vec<Box<dyn SlotSink>>,
+        sinks: Vec<Box<dyn SlotSink>>,
         telemetry: Telemetry,
     ) -> Self {
-        // Before the serving thread exists: a sink knows the mode on the
-        // air by the time the caller holds the handle.
-        for sink in &mut sinks {
-            sink.mode_changed(engine.bank());
-        }
         let clock = clock.into();
-        let waker = Arc::new(WakeSignal::new());
-        clock.register_waker(waker.clone());
         let ring = Arc::new(BroadcastRing::new(config.queue_capacity));
-        let published = Arc::new(Mutex::new(Some(engine.snapshot())));
-        let shared = Arc::new(Shared {
-            core: Mutex::new(Some(Core {
-                engine,
-                slot: 0,
-                next_id: 0,
-                next_seq: 0,
-                subscribers: BTreeMap::new(),
-                pending: Vec::new(),
-                sinks,
-                fleet: FleetMetrics::new(telemetry.registry()),
-                telemetry: telemetry.clone(),
-                ring: ring.clone(),
-                published: published.clone(),
-            })),
-            asked: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-        });
+        let controller = RuntimeController::new(engine, sinks, telemetry.clone(), ring.clone());
+        clock.register_waker(controller.waker.clone());
         let server = {
-            let (shared, clock, waker) = (shared.clone(), clock.clone(), waker.clone());
+            let (controller, clock) = (controller.clone(), clock.clone());
             std::thread::Builder::new()
                 .name("brt-server".to_string())
-                .spawn(move || server_loop(&shared, &clock, &waker))
+                .spawn(move || server_loop(&controller.shared, &clock, &controller.waker))
                 .expect("the broadcast server thread spawns")
         };
         Runtime {
-            controller: RuntimeController {
-                shared,
-                waker,
-                published,
-            },
+            controller,
             clock,
             config,
             ring,
@@ -492,21 +507,26 @@ impl<E: Engine> Runtime<E> {
             .controller
             .with_core(|core| core.subscribe(file, at_slot, counters.clone(), detached.clone()))?
             .map_err(RuntimeError::Engine)?;
-        let cursor = ticket.request_slot().max(start_slot);
-        let controller = self.controller.clone();
-        let ring = self.ring.clone();
-        let task = {
-            let counters = counters.clone();
-            let detached = detached.clone();
-            std::thread::Builder::new()
-                .name(format!("brt-client-{id}"))
-                .spawn(move || {
-                    client_loop(
-                        id, ticket, errors, ring, counters, detached, cursor, controller,
-                    )
-                })
-                .expect("the client task spawns")
+        let mut reader = Reader {
+            id,
+            cursor: ticket.request_slot().max(start_slot),
+            ticket,
+            errors,
+            counters: counters.clone(),
         };
+        let (controller, ring) = (self.controller.clone(), self.ring.clone());
+        let task = std::thread::Builder::new()
+            .name(format!("brt-client-{id}"))
+            .spawn(move || {
+                let mut batch = Vec::with_capacity(READ_BATCH);
+                loop {
+                    let read = ring.read_many(reader.cursor, READ_BATCH, &detached, &mut batch);
+                    if !reader.advance(read, &batch, &controller) {
+                        return reader.ticket;
+                    }
+                }
+            })
+            .expect("the client task spawns");
         Ok(Subscription { id, counters, task })
     }
 
@@ -678,12 +698,13 @@ impl<E: Engine> Core<E> {
     }
 
     /// Removes a subscriber, raising its detach flag so its reader stops.
-    /// `wake` kicks the ring so a *parked* reader
-    /// observes its raised detach flag — needed for externally-initiated
-    /// departures (unsubscribe, swap cancellation) but pure waste for a
-    /// reader that resolved its own retrieval: that reader is running, not
-    /// parked, and fleet-wide kicks per completion turn a large fleet's
-    /// drain-down into a quadratic wakeup storm.
+    /// `wake` kicks the ring so a *parked* reader observes its raised
+    /// detach flag — needed for a departure from outside (unsubscribe) but
+    /// pure waste for a reader that stops by itself, on completing its
+    /// retrieval or on the cancel note it asked for: that reader is
+    /// running, not parked, and a fleet-wide kick per departure turns a
+    /// large fleet's drain-down (or a swap that cancels it) into a
+    /// quadratic wakeup storm.
     fn retire(&mut self, id: u64, wake: bool) -> Option<Entry> {
         let entry = self.subscribers.remove(&id)?;
         self.fleet
@@ -731,14 +752,15 @@ impl<E: Engine> Core<E> {
 
     /// A reader observed its channel's epoch move past `epoch`: the
     /// engine's disposition (retune or cancel), or `None` when the
-    /// subscriber has departed.  A cancel retires it.
+    /// subscriber has departed.  A cancel retires it without a kick: the
+    /// asking reader stops by itself.
     fn note(&mut self, id: u64, channel: usize, epoch: u64) -> Option<SwapNote> {
         let entry = self.subscribers.get_mut(&id)?;
         let note = self.engine.note_for(entry.file, channel, epoch);
         if let SwapNote::Retune { epoch, .. } = &note {
             entry.epoch = *epoch;
         } else {
-            self.retire(id, true);
+            self.retire(id, false);
             self.fleet.cancelled.inc();
             self.telemetry.record_event(|| Event::SubscriberResolved {
                 id,
@@ -848,19 +870,19 @@ impl<E: Engine> Core<E> {
         }
     }
 
-    /// One step of the serving loop on a ready clock: serves (or skips) the
-    /// run of ready slots at the cursor, moves the cursor past it and lands
-    /// every swap the cursor reached — so no swap is due while the core is
-    /// unlocked.
-    fn serve_ready(&mut self, clock: &SlotClock) {
+    /// The serving step, with no clock of its own: serves (or skips) a run
+    /// of the `ready` slots due at the cursor, moves the cursor past it and
+    /// lands every swap the cursor reached — so no swap is due while the
+    /// core is unlocked.  `lateness(slot)` is the clock's lateness of
+    /// serving `slot` now (see [`Core::serve_run`]).
+    fn serve_ready(&mut self, ready: usize, lateness: impl Fn(usize) -> Option<i64>) {
         let slot = self.slot;
-        // One clock query sizes a whole burst of due slots; nothing can
-        // change the engine or the fleet while the core is held, so the
-        // burst serves in one hold.  The cap bounds how long a call waits
-        // for its boundary, and a pending swap forces slot-at-a-time
-        // serving so it lands exactly at its planned slot.
+        // Nothing can change the engine or the fleet while the core is
+        // held, so a burst of due slots serves in one hold.  The cap bounds
+        // how long a call waits for its boundary, and a pending swap forces
+        // slot-at-a-time serving so it lands exactly at its planned slot.
         let run = if self.pending.is_empty() {
-            clock.ready_run(slot).clamp(1, SERVE_BURST)
+            ready.clamp(1, SERVE_BURST)
         } else {
             1
         };
@@ -876,7 +898,7 @@ impl<E: Engine> Core<E> {
                 slots: run as u64,
             });
         } else {
-            self.serve_run(slot..slot + run, clock);
+            self.serve_run(slot..slot + run, lateness);
         }
         self.slot += run;
         self.apply_due_swaps();
@@ -894,10 +916,10 @@ impl<E: Engine> Core<E> {
     /// Phases and lateness are booked per run: cell build `[t0, t1)`, sinks
     /// and ring publish `[t1, t2)`, cohort wakeup `[t2, t3)`, and every
     /// slot's lateness as of the run's publish.  They are recorded only
-    /// while recording is on and the clock has deadlines, so a
-    /// `ManualClock` run records nothing nondeterministic.
-    fn serve_run(&mut self, run: Range<usize>, clock: &SlotClock) {
-        let timed = self.telemetry.recording() && clock.slot_lateness(run.start).is_some();
+    /// while recording is on and `lateness` answers (the clock has
+    /// deadlines), so a `ManualClock` run records nothing nondeterministic.
+    fn serve_run(&mut self, run: Range<usize>, lateness: impl Fn(usize) -> Option<i64>) {
+        let timed = self.telemetry.recording() && lateness(run.start).is_some();
         let t0 = timed.then(Instant::now);
         let cells: Vec<Arc<SlotCell>> = run
             .clone()
@@ -926,8 +948,8 @@ impl<E: Engine> Core<E> {
             self.fleet.phase_publish_ns.record(nanos(t2 - t1));
             self.fleet.phase_wakeup_ns.record(nanos(t3 - t2));
             for slot in run {
-                if let Some(lateness) = clock.slot_lateness(slot) {
-                    self.fleet.slot_lateness_ns.record(lateness);
+                if let Some(late) = lateness(slot) {
+                    self.fleet.slot_lateness_ns.record(late);
                 }
             }
         }
@@ -946,17 +968,18 @@ impl<E: Engine> Core<E> {
     }
 }
 
-/// The serving thread: steps the core whenever the clock has a ready run,
-/// holding the core's lock for the step, and parks on `waker` while no slot
-/// is due.  Returns the engine once the clock closes.
+/// The serving thread, and the only holder of the clock: steps the core
+/// whenever the clock has a ready run, holding the core's lock for the
+/// step, and parks on `waker` while no slot is due.  Returns the engine
+/// once the clock closes.
 fn server_loop<E: Engine>(shared: &Shared<E>, clock: &SlotClock, waker: &WakeSignal) -> E {
     let mut held = loop {
         let mut held = shared.lock().expect("serving core lock");
         let core = held.as_mut().expect("only the serving loop ends the core");
         match clock.poll(core.slot) {
             ClockPoll::Closed => break held,
-            ClockPoll::Ready => {
-                core.serve_ready(clock);
+            ClockPoll::Ready(ready) => {
+                core.serve_ready(ready, |slot| clock.slot_lateness(slot));
                 drop(held);
                 shared.let_waiting_calls_in();
             }
@@ -1033,75 +1056,614 @@ fn replay_lag<E: Engine>(
 // Client side
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)] // one call site; a struct would obscure it
-fn client_loop<E: Engine>(
+/// A subscriber's side of the ring, with no thread: its id, ticket, cursor
+/// and reception-error process.  A client task reads the ring at the
+/// cursor and hands each read to [`Reader::advance`] until it says stop.
+pub(crate) struct Reader<E: Engine, M> {
     id: u64,
-    mut ticket: E::Ticket,
-    mut errors: impl ChannelErrorModel,
-    ring: Arc<BroadcastRing>,
+    ticket: E::Ticket,
+    /// The next slot to read.
+    cursor: usize,
+    errors: M,
     counters: Arc<SubscriberCounters>,
-    detached: Arc<AtomicBool>,
-    mut cursor: usize,
-    controller: RuntimeController<E>,
-) -> E::Ticket {
-    let mut batch: Vec<Arc<SlotCell>> = Vec::with_capacity(READ_BATCH);
-    'read: loop {
-        match ring.read_many(cursor, READ_BATCH, &detached, &mut batch) {
-            BatchRead::Closed | BatchRead::Detached => break 'read,
+}
+
+impl<E: Engine, M: ChannelErrorModel> Reader<E, M> {
+    /// Consumes one ring read (`batch` holds its cells) and returns whether
+    /// to read on.  Each cell goes through the reader step, asking the
+    /// serving core for swap notes in stream order.  An overwritten cursor
+    /// books the lost span through the core (which replays its schedule)
+    /// and erases the file's blocks in it.  It stops once the retrieval
+    /// resolves, or on the ring's close or detach, or when the core no
+    /// longer seats it (retired, or shut down) at a note.
+    fn advance(
+        &mut self,
+        read: BatchRead,
+        batch: &[Arc<SlotCell>],
+        controller: &RuntimeController<E>,
+    ) -> bool {
+        let id = self.id;
+        match read {
+            BatchRead::Closed | BatchRead::Detached => return false,
             BatchRead::Overwritten { resume } => {
-                // Self-account the overwritten span as lag: the core
-                // replays the span's schedule (off the data path) and books
-                // the counts; the ticket records the erasures.
-                let (channel, epoch) = (ticket.channel(), ticket.epoch());
-                let lag = controller.with_core(|core| core.lag(id, channel, epoch, cursor, resume));
+                let (channel, epoch, from) =
+                    (self.ticket.channel(), self.ticket.epoch(), self.cursor);
+                let lag = controller.with_core(|core| core.lag(id, channel, epoch, from, resume));
                 let Ok((lagged_slots, lagged_file_blocks)) = lag else {
-                    break 'read;
+                    return false;
                 };
                 if lagged_slots > 0 {
-                    ticket.erase(lagged_file_blocks as usize);
+                    self.ticket.erase(lagged_file_blocks as usize);
                 }
-                cursor = resume;
+                self.cursor = resume;
             }
-            BatchRead::Cells => {
-                for cell in batch.drain(..) {
-                    // The epoch rule, applied reader-side against the cell's
-                    // published lane epochs, fetching notes from the serving
-                    // core in stream order.
-                    let tuning = resolve_epoch(
-                        &mut ticket,
-                        |channel| cell.lanes.get(channel)?.epoch,
+            BatchRead::Cell(()) => {
+                for cell in batch {
+                    let heard = hear(
+                        &mut self.ticket,
+                        |channel| cell.lane(channel),
                         |channel, epoch| {
                             controller
                                 .with_core(|core| core.note(id, channel, epoch))?
                                 .ok_or(RuntimeError::Closed)
                         },
+                        |channel, tx| {
+                            self.counters.delivered.inc();
+                            !self.errors.is_lost_on(channel, tx)
+                        },
                     );
-                    let channel = match tuning {
-                        Ok(Tuning::Listen(channel)) => channel,
-                        Ok(Tuning::Wait) => {
-                            cursor += 1;
-                            continue;
+                    match heard {
+                        Ok(Heard::Listening) => self.cursor += 1,
+                        Ok(Heard::Completed) => {
+                            let _ = controller.with_core(|core| core.complete(id));
+                            return false;
                         }
                         // Cancelled (the core retired us when it answered),
                         // or retired / shut down before it could answer.
-                        Ok(Tuning::Cancelled) | Err(_) => break 'read,
-                    };
-                    if let Some(block) = cell.lanes[channel].block.as_ref() {
-                        counters.delivered.inc();
-                        let tx = TransmissionRef {
-                            slot: cell.slot,
-                            block,
-                        };
-                        let ok = !errors.is_lost_on(channel, tx);
-                        if ticket.observe(Some(tx), ok) {
-                            let _ = controller.with_core(|core| core.complete(id));
-                            break 'read;
-                        }
+                        Ok(Heard::Cancelled) | Err(_) => return false,
                     }
-                    cursor += 1;
                 }
             }
         }
+        true
     }
-    ticket
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::tests as ring_tests;
+    use crate::tests::{bcore_spec_stub, engine, insatiable_engine, server_for, BankEngine};
+    use bdisk::{EpochBank, NoErrors};
+    use bmode::ModeSpec;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
+
+    type TestReader = Reader<BankEngine, NoErrors>;
+
+    /// A serving core with no thread and no clock over `engine`, publishing
+    /// onto a ring of `capacity` cells.
+    fn world(
+        engine: BankEngine,
+        capacity: usize,
+    ) -> (RuntimeController<BankEngine>, Arc<BroadcastRing>) {
+        let ring = Arc::new(BroadcastRing::new(capacity));
+        let controller = RuntimeController::new(engine, Vec::new(), Telemetry::new(), ring.clone());
+        (controller, ring)
+    }
+
+    /// Seats a subscriber of `file` from slot 0 and returns its reader and
+    /// detach flag.
+    fn seat(
+        controller: &RuntimeController<BankEngine>,
+        file: u32,
+    ) -> (TestReader, Arc<AtomicBool>) {
+        let counters = Arc::new(SubscriberCounters::default());
+        let detached = Arc::new(AtomicBool::new(false));
+        let (id, ticket, start) = controller
+            .with_core(|core| core.subscribe(FileId(file), 0, counters.clone(), detached.clone()))
+            .unwrap()
+            .unwrap();
+        let reader = Reader {
+            id,
+            cursor: start,
+            ticket,
+            errors: NoErrors,
+            counters,
+        };
+        (reader, detached)
+    }
+
+    /// Prepares `mode` from the stub's catalog and queues it for `at_slot`
+    /// on the core, without waiting for it to land.
+    fn queue_swap(controller: &RuntimeController<BankEngine>, mode: &str, at_slot: usize) {
+        let prepared = controller
+            .snapshot()
+            .unwrap()
+            .prepare(&ModeSpec::new(mode).file(bcore_spec_stub()))
+            .unwrap();
+        let (reply, _) = mpsc::channel();
+        controller
+            .with_core(|core| core.queue_swap(prepared, at_slot, SwapPolicy::Immediate, reply))
+            .unwrap();
+    }
+
+    /// One serving step of at most `ready` slots.
+    fn step(controller: &RuntimeController<BankEngine>, ready: usize) {
+        controller
+            .with_core(|core| core.serve_ready(ready, |_| None))
+            .unwrap();
+    }
+
+    /// Insatiable readers of `files` seated at slot 0 on a core that then
+    /// served slots `0..8`, with a swap to `mode` landed at slot 4; and
+    /// those eight cells, read off the ring.
+    fn swapped_at_4(
+        mode: &str,
+        files: &[u32],
+    ) -> (
+        RuntimeController<BankEngine>,
+        Vec<TestReader>,
+        Vec<Arc<SlotCell>>,
+    ) {
+        let (controller, ring) = world(insatiable_engine(), 16);
+        let readers = files.iter().map(|&f| seat(&controller, f).0).collect();
+        queue_swap(&controller, mode, 4);
+        for _ in 0..8 {
+            step(&controller, 1);
+        }
+        let mut cells = Vec::new();
+        let read = ring.read_many(0, 16, &AtomicBool::new(false), &mut cells);
+        assert!(matches!(read, BatchRead::Cell(())));
+        assert_eq!(cells.len(), 8);
+        assert_eq!(cells[4].lane(0).unwrap().0, 1, "the swap landed at slot 4");
+        (controller, readers, cells)
+    }
+
+    /// The slots in `cells` whose lane 0 carries `file`.
+    fn carrying(cells: &[Arc<SlotCell>], file: u32) -> Vec<usize> {
+        let carries = |c: &&Arc<SlotCell>| matches!(c.lane(0), Some((_, Some(tx))) if tx.block.file() == FileId(file));
+        cells.iter().filter(carries).map(|c| c.slot).collect()
+    }
+
+    #[test]
+    fn a_lag_span_books_the_replayed_counts_and_erases_the_files_blocks() {
+        let (controller, _ring) = world(insatiable_engine(), 4);
+        let (mut reader, _) = seat(&controller, 1);
+        let resume = 16;
+        assert!(reader.advance(BatchRead::Overwritten { resume }, &[], &controller));
+        assert_eq!(reader.cursor, resume);
+        let bank = controller.snapshot().unwrap().bank;
+        let on_air: Vec<_> = (0..resume)
+            .filter_map(|s| bank.transmit_ref(0, s))
+            .collect();
+        let of_file = on_air
+            .iter()
+            .filter(|tx| tx.block.file() == FileId(1))
+            .count();
+        assert!(0 < of_file && of_file < on_air.len());
+        assert_eq!(reader.ticket.erased, of_file);
+        assert!(reader.ticket.heard.is_empty());
+        let stats = controller.stats().unwrap();
+        assert_eq!(reader.counters.lagged_slots.get(), on_air.len() as u64);
+        assert_eq!(reader.counters.lag_erasures.get(), of_file as u64);
+        assert_eq!(stats.lagged_slots, on_air.len() as u64);
+        assert_eq!(stats.lag_erasures, of_file as u64);
+    }
+
+    #[test]
+    fn a_retune_mid_batch_keeps_the_collected_blocks() {
+        let (controller, mut readers, cells) = swapped_at_4("keep", &[1]);
+        let reader = &mut readers[0];
+        assert!(reader.advance(BatchRead::Cell(()), &cells, &controller));
+        assert_eq!((reader.ticket.channel, reader.ticket.epoch), (0, 1));
+        assert_eq!(reader.cursor, 8);
+        // Every cell with a block was heard, across the flip; the blocks
+        // of file 1 from before it still count.
+        let on_air: Vec<_> = cells
+            .iter()
+            .filter(|c| c.lanes[0].block.is_some())
+            .map(|c| c.slot)
+            .collect();
+        assert_eq!(reader.ticket.heard, on_air);
+        let kept = carrying(&cells, 1);
+        assert!(kept.iter().any(|&s| s < 4) && kept.iter().any(|&s| s >= 4));
+        assert_eq!(reader.ticket.received, kept.len());
+        assert_eq!(controller.stats().unwrap().active_subscribers, 1);
+    }
+
+    #[test]
+    fn a_cancel_stops_the_reader_without_kicking_the_ring() {
+        let (controller, mut readers, cells) = swapped_at_4("other", &[1]);
+        let ring = controller.with_core(|core| core.ring.clone()).unwrap();
+        ring_tests::park(&ring, 8);
+        let reader = &mut readers[0];
+        assert!(!reader.advance(BatchRead::Cell(()), &cells, &controller));
+        assert_eq!(reader.cursor, 4, "stopped at the flipped cell");
+        assert_eq!(reader.ticket.cancelled_by.as_deref(), Some("swapped"));
+        assert!(reader.ticket.heard.iter().all(|&s| s < 4));
+        let stats = controller.stats().unwrap();
+        assert_eq!((stats.cancelled, stats.active_subscribers), (1, 0));
+        // The reader stops by itself: the readers parked on the ring are
+        // left alone.  An unsubscribe, which comes from outside, kicks.
+        assert_eq!(
+            ring_tests::parked(&ring),
+            1,
+            "a cancellation kicked the ring"
+        );
+        let (other, _) = seat(&controller, 9);
+        controller
+            .with_core(|core| core.retire(other.id, true))
+            .unwrap();
+        assert_eq!(ring_tests::parked(&ring), 0);
+    }
+
+    #[test]
+    fn a_departed_subscriber_stops_the_reader() {
+        let (controller, mut readers, cells) = swapped_at_4("other", &[1]);
+        let reader = &mut readers[0];
+        let id = reader.id;
+        controller.with_core(|core| core.retire(id, true)).unwrap();
+        // A lag span of a departed reader books nothing …
+        assert!(reader.advance(BatchRead::Overwritten { resume: 2 }, &[], &controller));
+        assert_eq!(
+            (reader.ticket.erased, reader.counters.lagged_slots.get()),
+            (0, 0)
+        );
+        // … and the note it asks for at the flip is refused: it stops
+        // there, unresolved, with no note applied.
+        assert!(!reader.advance(BatchRead::Cell(()), &cells[2..], &controller));
+        assert_eq!(reader.cursor, 4);
+        assert!(reader.ticket.cancelled_by.is_none());
+        assert_eq!(reader.ticket.epoch, 0);
+        assert_eq!(controller.stats().unwrap().cancelled, 0);
+        // A closed or detached read stops it too.
+        assert!(!reader.advance(BatchRead::Detached, &[], &controller));
+        assert!(!reader.advance(BatchRead::Closed, &[], &controller));
+    }
+
+    /// Checks, at every publish, that `brt_slots_served` counts only the
+    /// cells the sinks were handed before this one, and records each cell
+    /// and the slot each swap landed at.
+    struct Handed {
+        served: Counter,
+        cells: Arc<Mutex<Vec<Arc<SlotCell>>>>,
+        landed: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl SlotSink for Handed {
+        fn publish(&mut self, cell: &SlotCell) {
+            let mut cells = self.cells.lock().unwrap();
+            assert_eq!(
+                self.served.get(),
+                cells.len() as u64,
+                "counted before it was handed"
+            );
+            cells.push(Arc::new(cell.clone()));
+        }
+        fn mode_changed(&mut self, bank: &EpochBank) {
+            if bank.epoch() > 0 {
+                let handed = self.cells.lock().unwrap().len();
+                self.landed.lock().unwrap().push(handed);
+            }
+        }
+    }
+
+    type Handouts = (Arc<Mutex<Vec<Arc<SlotCell>>>>, Arc<Mutex<Vec<usize>>>);
+
+    fn handed(telemetry: &Telemetry) -> (Box<dyn SlotSink>, Handouts) {
+        let (cells, landed) = Handouts::default();
+        let sink = Handed {
+            served: telemetry.registry().counter("brt_slots_served"),
+            cells: cells.clone(),
+            landed: landed.clone(),
+        };
+        (Box::new(sink), (cells, landed))
+    }
+
+    #[test]
+    fn the_serving_step_counts_a_slot_only_after_its_sinks_have_it() {
+        let telemetry = Telemetry::new();
+        let (sink, (cells, landed)) = handed(&telemetry);
+        let ring = Arc::new(BroadcastRing::new(8));
+        let controller = RuntimeController::new(engine(), vec![sink], telemetry.clone(), ring);
+        let served = telemetry.registry().counter("brt_slots_served");
+        // Runs as the clock would size them: capped at the burst, and one
+        // slot at a time while a swap is pending.
+        let mut expect = 0;
+        for (ready, run) in [(1, 1), (5, 5), (1000, SERVE_BURST), (0, 1)] {
+            step(&controller, ready);
+            expect += run;
+            assert_eq!(served.get(), expect as u64);
+            assert_eq!(cells.lock().unwrap().len(), expect);
+        }
+        queue_swap(&controller, "other", expect + 3);
+        for _ in 0..3 {
+            step(&controller, 1000);
+            expect += 1;
+            assert_eq!(served.get(), expect as u64);
+        }
+        // The third step reached the planned slot and landed the swap.
+        assert_eq!(*landed.lock().unwrap(), [expect]);
+        step(&controller, 1000);
+        assert_eq!(served.get(), (expect + SERVE_BURST) as u64);
+        assert_eq!(served.get(), cells.lock().unwrap().len() as u64);
+    }
+
+    /// One event of the interleaving search: a serving step of one slot,
+    /// queueing the swap, or a reader's advance over one ring read.
+    #[derive(Debug, Clone, Copy)]
+    enum Move {
+        Step,
+        Swap,
+        Read(usize),
+    }
+
+    const SLOTS: usize = 6;
+    const SWAP_AT: usize = 3;
+    const CAPACITY: usize = 2;
+
+    /// A world of the search: a serving core with a recording sink, a ring
+    /// of two cells and two readers — of file 1, which the swap to `keep`
+    /// retunes, and of file 2, which it cancels — each needing 3 blocks.
+    struct World {
+        controller: RuntimeController<BankEngine>,
+        ring: Arc<BroadcastRing>,
+        served: Counter,
+        cells: Arc<Mutex<Vec<Arc<SlotCell>>>>,
+        landed: Arc<Mutex<Vec<usize>>>,
+        readers: Vec<(TestReader, Arc<AtomicBool>, bool)>,
+        swap_queued: bool,
+    }
+
+    /// What a world's future depends on, and what its checks read.
+    type Fingerprint = (
+        usize,
+        bool,
+        Vec<usize>,
+        Vec<(bool, usize, u64, usize, Option<usize>)>,
+    );
+
+    /// What the searched runs did between them.
+    #[derive(Default)]
+    struct Seen {
+        lag: bool,
+        cancel: bool,
+        complete: bool,
+        late_swap: bool,
+    }
+
+    impl World {
+        fn new(engine: &BankEngine) -> Self {
+            let telemetry = Telemetry::new();
+            let (sink, (cells, landed)) = handed(&telemetry);
+            let ring = Arc::new(BroadcastRing::new(CAPACITY));
+            let controller =
+                RuntimeController::new(engine.clone(), vec![sink], telemetry.clone(), ring.clone());
+            let readers = [1, 2].iter().map(|&f| {
+                let (reader, detached) = seat(&controller, f);
+                (reader, detached, true)
+            });
+            World {
+                served: telemetry.registry().counter("brt_slots_served"),
+                readers: readers.collect(),
+                controller,
+                ring,
+                cells,
+                landed,
+                swap_queued: false,
+            }
+        }
+
+        fn replay(
+            engine: &BankEngine,
+            path: &[Move],
+            timelines: &[EpochBank],
+            seen: &mut Seen,
+        ) -> Self {
+            let mut world = World::new(engine);
+            for &event in path {
+                world.apply(event, timelines, seen);
+            }
+            world
+        }
+
+        /// The events that can happen next.  A reader is scheduled only
+        /// when the ring holds its cursor or has overwritten it, so no read
+        /// blocks: with a sink attached no run is skipped, so the ring's
+        /// tail is the served count.
+        fn enabled(&self) -> Vec<Move> {
+            let served = self.served.get() as usize;
+            let mut moves = Vec::new();
+            if served < SLOTS {
+                moves.push(Move::Step);
+            }
+            if !self.swap_queued {
+                moves.push(Move::Swap);
+            }
+            for (i, (reader, _, live)) in self.readers.iter().enumerate() {
+                if *live && reader.cursor < served {
+                    moves.push(Move::Read(i));
+                }
+            }
+            moves
+        }
+
+        /// The slot timeline the runtime must serve: the swap flips the
+        /// one lane from `[1, 2]` to `[1, 9]` at the slot it landed at.
+        fn timeline<'t>(&self, timelines: &'t [EpochBank]) -> &'t EpochBank {
+            let landed = self.landed.lock().unwrap().first().copied();
+            &timelines[landed.unwrap_or(SLOTS + 1)]
+        }
+
+        fn apply(&mut self, event: Move, timelines: &[EpochBank], seen: &mut Seen) {
+            match event {
+                Move::Step => {
+                    step(&self.controller, 1);
+                    // No cell blends epochs: each is the timeline's slot.
+                    let cells = self.cells.lock().unwrap();
+                    let cell = cells.last().unwrap();
+                    let timeline = self.timeline(timelines);
+                    assert_eq!(cell.slot, cells.len() - 1);
+                    let expect = timeline
+                        .transmit_ref(0, cell.slot)
+                        .map(|tx| *tx.block.header());
+                    let epoch = timeline.epoch_at(0, cell.slot).unwrap();
+                    assert_eq!(cell.lane(0).map(|(e, _)| e), Some(epoch));
+                    assert_eq!(cell.lanes[0].block.as_ref().map(|b| *b.header()), expect);
+                }
+                Move::Swap => {
+                    queue_swap(&self.controller, "keep", SWAP_AT);
+                    self.swap_queued = true;
+                }
+                Move::Read(i) => self.read(i, timelines, seen),
+            }
+            // The served count never runs ahead of what the sinks have.
+            assert_eq!(self.served.get(), self.cells.lock().unwrap().len() as u64);
+            if self
+                .landed
+                .lock()
+                .unwrap()
+                .first()
+                .is_some_and(|&at| at > SWAP_AT)
+            {
+                seen.late_swap = true;
+            }
+        }
+
+        /// One reader advance, checked: the reader sees each slot of the
+        /// span it covers once, or books it as lag on its tuned mode.
+        fn read(&mut self, i: usize, timelines: &[EpochBank], seen: &mut Seen) {
+            let timeline = self.timeline(timelines);
+            let (reader, detached, live) = &mut self.readers[i];
+            let before = reader.cursor;
+            let tuned = reader.ticket.epoch;
+            let heard = reader.ticket.heard.len();
+            let (lagged, erased) = (reader.counters.lagged_slots.get(), reader.ticket.erased);
+            let mut batch = Vec::new();
+            let read = self
+                .ring
+                .read_many(before, READ_BATCH, detached, &mut batch);
+            let resume = match read {
+                BatchRead::Cell(()) => {
+                    let slots: Vec<_> = batch.iter().map(|c| c.slot).collect();
+                    assert_eq!(slots, (before..before + batch.len()).collect::<Vec<_>>());
+                    None
+                }
+                BatchRead::Overwritten { resume } => {
+                    assert!(before < resume);
+                    Some(resume)
+                }
+                other => panic!("a live reader read {other:?}"),
+            };
+            *live = reader.advance(read, &batch, &self.controller);
+            let ticket = &reader.ticket;
+            let completed = ticket.received >= 3;
+            if !*live {
+                assert!(
+                    completed || ticket.cancelled_by.is_some(),
+                    "stopped unresolved"
+                );
+                seen.complete |= completed;
+                seen.cancel |= ticket.cancelled_by.is_some();
+            }
+            let new_heard = &ticket.heard[heard.saturating_sub(1)..];
+            assert!(
+                new_heard.windows(2).all(|w| w[0] < w[1]),
+                "a slot heard twice"
+            );
+            let new_heard = &ticket.heard[heard..];
+            if let Some(resume) = resume {
+                seen.lag = true;
+                assert_eq!(reader.cursor, resume);
+                assert!(new_heard.is_empty());
+                let mut on_air = (0, 0);
+                for slot in before..resume {
+                    if timeline.epoch_at(0, slot) != Some(tuned) {
+                        continue;
+                    }
+                    if let Some(tx) = timeline.transmit_ref(0, slot) {
+                        on_air.0 += 1;
+                        on_air.1 += usize::from(tx.block.file() == ticket.file);
+                    }
+                }
+                assert_eq!(reader.counters.lagged_slots.get() - lagged, on_air.0);
+                assert_eq!(ticket.erased - erased, on_air.1);
+            } else {
+                // A reader that completed stops at the cell it completed on.
+                let end = reader.cursor + usize::from(!*live && completed);
+                let carried = batch
+                    .iter()
+                    .filter(|c| c.slot < end && c.lanes[0].block.is_some());
+                let expect: Vec<_> = carried.map(|c| c.slot).collect();
+                assert_eq!(new_heard, expect, "reader {i} from slot {before}");
+            }
+        }
+
+        fn fingerprint(&self) -> Fingerprint {
+            let readers = self.readers.iter().map(|(r, _, live)| {
+                let last_heard = r.ticket.heard.last().copied();
+                (
+                    *live,
+                    r.cursor,
+                    r.ticket.epoch,
+                    r.ticket.received,
+                    last_heard,
+                )
+            });
+            (
+                self.served.get() as usize,
+                self.swap_queued,
+                self.landed.lock().unwrap().clone(),
+                readers.collect(),
+            )
+        }
+    }
+
+    /// Every interleaving of serving steps, reader advances and one swap,
+    /// at small bounds, with no thread and no clock.  The search visits
+    /// every reachable state and takes every enabled event from each, and
+    /// every check is about one event — so each event of every interleaving
+    /// is checked, without replaying the ~10⁵ interleavings one by one.
+    #[test]
+    fn every_interleaving_of_steps_reads_and_a_swap_keeps_the_broadcast_whole() {
+        let mut engine = engine();
+        engine.threshold = 3;
+        let timelines: Vec<EpochBank> = (0..=SLOTS + 1)
+            .map(|at| {
+                let mut bank = EpochBank::new(vec![server_for(&[1, 2])]).unwrap();
+                if at <= SLOTS {
+                    bank.swap(at, vec![server_for(&[1, 9])]).unwrap();
+                }
+                bank
+            })
+            .collect();
+        let mut seen = Seen::default();
+        let mut visited = BTreeSet::new();
+        visited.insert(World::new(&engine).fingerprint());
+        // Depth first: a state's world takes its first event, and a replay
+        // of its path each of the others.
+        let mut frontier = vec![(Vec::new(), World::new(&engine))];
+        let mut events = 0;
+        while let Some((path, state)) = frontier.pop() {
+            let moves = state.enabled();
+            let mut state = Some(state);
+            for event in moves {
+                let mut world = state
+                    .take()
+                    .unwrap_or_else(|| World::replay(&engine, &path, &timelines, &mut seen));
+                world.apply(event, &timelines, &mut seen);
+                events += 1;
+                if visited.insert(world.fingerprint()) {
+                    frontier.push(([&path[..], &[event]].concat(), world));
+                }
+            }
+        }
+        assert!(seen.lag && seen.cancel && seen.complete && seen.late_swap);
+        assert!(
+            visited.len() > 500,
+            "{} states, {events} events",
+            visited.len()
+        );
+    }
 }

@@ -4,6 +4,12 @@
 //! retrievals at random request slots, passing every transmission through an
 //! [`ErrorModel`], and collecting latency and deadline statistics.  This is
 //! the workhorse behind the redundancy-level and block-size ablations.
+//!
+//! Its slot loop is its own, not `brt::drive`'s reader step: it serves a
+//! bare `BroadcastServer` — the flat programs of Ablation C and the IVHS
+//! example — which has no epoch timeline to resolve, so a client here only
+//! ever listens.  Routing it through `brt` would add a `brt::Subscriber`
+//! for `ClientSession` and a `bsim → brt` dependency, and delete nothing.
 
 use crate::stats::{LatencySummary, MissReport};
 use bdisk::{BroadcastServer, ClientSession, ErrorModel, Observation};

@@ -193,20 +193,16 @@ impl Retrieval {
         self.session.is_complete()
     }
 
-    /// Feeds one slot of the broadcast into the retrieval; returns `true`
-    /// if this slot completed it.
+    /// Feeds one transmission of the broadcast into the retrieval; returns
+    /// `true` if it completed it.
     ///
     /// Slots before the request slot are ignored (the session enforces
     /// this), so a fleet of retrievals with different request slots can
     /// share one slot-driver loop.
-    pub fn observe(
-        &mut self,
-        transmission: Option<TransmissionRef<'_>>,
-        received_ok: bool,
-    ) -> bool {
+    pub fn observe(&mut self, transmission: TransmissionRef<'_>, received_ok: bool) -> bool {
         self.session
             .ingest(Observation::Slot {
-                transmission,
+                transmission: Some(transmission),
                 received_ok,
             })
             .completed()
@@ -286,7 +282,7 @@ impl brt::Subscriber for Retrieval {
         Retrieval::is_resolved(self)
     }
 
-    fn observe(&mut self, transmission: Option<TransmissionRef<'_>>, received_ok: bool) -> bool {
+    fn observe(&mut self, transmission: TransmissionRef<'_>, received_ok: bool) -> bool {
         Retrieval::observe(self, transmission, received_ok)
     }
 
